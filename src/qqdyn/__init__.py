@@ -7,18 +7,17 @@ death thresholds, and cross-validates the Kraus numerics against closed-form
 expressions for every evolved state and negativity that admits one.
 """
 
+#: The package version, read by the build metadata, ``qqdyn --version`` and
+#: the ``tool_version`` field of emitted JSON.  Set before the submodule
+#: imports so that they can read it.
+__version__ = "0.1.0"
+
 from .channels import (
     ChannelKind,
     KrausChannel,
-    NoiseStrength,
     OPERATOR_COUNTS,
     Side,
-    bit_flip,
-    bit_phase_flip,
-    dephasing,
-    depolarizing,
     make_channel,
-    phase_flip,
 )
 from .evolution import (
     ChannelScenario,
@@ -29,14 +28,7 @@ from .evolution import (
     coherence_l1,
     evolve,
 )
-from .linalg import (
-    dagger,
-    hermitian_eigenvalues,
-    kron,
-    matmul,
-    partial_transpose_qutrit,
-    trace_norm,
-)
+from .linalg import partial_transpose_qutrit
 from .negativity import (
     CANONICAL_POINTS,
     EsdReport,
@@ -60,8 +52,6 @@ from .states import (
 from .sweep import SweepResult, SweepRow, run_sweep
 from .validate import run_validation
 
-__version__ = "0.1.0"
-
 __all__ = [
     "CANONICAL_POINTS",
     "ChannelKind",
@@ -72,7 +62,6 @@ __all__ = [
     "Mode",
     "NegativityResult",
     "NoClosedFormError",
-    "NoiseStrength",
     "OPERATOR_COUNTS",
     "RAW_FORM_MISMATCHES",
     "REFERENCE_ESD_TABLE",
@@ -84,27 +73,17 @@ __all__ = [
     "analytic_evolved",
     "apply_channel",
     "bell_state",
-    "bit_flip",
-    "bit_phase_flip",
     "classify_table1",
     "coherence_l1",
-    "dagger",
-    "dephasing",
-    "depolarizing",
     "esd_gamma",
     "esd_report",
     "evolve",
-    "hermitian_eigenvalues",
     "initial_negativity",
     "initial_state",
-    "kron",
     "make_channel",
-    "matmul",
     "negativity_analytic",
     "negativity_numeric",
     "partial_transpose_qutrit",
-    "phase_flip",
     "run_sweep",
     "run_validation",
-    "trace_norm",
 ]

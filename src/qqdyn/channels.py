@@ -1,9 +1,16 @@
-"""Kraus operator families for the five single-side noise channels.
+"""Kraus operators of the five noise channels, held as data.
 
-Each builder returns a :class:`KrausChannel` whose operators are full 6x6
-matrices: a qubit-side operator is padded as (op x I3), a qutrit-side one as
-(I2 x op).  A channel application is then always the plain sum
-sum_i K_i rho K_i^dagger in the composite space, regardless of side.
+Every (kind, side) channel is a fixed stack of 6x6 operator shapes weighted
+by scalar functions of the strength gamma.  A qubit-side shape is padded as
+(op x I3), a qutrit-side one as (I2 x op), once at import, so a channel
+application is always the plain sum sum_i K_i rho K_i^dagger in the
+composite space, regardless of side.
+
+Eight of the ten channels are mixed-unitary: K_0 = sqrt(1 - f gamma) I and
+K_i = sqrt(f gamma / n) U_i for n unitaries U_i, with f = 1/2 for the qubit
+flips, 3/4 for qubit depolarizing, 2/3 for the qutrit flips and 8/9 for
+qutrit depolarizing.  Dephasing keeps the level-0 projector P_0 untouched:
+K_0 = P_0 + sqrt(1 - gamma)(I - P_0) and K_j = sqrt(gamma) P_j.
 
 All five channels admit the strength parametrization gamma = 1 - exp(-t * rate)
 in [0, 1]; gamma = 0 is the identity channel and gamma = 1 the infinite-time
@@ -12,7 +19,6 @@ limit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -51,76 +57,34 @@ class Side(str, Enum):
 
 
 @dataclass(frozen=True)
-class NoiseStrength:
-    """A noise strength gamma in [0, 1], optionally derived from a decay rate.
-
-    When ``rate`` and ``time`` are supplied, gamma must equal
-    1 - exp(-time * rate) to within 1e-12.
-    """
-
-    gamma: float
-    rate: float | None = None
-    time: float | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if (self.rate is None) != (self.time is None):
-            raise ValueError("rate and time must be given together")
-        if self.rate is not None:
-            if self.rate < 0.0 or self.time < 0.0:
-                raise ValueError("rate and time must be non-negative")
-            expected = -math.expm1(-self.time * self.rate)
-            if abs(self.gamma - expected) > 1e-12:
-                raise ValueError(
-                    f"gamma={self.gamma} inconsistent with rate/time (expected {expected})"
-                )
-
-    @classmethod
-    def from_rate_time(cls, rate: float, time: float) -> "NoiseStrength":
-        return cls(-math.expm1(-time * rate), rate=rate, time=time)
-
-
-def _as_gamma(strength: float | NoiseStrength) -> float:
-    if isinstance(strength, NoiseStrength):
-        return strength.gamma
-    g = float(strength)
-    if not 0.0 <= g <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {g}")
-    return g
-
-
-@dataclass(frozen=True)
 class KrausChannel:
-    """An ordered set of 6x6 Kraus operators for one channel kind and side.
+    """An ordered stack of 6x6 Kraus operators for one channel kind and side.
 
-    The completeness relation sum_i K_i^dagger K_i = I6 is certified at
-    construction to within ``COMPLETENESS_TOL``.  Zero operators (as produced
-    at gamma = 0) are kept so operator counts are strength-independent.
+    ``operators`` is a read-only (K, 6, 6) complex array.  The completeness
+    relation sum_i K_i^dagger K_i = I6 is certified at construction to within
+    ``COMPLETENESS_TOL``.  Zero operators (as produced at gamma = 0) are kept
+    so operator counts are strength-independent.
     """
 
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
     kind: ChannelKind
     side: Side
     gamma: float
 
     def __post_init__(self) -> None:
-        ops = []
-        total = np.zeros((TOTAL_DIM, TOTAL_DIM), dtype=complex)
-        for op in self.operators:
-            op = np.array(op, dtype=complex)
-            if op.shape != (TOTAL_DIM, TOTAL_DIM):
-                raise ValueError(f"Kraus operator has shape {op.shape}")
-            total += op.conj().T @ op
-            op.setflags(write=False)
-            ops.append(op)
+        ops = np.array(self.operators, dtype=complex)
+        if ops.ndim != 3 or ops.shape[1:] != (TOTAL_DIM, TOTAL_DIM):
+            raise ValueError(f"Kraus operators have shape {ops.shape}")
+        total = (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
         defect = np.abs(total - np.eye(TOTAL_DIM)).max()
         if defect > COMPLETENESS_TOL:
             raise ValueError(f"completeness violated: max deviation {defect:.3e}")
-        object.__setattr__(self, "operators", tuple(ops))
+        ops.setflags(write=False)
+        object.__setattr__(self, "operators", ops)
 
 
-#: Expected operator counts per (kind, side).
+#: Expected operator counts per (kind, side), recorded independently of the
+#: operator table below.
 OPERATOR_COUNTS = {
     (ChannelKind.DEPHASING, Side.QUBIT): 2,
     (ChannelKind.DEPHASING, Side.QUTRIT): 3,
@@ -135,105 +99,84 @@ OPERATOR_COUNTS = {
 }
 
 
-def _pad(op: np.ndarray, side: Side) -> np.ndarray:
+@dataclass(frozen=True)
+class _KrausShapes:
+    """K_i(gamma) = fixed_i + w_i(gamma) shape_i, all padded to 6x6, with
+    weights w_0 = sqrt(1 - p gamma / m) and w_i = sqrt(gamma / m) for i > 0."""
+
+    fixed: np.ndarray
+    shapes: np.ndarray
+    p: int
+    m: int
+
+    def operators(self, g: float) -> np.ndarray:
+        rest = [g / self.m] * (len(self.shapes) - 1)
+        w = np.sqrt([1.0 - self.p * g / self.m] + rest)
+        return self.fixed + w[:, None, None] * self.shapes
+
+
+def _embedded(side: Side, ops) -> np.ndarray:
     if side is Side.QUBIT:
-        return np.kron(op, I3)
-    return np.kron(I2, op)
+        return np.array([np.kron(op, I3) for op in ops])
+    return np.array([np.kron(I2, op) for op in ops])
 
 
-def dephasing(side: Side, strength: float | NoiseStrength) -> KrausChannel:
-    """Pure decoherence: diagonal operators damp off-diagonal entries only."""
-    g = _as_gamma(strength)
-    if side is Side.QUBIT:
-        ops = [np.diag([1.0, np.sqrt(1.0 - g)]), np.diag([0.0, np.sqrt(g)])]
-    else:
-        r = np.sqrt(1.0 - g)
-        ops = [
-            np.diag([1.0, r, r]),
-            np.diag([0.0, np.sqrt(g), 0.0]),
-            np.diag([0.0, 0.0, np.sqrt(g)]),
-        ]
-    mats = tuple(_pad(np.asarray(o, dtype=complex), side) for o in ops)
-    return KrausChannel(mats, ChannelKind.DEPHASING, side, g)
+def _mixed_unitary(side: Side, m: int, unitaries) -> _KrausShapes:
+    """K_0 = sqrt(1 - n gamma / m) I and K_i = sqrt(gamma / m) U_i for the n
+    unitaries U_i, that is f = n / m."""
+    eye = I2 if side is Side.QUBIT else I3
+    shapes = _embedded(side, [eye, *unitaries])
+    return _KrausShapes(np.zeros_like(shapes), shapes, len(unitaries), m)
 
 
-def phase_flip(side: Side, strength: float | NoiseStrength) -> KrausChannel:
-    """Probabilistic phase errors: sigma_z on the qubit, cube-root phases on the qutrit."""
-    g = _as_gamma(strength)
-    if side is Side.QUBIT:
-        ops = [np.sqrt(1.0 - g / 2.0) * I2, np.sqrt(g / 2.0) * SIGMA_Z]
-    else:
-        ops = [
-            np.sqrt(1.0 - 2.0 * g / 3.0) * I3,
-            np.sqrt(g / 3.0) * np.diag([1.0, np.conj(OMEGA), OMEGA]),
-            np.sqrt(g / 3.0) * np.diag([1.0, OMEGA, np.conj(OMEGA)]),
-        ]
-    mats = tuple(_pad(o, side) for o in ops)
-    return KrausChannel(mats, ChannelKind.PHASE_FLIP, side, g)
+def _dephasing(side: Side) -> _KrausShapes:
+    """K_0 = P_0 + sqrt(1 - gamma)(I - P_0) and K_j = sqrt(gamma) P_j."""
+    eye = I2 if side is Side.QUBIT else I3
+    proj = [np.diag(row) for row in eye]
+    fixed = _embedded(side, [proj[0]] + [0 * eye] * (len(proj) - 1))
+    shapes = _embedded(side, [eye - proj[0], *proj[1:]])
+    return _KrausShapes(fixed, shapes, 1, 1)
 
 
-def bit_flip(side: Side, strength: float | NoiseStrength) -> KrausChannel:
-    """Probabilistic level flips: sigma_x on the qubit, cyclic shifts on the qutrit."""
-    g = _as_gamma(strength)
-    if side is Side.QUBIT:
-        ops = [np.sqrt(1.0 - g / 2.0) * I2, np.sqrt(g / 2.0) * SIGMA_X]
-    else:
-        shift_down = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
-        ops = [
-            np.sqrt(1.0 - 2.0 * g / 3.0) * I3,
-            np.sqrt(g / 3.0) * shift_down,
-            np.sqrt(g / 3.0) * QUTRIT_SHIFT,
-        ]
-    mats = tuple(_pad(o, side) for o in ops)
-    return KrausChannel(mats, ChannelKind.BIT_FLIP, side, g)
+def _qutrit_depolarizing_words() -> list[np.ndarray]:
+    y, z = QUTRIT_SHIFT, QUTRIT_PHASE
+    return [y, z, y @ y, y @ z, y @ y @ z, y @ z @ z, y @ y @ z @ z, z @ z]
 
 
-def bit_phase_flip(side: Side, strength: float | NoiseStrength) -> KrausChannel:
-    """Combined flip and phase errors: sigma_y on the qubit, phased shifts on the qutrit."""
-    g = _as_gamma(strength)
-    if side is Side.QUBIT:
-        ops = [np.sqrt(1.0 - g / 2.0) * I2, np.sqrt(g / 2.0) * SIGMA_Y]
-    else:
-        w, wc = OMEGA, np.conj(OMEGA)
-        m2 = np.array([[0, 0, w], [1, 0, 0], [0, wc, 0]], dtype=complex)
-        m4 = np.array([[0, wc, 0], [0, 0, w], [1, 0, 0]], dtype=complex)
-        ops = [np.sqrt(1.0 - 2.0 * g / 3.0) * I3] + [
-            np.sqrt(g / 6.0) * m for m in (m2, np.conj(m2), m4, np.conj(m4))
-        ]
-    mats = tuple(_pad(o, side) for o in ops)
-    return KrausChannel(mats, ChannelKind.BIT_PHASE_FLIP, side, g)
+_PHASED_SHIFT_DOWN = np.array([[0, 0, OMEGA], [1, 0, 0], [0, np.conj(OMEGA), 0]])
+_PHASED_SHIFT_UP = np.array([[0, np.conj(OMEGA), 0], [0, 0, OMEGA], [1, 0, 0]])
 
-
-def depolarizing(side: Side, strength: float | NoiseStrength) -> KrausChannel:
-    """Uniform noise driving the affected marginal toward the maximally mixed state.
-
-    The qubit side mixes the three Pauli operators; the qutrit side mixes the
-    eight non-identity products of the shift and phase operators, each with
-    prefactor sqrt(gamma)/3.
-    """
-    g = _as_gamma(strength)
-    if side is Side.QUBIT:
-        ops = [np.sqrt(1.0 - 3.0 * g / 4.0) * I2] + [
-            np.sqrt(g / 4.0) * s for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)
-        ]
-    else:
-        y, z = QUTRIT_SHIFT, QUTRIT_PHASE
-        words = (y, z, y @ y, y @ z, y @ y @ z, y @ z @ z, y @ y @ z @ z, z @ z)
-        ops = [np.sqrt(1.0 - 8.0 * g / 9.0) * I3] + [
-            (np.sqrt(g) / 3.0) * w for w in words
-        ]
-    mats = tuple(_pad(o, side) for o in ops)
-    return KrausChannel(mats, ChannelKind.DEPOLARIZING, side, g)
-
-
-_BUILDERS = {
-    ChannelKind.DEPHASING: dephasing,
-    ChannelKind.PHASE_FLIP: phase_flip,
-    ChannelKind.BIT_FLIP: bit_flip,
-    ChannelKind.BIT_PHASE_FLIP: bit_phase_flip,
-    ChannelKind.DEPOLARIZING: depolarizing,
+#: The operator table, built once at import, in the operator order that
+#: :func:`make_channel` returns.  The mixed-unitary entries give m = n / f.
+_SHAPES: dict[tuple[ChannelKind, Side], _KrausShapes] = {
+    (ChannelKind.DEPHASING, Side.QUBIT): _dephasing(Side.QUBIT),
+    (ChannelKind.DEPHASING, Side.QUTRIT): _dephasing(Side.QUTRIT),
+    (ChannelKind.PHASE_FLIP, Side.QUBIT): _mixed_unitary(Side.QUBIT, 2, [SIGMA_Z]),
+    (ChannelKind.PHASE_FLIP, Side.QUTRIT): _mixed_unitary(
+        Side.QUTRIT, 3, [QUTRIT_PHASE.conj(), QUTRIT_PHASE]
+    ),
+    (ChannelKind.BIT_FLIP, Side.QUBIT): _mixed_unitary(Side.QUBIT, 2, [SIGMA_X]),
+    (ChannelKind.BIT_FLIP, Side.QUTRIT): _mixed_unitary(
+        Side.QUTRIT, 3, [QUTRIT_SHIFT.T, QUTRIT_SHIFT]
+    ),
+    (ChannelKind.BIT_PHASE_FLIP, Side.QUBIT): _mixed_unitary(Side.QUBIT, 2, [SIGMA_Y]),
+    (ChannelKind.BIT_PHASE_FLIP, Side.QUTRIT): _mixed_unitary(
+        Side.QUTRIT,
+        6,
+        [_PHASED_SHIFT_DOWN, _PHASED_SHIFT_DOWN.conj(), _PHASED_SHIFT_UP, _PHASED_SHIFT_UP.conj()],
+    ),
+    (ChannelKind.DEPOLARIZING, Side.QUBIT): _mixed_unitary(
+        Side.QUBIT, 4, [SIGMA_X, SIGMA_Y, SIGMA_Z]
+    ),
+    (ChannelKind.DEPOLARIZING, Side.QUTRIT): _mixed_unitary(
+        Side.QUTRIT, 9, _qutrit_depolarizing_words()
+    ),
 }
 
 
-def make_channel(kind: ChannelKind, side: Side, strength: float | NoiseStrength) -> KrausChannel:
-    return _BUILDERS[ChannelKind(kind)](Side(side), strength)
+def make_channel(kind: ChannelKind, side: Side, gamma: float) -> KrausChannel:
+    """The Kraus channel of one kind on one side at strength gamma in [0, 1]."""
+    kind, side, g = ChannelKind(kind), Side(side), float(gamma)
+    if not 0.0 <= g <= 1.0:
+        raise ValueError(f"gamma must lie in [0, 1], got {g}")
+    return KrausChannel(_SHAPES[(kind, side)].operators(g), kind, side, g)

@@ -17,11 +17,18 @@ import json
 import sys
 from pathlib import Path
 
+from . import __version__
 from .channels import ChannelKind
 from .evolution import Mode
-from .negativity import CANONICAL_POINTS, REFERENCE_ESD_TABLE, esd_report
+from .negativity import (
+    CANONICAL_POINTS,
+    REFERENCE_ESD_TABLE,
+    cell_summary,
+    esd_report,
+    semantics_match,
+)
 from .states import StateParams
-from .sweep import TOOL_VERSION, esd_report_obj, render_sweep, run_sweep
+from .sweep import FORMATS, check_grid, esd_report_obj, render_sweep, run_sweep
 from .validate import run_validation
 
 EXIT_OK = 0
@@ -94,8 +101,6 @@ def cmd_sweep(args) -> int:
     if args.kind is None or args.mode is None:
         raise ConfigError("--kind and --mode are required without --config")
     points = _resolve_points(args)
-    if args.gamma_steps < 2:
-        raise ConfigError("--gamma-steps must be at least 2")
     for p in points:
         out = _sweep_out_path(args.out, p, len(points) > 1)
         _run_one_sweep(args.kind, args.mode, p, args.gamma_steps, out, args.format, args.tol)
@@ -111,28 +116,40 @@ def _run_batch(config_path: str) -> int:
         raise ConfigError(f"invalid JSON in {config_path}: {exc}") from exc
     if not isinstance(entries, list):
         raise ConfigError("batch config must be a JSON list of run objects")
-    for i, entry in enumerate(entries):
-        try:
-            kind = entry["kind"]
-            mode = entry["mode"]
-            b = float(entry["b"])
-            c = 1.0 - 3.0 * b if entry.get("a_zero") else float(entry["c"])
-            grid = entry.get("gamma", {})
-            params = StateParams(b, c)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"batch entry {i}: {exc}") from exc
-        _run_one_sweep(
-            kind,
-            mode,
-            params,
-            int(grid.get("steps", 513)),
-            entry.get("out"),
-            entry.get("format", "csv"),
-            float(entry.get("tol", 1e-9)),
-            start=float(grid.get("start", 0.0)),
-            stop=float(grid.get("stop", 1.0)),
-        )
+    runs = [_batch_run(i, entry) for i, entry in enumerate(entries)]
+    for run in runs:
+        _run_one_sweep(**run)
     return EXIT_OK
+
+
+def _batch_run(i: int, entry) -> dict:
+    """Resolve and check one batch entry, so that a bad entry stops the batch
+    before any entry has run or written output."""
+    try:
+        b = float(entry["b"])
+        c = 1.0 - 3.0 * b if entry.get("a_zero") else float(entry["c"])
+        grid = entry.get("gamma", {})
+        if not isinstance(grid, dict):
+            raise TypeError(f"gamma must be an object, got {grid!r}")
+        run = {
+            "kind": ChannelKind(entry["kind"]),
+            "mode": Mode(entry["mode"]),
+            "params": StateParams(b, c),
+            "steps": int(grid.get("steps", 513)),
+            "out": entry.get("out"),
+            "fmt": entry.get("format", "csv"),
+            "tol": float(entry.get("tol", 1e-9)),
+            "start": float(grid.get("start", 0.0)),
+            "stop": float(grid.get("stop", 1.0)),
+        }
+        check_grid(run["start"], run["stop"], run["steps"], run["tol"])
+        if run["fmt"] not in FORMATS:
+            raise ValueError(f"unknown format {run['fmt']!r}")
+        if run["out"] is not None and not isinstance(run["out"], str):
+            raise TypeError(f"out must be a path string, got {run['out']!r}")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"batch entry {i}: {exc}") from exc
+    return run
 
 
 def cmd_esd(args) -> int:
@@ -150,39 +167,6 @@ def cmd_esd(args) -> int:
     return EXIT_OK
 
 
-def _cell_summary(reports) -> dict:
-    esd_points = [r for r in reports if r.classification == "ESD"]
-    b_zero = [r for r in reports if r.b == 0.0]
-    b_nonzero = [r for r in reports if r.b != 0.0]
-    if len(esd_points) == len(reports):
-        observed = "always"
-    elif not esd_points:
-        observed = "never"
-    elif all(r.classification == "NoESD" for r in b_zero) and all(
-        r.classification == "ESD" for r in b_nonzero
-    ):
-        observed = "b_nonzero"
-    else:
-        observed = "exists"
-    return {
-        "observed": observed,
-        "esd_count": len(esd_points),
-        "point_count": len(reports),
-    }
-
-
-def _semantics_match(reference: str, reports) -> bool:
-    if reference == "always":
-        return all(r.classification == "ESD" for r in reports)
-    if reference == "b_nonzero":
-        return all(
-            (r.classification == "ESD") == (r.b != 0.0) for r in reports
-        )
-    if reference == "exists":
-        return any(r.classification == "ESD" for r in reports)
-    raise ValueError(reference)
-
-
 def cmd_table1(args) -> int:
     if args.b is not None or args.c is not None:
         points = _resolve_points(args)
@@ -193,21 +177,21 @@ def cmd_table1(args) -> int:
         for mode in Mode:
             reports = [esd_report(kind, mode, p, tol=args.tol) for p in points]
             reference = REFERENCE_ESD_TABLE[(kind, mode)]
-            summary = _cell_summary(reports)
+            summary = cell_summary(reports)
             cells.append(
                 {
                     "kind": kind.value,
                     "mode": mode.value,
                     "reference": reference,
                     "observed": summary["observed"],
-                    "matches_reference": _semantics_match(reference, reports),
+                    "matches_reference": semantics_match(reference, reports),
                     "esd_count": summary["esd_count"],
                     "point_count": summary["point_count"],
                     "points": [esd_report_obj(r) for r in reports],
                 }
             )
     obj = {
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "points": [{"b": p.b, "c": p.c} for p in points],
         "cells": cells,
     }
@@ -252,7 +236,7 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qqdyn", description=__doc__)
-    parser.add_argument("--version", action="version", version=TOOL_VERSION)
+    parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", help="negativity/coherence sweep over gamma")
@@ -260,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
     p.add_argument("--gamma-steps", type=int, default=513)
     p.add_argument("--out", default=None, help="output path (stdout if omitted)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--config", default=None, help="JSON batch config (list of runs)")
     p.set_defaults(func=cmd_sweep)

@@ -67,11 +67,8 @@ class ChannelScenario:
 
 def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """sum_i K_i rho K_i^dagger, revalidated as a density matrix."""
-    m = rho.matrix
-    out = np.zeros((TOTAL_DIM, TOTAL_DIM), dtype=complex)
-    for k in channel.operators:
-        out += k @ m @ k.conj().T
-    return DensityMatrix(out)
+    k = channel.operators
+    return DensityMatrix((k @ rho.matrix @ k.conj().transpose(0, 2, 1)).sum(axis=0))
 
 
 def evolve(scenario: ChannelScenario, params: StateParams) -> DensityMatrix:

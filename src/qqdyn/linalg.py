@@ -26,50 +26,6 @@ def _as_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two equally sized square matrices."""
-    a = _as_square(a, "a")
-    b = _as_square(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a, dtype=complex).conj().T
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result is a[i, j] * b."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Largest absolute deviation of ``a`` from its conjugate transpose."""
-    a = _as_square(a)
-    return float(np.abs(a - a.conj().T).max())
-
-
-def hermitian_eigenvalues(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, sorted ascending.
-
-    The input is symmetrized to (a + a^dagger)/2 before solving so that
-    rounding drift accumulated by channel algebra cannot leak into complex
-    eigenvalues.  Raises ValueError when the defect exceeds ``tol``.
-    """
-    a = _as_square(a)
-    defect = float(np.abs(a - a.conj().T).max())
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian within {tol} (defect {defect:.3e})")
-    return np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-
-
-def trace_norm(a: np.ndarray, tol: float = HERMITICITY_TOL) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(np.abs(hermitian_eigenvalues(a, tol)).sum())
-
-
 def partial_transpose_qutrit(rho: np.ndarray) -> np.ndarray:
     """Transpose the qutrit indices of a 6x6 composite matrix.
 

@@ -151,6 +151,12 @@ def analytic_esd_gamma(kind: ChannelKind, mode: Mode, params: StateParams) -> fl
     return t if 0.0 < t < 1.0 else None
 
 
+def check_tol(tol: float) -> None:
+    """Reject a bisection tolerance that is not a positive number."""
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+
+
 def esd_gamma(
     kind: ChannelKind,
     mode: Mode,
@@ -161,11 +167,13 @@ def esd_gamma(
 
     The negativity is scanned at the interior grid points k/512 and the
     first point at or below ``ESD_NEGATIVITY_THRESHOLD`` is refined by
-    bisection to within ``tol``.  Returns None when the negativity stays
+    bisection to within ``tol`` (a positive number), or until no float lies
+    strictly between the bracket ends.  Returns None when the negativity stays
     above the threshold at every interior grid point; deaths occurring only
     inside the final grid cell (in particular exactly at gamma = 1) are
     reported as None, being asymptotic rather than sudden.
     """
+    check_tol(tol)
     kind, mode = ChannelKind(kind), Mode(mode)
     if not params.is_entangled:
         raise ValueError("ESD detection requires an entangled initial state")
@@ -186,6 +194,8 @@ def esd_gamma(
         return None
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # no float lies strictly inside the bracket
         if died(mid):
             hi = mid
         else:
@@ -256,6 +266,42 @@ REFERENCE_ESD_TABLE: dict[tuple[ChannelKind, Mode], str] = {
     (ChannelKind.DEPOLARIZING, Mode.QUBIT_ONLY): "always",
     (ChannelKind.DEPOLARIZING, Mode.QUTRIT_ONLY): "always",
 }
+
+
+def cell_summary(reports: list[EsdReport]) -> dict:
+    """Observed label of one table cell, in the labels of ``REFERENCE_ESD_TABLE``
+    plus "never", with the ESD and point counts."""
+    esd_points = [r for r in reports if r.classification == "ESD"]
+    b_zero = [r for r in reports if r.b == 0.0]
+    b_nonzero = [r for r in reports if r.b != 0.0]
+    if len(esd_points) == len(reports):
+        observed = "always"
+    elif not esd_points:
+        observed = "never"
+    elif all(r.classification == "NoESD" for r in b_zero) and all(
+        r.classification == "ESD" for r in b_nonzero
+    ):
+        observed = "b_nonzero"
+    else:
+        observed = "exists"
+    return {
+        "observed": observed,
+        "esd_count": len(esd_points),
+        "point_count": len(reports),
+    }
+
+
+def semantics_match(reference: str, reports: list[EsdReport]) -> bool:
+    """Whether the reports of one cell satisfy its ``REFERENCE_ESD_TABLE`` label."""
+    if reference == "always":
+        return all(r.classification == "ESD" for r in reports)
+    if reference == "b_nonzero":
+        return all(
+            (r.classification == "ESD") == (r.b != 0.0) for r in reports
+        )
+    if reference == "exists":
+        return any(r.classification == "ESD" for r in reports)
+    raise ValueError(reference)
 
 
 def classify_table1(params: StateParams, tol: float = 1e-9) -> list[EsdReport]:

@@ -10,18 +10,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from . import __version__
 from .channels import ChannelKind
 from .evolution import ChannelScenario, Mode, coherence_l1, evolve
 from .negativity import (
     EsdReport,
     NoClosedFormError,
+    check_tol,
     esd_report,
     negativity_analytic,
     negativity_numeric,
 )
 from .states import StateParams
 
-TOOL_VERSION = "0.1.0"
+#: Output formats accepted by :func:`render_sweep`.
+FORMATS = ("csv", "json")
 
 CSV_HEADER = "gamma,negativity,negativity_analytic,coherence"
 
@@ -44,6 +47,15 @@ class SweepResult:
     esd: EsdReport
 
 
+def check_grid(start: float, stop: float, steps: int, tol: float) -> None:
+    """Reject a sweep grid or ESD tolerance before anything is evaluated."""
+    if steps < 2:
+        raise ValueError("a sweep grid needs at least 2 points")
+    if not (0.0 <= start < stop <= 1.0):
+        raise ValueError(f"grid must satisfy 0 <= start < stop <= 1, got [{start}, {stop}]")
+    check_tol(tol)
+
+
 def run_sweep(
     kind: ChannelKind,
     mode: Mode,
@@ -55,10 +67,7 @@ def run_sweep(
 ) -> SweepResult:
     """Tabulate negativity and coherence over a uniform strength grid."""
     kind, mode = ChannelKind(kind), Mode(mode)
-    if steps < 2:
-        raise ValueError("a sweep grid needs at least 2 points")
-    if not (0.0 <= start < stop <= 1.0):
-        raise ValueError(f"grid must satisfy 0 <= start < stop <= 1, got [{start}, {stop}]")
+    check_grid(start, stop, steps, tol)
 
     rows = []
     for k in range(steps):
@@ -131,7 +140,7 @@ def sweep_json_obj(result: SweepResult) -> dict:
         "mode": result.mode.value,
         "b": result.b,
         "c": result.c,
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "rows": [
             {
                 "gamma": r.gamma,

@@ -6,18 +6,12 @@ from qqdyn import (
     ChannelKind,
     DensityMatrix,
     KrausChannel,
-    NoiseStrength,
     OPERATOR_COUNTS,
     Side,
     apply_channel,
     bell_state,
-    bit_flip,
-    bit_phase_flip,
-    dephasing,
-    depolarizing,
     initial_state,
     make_channel,
-    phase_flip,
 )
 from qqdyn.states import StateParams
 
@@ -64,10 +58,20 @@ def test_unital(kind, side):
     assert np.abs(out.matrix - np.eye(6) / 6).max() < 1e-12
 
 
+def test_apply_channel_matches_operator_loop():
+    rng = np.random.default_rng(14)
+    rho = DensityMatrix(random_density_matrix(rng))
+    for kind in ChannelKind:
+        for side in Side:
+            ch = make_channel(kind, side, 0.43)
+            loop = sum(k @ rho.matrix @ k.conj().T for k in ch.operators)
+            assert np.array_equal(apply_channel(ch, rho).matrix, loop), (kind, side)
+
+
 def test_full_qubit_dephasing_kills_coherence():
     p = StateParams(0.05, 0.6)
     rho = initial_state(p)
-    out = apply_channel(dephasing(Side.QUBIT, 1.0), rho)
+    out = apply_channel(make_channel(ChannelKind.DEPHASING, Side.QUBIT, 1.0), rho)
     assert out.matrix[1, 3] == approx(0.0, abs=1e-15)
     assert np.diag(out.matrix) == approx(np.diag(rho.matrix))
 
@@ -76,7 +80,7 @@ def test_qutrit_phase_flip_preserves_populations():
     rng = np.random.default_rng(12)
     rho = DensityMatrix(random_density_matrix(rng))
     for g in (0.3, 1.0):
-        ch = phase_flip(Side.QUTRIT, g)
+        ch = make_channel(ChannelKind.PHASE_FLIP, Side.QUTRIT, g)
         for op in ch.operators:
             assert np.abs(op - np.diag(np.diag(op))).max() == 0.0
         out = apply_channel(ch, rho)
@@ -86,7 +90,7 @@ def test_qutrit_phase_flip_preserves_populations():
 def test_full_trit_flip_uniformizes_populations():
     # Qutrit marginal diag(1,0,0) spreads to (1/3, 1/3, 1/3) at full strength.
     rho = DensityMatrix(np.diag([1.0, 0, 0, 0, 0, 0]).astype(complex))
-    out = apply_channel(bit_flip(Side.QUTRIT, 1.0), rho)
+    out = apply_channel(make_channel(ChannelKind.BIT_FLIP, Side.QUTRIT, 1.0), rho)
     assert np.diag(qutrit_marginal(out.matrix)).real == approx([1 / 3, 1 / 3, 1 / 3])
 
 
@@ -94,8 +98,8 @@ def test_bit_phase_flip_qubit_is_conjugated_bit_flip():
     # sigma_y = D sigma_x D^dagger with D = diag(1, i), applied entry-wise.
     d6 = np.kron(np.diag([1.0, 1j]), np.eye(3))
     for g in (0.25, 0.8):
-        bf = bit_flip(Side.QUBIT, g).operators
-        bpf = bit_phase_flip(Side.QUBIT, g).operators
+        bf = make_channel(ChannelKind.BIT_FLIP, Side.QUBIT, g).operators
+        bpf = make_channel(ChannelKind.BIT_PHASE_FLIP, Side.QUBIT, g).operators
         for kb, kp in zip(bf, bpf):
             assert np.abs(d6 @ kb @ d6.conj().T - kp).max() < 1e-15
 
@@ -104,36 +108,24 @@ def test_full_depolarizing_twirls_marginals():
     rng = np.random.default_rng(13)
     for _ in range(5):
         rho = DensityMatrix(random_density_matrix(rng))
-        out_q = apply_channel(depolarizing(Side.QUBIT, 1.0), rho)
+        out_q = apply_channel(make_channel(ChannelKind.DEPOLARIZING, Side.QUBIT, 1.0), rho)
         assert qubit_marginal(out_q.matrix) == approx(np.eye(2) / 2, abs=1e-12)
-        out_t = apply_channel(depolarizing(Side.QUTRIT, 1.0), rho)
+        out_t = apply_channel(make_channel(ChannelKind.DEPOLARIZING, Side.QUTRIT, 1.0), rho)
         assert qutrit_marginal(out_t.matrix) == approx(np.eye(3) / 3, abs=1e-12)
 
 
 def test_full_depolarizing_both_sides_gives_maximally_mixed():
     rho = bell_state("psi-")
-    out = apply_channel(depolarizing(Side.QUTRIT, 1.0), apply_channel(depolarizing(Side.QUBIT, 1.0), rho))
-    assert out.matrix == approx(np.eye(6) / 6, abs=1e-12)
-
-
-def test_noise_strength_rate_time():
-    s = NoiseStrength.from_rate_time(rate=2.0, time=0.5)
-    assert s.gamma == approx(1.0 - np.exp(-1.0), abs=1e-15)
-    ch = dephasing(Side.QUBIT, s)
-    assert ch.gamma == approx(s.gamma)
-    with pytest.raises(ValueError):
-        NoiseStrength(0.5, rate=1.0, time=1.0)  # gamma inconsistent
-    with pytest.raises(ValueError):
-        NoiseStrength(1.5)
-    with pytest.raises(ValueError):
-        NoiseStrength(0.5, rate=1.0)  # time missing
+    for side in (Side.QUBIT, Side.QUTRIT):
+        rho = apply_channel(make_channel(ChannelKind.DEPOLARIZING, side, 1.0), rho)
+    assert rho.matrix == approx(np.eye(6) / 6, abs=1e-12)
 
 
 def test_gamma_bounds():
     with pytest.raises(ValueError):
-        dephasing(Side.QUBIT, -0.1)
+        make_channel(ChannelKind.DEPHASING, Side.QUBIT, -0.1)
     with pytest.raises(ValueError):
-        dephasing(Side.QUBIT, 1.1)
+        make_channel(ChannelKind.DEPHASING, Side.QUBIT, 1.1)
 
 
 def test_kraus_channel_rejects_incomplete_set():
@@ -145,6 +137,6 @@ def test_kraus_channel_rejects_incomplete_set():
 
 
 def test_operators_are_immutable():
-    ch = dephasing(Side.QUBIT, 0.5)
+    ch = make_channel(ChannelKind.DEPHASING, Side.QUBIT, 0.5)
     with pytest.raises(ValueError):
         ch.operators[0][0, 0] = 7.0

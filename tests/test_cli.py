@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from pytest import approx
 
+import qqdyn
 from qqdyn import ChannelKind, Mode, StateParams, run_sweep
 from qqdyn.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from qqdyn.sweep import CSV_HEADER, parse_sweep_csv, render_sweep
@@ -107,6 +112,47 @@ def test_cli_batch_config(tmp_path):
     obj = json.loads(out2.read_text())
     assert obj["c"] == approx(0.7)
     assert obj["rows"][-1]["gamma"] == approx(0.5)
+
+
+def test_cli_batch_config_checks_every_entry_first(tmp_path, capsys):
+    out1, out2 = tmp_path / "one.csv", tmp_path / "two.csv"
+    good = {"kind": "dephasing", "mode": "qubitonly", "b": 0.05, "c": 0.6,
+            "gamma": {"steps": 5}, "out": str(out1)}
+    cfg = tmp_path / "runs.json"
+    for bad in ({"gamma": 5}, {"kind": "nonsense"}, {"mode": "nonsense"}, {"format": "xml"}):
+        cfg.write_text(json.dumps([good, {**good, "out": str(out2), **bad}]))
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG, bad
+        assert "batch entry 1" in capsys.readouterr().err
+        assert not out1.exists() and not out2.exists()
+
+
+ESD_ARGS = ["esd", "--kind", "dephasing", "--mode", "qubitonly", "--b", "0.05", "--c", "0.6"]
+SWEEP_ARGS = ["sweep", "--kind", "dephasing", "--mode", "qubitonly", "--b", "0.05", "--c", "0.6",
+              "--gamma-steps", "9"]
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (ESD_ARGS + ["--tol", "0"], EXIT_CONFIG),
+        (ESD_ARGS + ["--tol", "-1"], EXIT_CONFIG),
+        (ESD_ARGS + ["--tol", "1e-20"], EXIT_OK),
+        (SWEEP_ARGS + ["--tol", "0"], EXIT_CONFIG),
+    ],
+    ids=["esd-zero", "esd-negative", "esd-below-spacing", "sweep-zero"],
+)
+def test_cli_tolerance_never_hangs(args, code):
+    # A separate process with a timeout, so that a bisection that never ends
+    # fails the test instead of stalling the suite.
+    src = str(Path(qqdyn.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "qqdyn.cli", *args],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == code, proc.stderr
+    if code == EXIT_OK:
+        assert json.loads(proc.stdout)["esd_gamma"] == approx(117 / 121, abs=1e-9)
 
 
 def test_cli_esd(tmp_path):

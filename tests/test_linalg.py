@@ -3,143 +3,32 @@ import pytest
 from pytest import approx
 
 from qqdyn import (
+    ChannelKind,
+    Side,
     bell_state,
-    dagger,
-    hermitian_eigenvalues,
     initial_state,
-    kron,
-    matmul,
+    make_channel,
     partial_transpose_qutrit,
-    phase_flip,
-    trace_norm,
 )
-from qqdyn.channels import SIGMA_X, SIGMA_Z, Side
 from qqdyn.states import StateParams
 
 from helpers import block_partial_transpose, random_density_matrix
 
-I3 = np.eye(3)
 I6 = np.eye(6)
-
-
-def test_matmul_identity():
-    rng = np.random.default_rng(0)
-    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    assert matmul(I6, m) == approx(m)
-    assert matmul(m, np.zeros((6, 6))) == approx(np.zeros((6, 6)))
-
-
-def test_matmul_pauli_involution():
-    x6 = kron(SIGMA_X, I3)
-    assert matmul(x6, x6) == approx(I6)
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ValueError):
-        matmul(np.eye(6), np.eye(3))
-    with pytest.raises(ValueError):
-        matmul(np.ones((2, 3)), np.ones((3, 2)))
-
-
-def test_dagger_involution():
-    assert dagger(I6) == approx(I6)
-    rng = np.random.default_rng(1)
-    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    assert dagger(dagger(m)) == approx(m)
 
 
 def test_dagger_conjugates_phases():
     # Second qutrit phase-flip operator carries e^{-i 2pi/3} in slot (1,1).
-    op = phase_flip(Side.QUTRIT, 0.3).operators[1]
+    op = make_channel(ChannelKind.PHASE_FLIP, Side.QUTRIT, 0.3).operators[1]
     w = np.exp(2j * np.pi / 3)
     assert op[1, 1] == approx(np.sqrt(0.1) * np.conj(w))
-    assert dagger(op)[1, 1] == approx(np.sqrt(0.1) * w)
-    assert dagger(op) == approx(op.conj().T)
-
-
-def test_kron_identities():
-    assert kron(np.eye(2), I3) == approx(I6)
-    g = 0.0
-    assert kron(np.diag([1, np.sqrt(1 - g)]), I3) == approx(I6)
-    assert kron(SIGMA_Z, I3) == approx(np.diag([1, 1, 1, -1, -1, -1]))
-
-
-def test_kron_mixed_product():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        a, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))
-        b, d = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2))
-        a, b, c, d = (m / np.linalg.norm(m) for m in (a, b, c, d))
-        assert np.abs(kron(a, b) @ kron(c, d) - kron(a @ c, b @ d)).max() < 1e-12
-
-
-def test_hermitian_eigenvalues_diagonal():
-    assert hermitian_eigenvalues(np.diag([1, 2, 3, 4, 5, 6])) == approx([1, 2, 3, 4, 5, 6])
-
-
-def test_hermitian_eigenvalues_pauli():
-    assert hermitian_eigenvalues(np.array([[0, 1], [1, 0]])) == approx([-1.0, 1.0])
-
-
-def test_hermitian_eigenvalues_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
+    assert op.conj().T[1, 1] == approx(np.sqrt(0.1) * w)
 
 
 def test_singlet_partial_transpose_spectrum():
     rho = initial_state(StateParams(0.0, 1.0))
-    eigs = hermitian_eigenvalues(partial_transpose_qutrit(rho.matrix))
+    eigs = np.linalg.eigvalsh(partial_transpose_qutrit(rho.matrix))
     assert eigs == approx([-0.5, 0.0, 0.0, 0.5, 0.5, 0.5], abs=1e-12)
-
-
-def test_eigenvalue_sum_equals_trace():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        h = (x + x.conj().T) / 2
-        h *= 10.0 / max(1.0, np.abs(np.linalg.eigvalsh(h)).max())
-        assert hermitian_eigenvalues(h).sum() == approx(h.trace().real, abs=1e-10)
-
-
-def _random_unitary_from_rotations(rng, dim=6):
-    u = np.eye(dim, dtype=complex)
-    for _ in range(40):
-        i, j = sorted(rng.choice(dim, size=2, replace=False))
-        theta = rng.uniform(0, 2 * np.pi)
-        phi = rng.uniform(0, 2 * np.pi)
-        g = np.eye(dim, dtype=complex)
-        g[i, i] = np.cos(theta)
-        g[j, j] = np.cos(theta)
-        g[i, j] = -np.exp(1j * phi) * np.sin(theta)
-        g[j, i] = np.exp(-1j * phi) * np.sin(theta)
-        u = g @ u
-    return u
-
-
-def test_known_spectrum_recovery():
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        d = np.sort(rng.uniform(-5, 5, size=6))
-        u = _random_unitary_from_rotations(rng)
-        h = u @ np.diag(d) @ u.conj().T
-        assert hermitian_eigenvalues(h, tol=1e-8) == approx(d, abs=1e-10)
-
-
-def test_trace_norm_values():
-    rng = np.random.default_rng(5)
-    rho = random_density_matrix(rng)
-    assert trace_norm(rho) == approx(1.0, abs=1e-12)
-    assert trace_norm(np.diag([1, -1, 0, 0, 0, 0])) == approx(2.0)
-    pt = partial_transpose_qutrit(initial_state(StateParams(0.0, 1.0)).matrix)
-    assert trace_norm(pt) == approx(2.0, abs=1e-12)
-
-
-def test_trace_norm_bounds_trace():
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        h = (x + x.conj().T) / 2
-        assert trace_norm(h) >= abs(h.trace().real) - 1e-12
 
 
 def test_partial_transpose_fixed_point_and_involution():
@@ -179,5 +68,5 @@ def test_partial_transpose_wrong_dimension():
 
 def test_bell_state_spectrum_embedding():
     # Bell-like projectors have spectrum {1, 0 x5} in the composite space.
-    eigs = hermitian_eigenvalues(bell_state("psi-").matrix)
+    eigs = np.linalg.eigvalsh(bell_state("psi-").matrix)
     assert eigs == approx([0, 0, 0, 0, 0, 1], abs=1e-12)

@@ -18,7 +18,9 @@ from qqdyn import (
     initial_state,
     negativity_analytic,
     negativity_numeric,
+    run_sweep,
 )
+from qqdyn import negativity, sweep
 
 from helpers import brute_negativity, random_entangled_params
 
@@ -147,6 +149,19 @@ def test_esd_gamma_examples():
 def test_esd_gamma_requires_entangled_state():
     with pytest.raises(ValueError):
         esd_gamma(ChannelKind.DEPHASING, Mode.QUBIT_ONLY, StateParams(0.1, 0.2))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_non_positive_tolerance_rejected_before_evaluation(tol, monkeypatch):
+    def no_evolve(*args):
+        raise AssertionError("evolve called before the tolerance was checked")
+
+    monkeypatch.setattr(negativity, "evolve", no_evolve)
+    monkeypatch.setattr(sweep, "evolve", no_evolve)
+    with pytest.raises(ValueError, match="tol"):
+        esd_gamma(ChannelKind.DEPHASING, Mode.QUBIT_ONLY, P, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        run_sweep(ChannelKind.DEPHASING, Mode.QUBIT_ONLY, P, steps=5, tol=tol)
 
 
 def test_boundary_deaths_are_not_sudden():
