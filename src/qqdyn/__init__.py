@@ -27,6 +27,7 @@ from .evolution import (
     apply_channel,
     coherence_l1,
     evolve,
+    evolve_grid,
 )
 from .linalg import partial_transpose_qutrit
 from .negativity import (
@@ -78,6 +79,7 @@ __all__ = [
     "esd_gamma",
     "esd_report",
     "evolve",
+    "evolve_grid",
     "initial_negativity",
     "initial_state",
     "make_channel",

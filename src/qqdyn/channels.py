@@ -4,7 +4,9 @@ Every (kind, side) channel is a fixed stack of 6x6 operator shapes weighted
 by scalar functions of the strength gamma.  A qubit-side shape is padded as
 (op x I3), a qutrit-side one as (I2 x op), once at import, so a channel
 application is always the plain sum sum_i K_i rho K_i^dagger in the
-composite space, regardless of side.
+composite space, regardless of side.  :func:`kraus_operators` weights the
+shapes for a whole array of strengths at once, giving (N, K, 6, 6) stacks;
+:func:`make_channel` is its one-strength case.
 
 Eight of the ten channels are mixed-unitary: K_0 = sqrt(1 - f gamma) I and
 K_i = sqrt(f gamma / n) U_i for n unitaries U_i, with f = 1/2 for the qubit
@@ -21,10 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .linalg import TOTAL_DIM
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 COMPLETENESS_TOL = 1e-12
 
@@ -75,12 +81,21 @@ class KrausChannel:
         ops = np.array(self.operators, dtype=complex)
         if ops.ndim != 3 or ops.shape[1:] != (TOTAL_DIM, TOTAL_DIM):
             raise ValueError(f"Kraus operators have shape {ops.shape}")
-        total = (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
-        defect = np.abs(total - np.eye(TOTAL_DIM)).max()
-        if defect > COMPLETENESS_TOL:
-            raise ValueError(f"completeness violated: max deviation {defect:.3e}")
+        _check_completeness(ops)
         ops.setflags(write=False)
         object.__setattr__(self, "operators", ops)
+
+
+def _check_completeness(ops: np.ndarray) -> None:
+    """Certify sum_i K_i^dagger K_i = I6 to within ``COMPLETENESS_TOL`` for
+    every operator set of a (..., K, 6, 6) stack."""
+    # Stacking the K operators of a set into one (6K, 6) column A gives
+    # sum_i K_i^dagger K_i = A^dagger A, one product per set.
+    a = ops.reshape(*ops.shape[:-3], -1, TOTAL_DIM)
+    total = a.conj().swapaxes(-1, -2) @ a
+    defect = np.abs(total - np.eye(TOTAL_DIM)).max()
+    if defect > COMPLETENESS_TOL:
+        raise ValueError(f"completeness violated: max deviation {defect:.3e}")
 
 
 #: Expected operator counts per (kind, side), recorded independently of the
@@ -109,10 +124,12 @@ class _KrausShapes:
     p: int
     m: int
 
-    def operators(self, g: float) -> np.ndarray:
-        rest = [g / self.m] * (len(self.shapes) - 1)
-        w = np.sqrt([1.0 - self.p * g / self.m] + rest)
-        return self.fixed + w[:, None, None] * self.shapes
+    def operators(self, g: np.ndarray) -> np.ndarray:
+        """The (N, K, 6, 6) operator stacks at the N strengths ``g``."""
+        w = np.empty((len(g), len(self.shapes)))
+        w[:, 0] = np.sqrt(1.0 - self.p * g / self.m)
+        w[:, 1:] = np.sqrt(g / self.m)[:, None]
+        return self.fixed + w[:, :, None, None] * self.shapes
 
 
 def _embedded(side: Side, ops) -> np.ndarray:
@@ -174,9 +191,25 @@ _SHAPES: dict[tuple[ChannelKind, Side], _KrausShapes] = {
 }
 
 
+def _check_strengths(gamma: np.ndarray) -> None:
+    """Reject any strength outside [0, 1], NaN included."""
+    bad = gamma[~((gamma >= 0.0) & (gamma <= 1.0))]
+    if bad.size:
+        raise ValueError(f"gamma must lie in [0, 1], got {bad[0]}")
+
+
+def kraus_operators(kind: ChannelKind, side: Side, gamma: ArrayLike) -> np.ndarray:
+    """The (N, K, 6, 6) Kraus stacks of one channel kind and side at each of
+    the N strengths in ``gamma``, completeness certified for every strength."""
+    g = np.asarray(gamma, dtype=float)
+    _check_strengths(g)
+    ops = _SHAPES[(ChannelKind(kind), Side(side))].operators(g)
+    _check_completeness(ops)
+    return ops
+
+
 def make_channel(kind: ChannelKind, side: Side, gamma: float) -> KrausChannel:
     """The Kraus channel of one kind on one side at strength gamma in [0, 1]."""
-    kind, side, g = ChannelKind(kind), Side(side), float(gamma)
-    if not 0.0 <= g <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {g}")
-    return KrausChannel(_SHAPES[(kind, side)].operators(g), kind, side, g)
+    kind, side, g = ChannelKind(kind), Side(side), np.array([float(gamma)])
+    _check_strengths(g)
+    return KrausChannel(_SHAPES[(kind, side)].operators(g)[0], kind, side, float(g[0]))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -77,10 +78,18 @@ def _resolve_points(args) -> list[StateParams]:
 
 
 def _write_text(path: str | None, text: str) -> None:
+    """Write to stdout, or to ``path`` through a temporary file in the same
+    directory and a rename, so that a failed write leaves no partial file."""
     if path is None:
         sys.stdout.write(text)
         return
-    Path(path).write_text(text, encoding="utf-8")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _run_one_sweep(kind, mode, params, steps, out, fmt, tol, start=0.0, stop=1.0) -> None:
@@ -101,9 +110,38 @@ def cmd_sweep(args) -> int:
     if args.kind is None or args.mode is None:
         raise ConfigError("--kind and --mode are required without --config")
     points = _resolve_points(args)
-    for p in points:
-        out = _sweep_out_path(args.out, p, len(points) > 1)
-        _run_one_sweep(args.kind, args.mode, p, args.gamma_steps, out, args.format, args.tol)
+    runs = [
+        {
+            "kind": args.kind,
+            "mode": args.mode,
+            "params": p,
+            "steps": args.gamma_steps,
+            "out": _sweep_out_path(args.out, p, len(points) > 1),
+            "fmt": args.format,
+            "tol": args.tol,
+        }
+        for p in points
+    ]
+    return _run_sweeps(runs, [f"point (b={p.b!r}, c={p.c!r})" for p in points])
+
+
+def _run_sweeps(runs: list[dict], labels: list[str]) -> int:
+    """Run the sweeps once every output path is known to be writable as
+    given: two runs sharing a path are a configuration error, a missing
+    output directory an I/O error, and either stops all runs before any
+    output is written."""
+    claimed: dict[Path, str] = {}
+    for run, label in zip(runs, labels):
+        if run["out"] is None:
+            continue
+        path = Path(run["out"]).resolve()
+        if path in claimed:
+            raise ConfigError(f"{claimed[path]} and {label} both write {run['out']}")
+        if not path.parent.is_dir():
+            raise FileNotFoundError(f"{label}: output directory {path.parent} does not exist")
+        claimed[path] = label
+    for run in runs:
+        _run_one_sweep(**run)
     return EXIT_OK
 
 
@@ -117,9 +155,7 @@ def _run_batch(config_path: str) -> int:
     if not isinstance(entries, list):
         raise ConfigError("batch config must be a JSON list of run objects")
     runs = [_batch_run(i, entry) for i, entry in enumerate(entries)]
-    for run in runs:
-        _run_one_sweep(**run)
-    return EXIT_OK
+    return _run_sweeps(runs, [f"batch entry {i}" for i in range(len(runs))])
 
 
 def _batch_run(i: int, entry) -> dict:

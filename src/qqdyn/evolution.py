@@ -6,6 +6,13 @@ than dropping the channel, so every evolution runs the same code path: apply
 the qubit-side channel, then the qutrit-side channel.  The two applications
 commute since the operators act on different tensor factors.
 
+Strengths are evolved in batches: :func:`evolve_grid` takes arrays of qubit
+and qutrit strengths and works through them in chunks of ``GRID_CHUNK``,
+each chunk one stacked Kraus product per side over (n, K, 6, 6) operator
+stacks.  Sweeps and the ESD scan reduce each chunk before the next is built,
+so memory stays bounded for any grid length, and :func:`evolve` is the
+one-point case of the same path.
+
 For each channel kind the evolved density matrix also has a closed form;
 :func:`analytic_evolved` builds it directly from those expressions as an
 independent oracle for the Kraus numerics.  Two of the raw expressions are
@@ -15,14 +22,19 @@ default the corrected entries are used.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import ChannelKind, KrausChannel, Side, make_channel
+from .channels import ChannelKind, KrausChannel, Side, kraus_operators
 from .linalg import TOTAL_DIM
-from .states import DensityMatrix, StateParams, initial_state
+from .states import DensityMatrix, StateParams, check_density, initial_state
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 
 class Mode(str, Enum):
@@ -55,36 +67,92 @@ class ChannelScenario:
 
     @classmethod
     def at(cls, kind: ChannelKind, mode: Mode, gamma: float) -> "ChannelScenario":
-        """Scenario at a single sweep strength: equal strengths when
-        multi-local, the active side's strength otherwise."""
-        mode = Mode(mode)
-        if mode is Mode.MULTI_LOCAL:
-            return cls(ChannelKind(kind), mode, gamma, gamma)
-        if mode is Mode.QUBIT_ONLY:
-            return cls(ChannelKind(kind), mode, gamma, 0.0)
-        return cls(ChannelKind(kind), mode, 0.0, gamma)
+        """Scenario at a single sweep strength, paired as by
+        :func:`sweep_strengths`."""
+        ga, gb = sweep_strengths(mode, gamma)
+        return cls(ChannelKind(kind), Mode(mode), float(ga), float(gb))
 
 
-def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """sum_i K_i rho K_i^dagger, revalidated as a density matrix."""
-    k = channel.operators
-    return DensityMatrix((k @ rho.matrix @ k.conj().transpose(0, 2, 1)).sum(axis=0))
+def apply_channel(
+    channel: KrausChannel | np.ndarray, rho: DensityMatrix | np.ndarray
+) -> DensityMatrix | np.ndarray:
+    """sum_i K_i rho K_i^dagger, revalidated as a density matrix.
+
+    ``channel`` is a :class:`KrausChannel` or a (..., K, 6, 6) operator stack
+    and ``rho`` a :class:`DensityMatrix` or a (..., 6, 6) stack whose leading
+    axes broadcast against the operators'.  A DensityMatrix gives a
+    DensityMatrix; a stack gives a stack with every member checked.
+    """
+    k = channel.operators if isinstance(channel, KrausChannel) else channel
+    m = rho.matrix if isinstance(rho, DensityMatrix) else rho
+    out = (k @ m[..., None, :, :] @ k.conj().swapaxes(-1, -2)).sum(axis=-3)
+    if isinstance(rho, DensityMatrix):
+        return DensityMatrix(out)
+    check_density(out)
+    return out
+
+
+def sweep_strengths(mode: Mode, gamma: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+    """(gamma_qubit, gamma_qutrit) at the sweep strengths ``gamma``: equal
+    strengths when multi-local, the active side's strength and zero on the
+    other side otherwise."""
+    g = np.asarray(gamma, dtype=float)
+    zero = np.zeros_like(g)
+    mode = Mode(mode)
+    if mode is Mode.MULTI_LOCAL:
+        return g, g
+    if mode is Mode.QUBIT_ONLY:
+        return g, zero
+    return zero, g
+
+
+#: Strengths evolved together.  The few (16, K, 6, 6) complex stacks alive
+#: at once stay under 83 kB each whatever the grid length; chunks of 32 ran
+#: a sweep up to a tenth faster but raised the peak resident memory of a
+#: run by about 0.4 MB.
+GRID_CHUNK = 16
+
+
+def evolve_grid(
+    kind: ChannelKind, params: StateParams, gamma_qubit: ArrayLike, gamma_qutrit: ArrayLike
+) -> Iterator[np.ndarray]:
+    """Evolve the family state at each strength pair (gamma_qubit[i],
+    gamma_qutrit[i]), yielding the states in grid order as (n, 6, 6) stacks
+    of at most ``GRID_CHUNK`` members.
+
+    The initial state is validated once; each chunk's Kraus stacks are
+    certified complete and its states revalidated after each channel, for
+    every member.
+    """
+    ga = np.asarray(gamma_qubit, dtype=float)
+    gb = np.asarray(gamma_qutrit, dtype=float)
+    if ga.ndim != 1 or ga.shape != gb.shape:
+        raise ValueError(
+            f"strength arrays must be 1-d and equal in length, got {ga.shape} and {gb.shape}"
+        )
+    rho = initial_state(params).matrix
+    for s in range(0, len(ga), GRID_CHUNK):
+        chunk = slice(s, s + GRID_CHUNK)
+        out = apply_channel(kraus_operators(kind, Side.QUBIT, ga[chunk]), rho)
+        yield apply_channel(kraus_operators(kind, Side.QUTRIT, gb[chunk]), out)
 
 
 def evolve(scenario: ChannelScenario, params: StateParams) -> DensityMatrix:
-    """Evolve the family state through the scenario's channels."""
-    rho = initial_state(params)
-    rho = apply_channel(make_channel(scenario.kind, Side.QUBIT, scenario.gamma_qubit), rho)
-    rho = apply_channel(make_channel(scenario.kind, Side.QUTRIT, scenario.gamma_qutrit), rho)
-    return rho
+    """Evolve the family state through the scenario's channels: the
+    one-point case of :func:`evolve_grid`."""
+    (m,) = next(evolve_grid(scenario.kind, params, [scenario.gamma_qubit], [scenario.gamma_qutrit]))
+    return DensityMatrix._checked(m)
 
 
-def coherence_l1(rho: DensityMatrix | np.ndarray) -> float:
-    """Sum of absolute off-diagonal entries in the fixed product basis."""
+def coherence_l1(rho: DensityMatrix | np.ndarray) -> float | np.ndarray:
+    """Sum of absolute off-diagonal entries in the fixed product basis; for a
+    (..., 6, 6) stack, an array of the sums over the leading axes."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    a = np.abs(m).copy()
-    np.fill_diagonal(a, 0.0)
-    return float(a.sum())
+    a = np.abs(m)
+    diag = np.arange(TOTAL_DIM)
+    a[..., diag, diag] = 0.0
+    total = a.sum(axis=(-2, -1))
+    return float(total) if m.ndim == 2 else total
 
 
 #: Entries (0-based) where the raw closed-form evolved matrices disagree with

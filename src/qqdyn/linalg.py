@@ -1,8 +1,9 @@
 """Dense complex linear algebra for the 6-dimensional qubit-qutrit space.
 
-Everything here operates on plain complex ndarrays and every function is
-pure.  The composite space is ordered qubit-major: basis index = 3*q + t with
-q in {0, 1} the qubit level and t in {0, 1, 2} the qutrit level.
+Everything here operates on plain complex ndarrays, a single matrix or a
+stack of them along leading axes, and every function is pure.  The
+composite space is ordered qubit-major: basis index = 3*q + t with q in
+{0, 1} the qubit level and t in {0, 1, 2} the qutrit level.
 """
 
 from __future__ import annotations
@@ -17,28 +18,22 @@ TOTAL_DIM = QUBIT_DIM * QUTRIT_DIM
 HERMITICITY_TOL = 1e-10
 
 
-def _as_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be a square 2-d array, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains NaN or Inf entries")
-    return a
-
-
 def partial_transpose_qutrit(rho: np.ndarray) -> np.ndarray:
-    """Transpose the qutrit indices of a 6x6 composite matrix.
+    """Transpose the qutrit indices of a 6x6 composite matrix, or of every
+    matrix in a (..., 6, 6) stack.
 
     Viewing ``rho`` as a 2x2 grid of 3x3 blocks, each block is transposed in
     place.  The operation is an involution and preserves trace and
     Hermiticity.
     """
-    rho = _as_square(rho, "rho")
-    if rho.shape != (TOTAL_DIM, TOTAL_DIM):
-        raise ValueError(f"expected a {TOTAL_DIM}x{TOTAL_DIM} matrix, got {rho.shape}")
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim < 2 or rho.shape[-2:] != (TOTAL_DIM, TOTAL_DIM):
+        raise ValueError(f"expected {TOTAL_DIM}x{TOTAL_DIM} matrices, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("rho contains NaN or Inf entries")
+    lead = rho.shape[:-2]
     return (
-        rho.reshape(QUBIT_DIM, QUTRIT_DIM, QUBIT_DIM, QUTRIT_DIM)
-        .transpose(0, 3, 2, 1)
-        .reshape(TOTAL_DIM, TOTAL_DIM)
-        .copy()
+        rho.reshape(*lead, QUBIT_DIM, QUTRIT_DIM, QUBIT_DIM, QUTRIT_DIM)
+        .swapaxes(-3, -1)
+        .reshape(*lead, TOTAL_DIM, TOTAL_DIM)
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelKind
-from .evolution import ChannelScenario, Mode, evolve
+from .evolution import ChannelScenario, Mode, evolve, evolve_grid, sweep_strengths
 from .linalg import partial_transpose_qutrit
 from .states import DensityMatrix, StateParams
 
@@ -41,23 +41,31 @@ class NegativityResult:
 
     ``value`` is 2 * max(0, -negative_eigenvalue_sum); ``via_trace_norm`` is
     the trace norm of the partial transpose minus one, clamped at zero.
+    Each field is a float for one state and an array for a stack of states.
     """
 
-    value: float
-    negative_eigenvalue_sum: float
-    via_trace_norm: float
+    value: float | np.ndarray
+    negative_eigenvalue_sum: float | np.ndarray
+    via_trace_norm: float | np.ndarray
 
 
-def negativity_numeric(rho: DensityMatrix) -> NegativityResult:
-    """Negativity of a state from the partial-transpose spectrum."""
-    pt = partial_transpose_qutrit(rho.matrix)
-    eigs = np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)
-    neg_sum = float(eigs[eigs < NEGATIVE_EIG_CUTOFF].sum())
-    return NegativityResult(
-        value=2.0 * max(0.0, -neg_sum),
-        negative_eigenvalue_sum=neg_sum,
-        via_trace_norm=max(0.0, float(np.abs(eigs).sum()) - 1.0),
-    )
+def negativity_numeric(rho: DensityMatrix | np.ndarray) -> NegativityResult:
+    """Negativity of a state from the partial-transpose spectrum.
+
+    ``rho`` may also be a (..., 6, 6) stack of validated states, taking one
+    batched eigensolve; each field of the result is then an array over the
+    leading axes.
+    """
+    m = rho.matrix if isinstance(rho, DensityMatrix) else rho
+    pt = partial_transpose_qutrit(m)
+    eigs = np.linalg.eigvalsh((pt + pt.conj().swapaxes(-1, -2)) / 2.0)
+    neg_sum = np.where(eigs < NEGATIVE_EIG_CUTOFF, eigs, 0.0).sum(axis=-1)
+    # np.maximum(0.0, -neg_sum) would give -0.0 where no eigenvalue is negative.
+    value = np.where(neg_sum < 0.0, -2.0 * neg_sum, 0.0)
+    via_trace_norm = np.maximum(0.0, np.abs(eigs).sum(axis=-1) - 1.0)
+    if pt.ndim == 2:
+        return NegativityResult(float(value), float(neg_sum), float(via_trace_norm))
+    return NegativityResult(value, neg_sum, via_trace_norm)
 
 
 class NoClosedFormError(ValueError):
@@ -165,10 +173,12 @@ def esd_gamma(
 ) -> float | None:
     """Smallest sweep strength at which the numeric negativity has died.
 
-    The negativity is scanned at the interior grid points k/512 and the
-    first point at or below ``ESD_NEGATIVITY_THRESHOLD`` is refined by
-    bisection to within ``tol`` (a positive number), or until no float lies
-    strictly between the bracket ends.  Returns None when the negativity stays
+    The negativity is scanned at the interior grid points k/512, one chunk
+    of :func:`evolve_grid` at a time up to the first chunk holding a dead
+    point, and the first point at or below ``ESD_NEGATIVITY_THRESHOLD`` is
+    refined by bisection on one-point evaluations to within ``tol`` (a
+    positive number), or until no float lies strictly between the bracket
+    ends.  Returns None when the negativity stays
     above the threshold at every interior grid point; deaths occurring only
     inside the final grid cell (in particular exactly at gamma = 1) are
     reported as None, being asymptotic rather than sudden.
@@ -182,16 +192,18 @@ def esd_gamma(
         state = evolve(ChannelScenario.at(kind, mode, g), params)
         return negativity_numeric(state).value <= ESD_NEGATIVITY_THRESHOLD
 
-    lo = 0.0
-    hi = None
-    for k in range(1, ESD_SCAN_STEPS):
-        g = k / ESD_SCAN_STEPS
-        if died(g):
-            hi = g
+    grid = np.arange(1, ESD_SCAN_STEPS) / ESD_SCAN_STEPS
+    scanned = 0
+    for states in evolve_grid(kind, params, *sweep_strengths(mode, grid)):
+        dead = negativity_numeric(states).value <= ESD_NEGATIVITY_THRESHOLD
+        if dead.any():
+            first = scanned + int(dead.argmax())
             break
-        lo = g
-    if hi is None:
+        scanned += len(states)
+    else:
         return None
+    lo = float(grid[first - 1]) if first else 0.0
+    hi = float(grid[first])
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:

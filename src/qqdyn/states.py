@@ -72,12 +72,39 @@ class StateParams:
         return cls(b, 1.0 - 3.0 * b)
 
 
+def check_density(m: np.ndarray) -> None:
+    """Reject a 6x6 matrix, or a (..., 6, 6) stack with any member, that is
+    not a density matrix: finite, Hermitian, of unit trace and positive
+    semidefinite, all to 1e-10.  A stack takes one pass per check, and the
+    message names the first failing member."""
+    if m.ndim < 2 or m.shape[-2:] != (TOTAL_DIM, TOTAL_DIM):
+        raise ValueError(f"expected {TOTAL_DIM}x{TOTAL_DIM}, got {m.shape}")
+
+    def reject(bad: np.ndarray, message) -> None:
+        if bad.any():
+            i = np.unravel_index(np.argmax(bad), bad.shape)
+            where = f" in stack member {i[0] if len(i) == 1 else i}" if i else ""
+            raise ValueError(message(i) + where)
+
+    reject(~np.isfinite(m).all(axis=(-2, -1)), lambda i: "density matrix contains NaN or Inf")
+    mh = m.conj().swapaxes(-1, -2)
+    defect = np.abs(m - mh).max(axis=(-2, -1))
+    reject(defect > HERMITICITY_TOL, lambda i: f"not Hermitian (defect {defect[i]:.3e})")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    reject(np.abs(tr - 1.0) > TRACE_TOL, lambda i: f"trace must be 1, got {tr[i]}")
+    min_eig = np.linalg.eigvalsh((m + mh) / 2.0)[..., 0]
+    reject(
+        min_eig < -PSD_TOL,
+        lambda i: f"not positive semidefinite (min eigenvalue {min_eig[i]:.3e})",
+    )
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A validated 6x6 density matrix over the qubit-qutrit space.
 
-    Construction checks Hermiticity, unit trace, and positive
-    semidefiniteness (all to 1e-10); the stored array is an immutable copy.
+    Construction runs :func:`check_density`; the stored array is an
+    immutable copy.
     """
 
     matrix: np.ndarray
@@ -86,19 +113,19 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (TOTAL_DIM, TOTAL_DIM):
             raise ValueError(f"expected {TOTAL_DIM}x{TOTAL_DIM}, got {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("density matrix contains NaN or Inf")
-        defect = np.abs(m - m.conj().T).max()
-        if defect > HERMITICITY_TOL:
-            raise ValueError(f"not Hermitian (defect {defect:.3e})")
-        tr = m.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace must be 1, got {tr}")
-        min_eig = np.linalg.eigvalsh((m + m.conj().T) / 2.0).min()
-        if min_eig < -PSD_TOL:
-            raise ValueError(f"not positive semidefinite (min eigenvalue {min_eig:.3e})")
+        check_density(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _checked(cls, m: np.ndarray) -> "DensityMatrix":
+        """Wrap a copy of one member of a stack that :func:`check_density`
+        has already passed, without checking it a second time."""
+        m = np.array(m, dtype=complex)
+        m.setflags(write=False)
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "matrix", m)
+        return rho
 
     def purity(self) -> float:
         return float((self.matrix @ self.matrix).trace().real)
@@ -106,6 +133,21 @@ class DensityMatrix:
 
 def _projector(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
+
+
+def _bell_vector(kind: str) -> np.ndarray:
+    v = np.zeros(TOTAL_DIM, dtype=complex)
+    i, j = (_IDX_00, _IDX_11) if kind.startswith("phi") else (_IDX_01, _IDX_10)
+    sign = 1.0 if kind.endswith("+") else -1.0
+    v[i] = 1.0 / np.sqrt(2.0)
+    v[j] = sign / np.sqrt(2.0)
+    return v
+
+
+#: The Bell-like projectors and the projector onto the two pure qutrit
+#: level-2 states |02>, |12>, built once at import.
+_BELL_PROJECTORS = {kind: _projector(_bell_vector(kind)) for kind in BELL_KINDS}
+_LEVEL_2_PROJECTOR = np.diag([0, 0, 1, 0, 0, 1]).astype(complex)
 
 
 def bell_state(kind: str) -> DensityMatrix:
@@ -117,24 +159,15 @@ def bell_state(kind: str) -> DensityMatrix:
     """
     if kind not in BELL_KINDS:
         raise ValueError(f"unknown Bell state {kind!r}, expected one of {BELL_KINDS}")
-    v = np.zeros(TOTAL_DIM, dtype=complex)
-    i, j = (_IDX_00, _IDX_11) if kind.startswith("phi") else (_IDX_01, _IDX_10)
-    sign = 1.0 if kind.endswith("+") else -1.0
-    v[i] = 1.0 / np.sqrt(2.0)
-    v[j] = sign / np.sqrt(2.0)
-    return DensityMatrix(_projector(v))
+    return DensityMatrix(_BELL_PROJECTORS[kind])
 
 
 def initial_state(params: StateParams) -> DensityMatrix:
     """The family state at zero noise, built as the defining projector mixture."""
-    e2 = np.zeros(TOTAL_DIM, dtype=complex)
-    e5 = np.zeros(TOTAL_DIM, dtype=complex)
-    e2[2] = 1.0
-    e5[5] = 1.0
-    m = params.a * (_projector(e2) + _projector(e5))
+    m = params.a * _LEVEL_2_PROJECTOR
     for kind in ("phi+", "phi-", "psi+"):
-        m = m + params.b * bell_state(kind).matrix
-    m = m + params.c * bell_state("psi-").matrix
+        m = m + params.b * _BELL_PROJECTORS[kind]
+    m = m + params.c * _BELL_PROJECTORS["psi-"]
     return DensityMatrix(m)
 
 

@@ -10,9 +10,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import __version__
 from .channels import ChannelKind
-from .evolution import ChannelScenario, Mode, coherence_l1, evolve
+from .evolution import ChannelScenario, Mode, coherence_l1, evolve_grid, sweep_strengths
 from .negativity import (
     EsdReport,
     NoClosedFormError,
@@ -69,23 +71,19 @@ def run_sweep(
     kind, mode = ChannelKind(kind), Mode(mode)
     check_grid(start, stop, steps, tol)
 
+    gammas = start + (stop - start) * np.arange(steps) / (steps - 1)
+    ga, gb = sweep_strengths(mode, gammas)
+    negativity, coherence = [], []
+    for states in evolve_grid(kind, params, ga, gb):
+        negativity += negativity_numeric(states).value.tolist()
+        coherence += coherence_l1(states).tolist()
     rows = []
-    for k in range(steps):
-        g = start + (stop - start) * k / (steps - 1)
-        scenario = ChannelScenario.at(kind, mode, g)
-        state = evolve(scenario, params)
+    for g, a, b, n, coh in zip(gammas.tolist(), ga.tolist(), gb.tolist(), negativity, coherence):
         try:
-            analytic = negativity_analytic(scenario, params)
+            analytic = negativity_analytic(ChannelScenario(kind, mode, a, b), params)
         except NoClosedFormError:
             analytic = None
-        rows.append(
-            SweepRow(
-                gamma=g,
-                negativity=negativity_numeric(state).value,
-                negativity_analytic=analytic,
-                coherence=coherence_l1(state),
-            )
-        )
+        rows.append(SweepRow(gamma=g, negativity=n, negativity_analytic=analytic, coherence=coh))
     report = esd_report(kind, mode, params, tol=tol)
     return SweepResult(kind=kind, mode=mode, b=params.b, c=params.c, rows=tuple(rows), esd=report)
 

@@ -213,6 +213,48 @@ def test_cli_io_error(tmp_path):
     assert rc == EXIT_IO
 
 
+def test_cli_sweep_output_name_collision(tmp_path, capsys):
+    # Both points print as b0.0333333 under the :g file-name format.
+    rc = main([
+        "sweep", "--kind", "dephasing", "--mode", "qubitonly",
+        "--b", "0.03333333,0.03333334", "--c", "0.5", "--gamma-steps", "5",
+        "--out", str(tmp_path / "s.csv"),
+    ])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "b=0.03333333," in err and "b=0.03333334," in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_batch_missing_output_dir_writes_nothing(tmp_path, capsys):
+    cfg = tmp_path / "runs.json"
+    entry = {"kind": "dephasing", "mode": "qubitonly", "b": 0.05, "c": 0.6, "gamma": {"steps": 5}}
+    cfg.write_text(json.dumps([
+        {**entry, "out": str(tmp_path / "one.csv")},
+        {**entry, "out": str(tmp_path / "missing" / "two.csv")},
+    ]))
+    assert main(["sweep", "--config", str(cfg)]) == EXIT_IO
+    assert "batch entry 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_cli_failed_write_leaves_previous_output(tmp_path, monkeypatch):
+    out = tmp_path / "s.csv"
+    out.write_text("previous\n")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    rc = main([
+        "sweep", "--kind", "dephasing", "--mode", "qubitonly",
+        "--b", "0.05", "--c", "0.6", "--gamma-steps", "5", "--out", str(out),
+    ])
+    assert rc == EXIT_IO
+    assert out.read_text() == "previous\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
 def test_csv_floats_are_17_digits():
     result = run_sweep(ChannelKind.DEPHASING, Mode.QUBIT_ONLY, StateParams(1 / 30, 0.899), steps=5)
     text = render_sweep(result, "csv")

@@ -1,0 +1,94 @@
+"""The chunked gamma-grid path against the one-point path it generalizes."""
+
+import numpy as np
+import pytest
+
+from qqdyn import (
+    ChannelKind,
+    ChannelScenario,
+    Mode,
+    Side,
+    StateParams,
+    apply_channel,
+    coherence_l1,
+    evolve,
+    evolve_grid,
+    negativity_numeric,
+    run_sweep,
+)
+from qqdyn.channels import kraus_operators
+from qqdyn.evolution import GRID_CHUNK
+from qqdyn.states import check_density
+
+CELLS = [(kind, mode) for kind in ChannelKind for mode in Mode]
+#: An interior point, an a = 0 point and the a = 0 corner (0, 1).
+POINTS = [StateParams(0.05, 0.6), StateParams.a_zero(4.0 / 30.0), StateParams(0.0, 1.0)]
+#: A grid inside one chunk, grids one short of, at and one past four whole
+#: chunks, and the default 513 points.
+GRID_SIZES = (2, 4 * GRID_CHUNK - 1, 4 * GRID_CHUNK, 4 * GRID_CHUNK + 1, 513)
+#: A stack member in the middle of a chunk.
+MEMBER = GRID_CHUNK // 2 + 3
+
+
+@pytest.mark.parametrize("kind, mode", CELLS, ids=[f"{k.value}-{m.value}" for k, m in CELLS])
+def test_sweep_columns_equal_one_point_evaluations(kind, mode):
+    for p in POINTS:
+        reference = {}
+        for steps in GRID_SIZES if p is POINTS[0] else GRID_SIZES[:-1]:
+            for row in run_sweep(kind, mode, p, steps=steps).rows:
+                if row.gamma not in reference:
+                    state = evolve(ChannelScenario.at(kind, mode, row.gamma), p)
+                    reference[row.gamma] = (negativity_numeric(state).value, coherence_l1(state))
+                negativity, coherence = reference[row.gamma]
+                assert abs(row.negativity - negativity) <= 1e-15, (p, steps, row.gamma)
+                assert abs(row.coherence - coherence) <= 1e-15, (p, steps, row.gamma)
+
+
+def test_grid_yields_chunks_in_order():
+    g = np.linspace(0.0, 1.0, 2 * GRID_CHUNK + 3)
+    chunks = list(evolve_grid(ChannelKind.DEPOLARIZING, POINTS[0], g, g[::-1]))
+    assert [len(c) for c in chunks] == [GRID_CHUNK, GRID_CHUNK, 3]
+    states = np.concatenate(chunks)
+    for i in (0, GRID_CHUNK - 1, GRID_CHUNK, len(g) - 1):
+        sc = ChannelScenario(ChannelKind.DEPOLARIZING, Mode.MULTI_LOCAL, g[i], g[::-1][i])
+        assert np.array_equal(states[i], evolve(sc, POINTS[0]).matrix), i
+
+
+def test_grid_rejects_out_of_range_strength_in_any_chunk():
+    g = np.full(GRID_CHUNK + 5, 0.5)
+    g[GRID_CHUNK + 2] = 1.5
+    with pytest.raises(ValueError, match="gamma must lie in"):
+        list(evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g))
+    with pytest.raises(ValueError, match="equal in length"):
+        list(evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g[:-1]))
+
+
+def _stack_with_bad_member(bad: np.ndarray) -> np.ndarray:
+    g = np.linspace(0.0, 1.0, GRID_CHUNK)
+    (states,) = evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g)
+    states = states.copy()
+    states[MEMBER] = bad
+    return states
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.diag([1.5, -0.5, 0, 0, 0, 0]).astype(complex), "not positive semidefinite"),
+        (np.eye(6, k=1) * 1e-6 + np.eye(6) / 6, "not Hermitian"),
+        (np.eye(6) / 3, "trace must be 1"),
+        (np.full((6, 6), np.nan), "NaN or Inf"),
+    ],
+    ids=["non-psd", "non-hermitian", "trace", "nan"],
+)
+def test_stack_with_one_bad_member_mid_chunk_is_rejected(bad, message):
+    states = _stack_with_bad_member(bad.astype(complex))
+    with pytest.raises(ValueError, match=f"{message}.* in stack member {MEMBER}$"):
+        check_density(states)
+    # The per-stage check of the grid path: an identity channel (gamma = 0)
+    # passes the bad member through and the revalidation catches it.
+    identity = kraus_operators(ChannelKind.DEPOLARIZING, Side.QUTRIT, np.zeros(GRID_CHUNK))
+    with pytest.raises(ValueError, match=f"{message}.* in stack member {MEMBER}$"):
+        apply_channel(identity, states)
+    # Without the bad member the same stack passes.
+    check_density(np.delete(states, MEMBER, axis=0))

@@ -157,7 +157,8 @@ def test_non_positive_tolerance_rejected_before_evaluation(tol, monkeypatch):
         raise AssertionError("evolve called before the tolerance was checked")
 
     monkeypatch.setattr(negativity, "evolve", no_evolve)
-    monkeypatch.setattr(sweep, "evolve", no_evolve)
+    monkeypatch.setattr(negativity, "evolve_grid", no_evolve)
+    monkeypatch.setattr(sweep, "evolve_grid", no_evolve)
     with pytest.raises(ValueError, match="tol"):
         esd_gamma(ChannelKind.DEPHASING, Mode.QUBIT_ONLY, P, tol=tol)
     with pytest.raises(ValueError, match="tol"):
