@@ -49,6 +49,7 @@ from .states import (
     bell_state,
     initial_negativity,
     initial_state,
+    random_entangled_params,
 )
 from .sweep import SweepResult, SweepRow, run_sweep
 from .validate import run_validation
@@ -86,6 +87,7 @@ __all__ = [
     "negativity_analytic",
     "negativity_numeric",
     "partial_transpose_qutrit",
+    "random_entangled_params",
     "run_sweep",
     "run_validation",
 ]

@@ -1,17 +1,18 @@
 """Channel application, the three noise scenarios, and closed-form evolved states.
 
 A scenario is multi-local (independent noise on both subsystems), qubit-only,
-or qutrit-only.  Local scenarios pin the other side's strength to zero rather
-than dropping the channel, so every evolution runs the same code path: apply
-the qubit-side channel, then the qutrit-side channel.  The two applications
-commute since the operators act on different tensor factors.
+or qutrit-only.  Local scenarios pin the other side's strength to zero, so
+every evolution runs the same code path: apply the qubit-side channel, then
+the qutrit-side channel.  The two applications commute since the operators
+act on different tensor factors.
 
 Strengths are evolved in batches: :func:`evolve_grid` takes arrays of qubit
 and qutrit strengths and works through them in chunks of ``GRID_CHUNK``,
 each chunk one stacked Kraus product per side over (n, K, 6, 6) operator
-stacks.  Sweeps and the ESD scan reduce each chunk before the next is built,
-so memory stays bounded for any grid length, and :func:`evolve` is the
-one-point case of the same path.
+stacks.  A side held at strength zero throughout a chunk is the identity
+channel there and is not applied.  Sweeps and the ESD detector reduce each
+chunk before the next is built, so memory stays bounded for any grid
+length, and :func:`evolve` is the one-point case of the same path.
 
 For each channel kind the evolved density matrix also has a closed form;
 :func:`analytic_evolved` builds it directly from those expressions as an
@@ -122,7 +123,8 @@ def evolve_grid(
 
     The initial state is validated once; each chunk's Kraus stacks are
     certified complete and its states revalidated after each channel, for
-    every member.
+    every member.  A side whose strengths in a chunk are all exactly zero
+    is the identity channel there, and is skipped.
     """
     ga = np.asarray(gamma_qubit, dtype=float)
     gb = np.asarray(gamma_qutrit, dtype=float)
@@ -133,8 +135,11 @@ def evolve_grid(
     rho = initial_state(params).matrix
     for s in range(0, len(ga), GRID_CHUNK):
         chunk = slice(s, s + GRID_CHUNK)
-        out = apply_channel(kraus_operators(kind, Side.QUBIT, ga[chunk]), rho)
-        yield apply_channel(kraus_operators(kind, Side.QUTRIT, gb[chunk]), out)
+        out = rho
+        for side, g in ((Side.QUBIT, ga[chunk]), (Side.QUTRIT, gb[chunk])):
+            if np.count_nonzero(g):
+                out = apply_channel(kraus_operators(kind, side, g), out)
+        yield out if out.ndim == 3 else np.repeat(rho[None], len(ga[chunk]), axis=0)
 
 
 def evolve(scenario: ChannelScenario, params: StateParams) -> DensityMatrix:

@@ -7,22 +7,36 @@ noise and both are reported.
 
 Entanglement sudden death (ESD) means the negativity reaches zero at a
 finite noise strength, strictly before the infinite-time limit gamma = 1.
-The detector scans the interior of a uniform gamma grid and refines the
-first dead point by bisection; a curve that stays positive at every interior
-grid point (including curves that vanish exactly at gamma = 1, which is
-asymptotic decay rather than sudden death) reports no ESD.
+For a qubit-qutrit state a positive partial transpose is necessary and
+sufficient for separability (Horodecki, Horodecki & Horodecki 1996), so
+the state dies exactly where the last negative eigenvalue of
+rho^Gamma(gamma) crosses zero.  Along one sweep the coefficients of the
+characteristic polynomial of rho^Gamma are polynomials in the strength.
+The Kraus weights of the mixed-unitary channels square to linear functions
+of gamma.  Dephasing scales each off-diagonal entry (i, j) of rho^Gamma by
+s^(n_i + n_j), s = sqrt(1 - gamma), and leaves the diagonal alone, so
+every term of a principal minor carries an even power of s, a power of
+1 - gamma.  The detector therefore evaluates rho^Gamma at 16 Chebyshev
+nodes in gamma (one :func:`evolve_grid` chunk), interpolates the product
+of its eigenvalues (leaving out the ones that vanish identically), and
+takes the real roots in (0, 1) as candidates.  As a 2x3 partial transpose can have two negative eigenvalues at once (Rana,
+PRA 87, 054301, 2013), a root is only a candidate: the numeric negativity
+on either side of each root, taken in one more small batch, certifies the
+first death.  A curve that vanishes only at gamma = 1 is asymptotic decay,
+not sudden death, and reports no ESD.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import ChannelKind
 from .evolution import ChannelScenario, Mode, evolve, evolve_grid, sweep_strengths
-from .linalg import partial_transpose_qutrit
+from .linalg import TOTAL_DIM, partial_transpose_qutrit
 from .states import DensityMatrix, StateParams
 
 #: Eigenvalues above this cutoff are eigensolver dust, not negativity.
@@ -31,8 +45,37 @@ NEGATIVE_EIG_CUTOFF = -1e-12
 #: A state counts as disentangled once its negativity falls to this level.
 ESD_NEGATIVITY_THRESHOLD = 1e-12
 
-#: Coarse-scan resolution for ESD detection (grid step 1/512).
-ESD_SCAN_STEPS = 512
+#: Chebyshev nodes of the ESD root search, the strengths
+#: x_j = (1 - cos(pi (j + 1/2) / 16)) / 2 in (0, 1): one ``evolve_grid`` chunk.
+ESD_NODES = 16
+_ANGLES = np.pi * (np.arange(ESD_NODES) + 0.5) / ESD_NODES
+_NODES = (1.0 - np.cos(_ANGLES)) / 2.0
+#: Node values -> coefficients of the interpolant in T_k(1 - 2 gamma), by
+#: the discrete cosine transform at the nodes.
+_TO_CHEBYSHEV = 2.0 / ESD_NODES * np.cos(np.outer(np.arange(ESD_NODES), _ANGLES))
+_TO_CHEBYSHEV[0] /= 2.0
+
+#: The highest degree the eigenvalue product reaches (12, multi-local
+#: bit-phase-flip); coefficients above it must stay below
+#: ``ESD_DEGREE_TOL`` of the largest one, or the node values are not the
+#: polynomial the root search assumes.
+ESD_MAX_DEGREE = 12
+ESD_DEGREE_TOL = 1e-10
+#: Coefficients below this fraction of the largest are rounding noise
+#: (measured below 5e-15) and are dropped before the roots are taken.
+_NOISE_TOL = 1e-12
+#: A complex root pair closer than this to the real axis is a double root
+#: split by rounding, and is kept as a candidate.
+_IMAG_TOL = 1e-6
+#: Eigenvalues at or below this magnitude at every node are structural zeros.
+_ZERO_EIG = 1e-12
+
+#: Half-width of the bracket that certifies a root, and the factor by which
+#: the bracket widens, up to 1/8, about a root whose estimate missed its
+#: crossing.
+ESD_BRACKET = 2.0**-31
+ESD_WIDEN = 16.0
+_WIDEN_STEPS = 7
 
 
 @dataclass(frozen=True)
@@ -160,9 +203,127 @@ def analytic_esd_gamma(kind: ChannelKind, mode: Mode, params: StateParams) -> fl
 
 
 def check_tol(tol: float) -> None:
-    """Reject a bisection tolerance that is not a positive number."""
+    """Reject an ESD bracket tolerance that is not a positive number."""
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
+
+
+def _eigenvalue_product(states: np.ndarray) -> np.ndarray:
+    """Product of the partial-transpose eigenvalues of each state in a stack,
+    leaving out z zeros, where z is the fewest eigenvalues within
+    ``_ZERO_EIG`` of zero at any one state.
+
+    The product is the elementary symmetric polynomial e_{6-z} of the
+    eigenvalues, a coefficient of the characteristic polynomial and so a
+    polynomial in the matrix entries.
+    """
+    pt = partial_transpose_qutrit(states)
+    eigs = np.linalg.eigvalsh((pt + pt.conj().swapaxes(-1, -2)) / 2.0)
+    zeros = int((np.abs(eigs) <= _ZERO_EIG).sum(axis=-1).min())
+    e = np.zeros((len(eigs), TOTAL_DIM + 1))
+    e[:, 0] = 1.0
+    for k in range(TOTAL_DIM):
+        e[:, 1:] = e[:, 1:] + eigs[:, k, None] * e[:, :-1]
+    return e[:, TOTAL_DIM - zeros]
+
+
+def _chebyshev_roots(c: np.ndarray) -> np.ndarray:
+    """Complex roots of sum_k c_k T_k(t), c[-1] != 0, as the eigenvalues of
+    the colleague matrix (the companion matrix of the Chebyshev basis),
+    symmetrised by the scaling that numpy.polynomial also uses; importing
+    numpy.polynomial for this would add about 2.8 ms and 0.13 MB."""
+    n = len(c) - 1
+    if n < 1:
+        return np.empty(0, dtype=complex)
+    if n == 1:
+        return np.array([-c[0] / c[1]], dtype=complex)
+    m = np.zeros((n, n))
+    off = np.full(n - 1, 0.5)
+    off[0] = np.sqrt(0.5)
+    i = np.arange(n - 1)
+    m[i, i + 1] = m[i + 1, i] = off
+    scale = np.full(n, np.sqrt(0.5))
+    scale[0] = 1.0
+    m[:, -1] -= 0.5 * (c[:-1] / c[-1]) * (scale / scale[-1])
+    return np.linalg.eigvals(m)
+
+
+def _node_roots(values: np.ndarray) -> np.ndarray:
+    """Real roots in (0, 1) of the polynomial through ``values`` at the
+    Chebyshev nodes ``_NODES``, in no particular order.
+
+    Raises ValueError when the interpolant's coefficients above
+    ``ESD_MAX_DEGREE`` are not negligible, i.e. the values are not those of
+    a polynomial of that degree.
+    """
+    c = _TO_CHEBYSHEV @ values
+    scale = np.abs(c).max()
+    tail = np.abs(c[ESD_MAX_DEGREE + 1 :]).max()
+    if not tail <= ESD_DEGREE_TOL * scale:
+        raise ValueError(
+            f"partial-transpose eigenvalue product is not a polynomial of degree "
+            f"<= {ESD_MAX_DEGREE}: degree {ESD_MAX_DEGREE + 1}+ coefficients reach "
+            f"{tail / scale:.1e} of the largest"
+        )
+    c = c[: ESD_MAX_DEGREE + 1]
+    c = c[: np.flatnonzero(np.abs(c) > _NOISE_TOL * scale)[-1] + 1]
+    t = _chebyshev_roots(c)
+    x = (1.0 - t[np.abs(t.imag) <= _IMAG_TOL].real) / 2.0
+    return x[(x > 0.0) & (x < 1.0)]
+
+
+def _narrow(
+    lo: float, hi: float, samples: np.ndarray, alive: np.ndarray
+) -> tuple[float, float]:
+    """Bracket the first death with evaluated samples: the first dead sample
+    (or ``hi``) and the last live sample before it (or ``lo``).  Samples
+    may come in any order; they are not sorted, since numpy's sort kernels
+    add about 0.25 MB of resident memory to handle a dozen numbers."""
+    dead = samples[~alive]
+    if dead.size:
+        hi = min(hi, float(dead.min()))
+    before = samples[alive & (samples < hi)]
+    if before.size:
+        lo = max(lo, float(before.max()))
+    return lo, hi
+
+
+def _death_bracket(
+    values: np.ndarray, alive: Callable[[np.ndarray], np.ndarray]
+) -> tuple[float, float] | None:
+    """Bracket (lo, hi), alive at lo and dead at hi, about the first death;
+    None when the state stays entangled below gamma = 1.
+
+    ``values`` are the eigenvalue products at the strengths ``_NODES``, and
+    ``alive(g)`` tells for each strength of an array whether the state
+    there is still entangled.  Each candidate root r is sampled at
+    r -/+ ``ESD_BRACKET``, and the stretch up to the next root (or
+    gamma = 1) at its midpoint, all in one call of ``alive``.  The first
+    dead sample and the live sample before it (or gamma = 0) bracket the
+    death.  Should a root estimate have missed its crossing, the bracket is
+    narrowed about that root by probes widening ``ESD_WIDEN``-fold per
+    step, in one more call.  A death bracketed only by gamma = 1 is
+    asymptotic.
+    """
+    roots = _node_roots(values)
+    if not roots.size:
+        return None
+    h = ESD_BRACKET
+    # The next root above each root, or gamma = 1 above the last.
+    after = np.where(roots > roots[:, None], roots, 1.0).min(axis=1)
+    mids = (roots + after) / 2.0
+    samples = np.clip(np.concatenate([roots - h, roots + h, mids[mids > roots + h]]), 0.0, 1.0)
+    lo, hi = _narrow(0.0, np.inf, samples, alive(samples))
+    if hi >= 1.0:
+        return None
+    if hi - lo > 2.0 * h:
+        r = roots[np.argmin(np.maximum(lo - roots, roots - hi))]
+        widths = h * ESD_WIDEN ** np.arange(1, _WIDEN_STEPS + 1)
+        probes = np.concatenate([r - widths, r + widths])
+        probes = probes[(probes > lo) & (probes < hi)]
+        if probes.size:
+            lo, hi = _narrow(lo, hi, probes, alive(probes))
+    return lo, hi
 
 
 def esd_gamma(
@@ -173,37 +334,39 @@ def esd_gamma(
 ) -> float | None:
     """Smallest sweep strength at which the numeric negativity has died.
 
-    The negativity is scanned at the interior grid points k/512, one chunk
-    of :func:`evolve_grid` at a time up to the first chunk holding a dead
-    point, and the first point at or below ``ESD_NEGATIVITY_THRESHOLD`` is
-    refined by bisection on one-point evaluations to within ``tol`` (a
-    positive number), or until no float lies strictly between the bracket
-    ends.  Returns None when the negativity stays
-    above the threshold at every interior grid point; deaths occurring only
-    inside the final grid cell (in particular exactly at gamma = 1) are
-    reported as None, being asymptotic rather than sudden.
+    The partial transpose is evaluated at the 16 Chebyshev nodes
+    ``_NODES``; the real roots in (0, 1) of the interpolated eigenvalue
+    product are the candidates, and the numeric negativity on either side
+    of each certifies the first death (see :func:`_death_bracket`).  The
+    certified bracket is bisected on one-point evaluations until it is no
+    wider than ``tol`` (a positive number), or until no float lies strictly
+    between its ends, and its dead end is returned.  Returns None when the
+    negativity stays above ``ESD_NEGATIVITY_THRESHOLD`` below gamma = 1; a
+    death exactly at gamma = 1 is asymptotic decay, not sudden death.
+
+    Raises ValueError if the node values fail the degree check, rather than
+    returning a threshold from a wrong interpolant.
     """
     check_tol(tol)
     kind, mode = ChannelKind(kind), Mode(mode)
     if not params.is_entangled:
         raise ValueError("ESD detection requires an entangled initial state")
 
+    def alive(g: np.ndarray) -> np.ndarray:
+        chunks = evolve_grid(kind, params, *sweep_strengths(mode, g))
+        return np.concatenate(
+            [negativity_numeric(states).value > ESD_NEGATIVITY_THRESHOLD for states in chunks]
+        )
+
     def died(g: float) -> bool:
         state = evolve(ChannelScenario.at(kind, mode, g), params)
         return negativity_numeric(state).value <= ESD_NEGATIVITY_THRESHOLD
 
-    grid = np.arange(1, ESD_SCAN_STEPS) / ESD_SCAN_STEPS
-    scanned = 0
-    for states in evolve_grid(kind, params, *sweep_strengths(mode, grid)):
-        dead = negativity_numeric(states).value <= ESD_NEGATIVITY_THRESHOLD
-        if dead.any():
-            first = scanned + int(dead.argmax())
-            break
-        scanned += len(states)
-    else:
+    (nodes,) = evolve_grid(kind, params, *sweep_strengths(mode, _NODES))
+    bracket = _death_bracket(_eigenvalue_product(nodes), alive)
+    if bracket is None:
         return None
-    lo = float(grid[first - 1]) if first else 0.0
-    hi = float(grid[first])
+    lo, hi = bracket
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -231,7 +394,7 @@ class EsdReport:
 def esd_report(
     kind: ChannelKind, mode: Mode, params: StateParams, tol: float = 1e-9
 ) -> EsdReport:
-    """Run the bisection detector and the closed-form threshold side by side."""
+    """Run the ESD detector and the closed-form threshold side by side."""
     numeric = esd_gamma(kind, mode, params, tol=tol)
     analytic = analytic_esd_gamma(kind, mode, params)
     return EsdReport(

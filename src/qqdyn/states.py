@@ -72,6 +72,18 @@ class StateParams:
         return cls(b, 1.0 - 3.0 * b)
 
 
+def random_entangled_params(rng: np.random.Generator, n: int) -> list[StateParams]:
+    """``n`` points of the entangled regime drawn from ``rng``: b uniform in
+    [0, 1/6), then c uniform in [3b, 1 - 3b), redrawn until c > 3b + 1e-9."""
+    points = []
+    while len(points) < n:
+        b = rng.uniform(0.0, 1.0 / 6.0)
+        c = rng.uniform(3.0 * b, 1.0 - 3.0 * b)
+        if c > 3.0 * b + 1e-9:
+            points.append(StateParams(b, c))
+    return points
+
+
 def check_density(m: np.ndarray) -> None:
     """Reject a 6x6 matrix, or a (..., 6, 6) stack with any member, that is
     not a density matrix: finite, Hermitian, of unit trace and positive

@@ -2,10 +2,12 @@
 
 The report has two parts.  ``checks`` are hard requirements: completeness,
 agreement between the corrected closed forms and the channel algebra,
-threshold agreement, the local-channel equivalences, and the two negativity
-routes.  ``closed_form_discrepancies`` documents the places where the raw
-reference expressions are refuted by the Kraus numerics, together with the
+threshold agreement (with the closed forms, and with a grid scan plus
+bisection), the local-channel equivalences, and the two negativity routes.
+``closed_form_discrepancies`` documents the places where the raw reference
+expressions are refuted by the Kraus numerics, together with the
 numerically measured correct coefficients; these are findings, not failures.
+Grids of strengths are evaluated through :func:`evolve_grid`, in chunks.
 """
 
 from __future__ import annotations
@@ -19,27 +21,27 @@ from .evolution import (
     RAW_FORM_MISMATCHES,
     analytic_evolved,
     evolve,
+    evolve_grid,
+    sweep_strengths,
 )
 from .negativity import (
+    CANONICAL_POINTS,
+    ESD_NEGATIVITY_THRESHOLD,
     NoClosedFormError,
     analytic_esd_gamma,
     esd_gamma,
     negativity_analytic,
     negativity_numeric,
 )
-from .states import StateParams
+from .states import StateParams, random_entangled_params
 
 _SEED = 20120957
 
 
-def _entangled_grid(n: int, rng: np.random.Generator) -> list[StateParams]:
-    pts = []
-    while len(pts) < n:
-        b = rng.uniform(0.0, 1.0 / 6.0)
-        c = rng.uniform(3.0 * b, 1.0 - 3.0 * b)
-        if c > 3.0 * b + 1e-9:
-            pts.append(StateParams(b, c))
-    return pts
+def _negativities(kind: ChannelKind, mode: Mode, p: StateParams, gammas: np.ndarray) -> np.ndarray:
+    """Numeric negativity at each sweep strength, evolved chunk by chunk."""
+    chunks = evolve_grid(kind, p, *sweep_strengths(mode, gammas))
+    return np.concatenate([negativity_numeric(states).value for states in chunks])
 
 
 def _check(name: str, max_error: float, tolerance: float, detail: str = "") -> dict:
@@ -70,25 +72,25 @@ def _evolved_form_checks(points: list[StateParams]) -> tuple[list[dict], list[di
     checks = []
     discrepancies = []
     gammas = np.linspace(0.0, 1.0, 6)
+    grid_qubit, grid_qutrit = (g.ravel() for g in np.meshgrid(gammas, gammas, indexing="ij"))
     for kind in ChannelKind:
         excluded = set(RAW_FORM_MISMATCHES.get(kind, ()))
         worst_corrected = 0.0
         worst_raw_outside = 0.0
         raw_mismatch = {}
         for p in points:
-            for ga in gammas:
-                for gb in gammas:
-                    got = evolve(ChannelScenario(kind, Mode.MULTI_LOCAL, ga, gb), p).matrix
-                    corrected = analytic_evolved(kind, p, ga, gb, corrected=True)
-                    raw = analytic_evolved(kind, p, ga, gb, corrected=False)
-                    worst_corrected = max(worst_corrected, float(np.abs(got - corrected).max()))
-                    diff_raw = np.abs(got - raw)
-                    for i, j in zip(*np.where(diff_raw > 1e-12)):
-                        pos = (int(i), int(j))
-                        if pos in excluded:
-                            raw_mismatch[pos] = max(raw_mismatch.get(pos, 0.0), float(diff_raw[i, j]))
-                        else:
-                            worst_raw_outside = max(worst_raw_outside, float(diff_raw[i, j]))
+            states = np.concatenate(list(evolve_grid(kind, p, grid_qubit, grid_qutrit)))
+            for got, ga, gb in zip(states, grid_qubit, grid_qutrit):
+                corrected = analytic_evolved(kind, p, ga, gb, corrected=True)
+                raw = analytic_evolved(kind, p, ga, gb, corrected=False)
+                worst_corrected = max(worst_corrected, float(np.abs(got - corrected).max()))
+                diff_raw = np.abs(got - raw)
+                for i, j in zip(*np.where(diff_raw > 1e-12)):
+                    pos = (int(i), int(j))
+                    if pos in excluded:
+                        raw_mismatch[pos] = max(raw_mismatch.get(pos, 0.0), float(diff_raw[i, j]))
+                    else:
+                        worst_raw_outside = max(worst_raw_outside, float(diff_raw[i, j]))
         checks.append(
             _check(
                 f"evolved_closed_form_{kind.value}",
@@ -141,29 +143,23 @@ def _negativity_form_checks(points: list[StateParams]) -> tuple[list[dict], list
     gammas = np.linspace(0.0, 1.0, 33)
     for kind in ChannelKind:
         for mode in Mode:
+            try:
+                negativity_analytic(ChannelScenario.at(kind, mode, 0.0), points[0])
+            except NoClosedFormError:
+                continue
+            scenarios = [ChannelScenario.at(kind, mode, g) for g in gammas.tolist()]
             worst = 0.0
-            covered = True
             for p in points:
-                for g in gammas:
-                    scenario = ChannelScenario.at(kind, mode, float(g))
-                    try:
-                        an = negativity_analytic(scenario, p)
-                    except NoClosedFormError:
-                        covered = False
-                        break
-                    nm = negativity_numeric(evolve(scenario, p)).value
-                    worst = max(worst, abs(an - nm))
-                if not covered:
-                    break
-            if covered:
-                checks.append(
-                    _check(
-                        f"negativity_closed_form_{kind.value}_{mode.value}",
-                        worst,
-                        1e-10,
-                        "corrected closed form vs numeric route",
-                    )
+                for scenario, nm in zip(scenarios, _negativities(kind, mode, p, gammas)):
+                    worst = max(worst, abs(negativity_analytic(scenario, p) - nm))
+            checks.append(
+                _check(
+                    f"negativity_closed_form_{kind.value}_{mode.value}",
+                    worst,
+                    1e-10,
+                    "corrected closed form vs numeric route",
                 )
+            )
     # The raw trit-flip-only numerator is negative throughout the entangled
     # regime at zero strength, contradicting the initial negativity; record it.
     p0 = StateParams(0.05, 0.6)
@@ -205,7 +201,7 @@ def _threshold_checks() -> list[dict]:
                 f"esd_threshold_{kind.value}_{mode.value}",
                 err,
                 1e-6,
-                f"analytic {analytic} vs bisection {numeric} at (b,c)=(0.05,0.6)",
+                f"analytic {analytic} vs root search {numeric} at (b,c)=(0.05,0.6)",
             )
         )
     return checks
@@ -213,22 +209,72 @@ def _threshold_checks() -> list[dict]:
 
 def _equivalence_checks(points: list[StateParams]) -> list[dict]:
     gammas = np.linspace(0.0, 1.0, 33)
+    phase_flips = [ChannelScenario.at(ChannelKind.PHASE_FLIP, Mode.QUBIT_ONLY, g) for g in gammas.tolist()]
     worst_bf = 0.0
     worst_bpf = 0.0
     for p in points:
-        for g in gammas:
-            g = float(g)
-            bf_q = negativity_numeric(evolve(ChannelScenario.at(ChannelKind.BIT_FLIP, Mode.QUBIT_ONLY, g), p)).value
-            pf_form = negativity_analytic(ChannelScenario.at(ChannelKind.PHASE_FLIP, Mode.QUBIT_ONLY, g), p)
-            worst_bf = max(worst_bf, abs(bf_q - pf_form))
-            for mode in (Mode.QUBIT_ONLY, Mode.QUTRIT_ONLY):
-                bpf = negativity_numeric(evolve(ChannelScenario.at(ChannelKind.BIT_PHASE_FLIP, mode, g), p)).value
-                bf = negativity_numeric(evolve(ChannelScenario.at(ChannelKind.BIT_FLIP, mode, g), p)).value
-                worst_bpf = max(worst_bpf, abs(bpf - bf))
+        bf_q = _negativities(ChannelKind.BIT_FLIP, Mode.QUBIT_ONLY, p, gammas)
+        for scenario, nm in zip(phase_flips, bf_q):
+            worst_bf = max(worst_bf, abs(nm - negativity_analytic(scenario, p)))
+        for mode in (Mode.QUBIT_ONLY, Mode.QUTRIT_ONLY):
+            bpf = _negativities(ChannelKind.BIT_PHASE_FLIP, mode, p, gammas)
+            bf = _negativities(ChannelKind.BIT_FLIP, mode, p, gammas)
+            worst_bpf = max(worst_bpf, float(np.abs(bpf - bf).max()))
     return [
         _check("bit_flip_qubit_only_equals_phase_flip_form", worst_bf, 1e-10),
         _check("bit_phase_flip_local_equals_bit_flip_local", worst_bpf, 1e-10),
     ]
+
+
+#: Grid step of the scan in :func:`_grid_bisection_esd`.
+_SCAN_STEPS = 512
+
+
+def _grid_bisection_esd(kind: ChannelKind, mode: Mode, params: StateParams, tol: float = 1e-9) -> float | None:
+    """Independent ESD detector for cross-checking :func:`esd_gamma`: scan the
+    grid points k/512 for k < 512 for the first dead one and bisect down to
+    ``tol``.  It misses every death inside the last grid cell."""
+    grid = np.arange(1, _SCAN_STEPS) / _SCAN_STEPS
+    scanned = 0
+    for states in evolve_grid(kind, params, *sweep_strengths(mode, grid)):
+        dead = negativity_numeric(states).value <= ESD_NEGATIVITY_THRESHOLD
+        if dead.any():
+            first = scanned + int(dead.argmax())
+            break
+        scanned += len(states)
+    else:
+        return None
+    lo = float(grid[first - 1]) if first else 0.0
+    hi = float(grid[first])
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        state = evolve(ChannelScenario.at(kind, mode, mid), params)
+        if negativity_numeric(state).value <= ESD_NEGATIVITY_THRESHOLD:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _grid_bisection_check() -> dict:
+    worst = 0.0
+    for p in CANONICAL_POINTS:
+        for kind in ChannelKind:
+            for mode in Mode:
+                found = esd_gamma(kind, mode, p)
+                oracle = _grid_bisection_esd(kind, mode, p)
+                if (found is None) != (oracle is None):
+                    worst = np.inf
+                elif found is not None:
+                    worst = max(worst, abs(found - oracle))
+    return _check(
+        "esd_matches_grid_bisection",
+        worst,
+        2e-9,
+        "root search vs 1/512 grid scan plus bisection, 15 cells at the canonical points",
+    )
 
 
 def _route_agreement_check(n: int = 200) -> dict:
@@ -236,7 +282,7 @@ def _route_agreement_check(n: int = 200) -> dict:
     kinds = list(ChannelKind)
     modes = list(Mode)
     worst = 0.0
-    for p in _entangled_grid(n, rng):
+    for p in random_entangled_params(rng, n):
         kind = kinds[int(rng.integers(len(kinds)))]
         mode = modes[int(rng.integers(len(modes)))]
         g = float(rng.uniform())
@@ -248,7 +294,7 @@ def _route_agreement_check(n: int = 200) -> dict:
 def run_validation() -> dict:
     """Run every cross-check and return the machine-readable report."""
     rng = np.random.default_rng(_SEED)
-    points = _entangled_grid(20, rng)
+    points = random_entangled_params(rng, 20)
 
     checks = [_completeness_check()]
     form_checks, form_disc = _evolved_form_checks(points)
@@ -256,6 +302,7 @@ def run_validation() -> dict:
     neg_checks, neg_disc = _negativity_form_checks(points)
     checks.extend(neg_checks)
     checks.extend(_threshold_checks())
+    checks.append(_grid_bisection_check())
     checks.extend(_equivalence_checks(points))
     checks.append(_route_agreement_check())
 

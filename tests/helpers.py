@@ -26,18 +26,6 @@ def random_density_matrix(rng, dim=6):
     return h / h.trace().real
 
 
-def random_entangled_params(rng, n):
-    from qqdyn import StateParams
-
-    out = []
-    while len(out) < n:
-        b = rng.uniform(0.0, 1.0 / 6.0)
-        c = rng.uniform(3.0 * b, 1.0 - 3.0 * b)
-        if c > 3.0 * b + 1e-6:
-            out.append(StateParams(b, c))
-    return out
-
-
 def qubit_marginal(m):
     return np.asarray(m, dtype=complex).reshape(2, 3, 2, 3).trace(axis1=1, axis2=3)
 

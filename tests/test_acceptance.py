@@ -40,9 +40,8 @@ from qqdyn import (
     make_channel,
     negativity_analytic,
     negativity_numeric,
+    random_entangled_params,
 )
-
-from helpers import random_entangled_params
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:

@@ -188,6 +188,7 @@ def test_cli_validate(tmp_path, capsys):
     obj = json.loads(out.read_text())
     assert obj["passed"] is True
     assert all(c["passed"] for c in obj["checks"])
+    assert "esd_matches_grid_bisection" in {c["name"] for c in obj["checks"]}
     forms = {d["form"] for d in obj["closed_form_discrepancies"]}
     assert forms == {"bitphaseflip_evolved", "depolarizing_evolved", "trit_flip_only_negativity"}
     text = capsys.readouterr().out

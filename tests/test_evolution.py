@@ -15,9 +15,10 @@ from qqdyn import (
     evolve,
     initial_state,
     make_channel,
+    random_entangled_params,
 )
 
-from helpers import qutrit_marginal, random_entangled_params
+from helpers import qutrit_marginal
 
 POINTS = [StateParams(0.05, 0.6), StateParams(0.0, 1.0), StateParams(0.1, 0.35)]
 GAMMAS = np.linspace(0.0, 1.0, 5)

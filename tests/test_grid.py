@@ -16,6 +16,7 @@ from qqdyn import (
     negativity_numeric,
     run_sweep,
 )
+from qqdyn import evolution
 from qqdyn.channels import kraus_operators
 from qqdyn.evolution import GRID_CHUNK
 from qqdyn.states import check_density
@@ -92,3 +93,28 @@ def test_stack_with_one_bad_member_mid_chunk_is_rejected(bad, message):
         apply_channel(identity, states)
     # Without the bad member the same stack passes.
     check_density(np.delete(states, MEMBER, axis=0))
+
+
+@pytest.mark.parametrize("kind", list(ChannelKind), ids=[k.value for k in ChannelKind])
+def test_idle_side_is_skipped_without_changing_the_states(kind, monkeypatch):
+    g = np.linspace(0.0, 1.0, GRID_CHUNK + 5)
+    zero = np.zeros_like(g)
+    rho = evolution.initial_state(POINTS[0]).matrix
+    built = []
+
+    def recording(kind, side, gamma):
+        built.append(side)
+        return kraus_operators(kind, side, gamma)
+
+    monkeypatch.setattr(evolution, "kraus_operators", recording)
+    for mode, ga, gb, idle in ((Mode.QUBIT_ONLY, g, zero, Side.QUTRIT), (Mode.QUTRIT_ONLY, zero, g, Side.QUBIT)):
+        built.clear()
+        states = np.concatenate(list(evolve_grid(kind, POINTS[0], ga, gb)))
+        assert idle not in built, mode
+        # Both channels applied, the idle one as the identity at gamma = 0.
+        both = apply_channel(kraus_operators(kind, Side.QUBIT, ga), rho)
+        both = apply_channel(kraus_operators(kind, Side.QUTRIT, gb), both)
+        assert np.array_equal(states, both), mode
+    # With both sides idle the grid yields copies of the initial state.
+    (states,) = evolve_grid(kind, POINTS[0], zero[:3], zero[:3])
+    assert np.array_equal(states, np.repeat(rho[None], 3, axis=0))

@@ -15,14 +15,16 @@ from qqdyn import (
     esd_gamma,
     esd_report,
     evolve,
+    evolve_grid,
     initial_state,
     negativity_analytic,
     negativity_numeric,
+    random_entangled_params,
     run_sweep,
 )
 from qqdyn import negativity, sweep
 
-from helpers import brute_negativity, random_entangled_params
+from helpers import brute_negativity
 
 P = StateParams(0.05, 0.6)
 
@@ -226,3 +228,93 @@ def test_multilocal_flip_family_snapshots():
     ]
     for kind, p, want in cases:
         assert esd_gamma(kind, Mode.MULTI_LOCAL, p) == approx(want, abs=1e-6)
+
+
+def test_last_cell_death_is_found():
+    # The closed-form threshold lies inside the last cell (511/512, 1) of a
+    # 1/512 grid, which a grid scan never looks into.
+    p = StateParams(0.0005412990998970812, 0.9983761027003087)
+    want = analytic_esd_gamma(ChannelKind.DEPHASING, Mode.QUBIT_ONLY, p)
+    assert 511 / 512 < want < 1.0
+    got = esd_gamma(ChannelKind.DEPHASING, Mode.QUBIT_ONLY, p)
+    assert got is not None and abs(got - want) <= 1e-9
+
+
+def test_root_search_finds_death_before_revival_inside_one_grid_cell():
+    # Negativity stand-in: alive while (g - death)(g - revival) > 0, so dead
+    # only between the two roots, both inside the grid cell (153/512, 154/512).
+    death, revival = 0.2995, 0.3005
+    poly = lambda g: (g - death) * (g - revival) * (g + 0.5)
+    alive = lambda g: poly(np.asarray(g)) > 0.0
+    assert alive(np.arange(1, 512) / 512).all()
+    lo, hi = negativity._death_bracket(poly(negativity._NODES), alive)
+    assert lo < death <= hi
+    assert hi - lo <= 2.0 * negativity.ESD_BRACKET
+
+
+@pytest.mark.parametrize("offset", [-1e-7, 1e-7], ids=["early", "late"])
+def test_root_search_widens_about_a_root_that_missed_its_crossing(offset):
+    # The interpolant has its root at 0.3, but the state dies 1e-7 earlier
+    # or later, beyond the first certification bracket on either side.
+    crossing = 0.3 + offset
+    values = (negativity._NODES - 0.3) * (negativity._NODES + 2.0)
+    lo, hi = negativity._death_bracket(values, lambda g: np.asarray(g) < crossing)
+    assert lo < crossing <= hi
+    assert hi - lo <= 2e-7
+
+
+def test_root_search_keeps_a_double_root_lifted_off_the_axis():
+    # Two eigenvalues dying together make a double root of the product;
+    # rounding can lift it into a complex pair, which stays a candidate.
+    values = (negativity._NODES - 0.3) ** 2 * (negativity._NODES + 2.0) + 1e-15
+    lo, hi = negativity._death_bracket(values, lambda g: np.asarray(g) < 0.3)
+    assert lo < 0.3 <= hi
+    assert hi - lo <= 2.0 * negativity.ESD_BRACKET
+
+
+def test_root_search_on_a_degree_twelve_polynomial():
+    roots = np.linspace(0.05, 0.95, 12)
+    values = np.prod(negativity._NODES[:, None] - roots, axis=1)
+    assert np.abs(np.sort(negativity._node_roots(values)) - roots).max() <= 1e-9
+
+
+def test_degree_guard_rejects_non_polynomial_node_values():
+    with pytest.raises(ValueError, match="not a polynomial of degree"):
+        negativity._node_roots(np.abs(negativity._NODES - 0.4))
+    with pytest.raises(ValueError, match="not a polynomial of degree"):
+        negativity._node_roots(negativity._NODES ** 13)
+
+
+@pytest.mark.parametrize("kind", list(ChannelKind), ids=[k.value for k in ChannelKind])
+def test_qubit_only_thresholds_at_a_zero_match_closed_forms(kind):
+    # At a = 0 two partial-transpose eigenvalues vanish identically, so the
+    # determinant is zero and the root search works on the deflated product.
+    for b in (0.0, 1e-4, 1 / 30, 2 / 30, 3 / 30, 4 / 30, 0.15, 0.166):
+        p = StateParams.a_zero(b)
+        got = esd_gamma(kind, Mode.QUBIT_ONLY, p)
+        want = analytic_esd_gamma(kind, Mode.QUBIT_ONLY, p)
+        if want is None:
+            assert got is None, (b, got)
+        else:
+            assert got is not None and abs(got - want) <= 1e-9, (b, got, want)
+
+
+def test_default_tolerance_needs_no_bisection(monkeypatch):
+    # Each cell takes one batch at the nodes and at most one certification
+    # batch, and the certified bracket is already narrower than tol = 1e-9.
+    batches = []
+
+    def counting_grid(*args):
+        batches.append(args)
+        return evolve_grid(*args)
+
+    def no_evolve(*args):
+        raise AssertionError("one-point bisection step at the default tolerance")
+
+    monkeypatch.setattr(negativity, "evolve_grid", counting_grid)
+    monkeypatch.setattr(negativity, "evolve", no_evolve)
+    for kind in ChannelKind:
+        for mode in Mode:
+            batches.clear()
+            esd_gamma(kind, mode, P)
+            assert len(batches) <= 2, (kind, mode)

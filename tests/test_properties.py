@@ -14,12 +14,15 @@ from qqdyn import (
     Mode,
     NoClosedFormError,
     StateParams,
+    analytic_esd_gamma,
     analytic_evolved,
+    esd_gamma,
     evolve,
     evolve_grid,
     negativity_analytic,
     negativity_numeric,
 )
+from qqdyn.negativity import ESD_NEGATIVITY_THRESHOLD
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -83,3 +86,48 @@ def test_one_point_equals_its_member_of_a_batch(kind, p, pairs, data):
     batch = np.concatenate(list(evolve_grid(kind, p, ga, gb)))
     single = evolve(ChannelScenario(kind, Mode.MULTI_LOCAL, ga[i], gb[i]), p).matrix
     assert np.array_equal(batch[i], single)
+
+
+#: Cells with a closed-form threshold: all but the multi-local flips.
+CLOSED_FORM_CELLS = [
+    (kind, mode)
+    for kind in ChannelKind
+    for mode in Mode
+    if not (mode is Mode.MULTI_LOCAL and kind in (ChannelKind.BIT_FLIP, ChannelKind.BIT_PHASE_FLIP))
+]
+
+
+@st.composite
+def entangled_points(draw) -> StateParams:
+    """A point with c - 3b >= 0.05, and b >= 0.005 or b = 0 with c <= 0.99.
+
+    Closer to the edges, a threshold can lie within 5e-10 of gamma = 1,
+    where the detector reports asymptotic decay (dephasing at b = 1e-6,
+    c = 0.5 dies at 1 - 1.6e-11; the flips at b = 0 die at 3c/(1 + 2c)),
+    or the negativity can fall so slowly that its 1e-12 death threshold is
+    crossed over 1e-9 before the exact zero (multi-local phase flip at
+    b = 1e-6, c = 0.0625, by 2.2e-9).
+    """
+    if draw(st.booleans()):
+        return StateParams(0.0, draw(st.floats(0.05, 0.99)))
+    b = draw(st.floats(0.005, 0.95 / 6.0))
+    return StateParams(b, draw(st.floats(3.0 * b + 0.05, 1.0 - 3.0 * b)))
+
+
+def _negativity_at(kind, mode, p, g):
+    return negativity_numeric(evolve(ChannelScenario.at(kind, mode, g), p)).value
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(entangled_points())
+def test_esd_threshold_matches_closed_form_and_is_certified(p):
+    tol = 1e-9
+    for kind, mode in CLOSED_FORM_CELLS:
+        got = esd_gamma(kind, mode, p, tol=tol)
+        want = analytic_esd_gamma(kind, mode, p)
+        assert (got is None) == (want is None), (kind, mode, got, want)
+        if got is None:
+            continue
+        assert abs(got - want) <= 1e-9, (kind, mode, got, want)
+        assert _negativity_at(kind, mode, p, got) <= ESD_NEGATIVITY_THRESHOLD
+        assert _negativity_at(kind, mode, p, got - tol) > ESD_NEGATIVITY_THRESHOLD
