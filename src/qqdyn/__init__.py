@@ -12,13 +12,7 @@ expressions for every evolved state and negativity that admits one.
 #: imports so that they can read it.
 __version__ = "0.1.0"
 
-from .channels import (
-    ChannelKind,
-    KrausChannel,
-    OPERATOR_COUNTS,
-    Side,
-    make_channel,
-)
+from .channels import ChannelKind, OPERATOR_COUNTS, Side
 from .evolution import (
     ChannelScenario,
     Mode,
@@ -60,7 +54,6 @@ __all__ = [
     "ChannelScenario",
     "DensityMatrix",
     "EsdReport",
-    "KrausChannel",
     "Mode",
     "NegativityResult",
     "NoClosedFormError",
@@ -83,7 +76,6 @@ __all__ = [
     "evolve_grid",
     "initial_negativity",
     "initial_state",
-    "make_channel",
     "negativity_analytic",
     "negativity_numeric",
     "partial_transpose_qutrit",

@@ -1,12 +1,33 @@
-"""Kraus operators of the five noise channels, held as data.
+"""Kraus operators of the five noise channels, held as data, and the same
+channels as polynomials in the strength.
 
 Every (kind, side) channel is a fixed stack of 6x6 operator shapes weighted
-by scalar functions of the strength gamma.  A qubit-side shape is padded as
-(op x I3), a qutrit-side one as (I2 x op), once at import, so a channel
-application is always the plain sum sum_i K_i rho K_i^dagger in the
-composite space, regardless of side.  :func:`kraus_operators` weights the
-shapes for a whole array of strengths at once, giving (N, K, 6, 6) stacks;
-:func:`make_channel` is its one-strength case.
+by scalar functions of the strength gamma, K_i = fixed_i + w_i(gamma)
+shape_i.  A qubit-side shape is padded as (op x I3), a qutrit-side one as
+(I2 x op), once at import, so a channel application is always the plain sum
+sum_i K_i rho K_i^dagger in the composite space, regardless of side.
+:func:`kraus_operators` weights the shapes for a whole array of strengths
+at once, giving (N, K, 6, 6) stacks; with ``evolution.apply_channel`` it is
+the direct Kraus sum that the polynomial form is tested against.
+
+The squared weights are linear in gamma, u = w_0^2 = 1 - p gamma / m and
+v = w_i^2 = gamma / m for i > 0, and only K_0 may have a fixed part.
+Expanding the Kraus sum therefore gives exactly
+
+    E_gamma(rho) = u T_u(rho) + v T_v(rho) + s T_s(rho),  s = w_0 = sqrt(u),
+
+a polynomial T_0 + gamma T_1 + s T_2 in gamma and s written in the squared
+weights.  T_s collects the cross terms of K_0's fixed part and shape and
+exists only for dephasing; for the mixed-unitary kinds shape_0 is I and T_u
+is the identity map.  The squared weights keep every summand about the size
+of the result, as in the Kraus sum itself, where (1, gamma) would have T_0
+and gamma T_1 cancel towards gamma = 1.  :func:`channel_terms` gives the
+terms of any states, which the evolution tabulates once at import for the
+family's basis states.  :func:`channel_weights` gives the weight rows
+(u, v[, s]) for an array of strengths and certifies completeness at every
+one of them: the Gram polynomial sum_i K_i^dagger K_i = u G_u + v G_v +
+s G_s, tabulated at import and evaluated with the same rows, must be I6 to
+within ``COMPLETENESS_TOL`` (a NaN fails).
 
 Eight of the ten channels are mixed-unitary: K_0 = sqrt(1 - f gamma) I and
 K_i = sqrt(f gamma / n) U_i for n unitaries U_i, with f = 1/2 for the qubit
@@ -23,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -30,9 +52,13 @@ import numpy as np
 from .linalg import TOTAL_DIM
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from numpy.typing import ArrayLike
 
 COMPLETENESS_TOL = 1e-12
+
+_EYE = np.eye(TOTAL_DIM, dtype=complex)
 
 #: Primitive cube root of unity used by the qutrit phase operators.
 OMEGA = np.exp(2j * np.pi / 3.0)
@@ -62,30 +88,6 @@ class Side(str, Enum):
     QUTRIT = "qutrit"
 
 
-@dataclass(frozen=True)
-class KrausChannel:
-    """An ordered stack of 6x6 Kraus operators for one channel kind and side.
-
-    ``operators`` is a read-only (K, 6, 6) complex array.  The completeness
-    relation sum_i K_i^dagger K_i = I6 is certified at construction to within
-    ``COMPLETENESS_TOL``.  Zero operators (as produced at gamma = 0) are kept
-    so operator counts are strength-independent.
-    """
-
-    operators: np.ndarray
-    kind: ChannelKind
-    side: Side
-    gamma: float
-
-    def __post_init__(self) -> None:
-        ops = np.array(self.operators, dtype=complex)
-        if ops.ndim != 3 or ops.shape[1:] != (TOTAL_DIM, TOTAL_DIM):
-            raise ValueError(f"Kraus operators have shape {ops.shape}")
-        _check_completeness(ops)
-        ops.setflags(write=False)
-        object.__setattr__(self, "operators", ops)
-
-
 def _check_completeness(ops: np.ndarray) -> None:
     """Certify sum_i K_i^dagger K_i = I6 to within ``COMPLETENESS_TOL`` for
     every operator set of a (..., K, 6, 6) stack."""
@@ -93,8 +95,12 @@ def _check_completeness(ops: np.ndarray) -> None:
     # sum_i K_i^dagger K_i = A^dagger A, one product per set.
     a = ops.reshape(*ops.shape[:-3], -1, TOTAL_DIM)
     total = a.conj().swapaxes(-1, -2) @ a
-    defect = np.abs(total - np.eye(TOTAL_DIM)).max()
-    if defect > COMPLETENESS_TOL:
+    _certify(np.abs(total - np.eye(TOTAL_DIM)).max())
+
+
+def _certify(defect: float) -> None:
+    """Reject a completeness defect above ``COMPLETENESS_TOL``, NaN included."""
+    if not defect <= COMPLETENESS_TOL:
         raise ValueError(f"completeness violated: max deviation {defect:.3e}")
 
 
@@ -117,12 +123,25 @@ OPERATOR_COUNTS = {
 @dataclass(frozen=True)
 class _KrausShapes:
     """K_i(gamma) = fixed_i + w_i(gamma) shape_i, all padded to 6x6, with
-    weights w_0 = sqrt(1 - p gamma / m) and w_i = sqrt(gamma / m) for i > 0."""
+    weights w_0 = sqrt(1 - p gamma / m) and w_i = sqrt(gamma / m) for i > 0.
+
+    Only K_0 may have a fixed part, and without one shape_0 is the identity
+    (the mixed-unitary kinds)."""
 
     fixed: np.ndarray
     shapes: np.ndarray
     p: int
     m: int
+
+    def __post_init__(self) -> None:
+        mixed_unitary = np.array_equal(self.shapes[0], _EYE)
+        if self.fixed[1:].any() or not (self.fixed[0].any() or mixed_unitary):
+            raise ValueError("only K_0 may have a fixed part, and without one shape_0 is I")
+
+    @cached_property
+    def terms(self) -> int:
+        """Length of the weight rows: (u, v, s) with a fixed part, else (u, v)."""
+        return 3 if self.fixed.any() else 2
 
     def operators(self, g: np.ndarray) -> np.ndarray:
         """The (N, K, 6, 6) operator stacks at the N strengths ``g``."""
@@ -130,6 +149,36 @@ class _KrausShapes:
         w[:, 0] = np.sqrt(1.0 - self.p * g / self.m)
         w[:, 1:] = np.sqrt(g / self.m)[:, None]
         return self.fixed + w[:, :, None, None] * self.shapes
+
+    def weights(self, g: np.ndarray) -> np.ndarray:
+        """The (N, terms) weight rows (u, v[, s]) at the N strengths ``g``:
+        the squared weights u = w_0^2 = 1 - p g / m and v = w_i^2 = g / m,
+        and s = w_0 = sqrt(u)."""
+        w = np.empty((len(g), self.terms))
+        w[:, 0] = 1.0 - self.p * g / self.m
+        w[:, 1] = g / self.m
+        if self.terms == 3:
+            w[:, 2] = np.sqrt(w[:, 0])
+        return w
+
+    def expand(self, pair: Callable, identity: np.ndarray) -> np.ndarray:
+        """The coefficients (C_u, C_v[, C_s]) of sum_i pair(K_i, K_i) =
+        u C_u + v C_v + s C_s, for a ``pair`` linear in each operator and
+        equal to ``identity`` at pair(I, I).
+
+        Expanding each K_i = fixed_i + w_i shape_i, the squares w_i^2 give
+        the u and v terms and the cross terms of K_0 carry w_0 = s; the
+        fixed part's own term is constant, and 1 = u + p v.
+        """
+        f, k = self.fixed, self.shapes
+        # Without a fixed part shape_0 is I, so pair(I, I) takes no product.
+        square0 = identity if self.terms == 2 else pair(k[0], k[0])
+        rest = sum(pair(x, x) for x in k[1:])
+        if self.terms == 2:
+            return np.array([square0, rest])
+        fixed0 = pair(f[0], f[0])
+        cross = pair(f[0], k[0]) + pair(k[0], f[0])
+        return np.array([square0 + fixed0, rest + self.p * fixed0, cross])
 
 
 def _embedded(side: Side, ops) -> np.ndarray:
@@ -208,8 +257,33 @@ def kraus_operators(kind: ChannelKind, side: Side, gamma: ArrayLike) -> np.ndarr
     return ops
 
 
-def make_channel(kind: ChannelKind, side: Side, gamma: float) -> KrausChannel:
-    """The Kraus channel of one kind on one side at strength gamma in [0, 1]."""
-    kind, side, g = ChannelKind(kind), Side(side), np.array([float(gamma)])
+_EYE_ROW = _EYE.view(float).ravel()
+
+#: The Gram polynomial sum_i K_i^dagger K_i = u G_u + v G_v + s G_s of each
+#: (kind, side), one real row per term holding the complex entries as
+#: (real, imaginary) pairs.
+_GRAMS: dict[tuple[ChannelKind, Side], np.ndarray] = {
+    key: shapes.expand(lambda a, b: a.conj().T @ b, _EYE).view(float).reshape(shapes.terms, -1)
+    for key, shapes in _SHAPES.items()
+}
+
+
+def channel_weights(kind: ChannelKind, side: Side, gamma: ArrayLike) -> np.ndarray:
+    """The (N, T) weight rows (u, v[, s]) of one channel kind and side at
+    each of the N strengths in ``gamma``, with completeness certified at
+    every strength from the Gram polynomial of the same rows."""
+    g = np.asarray(gamma, dtype=float)
     _check_strengths(g)
-    return KrausChannel(_SHAPES[(kind, side)].operators(g)[0], kind, side, float(g[0]))
+    key = (ChannelKind(kind), Side(side))
+    w = _SHAPES[key].weights(g)
+    _certify(np.abs(w @ _GRAMS[key] - _EYE_ROW).max())
+    return w
+
+
+def channel_terms(kind: ChannelKind, side: Side, rho: np.ndarray) -> np.ndarray:
+    """The terms (T_u, T_v[, T_s]) of one channel kind and side applied to a
+    (..., 6, 6) stack ``rho``, stacked along a new first axis: the channel
+    maps rho to u T_u + v T_v + s T_s with the weights of
+    :func:`channel_weights`."""
+    shapes = _SHAPES[(ChannelKind(kind), Side(side))]
+    return shapes.expand(lambda a, b: a @ rho @ b.conj().T, rho)

@@ -1,18 +1,34 @@
-"""Channel application, the three noise scenarios, and closed-form evolved states.
+"""Evolution through the three noise scenarios, and closed-form evolved states.
 
 A scenario is multi-local (independent noise on both subsystems), qubit-only,
 or qutrit-only.  Local scenarios pin the other side's strength to zero, so
-every evolution runs the same code path: apply the qubit-side channel, then
-the qutrit-side channel.  The two applications commute since the operators
-act on different tensor factors.
+every evolution runs the same code path: the qubit-side channel, then the
+qutrit-side channel.  The two commute since they act on different tensor
+factors.
 
-Strengths are evolved in batches: :func:`evolve_grid` takes arrays of qubit
-and qutrit strengths and works through them in chunks of ``GRID_CHUNK``,
-each chunk one stacked Kraus product per side over (n, K, 6, 6) operator
-stacks.  A side held at strength zero throughout a chunk is the identity
-channel there and is not applied.  Sweeps and the ESD detector reduce each
+The evolution is tabulated.  The family state is the convex mix
+rho(0) = 2a (P_2 / 2) + 3b (B_3 / 3) + c |psi-><psi-| of three fixed basis
+states (``states.FAMILY_BASIS``), and each side's channel is
+u T_u + v T_v (+ s T_s for dephasing) in its squared Kraus weights
+u = 1 - p gamma / m, v = gamma / m and in s = sqrt(u) (see ``channels``).
+Every channel is linear, so the evolved state at any strength pair is a
+weighted sum of fixed matrices.  For each kind, the terms of the qubit side,
+of the qutrit side and of both sides applied to each basis state are
+tabulated once at import: at most 45 6x6 matrices per kind, 81 kB for all
+five.  A call mixes them with the point's weights (2a, 3b, c) into at most
+9 term matrices per stage.
+
+:func:`evolve_grid` then works through the strength arrays in chunks of
+``GRID_CHUNK``.  Per chunk it builds each side's weight rows, certifies
+completeness at every strength from the Gram polynomial of the same rows,
+and forms the states after the qubit side and after both sides as weight
+rows times term matrices, validating every member of each stage as a
+density matrix.  A side at strength exactly zero is the identity channel
+and is skipped, member by member.  Sweeps and the ESD detector reduce each
 chunk before the next is built, so memory stays bounded for any grid
 length, and :func:`evolve` is the one-point case of the same path.
+:func:`apply_channel` over ``channels.kraus_operators`` is the direct Kraus
+sum, kept as the reference the tables are tested against.
 
 For each channel kind the evolved density matrix also has a closed form;
 :func:`analytic_evolved` builds it directly from those expressions as an
@@ -30,9 +46,16 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import ChannelKind, KrausChannel, Side, kraus_operators
+from .channels import ChannelKind, Side, channel_terms, channel_weights
 from .linalg import TOTAL_DIM
-from .states import DensityMatrix, StateParams, check_density, initial_state
+from .states import (
+    FAMILY_BASIS,
+    DensityMatrix,
+    StateParams,
+    check_density,
+    family_weights,
+    initial_state,
+)
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
@@ -75,18 +98,18 @@ class ChannelScenario:
 
 
 def apply_channel(
-    channel: KrausChannel | np.ndarray, rho: DensityMatrix | np.ndarray
+    channel: np.ndarray, rho: DensityMatrix | np.ndarray
 ) -> DensityMatrix | np.ndarray:
-    """sum_i K_i rho K_i^dagger, revalidated as a density matrix.
+    """sum_i K_i rho K_i^dagger, revalidated as a density matrix: the direct
+    Kraus sum, the reference that the tabulated evolution is tested against.
 
-    ``channel`` is a :class:`KrausChannel` or a (..., K, 6, 6) operator stack
-    and ``rho`` a :class:`DensityMatrix` or a (..., 6, 6) stack whose leading
-    axes broadcast against the operators'.  A DensityMatrix gives a
+    ``channel`` is a (..., K, 6, 6) operator stack from ``kraus_operators``
+    and ``rho`` a :class:`DensityMatrix` or a (..., 6, 6) stack whose
+    leading axes broadcast against the operators'.  A DensityMatrix gives a
     DensityMatrix; a stack gives a stack with every member checked.
     """
-    k = channel.operators if isinstance(channel, KrausChannel) else channel
     m = rho.matrix if isinstance(rho, DensityMatrix) else rho
-    out = (k @ m[..., None, :, :] @ k.conj().swapaxes(-1, -2)).sum(axis=-3)
+    out = (channel @ m[..., None, :, :] @ channel.conj().swapaxes(-1, -2)).sum(axis=-3)
     if isinstance(rho, DensityMatrix):
         return DensityMatrix(out)
     check_density(out)
@@ -107,11 +130,48 @@ def sweep_strengths(mode: Mode, gamma: ArrayLike) -> tuple[np.ndarray, np.ndarra
     return zero, g
 
 
-#: Strengths evolved together.  The few (16, K, 6, 6) complex stacks alive
-#: at once stay under 83 kB each whatever the grid length; chunks of 32 ran
-#: a sweep up to a tenth faster but raised the peak resident memory of a
-#: run by about 0.4 MB.
-GRID_CHUNK = 16
+#: Strengths evolved together.  The largest arrays of a chunk are a few
+#: (n, 6, 6) complex stacks, 37 kB each at n = 64, whatever the grid length.
+#: On a 2-vCPU Xeon with one BLAS thread, a 513-point ``run_sweep`` (mean over
+#: the 15 cells, best of 7) took 10.1, 6.3, 5.6, 4.8 and 5.7 ms with chunks of
+#: 16, 32, 64, 128 and 513; the peak resident memory of a 45-curve sweep run
+#: stayed flat up to 64 and rose by 0.15 MB at 128 and by 1.6 MB at 513.
+GRID_CHUNK = 64
+
+
+def _basis_table(kind: ChannelKind) -> tuple[np.ndarray, int, int]:
+    """What the kind's channels make of ``FAMILY_BASIS``: the qubit-side
+    terms, then the qutrit-side terms, then the terms of both sides (qutrit
+    term major), in one real table with one row per basis state that holds
+    the terms' 6x6 complex entries as (real, imaginary) pairs; with the
+    qubit-side and qutrit-side term counts."""
+    qubit = channel_terms(kind, Side.QUBIT, FAMILY_BASIS)
+    qutrit = channel_terms(kind, Side.QUTRIT, FAMILY_BASIS)
+    both = channel_terms(kind, Side.QUTRIT, qubit)
+    rows = [t.reshape(-1, len(FAMILY_BASIS), TOTAL_DIM**2) for t in (qubit, qutrit, both)]
+    table = np.ascontiguousarray(np.moveaxis(np.concatenate(rows), 1, 0)).view(float)
+    table = table.reshape(len(FAMILY_BASIS), -1)
+    return table, len(qubit), len(qutrit)
+
+
+#: The basis table of every kind, built once at import.
+_BASIS_TABLES = {kind: _basis_table(kind) for kind in ChannelKind}
+
+
+def _combine(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """The (n, 6, 6) states sum_t weights[:, t] terms[t].  Each strength is
+    its own vector-matrix product, so a state does not depend on the other
+    strengths of its chunk."""
+    rows = (weights[:, None, :] @ terms)[:, 0]
+    return rows.view(complex).reshape(len(weights), TOTAL_DIM, TOTAL_DIM)
+
+
+def _stage(out: np.ndarray, members: np.ndarray, weights: np.ndarray, terms: np.ndarray) -> None:
+    """Set the states of the chunk members that ``members`` selects."""
+    if members.all():
+        out[:] = _combine(weights, terms)
+    elif members.any():
+        out[members] = _combine(weights[members], terms)
 
 
 def evolve_grid(
@@ -121,10 +181,13 @@ def evolve_grid(
     gamma_qutrit[i]), yielding the states in grid order as (n, 6, 6) stacks
     of at most ``GRID_CHUNK`` members.
 
-    The initial state is validated once; each chunk's Kraus stacks are
-    certified complete and its states revalidated after each channel, for
-    every member.  A side whose strengths in a chunk are all exactly zero
-    is the identity channel there, and is skipped.
+    The initial state is validated once, and the family weights (2a, 3b, c)
+    mix the kind's basis table into the point's term matrices.  In each
+    chunk the weight rows of each side are certified complete at every
+    strength, and the states after the qubit side and after both sides are
+    each revalidated, for every member.  A side at strength exactly zero is
+    the identity channel, and is skipped for that member; a side whose
+    strengths in a chunk are all zero is not evaluated at all.
     """
     ga = np.asarray(gamma_qubit, dtype=float)
     gb = np.asarray(gamma_qutrit, dtype=float)
@@ -132,14 +195,30 @@ def evolve_grid(
         raise ValueError(
             f"strength arrays must be 1-d and equal in length, got {ga.shape} and {gb.shape}"
         )
+    kind = ChannelKind(kind)
     rho = initial_state(params).matrix
+    table, ta, tb = _BASIS_TABLES[kind]
+    terms = (family_weights(params) @ table).reshape(-1, 2 * TOTAL_DIM**2)
+    qubit, qutrit, both = terms[:ta], terms[ta : ta + tb], terms[ta + tb :]
     for s in range(0, len(ga), GRID_CHUNK):
-        chunk = slice(s, s + GRID_CHUNK)
-        out = rho
-        for side, g in ((Side.QUBIT, ga[chunk]), (Side.QUTRIT, gb[chunk])):
-            if np.count_nonzero(g):
-                out = apply_channel(kraus_operators(kind, side, g), out)
-        yield out if out.ndim == 3 else np.repeat(rho[None], len(ga[chunk]), axis=0)
+        a, b = ga[s : s + GRID_CHUNK], gb[s : s + GRID_CHUNK]
+        # Strength zero is the identity channel, per member, so that a
+        # member's state never depends on the rest of its chunk.
+        on_a, on_b = a != 0.0, b != 0.0
+        any_a = on_a.any()
+        out = np.repeat(rho[None], len(a), axis=0)
+        if any_a:
+            wa = channel_weights(kind, Side.QUBIT, a)
+            _stage(out, on_a, wa, qubit)
+            check_density(out)
+        if on_b.any():
+            wb = channel_weights(kind, Side.QUTRIT, b)
+            _stage(out, on_b & ~on_a, wb, qutrit)
+            if any_a:
+                pairs = (wb[:, :, None] * wa[:, None, :]).reshape(len(a), -1)
+                _stage(out, on_b & on_a, pairs, both)
+            check_density(out)
+        yield out
 
 
 def evolve(scenario: ChannelScenario, params: StateParams) -> DensityMatrix:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,6 +39,9 @@ from .channels import ChannelKind
 from .evolution import ChannelScenario, Mode, evolve, evolve_grid, sweep_strengths
 from .linalg import TOTAL_DIM, partial_transpose_qutrit
 from .states import DensityMatrix, StateParams
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 #: Eigenvalues above this cutoff are eigensolver dust, not negativity.
 NEGATIVE_EIG_CUTOFF = -1e-12
@@ -128,29 +132,61 @@ def negativity_analytic(
     and bit-phase-flip cases reuse the phase-flip and trit-flip expressions,
     an equivalence that holds exactly.
     """
+    x = _negativity_form(
+        scenario.kind,
+        scenario.mode,
+        params,
+        scenario.gamma_qubit,
+        scenario.gamma_qutrit,
+        corrected,
+        math.sqrt,
+    )
+    return 2.0 * max(0.0, x)
+
+
+def analytic_negativities(
+    kind: ChannelKind,
+    mode: Mode,
+    params: StateParams,
+    gamma_qubit: ArrayLike,
+    gamma_qutrit: ArrayLike,
+    corrected: bool = True,
+) -> np.ndarray:
+    """:func:`negativity_analytic` at each strength pair of one (kind, mode)
+    cell, as an array shaped like the strengths, with the same values to
+    the bit.  The strengths must suit the mode, as :class:`ChannelScenario`
+    checks for one pair."""
+    ga = np.asarray(gamma_qubit, dtype=float)
+    gb = np.asarray(gamma_qutrit, dtype=float)
+    x = _negativity_form(ChannelKind(kind), Mode(mode), params, ga, gb, corrected, np.sqrt)
+    # 2 max(0, x) as the scalar form takes it: +0.0 wherever x > 0 fails.
+    return np.where(x > 0.0, 2.0 * x, 0.0)
+
+
+def _negativity_form(kind, mode, params, ga, gb, corrected, sqrt):
+    """The x of the closed-form negativity 2 max(0, x), the one copy of each
+    closed form, on float strengths or on strength arrays."""
     b, c = params.b, params.c
-    ga, gb = scenario.gamma_qubit, scenario.gamma_qutrit
-    kind = scenario.kind
 
     if kind is ChannelKind.DEPHASING:
-        return 2.0 * max(0.0, (c - b) / 2.0 * math.sqrt((1 - ga) * (1 - gb)) - b)
+        return (c - b) / 2.0 * sqrt((1 - ga) * (1 - gb)) - b
 
     if kind is ChannelKind.PHASE_FLIP:
-        return 2.0 * max(0.0, (c - b) * (1 - ga) * (1 - gb) / 2.0 - b)
+        return (c - b) * (1 - ga) * (1 - gb) / 2.0 - b
 
     if kind is ChannelKind.DEPOLARIZING:
         lam = (
             9 * (b - c) * ga * (gb - 1) + 2 * gb * (1 - 9 * b + 3 * c) + 18 * b - 6 * c
         ) / 12.0
-        return 2.0 * max(0.0, -lam)
+        return -lam
 
     if kind in (ChannelKind.BIT_FLIP, ChannelKind.BIT_PHASE_FLIP):
-        if scenario.mode is Mode.QUBIT_ONLY:
-            return 2.0 * max(0.0, (c - 3 * b - ga * (c - b)) / 2.0)
-        if scenario.mode is Mode.QUTRIT_ONLY:
+        if mode is Mode.QUBIT_ONLY:
+            return (c - 3 * b - ga * (c - b)) / 2.0
+        if mode is Mode.QUTRIT_ONLY:
             if corrected:
-                return 2.0 * max(0.0, (3 * c - 9 * b - (1 - 8 * b + 2 * c) * gb) / 6.0)
-            return 2.0 * max(0.0, (3 * b - 9 * c - (1 - 8 * b + 2 * c) * gb) / 6.0)
+                return (3 * c - 9 * b - (1 - 8 * b + 2 * c) * gb) / 6.0
+            return (3 * b - 9 * c - (1 - 8 * b + 2 * c) * gb) / 6.0
         raise NoClosedFormError(
             f"no closed-form negativity for multi-local {kind.value}; use numerics"
         )

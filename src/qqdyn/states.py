@@ -8,8 +8,11 @@ sub-block with the two pure levels |02> and |12>:
            + c |psi-><psi-|,
 
 with 2a + 3b + c = 1.  Taking (b, c) as free and a derived keeps the triple
-consistent by construction.  The family is entangled exactly when
-3b < c <= 1 - 3b.
+consistent by construction.  Equivalently rho(0) is the convex mix
+2a (P_2 / 2) + 3b (B_3 / 3) + c |psi-><psi-| of three fixed unit-trace
+states (``FAMILY_BASIS``), P_2 the projector onto |02>, |12> and B_3 the
+sum of the phi+, phi- and psi+ projectors.  The family is entangled
+exactly when 3b < c <= 1 - 3b.
 """
 
 from __future__ import annotations
@@ -174,13 +177,29 @@ def bell_state(kind: str) -> DensityMatrix:
     return DensityMatrix(_BELL_PROJECTORS[kind])
 
 
+#: The family's basis states, each of unit trace: P_2 / 2, B_3 / 3 with B_3
+#: the sum of the phi+, phi- and psi+ projectors, and the psi- projector.
+#: rho(0) is their convex mix with the weights of :func:`family_weights`.
+FAMILY_BASIS = np.array(
+    [
+        _LEVEL_2_PROJECTOR / 2.0,
+        (_BELL_PROJECTORS["phi+"] + _BELL_PROJECTORS["phi-"] + _BELL_PROJECTORS["psi+"]) / 3.0,
+        _BELL_PROJECTORS["psi-"],
+    ]
+)
+
+
+def family_weights(params: StateParams) -> np.ndarray:
+    """The weights (2a, 3b, c) of the family's basis states at a point; they
+    sum to 1."""
+    return np.array([2.0 * params.a, 3.0 * params.b, params.c])
+
+
 def initial_state(params: StateParams) -> DensityMatrix:
-    """The family state at zero noise, built as the defining projector mixture."""
-    m = params.a * _LEVEL_2_PROJECTOR
-    for kind in ("phi+", "phi-", "psi+"):
-        m = m + params.b * _BELL_PROJECTORS[kind]
-    m = m + params.c * _BELL_PROJECTORS["psi-"]
-    return DensityMatrix(m)
+    """The family state at zero noise, the mix of ``FAMILY_BASIS`` with the
+    point's weights."""
+    mix = family_weights(params) @ FAMILY_BASIS.reshape(len(FAMILY_BASIS), -1)
+    return DensityMatrix(mix.reshape(TOTAL_DIM, TOTAL_DIM))
 
 
 def initial_negativity(params: StateParams) -> float:

@@ -14,13 +14,13 @@ import numpy as np
 
 from . import __version__
 from .channels import ChannelKind
-from .evolution import ChannelScenario, Mode, coherence_l1, evolve_grid, sweep_strengths
+from .evolution import Mode, coherence_l1, evolve_grid, sweep_strengths
 from .negativity import (
     EsdReport,
     NoClosedFormError,
+    analytic_negativities,
     check_tol,
     esd_report,
-    negativity_analytic,
     negativity_numeric,
 )
 from .states import StateParams
@@ -77,15 +77,13 @@ def run_sweep(
     for states in evolve_grid(kind, params, ga, gb):
         negativity += negativity_numeric(states).value.tolist()
         coherence += coherence_l1(states).tolist()
-    rows = []
-    for g, a, b, n, coh in zip(gammas.tolist(), ga.tolist(), gb.tolist(), negativity, coherence):
-        try:
-            analytic = negativity_analytic(ChannelScenario(kind, mode, a, b), params)
-        except NoClosedFormError:
-            analytic = None
-        rows.append(SweepRow(gamma=g, negativity=n, negativity_analytic=analytic, coherence=coh))
+    try:
+        analytic = analytic_negativities(kind, mode, params, ga, gb).tolist()
+    except NoClosedFormError:
+        analytic = [None] * steps
+    rows = tuple(map(SweepRow, gammas.tolist(), negativity, analytic, coherence))
     report = esd_report(kind, mode, params, tol=tol)
-    return SweepResult(kind=kind, mode=mode, b=params.b, c=params.c, rows=tuple(rows), esd=report)
+    return SweepResult(kind=kind, mode=mode, b=params.b, c=params.c, rows=rows, esd=report)
 
 
 def _fmt(x: float | None) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import ChannelKind, OPERATOR_COUNTS, Side, make_channel
+from .channels import ChannelKind, OPERATOR_COUNTS, Side, kraus_operators
 from .evolution import (
     ChannelScenario,
     Mode,
@@ -29,6 +29,7 @@ from .negativity import (
     ESD_NEGATIVITY_THRESHOLD,
     NoClosedFormError,
     analytic_esd_gamma,
+    analytic_negativities,
     esd_gamma,
     negativity_analytic,
     negativity_numeric,
@@ -59,12 +60,12 @@ def _completeness_check() -> dict:
     eye = np.eye(6)
     for kind in ChannelKind:
         for side in Side:
-            for g in np.linspace(0.0, 1.0, 11):
-                ch = make_channel(kind, side, float(g))
-                total = sum(k.conj().T @ k for k in ch.operators)
+            stacks = kraus_operators(kind, side, np.linspace(0.0, 1.0, 11))
+            if stacks.shape[1] != OPERATOR_COUNTS[(kind, side)]:
+                return _check("kraus_completeness", np.inf, 1e-12, "operator count mismatch")
+            for ops in stacks:
+                total = sum(k.conj().T @ k for k in ops)
                 worst = max(worst, float(np.abs(total - eye).max()))
-                if len(ch.operators) != OPERATOR_COUNTS[(kind, side)]:
-                    return _check("kraus_completeness", np.inf, 1e-12, "operator count mismatch")
     return _check("kraus_completeness", worst, 1e-12, "5 kinds x 2 sides x 11 strengths")
 
 
@@ -143,15 +144,15 @@ def _negativity_form_checks(points: list[StateParams]) -> tuple[list[dict], list
     gammas = np.linspace(0.0, 1.0, 33)
     for kind in ChannelKind:
         for mode in Mode:
+            strengths = sweep_strengths(mode, gammas)
             try:
-                negativity_analytic(ChannelScenario.at(kind, mode, 0.0), points[0])
+                closed = [analytic_negativities(kind, mode, p, *strengths) for p in points]
             except NoClosedFormError:
                 continue
-            scenarios = [ChannelScenario.at(kind, mode, g) for g in gammas.tolist()]
-            worst = 0.0
-            for p in points:
-                for scenario, nm in zip(scenarios, _negativities(kind, mode, p, gammas)):
-                    worst = max(worst, abs(negativity_analytic(scenario, p) - nm))
+            worst = max(
+                float(np.abs(form - _negativities(kind, mode, p, gammas)).max())
+                for form, p in zip(closed, points)
+            )
             checks.append(
                 _check(
                     f"negativity_closed_form_{kind.value}_{mode.value}",
@@ -209,13 +210,13 @@ def _threshold_checks() -> list[dict]:
 
 def _equivalence_checks(points: list[StateParams]) -> list[dict]:
     gammas = np.linspace(0.0, 1.0, 33)
-    phase_flips = [ChannelScenario.at(ChannelKind.PHASE_FLIP, Mode.QUBIT_ONLY, g) for g in gammas.tolist()]
+    qubit_only = sweep_strengths(Mode.QUBIT_ONLY, gammas)
     worst_bf = 0.0
     worst_bpf = 0.0
     for p in points:
         bf_q = _negativities(ChannelKind.BIT_FLIP, Mode.QUBIT_ONLY, p, gammas)
-        for scenario, nm in zip(phase_flips, bf_q):
-            worst_bf = max(worst_bf, abs(nm - negativity_analytic(scenario, p)))
+        phase_flip = analytic_negativities(ChannelKind.PHASE_FLIP, Mode.QUBIT_ONLY, p, *qubit_only)
+        worst_bf = max(worst_bf, float(np.abs(bf_q - phase_flip).max()))
         for mode in (Mode.QUBIT_ONLY, Mode.QUTRIT_ONLY):
             bpf = _negativities(ChannelKind.BIT_PHASE_FLIP, mode, p, gammas)
             bf = _negativities(ChannelKind.BIT_FLIP, mode, p, gammas)

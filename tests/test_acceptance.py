@@ -37,11 +37,11 @@ from qqdyn import (
     evolve,
     initial_negativity,
     initial_state,
-    make_channel,
     negativity_analytic,
     negativity_numeric,
     random_entangled_params,
 )
+from qqdyn.channels import kraus_operators
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -73,9 +73,9 @@ def test_criterion_1_kraus_completeness():
     for kind in ChannelKind:
         for side in Side:
             for g in np.linspace(0.0, 1.0, 11):
-                ch = make_channel(kind, side, float(g))
-                counts_ok &= len(ch.operators) == OPERATOR_COUNTS[(kind, side)]
-                total = sum(k.conj().T @ k for k in ch.operators)
+                ops = kraus_operators(kind, side, [g])[0]
+                counts_ok &= len(ops) == OPERATOR_COUNTS[(kind, side)]
+                total = sum(k.conj().T @ k for k in ops)
                 worst = max(worst, float(np.abs(total - np.eye(6)).max()))
     _report("C1 kraus completeness", counts_ok and worst <= 1e-12, f"max defect {worst:.2e}")
 

@@ -14,9 +14,10 @@ from qqdyn import (
     coherence_l1,
     evolve,
     initial_state,
-    make_channel,
     random_entangled_params,
 )
+
+from qqdyn.channels import kraus_operators
 
 from helpers import qutrit_marginal
 
@@ -98,8 +99,8 @@ def test_raw_depolarizing_form_can_be_unphysical():
 def test_side_applications_commute(kind):
     p = StateParams(0.05, 0.6)
     rho = initial_state(p)
-    qubit = make_channel(kind, Side.QUBIT, 0.3)
-    qutrit = make_channel(kind, Side.QUTRIT, 0.7)
+    (qubit,) = kraus_operators(kind, Side.QUBIT, [0.3])
+    (qutrit,) = kraus_operators(kind, Side.QUTRIT, [0.7])
     ab = apply_channel(qutrit, apply_channel(qubit, rho)).matrix
     ba = apply_channel(qubit, apply_channel(qutrit, rho)).matrix
     assert np.abs(ab - ba).max() < 1e-13
@@ -134,8 +135,9 @@ def test_strength_composition_semigroup(kind, side):
     p = random_entangled_params(rng, 1)[0]
     rho = initial_state(p)
     g1, g2 = 0.35, 0.55
-    two = apply_channel(make_channel(kind, side, g2), apply_channel(make_channel(kind, side, g1), rho))
-    one = apply_channel(make_channel(kind, side, _compose_strengths(g1, g2)), rho)
+    ops = kraus_operators(kind, side, [g1, g2, _compose_strengths(g1, g2)])
+    two = apply_channel(ops[1], apply_channel(ops[0], rho))
+    one = apply_channel(ops[2], rho)
     err = np.abs(two.matrix - one.matrix).max()
     if kind is ChannelKind.BIT_PHASE_FLIP and side is Side.QUTRIT:
         assert err > 1e-3

@@ -1,9 +1,11 @@
-"""The chunked gamma-grid path against the one-point path it generalizes."""
+"""The chunked gamma-grid path against the one-point path it generalizes
+and against the direct Kraus sum it tabulates."""
 
 import numpy as np
 import pytest
 
 from qqdyn import (
+    CANONICAL_POINTS,
     ChannelKind,
     ChannelScenario,
     Mode,
@@ -14,12 +16,13 @@ from qqdyn import (
     evolve,
     evolve_grid,
     negativity_numeric,
+    random_entangled_params,
     run_sweep,
 )
-from qqdyn import evolution
+from qqdyn import channels, evolution
 from qqdyn.channels import kraus_operators
-from qqdyn.evolution import GRID_CHUNK
-from qqdyn.states import check_density
+from qqdyn.evolution import GRID_CHUNK, sweep_strengths
+from qqdyn.states import check_density, initial_state
 
 CELLS = [(kind, mode) for kind in ChannelKind for mode in Mode]
 #: An interior point, an a = 0 point and the a = 0 corner (0, 1).
@@ -86,8 +89,8 @@ def test_stack_with_one_bad_member_mid_chunk_is_rejected(bad, message):
     states = _stack_with_bad_member(bad.astype(complex))
     with pytest.raises(ValueError, match=f"{message}.* in stack member {MEMBER}$"):
         check_density(states)
-    # The per-stage check of the grid path: an identity channel (gamma = 0)
-    # passes the bad member through and the revalidation catches it.
+    # The direct Kraus route revalidates too: an identity channel (gamma = 0)
+    # passes the bad member through and the check catches it.
     identity = kraus_operators(ChannelKind.DEPOLARIZING, Side.QUTRIT, np.zeros(GRID_CHUNK))
     with pytest.raises(ValueError, match=f"{message}.* in stack member {MEMBER}$"):
         apply_channel(identity, states)
@@ -95,26 +98,72 @@ def test_stack_with_one_bad_member_mid_chunk_is_rejected(bad, message):
     check_density(np.delete(states, MEMBER, axis=0))
 
 
+def _kraus_reference(kind, p, ga, gb):
+    """The direct Kraus route: both channels' operator sums, in turn."""
+    rho = apply_channel(kraus_operators(kind, Side.QUBIT, ga), initial_state(p).matrix)
+    return apply_channel(kraus_operators(kind, Side.QUTRIT, gb), rho)
+
+
+@pytest.mark.parametrize("kind", list(ChannelKind), ids=[k.value for k in ChannelKind])
+def test_tables_match_the_direct_kraus_sum(kind):
+    rng = np.random.default_rng(20261018)
+    points = list(CANONICAL_POINTS) + random_entangled_params(rng, 6)
+    diagonal = np.linspace(0.0, 1.0, 129)
+    for p in points:
+        for mode in Mode:
+            ga, gb = sweep_strengths(mode, diagonal)
+            states = np.concatenate(list(evolve_grid(kind, p, ga, gb)))
+            assert np.abs(states - _kraus_reference(kind, p, ga, gb)).max() <= 1e-15, (p, mode)
+        ga, gb = rng.uniform(size=(2, 2 * GRID_CHUNK + 7))
+        states = np.concatenate(list(evolve_grid(kind, p, ga, gb)))
+        assert np.abs(states - _kraus_reference(kind, p, ga, gb)).max() <= 1e-15, p
+
+
 @pytest.mark.parametrize("kind", list(ChannelKind), ids=[k.value for k in ChannelKind])
 def test_idle_side_is_skipped_without_changing_the_states(kind, monkeypatch):
     g = np.linspace(0.0, 1.0, GRID_CHUNK + 5)
     zero = np.zeros_like(g)
-    rho = evolution.initial_state(POINTS[0]).matrix
-    built = []
+    rho = initial_state(POINTS[0]).matrix
+    weighted = []
 
     def recording(kind, side, gamma):
-        built.append(side)
-        return kraus_operators(kind, side, gamma)
+        weighted.append(side)
+        return channels.channel_weights(kind, side, gamma)
 
-    monkeypatch.setattr(evolution, "kraus_operators", recording)
+    monkeypatch.setattr(evolution, "channel_weights", recording)
     for mode, ga, gb, idle in ((Mode.QUBIT_ONLY, g, zero, Side.QUTRIT), (Mode.QUTRIT_ONLY, zero, g, Side.QUBIT)):
-        built.clear()
+        weighted.clear()
         states = np.concatenate(list(evolve_grid(kind, POINTS[0], ga, gb)))
-        assert idle not in built, mode
-        # Both channels applied, the idle one as the identity at gamma = 0.
-        both = apply_channel(kraus_operators(kind, Side.QUBIT, ga), rho)
-        both = apply_channel(kraus_operators(kind, Side.QUTRIT, gb), both)
-        assert np.array_equal(states, both), mode
+        assert idle not in weighted, mode
+        # The direct route applies both channels, the idle one as the
+        # identity at gamma = 0; the tables re-associate the sums, which
+        # changes last bits only.
+        assert np.abs(states - _kraus_reference(kind, POINTS[0], ga, gb)).max() <= 1e-15, mode
     # With both sides idle the grid yields copies of the initial state.
     (states,) = evolve_grid(kind, POINTS[0], zero[:3], zero[:3])
     assert np.array_equal(states, np.repeat(rho[None], 3, axis=0))
+
+
+def test_corrupted_coefficient_mid_chunk_breaks_completeness(monkeypatch):
+    kind, side = ChannelKind.DEPOLARIZING, Side.QUTRIT
+    zero = np.zeros(GRID_CHUNK)
+    # Qutrit-side strengths that are zero except in the middle of the chunk.
+    gb = np.where(np.arange(GRID_CHUNK) == MEMBER, 0.5, 0.0)
+    list(evolve_grid(kind, POINTS[0], zero, gb))
+    weights = channels._KrausShapes.weights
+
+    def corrupted_row(self, gamma):
+        w = weights(self, gamma)
+        w[MEMBER, 0] += 1e-9
+        return w
+
+    with monkeypatch.context() as m:
+        m.setattr(channels._KrausShapes, "weights", corrupted_row)
+        with pytest.raises(ValueError, match="completeness violated"):
+            list(evolve_grid(kind, POINTS[0], zero, gb))
+    # A corrupted Gram coefficient of v = gamma / m shows where gamma = 0.5.
+    gram = channels._GRAMS[(kind, side)].copy()
+    gram[1, 7] += 1e-9
+    monkeypatch.setitem(channels._GRAMS, (kind, side), gram)
+    with pytest.raises(ValueError, match="completeness violated"):
+        list(evolve_grid(kind, POINTS[0], zero, gb))

@@ -7,9 +7,9 @@ from qqdyn import (
     Side,
     bell_state,
     initial_state,
-    make_channel,
     partial_transpose_qutrit,
 )
+from qqdyn.channels import kraus_operators
 from qqdyn.states import StateParams
 
 from helpers import block_partial_transpose, random_density_matrix
@@ -19,7 +19,7 @@ I6 = np.eye(6)
 
 def test_dagger_conjugates_phases():
     # Second qutrit phase-flip operator carries e^{-i 2pi/3} in slot (1,1).
-    op = make_channel(ChannelKind.PHASE_FLIP, Side.QUTRIT, 0.3).operators[1]
+    op = kraus_operators(ChannelKind.PHASE_FLIP, Side.QUTRIT, [0.3])[0][1]
     w = np.exp(2j * np.pi / 3)
     assert op[1, 1] == approx(np.sqrt(0.1) * np.conj(w))
     assert op.conj().T[1, 1] == approx(np.sqrt(0.1) * w)

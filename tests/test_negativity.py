@@ -122,6 +122,26 @@ def test_no_closed_form_for_multilocal_flips():
             negativity_analytic(ChannelScenario.at(kind, Mode.MULTI_LOCAL, 0.5), P)
 
 
+@pytest.mark.parametrize("kind", list(ChannelKind), ids=[k.value for k in ChannelKind])
+def test_sweep_analytic_column_equals_per_row_scalar_calls(kind):
+    # The array closed forms give the scalar values to the bit, the sign of
+    # zero included, and the multi-local flips leave the column empty.
+    points = list(CANONICAL_POINTS) + [StateParams(0.1, 0.35), StateParams.a_zero(0.15)]
+    for p in points:
+        for mode in Mode:
+            for start, stop, steps in ((0.0, 1.0, 513), (0.25, 0.75, 37)):
+                for row in run_sweep(kind, mode, p, start, stop, steps).rows:
+                    try:
+                        want = negativity_analytic(ChannelScenario.at(kind, mode, row.gamma), p)
+                    except NoClosedFormError:
+                        want = None
+                    got = row.negativity_analytic
+                    assert (got is None) == (want is None), (p, mode, row.gamma)
+                    if got is not None:
+                        assert type(got) is float
+                        assert repr(got) == repr(want), (p, mode, row.gamma)
+
+
 def test_uncorrected_trit_flip_form_is_dead_at_zero():
     sc = ChannelScenario.at(ChannelKind.BIT_FLIP, Mode.QUTRIT_ONLY, 0.0)
     assert negativity_analytic(sc, P, corrected=False) == 0.0
