@@ -10,7 +10,10 @@ Every row is timed with ``time.perf_counter`` ``--repeat`` times (the tier-1
 suite once) and reports the median, the minimum and N, in milliseconds per
 call.  Layer rows time one stage of the pipeline on 64 strengths at
 (b, c) = (0.05, 0.6), depolarizing multi-local unless the row says otherwise;
-end-to-end rows time whole runs, the CLI ones in a fresh interpreter each.
+end-to-end rows time whole runs, the ``cli_*_inprocess`` ones through
+``qqdyn.cli.main`` in this process (after one warm-up call, so the per-call
+dispatch cost shows next to the library rows) and the other CLI ones in a
+fresh interpreter each.
 A layer that the checkout does not have is reported as absent, so the same
 file runs against older checkouts.  The package is imported from ``src/``
 next to this file; nothing in ``qqdyn`` imports this module.
@@ -19,6 +22,8 @@ next to this file; nothing in ``qqdyn`` imports this module.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -38,6 +43,7 @@ from qqdyn import (  # noqa: E402
     ChannelKind,
     Mode,
     StateParams,
+    cli,
     evolution,
     negativity,
     states,
@@ -118,8 +124,20 @@ def layer_rows() -> dict:
     return rows
 
 
-def end_to_end_rows() -> dict:
+def _cli_call(argv: list[str]):
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(argv) != 0:
+                raise RuntimeError(f"qqdyn {' '.join(argv)} failed")
+    return call
+
+
+def end_to_end_rows(workdir: str) -> dict:
+    argv = cli_rows(workdir)
     rows = {
+        "cli_esd_inprocess": (lambda: _cli_call(argv["cli_esd"]), 20),
+        "cli_sweep_csv_inprocess": (lambda: _cli_call(argv["cli_sweep_513_csv"]), 5),
+        "cli_sweep_json_inprocess": (lambda: _cli_call(argv["cli_sweep_513_json"]), 5),
         "run_sweep_513_bitflip_qubitonly": (
             lambda: lambda: run_sweep(ChannelKind.BIT_FLIP, Mode.QUBIT_ONLY, P), 5),
         "run_sweep_513_depolarizing_multilocal": (lambda: lambda: run_sweep(KIND, MODE, P), 5),
@@ -216,19 +234,19 @@ def main(argv: list[str] | None = None) -> int:
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     rows = []
-    for group, table in (("layer", layer_rows()), ("end_to_end", end_to_end_rows())):
-        for name, (setup, calls) in table.items():
-            try:
-                fn = setup()
-            except (AttributeError, ImportError) as exc:
-                rows.append(row(name, group, None, f"absent: {exc}"))
-                continue
-            times = sample(fn, calls, args.repeat)
-            rows.append(row(name, group, times, f"{calls} calls per sample"))
     with tempfile.TemporaryDirectory() as workdir:
-        for name, cli in cli_rows(workdir).items():
-            times, _ = run_process([sys.executable, "-m", "qqdyn.cli", *cli], args.repeat)
-            rows.append(row(name, "end_to_end", times, "fresh interpreter, " + " ".join(cli[:1])))
+        for group, table in (("layer", layer_rows()), ("end_to_end", end_to_end_rows(workdir))):
+            for name, (setup, calls) in table.items():
+                try:
+                    fn = setup()
+                except (AttributeError, ImportError) as exc:
+                    rows.append(row(name, group, None, f"absent: {exc}"))
+                    continue
+                times = sample(fn, calls, args.repeat)
+                rows.append(row(name, group, times, f"{calls} calls per sample"))
+        for name, cmd in cli_rows(workdir).items():
+            times, _ = run_process([sys.executable, "-m", "qqdyn.cli", *cmd], args.repeat)
+            rows.append(row(name, "end_to_end", times, "fresh interpreter, " + " ".join(cmd[:1])))
     suite = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
              "--continue-on-collection-errors"]
     times, code = run_process(suite, 1, check=False)

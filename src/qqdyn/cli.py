@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -163,15 +164,23 @@ def _batch_run(i: int, entry) -> dict:
     before any entry has run or written output."""
     try:
         b = float(entry["b"])
-        c = 1.0 - 3.0 * b if entry.get("a_zero") else float(entry["c"])
+        a_zero = entry.get("a_zero", False)
+        if not isinstance(a_zero, bool):
+            raise TypeError(f"a_zero must be true or false, got {a_zero!r}")
+        if a_zero and "c" in entry:
+            raise ValueError("a_zero and c are mutually exclusive")
+        c = 1.0 - 3.0 * b if a_zero else float(entry["c"])
         grid = entry.get("gamma", {})
         if not isinstance(grid, dict):
             raise TypeError(f"gamma must be an object, got {grid!r}")
+        steps = grid.get("steps", 513)
+        if not isinstance(steps, int) or isinstance(steps, bool):
+            raise TypeError(f"steps must be an integer, got {steps!r}")
         run = {
             "kind": ChannelKind(entry["kind"]),
             "mode": Mode(entry["mode"]),
             "params": StateParams(b, c),
-            "steps": int(grid.get("steps", 513)),
+            "steps": steps,
             "out": entry.get("out"),
             "fmt": entry.get("format", "csv"),
             "tol": float(entry.get("tol", 1e-9)),
@@ -270,7 +279,10 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a-zero", action="store_true", help="resolve c = 1 - 3b")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qqdyn`` parser, built on the first call and shared by every later
+    :func:`main` call in the process; parsing keeps no state in it."""
     parser = argparse.ArgumentParser(prog="qqdyn", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -306,8 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -1,14 +1,17 @@
 """Strength sweeps over a scenario with CSV and JSON emission.
 
 Sweeps are deterministic: the same configuration always produces byte
-identical output.  Floats are printed with 17 significant digits so parsing
-an emitted file recovers the in-memory values exactly.
+identical output.  CSV prints floats with 17 significant digits and JSON with
+the shortest round-trip ``repr``, as ``json.dumps`` does, so parsing either
+file recovers the in-memory values exactly.  Both writers format each row
+through one fixed template.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -29,6 +32,26 @@ from .states import StateParams
 FORMATS = ("csv", "json")
 
 CSV_HEADER = "gamma,negativity,negativity_analytic,coherence"
+_CSV_ROW = "%.17g,%.17g,%.17g,%.17g"
+_CSV_ROW_BLANK = "%.17g,%.17g,,%.17g"
+
+#: One sweep row as ``json.dumps(..., indent=2)`` lays it out inside ``rows``.
+#: ``%s`` prints a float as ``float.__repr__``, as the ``json`` encoder does.
+_JSON_ROW = """    {
+      "gamma": %s,
+      "negativity": %s,
+      "negativity_analytic": %s,
+      "coherence": %s
+    }"""
+#: Values that ``%s`` prints other than ``json`` does: None and the non-finite
+#: floats.  No key and no finite float contains any of these texts.
+_JSON_SPELLINGS = (
+    (": None", ": null"),
+    (": nan", ": NaN"),
+    (": -inf", ": -Infinity"),
+    (": inf", ": Infinity"),
+)
+_ROW_VALUES = attrgetter("gamma", "negativity", "negativity_analytic", "coherence")
 
 
 @dataclass(frozen=True)
@@ -86,16 +109,13 @@ def run_sweep(
     return SweepResult(kind=kind, mode=mode, b=params.b, c=params.c, rows=rows, esd=report)
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else format(x, ".17g")
-
-
 def sweep_csv(result: SweepResult) -> str:
     lines = [CSV_HEADER]
-    for r in result.rows:
-        lines.append(
-            f"{_fmt(r.gamma)},{_fmt(r.negativity)},{_fmt(r.negativity_analytic)},{_fmt(r.coherence)}"
-        )
+    for g, n, na, coh in map(_ROW_VALUES, result.rows):
+        if na is None:
+            lines.append(_CSV_ROW_BLANK % (g, n, coh))
+        else:
+            lines.append(_CSV_ROW % (g, n, na, coh))
     return "\n".join(lines) + "\n"
 
 
@@ -130,28 +150,27 @@ def esd_report_obj(report: EsdReport) -> dict:
     }
 
 
-def sweep_json_obj(result: SweepResult) -> dict:
-    return {
-        "kind": result.kind.value,
-        "mode": result.mode.value,
-        "b": result.b,
-        "c": result.c,
-        "tool_version": __version__,
-        "rows": [
-            {
-                "gamma": r.gamma,
-                "negativity": r.negativity,
-                "negativity_analytic": r.negativity_analytic,
-                "coherence": r.coherence,
-            }
-            for r in result.rows
-        ],
-        "esd": esd_report_obj(result.esd),
-    }
-
-
 def sweep_json(result: SweepResult) -> str:
-    return json.dumps(sweep_json_obj(result), indent=2) + "\n"
+    """The bytes of ``json.dumps(obj, indent=2) + "\\n"`` for the sweep object,
+    with only the short header and the ``esd`` object run through ``json``."""
+    skeleton = json.dumps(
+        {
+            "kind": result.kind.value,
+            "mode": result.mode.value,
+            "b": result.b,
+            "c": result.c,
+            "tool_version": __version__,
+            "rows": [],
+            "esd": esd_report_obj(result.esd),
+        },
+        indent=2,
+    ) + "\n"
+    if not result.rows:
+        return skeleton
+    rows = ",\n".join(map(_JSON_ROW.__mod__, map(_ROW_VALUES, result.rows)))
+    for text, spelling in _JSON_SPELLINGS:
+        rows = rows.replace(text, spelling)
+    return skeleton.replace('"rows": []', f'"rows": [\n{rows}\n  ]', 1)
 
 
 def render_sweep(result: SweepResult, fmt: str) -> str:

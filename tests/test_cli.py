@@ -119,7 +119,13 @@ def test_cli_batch_config_checks_every_entry_first(tmp_path, capsys):
     good = {"kind": "dephasing", "mode": "qubitonly", "b": 0.05, "c": 0.6,
             "gamma": {"steps": 5}, "out": str(out1)}
     cfg = tmp_path / "runs.json"
-    for bad in ({"gamma": 5}, {"kind": "nonsense"}, {"mode": "nonsense"}, {"format": "xml"}):
+    bad_entries = (
+        {"gamma": 5}, {"kind": "nonsense"}, {"mode": "nonsense"}, {"format": "xml"},
+        {"a_zero": True},  # together with "c", which --a-zero/--c also reject
+        {"a_zero": "no"}, {"a_zero": 1},
+        {"gamma": {"steps": 5.7}}, {"gamma": {"steps": 5.0}}, {"gamma": {"steps": True}},
+    )
+    for bad in bad_entries:
         cfg.write_text(json.dumps([good, {**good, "out": str(out2), **bad}]))
         assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG, bad
         assert "batch entry 1" in capsys.readouterr().err
@@ -263,3 +269,47 @@ def test_csv_floats_are_17_digits():
     g = line.split(",")[0]
     assert float(g) == result.rows[1].gamma
     assert g == format(result.rows[1].gamma, ".17g")
+
+
+def test_cli_one_process_gives_the_bytes_of_fresh_calls(tmp_path, capsys, monkeypatch):
+    # The parser is built once per process; a failed parse in between must
+    # not change what later calls in the same process write.  The usage
+    # message is wrapped to COLUMNS, so both sides get the same width.
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ("esd", ESD_ARGS + ["--out", "{d}/esd.json"]),
+        ("bad", ["esd", "--kind", "nonsense", "--mode", "qubitonly", "--b", "0.05", "--c", "0.6"]),
+        ("sweep", SWEEP_ARGS + ["--format", "json", "--out", "{d}/sweep.json"]),
+        ("table1", ["table1", "--b", "0.05", "--c", "0.6", "--out", "{d}/table1.json"]),
+    ]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    src = str(Path(qqdyn.__file__).resolve().parents[1])
+    for name, args in calls:
+        try:
+            rc = main([a.format(d=here) for a in args])
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "qqdyn.cli", *[a.format(d=fresh) for a in args]],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (rc, out, err) == (proc.returncode, proc.stdout, proc.stderr), name
+    assert rc == EXIT_OK
+    assert sorted(f.name for f in here.iterdir()) == ["esd.json", "sweep.json", "table1.json"]
+    for f in here.iterdir():
+        assert f.read_bytes() == (fresh / f.name).read_bytes(), f.name
+
+
+def test_cli_parser_is_built_on_first_use_only():
+    src = str(Path(qqdyn.__file__).resolve().parents[1])
+    code = (
+        "import qqdyn.cli as cli; n = cli.build_parser.cache_info().misses;"
+        "p = cli.build_parser(); print(n, cli.build_parser() is p)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.split() == ["0", "True"], proc.stderr
