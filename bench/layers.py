@@ -99,6 +99,27 @@ def _esd_node_step():
     }
 
 
+def _esd_alive():
+    # Looked up now, so that a checkout without it reports the row absent.
+    negativities = negativity.sweep_negativities
+    return lambda g: negativities(KIND, MODE, P, g) > negativity.ESD_NEGATIVITY_THRESHOLD
+
+
+def _esd_certify_batch():
+    # At tol = 1 the sectioning takes no step: the node roots plus the one
+    # certification batch about them.
+    (nodes,) = evolution.evolve_grid(KIND, P, *evolution.sweep_strengths(MODE, negativity._NODES))
+    values, alive = negativity._eigenvalue_product(nodes), _esd_alive()
+    return lambda: negativity._death_bracket(values, alive, 1.0)
+
+
+def _esd_section_step():
+    # One sectioning step: half the certified width is reached after one batch.
+    lo, hi = _esd_certify_batch()()
+    section, alive = negativity._section, _esd_alive()
+    return lambda: section(lo, hi, alive, (hi - lo) / 2.0)
+
+
 def layer_rows() -> dict:
     """name -> (setup returning the timed callable, calls per sample)."""
     stack = _stack()
@@ -118,6 +139,8 @@ def layer_rows() -> dict:
         "emit_csv_513": (lambda: lambda: render_sweep(sweep, "csv"), 20),
         "emit_json_513": (lambda: lambda: render_sweep(sweep, "json"), 20),
         "evolve_one_point": (lambda: lambda: evolution.evolve(one, P), 300),
+        "esd_certify_batch": (_esd_certify_batch, 300),
+        "esd_section_step": (_esd_section_step, 300),
     }
     for name, fn in _esd_node_step().items():
         rows[name] = (lambda fn=fn: fn, 300)

@@ -26,6 +26,7 @@ from .negativity import (
     CANONICAL_POINTS,
     REFERENCE_ESD_TABLE,
     cell_summary,
+    classify_table1,
     esd_report,
     semantics_match,
 )
@@ -72,6 +73,8 @@ def _resolve_points(args) -> list[StateParams]:
             bs = bs * len(cs)
         if len(bs) != len(cs):
             raise ConfigError("--b and --c lists must have equal length")
+    if not bs:
+        raise ConfigError("--b names no parameter point")
     try:
         return [StateParams(b, c) for b, c in zip(bs, cs)]
     except ValueError as exc:
@@ -159,17 +162,24 @@ def _run_batch(config_path: str) -> int:
     return _run_sweeps(runs, [f"batch entry {i}" for i in range(len(runs))])
 
 
+def _number(name: str, value) -> float:
+    """A batch-config value as a float; it must be a JSON number, not a string or a boolean."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _batch_run(i: int, entry) -> dict:
     """Resolve and check one batch entry, so that a bad entry stops the batch
     before any entry has run or written output."""
     try:
-        b = float(entry["b"])
+        b = _number("b", entry["b"])
         a_zero = entry.get("a_zero", False)
         if not isinstance(a_zero, bool):
             raise TypeError(f"a_zero must be true or false, got {a_zero!r}")
         if a_zero and "c" in entry:
             raise ValueError("a_zero and c are mutually exclusive")
-        c = 1.0 - 3.0 * b if a_zero else float(entry["c"])
+        c = 1.0 - 3.0 * b if a_zero else _number("c", entry["c"])
         grid = entry.get("gamma", {})
         if not isinstance(grid, dict):
             raise TypeError(f"gamma must be an object, got {grid!r}")
@@ -183,9 +193,9 @@ def _batch_run(i: int, entry) -> dict:
             "steps": steps,
             "out": entry.get("out"),
             "fmt": entry.get("format", "csv"),
-            "tol": float(entry.get("tol", 1e-9)),
-            "start": float(grid.get("start", 0.0)),
-            "stop": float(grid.get("stop", 1.0)),
+            "tol": _number("tol", entry.get("tol", 1e-9)),
+            "start": _number("start", grid.get("start", 0.0)),
+            "stop": _number("stop", grid.get("stop", 1.0)),
         }
         check_grid(run["start"], run["stop"], run["steps"], run["tol"])
         if run["fmt"] not in FORMATS:
@@ -218,23 +228,23 @@ def cmd_table1(args) -> int:
     else:
         points = list(CANONICAL_POINTS)
     cells = []
-    for kind in ChannelKind:
-        for mode in Mode:
-            reports = [esd_report(kind, mode, p, tol=args.tol) for p in points]
-            reference = REFERENCE_ESD_TABLE[(kind, mode)]
-            summary = cell_summary(reports)
-            cells.append(
-                {
-                    "kind": kind.value,
-                    "mode": mode.value,
-                    "reference": reference,
-                    "observed": summary["observed"],
-                    "matches_reference": semantics_match(reference, reports),
-                    "esd_count": summary["esd_count"],
-                    "point_count": summary["point_count"],
-                    "points": [esd_report_obj(r) for r in reports],
-                }
-            )
+    # One row of 15 reports per point; zip(*...) regroups them by cell.
+    for reports in zip(*(classify_table1(p, tol=args.tol) for p in points)):
+        kind, mode = reports[0].kind, reports[0].mode
+        reference = REFERENCE_ESD_TABLE[(kind, mode)]
+        summary = cell_summary(reports)
+        cells.append(
+            {
+                "kind": kind.value,
+                "mode": mode.value,
+                "reference": reference,
+                "observed": summary["observed"],
+                "matches_reference": semantics_match(reference, reports),
+                "esd_count": summary["esd_count"],
+                "point_count": summary["point_count"],
+                "points": [esd_report_obj(r) for r in reports],
+            }
+        )
     obj = {
         "tool_version": __version__,
         "points": [{"b": p.b, "c": p.c} for p in points],
@@ -245,12 +255,11 @@ def cmd_table1(args) -> int:
     if args.out is not None:
         width = max(len(k) for k in _KINDS) + 2
         lines = ["ESD classification (observed / reference):"]
-        for kind in ChannelKind:
+        for i, kind in enumerate(ChannelKind):
             row = [f"  {kind.value:<{width}}"]
-            for mode in Mode:
-                cell = next(c for c in cells if c["kind"] == kind.value and c["mode"] == mode.value)
+            for cell in cells[i * len(Mode) : (i + 1) * len(Mode)]:
                 mark = "" if cell["matches_reference"] else " [!]"
-                row.append(f"{mode.value}: {cell['observed']}/{cell['reference']}{mark}")
+                row.append(f"{cell['mode']}: {cell['observed']}/{cell['reference']}{mark}")
             lines.append("  ".join(row))
         print("\n".join(lines))
     return EXIT_OK

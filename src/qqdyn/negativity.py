@@ -19,11 +19,11 @@ every term of a principal minor carries an even power of s, a power of
 1 - gamma.  The detector therefore evaluates rho^Gamma at 16 Chebyshev
 nodes in gamma (one :func:`evolve_grid` chunk), interpolates the product
 of its eigenvalues (leaving out the ones that vanish identically), and
-takes the real roots in (0, 1) as candidates.  As a 2x3 partial transpose can have two negative eigenvalues at once (Rana,
-PRA 87, 054301, 2013), a root is only a candidate: the numeric negativity
-on either side of each root, taken in one more small batch, certifies the
-first death.  A curve that vanishes only at gamma = 1 is asymptotic decay,
-not sudden death, and reports no ESD.
+takes the real roots in (0, 1) as candidates.  A 2x3 partial transpose can
+have two negative eigenvalues at once (Rana, PRA 87, 054301, 2013), so the
+numeric negativity about each root, in one more batch, certifies the first
+death, and :func:`_section` narrows that bracket to the tolerance.  A curve
+that vanishes only at gamma = 1 is asymptotic decay and reports no ESD.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .channels import ChannelKind
-from .evolution import ChannelScenario, Mode, evolve, evolve_grid, sweep_strengths
+from .evolution import ChannelScenario, Mode, evolve_grid, sweep_strengths
 from .linalg import TOTAL_DIM, partial_transpose_qutrit
 from .states import DensityMatrix, StateParams
 
@@ -74,12 +74,11 @@ _IMAG_TOL = 1e-6
 #: Eigenvalues at or below this magnitude at every node are structural zeros.
 _ZERO_EIG = 1e-12
 
-#: Half-width of the bracket that certifies a root, and the factor by which
-#: the bracket widens, up to 1/8, about a root whose estimate missed its
-#: crossing.
+#: Half-width of the bracket that certifies a root.
 ESD_BRACKET = 2.0**-31
-ESD_WIDEN = 16.0
-_WIDEN_STEPS = 7
+#: Interior strengths that one :func:`_section` step samples, evenly spaced,
+#: cutting the bracket into 16 parts: 4 bits per ``evolve_grid`` batch.
+SECTION_SAMPLES = 15
 
 
 @dataclass(frozen=True)
@@ -104,15 +103,28 @@ def negativity_numeric(rho: DensityMatrix | np.ndarray) -> NegativityResult:
     leading axes.
     """
     m = rho.matrix if isinstance(rho, DensityMatrix) else rho
-    pt = partial_transpose_qutrit(m)
-    eigs = np.linalg.eigvalsh((pt + pt.conj().swapaxes(-1, -2)) / 2.0)
+    eigs = _pt_spectrum(m)
     neg_sum = np.where(eigs < NEGATIVE_EIG_CUTOFF, eigs, 0.0).sum(axis=-1)
     # np.maximum(0.0, -neg_sum) would give -0.0 where no eigenvalue is negative.
     value = np.where(neg_sum < 0.0, -2.0 * neg_sum, 0.0)
     via_trace_norm = np.maximum(0.0, np.abs(eigs).sum(axis=-1) - 1.0)
-    if pt.ndim == 2:
+    if eigs.ndim == 1:
         return NegativityResult(float(value), float(neg_sum), float(via_trace_norm))
     return NegativityResult(value, neg_sum, via_trace_norm)
+
+
+def _pt_spectrum(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of the partial transpose of each state in
+    ``m``, taken Hermitian by averaging with its conjugate transpose."""
+    pt = partial_transpose_qutrit(m)
+    return np.linalg.eigvalsh((pt + pt.conj().swapaxes(-1, -2)) / 2.0)
+
+
+def sweep_negativities(kind: ChannelKind, mode: Mode, params: StateParams, gammas: ArrayLike) -> np.ndarray:
+    """Numeric negativity at each sweep strength of one (kind, mode) cell,
+    evolved chunk by chunk through :func:`evolve_grid`."""
+    chunks = evolve_grid(kind, params, *sweep_strengths(mode, gammas))
+    return np.concatenate([negativity_numeric(states).value for states in chunks])
 
 
 class NoClosedFormError(ValueError):
@@ -253,8 +265,7 @@ def _eigenvalue_product(states: np.ndarray) -> np.ndarray:
     eigenvalues, a coefficient of the characteristic polynomial and so a
     polynomial in the matrix entries.
     """
-    pt = partial_transpose_qutrit(states)
-    eigs = np.linalg.eigvalsh((pt + pt.conj().swapaxes(-1, -2)) / 2.0)
+    eigs = _pt_spectrum(states)
     zeros = int((np.abs(eigs) <= _ZERO_EIG).sum(axis=-1).min())
     e = np.zeros((len(eigs), TOTAL_DIM + 1))
     e[:, 0] = 1.0
@@ -324,8 +335,26 @@ def _narrow(
     return lo, hi
 
 
+def _section(
+    lo: float, hi: float, alive: Callable[[np.ndarray], np.ndarray], tol: float
+) -> tuple[float, float]:
+    """Narrow a bracket (lo, hi), alive at lo and dead at hi, until it is no
+    wider than ``tol`` or no float lies strictly inside it.  Each step
+    evaluates ``SECTION_SAMPLES`` evenly spaced interior strengths in one
+    call of ``alive`` and keeps the first dead sample and the live sample
+    before it."""
+    steps = np.arange(1, SECTION_SAMPLES + 1) / (SECTION_SAMPLES + 1)
+    while hi - lo > tol:
+        samples = lo + (hi - lo) * steps
+        samples = samples[(samples > lo) & (samples < hi)]
+        if not samples.size:
+            break  # no float lies strictly inside the bracket
+        lo, hi = _narrow(lo, hi, samples, alive(samples))
+    return lo, hi
+
+
 def _death_bracket(
-    values: np.ndarray, alive: Callable[[np.ndarray], np.ndarray]
+    values: np.ndarray, alive: Callable[[np.ndarray], np.ndarray], tol: float
 ) -> tuple[float, float] | None:
     """Bracket (lo, hi), alive at lo and dead at hi, about the first death;
     None when the state stays entangled below gamma = 1.
@@ -336,10 +365,8 @@ def _death_bracket(
     r -/+ ``ESD_BRACKET``, and the stretch up to the next root (or
     gamma = 1) at its midpoint, all in one call of ``alive``.  The first
     dead sample and the live sample before it (or gamma = 0) bracket the
-    death.  Should a root estimate have missed its crossing, the bracket is
-    narrowed about that root by probes widening ``ESD_WIDEN``-fold per
-    step, in one more call.  A death bracketed only by gamma = 1 is
-    asymptotic.
+    death, which :func:`_section` then narrows down to ``tol``.  A death
+    bracketed only by gamma = 1 is asymptotic.
     """
     roots = _node_roots(values)
     if not roots.size:
@@ -352,14 +379,7 @@ def _death_bracket(
     lo, hi = _narrow(0.0, np.inf, samples, alive(samples))
     if hi >= 1.0:
         return None
-    if hi - lo > 2.0 * h:
-        r = roots[np.argmin(np.maximum(lo - roots, roots - hi))]
-        widths = h * ESD_WIDEN ** np.arange(1, _WIDEN_STEPS + 1)
-        probes = np.concatenate([r - widths, r + widths])
-        probes = probes[(probes > lo) & (probes < hi)]
-        if probes.size:
-            lo, hi = _narrow(lo, hi, probes, alive(probes))
-    return lo, hi
+    return _section(lo, hi, alive, tol)
 
 
 def esd_gamma(
@@ -374,11 +394,11 @@ def esd_gamma(
     ``_NODES``; the real roots in (0, 1) of the interpolated eigenvalue
     product are the candidates, and the numeric negativity on either side
     of each certifies the first death (see :func:`_death_bracket`).  The
-    certified bracket is bisected on one-point evaluations until it is no
-    wider than ``tol`` (a positive number), or until no float lies strictly
-    between its ends, and its dead end is returned.  Returns None when the
-    negativity stays above ``ESD_NEGATIVITY_THRESHOLD`` below gamma = 1; a
-    death exactly at gamma = 1 is asymptotic decay, not sudden death.
+    certified bracket is sectioned, one batch of evaluations per step,
+    until it is no wider than ``tol`` (a positive number), or until no
+    float lies strictly between its ends, and its dead end is returned.
+    Returns None when the negativity stays above ``ESD_NEGATIVITY_THRESHOLD``
+    below gamma = 1; a death exactly at gamma = 1 is asymptotic decay.
 
     Raises ValueError if the node values fail the degree check, rather than
     returning a threshold from a wrong interpolant.
@@ -389,29 +409,11 @@ def esd_gamma(
         raise ValueError("ESD detection requires an entangled initial state")
 
     def alive(g: np.ndarray) -> np.ndarray:
-        chunks = evolve_grid(kind, params, *sweep_strengths(mode, g))
-        return np.concatenate(
-            [negativity_numeric(states).value > ESD_NEGATIVITY_THRESHOLD for states in chunks]
-        )
-
-    def died(g: float) -> bool:
-        state = evolve(ChannelScenario.at(kind, mode, g), params)
-        return negativity_numeric(state).value <= ESD_NEGATIVITY_THRESHOLD
+        return sweep_negativities(kind, mode, params, g) > ESD_NEGATIVITY_THRESHOLD
 
     (nodes,) = evolve_grid(kind, params, *sweep_strengths(mode, _NODES))
-    bracket = _death_bracket(_eigenvalue_product(nodes), alive)
-    if bracket is None:
-        return None
-    lo, hi = bracket
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # no float lies strictly inside the bracket
-        if died(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    bracket = _death_bracket(_eigenvalue_product(nodes), alive, tol)
+    return None if bracket is None else bracket[1]
 
 
 @dataclass(frozen=True)

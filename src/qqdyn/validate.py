@@ -3,7 +3,7 @@
 The report has two parts.  ``checks`` are hard requirements: completeness,
 agreement between the corrected closed forms and the channel algebra,
 threshold agreement (with the closed forms, and with a grid scan plus
-bisection), the local-channel equivalences, and the two negativity routes.
+sectioning), the local-channel equivalences, and the two negativity routes.
 ``closed_form_discrepancies`` documents the places where the raw reference
 expressions are refuted by the Kraus numerics, together with the
 numerically measured correct coefficients; these are findings, not failures.
@@ -28,21 +28,17 @@ from .negativity import (
     CANONICAL_POINTS,
     ESD_NEGATIVITY_THRESHOLD,
     NoClosedFormError,
+    _section,
     analytic_esd_gamma,
     analytic_negativities,
     esd_gamma,
     negativity_analytic,
     negativity_numeric,
+    sweep_negativities,
 )
 from .states import StateParams, random_entangled_params
 
 _SEED = 20120957
-
-
-def _negativities(kind: ChannelKind, mode: Mode, p: StateParams, gammas: np.ndarray) -> np.ndarray:
-    """Numeric negativity at each sweep strength, evolved chunk by chunk."""
-    chunks = evolve_grid(kind, p, *sweep_strengths(mode, gammas))
-    return np.concatenate([negativity_numeric(states).value for states in chunks])
 
 
 def _check(name: str, max_error: float, tolerance: float, detail: str = "") -> dict:
@@ -150,7 +146,7 @@ def _negativity_form_checks(points: list[StateParams]) -> tuple[list[dict], list
             except NoClosedFormError:
                 continue
             worst = max(
-                float(np.abs(form - _negativities(kind, mode, p, gammas)).max())
+                float(np.abs(form - sweep_negativities(kind, mode, p, gammas)).max())
                 for form, p in zip(closed, points)
             )
             checks.append(
@@ -214,12 +210,12 @@ def _equivalence_checks(points: list[StateParams]) -> list[dict]:
     worst_bf = 0.0
     worst_bpf = 0.0
     for p in points:
-        bf_q = _negativities(ChannelKind.BIT_FLIP, Mode.QUBIT_ONLY, p, gammas)
+        bf_q = sweep_negativities(ChannelKind.BIT_FLIP, Mode.QUBIT_ONLY, p, gammas)
         phase_flip = analytic_negativities(ChannelKind.PHASE_FLIP, Mode.QUBIT_ONLY, p, *qubit_only)
         worst_bf = max(worst_bf, float(np.abs(bf_q - phase_flip).max()))
         for mode in (Mode.QUBIT_ONLY, Mode.QUTRIT_ONLY):
-            bpf = _negativities(ChannelKind.BIT_PHASE_FLIP, mode, p, gammas)
-            bf = _negativities(ChannelKind.BIT_FLIP, mode, p, gammas)
+            bpf = sweep_negativities(ChannelKind.BIT_PHASE_FLIP, mode, p, gammas)
+            bf = sweep_negativities(ChannelKind.BIT_FLIP, mode, p, gammas)
             worst_bpf = max(worst_bpf, float(np.abs(bpf - bf).max()))
     return [
         _check("bit_flip_qubit_only_equals_phase_flip_form", worst_bf, 1e-10),
@@ -232,31 +228,21 @@ _SCAN_STEPS = 512
 
 
 def _grid_bisection_esd(kind: ChannelKind, mode: Mode, params: StateParams, tol: float = 1e-9) -> float | None:
-    """Independent ESD detector for cross-checking :func:`esd_gamma`: scan the
-    grid points k/512 for k < 512 for the first dead one and bisect down to
-    ``tol``.  It misses every death inside the last grid cell."""
+    """Independent ESD detector for cross-checking :func:`esd_gamma`, with no
+    polynomial: scan the grid points k/512 for k < 512 for the first dead
+    one and section its grid cell down to ``tol``.  It misses every death
+    inside the last grid cell."""
+
+    def alive(g: np.ndarray) -> np.ndarray:
+        return sweep_negativities(kind, mode, params, g) > ESD_NEGATIVITY_THRESHOLD
+
     grid = np.arange(1, _SCAN_STEPS) / _SCAN_STEPS
-    scanned = 0
-    for states in evolve_grid(kind, params, *sweep_strengths(mode, grid)):
-        dead = negativity_numeric(states).value <= ESD_NEGATIVITY_THRESHOLD
-        if dead.any():
-            first = scanned + int(dead.argmax())
-            break
-        scanned += len(states)
-    else:
+    dead = ~alive(grid)
+    if not dead.any():
         return None
+    first = int(dead.argmax())
     lo = float(grid[first - 1]) if first else 0.0
-    hi = float(grid[first])
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        state = evolve(ChannelScenario.at(kind, mode, mid), params)
-        if negativity_numeric(state).value <= ESD_NEGATIVITY_THRESHOLD:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _section(lo, float(grid[first]), alive, tol)[1]
 
 
 def _grid_bisection_check() -> dict:
@@ -274,7 +260,7 @@ def _grid_bisection_check() -> dict:
         "esd_matches_grid_bisection",
         worst,
         2e-9,
-        "root search vs 1/512 grid scan plus bisection, 15 cells at the canonical points",
+        "root search vs 1/512 grid scan plus sectioning, 15 cells at the canonical points",
     )
 
 

@@ -124,6 +124,11 @@ def test_cli_batch_config_checks_every_entry_first(tmp_path, capsys):
         {"a_zero": True},  # together with "c", which --a-zero/--c also reject
         {"a_zero": "no"}, {"a_zero": 1},
         {"gamma": {"steps": 5.7}}, {"gamma": {"steps": 5.0}}, {"gamma": {"steps": True}},
+        # Numbers only, as for steps: no strings and no booleans.
+        {"b": "0.05"}, {"c": "0.6"}, {"b": True}, {"c": False},
+        {"tol": True}, {"tol": "1e-9"}, {"tol": None},
+        {"gamma": {"steps": 5, "start": "0"}}, {"gamma": {"steps": 5, "stop": True}},
+        {"b": "0.05", "tol": True, "gamma": {"steps": 5, "stop": True}},
     )
     for bad in bad_entries:
         cfg.write_text(json.dumps([good, {**good, "out": str(out2), **bad}]))
@@ -209,6 +214,15 @@ def test_cli_config_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--kind", "nonsense", "--mode", "qubitonly", "--b", "0.05", "--c", "0.6"])
     assert exc.value.code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["sweep", "esd", "table1"])
+def test_cli_empty_point_list_is_a_config_error(command, tmp_path, capsys):
+    scenario = ["--kind", "dephasing", "--mode", "qubitonly"] if command != "table1" else []
+    out = tmp_path / "out.json"
+    assert main([command, *scenario, "--b", ",", "--c", ",", "--out", str(out)]) == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_io_error(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from pytest import approx
@@ -22,7 +24,8 @@ from qqdyn import (
     random_entangled_params,
     run_sweep,
 )
-from qqdyn import negativity, sweep
+from qqdyn import negativity, sweep, validate
+from qqdyn.negativity import sweep_negativities
 
 from helpers import brute_negativity
 
@@ -178,7 +181,6 @@ def test_non_positive_tolerance_rejected_before_evaluation(tol, monkeypatch):
     def no_evolve(*args):
         raise AssertionError("evolve called before the tolerance was checked")
 
-    monkeypatch.setattr(negativity, "evolve", no_evolve)
     monkeypatch.setattr(negativity, "evolve_grid", no_evolve)
     monkeypatch.setattr(sweep, "evolve_grid", no_evolve)
     with pytest.raises(ValueError, match="tol"):
@@ -267,7 +269,8 @@ def test_root_search_finds_death_before_revival_inside_one_grid_cell():
     poly = lambda g: (g - death) * (g - revival) * (g + 0.5)
     alive = lambda g: poly(np.asarray(g)) > 0.0
     assert alive(np.arange(1, 512) / 512).all()
-    lo, hi = negativity._death_bracket(poly(negativity._NODES), alive)
+    width = 2.0 * negativity.ESD_BRACKET
+    lo, hi = negativity._death_bracket(poly(negativity._NODES), alive, width)
     assert lo < death <= hi
     assert hi - lo <= 2.0 * negativity.ESD_BRACKET
 
@@ -278,7 +281,7 @@ def test_root_search_widens_about_a_root_that_missed_its_crossing(offset):
     # or later, beyond the first certification bracket on either side.
     crossing = 0.3 + offset
     values = (negativity._NODES - 0.3) * (negativity._NODES + 2.0)
-    lo, hi = negativity._death_bracket(values, lambda g: np.asarray(g) < crossing)
+    lo, hi = negativity._death_bracket(values, lambda g: np.asarray(g) < crossing, 2e-7)
     assert lo < crossing <= hi
     assert hi - lo <= 2e-7
 
@@ -287,9 +290,51 @@ def test_root_search_keeps_a_double_root_lifted_off_the_axis():
     # Two eigenvalues dying together make a double root of the product;
     # rounding can lift it into a complex pair, which stays a candidate.
     values = (negativity._NODES - 0.3) ** 2 * (negativity._NODES + 2.0) + 1e-15
-    lo, hi = negativity._death_bracket(values, lambda g: np.asarray(g) < 0.3)
+    width = 2.0 * negativity.ESD_BRACKET
+    lo, hi = negativity._death_bracket(values, lambda g: np.asarray(g) < 0.3, width)
     assert lo < 0.3 <= hi
     assert hi - lo <= 2.0 * negativity.ESD_BRACKET
+
+
+@pytest.mark.parametrize(
+    "lo, hi, crossing, tol",
+    [(0.0, 1.0, 1 / 3, 1e-9), (0.1, 0.9, 0.1 + 1e-12, 1e-13), (0.25, 0.5, 0.5, 3e-6),
+     (0.3, 0.3 + 2.0**-30, 0.3 + 1e-10, 1e-14)],
+    ids=["unit-interval", "near-lo", "at-hi", "certified-width"],
+)
+def test_section_brackets_the_crossing_in_log16_batches(lo, hi, crossing, tol):
+    batches = []
+
+    def alive(g):
+        batches.append(len(g))
+        return np.asarray(g) < crossing
+
+    got_lo, got_hi = negativity._section(lo, hi, alive, tol)
+    assert got_lo < crossing <= got_hi
+    assert got_hi - got_lo <= tol
+    assert len(batches) <= math.ceil(math.log((hi - lo) / tol, 16))
+    assert max(batches) <= negativity.SECTION_SAMPLES
+
+
+def test_section_below_float_spacing_stops_with_no_float_inside():
+    crossing = 0.7 + 1e-11
+    lo, hi = negativity._section(0.5, 0.75, lambda g: np.asarray(g) < crossing, 1e-300)
+    assert lo < crossing <= hi
+    assert np.nextafter(lo, hi) == hi
+
+
+def test_oracle_sections_its_grid_cell_in_six_batches(monkeypatch):
+    batches = []
+
+    def counting(*args):
+        batches.append(args)
+        return sweep_negativities(*args)
+
+    monkeypatch.setattr(validate, "sweep_negativities", counting)
+    got = validate._grid_bisection_esd(ChannelKind.DEPHASING, Mode.QUBIT_ONLY, P, tol=1e-9)
+    assert len(batches[0][-1]) == validate._SCAN_STEPS - 1
+    assert len(batches) - 1 <= 6
+    assert got == approx(117.0 / 121.0, abs=1e-9)
 
 
 def test_root_search_on_a_degree_twelve_polynomial():
@@ -328,11 +373,7 @@ def test_default_tolerance_needs_no_bisection(monkeypatch):
         batches.append(args)
         return evolve_grid(*args)
 
-    def no_evolve(*args):
-        raise AssertionError("one-point bisection step at the default tolerance")
-
     monkeypatch.setattr(negativity, "evolve_grid", counting_grid)
-    monkeypatch.setattr(negativity, "evolve", no_evolve)
     for kind in ChannelKind:
         for mode in Mode:
             batches.clear()
