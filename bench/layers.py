@@ -9,7 +9,9 @@ Run from the root of a checkout, preferably with one BLAS thread:
 Every row is timed with ``time.perf_counter`` ``--repeat`` times (the tier-1
 suite once) and reports the median, the minimum and N, in milliseconds per
 call.  Layer rows time one stage of the pipeline on 64 strengths at
-(b, c) = (0.05, 0.6), depolarizing multi-local unless the row says otherwise;
+(b, c) = (0.05, 0.6), depolarizing multi-local unless the row says otherwise
+(``check_density_16`` checks the 16 members of an ESD node chunk,
+``check_density_1`` the one member of a one-point evaluation);
 end-to-end rows time whole runs, the ``cli_*_inprocess`` ones through
 ``qqdyn.cli.main`` in this process (after one warm-up call, so the per-call
 dispatch cost shows next to the library rows) and the other CLI ones in a
@@ -133,6 +135,8 @@ def layer_rows() -> dict:
         "kraus_operators": (lambda: lambda: kraus_operators(KIND, Side.QUTRIT, G), 200),
         "apply_channel": (lambda: lambda: evolution.apply_channel(ops, stack), 50),
         "check_density": (lambda: lambda: states.check_density(stack), 200),
+        "check_density_16": (lambda: lambda: states.check_density(stack[:16]), 500),
+        "check_density_1": (lambda: lambda: states.check_density(stack[:1]), 1000),
         "negativity_numeric": (lambda: lambda: negativity.negativity_numeric(stack), 200),
         "coherence_l1": (lambda: lambda: evolution.coherence_l1(stack), 500),
         "closed_forms_513": (_closed_forms, 50),

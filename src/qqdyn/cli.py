@@ -97,7 +97,9 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _run_one_sweep(kind, mode, params, steps, out, fmt, tol, start=0.0, stop=1.0) -> None:
-    result = run_sweep(kind, mode, params, start=start, stop=stop, steps=steps, tol=tol)
+    result = run_sweep(
+        kind, mode, params, start=start, stop=stop, steps=steps, tol=tol, esd=fmt == "json"
+    )
     _write_text(out, render_sweep(result, fmt))
 
 

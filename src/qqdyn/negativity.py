@@ -256,6 +256,12 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tol must be positive, got {tol}")
 
 
+def check_entangled(params: StateParams) -> None:
+    """Reject a point outside the entangled regime, where no ESD is defined."""
+    if not params.is_entangled:
+        raise ValueError("ESD detection requires an entangled initial state")
+
+
 def _eigenvalue_product(states: np.ndarray) -> np.ndarray:
     """Product of the partial-transpose eigenvalues of each state in a stack,
     leaving out z zeros, where z is the fewest eigenvalues within
@@ -405,8 +411,7 @@ def esd_gamma(
     """
     check_tol(tol)
     kind, mode = ChannelKind(kind), Mode(mode)
-    if not params.is_entangled:
-        raise ValueError("ESD detection requires an entangled initial state")
+    check_entangled(params)
 
     def alive(g: np.ndarray) -> np.ndarray:
         return sweep_negativities(kind, mode, params, g) > ESD_NEGATIVITY_THRESHOLD

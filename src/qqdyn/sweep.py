@@ -22,6 +22,7 @@ from .negativity import (
     EsdReport,
     NoClosedFormError,
     analytic_negativities,
+    check_entangled,
     check_tol,
     esd_report,
     negativity_numeric,
@@ -69,7 +70,7 @@ class SweepResult:
     b: float
     c: float
     rows: tuple[SweepRow, ...]
-    esd: EsdReport
+    esd: EsdReport | None
 
 
 def check_grid(start: float, stop: float, steps: int, tol: float) -> None:
@@ -89,10 +90,14 @@ def run_sweep(
     stop: float = 1.0,
     steps: int = 513,
     tol: float = 1e-9,
+    esd: bool = True,
 ) -> SweepResult:
-    """Tabulate negativity and coherence over a uniform strength grid."""
+    """Tabulate negativity and coherence over a uniform strength grid, and
+    with ``esd`` locate the ESD threshold too (the point must be entangled
+    either way)."""
     kind, mode = ChannelKind(kind), Mode(mode)
     check_grid(start, stop, steps, tol)
+    check_entangled(params)
 
     gammas = start + (stop - start) * np.arange(steps) / (steps - 1)
     ga, gb = sweep_strengths(mode, gammas)
@@ -105,7 +110,7 @@ def run_sweep(
     except NoClosedFormError:
         analytic = [None] * steps
     rows = tuple(map(SweepRow, gammas.tolist(), negativity, analytic, coherence))
-    report = esd_report(kind, mode, params, tol=tol)
+    report = esd_report(kind, mode, params, tol=tol) if esd else None
     return SweepResult(kind=kind, mode=mode, b=params.b, c=params.c, rows=rows, esd=report)
 
 
@@ -161,7 +166,7 @@ def sweep_json(result: SweepResult) -> str:
             "c": result.c,
             "tool_version": __version__,
             "rows": [],
-            "esd": esd_report_obj(result.esd),
+            "esd": None if result.esd is None else esd_report_obj(result.esd),
         },
         indent=2,
     ) + "\n"

@@ -114,6 +114,62 @@ def test_cli_batch_config(tmp_path):
     assert obj["rows"][-1]["gamma"] == approx(0.5)
 
 
+@pytest.fixture
+def esd_calls(monkeypatch):
+    """The (kind, mode) of every ``esd_gamma`` call made through the CLI."""
+    calls = []
+    search = qqdyn.negativity.esd_gamma
+
+    def counted(kind, mode, *args, **kwargs):
+        calls.append((kind, mode))
+        return search(kind, mode, *args, **kwargs)
+
+    monkeypatch.setattr(qqdyn.negativity, "esd_gamma", counted)
+    return calls
+
+
+@pytest.mark.parametrize("fmt, searches", [("csv", 0), ("json", 1)])
+def test_cli_sweep_searches_for_esd_only_for_json(fmt, searches, tmp_path, esd_calls):
+    out = tmp_path / f"s.{fmt}"
+    rc = main(["sweep", "--kind", "dephasing", "--mode", "qubitonly", "--b", "0.05", "--c", "0.6",
+               "--gamma-steps", "9", "--format", fmt, "--out", str(out)])
+    assert rc == EXIT_OK
+    assert len(esd_calls) == searches
+    if fmt == "json":
+        assert json.loads(out.read_text())["esd"]["esd_gamma"] == approx(117 / 121, abs=1e-6)
+
+
+def test_cli_batch_searches_for_esd_per_entry_format(tmp_path, esd_calls):
+    cfg = tmp_path / "runs.json"
+    entries = [
+        {"kind": kind, "mode": "qubitonly", "b": 0.05, "c": 0.6, "gamma": {"steps": 5},
+         "out": str(tmp_path / f"{kind}.{fmt}"), **({"format": fmt} if fmt == "json" else {})}
+        for kind, fmt in (("dephasing", "csv"), ("bitflip", "json"), ("phaseflip", "csv"))
+    ]
+    cfg.write_text(json.dumps(entries))
+    assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+    assert esd_calls == [(ChannelKind.BIT_FLIP, Mode.QUBIT_ONLY)]
+
+
+def test_sweep_without_esd_writes_the_same_rows_and_a_null_report():
+    args = (ChannelKind.DEPHASING, Mode.QUBIT_ONLY, StateParams(0.05, 0.6))
+    full, bare = run_sweep(*args, steps=5), run_sweep(*args, steps=5, esd=False)
+    assert bare.esd is None and bare.rows == full.rows
+    assert render_sweep(bare, "csv") == render_sweep(full, "csv")
+    obj = json.loads(render_sweep(bare, "json"))
+    assert obj["esd"] is None and obj["rows"] == json.loads(render_sweep(full, "json"))["rows"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_sweep_of_a_separable_point_is_a_config_error(fmt, tmp_path, capsys):
+    out = tmp_path / f"s.{fmt}"
+    rc = main(["sweep", "--kind", "dephasing", "--mode", "qubitonly", "--b", "0.2", "--c", "0.3",
+               "--format", fmt, "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: ESD detection requires an entangled initial state\n"
+    assert not out.exists()
+
+
 def test_cli_batch_config_checks_every_entry_first(tmp_path, capsys):
     out1, out2 = tmp_path / "one.csv", tmp_path / "two.csv"
     good = {"kind": "dephasing", "mode": "qubitonly", "b": 0.05, "c": 0.6,
