@@ -40,8 +40,6 @@ from .negativity import (
 from .states import (
     DensityMatrix,
     StateParams,
-    bell_state,
-    initial_negativity,
     initial_state,
     random_entangled_params,
 )
@@ -67,14 +65,12 @@ __all__ = [
     "analytic_esd_gamma",
     "analytic_evolved",
     "apply_channel",
-    "bell_state",
     "classify_table1",
     "coherence_l1",
     "esd_gamma",
     "esd_report",
     "evolve",
     "evolve_grid",
-    "initial_negativity",
     "initial_state",
     "negativity_analytic",
     "negativity_numeric",

@@ -32,9 +32,10 @@ sum, kept as the reference the tables are tested against.
 
 For each channel kind the evolved density matrix also has a closed form;
 :func:`analytic_evolved` builds it directly from those expressions as an
-independent oracle for the Kraus numerics.  Two of the raw expressions are
-known to disagree with the Kraus result (see ``RAW_FORM_MISMATCHES``); by
-default the corrected entries are used.
+independent oracle for the Kraus numerics, at one strength pair or over
+strength arrays.  Two of the raw expressions are known to disagree with the
+Kraus result (see ``RAW_FORM_MISMATCHES``); by default the corrected entries
+are used.
 """
 
 from __future__ import annotations
@@ -250,31 +251,42 @@ RAW_FORM_MISMATCHES: dict[ChannelKind, tuple[tuple[int, int], ...]] = {
 }
 
 
-def _decoherence_form(params: StateParams, off_diagonal: float) -> np.ndarray:
-    m = np.zeros((TOTAL_DIM, TOTAL_DIM), dtype=complex)
-    b, c, a = params.b, params.c, params.a
-    np.fill_diagonal(m, [b, (b + c) / 2.0, a, (b + c) / 2.0, b, a])
-    m[1, 3] = m[3, 1] = off_diagonal
+def _form(shape: tuple[int, ...], d0, d1, d2) -> np.ndarray:
+    """A zero (*shape, 6, 6) stack with the diagonal (d0, d1, d2, d1, d0, d2),
+    the pattern of every closed form."""
+    m = np.zeros(shape + (TOTAL_DIM, TOTAL_DIM), dtype=complex)
+    m[..., 0, 0] = m[..., 4, 4] = d0
+    m[..., 1, 1] = m[..., 3, 3] = d1
+    m[..., 2, 2] = m[..., 5, 5] = d2
     return m
 
 
-def _flip_diagonal(m: np.ndarray, params: StateParams, ga: float, gb: float) -> None:
+def _decoherence_form(params: StateParams, off_diagonal: float | np.ndarray) -> np.ndarray:
+    b, c, a = params.b, params.c, params.a
+    m = _form(np.shape(off_diagonal), b, (b + c) / 2.0, a)
+    m[..., 1, 3] = m[..., 3, 1] = off_diagonal
+    return m
+
+
+def _flip_form(params: StateParams, ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
     b, c = params.b, params.c
     r11 = (12 * b + 3 * (b - c) * ga * (gb - 1) + 2 * (1 - 6 * b) * gb) / 12.0
     r22 = (6 * (b + c) - 3 * (b - c) * ga * (gb - 1) + (2 - 6 * b - 6 * c) * gb) / 12.0
     r33 = (3 * (1 - 3 * b - c) + (9 * b + 3 * c - 2) * gb) / 6.0
-    np.fill_diagonal(m, [r11, r22, r33, r22, r11, r33])
+    return _form(ga.shape, r11, r22, r33)
 
 
 def analytic_evolved(
     kind: ChannelKind,
     params: StateParams,
-    gamma_qubit: float,
-    gamma_qutrit: float,
+    gamma_qubit: ArrayLike,
+    gamma_qutrit: ArrayLike,
     corrected: bool = True,
 ) -> np.ndarray:
     """Closed-form evolved matrix for a multi-local channel of the given kind.
 
+    Float strengths give one 6x6 matrix; strength arrays of one shape give a
+    (..., 6, 6) stack, each member equal to the float call to the bit.
     Local scenarios are the special cases with one strength set to zero.
     With ``corrected=False`` the raw reference expressions are evaluated
     verbatim, including the entries listed in ``RAW_FORM_MISMATCHES`` that the
@@ -284,7 +296,11 @@ def analytic_evolved(
     """
     kind = ChannelKind(kind)
     b, c = params.b, params.c
-    ga, gb = float(gamma_qubit), float(gamma_qutrit)
+    # [()] gives numpy scalars for floats (cheaper than 0-d arrays), arrays as is.
+    ga = np.asarray(gamma_qubit, dtype=float)[()]
+    gb = np.asarray(gamma_qutrit, dtype=float)[()]
+    if ga.shape != gb.shape:
+        raise ValueError(f"strengths must be equal in shape, got {ga.shape} and {gb.shape}")
 
     if kind is ChannelKind.DEPHASING:
         return _decoherence_form(params, (b - c) * np.sqrt((1 - ga) * (1 - gb)) / 2.0)
@@ -292,29 +308,28 @@ def analytic_evolved(
     if kind is ChannelKind.PHASE_FLIP:
         return _decoherence_form(params, (b - c) * (1 - ga) * (1 - gb) / 2.0)
 
-    m = np.zeros((TOTAL_DIM, TOTAL_DIM), dtype=complex)
-    _flip_diagonal(m, params, ga, gb)
+    m = _flip_form(params, ga, gb)
 
     if kind is ChannelKind.BIT_FLIP:
-        m[0, 4] = m[4, 0] = (b - c) * ga * (3 - 2 * gb) / 12.0
-        m[2, 4] = m[4, 2] = m[0, 5] = m[5, 0] = (b - c) * (2 - ga) * gb / 12.0
-        m[1, 5] = m[5, 1] = m[2, 3] = m[3, 2] = (b - c) * ga * gb / 12.0
-        m[1, 3] = m[3, 1] = (b - c) * (2 - ga) * (3 - 2 * gb) / 12.0
+        m[..., 0, 4] = m[..., 4, 0] = (b - c) * ga * (3 - 2 * gb) / 12.0
+        m[..., 2, 4] = m[..., 4, 2] = m[..., 0, 5] = m[..., 5, 0] = (b - c) * (2 - ga) * gb / 12.0
+        m[..., 1, 5] = m[..., 5, 1] = m[..., 2, 3] = m[..., 3, 2] = (b - c) * ga * gb / 12.0
+        m[..., 1, 3] = m[..., 3, 1] = (b - c) * (2 - ga) * (3 - 2 * gb) / 12.0
         return m
 
     if kind is ChannelKind.BIT_PHASE_FLIP:
-        m[0, 4] = m[4, 0] = -(b - c) * ga * (3 - 2 * gb) / 12.0
-        m[0, 5] = m[5, 0] = m[2, 4] = m[4, 2] = (b - c) * (ga - 2) * gb / 24.0
-        m[1, 3] = m[3, 1] = (b - c) * (2 - ga) * (3 - 2 * gb) / 12.0
+        m[..., 0, 4] = m[..., 4, 0] = -(b - c) * ga * (3 - 2 * gb) / 12.0
+        m[..., 0, 5] = m[..., 5, 0] = m[..., 2, 4] = m[..., 4, 2] = (b - c) * (ga - 2) * gb / 24.0
+        m[..., 1, 3] = m[..., 3, 1] = (b - c) * (2 - ga) * (3 - 2 * gb) / 12.0
         denom = 24.0 if corrected else 12.0
-        m[1, 5] = m[5, 1] = m[2, 3] = m[3, 2] = (b - c) * ga * gb / denom
+        m[..., 1, 5] = m[..., 5, 1] = m[..., 2, 3] = m[..., 3, 2] = (b - c) * ga * gb / denom
         return m
 
     if kind is ChannelKind.DEPOLARIZING:
         if corrected:
-            m[1, 3] = m[3, 1] = (b - c) * (1 - ga) * (1 - gb) / 2.0
+            m[..., 1, 3] = m[..., 3, 1] = (b - c) * (1 - ga) * (1 - gb) / 2.0
         else:
-            m[1, 3] = m[3, 1] = (b - c) * (1 - ga) * (-gb) / 2.0
+            m[..., 1, 3] = m[..., 3, 1] = (b - c) * (1 - ga) * (-gb) / 2.0
         return m
 
     raise ValueError(f"unknown channel kind {kind!r}")

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -127,6 +128,12 @@ def sweep_negativities(kind: ChannelKind, mode: Mode, params: StateParams, gamma
     return np.concatenate([negativity_numeric(states).value for states in chunks])
 
 
+def sweep_alive(kind: ChannelKind, mode: Mode, params: StateParams, gammas: ArrayLike) -> np.ndarray:
+    """Whether the state of one (kind, mode) cell is still entangled at each
+    sweep strength: the one test of death, for the detector and its oracle."""
+    return sweep_negativities(kind, mode, params, gammas) > ESD_NEGATIVITY_THRESHOLD
+
+
 class NoClosedFormError(ValueError):
     """Raised for scenarios without a closed-form negativity
     (multi-local bit-flip and multi-local bit-phase-flip)."""
@@ -151,9 +158,8 @@ def negativity_analytic(
         scenario.gamma_qubit,
         scenario.gamma_qutrit,
         corrected,
-        math.sqrt,
     )
-    return 2.0 * max(0.0, x)
+    return float(2.0 * max(0.0, x))
 
 
 def analytic_negativities(
@@ -170,18 +176,18 @@ def analytic_negativities(
     checks for one pair."""
     ga = np.asarray(gamma_qubit, dtype=float)
     gb = np.asarray(gamma_qutrit, dtype=float)
-    x = _negativity_form(ChannelKind(kind), Mode(mode), params, ga, gb, corrected, np.sqrt)
+    x = _negativity_form(ChannelKind(kind), Mode(mode), params, ga, gb, corrected)
     # 2 max(0, x) as the scalar form takes it: +0.0 wherever x > 0 fails.
     return np.where(x > 0.0, 2.0 * x, 0.0)
 
 
-def _negativity_form(kind, mode, params, ga, gb, corrected, sqrt):
+def _negativity_form(kind, mode, params, ga, gb, corrected):
     """The x of the closed-form negativity 2 max(0, x), the one copy of each
     closed form, on float strengths or on strength arrays."""
     b, c = params.b, params.c
 
     if kind is ChannelKind.DEPHASING:
-        return (c - b) / 2.0 * sqrt((1 - ga) * (1 - gb)) - b
+        return (c - b) / 2.0 * np.sqrt((1 - ga) * (1 - gb)) - b
 
     if kind is ChannelKind.PHASE_FLIP:
         return (c - b) * (1 - ga) * (1 - gb) / 2.0 - b
@@ -412,11 +418,8 @@ def esd_gamma(
     check_tol(tol)
     kind, mode = ChannelKind(kind), Mode(mode)
     check_entangled(params)
-
-    def alive(g: np.ndarray) -> np.ndarray:
-        return sweep_negativities(kind, mode, params, g) > ESD_NEGATIVITY_THRESHOLD
-
     (nodes,) = evolve_grid(kind, params, *sweep_strengths(mode, _NODES))
+    alive = partial(sweep_alive, kind, mode, params)
     bracket = _death_bracket(_eigenvalue_product(nodes), alive, tol)
     return None if bracket is None else bracket[1]
 

@@ -188,9 +188,6 @@ class DensityMatrix:
         object.__setattr__(rho, "matrix", m)
         return rho
 
-    def purity(self) -> float:
-        return float((self.matrix @ self.matrix).trace().real)
-
 
 def _projector(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
@@ -206,21 +203,10 @@ def _bell_vector(kind: str) -> np.ndarray:
 
 
 #: The Bell-like projectors and the projector onto the two pure qutrit
-#: level-2 states |02>, |12>, built once at import.
+#: level-2 states |02>, |12>, built once at import.  The phi states superpose
+#: |00> and |11>, the psi states |01> and |10>; none populates qutrit level 2.
 _BELL_PROJECTORS = {kind: _projector(_bell_vector(kind)) for kind in BELL_KINDS}
 _LEVEL_2_PROJECTOR = np.diag([0, 0, 1, 0, 0, 1]).astype(complex)
-
-
-def bell_state(kind: str) -> DensityMatrix:
-    """Projector onto one of the Bell-like states, embedded in the 6-d space.
-
-    ``kind`` is one of "phi+", "phi-", "psi+", "psi-";  phi states
-    superpose |00> and |11>, psi states superpose |01> and |10>.  The qutrit
-    level |2> is unpopulated.
-    """
-    if kind not in BELL_KINDS:
-        raise ValueError(f"unknown Bell state {kind!r}, expected one of {BELL_KINDS}")
-    return DensityMatrix(_BELL_PROJECTORS[kind])
 
 
 #: The family's basis states, each of unit trace: P_2 / 2, B_3 / 3 with B_3
@@ -246,8 +232,3 @@ def initial_state(params: StateParams) -> DensityMatrix:
     point's weights."""
     mix = family_weights(params) @ FAMILY_BASIS.reshape(len(FAMILY_BASIS), -1)
     return DensityMatrix(mix.reshape(TOTAL_DIM, TOTAL_DIM))
-
-
-def initial_negativity(params: StateParams) -> float:
-    """Negativity of the zero-noise state: max(0, c - 3b)."""
-    return max(0.0, params.c - 3.0 * params.b)

@@ -12,6 +12,8 @@ Grids of strengths are evaluated through :func:`evolve_grid`, in chunks.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .channels import ChannelKind, OPERATOR_COUNTS, Side, kraus_operators
@@ -26,7 +28,6 @@ from .evolution import (
 )
 from .negativity import (
     CANONICAL_POINTS,
-    ESD_NEGATIVITY_THRESHOLD,
     NoClosedFormError,
     _section,
     analytic_esd_gamma,
@@ -34,6 +35,7 @@ from .negativity import (
     esd_gamma,
     negativity_analytic,
     negativity_numeric,
+    sweep_alive,
     sweep_negativities,
 )
 from .states import StateParams, random_entangled_params
@@ -71,23 +73,19 @@ def _evolved_form_checks(points: list[StateParams]) -> tuple[list[dict], list[di
     gammas = np.linspace(0.0, 1.0, 6)
     grid_qubit, grid_qutrit = (g.ravel() for g in np.meshgrid(gammas, gammas, indexing="ij"))
     for kind in ChannelKind:
-        excluded = set(RAW_FORM_MISMATCHES.get(kind, ()))
-        worst_corrected = 0.0
-        worst_raw_outside = 0.0
-        raw_mismatch = {}
+        known = np.zeros((6, 6), dtype=bool)
+        for pos in RAW_FORM_MISMATCHES.get(kind, ()):
+            known[pos] = True
+        diff_corrected, diff_raw = [], []
         for p in points:
             states = np.concatenate(list(evolve_grid(kind, p, grid_qubit, grid_qutrit)))
-            for got, ga, gb in zip(states, grid_qubit, grid_qutrit):
-                corrected = analytic_evolved(kind, p, ga, gb, corrected=True)
-                raw = analytic_evolved(kind, p, ga, gb, corrected=False)
-                worst_corrected = max(worst_corrected, float(np.abs(got - corrected).max()))
-                diff_raw = np.abs(got - raw)
-                for i, j in zip(*np.where(diff_raw > 1e-12)):
-                    pos = (int(i), int(j))
-                    if pos in excluded:
-                        raw_mismatch[pos] = max(raw_mismatch.get(pos, 0.0), float(diff_raw[i, j]))
-                    else:
-                        worst_raw_outside = max(worst_raw_outside, float(diff_raw[i, j]))
+            diff_corrected.append(np.abs(states - analytic_evolved(kind, p, grid_qubit, grid_qutrit)))
+            diff_raw.append(np.abs(states - analytic_evolved(kind, p, grid_qubit, grid_qutrit, corrected=False)))
+        mismatch = np.array(diff_raw)
+        mismatch[mismatch <= 1e-12] = 0.0
+        worst_corrected = float(np.max(diff_corrected))
+        worst_raw_outside = float(mismatch[..., ~known].max())
+        worst_raw_known = float(mismatch[..., known].max(initial=0.0))
         checks.append(
             _check(
                 f"evolved_closed_form_{kind.value}",
@@ -104,15 +102,16 @@ def _evolved_form_checks(points: list[StateParams]) -> tuple[list[dict], list[di
                 "raw form vs Kraus channels away from the known entries",
             )
         )
-        if excluded:
+        if kind in RAW_FORM_MISMATCHES:
             # Measure the correct coefficients at a reference point.
             p0 = StateParams(0.05, 0.6)
             ga, gb = 0.3, 0.7
             got = evolve(ChannelScenario(kind, Mode.MULTI_LOCAL, ga, gb), p0).matrix
+            positions = sorted(RAW_FORM_MISMATCHES[kind])
             entry = {
                 "form": f"{kind.value}_evolved",
-                "positions": sorted(list(pos) for pos in excluded),
-                "max_raw_mismatch": max(raw_mismatch.values()) if raw_mismatch else 0.0,
+                "positions": [list(pos) for pos in positions],
+                "max_raw_mismatch": worst_raw_known,
                 "measured_example": {
                     "b": p0.b,
                     "c": p0.c,
@@ -120,7 +119,7 @@ def _evolved_form_checks(points: list[StateParams]) -> tuple[list[dict], list[di
                     "gamma_qutrit": gb,
                     "entries": {
                         f"({i},{j})": [float(got[i, j].real), float(got[i, j].imag)]
-                        for (i, j) in sorted(excluded)
+                        for (i, j) in positions
                     },
                 },
             }
@@ -134,10 +133,12 @@ def _evolved_form_checks(points: list[StateParams]) -> tuple[list[dict], list[di
     return checks, discrepancies
 
 
-def _negativity_form_checks(points: list[StateParams]) -> tuple[list[dict], list[dict]]:
-    checks = []
-    discrepancies = []
+def _closed_form_curves(points: list[StateParams]) -> dict:
+    """(kind, mode) -> (closed form, numeric negativity), each a (points, 33)
+    array over 33 even strengths, for every cell with a closed form.  Each
+    numeric curve is evaluated once per run, for every check that needs it."""
     gammas = np.linspace(0.0, 1.0, 33)
+    curves = {}
     for kind in ChannelKind:
         for mode in Mode:
             strengths = sweep_strengths(mode, gammas)
@@ -145,18 +146,21 @@ def _negativity_form_checks(points: list[StateParams]) -> tuple[list[dict], list
                 closed = [analytic_negativities(kind, mode, p, *strengths) for p in points]
             except NoClosedFormError:
                 continue
-            worst = max(
-                float(np.abs(form - sweep_negativities(kind, mode, p, gammas)).max())
-                for form, p in zip(closed, points)
-            )
-            checks.append(
-                _check(
-                    f"negativity_closed_form_{kind.value}_{mode.value}",
-                    worst,
-                    1e-10,
-                    "corrected closed form vs numeric route",
-                )
-            )
+            numeric = [sweep_negativities(kind, mode, p, gammas) for p in points]
+            curves[kind, mode] = np.array(closed), np.array(numeric)
+    return curves
+
+
+def _negativity_form_checks(curves: dict) -> tuple[list[dict], list[dict]]:
+    checks = [
+        _check(
+            f"negativity_closed_form_{kind.value}_{mode.value}",
+            float(np.abs(closed - numeric).max()),
+            1e-10,
+            "corrected closed form vs numeric route",
+        )
+        for (kind, mode), (closed, numeric) in curves.items()
+    ]
     # The raw trit-flip-only numerator is negative throughout the entangled
     # regime at zero strength, contradicting the initial negativity; record it.
     p0 = StateParams(0.05, 0.6)
@@ -164,16 +168,14 @@ def _negativity_form_checks(points: list[StateParams]) -> tuple[list[dict], list
         ChannelScenario.at(ChannelKind.BIT_FLIP, Mode.QUTRIT_ONLY, 0.0), p0, corrected=False
     )
     num0 = negativity_numeric(evolve(ChannelScenario.at(ChannelKind.BIT_FLIP, Mode.QUTRIT_ONLY, 0.0), p0)).value
-    discrepancies.append(
-        {
-            "form": "trit_flip_only_negativity",
-            "raw_numerator": "3b - 9c - (1-8b+2c)*gamma",
-            "measured_numerator": "3c - 9b - (1-8b+2c)*gamma",
-            "raw_value_at_zero_strength": raw0,
-            "measured_value_at_zero_strength": num0,
-        }
-    )
-    return checks, discrepancies
+    discrepancy = {
+        "form": "trit_flip_only_negativity",
+        "raw_numerator": "3b - 9c - (1-8b+2c)*gamma",
+        "measured_numerator": "3c - 9b - (1-8b+2c)*gamma",
+        "raw_value_at_zero_strength": raw0,
+        "measured_value_at_zero_strength": num0,
+    }
+    return checks, [discrepancy]
 
 
 def _threshold_checks() -> list[dict]:
@@ -204,19 +206,14 @@ def _threshold_checks() -> list[dict]:
     return checks
 
 
-def _equivalence_checks(points: list[StateParams]) -> list[dict]:
-    gammas = np.linspace(0.0, 1.0, 33)
-    qubit_only = sweep_strengths(Mode.QUBIT_ONLY, gammas)
-    worst_bf = 0.0
-    worst_bpf = 0.0
-    for p in points:
-        bf_q = sweep_negativities(ChannelKind.BIT_FLIP, Mode.QUBIT_ONLY, p, gammas)
-        phase_flip = analytic_negativities(ChannelKind.PHASE_FLIP, Mode.QUBIT_ONLY, p, *qubit_only)
-        worst_bf = max(worst_bf, float(np.abs(bf_q - phase_flip).max()))
-        for mode in (Mode.QUBIT_ONLY, Mode.QUTRIT_ONLY):
-            bpf = sweep_negativities(ChannelKind.BIT_PHASE_FLIP, mode, p, gammas)
-            bf = sweep_negativities(ChannelKind.BIT_FLIP, mode, p, gammas)
-            worst_bpf = max(worst_bpf, float(np.abs(bpf - bf).max()))
+def _equivalence_checks(curves: dict) -> list[dict]:
+    bit_flip_q = curves[ChannelKind.BIT_FLIP, Mode.QUBIT_ONLY][1]
+    phase_flip_form = curves[ChannelKind.PHASE_FLIP, Mode.QUBIT_ONLY][0]
+    worst_bf = float(np.abs(bit_flip_q - phase_flip_form).max())
+    worst_bpf = max(
+        float(np.abs(curves[ChannelKind.BIT_PHASE_FLIP, m][1] - curves[ChannelKind.BIT_FLIP, m][1]).max())
+        for m in (Mode.QUBIT_ONLY, Mode.QUTRIT_ONLY)
+    )
     return [
         _check("bit_flip_qubit_only_equals_phase_flip_form", worst_bf, 1e-10),
         _check("bit_phase_flip_local_equals_bit_flip_local", worst_bpf, 1e-10),
@@ -232,10 +229,7 @@ def _grid_bisection_esd(kind: ChannelKind, mode: Mode, params: StateParams, tol:
     polynomial: scan the grid points k/512 for k < 512 for the first dead
     one and section its grid cell down to ``tol``.  It misses every death
     inside the last grid cell."""
-
-    def alive(g: np.ndarray) -> np.ndarray:
-        return sweep_negativities(kind, mode, params, g) > ESD_NEGATIVITY_THRESHOLD
-
+    alive = partial(sweep_alive, kind, mode, params)
     grid = np.arange(1, _SCAN_STEPS) / _SCAN_STEPS
     dead = ~alive(grid)
     if not dead.any():
@@ -286,11 +280,12 @@ def run_validation() -> dict:
     checks = [_completeness_check()]
     form_checks, form_disc = _evolved_form_checks(points)
     checks.extend(form_checks)
-    neg_checks, neg_disc = _negativity_form_checks(points)
+    curves = _closed_form_curves(points)
+    neg_checks, neg_disc = _negativity_form_checks(curves)
     checks.extend(neg_checks)
     checks.extend(_threshold_checks())
     checks.append(_grid_bisection_check())
-    checks.extend(_equivalence_checks(points))
+    checks.extend(_equivalence_checks(curves))
     checks.append(_route_agreement_check())
 
     notes = [

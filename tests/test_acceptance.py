@@ -35,7 +35,6 @@ from qqdyn import (
     coherence_l1,
     esd_gamma,
     evolve,
-    initial_negativity,
     initial_state,
     negativity_analytic,
     negativity_numeric,
@@ -142,7 +141,7 @@ def test_criterion_3_initial_negativity():
                 continue
             p = StateParams(b, c)
             n = negativity_numeric(initial_state(p)).value
-            worst = max(worst, abs(n - (c - 3 * b)), abs(n - initial_negativity(p)))
+            worst = max(worst, abs(n - (c - 3 * b)))
     _report("C3 initial negativity c-3b", worst <= 1e-10, f"max error {worst:.2e}")
 
 

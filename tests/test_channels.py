@@ -8,11 +8,10 @@ from qqdyn import (
     OPERATOR_COUNTS,
     Side,
     apply_channel,
-    bell_state,
     initial_state,
 )
 from qqdyn.channels import channel_terms, channel_weights, kraus_operators
-from qqdyn.states import StateParams
+from qqdyn.states import _BELL_PROJECTORS, StateParams
 
 from helpers import qubit_marginal, qutrit_marginal, random_density_matrix
 
@@ -114,7 +113,7 @@ def test_full_depolarizing_twirls_marginals():
 
 
 def test_full_depolarizing_both_sides_gives_maximally_mixed():
-    rho = bell_state("psi-")
+    rho = DensityMatrix(_BELL_PROJECTORS["psi-"])
     for side in (Side.QUBIT, Side.QUTRIT):
         rho = apply_channel(kraus_operators(ChannelKind.DEPOLARIZING, side, [1.0])[0], rho)
     assert rho.matrix == approx(np.eye(6) / 6, abs=1e-12)

@@ -46,6 +46,20 @@ def test_zero_strength_scenario_returns_initial_state():
             assert np.abs(out.matrix - initial_state(p).matrix).max() < 1e-14
 
 
+def _assert_array_call_matches_float_calls(kind, p, corrected):
+    # One call on the strength grid equals the per-pair float calls byte for
+    # byte, and a float call gives one 6x6 matrix.
+    ga, gb = np.meshgrid(GAMMAS, GAMMAS, indexing="ij")
+    stack = analytic_evolved(kind, p, ga, gb, corrected=corrected)
+    assert stack.shape == (len(GAMMAS), len(GAMMAS), 6, 6)
+    for i, j in np.ndindex(ga.shape):
+        one = analytic_evolved(kind, p, float(ga[i, j]), float(gb[i, j]), corrected=corrected)
+        assert one.shape == (6, 6)
+        assert one.tobytes() == stack[i, j].tobytes()
+    with pytest.raises(ValueError, match="equal in shape"):
+        analytic_evolved(kind, p, ga, gb[0], corrected=corrected)
+
+
 @pytest.mark.parametrize("kind", list(ChannelKind))
 def test_corrected_closed_form_matches_channels(kind):
     for p in POINTS:
@@ -54,6 +68,7 @@ def test_corrected_closed_form_matches_channels(kind):
                 got = evolve(ChannelScenario(kind, Mode.MULTI_LOCAL, float(ga), float(gb)), p).matrix
                 want = analytic_evolved(kind, p, float(ga), float(gb))
                 assert np.abs(got - want).max() < 1e-12
+        _assert_array_call_matches_float_calls(kind, p, corrected=True)
 
 
 @pytest.mark.parametrize("kind", list(ChannelKind))
@@ -67,6 +82,7 @@ def test_raw_closed_form_mismatch_positions(kind):
                 raw = analytic_evolved(kind, p, float(ga), float(gb), corrected=False)
                 diff = np.abs(got - raw)
                 seen.update((int(i), int(j)) for i, j in zip(*np.where(diff > 1e-12)))
+        _assert_array_call_matches_float_calls(kind, p, corrected=False)
     assert seen <= expected
     if expected:
         assert seen == expected  # mismatches show up once both strengths act

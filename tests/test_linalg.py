@@ -5,12 +5,11 @@ from pytest import approx
 from qqdyn import (
     ChannelKind,
     Side,
-    bell_state,
     initial_state,
     partial_transpose_qutrit,
 )
 from qqdyn.channels import kraus_operators
-from qqdyn.states import StateParams
+from qqdyn.states import _BELL_PROJECTORS, StateParams
 
 from helpers import block_partial_transpose, random_density_matrix
 
@@ -68,5 +67,5 @@ def test_partial_transpose_wrong_dimension():
 
 def test_bell_state_spectrum_embedding():
     # Bell-like projectors have spectrum {1, 0 x5} in the composite space.
-    eigs = np.linalg.eigvalsh(bell_state("psi-").matrix)
+    eigs = np.linalg.eigvalsh(_BELL_PROJECTORS["psi-"])
     assert eigs == approx([0, 0, 0, 0, 0, 1], abs=1e-12)

@@ -330,7 +330,7 @@ def test_oracle_sections_its_grid_cell_in_six_batches(monkeypatch):
         batches.append(args)
         return sweep_negativities(*args)
 
-    monkeypatch.setattr(validate, "sweep_negativities", counting)
+    monkeypatch.setattr(negativity, "sweep_negativities", counting)
     got = validate._grid_bisection_esd(ChannelKind.DEPHASING, Mode.QUBIT_ONLY, P, tol=1e-9)
     assert len(batches[0][-1]) == validate._SCAN_STEPS - 1
     assert len(batches) - 1 <= 6

@@ -5,11 +5,10 @@ from pytest import approx
 from qqdyn import (
     DensityMatrix,
     StateParams,
-    bell_state,
-    initial_negativity,
     initial_state,
     negativity_numeric,
 )
+from qqdyn.states import BELL_KINDS, FAMILY_BASIS, _BELL_PROJECTORS
 
 from helpers import brute_negativity
 
@@ -44,24 +43,22 @@ def test_a_zero_family():
 
 
 def test_bell_states():
-    psim = bell_state("psi-").matrix
+    psim = _BELL_PROJECTORS["psi-"]
     assert psim[1, 1] == approx(0.5)
     assert psim[3, 3] == approx(0.5)
     assert psim[1, 3] == approx(-0.5)
     assert psim[3, 1] == approx(-0.5)
 
-    phip = bell_state("phi+").matrix
+    phip = _BELL_PROJECTORS["phi+"]
     assert phip[0, 0] == approx(0.5)
     assert phip[4, 4] == approx(0.5)
     assert phip[0, 4] == approx(0.5)
 
-    for kind in ("phi+", "phi-", "psi+", "psi-"):
-        dm = bell_state(kind)
+    for kind in BELL_KINDS:
+        dm = DensityMatrix(_BELL_PROJECTORS[kind])
         assert dm.matrix.trace() == approx(1.0)
-        assert dm.purity() == approx(1.0)
-
-    with pytest.raises(ValueError):
-        bell_state("chi+")
+        assert (dm.matrix @ dm.matrix).trace().real == approx(1.0)  # pure
+    assert FAMILY_BASIS[2] == approx(psim)
 
 
 def test_initial_state_structure():
@@ -81,13 +78,13 @@ def test_initial_state_worked_example():
 
 
 def test_initial_state_singlet_limit():
-    assert initial_state(StateParams(0.0, 1.0)).matrix == approx(bell_state("psi-").matrix)
+    assert initial_state(StateParams(0.0, 1.0)).matrix == approx(_BELL_PROJECTORS["psi-"])
 
 
 def test_initial_negativity_values():
-    assert initial_negativity(StateParams(0.0, 1.0)) == approx(1.0)
-    assert initial_negativity(StateParams(0.05, 0.6)) == approx(0.45)
-    assert initial_negativity(StateParams(0.08, 0.24)) == approx(0.0)
+    assert negativity_numeric(initial_state(StateParams(0.0, 1.0))).value == approx(1.0)
+    assert negativity_numeric(initial_state(StateParams(0.05, 0.6))).value == approx(0.45)
+    assert negativity_numeric(initial_state(StateParams(0.08, 0.24))).value == approx(0.0)
     assert negativity_numeric(initial_state(StateParams(1 / 6, 1 / 6))).value == approx(0.0)
 
 
@@ -98,7 +95,7 @@ def test_initial_negativity_matches_numeric_on_grid():
                 continue
             p = StateParams(b, c)
             n = negativity_numeric(initial_state(p)).value
-            assert n == approx(initial_negativity(p), abs=1e-10)
+            assert n == approx(max(0.0, c - 3 * b), abs=1e-10)
 
 
 def test_entangled_predicate_iff_positive_negativity():
