@@ -8,14 +8,18 @@ Run from the root of a checkout, preferably with one BLAS thread:
 
 Every row is timed with ``time.perf_counter`` ``--repeat`` times (the tier-1
 suite once) and reports the median, the minimum and N, in milliseconds per
-call.  Layer rows time one stage of the pipeline on 64 strengths at
-(b, c) = (0.05, 0.6), depolarizing multi-local unless the row says otherwise
-(``check_density_16`` checks the 16 members of an ESD node chunk,
-``check_density_1`` the one member of a one-point evaluation);
-end-to-end rows time whole runs, the ``cli_*_inprocess`` ones through
-``qqdyn.cli.main`` in this process (after one warm-up call, so the per-call
-dispatch cost shows next to the library rows) and the other CLI ones in a
-fresh interpreter each.
+call.  The samples are taken round-robin: each round times every row once,
+so a slow stretch of the host spreads over all rows instead of moving one
+row's samples together.  Layer rows time one stage of the pipeline on 64
+strengths at (b, c) = (0.05, 0.6), depolarizing multi-local unless the row
+says otherwise (``_16`` rows take the 16 members of an ESD node chunk,
+``_1`` rows the one member of a one-point evaluation).  ``check_density*``,
+``negativity_numeric`` and ``coherence_l1`` take the states as complex 6x6
+matrices, the ``*_blocks*`` rows as the block stacks that ``evolve_grid``
+yields where it yields them.  End-to-end rows time whole runs, the
+``cli_*_inprocess`` ones through ``qqdyn.cli.main`` in this process (after
+one warm-up call, so the per-call dispatch cost shows next to the library
+rows) and the other CLI ones in a fresh interpreter each.
 A layer that the checkout does not have is reported as absent, so the same
 file runs against older checkouts.  The package is imported from ``src/``
 next to this file; nothing in ``qqdyn`` imports this module.
@@ -47,6 +51,7 @@ from qqdyn import (  # noqa: E402
     StateParams,
     cli,
     evolution,
+    linalg,
     negativity,
     states,
     validate,
@@ -62,7 +67,22 @@ CELLS = [(kind, mode) for kind in ChannelKind for mode in Mode]
 
 
 def _stack() -> np.ndarray:
+    """The 64 states as ``evolve_grid`` yields them."""
     return np.concatenate(list(evolution.evolve_grid(KIND, P, G, G)))
+
+
+def _product(stack: np.ndarray) -> np.ndarray:
+    """The states as complex 6x6 matrices, whatever the checkout yields."""
+    if stack.shape[-2:] == (6, 6):
+        return stack
+    return linalg.from_blocks(stack).astype(complex)
+
+
+def _blocks(stack: np.ndarray) -> np.ndarray:
+    """The states as block stacks; AttributeError on a checkout without
+    them, so that the row reports absent."""
+    linalg.partial_transpose_blocks  # noqa: B018 (looked up for the absent check)
+    return stack
 
 
 def _closed_forms():
@@ -80,7 +100,8 @@ def _table_combine():
     from qqdyn.channels import channel_weights
 
     table, ta, tb = evolution._BASIS_TABLES[KIND]
-    terms = (states.family_weights(P) @ table).reshape(-1, 72)[ta + tb :]
+    # One row per term, whatever the checkout stores per term.
+    terms = (states.family_weights(P) @ table).reshape(ta + tb + ta * tb, -1)[ta + tb :]
     wa, wb = channel_weights(KIND, Side.QUBIT, G), channel_weights(KIND, Side.QUTRIT, G)
     pairs = (wb[:, :, None] * wa[:, None, :]).reshape(N, -1)
     return lambda: evolution._combine(pairs, terms)
@@ -125,6 +146,7 @@ def _esd_section_step():
 def layer_rows() -> dict:
     """name -> (setup returning the timed callable, calls per sample)."""
     stack = _stack()
+    product = _product(stack)
     ops = kraus_operators(KIND, Side.QUTRIT, G)
     sweep = run_sweep(KIND, MODE, P)
     one = evolution.ChannelScenario(KIND, MODE, 0.3, 0.7)
@@ -133,12 +155,12 @@ def layer_rows() -> dict:
         "table_combine": (_table_combine, 500),
         "completeness": (_completeness, 500),
         "kraus_operators": (lambda: lambda: kraus_operators(KIND, Side.QUTRIT, G), 200),
-        "apply_channel": (lambda: lambda: evolution.apply_channel(ops, stack), 50),
-        "check_density": (lambda: lambda: states.check_density(stack), 200),
-        "check_density_16": (lambda: lambda: states.check_density(stack[:16]), 500),
-        "check_density_1": (lambda: lambda: states.check_density(stack[:1]), 1000),
-        "negativity_numeric": (lambda: lambda: negativity.negativity_numeric(stack), 200),
-        "coherence_l1": (lambda: lambda: evolution.coherence_l1(stack), 500),
+        "apply_channel": (lambda: lambda: evolution.apply_channel(ops, product), 50),
+        "check_density": (lambda: lambda: states.check_density(product), 200),
+        "check_density_16": (lambda: lambda: states.check_density(product[:16]), 500),
+        "check_density_1": (lambda: lambda: states.check_density(product[:1]), 1000),
+        "negativity_numeric": (lambda: lambda: negativity.negativity_numeric(product), 200),
+        "coherence_l1": (lambda: lambda: evolution.coherence_l1(product), 500),
         "closed_forms_513": (_closed_forms, 50),
         "emit_csv_513": (lambda: lambda: render_sweep(sweep, "csv"), 20),
         "emit_json_513": (lambda: lambda: render_sweep(sweep, "json"), 20),
@@ -146,6 +168,11 @@ def layer_rows() -> dict:
         "esd_certify_batch": (_esd_certify_batch, 300),
         "esd_section_step": (_esd_section_step, 300),
     }
+    for n, suffix, calls in ((64, "", 200), (16, "_16", 500), (1, "_1", 1000)):
+        rows[f"check_density_blocks{suffix}"] = (
+            lambda n=n: lambda b=_blocks(stack)[:n]: states.check_density(b), calls)
+        rows[f"negativity_blocks{suffix}"] = (
+            lambda n=n: lambda b=_blocks(stack)[:n]: negativity.negativity_numeric(b), calls)
     for name, fn in _esd_node_step().items():
         rows[name] = (lambda fn=fn: fn, 300)
     return rows
@@ -208,25 +235,35 @@ def cli_rows(workdir: str) -> dict:
     }
 
 
-def sample(fn, calls: int, repeat: int) -> list[float]:
-    fn()  # warm-up, untimed
-    times = []
+def interleaved(timers: dict, repeat: int) -> dict:
+    """name -> ``repeat`` samples of the timer ``timers[name]``, taken in
+    rounds: each round calls every timer once, in the order given."""
+    times = {name: [] for name in timers}
     for _ in range(repeat):
-        t0 = time.perf_counter()
-        for _ in range(calls):
-            fn()
-        times.append((time.perf_counter() - t0) / calls * 1e3)
+        for name, timer in timers.items():
+            times[name].append(timer())
     return times
 
 
-def run_process(argv: list[str], repeat: int, check: bool = True) -> tuple[list[float], int]:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    times = []
-    for _ in range(repeat):
+def sampler(fn, calls: int):
+    """A timer of ``calls`` calls of ``fn``, in ms per call, after one
+    untimed warm-up call."""
+    fn()
+
+    def timer() -> float:
         t0 = time.perf_counter()
-        proc = subprocess.run(argv, cwd=ROOT, env=env, check=check, capture_output=True)
-        times.append((time.perf_counter() - t0) * 1e3)
-    return times, proc.returncode
+        for _ in range(calls):
+            fn()
+        return (time.perf_counter() - t0) / calls * 1e3
+    return timer
+
+
+def run_process(argv: list[str], check: bool = True) -> tuple[float, int]:
+    """One run of ``argv`` in a fresh process: its time in ms and exit code."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.run(argv, cwd=ROOT, env=env, check=check, capture_output=True)
+    return (time.perf_counter() - t0) * 1e3, proc.returncode
 
 
 def row(name: str, group: str, times: list[float] | None, detail: str = "") -> dict:
@@ -274,25 +311,28 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    rows = []
+    # name -> (group, detail, timer or None), in report order.
+    table = {}
     with tempfile.TemporaryDirectory() as workdir:
-        for group, table in (("layer", layer_rows()), ("end_to_end", end_to_end_rows(workdir))):
-            for name, (setup, calls) in table.items():
+        for group, rows in (("layer", layer_rows()), ("end_to_end", end_to_end_rows(workdir))):
+            for name, (setup, calls) in rows.items():
                 try:
                     fn = setup()
                 except (AttributeError, ImportError) as exc:
-                    rows.append(row(name, group, None, f"absent: {exc}"))
+                    table[name] = (group, f"absent: {exc}", None)
                     continue
-                times = sample(fn, calls, args.repeat)
-                rows.append(row(name, group, times, f"{calls} calls per sample"))
+                table[name] = (group, f"{calls} calls per sample", sampler(fn, calls))
         for name, cmd in cli_rows(workdir).items():
-            times, _ = run_process([sys.executable, "-m", "qqdyn.cli", *cmd], args.repeat)
-            rows.append(row(name, "end_to_end", times, "fresh interpreter, " + " ".join(cmd[:1])))
+            argv = [sys.executable, "-m", "qqdyn.cli", *cmd]
+            timer = lambda argv=argv: run_process(argv)[0]  # noqa: E731
+            table[name] = ("end_to_end", "fresh interpreter, " + cmd[0], timer)
+        timers = {name: timer for name, (_, _, timer) in table.items() if timer}
+        times = interleaved(timers, args.repeat)
+    rows = [row(name, group, times.get(name), detail) for name, (group, detail, _) in table.items()]
     suite = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
              "--continue-on-collection-errors"]
-    times, code = run_process(suite, 1, check=False)
-    detail = f"once, fresh interpreter, exit code {code}"
-    rows.append(row("tier1_suite", "end_to_end", times, detail))
+    ms, code = run_process(suite, check=False)
+    rows.append(row("tier1_suite", "end_to_end", [ms], f"once, fresh interpreter, exit code {code}"))
     text = json.dumps({"environment": environment(), "repeat": args.repeat, "rows": rows},
                       indent=2) + "\n"
     if args.out:

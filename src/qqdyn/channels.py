@@ -213,7 +213,7 @@ _PHASED_SHIFT_DOWN = np.array([[0, 0, OMEGA], [1, 0, 0], [0, np.conj(OMEGA), 0]]
 _PHASED_SHIFT_UP = np.array([[0, np.conj(OMEGA), 0], [0, 0, OMEGA], [1, 0, 0]])
 
 #: The operator table, built once at import, in the operator order that
-#: :func:`make_channel` returns.  The mixed-unitary entries give m = n / f.
+#: :func:`kraus_operators` returns.  The mixed-unitary entries give m = n / f.
 _SHAPES: dict[tuple[ChannelKind, Side], _KrausShapes] = {
     (ChannelKind.DEPHASING, Side.QUBIT): _dephasing(Side.QUBIT),
     (ChannelKind.DEPHASING, Side.QUTRIT): _dephasing(Side.QUTRIT),

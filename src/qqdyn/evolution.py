@@ -14,17 +14,21 @@ u = 1 - p gamma / m, v = gamma / m and in s = sqrt(u) (see ``channels``).
 Every channel is linear, so the evolved state at any strength pair is a
 weighted sum of fixed matrices.  For each kind, the terms of the qubit side,
 of the qutrit side and of both sides applied to each basis state are
-tabulated once at import: at most 45 6x6 matrices per kind, 81 kB for all
-five.  A call mixes them with the point's weights (2a, 3b, c) into at most
-9 term matrices per stage.
+tabulated once at import.  Every term commutes with the symmetry S of
+``linalg`` and is real, which the import certifies, so each is held as its
+two real symmetric 3x3 blocks, 18 reals instead of the 72 of a complex 6x6
+matrix: at most 45 block pairs per kind, 20 kB for all five.  A call mixes
+them with the point's weights (2a, 3b, c) into at most 9 term block pairs
+per stage.
 
 :func:`evolve_grid` then works through the strength arrays in chunks of
 ``GRID_CHUNK``.  Per chunk it builds each side's weight rows, certifies
 completeness at every strength from the Gram polynomial of the same rows,
 and forms the states after the qubit side and after both sides as weight
-rows times term matrices, validating every member of each stage as a
-density matrix.  A side at strength exactly zero is the identity channel
-and is skipped, member by member.  Sweeps and the ESD detector reduce each
+rows times term blocks, validating every member of each stage as a
+density matrix.  States stay in block form; ``linalg.from_blocks`` rebuilds
+the 6x6 product-basis matrix where an output needs it.  A side at strength
+exactly zero is the identity channel and is skipped, member by member.  Sweeps and the ESD detector reduce each
 chunk before the next is built, so memory stays bounded for any grid
 length, and :func:`evolve` is the one-point case of the same path.
 :func:`apply_channel` over ``channels.kraus_operators`` is the direct Kraus
@@ -48,14 +52,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .channels import ChannelKind, Side, channel_terms, channel_weights
-from .linalg import TOTAL_DIM
+from .linalg import BLOCK_SHAPE, TOTAL_DIM, from_blocks, to_blocks
 from .states import (
     FAMILY_BASIS,
     DensityMatrix,
     StateParams,
     check_density,
     family_weights,
-    initial_state,
 )
 
 if TYPE_CHECKING:
@@ -132,39 +135,51 @@ def sweep_strengths(mode: Mode, gamma: ArrayLike) -> tuple[np.ndarray, np.ndarra
 
 
 #: Strengths evolved together.  The largest arrays of a chunk are a few
-#: (n, 6, 6) complex stacks, 37 kB each at n = 64, whatever the grid length.
-#: On a 2-vCPU Xeon with one BLAS thread, a 513-point ``run_sweep`` (mean over
-#: the 15 cells, best of 7) took 10.1, 6.3, 5.6, 4.8 and 5.7 ms with chunks of
-#: 16, 32, 64, 128 and 513; the peak resident memory of a 45-curve sweep run
-#: stayed flat up to 64 and rose by 0.15 MB at 128 and by 1.6 MB at 513.
-GRID_CHUNK = 64
+#: (n, 2, 3, 3) real block stacks, 18 kB each at n = 128, and in a sweep the
+#: rebuilt (n, 6, 6) real matrices, 37 kB, whatever the grid length.  On a
+#: shared 2-vCPU Xeon with one BLAS thread, a 513-point ``run_sweep`` without
+#: the ESD search (mean over the 15 cells, best of 7) took 8.3, 5.2, 3.6, 2.6
+#: and 2.2 ms with chunks of 16, 32, 64, 128 and 513, and the peak resident
+#: memory of a 45-curve sweep run stayed flat up to 128 and rose by 0.3 MB at
+#: 513.  The tier-1 test of sweep columns against one-point evaluations runs
+#: grids of about 4 chunks, so its cost grows with the chunk: 11.5 s at 64,
+#: 17.8 s at 128.
+GRID_CHUNK = 128
 
 
 def _basis_table(kind: ChannelKind) -> tuple[np.ndarray, int, int]:
     """What the kind's channels make of ``FAMILY_BASIS``: the qubit-side
     terms, then the qutrit-side terms, then the terms of both sides (qutrit
     term major), in one real table with one row per basis state that holds
-    the terms' 6x6 complex entries as (real, imaginary) pairs; with the
-    qubit-side and qutrit-side term counts."""
+    each term as its 18 block entries; with the qubit-side and qutrit-side
+    term counts.
+
+    Raises ValueError unless every term commutes with S and is real to
+    ``linalg.SYMMETRY_TOL``: the block form holds only such states.
+    """
     qubit = channel_terms(kind, Side.QUBIT, FAMILY_BASIS)
     qutrit = channel_terms(kind, Side.QUTRIT, FAMILY_BASIS)
     both = channel_terms(kind, Side.QUTRIT, qubit)
-    rows = [t.reshape(-1, len(FAMILY_BASIS), TOTAL_DIM**2) for t in (qubit, qutrit, both)]
-    table = np.ascontiguousarray(np.moveaxis(np.concatenate(rows), 1, 0)).view(float)
-    table = table.reshape(len(FAMILY_BASIS), -1)
+    terms = np.concatenate([t.reshape(-1, *FAMILY_BASIS.shape) for t in (qubit, qutrit, both)])
+    blocks = to_blocks(terms)
+    # Exactly symmetric blocks give exactly symmetric states.
+    blocks = (blocks + blocks.swapaxes(-1, -2)) / 2.0
+    table = np.ascontiguousarray(np.moveaxis(blocks, 1, 0)).reshape(len(FAMILY_BASIS), -1)
     return table, len(qubit), len(qutrit)
 
 
-#: The basis table of every kind, built once at import.
+#: The basis table of every kind, built and certified once at import.
 _BASIS_TABLES = {kind: _basis_table(kind) for kind in ChannelKind}
+#: ``FAMILY_BASIS`` in block form, one row of 18 block entries per state.
+_FAMILY_BLOCKS = to_blocks(FAMILY_BASIS).reshape(len(FAMILY_BASIS), -1)
+_BLOCK_SIZE = _FAMILY_BLOCKS.shape[1]
 
 
 def _combine(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """The (n, 6, 6) states sum_t weights[:, t] terms[t].  Each strength is
-    its own vector-matrix product, so a state does not depend on the other
-    strengths of its chunk."""
-    rows = (weights[:, None, :] @ terms)[:, 0]
-    return rows.view(complex).reshape(len(weights), TOTAL_DIM, TOTAL_DIM)
+    """The (n, 2, 3, 3) block stack sum_t weights[:, t] terms[t].  Each
+    strength is its own vector-matrix product, so a state does not depend on
+    the other strengths of its chunk."""
+    return (weights[:, None, :] @ terms).reshape(len(weights), *BLOCK_SHAPE)
 
 
 def _stage(out: np.ndarray, members: np.ndarray, weights: np.ndarray, terms: np.ndarray) -> None:
@@ -179,16 +194,17 @@ def evolve_grid(
     kind: ChannelKind, params: StateParams, gamma_qubit: ArrayLike, gamma_qutrit: ArrayLike
 ) -> Iterator[np.ndarray]:
     """Evolve the family state at each strength pair (gamma_qubit[i],
-    gamma_qutrit[i]), yielding the states in grid order as (n, 6, 6) stacks
-    of at most ``GRID_CHUNK`` members.
+    gamma_qutrit[i]), yielding the states in grid order as (n, 2, 3, 3)
+    real block stacks (see ``linalg``) of at most ``GRID_CHUNK`` members;
+    ``linalg.from_blocks`` gives their product-basis matrices.
 
     The initial state is validated once, and the family weights (2a, 3b, c)
-    mix the kind's basis table into the point's term matrices.  In each
-    chunk the weight rows of each side are certified complete at every
-    strength, and the states after the qubit side and after both sides are
-    each revalidated, for every member.  A side at strength exactly zero is
-    the identity channel, and is skipped for that member; a side whose
-    strengths in a chunk are all zero is not evaluated at all.
+    mix the kind's basis table into the point's term blocks.  In each chunk
+    the weight rows of each side are certified complete at every strength,
+    and the states after the qubit side and after both sides are each
+    revalidated, for every member.  A side at strength exactly zero is the
+    identity channel, and is skipped for that member; a side whose strengths
+    in a chunk are all zero is not evaluated at all.
     """
     ga = np.asarray(gamma_qubit, dtype=float)
     gb = np.asarray(gamma_qutrit, dtype=float)
@@ -197,9 +213,11 @@ def evolve_grid(
             f"strength arrays must be 1-d and equal in length, got {ga.shape} and {gb.shape}"
         )
     kind = ChannelKind(kind)
-    rho = initial_state(params).matrix
+    weights = family_weights(params)
+    rho = (weights @ _FAMILY_BLOCKS).reshape(BLOCK_SHAPE)
+    check_density(rho)
     table, ta, tb = _BASIS_TABLES[kind]
-    terms = (family_weights(params) @ table).reshape(-1, 2 * TOTAL_DIM**2)
+    terms = (weights @ table).reshape(-1, _BLOCK_SIZE)
     qubit, qutrit, both = terms[:ta], terms[ta : ta + tb], terms[ta + tb :]
     for s in range(0, len(ga), GRID_CHUNK):
         a, b = ga[s : s + GRID_CHUNK], gb[s : s + GRID_CHUNK]
@@ -226,13 +244,13 @@ def evolve(scenario: ChannelScenario, params: StateParams) -> DensityMatrix:
     """Evolve the family state through the scenario's channels: the
     one-point case of :func:`evolve_grid`."""
     (m,) = next(evolve_grid(scenario.kind, params, [scenario.gamma_qubit], [scenario.gamma_qutrit]))
-    return DensityMatrix._checked(m)
+    return DensityMatrix._checked(from_blocks(m))
 
 
 def coherence_l1(rho: DensityMatrix | np.ndarray) -> float | np.ndarray:
     """Sum of absolute off-diagonal entries in the fixed product basis; for a
     (..., 6, 6) stack, an array of the sums over the leading axes."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
     a = np.abs(m)
     diag = np.arange(TOTAL_DIM)
     a[..., diag, diag] = 0.0

@@ -3,7 +3,12 @@
 Negativity is computed from the spectrum of the partial transpose over the
 qutrit: once as trace norm minus one and once as twice the magnitude of the
 negative-eigenvalue sum.  The two routes agree identically up to eigensolver
-noise and both are reported.
+noise and both are reported.  The evolved states come in block form (see
+``linalg``): the partial transpose commutes with the symmetry S too, so it
+is one fixed real map between block pairs, and the spectrum is that of two
+real symmetric 3x3 blocks per state.  A 6x6 state of any kind takes a
+complex 6x6 eigensolve of ``partial_transpose_qutrit`` instead, the
+product-basis reference that ``validate`` holds the block route to.
 
 Entanglement sudden death (ESD) means the negativity reaches zero at a
 finite noise strength, strictly before the infinite-time limit gamma = 1.
@@ -38,7 +43,7 @@ import numpy as np
 
 from .channels import ChannelKind
 from .evolution import ChannelScenario, Mode, evolve_grid, sweep_strengths
-from .linalg import TOTAL_DIM, partial_transpose_qutrit
+from .linalg import BLOCK_SHAPE, TOTAL_DIM, partial_transpose_blocks, partial_transpose_qutrit
 from .states import DensityMatrix, StateParams
 
 if TYPE_CHECKING:
@@ -99,8 +104,12 @@ class NegativityResult:
 def negativity_numeric(rho: DensityMatrix | np.ndarray) -> NegativityResult:
     """Negativity of a state from the partial-transpose spectrum.
 
-    ``rho`` may also be a (..., 6, 6) stack of validated states, taking one
-    batched eigensolve; each field of the result is then an array over the
+    ``rho`` may be a :class:`DensityMatrix`, any validated 6x6 state or a
+    (..., 6, 6) stack of them, whose partial transposes take one batched
+    complex eigensolve; or a (..., 2, 3, 3) block stack as
+    :func:`evolve_grid` yields it, whose partial transposes are block stacks
+    too (``linalg.partial_transpose_blocks``) and take one batched real 3x3
+    eigensolve.  For a stack each field of the result is an array over the
     leading axes.
     """
     m = rho.matrix if isinstance(rho, DensityMatrix) else rho
@@ -115,8 +124,14 @@ def negativity_numeric(rho: DensityMatrix | np.ndarray) -> NegativityResult:
 
 
 def _pt_spectrum(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues, ascending, of the partial transpose of each state in
-    ``m``, taken Hermitian by averaging with its conjugate transpose."""
+    """The six eigenvalues of the partial transpose of each state in ``m``,
+    along a new last axis.  A block stack gives each block's eigenvalues in
+    ascending order, the S-even block's first; any other input is taken as
+    6x6 matrices, whose eigenvalues come in ascending order, of the partial
+    transpose taken Hermitian by averaging with its conjugate transpose."""
+    if m.shape[-3:] == BLOCK_SHAPE:
+        eigs = np.linalg.eigvalsh(partial_transpose_blocks(m))
+        return eigs.reshape(*eigs.shape[:-2], TOTAL_DIM)
     pt = partial_transpose_qutrit(m)
     return np.linalg.eigvalsh((pt + pt.conj().swapaxes(-1, -2)) / 2.0)
 

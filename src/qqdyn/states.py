@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HERMITICITY_TOL, TOTAL_DIM
+from .linalg import BLOCK_SHAPE, HERMITICITY_TOL, QUTRIT_DIM, TOTAL_DIM
 
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -93,19 +93,26 @@ def random_entangled_params(rng: np.random.Generator, n: int) -> list[StateParam
 
 
 #: A Cholesky factorization of h + _PSD_SHIFT, h the Hermitian part of a
-#: matrix, succeeds only if every eigenvalue of h is above
+#: d x d matrix, d = 3 or 6, succeeds only if every eigenvalue of h is above
 #: -(PSD_TOL - 1e-13) less the factorization's backward error, at most about
-#: n * gamma_(n+1) * ||h|| = 5e-15 at n = 6 and unit trace (Higham, Accuracy
+#: d * gamma_(d+1) * ||h|| = 5e-15 at d = 6 and unit trace (Higham, Accuracy
 #: and Stability of Numerical Algorithms, Thm 10.3); so only if the smallest
 #: eigenvalue ``eigvalsh`` finds is above -PSD_TOL, and the per-member check
 #: would accept too.
-_PSD_SHIFT = (PSD_TOL - 1e-13) * np.eye(TOTAL_DIM)
+_PSD_SHIFT = {d: (PSD_TOL - 1e-13) * np.eye(d) for d in (QUTRIT_DIM, TOTAL_DIM)}
 
 
 def check_density(m: np.ndarray) -> None:
-    """Reject a 6x6 matrix, or a (..., 6, 6) stack with any member, that is
-    not a density matrix: finite, Hermitian, of unit trace and positive
-    semidefinite, all to 1e-10.
+    """Reject a state, or a stack with any member, that is not a density
+    matrix: finite, Hermitian, of unit trace and positive semidefinite, all
+    to 1e-10.
+
+    A state is a 6x6 matrix, or its two real symmetric 3x3 blocks in the
+    basis of the symmetry S (a (2, 3, 3) block stack, see ``linalg``); a
+    stack is a (..., 6, 6) or a (..., 2, 3, 3) array.  The blocks of a state
+    are checked together: its trace is the sum of their traces, and it is
+    positive semidefinite exactly when both blocks are, since the basis
+    change is orthogonal.
 
     The whole stack is certified at once, by one reduction per check and one
     Cholesky factorization of its shifted Hermitian parts (``_PSD_SHIFT``).
@@ -113,34 +120,40 @@ def check_density(m: np.ndarray) -> None:
     full ``eigvalsh`` for positivity; that pass decides, and its message
     names the first failing member.
     """
-    if m.ndim < 2 or m.shape[-2:] != (TOTAL_DIM, TOTAL_DIM):
+    if m.ndim >= 3 and m.shape[-3:] == BLOCK_SHAPE:
+        blocks = m
+    elif m.ndim >= 2 and m.shape[-2:] == (TOTAL_DIM, TOTAL_DIM):
+        blocks = m[..., None, :, :]
+    else:
         raise ValueError(f"expected {TOTAL_DIM}x{TOTAL_DIM}, got {m.shape}")
-    mh = m.conj().swapaxes(-1, -2)
-    if not _certified(m, mh):
-        _diagnose(m, mh)
+    mh = blocks.swapaxes(-1, -2)
+    if np.iscomplexobj(mh):
+        mh = mh.conj()
+    if not _certified(blocks, mh):
+        _diagnose(blocks, mh)
 
 
 def _certified(m: np.ndarray, mh: np.ndarray) -> bool:
-    """True if the non-empty stack ``m``, with conjugate transposes ``mh``,
-    passes every check of :func:`check_density` as a whole.  False leaves
-    the decision to :func:`_diagnose`."""
+    """True if the non-empty (..., k, d, d) stack ``m``, with conjugate
+    transposes ``mh``, passes every check of :func:`check_density` as a
+    whole.  False leaves the decision to :func:`_diagnose`."""
     if not (
         m.size
         and np.isfinite(m).all()
         and np.abs(m - mh).max() <= HERMITICITY_TOL
-        and np.abs(m.trace(axis1=-2, axis2=-1) - 1.0).max() <= TRACE_TOL
+        and np.abs(m.diagonal(axis1=-2, axis2=-1).sum(axis=(-2, -1)) - 1.0).max() <= TRACE_TOL
     ):
         return False
     try:
-        np.linalg.cholesky((m + mh) / 2.0 + _PSD_SHIFT)
+        np.linalg.cholesky((m + mh) / 2.0 + _PSD_SHIFT[m.shape[-1]])
     except np.linalg.LinAlgError:
         return False
     return True
 
 
 def _diagnose(m: np.ndarray, mh: np.ndarray) -> None:
-    """Check the members of ``m`` in turn, one pass per check, and raise for
-    the first that fails."""
+    """Check the members of the (..., k, d, d) stack ``m`` in turn, one pass
+    per check, and raise for the first that fails."""
 
     def reject(bad: np.ndarray, message) -> None:
         if bad.any():
@@ -148,12 +161,13 @@ def _diagnose(m: np.ndarray, mh: np.ndarray) -> None:
             where = f" in stack member {i[0] if len(i) == 1 else i}" if i else ""
             raise ValueError(message(i) + where)
 
-    reject(~np.isfinite(m).all(axis=(-2, -1)), lambda i: "density matrix contains NaN or Inf")
-    defect = np.abs(m - mh).max(axis=(-2, -1))
+    member = (-3, -2, -1)
+    reject(~np.isfinite(m).all(axis=member), lambda i: "density matrix contains NaN or Inf")
+    defect = np.abs(m - mh).max(axis=member)
     reject(defect > HERMITICITY_TOL, lambda i: f"not Hermitian (defect {defect[i]:.3e})")
-    tr = np.trace(m, axis1=-2, axis2=-1)
+    tr = np.trace(m, axis1=-2, axis2=-1).sum(axis=-1)
     reject(np.abs(tr - 1.0) > TRACE_TOL, lambda i: f"trace must be 1, got {tr[i]}")
-    min_eig = np.linalg.eigvalsh((m + mh) / 2.0)[..., 0]
+    min_eig = np.linalg.eigvalsh((m + mh) / 2.0)[..., 0].min(axis=-1)
     reject(
         min_eig < -PSD_TOL,
         lambda i: f"not positive semidefinite (min eigenvalue {min_eig[i]:.3e})",

@@ -18,6 +18,7 @@ import numpy as np
 from . import __version__
 from .channels import ChannelKind
 from .evolution import Mode, coherence_l1, evolve_grid, sweep_strengths
+from .linalg import from_blocks
 from .negativity import (
     EsdReport,
     NoClosedFormError,
@@ -104,7 +105,7 @@ def run_sweep(
     negativity, coherence = [], []
     for states in evolve_grid(kind, params, ga, gb):
         negativity += negativity_numeric(states).value.tolist()
-        coherence += coherence_l1(states).tolist()
+        coherence += coherence_l1(from_blocks(states)).tolist()
     try:
         analytic = analytic_negativities(kind, mode, params, ga, gb).tolist()
     except NoClosedFormError:

@@ -26,6 +26,7 @@ from .evolution import (
     evolve_grid,
     sweep_strengths,
 )
+from .linalg import from_blocks
 from .negativity import (
     CANONICAL_POINTS,
     NoClosedFormError,
@@ -78,7 +79,7 @@ def _evolved_form_checks(points: list[StateParams]) -> tuple[list[dict], list[di
             known[pos] = True
         diff_corrected, diff_raw = [], []
         for p in points:
-            states = np.concatenate(list(evolve_grid(kind, p, grid_qubit, grid_qutrit)))
+            states = from_blocks(np.concatenate(list(evolve_grid(kind, p, grid_qubit, grid_qutrit))))
             diff_corrected.append(np.abs(states - analytic_evolved(kind, p, grid_qubit, grid_qutrit)))
             diff_raw.append(np.abs(states - analytic_evolved(kind, p, grid_qubit, grid_qutrit, corrected=False)))
         mismatch = np.array(diff_raw)
@@ -258,18 +259,29 @@ def _grid_bisection_check() -> dict:
     )
 
 
-def _route_agreement_check(n: int = 200) -> dict:
+def _route_agreement_check(n: int = 200) -> list[dict]:
+    """Two checks on ``n`` randomized evolved states: the two negativity
+    routes agree, and the block route that sweeps and the ESD detector take
+    (a real eigensolve of ``linalg.partial_transpose_blocks``) matches the
+    product-basis reference, ``partial_transpose_qutrit`` and a complex
+    eigensolve of the rebuilt 6x6 matrix."""
     rng = np.random.default_rng(_SEED + 1)
     kinds = list(ChannelKind)
     modes = list(Mode)
-    worst = 0.0
+    routes = blocks = 0.0
     for p in random_entangled_params(rng, n):
         kind = kinds[int(rng.integers(len(kinds)))]
         mode = modes[int(rng.integers(len(modes)))]
         g = float(rng.uniform())
-        res = negativity_numeric(evolve(ChannelScenario.at(kind, mode, g), p))
-        worst = max(worst, abs(res.value - res.via_trace_norm))
-    return _check("negativity_route_agreement", worst, 1e-10, f"{n} randomized evolved states")
+        ((state,),) = evolve_grid(kind, p, *sweep_strengths(mode, [g]))
+        res = negativity_numeric(from_blocks(state))
+        routes = max(routes, abs(res.value - res.via_trace_norm))
+        blocks = max(blocks, abs(negativity_numeric(state).value - res.value))
+    detail = f"{n} randomized evolved states"
+    return [
+        _check("negativity_route_agreement", routes, 1e-10, detail),
+        _check("negativity_block_route_matches_product_basis", blocks, 1e-10, detail),
+    ]
 
 
 def run_validation() -> dict:
@@ -286,7 +298,7 @@ def run_validation() -> dict:
     checks.extend(_threshold_checks())
     checks.append(_grid_bisection_check())
     checks.extend(_equivalence_checks(curves))
-    checks.append(_route_agreement_check())
+    checks.extend(_route_agreement_check())
 
     notes = [
         "the bit-phase-flip closed form entries (0,5),(5,0),(2,4),(4,2) match "

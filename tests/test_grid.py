@@ -22,6 +22,7 @@ from qqdyn import (
 from qqdyn import channels, evolution
 from qqdyn.channels import kraus_operators
 from qqdyn.evolution import GRID_CHUNK, sweep_strengths
+from qqdyn.linalg import from_blocks
 from qqdyn.states import check_density, initial_state
 
 CELLS = [(kind, mode) for kind in ChannelKind for mode in Mode]
@@ -52,7 +53,7 @@ def test_grid_yields_chunks_in_order():
     g = np.linspace(0.0, 1.0, 2 * GRID_CHUNK + 3)
     chunks = list(evolve_grid(ChannelKind.DEPOLARIZING, POINTS[0], g, g[::-1]))
     assert [len(c) for c in chunks] == [GRID_CHUNK, GRID_CHUNK, 3]
-    states = np.concatenate(chunks)
+    states = from_blocks(np.concatenate(chunks))
     for i in (0, GRID_CHUNK - 1, GRID_CHUNK, len(g) - 1):
         sc = ChannelScenario(ChannelKind.DEPOLARIZING, Mode.MULTI_LOCAL, g[i], g[::-1][i])
         assert np.array_equal(states[i], evolve(sc, POINTS[0]).matrix), i
@@ -70,7 +71,7 @@ def test_grid_rejects_out_of_range_strength_in_any_chunk():
 def _stack_with_bad_member(bad: np.ndarray) -> np.ndarray:
     g = np.linspace(0.0, 1.0, GRID_CHUNK)
     (states,) = evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g)
-    states = states.copy()
+    states = from_blocks(states).astype(complex)
     states[MEMBER] = bad
     return states
 
@@ -98,6 +99,57 @@ def test_stack_with_one_bad_member_mid_chunk_is_rejected(bad, message):
     check_density(np.delete(states, MEMBER, axis=0))
 
 
+def _block_member(even, odd):
+    return np.array([even, odd], dtype=float)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (_block_member(np.diag([1.5, -0.5, 0.0]), np.zeros((3, 3))), "not positive semidefinite"),
+        (_block_member(np.eye(3, k=1) * 1e-6 + np.eye(3) / 6, np.eye(3) / 6), "not Hermitian"),
+        (_block_member(np.eye(3) / 3, np.eye(3) / 3), "trace must be 1"),
+        (_block_member(np.full((3, 3), np.nan), np.eye(3) / 6), "NaN or Inf"),
+    ],
+    ids=["non-psd", "non-symmetric", "trace", "nan"],
+)
+def test_block_stack_with_one_bad_member_mid_chunk_is_rejected(bad, message):
+    g = np.linspace(0.0, 1.0, GRID_CHUNK)
+    (states,) = evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g)
+    states = states.copy()
+    states[MEMBER] = bad
+    with pytest.raises(ValueError, match=f"{message}.* in stack member {MEMBER}$"):
+        check_density(states)
+    # Without the bad member the same stack passes.
+    check_density(np.delete(states, MEMBER, axis=0))
+
+
+@pytest.mark.parametrize("corruption", ["breaks-symmetry", "imaginary"])
+def test_corrupted_table_term_fails_the_import_certificate(corruption, monkeypatch):
+    kind = ChannelKind.DEPOLARIZING
+    table, ta, tb = evolution._basis_table(kind)
+    assert np.array_equal(table, evolution._BASIS_TABLES[kind][0])
+    terms = channels.channel_terms
+
+    def corrupted(kind, side, rho):
+        t = terms(kind, side, rho)
+        if side is Side.QUTRIT:
+            # One term, kept Hermitian; the imaginary part also keeps S.
+            if corruption == "breaks-symmetry":
+                t[1, ..., 0, 1] += 1e-14
+                t[1, ..., 1, 0] += 1e-14
+            else:
+                t[1, ..., 0, 1] += 1e-14j
+                t[1, ..., 1, 0] -= 1e-14j
+                t[1, ..., 4, 3] += 1e-14j
+                t[1, ..., 3, 4] -= 1e-14j
+        return t
+
+    monkeypatch.setattr(evolution, "channel_terms", corrupted)
+    with pytest.raises(ValueError, match="does not commute with S or is not real: defect 1.0"):
+        evolution._basis_table(kind)
+
+
 def _kraus_reference(kind, p, ga, gb):
     """The direct Kraus route: both channels' operator sums, in turn."""
     rho = apply_channel(kraus_operators(kind, Side.QUBIT, ga), initial_state(p).matrix)
@@ -112,10 +164,10 @@ def test_tables_match_the_direct_kraus_sum(kind):
     for p in points:
         for mode in Mode:
             ga, gb = sweep_strengths(mode, diagonal)
-            states = np.concatenate(list(evolve_grid(kind, p, ga, gb)))
+            states = from_blocks(np.concatenate(list(evolve_grid(kind, p, ga, gb))))
             assert np.abs(states - _kraus_reference(kind, p, ga, gb)).max() <= 1e-15, (p, mode)
         ga, gb = rng.uniform(size=(2, 2 * GRID_CHUNK + 7))
-        states = np.concatenate(list(evolve_grid(kind, p, ga, gb)))
+        states = from_blocks(np.concatenate(list(evolve_grid(kind, p, ga, gb))))
         assert np.abs(states - _kraus_reference(kind, p, ga, gb)).max() <= 1e-15, p
 
 
@@ -133,7 +185,7 @@ def test_idle_side_is_skipped_without_changing_the_states(kind, monkeypatch):
     monkeypatch.setattr(evolution, "channel_weights", recording)
     for mode, ga, gb, idle in ((Mode.QUBIT_ONLY, g, zero, Side.QUTRIT), (Mode.QUTRIT_ONLY, zero, g, Side.QUBIT)):
         weighted.clear()
-        states = np.concatenate(list(evolve_grid(kind, POINTS[0], ga, gb)))
+        states = from_blocks(np.concatenate(list(evolve_grid(kind, POINTS[0], ga, gb))))
         assert idle not in weighted, mode
         # The direct route applies both channels, the idle one as the
         # identity at gamma = 0; the tables re-associate the sums, which
@@ -141,7 +193,7 @@ def test_idle_side_is_skipped_without_changing_the_states(kind, monkeypatch):
         assert np.abs(states - _kraus_reference(kind, POINTS[0], ga, gb)).max() <= 1e-15, mode
     # With both sides idle the grid yields copies of the initial state.
     (states,) = evolve_grid(kind, POINTS[0], zero[:3], zero[:3])
-    assert np.array_equal(states, np.repeat(rho[None], 3, axis=0))
+    assert np.array_equal(from_blocks(states), np.repeat(rho[None], 3, axis=0))
 
 
 def test_corrupted_coefficient_mid_chunk_breaks_completeness(monkeypatch):

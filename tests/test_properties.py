@@ -24,7 +24,7 @@ from qqdyn import (
     negativity_analytic,
     negativity_numeric,
 )
-from qqdyn.linalg import HERMITICITY_TOL
+from qqdyn.linalg import HERMITICITY_TOL, from_blocks
 from qqdyn.negativity import ESD_NEGATIVITY_THRESHOLD
 from qqdyn.states import PSD_TOL, TRACE_TOL, check_density
 
@@ -87,7 +87,7 @@ def test_corrected_closed_forms_match_numerics(scenario, p):
 def test_one_point_equals_its_member_of_a_batch(kind, p, pairs, data):
     i = data.draw(st.integers(0, len(pairs) - 1))
     ga, gb = np.array(pairs).T
-    batch = np.concatenate(list(evolve_grid(kind, p, ga, gb)))
+    batch = from_blocks(np.concatenate(list(evolve_grid(kind, p, ga, gb))))
     single = evolve(ChannelScenario(kind, Mode.MULTI_LOCAL, ga[i], gb[i]), p).matrix
     assert np.array_equal(batch[i], single)
 
@@ -140,9 +140,16 @@ def test_esd_threshold_matches_closed_form_and_is_certified(p):
 def _check_density_per_member(m):
     """The density-matrix check as it was before the whole-stack certificate:
     one pass per check over the members, and a full ``eigvalsh`` for
-    positivity."""
-    if m.ndim < 2 or m.shape[-2:] != (6, 6):
+    positivity.  A (..., 2, 3, 3) block stack is checked the same way, a
+    member's two blocks together: its trace is the sum of theirs and its
+    smallest eigenvalue the smaller of theirs."""
+    if m.ndim >= 3 and m.shape[-3:] == (2, 3, 3):
+        member = (-3, -2, -1)
+    elif m.ndim >= 2 and m.shape[-2:] == (6, 6):
+        member = (-2, -1)
+    else:
         raise ValueError(f"expected 6x6, got {m.shape}")
+    blocks = len(member) == 3
 
     def reject(bad, message):
         if bad.any():
@@ -150,13 +157,15 @@ def _check_density_per_member(m):
             where = f" in stack member {i[0] if len(i) == 1 else i}" if i else ""
             raise ValueError(message(i) + where)
 
-    reject(~np.isfinite(m).all(axis=(-2, -1)), lambda i: "density matrix contains NaN or Inf")
+    reject(~np.isfinite(m).all(axis=member), lambda i: "density matrix contains NaN or Inf")
     mh = m.conj().swapaxes(-1, -2)
-    defect = np.abs(m - mh).max(axis=(-2, -1))
+    defect = np.abs(m - mh).max(axis=member)
     reject(defect > HERMITICITY_TOL, lambda i: f"not Hermitian (defect {defect[i]:.3e})")
     tr = np.trace(m, axis1=-2, axis2=-1)
+    tr = tr.sum(axis=-1) if blocks else tr
     reject(np.abs(tr - 1.0) > TRACE_TOL, lambda i: f"trace must be 1, got {tr[i]}")
     min_eig = np.linalg.eigvalsh((m + mh) / 2.0)[..., 0]
+    min_eig = min_eig.min(axis=-1) if blocks else min_eig
     reject(
         min_eig < -PSD_TOL,
         lambda i: f"not positive semidefinite (min eigenvalue {min_eig[i]:.3e})",
@@ -177,6 +186,14 @@ def _state(rng, eigenvalues):
     x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     u, _ = np.linalg.qr(x)
     return (u * eigenvalues) @ u.conj().T
+
+
+def _block_state(rng, eigenvalues):
+    """A block pair with the given six eigenvalues, the first in a random
+    block, each block in a random real eigenbasis."""
+    eigenvalues = np.roll(eigenvalues, 3 * int(rng.integers(2)))
+    u, _ = np.linalg.qr(rng.normal(size=(2, 3, 3)))
+    return (u * eigenvalues.reshape(2, 1, 3)) @ u.swapaxes(-1, -2)
 
 
 def _spectrum(rng, smallest):
@@ -203,35 +220,43 @@ PERTURBATIONS = {
 
 
 @st.composite
-def perturbed_stacks(draw, perturbation):
-    """A stack of 1-20 density matrices (or one 6x6 matrix) with one member
-    perturbed as ``perturbation`` names."""
+def perturbed_stacks(draw, perturbation, layout):
+    """A stack of 1-20 states (or one state) with one member perturbed as
+    ``perturbation`` names: complex 6x6 matrices, or real block pairs."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 20))
-    m = np.array([_state(rng, _spectrum(rng, 0.0)) for _ in range(n)])
-    k, r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    state = _block_state if layout == "blocks" else _state
+    m = np.array([state(rng, _spectrum(rng, 0.0)) for _ in range(n)])
+    # One matrix of the perturbed member, the block if the layout has two.
+    k = draw(st.integers(0, n - 1))
+    at = (k, draw(st.integers(0, 1))) if layout == "blocks" else (k,)
+    dim = m.shape[-1]
+    r, c = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
     kind, _, side = perturbation.partition("-")
     offset = 1.0 if side in ("below", "beyond") else -1.0
     if kind == "eigenvalue":
-        m[k] = _state(rng, _spectrum(rng, -PSD_TOL - offset * 2e-13))
+        m[k] = state(rng, _spectrum(rng, -PSD_TOL - offset * 2e-13))
     elif kind == "hermiticity":
-        c = (r + draw(st.integers(1, 5))) % 6
-        m[k, r, c] += np.exp(2j * np.pi * rng.uniform()) * (HERMITICITY_TOL + offset * 1e-12)
+        c = (r + draw(st.integers(1, dim - 1))) % dim
+        phase = np.exp(2j * np.pi * rng.uniform()) if layout == "6x6" else rng.choice([-1.0, 1.0])
+        m[at + (r, c)] += phase * (HERMITICITY_TOL + offset * 1e-12)
     elif kind == "trace":
-        m[k, r, r] += draw(st.sampled_from((-1.0, 1.0))) * (TRACE_TOL + offset * 1e-12)
+        m[at + (r, r)] += draw(st.sampled_from((-1.0, 1.0))) * (TRACE_TOL + offset * 1e-12)
     elif kind in ("nan", "inf"):
         values = (np.nan, complex(0.0, np.nan)) if kind == "nan" else (
             np.inf, -np.inf, complex(0.0, np.inf), complex(np.inf, -np.inf))
-        m[k, r, c] = draw(st.sampled_from(values))
+        if layout == "blocks":
+            values = (np.nan,) if kind == "nan" else (np.inf, -np.inf)
+        m[at + (r, c)] = draw(st.sampled_from(values))
     return m[0] if n == 1 and draw(st.booleans()) else m
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("perturbation", list(PERTURBATIONS))
-@settings(derandomize=True, max_examples=25, deadline=None, database=None)
-@given(st.data())
-def test_stack_certificate_decides_as_the_per_member_check(perturbation, data):
-    m = data.draw(perturbed_stacks(perturbation))
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(st.sampled_from(["6x6", "blocks"]), st.data())
+def test_stack_certificate_decides_as_the_per_member_check(perturbation, layout, data):
+    m = data.draw(perturbed_stacks(perturbation, layout))
     want = _verdict(_check_density_per_member, m)
     assert _verdict(check_density, m) == want
     expected = PERTURBATIONS[perturbation]
@@ -241,6 +266,8 @@ def test_stack_certificate_decides_as_the_per_member_check(perturbation, data):
 @pytest.mark.filterwarnings("error")
 def test_empty_stack_passes_and_a_wrong_shape_is_rejected_as_before():
     for m in (np.zeros((0, 6, 6), dtype=complex), np.zeros((3, 0, 6, 6)), np.eye(3) / 3,
-              np.zeros(6), np.eye(6)[None] / 6):
+              np.zeros(6), np.eye(6)[None] / 6, np.zeros((0, 2, 3, 3)), np.zeros((3, 0, 2, 3, 3)),
+              np.zeros((3, 3, 3)), np.array([np.eye(3), np.eye(3)]) / 6):
         assert _verdict(check_density, m) == _verdict(_check_density_per_member, m)
     assert _verdict(check_density, np.zeros((0, 6, 6), dtype=complex)) is None
+    assert _verdict(check_density, np.zeros((0, 2, 3, 3))) is None
