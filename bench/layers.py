@@ -5,6 +5,7 @@ Run from the root of a checkout, preferably with one BLAS thread:
     OPENBLAS_NUM_THREADS=1 python bench/layers.py                # JSON on stdout
     OPENBLAS_NUM_THREADS=1 python bench/layers.py --repeat 1     # quickest pass
     OPENBLAS_NUM_THREADS=1 python bench/layers.py --out FILE
+    OPENBLAS_NUM_THREADS=1 python bench/layers.py --baseline DIR # against DIR
 
 Every row is timed with ``time.perf_counter`` ``--repeat`` times (the tier-1
 suite once) and reports the median, the minimum and N, in milliseconds per
@@ -13,22 +14,33 @@ so a slow stretch of the host spreads over all rows instead of moving one
 row's samples together.  Layer rows time one stage of the pipeline on 64
 strengths at (b, c) = (0.05, 0.6), depolarizing multi-local unless the row
 says otherwise (``_16`` rows take the 16 members of an ESD node chunk,
-``_1`` rows the one member of a one-point evaluation).  ``check_density*``,
-``negativity_numeric`` and ``coherence_l1`` take the states as complex 6x6
-matrices, the ``*_blocks*`` rows as the block stacks that ``evolve_grid``
-yields where it yields them.  End-to-end rows time whole runs, the
-``cli_*_inprocess`` ones through ``qqdyn.cli.main`` in this process (after
-one warm-up call, so the per-call dispatch cost shows next to the library
-rows) and the other CLI ones in a fresh interpreter each.
+``_1`` rows the one member of a one-point evaluation, and the
+``evolve_grid_chunk_*`` rows one whole chunk of that many strengths).
+``check_density*``, ``negativity_numeric`` and ``coherence_l1`` take the
+states as complex 6x6 matrices, the ``*_blocks*`` rows as the block stacks
+that ``evolve_grid`` yields where it yields them.  End-to-end rows time
+whole runs, the ``cli_*_inprocess`` ones through ``qqdyn.cli.main`` in this
+process (after one warm-up call, so the per-call dispatch cost shows next to
+the library rows) and the other CLI ones in a fresh interpreter each.
 A layer that the checkout does not have is reported as absent, so the same
 file runs against older checkouts.  The package is imported from ``src/``
 next to this file; nothing in ``qqdyn`` imports this module.
+
+With ``--baseline DIR`` the package in ``DIR/src`` is imported too, under
+another module name, and every row timed in this process is timed on both
+packages within each round, the two sides in turn and the first side
+alternating from round to round, so that both see the same stretch of the
+host.  Such a row also reports the baseline's median, minimum and N, and
+the ratio of the medians (this checkout over the baseline).  The
+fresh-interpreter CLI rows and the tier-1 row time this checkout only.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
+import importlib.util
 import io
 import json
 import os
@@ -39,82 +51,98 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import ModuleType
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-
-import numpy as np  # noqa: E402
-
-from qqdyn import (  # noqa: E402
-    ChannelKind,
-    Mode,
-    StateParams,
-    cli,
-    evolution,
-    linalg,
-    negativity,
-    states,
-    validate,
-)
-from qqdyn.channels import Side, kraus_operators  # noqa: E402
-from qqdyn.sweep import render_sweep, run_sweep  # noqa: E402
-
-P = StateParams(0.05, 0.6)
-KIND, MODE = ChannelKind.DEPOLARIZING, Mode.MULTI_LOCAL
+#: The submodules a row may use, imported with the package.
+SUBMODULES = ("channels", "cli", "evolution", "linalg", "negativity", "states", "sweep",
+              "validate")
 N = 64
 G = np.linspace(0.0, 1.0, N)
-CELLS = [(kind, mode) for kind in ChannelKind for mode in Mode]
 
 
-def _stack() -> np.ndarray:
+def load_package(root: Path, name: str) -> ModuleType:
+    """The qqdyn package in ``root/src``, imported as ``name`` with its
+    submodules."""
+    src = root / "src" / "qqdyn"
+    spec = importlib.util.spec_from_file_location(
+        name, src / "__init__.py", submodule_search_locations=[str(src)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    for sub in SUBMODULES:
+        importlib.import_module(f"{name}.{sub}")
+    return package
+
+
+def _subject(q: ModuleType) -> tuple:
+    """The point, kind and mode the rows time, as the package ``q`` builds
+    them."""
+    return q.StateParams(0.05, 0.6), q.ChannelKind.DEPOLARIZING, q.Mode.MULTI_LOCAL
+
+
+def _stack(q: ModuleType) -> np.ndarray:
     """The 64 states as ``evolve_grid`` yields them."""
-    return np.concatenate(list(evolution.evolve_grid(KIND, P, G, G)))
+    p, kind, _ = _subject(q)
+    return np.concatenate(list(q.evolution.evolve_grid(kind, p, G, G)))
 
 
-def _product(stack: np.ndarray) -> np.ndarray:
+def _product(q: ModuleType, stack: np.ndarray) -> np.ndarray:
     """The states as complex 6x6 matrices, whatever the checkout yields."""
     if stack.shape[-2:] == (6, 6):
         return stack
-    return linalg.from_blocks(stack).astype(complex)
+    return q.linalg.from_blocks(stack).astype(complex)
 
 
-def _blocks(stack: np.ndarray) -> np.ndarray:
+def _blocks(q: ModuleType, stack: np.ndarray) -> np.ndarray:
     """The states as block stacks; AttributeError on a checkout without
     them, so that the row reports absent."""
-    linalg.partial_transpose_blocks  # noqa: B018 (looked up for the absent check)
+    q.linalg.partial_transpose_blocks  # noqa: B018 (looked up for the absent check)
     return stack
 
 
-def _closed_forms():
-    ga, gb = evolution.sweep_strengths(MODE, np.linspace(0.0, 1.0, 513))
+def _closed_forms(q: ModuleType):
+    p, kind, mode = _subject(q)
+    evolution, negativity = q.evolution, q.negativity
+    ga, gb = evolution.sweep_strengths(mode, np.linspace(0.0, 1.0, 513))
     if hasattr(negativity, "analytic_negativities"):
-        return lambda: negativity.analytic_negativities(KIND, MODE, P, ga, gb)
+        return lambda: negativity.analytic_negativities(kind, mode, p, ga, gb)
     pairs = list(zip(ga.tolist(), gb.tolist()))  # one scalar call per row
     return lambda: [
-        negativity.negativity_analytic(evolution.ChannelScenario(KIND, MODE, a, b), P)
+        negativity.negativity_analytic(evolution.ChannelScenario(kind, mode, a, b), p)
         for a, b in pairs
     ]
 
 
-def _table_combine():
-    from qqdyn.channels import channel_weights
-
-    table, ta, tb = evolution._BASIS_TABLES[KIND]
+def _table_combine(q: ModuleType):
+    p, kind, _ = _subject(q)
+    channel_weights, side = q.channels.channel_weights, q.channels.Side
+    table, ta, tb = q.evolution._BASIS_TABLES[kind]
     # One row per term, whatever the checkout stores per term.
-    terms = (states.family_weights(P) @ table).reshape(ta + tb + ta * tb, -1)[ta + tb :]
-    wa, wb = channel_weights(KIND, Side.QUBIT, G), channel_weights(KIND, Side.QUTRIT, G)
+    terms = (q.states.family_weights(p) @ table).reshape(ta + tb + ta * tb, -1)[ta + tb :]
+    wa, wb = channel_weights(kind, side.QUBIT, G), channel_weights(kind, side.QUTRIT, G)
     pairs = (wb[:, :, None] * wa[:, None, :]).reshape(N, -1)
-    return lambda: evolution._combine(pairs, terms)
+    return lambda: q.evolution._combine(pairs, terms)
 
 
-def _completeness():
-    from qqdyn.channels import channel_weights
+def _completeness(q: ModuleType):
+    _, kind, _ = _subject(q)
+    channel_weights, side = q.channels.channel_weights, q.channels.Side
+    return lambda: channel_weights(kind, side.QUTRIT, G)
 
-    return lambda: channel_weights(KIND, Side.QUTRIT, G)
+
+def _nodes(q: ModuleType) -> np.ndarray:
+    p, kind, mode = _subject(q)
+    (nodes,) = q.evolution.evolve_grid(
+        kind, p, *q.evolution.sweep_strengths(mode, q.negativity._NODES))
+    return nodes
 
 
-def _esd_node_step():
-    (nodes,) = evolution.evolve_grid(KIND, P, *evolution.sweep_strengths(MODE, negativity._NODES))
+def _esd_node_step(q: ModuleType) -> dict:
+    negativity = q.negativity
+    nodes = _nodes(q)
     values = negativity._eigenvalue_product(nodes)
     return {
         "esd_node_eigenvalue_product": lambda: negativity._eigenvalue_product(nodes),
@@ -122,81 +150,99 @@ def _esd_node_step():
     }
 
 
-def _esd_alive():
+def _esd_alive(q: ModuleType):
+    p, kind, mode = _subject(q)
     # Looked up now, so that a checkout without it reports the row absent.
-    negativities = negativity.sweep_negativities
-    return lambda g: negativities(KIND, MODE, P, g) > negativity.ESD_NEGATIVITY_THRESHOLD
+    negativities = q.negativity.sweep_negativities
+    threshold = q.negativity.ESD_NEGATIVITY_THRESHOLD
+    return lambda g: negativities(kind, mode, p, g) > threshold
 
 
-def _esd_certify_batch():
+def _esd_certify_batch(q: ModuleType):
     # At tol = 1 the sectioning takes no step: the node roots plus the one
     # certification batch about them.
-    (nodes,) = evolution.evolve_grid(KIND, P, *evolution.sweep_strengths(MODE, negativity._NODES))
-    values, alive = negativity._eigenvalue_product(nodes), _esd_alive()
-    return lambda: negativity._death_bracket(values, alive, 1.0)
+    values, alive = q.negativity._eigenvalue_product(_nodes(q)), _esd_alive(q)
+    return lambda: q.negativity._death_bracket(values, alive, 1.0)
 
 
-def _esd_section_step():
+def _esd_section_step(q: ModuleType):
     # One sectioning step: half the certified width is reached after one batch.
-    lo, hi = _esd_certify_batch()()
-    section, alive = negativity._section, _esd_alive()
+    lo, hi = _esd_certify_batch(q)()
+    section, alive = q.negativity._section, _esd_alive(q)
     return lambda: section(lo, hi, alive, (hi - lo) / 2.0)
 
 
-def layer_rows() -> dict:
-    """name -> (setup returning the timed callable, calls per sample)."""
-    stack = _stack()
-    product = _product(stack)
-    ops = kraus_operators(KIND, Side.QUTRIT, G)
-    sweep = run_sweep(KIND, MODE, P)
-    one = evolution.ChannelScenario(KIND, MODE, 0.3, 0.7)
+def _grid_chunk(q: ModuleType, n: int):
+    p, kind, _ = _subject(q)
+    g = np.linspace(0.0, 1.0, n)
+    return lambda: list(q.evolution.evolve_grid(kind, p, g, g))
+
+
+def layer_rows(q: ModuleType) -> dict:
+    """name -> (setup returning the timed callable, calls per sample), for
+    the package ``q``."""
+    p, kind, mode = _subject(q)
+    evolution, negativity, states = q.evolution, q.negativity, q.states
+    side, kraus_operators = q.channels.Side, q.channels.kraus_operators
+    stack = _stack(q)
+    product = _product(q, stack)
+    ops = kraus_operators(kind, side.QUTRIT, G)
+    sweep = q.sweep.run_sweep(kind, mode, p)
+    render_sweep = q.sweep.render_sweep
+    one = evolution.ChannelScenario(kind, mode, 0.3, 0.7)
     rows = {
-        "initial_state": (lambda: lambda: states.initial_state(P), 500),
-        "table_combine": (_table_combine, 500),
-        "completeness": (_completeness, 500),
-        "kraus_operators": (lambda: lambda: kraus_operators(KIND, Side.QUTRIT, G), 200),
+        "initial_state": (lambda: lambda: states.initial_state(p), 500),
+        "table_combine": (lambda: _table_combine(q), 500),
+        "completeness": (lambda: _completeness(q), 500),
+        "kraus_operators": (lambda: lambda: kraus_operators(kind, side.QUTRIT, G), 200),
         "apply_channel": (lambda: lambda: evolution.apply_channel(ops, product), 50),
         "check_density": (lambda: lambda: states.check_density(product), 200),
         "check_density_16": (lambda: lambda: states.check_density(product[:16]), 500),
         "check_density_1": (lambda: lambda: states.check_density(product[:1]), 1000),
         "negativity_numeric": (lambda: lambda: negativity.negativity_numeric(product), 200),
         "coherence_l1": (lambda: lambda: evolution.coherence_l1(product), 500),
-        "closed_forms_513": (_closed_forms, 50),
+        "closed_forms_513": (lambda: _closed_forms(q), 50),
         "emit_csv_513": (lambda: lambda: render_sweep(sweep, "csv"), 20),
         "emit_json_513": (lambda: lambda: render_sweep(sweep, "json"), 20),
-        "evolve_one_point": (lambda: lambda: evolution.evolve(one, P), 300),
-        "esd_certify_batch": (_esd_certify_batch, 300),
-        "esd_section_step": (_esd_section_step, 300),
+        "evolve_one_point": (lambda: lambda: evolution.evolve(one, p), 300),
+        "evolve_grid_chunk_128": (lambda: _grid_chunk(q, 128), 100),
+        "evolve_grid_chunk_16": (lambda: _grid_chunk(q, 16), 300),
+        "esd_certify_batch": (lambda: _esd_certify_batch(q), 300),
+        "esd_section_step": (lambda: _esd_section_step(q), 300),
     }
     for n, suffix, calls in ((64, "", 200), (16, "_16", 500), (1, "_1", 1000)):
         rows[f"check_density_blocks{suffix}"] = (
-            lambda n=n: lambda b=_blocks(stack)[:n]: states.check_density(b), calls)
+            lambda n=n: lambda b=_blocks(q, stack)[:n]: states.check_density(b), calls)
         rows[f"negativity_blocks{suffix}"] = (
-            lambda n=n: lambda b=_blocks(stack)[:n]: negativity.negativity_numeric(b), calls)
-    for name, fn in _esd_node_step().items():
-        rows[name] = (lambda fn=fn: fn, 300)
+            lambda n=n: lambda b=_blocks(q, stack)[:n]: negativity.negativity_numeric(b), calls)
+    for name in ("esd_node_eigenvalue_product", "esd_node_roots"):
+        rows[name] = (lambda name=name: _esd_node_step(q)[name], 300)
     return rows
 
 
-def _cli_call(argv: list[str]):
+def _cli_call(q: ModuleType, argv: list[str]):
     def call():
         with contextlib.redirect_stdout(io.StringIO()):
-            if cli.main(argv) != 0:
+            if q.cli.main(argv) != 0:
                 raise RuntimeError(f"qqdyn {' '.join(argv)} failed")
     return call
 
 
-def end_to_end_rows(workdir: str) -> dict:
+def inprocess_rows(q: ModuleType, workdir: str) -> dict:
+    """The end-to-end rows timed in this process, as :func:`layer_rows`."""
+    p, kind, mode = _subject(q)
+    run_sweep, negativity, validate = q.sweep.run_sweep, q.negativity, q.validate
+    cells = [(k, m) for k in q.ChannelKind for m in q.Mode]
     argv = cli_rows(workdir)
     rows = {
-        "cli_esd_inprocess": (lambda: _cli_call(argv["cli_esd"]), 20),
-        "cli_sweep_csv_inprocess": (lambda: _cli_call(argv["cli_sweep_513_csv"]), 5),
-        "cli_sweep_json_inprocess": (lambda: _cli_call(argv["cli_sweep_513_json"]), 5),
+        "cli_esd_inprocess": (lambda: _cli_call(q, argv["cli_esd"]), 20),
+        "cli_sweep_csv_inprocess": (lambda: _cli_call(q, argv["cli_sweep_513_csv"]), 5),
+        "cli_sweep_json_inprocess": (lambda: _cli_call(q, argv["cli_sweep_513_json"]), 5),
         "run_sweep_513_bitflip_qubitonly": (
-            lambda: lambda: run_sweep(ChannelKind.BIT_FLIP, Mode.QUBIT_ONLY, P), 5),
-        "run_sweep_513_depolarizing_multilocal": (lambda: lambda: run_sweep(KIND, MODE, P), 5),
+            lambda: lambda: run_sweep(q.ChannelKind.BIT_FLIP, q.Mode.QUBIT_ONLY, p), 5),
+        "run_sweep_513_depolarizing_multilocal": (lambda: lambda: run_sweep(kind, mode, p), 5),
         "esd_gamma_15_cells": (
-            lambda: lambda: [negativity.esd_gamma(k, m, P) for k, m in CELLS], 3),
+            lambda: lambda: [negativity.esd_gamma(k, m, p) for k, m in cells], 3),
     }
     for name in ("_completeness_check", "_threshold_checks", "_grid_bisection_check",
                  "_route_agreement_check"):
@@ -204,18 +250,18 @@ def end_to_end_rows(workdir: str) -> dict:
     points = validate.random_entangled_params(np.random.default_rng(validate._SEED), 20)
     for name in ("_evolved_form_checks", "_closed_form_curves", "_negativity_form_checks",
                  "_equivalence_checks"):
-        rows[f"validate.{name}"] = (lambda name=name: _validate_check(name, points), 1)
+        rows[f"validate.{name}"] = (lambda name=name: _validate_check(q, name, points), 1)
     return rows
 
 
-def _validate_check(name: str, points: list):
+def _validate_check(q: ModuleType, name: str, points: list):
     """Setup of a ``validate`` row that takes the 20 points of a run.  The
     check is looked up now, so that a checkout without it reports the row
     absent.  Where the checkout evaluates the closed-form curves once
     (``_closed_form_curves``, a row of its own), the two checks on them take
     those curves; older checkouts evaluate them inside each check."""
-    check = getattr(validate, name)
-    curves = getattr(validate, "_closed_form_curves", None)
+    check = getattr(q.validate, name)
+    curves = getattr(q.validate, "_closed_form_curves", None)
     shared = curves and name in ("_negativity_form_checks", "_equivalence_checks")
     arg = curves(points) if shared else points
     return lambda: check(arg)
@@ -236,13 +282,32 @@ def cli_rows(workdir: str) -> dict:
 
 
 def interleaved(timers: dict, repeat: int) -> dict:
-    """name -> ``repeat`` samples of the timer ``timers[name]``, taken in
-    rounds: each round calls every timer once, in the order given."""
-    times = {name: [] for name in timers}
-    for _ in range(repeat):
-        for name, timer in timers.items():
-            times[name].append(timer())
+    """name -> side -> ``repeat`` samples of the timer ``timers[name][side]``,
+    taken in rounds: each round calls every row's timers once, rows in the
+    order given and the sides of a row in turn, the first side alternating
+    from round to round."""
+    times = {name: {side: [] for side in sides} for name, sides in timers.items()}
+    for r in range(repeat):
+        for name, sides in timers.items():
+            order = list(sides) if r % 2 == 0 else list(sides)[::-1]
+            for side in order:
+                times[name][side].append(sides[side]())
     return times
+
+
+def timed_rows(q: ModuleType, workdir: str) -> dict:
+    """name -> (group, detail, timer or None) of every row timed in this
+    process on the package ``q``; None where the package lacks the layer."""
+    table = {}
+    for group, rows in (("layer", layer_rows(q)), ("end_to_end", inprocess_rows(q, workdir))):
+        for name, (setup, calls) in rows.items():
+            try:
+                fn = setup()
+            except (AttributeError, ImportError) as exc:
+                table[name] = (group, f"absent: {exc}", None)
+                continue
+            table[name] = (group, f"{calls} calls per sample", sampler(fn, calls))
+    return table
 
 
 def sampler(fn, calls: int):
@@ -266,20 +331,28 @@ def run_process(argv: list[str], check: bool = True) -> tuple[float, int]:
     return (time.perf_counter() - t0) * 1e3, proc.returncode
 
 
-def row(name: str, group: str, times: list[float] | None, detail: str = "") -> dict:
-    out = {"name": name, "group": group, "unit": "ms"}
+def summary(times: list[float] | None, detail: str) -> dict:
     if times is None:
-        return out | {"absent": True, "detail": detail}
-    return out | {"median": statistics.median(times), "min": min(times), "n": len(times),
-                  "detail": detail}
+        return {"absent": True, "detail": detail}
+    return {"median": statistics.median(times), "min": min(times), "n": len(times),
+            "detail": detail}
 
 
-def _git(*args: str) -> str:
+def _git(root: Path, *args: str) -> str:
+    # Kept from looking above the checkout, which need not be a repository.
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(root.parent))
     try:
-        proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
+        proc = subprocess.run(["git", *args], cwd=root, env=env, capture_output=True, text=True,
+                              check=True)
         return proc.stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
+
+
+def checkout(root: Path, q: ModuleType) -> dict:
+    return {"git_head": _git(root, "rev-parse", "HEAD"),
+            "git_dirty": bool(_git(root, "status", "--porcelain")),
+            "grid_chunk": q.evolution.GRID_CHUNK}
 
 
 def environment() -> dict:
@@ -298,9 +371,7 @@ def environment() -> dict:
     return {
         "machine": platform.machine(), "cpu": cpu, "nproc": os.cpu_count(),
         "python": platform.python_version(), "numpy": np.__version__, "blas": blas,
-        "git_head": _git("rev-parse", "HEAD"), "git_dirty": bool(_git("status", "--porcelain")),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-        "grid_chunk": evolution.GRID_CHUNK,
     }
 
 
@@ -308,33 +379,48 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeat", type=int, default=7, help="samples per row, at least 1")
     parser.add_argument("--out", help="write the JSON here instead of to standard output")
+    parser.add_argument("--baseline", metavar="DIR",
+                        help="also time the rows of this process on the checkout in DIR")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    # name -> (group, detail, timer or None), in report order.
-    table = {}
+    base_root = Path(args.baseline).resolve() if args.baseline else None
+    if base_root and not (base_root / "src" / "qqdyn" / "__init__.py").is_file():
+        parser.error(f"--baseline: no qqdyn package in {base_root / 'src'}")
+    q = load_package(ROOT, "qqdyn")
+    base = load_package(base_root, "qqdyn_baseline") if base_root else None
     with tempfile.TemporaryDirectory() as workdir:
-        for group, rows in (("layer", layer_rows()), ("end_to_end", end_to_end_rows(workdir))):
-            for name, (setup, calls) in rows.items():
-                try:
-                    fn = setup()
-                except (AttributeError, ImportError) as exc:
-                    table[name] = (group, f"absent: {exc}", None)
-                    continue
-                table[name] = (group, f"{calls} calls per sample", sampler(fn, calls))
+        # name -> (group, detail, timer or None), in report order.
+        table = timed_rows(q, workdir)
+        base_table = timed_rows(base, workdir) if base else {}
         for name, cmd in cli_rows(workdir).items():
             argv = [sys.executable, "-m", "qqdyn.cli", *cmd]
             timer = lambda argv=argv: run_process(argv)[0]  # noqa: E731
             table[name] = ("end_to_end", "fresh interpreter, " + cmd[0], timer)
-        timers = {name: timer for name, (_, _, timer) in table.items() if timer}
+        timers = {}
+        for side, rows in (("checkout", table), ("baseline", base_table)):
+            for name, (_, _, timer) in rows.items():
+                if timer:
+                    timers.setdefault(name, {})[side] = timer
         times = interleaved(timers, args.repeat)
-    rows = [row(name, group, times.get(name), detail) for name, (group, detail, _) in table.items()]
+    rows = []
+    for name, (group, detail, _) in table.items():
+        sides = times.get(name, {})
+        out = {"name": name, "group": group, "unit": "ms"} | summary(sides.get("checkout"), detail)
+        if name in base_table:
+            out["baseline"] = summary(sides.get("baseline"), base_table[name][1])
+            if "median" in out and "median" in out["baseline"]:
+                out["ratio"] = out["median"] / out["baseline"]["median"]
+        rows.append(out)
     suite = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
              "--continue-on-collection-errors"]
     ms, code = run_process(suite, check=False)
-    rows.append(row("tier1_suite", "end_to_end", [ms], f"once, fresh interpreter, exit code {code}"))
-    text = json.dumps({"environment": environment(), "repeat": args.repeat, "rows": rows},
-                      indent=2) + "\n"
+    rows.append({"name": "tier1_suite", "group": "end_to_end", "unit": "ms"}
+                | summary([ms], f"once, fresh interpreter, exit code {code}"))
+    env = environment() | checkout(ROOT, q)
+    if base:
+        env["baseline"] = {"root": str(base_root)} | checkout(base_root, base)
+    text = json.dumps({"environment": env, "repeat": args.repeat, "rows": rows}, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

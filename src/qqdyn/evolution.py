@@ -25,10 +25,13 @@ per stage.
 ``GRID_CHUNK``.  Per chunk it builds each side's weight rows, certifies
 completeness at every strength from the Gram polynomial of the same rows,
 and forms the states after the qubit side and after both sides as weight
-rows times term blocks, validating every member of each stage as a
-density matrix.  States stay in block form; ``linalg.from_blocks`` rebuilds
-the 6x6 product-basis matrix where an output needs it.  A side at strength
-exactly zero is the identity channel and is skipped, member by member.  Sweeps and the ESD detector reduce each
+rows times term blocks.  One density-matrix certificate covers every
+member of both stages, with the initial state in the first chunk; only a
+failed certificate is diagnosed stage by stage, which names the first
+failing stage and member.  States stay in block form;
+``linalg.from_blocks`` rebuilds the 6x6 product-basis matrix where an
+output needs it.  A side at strength exactly zero is the identity channel
+and is skipped, member by member.  Sweeps and the ESD detector reduce each
 chunk before the next is built, so memory stays bounded for any grid
 length, and :func:`evolve` is the one-point case of the same path.
 :func:`apply_channel` over ``channels.kraus_operators`` is the direct Kraus
@@ -198,13 +201,15 @@ def evolve_grid(
     real block stacks (see ``linalg``) of at most ``GRID_CHUNK`` members;
     ``linalg.from_blocks`` gives their product-basis matrices.
 
-    The initial state is validated once, and the family weights (2a, 3b, c)
-    mix the kind's basis table into the point's term blocks.  In each chunk
-    the weight rows of each side are certified complete at every strength,
-    and the states after the qubit side and after both sides are each
-    revalidated, for every member.  A side at strength exactly zero is the
-    identity channel, and is skipped for that member; a side whose strengths
-    in a chunk are all zero is not evaluated at all.
+    The family weights (2a, 3b, c) mix the kind's basis table into the
+    point's term blocks.  In each chunk the weight rows of each side are
+    certified complete at every strength, and one density certificate
+    (``check_density``) covers every member of the states after the qubit
+    side and after both sides, and in the first chunk the initial state
+    too.  Only if it fails are they diagnosed stage by stage, so the error
+    names the first failing stage and member.  A side at strength exactly
+    zero is the identity channel, and is skipped for that member; a side
+    whose strengths in a chunk are all zero is not evaluated at all.
     """
     ga = np.asarray(gamma_qubit, dtype=float)
     gb = np.asarray(gamma_qutrit, dtype=float)
@@ -215,10 +220,12 @@ def evolve_grid(
     kind = ChannelKind(kind)
     weights = family_weights(params)
     rho = (weights @ _FAMILY_BLOCKS).reshape(BLOCK_SHAPE)
-    check_density(rho)
     table, ta, tb = _BASIS_TABLES[kind]
     terms = (weights @ table).reshape(-1, _BLOCK_SIZE)
     qubit, qutrit, both = terms[:ta], terms[ta : ta + tb], terms[ta + tb :]
+    # What the next certificate covers: the initial state goes with the
+    # first chunk, and each chunk adds the stages it evaluated.
+    pending = [rho]
     for s in range(0, len(ga), GRID_CHUNK):
         a, b = ga[s : s + GRID_CHUNK], gb[s : s + GRID_CHUNK]
         # Strength zero is the identity channel, per member, so that a
@@ -229,15 +236,22 @@ def evolve_grid(
         if any_a:
             wa = channel_weights(kind, Side.QUBIT, a)
             _stage(out, on_a, wa, qubit)
-            check_density(out)
+            pending.append(out)
         if on_b.any():
             wb = channel_weights(kind, Side.QUTRIT, b)
-            _stage(out, on_b & ~on_a, wb, qutrit)
             if any_a:
+                # The state after the qubit side stays as certified.
+                out = out.copy()
                 pairs = (wb[:, :, None] * wa[:, None, :]).reshape(len(a), -1)
                 _stage(out, on_b & on_a, pairs, both)
-            check_density(out)
+            _stage(out, on_b & ~on_a, wb, qutrit)
+            pending.append(out)
+        if pending:
+            check_density(*pending)
+            pending = []
         yield out
+    if pending:  # an empty grid still certifies the initial state
+        check_density(*pending)
 
 
 def evolve(scenario: ChannelScenario, params: StateParams) -> DensityMatrix:

@@ -15,9 +15,10 @@ sum of the phi+, phi- and psi+ projectors.  The family is entangled
 exactly when 3b < c <= 1 - 3b.
 
 Every state the package builds or evolves passes :func:`check_density`.  It
-certifies a whole stack with one reduction per check and one Cholesky
-factorization, and it falls back to a per-member eigensolve, which decides
-and names the failing member, only when that certificate fails.
+certifies one or several stacks at once with one reduction per check and
+one Cholesky factorization, and it falls back to a per-stack, per-member
+eigensolve, which decides and names the failing member, only when that
+certificate fails.
 """
 
 from __future__ import annotations
@@ -102,35 +103,55 @@ def random_entangled_params(rng: np.random.Generator, n: int) -> list[StateParam
 _PSD_SHIFT = {d: (PSD_TOL - 1e-13) * np.eye(d) for d in (QUTRIT_DIM, TOTAL_DIM)}
 
 
-def check_density(m: np.ndarray) -> None:
+def check_density(m: np.ndarray, *more: np.ndarray) -> None:
     """Reject a state, or a stack with any member, that is not a density
     matrix: finite, Hermitian, of unit trace and positive semidefinite, all
-    to 1e-10.
+    to 1e-10.  With several arguments, reject the first that fails, as
+    checking each in turn would.
 
     A state is a 6x6 matrix, or its two real symmetric 3x3 blocks in the
     basis of the symmetry S (a (2, 3, 3) block stack, see ``linalg``); a
     stack is a (..., 6, 6) or a (..., 2, 3, 3) array.  The blocks of a state
     are checked together: its trace is the sum of their traces, and it is
     positive semidefinite exactly when both blocks are, since the basis
-    change is orthogonal.
+    change is orthogonal.  The arguments share one layout.
 
-    The whole stack is certified at once, by one reduction per check and one
-    Cholesky factorization of its shifted Hermitian parts (``_PSD_SHIFT``).
-    Only if that certificate fails are the members checked in turn, with a
-    full ``eigvalsh`` for positivity; that pass decides, and its message
-    names the first failing member.
+    All arguments are certified at once, by one reduction per check and one
+    Cholesky factorization of their shifted Hermitian parts (``_PSD_SHIFT``).
+    Only if that certificate fails is each argument diagnosed in turn: it is
+    certified on its own, and if that fails too, its members are checked in
+    turn, with a full ``eigvalsh`` for positivity.  That pass decides, and
+    its message names the first failing member of the first failing
+    argument (no member for a single state).
     """
+    stacks = [_as_blocks(x) for x in (m, *more)]
+    if more:
+        layout = stacks[0].shape[-3:]
+        if any(s.shape[-3:] != layout for s in stacks):
+            raise ValueError("stacks certified together must share one layout")
+        fused = np.concatenate([s.reshape(-1, *layout) for s in stacks])
+        if _certified(fused, _conj_t(fused)):
+            return
+    for s in stacks:
+        sh = _conj_t(s)
+        if not _certified(s, sh):
+            _diagnose(s, sh)
+
+
+def _as_blocks(m: np.ndarray) -> np.ndarray:
+    """A state or stack as a (..., k, d, d) stack: itself if it holds block
+    pairs, a 6x6 matrix as one block of its own."""
     if m.ndim >= 3 and m.shape[-3:] == BLOCK_SHAPE:
-        blocks = m
-    elif m.ndim >= 2 and m.shape[-2:] == (TOTAL_DIM, TOTAL_DIM):
-        blocks = m[..., None, :, :]
-    else:
-        raise ValueError(f"expected {TOTAL_DIM}x{TOTAL_DIM}, got {m.shape}")
-    mh = blocks.swapaxes(-1, -2)
-    if np.iscomplexobj(mh):
-        mh = mh.conj()
-    if not _certified(blocks, mh):
-        _diagnose(blocks, mh)
+        return m
+    if m.ndim >= 2 and m.shape[-2:] == (TOTAL_DIM, TOTAL_DIM):
+        return m[..., None, :, :]
+    raise ValueError(f"expected {TOTAL_DIM}x{TOTAL_DIM}, got {m.shape}")
+
+
+def _conj_t(m: np.ndarray) -> np.ndarray:
+    """The conjugate transposes of the matrices of a stack."""
+    mh = m.swapaxes(-1, -2)
+    return mh.conj() if np.iscomplexobj(mh) else mh
 
 
 def _certified(m: np.ndarray, mh: np.ndarray) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,11 +53,13 @@ _JSON_SPELLINGS = (
     (": -inf", ": -Infinity"),
     (": inf", ": Infinity"),
 )
-_ROW_VALUES = attrgetter("gamma", "negativity", "negativity_analytic", "coherence")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One grid point of a sweep.  A plain tuple underneath, so the row
+    templates format it directly and it compares equal to a tuple of the
+    same values."""
+
     gamma: float
     negativity: float
     negativity_analytic: float | None
@@ -117,11 +119,12 @@ def run_sweep(
 
 def sweep_csv(result: SweepResult) -> str:
     lines = [CSV_HEADER]
-    for g, n, na, coh in map(_ROW_VALUES, result.rows):
+    for row in result.rows:
+        g, n, na, coh = row
         if na is None:
             lines.append(_CSV_ROW_BLANK % (g, n, coh))
         else:
-            lines.append(_CSV_ROW % (g, n, na, coh))
+            lines.append(_CSV_ROW % row)
     return "\n".join(lines) + "\n"
 
 
@@ -173,7 +176,7 @@ def sweep_json(result: SweepResult) -> str:
     ) + "\n"
     if not result.rows:
         return skeleton
-    rows = ",\n".join(map(_JSON_ROW.__mod__, map(_ROW_VALUES, result.rows)))
+    rows = ",\n".join(map(_JSON_ROW.__mod__, result.rows))
     for text, spelling in _JSON_SPELLINGS:
         rows = rows.replace(text, spelling)
     return skeleton.replace('"rows": []', f'"rows": [\n{rows}\n  ]', 1)

@@ -150,6 +150,48 @@ def test_corrupted_table_term_fails_the_import_certificate(corruption, monkeypat
         evolution._basis_table(kind)
 
 
+#: Where a corrupted term first shows in a two-chunk grid: (terms corrupted
+#: (0: qubit side, 1: qutrit side, 2: both sides; the first term of each),
+#: {grid index: (gamma_qubit, gamma_qutrit)}).  A qubit-side term enters
+#: only the state after the qubit side, since the table holds the terms of
+#: both sides in their own right.
+STAGE_CORRUPTIONS = {
+    "after-qubit": ((0,), {GRID_CHUNK + MEMBER: (0.5, 0.5)}),
+    "after-both": ((2,), {GRID_CHUNK + MEMBER: (0.5, 0.5)}),
+    # The after-both stack fails at member 1 too, but the after-qubit stack
+    # is diagnosed first.
+    "after-qubit-first": ((0, 1), {GRID_CHUNK + 1: (0.0, 0.5), GRID_CHUNK + MEMBER: (0.5, 0.0)}),
+}
+
+
+@pytest.mark.parametrize("stage", list(STAGE_CORRUPTIONS))
+def test_corrupted_stage_is_named_with_its_member(stage, monkeypatch):
+    kind = ChannelKind.DEPOLARIZING
+    table, ta, tb = evolution._BASIS_TABLES[kind]
+    corrupted = table.copy()
+    terms, strengths = STAGE_CORRUPTIONS[stage]
+    for t in terms:
+        # The first diagonal entry of the term's even block, in every basis
+        # state: the trace of each state it enters moves by its weight.
+        corrupted[:, (0, ta, ta + tb)[t] * evolution._BLOCK_SIZE] += 1e-3
+    monkeypatch.setitem(evolution._BASIS_TABLES, kind, (corrupted, ta, tb))
+    ga, gb = np.zeros((2, 2 * GRID_CHUNK))
+    for i, (a, b) in strengths.items():
+        ga[i], gb[i] = a, b
+    chunks = evolve_grid(kind, POINTS[0], ga, gb)
+    next(chunks)
+    with pytest.raises(ValueError, match=f"^trace must be 1, got .* in stack member {MEMBER}$"):
+        next(chunks)
+
+
+def test_corrupted_initial_state_is_named_without_a_member(monkeypatch):
+    monkeypatch.setattr(evolution, "_FAMILY_BLOCKS", 2.0 * evolution._FAMILY_BLOCKS)
+    g = np.full(GRID_CHUNK + 1, 0.5)
+    for ga, gb in ((g, g), (g, 0 * g), (0 * g, 0 * g), ([], [])):
+        with pytest.raises(ValueError, match=r"^trace must be 1, got [0-9.]+$"):
+            next(evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], ga, gb), None)
+
+
 def _kraus_reference(kind, p, ga, gb):
     """The direct Kraus route: both channels' operator sums, in turn."""
     rho = apply_channel(kraus_operators(kind, Side.QUBIT, ga), initial_state(p).matrix)

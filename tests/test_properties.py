@@ -271,3 +271,24 @@ def test_empty_stack_passes_and_a_wrong_shape_is_rejected_as_before():
         assert _verdict(check_density, m) == _verdict(_check_density_per_member, m)
     assert _verdict(check_density, np.zeros((0, 6, 6), dtype=complex)) is None
     assert _verdict(check_density, np.zeros((0, 2, 3, 3))) is None
+
+
+def _one_by_one(*stacks):
+    for m in stacks:
+        check_density(m)
+
+
+@pytest.mark.filterwarnings("error")
+@PROPERTY
+@given(st.sampled_from(["6x6", "blocks"]), st.data())
+def test_stacks_certified_together_decide_as_one_by_one(layout, data):
+    perturbations = st.sampled_from(list(PERTURBATIONS))
+    stacks = [data.draw(perturbations.flatmap(lambda p: perturbed_stacks(p, layout)))
+              for _ in range(data.draw(st.integers(2, 4)))]
+    assert _verdict(lambda m: check_density(*m), stacks) == _verdict(
+        lambda m: _one_by_one(*m), stacks)
+
+
+def test_stacks_of_two_layouts_are_not_certified_together():
+    with pytest.raises(ValueError, match="share one layout"):
+        check_density(np.eye(6) / 6, np.array([np.eye(3), np.eye(3)]) / 6)
