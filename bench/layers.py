@@ -13,9 +13,10 @@ call.  The samples are taken round-robin: each round times every row once,
 so a slow stretch of the host spreads over all rows instead of moving one
 row's samples together.  Layer rows time one stage of the pipeline on 64
 strengths at (b, c) = (0.05, 0.6), depolarizing multi-local unless the row
-says otherwise (``_16`` rows take the 16 members of an ESD node chunk,
-``_1`` rows the one member of a one-point evaluation, and the
-``evolve_grid_chunk_*`` rows one whole chunk of that many strengths).
+says otherwise (``_16`` rows take 16 members, ``_1`` rows the one member
+of a one-point evaluation, the ``evolve_grid_chunk_*`` rows one whole chunk
+of that many strengths, and the ``esd_*`` rows one ESD search of that
+cell).
 ``check_density*``, ``negativity_numeric`` and ``coherence_l1`` take the
 states as complex 6x6 matrices, the ``*_blocks*`` rows as the block stacks
 that ``evolve_grid`` yields where it yields them.  End-to-end rows time
@@ -133,21 +134,10 @@ def _completeness(q: ModuleType):
     return lambda: channel_weights(kind, side.QUTRIT, G)
 
 
-def _nodes(q: ModuleType) -> np.ndarray:
+def _esd_candidates(q: ModuleType):
     p, kind, mode = _subject(q)
-    (nodes,) = q.evolution.evolve_grid(
-        kind, p, *q.evolution.sweep_strengths(mode, q.negativity._NODES))
-    return nodes
-
-
-def _esd_node_step(q: ModuleType) -> dict:
-    negativity = q.negativity
-    nodes = _nodes(q)
-    values = negativity._eigenvalue_product(nodes)
-    return {
-        "esd_node_eigenvalue_product": lambda: negativity._eigenvalue_product(nodes),
-        "esd_node_roots": lambda: negativity._node_roots(values),
-    }
+    candidates = q.negativity._esd_candidates
+    return lambda: candidates(kind, mode, p)
 
 
 def _esd_alive(q: ModuleType):
@@ -159,10 +149,10 @@ def _esd_alive(q: ModuleType):
 
 
 def _esd_certify_batch(q: ModuleType):
-    # At tol = 1 the sectioning takes no step: the node roots plus the one
-    # certification batch about them.
-    values, alive = q.negativity._eigenvalue_product(_nodes(q)), _esd_alive(q)
-    return lambda: q.negativity._death_bracket(values, alive, 1.0)
+    # At tol = 1 the sectioning takes no step: the one certification batch
+    # about the candidates.
+    roots, alive = _esd_candidates(q)(), _esd_alive(q)
+    return lambda: q.negativity._death_bracket(roots, alive, 1.0)
 
 
 def _esd_section_step(q: ModuleType):
@@ -207,6 +197,7 @@ def layer_rows(q: ModuleType) -> dict:
         "evolve_one_point": (lambda: lambda: evolution.evolve(one, p), 300),
         "evolve_grid_chunk_128": (lambda: _grid_chunk(q, 128), 100),
         "evolve_grid_chunk_16": (lambda: _grid_chunk(q, 16), 300),
+        "esd_candidates": (lambda: _esd_candidates(q), 300),
         "esd_certify_batch": (lambda: _esd_certify_batch(q), 300),
         "esd_section_step": (lambda: _esd_section_step(q), 300),
     }
@@ -215,8 +206,6 @@ def layer_rows(q: ModuleType) -> dict:
             lambda n=n: lambda b=_blocks(q, stack)[:n]: states.check_density(b), calls)
         rows[f"negativity_blocks{suffix}"] = (
             lambda n=n: lambda b=_blocks(q, stack)[:n]: negativity.negativity_numeric(b), calls)
-    for name in ("esd_node_eigenvalue_product", "esd_node_roots"):
-        rows[name] = (lambda name=name: _esd_node_step(q)[name], 300)
     return rows
 
 

@@ -161,6 +161,17 @@ class _KrausShapes:
             w[:, 2] = np.sqrt(w[:, 0])
         return w
 
+    @cached_property
+    def weights_in_y(self) -> np.ndarray:
+        """The weight rows (u, v[, s]) as coefficients of 1, y, ..., y^k with
+        1 - gamma = y^k: u = 1 - f + f y^k, f = p / m, and v = (1 - y^k) / m;
+        with s, k = 2 and s = sqrt(u) = y, since p = m; else k = 1."""
+        k, f = self.terms - 1, self.p / self.m
+        w = np.zeros((self.terms, k + 1))
+        w[:2, 0], w[:2, k] = (1.0 - f, 1.0 / self.m), (f, -1.0 / self.m)
+        w[2:, 1] = 1.0  # s = y, where s is a weight
+        return w
+
     def expand(self, pair: Callable, identity: np.ndarray) -> np.ndarray:
         """The coefficients (C_u, C_v[, C_s]) of sum_i pair(K_i, K_i) =
         u C_u + v C_v + s C_s, for a ``pair`` linear in each operator and

@@ -33,7 +33,8 @@ failing stage and member.  States stay in block form;
 output needs it.  A side at strength exactly zero is the identity channel
 and is skipped, member by member.  Sweeps and the ESD detector reduce each
 chunk before the next is built, so memory stays bounded for any grid
-length, and :func:`evolve` is the one-point case of the same path.
+length; :func:`evolve` is the one-point case of the same path, and
+:func:`_sweep_polynomial` the same mix with polynomial weights.
 :func:`apply_channel` over ``channels.kraus_operators`` is the direct Kraus
 sum, kept as the reference the tables are tested against.
 
@@ -54,7 +55,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import ChannelKind, Side, channel_terms, channel_weights
+from .channels import _SHAPES, ChannelKind, Side, channel_terms, channel_weights
 from .linalg import BLOCK_SHAPE, TOTAL_DIM, from_blocks, to_blocks
 from .states import (
     FAMILY_BASIS,
@@ -176,6 +177,32 @@ _BASIS_TABLES = {kind: _basis_table(kind) for kind in ChannelKind}
 #: ``FAMILY_BASIS`` in block form, one row of 18 block entries per state.
 _FAMILY_BLOCKS = to_blocks(FAMILY_BASIS).reshape(len(FAMILY_BASIS), -1)
 _BLOCK_SIZE = _FAMILY_BLOCKS.shape[1]
+
+
+def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of polynomials with coefficients of 1, y, ... along axis 0."""
+    out = np.zeros((len(a) + len(b) - 1, *np.broadcast_shapes(a.shape[1:], b.shape[1:])))
+    for i, ai in enumerate(a):
+        out[i : i + len(b)] += ai * b
+    return out
+
+
+def _sweep_polynomial(kind: ChannelKind, mode: Mode, params: StateParams) -> tuple[np.ndarray, int]:
+    """The states of one cell's sweep as block-stack coefficients of 1, y,
+    y^2, ..., and k, 1 - gamma = y^k: the mix of :func:`evolve_grid` with
+    each weight a polynomial in y (``_KrausShapes.weights_in_y``)."""
+    kind, mode = ChannelKind(kind), Mode(mode)
+    table, ta, tb = _BASIS_TABLES[kind]
+    terms = (family_weights(params) @ table).reshape(-1, _BLOCK_SIZE)
+    wa, wb = (_SHAPES[kind, side].weights_in_y.T for side in Side)
+    if mode is Mode.QUBIT_ONLY:
+        w, terms = wa, terms[:ta]
+    elif mode is Mode.QUTRIT_ONLY:
+        w, terms = wb, terms[ta : ta + tb]
+    else:
+        # Both sides at one strength: the products of their rows, qutrit term major.
+        w, terms = _polymul(wb[:, :, None], wa[:, None, :]).reshape(-1, ta * tb), terms[ta + tb :]
+    return (w @ terms).reshape(-1, *BLOCK_SHAPE), len(wa) - 1
 
 
 def _combine(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:

@@ -15,18 +15,16 @@ finite noise strength, strictly before the infinite-time limit gamma = 1.
 For a qubit-qutrit state a positive partial transpose is necessary and
 sufficient for separability (Horodecki, Horodecki & Horodecki 1996), so
 the state dies exactly where the last negative eigenvalue of
-rho^Gamma(gamma) crosses zero.  Along one sweep the coefficients of the
-characteristic polynomial of rho^Gamma are polynomials in the strength.
-The Kraus weights of the mixed-unitary channels square to linear functions
-of gamma.  Dephasing scales each off-diagonal entry (i, j) of rho^Gamma by
-s^(n_i + n_j), s = sqrt(1 - gamma), and leaves the diagonal alone, so
-every term of a principal minor carries an even power of s, a power of
-1 - gamma.  The detector therefore evaluates rho^Gamma at 16 Chebyshev
-nodes in gamma (one :func:`evolve_grid` chunk), interpolates the product
-of its eigenvalues (leaving out the ones that vanish identically), and
-takes the real roots in (0, 1) as candidates.  A 2x3 partial transpose can
+rho^Gamma(gamma) crosses zero.  Along one sweep rho^Gamma, and so each of
+its blocks' invariants (trace, principal-minor sum, determinant), is an
+exact polynomial in y, 1 - gamma = y^k (k = 2 for dephasing, else 1),
+built from the basis tables (``evolution._sweep_polynomial``).  In y a
+multiple root at gamma = 1 sits at y = 0, where trimming rounding noise
+removes it; in gamma rounding would split it into false roots below 1.
+The candidates are the real roots in (0, 1) of each block's highest
+invariant that does not vanish identically.  A 2x3 partial transpose can
 have two negative eigenvalues at once (Rana, PRA 87, 054301, 2013), so the
-numeric negativity about each root, in one more batch, certifies the first
+numeric negativity about each root, in one batch, certifies the first
 death, and :func:`_section` narrows that bracket to the tolerance.  A curve
 that vanishes only at gamma = 1 is asymptotic decay and reports no ESD.
 """
@@ -43,6 +41,7 @@ import numpy as np
 
 from .channels import ChannelKind
 from .evolution import ChannelScenario, Mode, evolve_grid, sweep_strengths
+from .evolution import _polymul, _sweep_polynomial
 from .linalg import BLOCK_SHAPE, TOTAL_DIM, partial_transpose_blocks, partial_transpose_qutrit
 from .states import DensityMatrix, StateParams
 
@@ -55,30 +54,17 @@ NEGATIVE_EIG_CUTOFF = -1e-12
 #: A state counts as disentangled once its negativity falls to this level.
 ESD_NEGATIVITY_THRESHOLD = 1e-12
 
-#: Chebyshev nodes of the ESD root search, the strengths
-#: x_j = (1 - cos(pi (j + 1/2) / 16)) / 2 in (0, 1): one ``evolve_grid`` chunk.
-ESD_NODES = 16
-_ANGLES = np.pi * (np.arange(ESD_NODES) + 0.5) / ESD_NODES
-_NODES = (1.0 - np.cos(_ANGLES)) / 2.0
-#: Node values -> coefficients of the interpolant in T_k(1 - 2 gamma), by
-#: the discrete cosine transform at the nodes.
-_TO_CHEBYSHEV = 2.0 / ESD_NODES * np.cos(np.outer(np.arange(ESD_NODES), _ANGLES))
-_TO_CHEBYSHEV[0] /= 2.0
-
-#: The highest degree the eigenvalue product reaches (12, multi-local
-#: bit-phase-flip); coefficients above it must stay below
-#: ``ESD_DEGREE_TOL`` of the largest one, or the node values are not the
-#: polynomial the root search assumes.
-ESD_MAX_DEGREE = 12
-ESD_DEGREE_TOL = 1e-10
-#: Coefficients below this fraction of the largest are rounding noise
-#: (measured below 5e-15) and are dropped before the roots are taken.
-_NOISE_TOL = 1e-12
+#: A block invariant e_i whose coefficients stay within this fraction of the
+#: largest of e_(i-1) vanishes identically (a zero eigenvalue at every strength).
+_ZERO_TOL = 1e-12
+#: Coefficients at either end of a polynomial below this fraction of its
+#: largest are rounding noise (measured at most 3e-16) and are trimmed.
+_NOISE_TOL = 1e-14
 #: A complex root pair closer than this to the real axis is a double root
 #: split by rounding, and is kept as a candidate.
 _IMAG_TOL = 1e-6
-#: Eigenvalues at or below this magnitude at every node are structural zeros.
-_ZERO_EIG = 1e-12
+#: Columns j + 1 and j + 2 (mod 3) for each column j of a 3x3 matrix.
+_NEXT, _AFTER = [1, 2, 0], [2, 0, 1]
 
 #: Half-width of the bracket that certifies a root.
 ESD_BRACKET = 2.0**-31
@@ -113,7 +99,12 @@ def negativity_numeric(rho: DensityMatrix | np.ndarray) -> NegativityResult:
     leading axes.
     """
     m = rho.matrix if isinstance(rho, DensityMatrix) else rho
-    eigs = _pt_spectrum(m)
+    if m.shape[-3:] == BLOCK_SHAPE:
+        eigs = np.linalg.eigvalsh(partial_transpose_blocks(m))
+        eigs = eigs.reshape(*eigs.shape[:-2], TOTAL_DIM)
+    else:
+        pt = partial_transpose_qutrit(m)
+        eigs = np.linalg.eigvalsh((pt + pt.conj().swapaxes(-1, -2)) / 2.0)
     neg_sum = np.where(eigs < NEGATIVE_EIG_CUTOFF, eigs, 0.0).sum(axis=-1)
     # np.maximum(0.0, -neg_sum) would give -0.0 where no eigenvalue is negative.
     value = np.where(neg_sum < 0.0, -2.0 * neg_sum, 0.0)
@@ -121,19 +112,6 @@ def negativity_numeric(rho: DensityMatrix | np.ndarray) -> NegativityResult:
     if eigs.ndim == 1:
         return NegativityResult(float(value), float(neg_sum), float(via_trace_norm))
     return NegativityResult(value, neg_sum, via_trace_norm)
-
-
-def _pt_spectrum(m: np.ndarray) -> np.ndarray:
-    """The six eigenvalues of the partial transpose of each state in ``m``,
-    along a new last axis.  A block stack gives each block's eigenvalues in
-    ascending order, the S-even block's first; any other input is taken as
-    6x6 matrices, whose eigenvalues come in ascending order, of the partial
-    transpose taken Hermitian by averaging with its conjugate transpose."""
-    if m.shape[-3:] == BLOCK_SHAPE:
-        eigs = np.linalg.eigvalsh(partial_transpose_blocks(m))
-        return eigs.reshape(*eigs.shape[:-2], TOTAL_DIM)
-    pt = partial_transpose_qutrit(m)
-    return np.linalg.eigvalsh((pt + pt.conj().swapaxes(-1, -2)) / 2.0)
 
 
 def sweep_negativities(kind: ChannelKind, mode: Mode, params: StateParams, gammas: ArrayLike) -> np.ndarray:
@@ -283,67 +261,56 @@ def check_entangled(params: StateParams) -> None:
         raise ValueError("ESD detection requires an entangled initial state")
 
 
-def _eigenvalue_product(states: np.ndarray) -> np.ndarray:
-    """Product of the partial-transpose eigenvalues of each state in a stack,
-    leaving out z zeros, where z is the fewest eigenvalues within
-    ``_ZERO_EIG`` of zero at any one state.
-
-    The product is the elementary symmetric polynomial e_{6-z} of the
-    eigenvalues, a coefficient of the characteristic polynomial and so a
-    polynomial in the matrix entries.
-    """
-    eigs = _pt_spectrum(states)
-    zeros = int((np.abs(eigs) <= _ZERO_EIG).sum(axis=-1).min())
-    e = np.zeros((len(eigs), TOTAL_DIM + 1))
-    e[:, 0] = 1.0
-    for k in range(TOTAL_DIM):
-        e[:, 1:] = e[:, 1:] + eigs[:, k, None] * e[:, :-1]
-    return e[:, TOTAL_DIM - zeros]
-
-
-def _chebyshev_roots(c: np.ndarray) -> np.ndarray:
-    """Complex roots of sum_k c_k T_k(t), c[-1] != 0, as the eigenvalues of
-    the colleague matrix (the companion matrix of the Chebyshev basis),
-    symmetrised by the scaling that numpy.polynomial also uses; importing
-    numpy.polynomial for this would add about 2.8 ms and 0.13 MB."""
-    n = len(c) - 1
-    if n < 1:
-        return np.empty(0, dtype=complex)
-    if n == 1:
-        return np.array([-c[0] / c[1]], dtype=complex)
-    m = np.zeros((n, n))
-    off = np.full(n - 1, 0.5)
-    off[0] = np.sqrt(0.5)
-    i = np.arange(n - 1)
-    m[i, i + 1] = m[i + 1, i] = off
-    scale = np.full(n, np.sqrt(0.5))
-    scale[0] = 1.0
-    m[:, -1] -= 0.5 * (c[:-1] / c[-1]) * (scale / scale[-1])
-    return np.linalg.eigvals(m)
+def _block_invariants(kind: ChannelKind, mode: Mode, params: StateParams) -> tuple[list, int]:
+    """Per block of the partial transpose along one cell's sweep, S-even
+    first, the highest invariant e_i of its eigenvalues that does not vanish
+    identically, as (i, coefficients of 1, y, ...), 1 - gamma = y^k; and k.
+    e_1 = tr A, e_2 = ((tr A)^2 - tr A^2) / 2 and e_3 = det A (by the
+    cofactors of row 0) of the polynomial blocks A; e_i vanishes when its
+    coefficients stay within ``_ZERO_TOL`` of those of e_(i-1), e_0 = 1."""
+    pt, k = _sweep_polynomial(kind, mode, params)
+    pt = partial_transpose_blocks(pt)
+    tr = np.trace(pt, axis1=-2, axis2=-1)
+    r1, r2 = pt[..., 1, :], pt[..., 2, :]
+    cofactors = _polymul(r1[..., _NEXT], r2[..., _AFTER])
+    cofactors -= _polymul(r1[..., _AFTER], r2[..., _NEXT])
+    invariants = [
+        np.ones((1, 2)),
+        tr,
+        (_polymul(tr, tr) - _polymul(pt, pt.swapaxes(-1, -2)).sum(axis=(-2, -1))) / 2.0,
+        _polymul(pt[..., 0, :], cofactors).sum(axis=-1),
+    ]
+    scale = [np.abs(e).max(axis=0).tolist() for e in invariants]
+    chosen = []
+    for block in range(2):
+        for i in (3, 2, 1):
+            if not scale[i][block] <= _ZERO_TOL * scale[i - 1][block]:
+                chosen.append((i, invariants[i][:, block]))
+                break
+    return chosen, k
 
 
-def _node_roots(values: np.ndarray) -> np.ndarray:
-    """Real roots in (0, 1) of the polynomial through ``values`` at the
-    Chebyshev nodes ``_NODES``, in no particular order.
+def _strengths_of_roots(c: np.ndarray, k: int) -> np.ndarray:
+    """The strengths 1 - y^k in (0, 1), in no set order, of the real roots y
+    in (0, 1) of sum_i c_i y^i, noise trimmed at both ends (``_NOISE_TOL``),
+    as eigenvalues of the power-basis companion matrix (numpy.polynomial
+    would add about 2.8 ms and 0.13 MB of import)."""
+    big = np.flatnonzero(np.abs(c) > _NOISE_TOL * np.abs(c).max())
+    c = c[big[0] : big[-1] + 1]
+    if len(c) < 2:
+        return np.empty(0)
+    companion = np.eye(len(c) - 1, k=-1)
+    companion[:, -1] -= c[:-1] / c[-1]
+    y = np.linalg.eigvals(companion)
+    y = y[np.abs(y.imag) <= _IMAG_TOL].real
+    g = 1.0 - y**k
+    return g[(y > 0.0) & (g > 0.0) & (g < 1.0)]
 
-    Raises ValueError when the interpolant's coefficients above
-    ``ESD_MAX_DEGREE`` are not negligible, i.e. the values are not those of
-    a polynomial of that degree.
-    """
-    c = _TO_CHEBYSHEV @ values
-    scale = np.abs(c).max()
-    tail = np.abs(c[ESD_MAX_DEGREE + 1 :]).max()
-    if not tail <= ESD_DEGREE_TOL * scale:
-        raise ValueError(
-            f"partial-transpose eigenvalue product is not a polynomial of degree "
-            f"<= {ESD_MAX_DEGREE}: degree {ESD_MAX_DEGREE + 1}+ coefficients reach "
-            f"{tail / scale:.1e} of the largest"
-        )
-    c = c[: ESD_MAX_DEGREE + 1]
-    c = c[: np.flatnonzero(np.abs(c) > _NOISE_TOL * scale)[-1] + 1]
-    t = _chebyshev_roots(c)
-    x = (1.0 - t[np.abs(t.imag) <= _IMAG_TOL].real) / 2.0
-    return x[(x > 0.0) & (x < 1.0)]
+
+def _esd_candidates(kind: ChannelKind, mode: Mode, params: StateParams) -> np.ndarray:
+    """The candidate death strengths of one cell, from both blocks' invariants."""
+    chosen, k = _block_invariants(kind, mode, params)
+    return np.concatenate([_strengths_of_roots(c, k) for _, c in chosen])
 
 
 def _narrow(
@@ -381,12 +348,12 @@ def _section(
 
 
 def _death_bracket(
-    values: np.ndarray, alive: Callable[[np.ndarray], np.ndarray], tol: float
+    roots: np.ndarray, alive: Callable[[np.ndarray], np.ndarray], tol: float
 ) -> tuple[float, float] | None:
     """Bracket (lo, hi), alive at lo and dead at hi, about the first death;
     None when the state stays entangled below gamma = 1.
 
-    ``values`` are the eigenvalue products at the strengths ``_NODES``, and
+    ``roots`` are the candidate strengths in (0, 1), in any order, and
     ``alive(g)`` tells for each strength of an array whether the state
     there is still entangled.  Each candidate root r is sampled at
     r -/+ ``ESD_BRACKET``, and the stretch up to the next root (or
@@ -395,7 +362,6 @@ def _death_bracket(
     death, which :func:`_section` then narrows down to ``tol``.  A death
     bracketed only by gamma = 1 is asymptotic.
     """
-    roots = _node_roots(values)
     if not roots.size:
         return None
     h = ESD_BRACKET
@@ -417,25 +383,20 @@ def esd_gamma(
 ) -> float | None:
     """Smallest sweep strength at which the numeric negativity has died.
 
-    The partial transpose is evaluated at the 16 Chebyshev nodes
-    ``_NODES``; the real roots in (0, 1) of the interpolated eigenvalue
-    product are the candidates, and the numeric negativity on either side
-    of each certifies the first death (see :func:`_death_bracket`).  The
-    certified bracket is sectioned, one batch of evaluations per step,
-    until it is no wider than ``tol`` (a positive number), or until no
-    float lies strictly between its ends, and its dead end is returned.
-    Returns None when the negativity stays above ``ESD_NEGATIVITY_THRESHOLD``
-    below gamma = 1; a death exactly at gamma = 1 is asymptotic decay.
-
-    Raises ValueError if the node values fail the degree check, rather than
-    returning a threshold from a wrong interpolant.
+    The numeric negativity on either side of each candidate
+    (:func:`_esd_candidates`) certifies the first death
+    (:func:`_death_bracket`).  The certified bracket is sectioned, one batch
+    of evaluations per step, until it is no wider than ``tol`` (a positive
+    number) or no float lies strictly between its ends, and its dead end is
+    returned.  Returns None when the negativity stays above
+    ``ESD_NEGATIVITY_THRESHOLD`` below gamma = 1; a death exactly at
+    gamma = 1 is asymptotic decay.
     """
     check_tol(tol)
     kind, mode = ChannelKind(kind), Mode(mode)
     check_entangled(params)
-    (nodes,) = evolve_grid(kind, params, *sweep_strengths(mode, _NODES))
     alive = partial(sweep_alive, kind, mode, params)
-    bracket = _death_bracket(_eigenvalue_product(nodes), alive, tol)
+    bracket = _death_bracket(_esd_candidates(kind, mode, params), alive, tol)
     return None if bracket is None else bracket[1]
 
 

@@ -10,7 +10,7 @@ from qqdyn import (
     apply_channel,
     initial_state,
 )
-from qqdyn.channels import channel_terms, channel_weights, kraus_operators
+from qqdyn.channels import _SHAPES, channel_terms, channel_weights, kraus_operators
 from qqdyn.states import _BELL_PROJECTORS, StateParams
 
 from helpers import qubit_marginal, qutrit_marginal, random_density_matrix
@@ -141,3 +141,17 @@ def test_polynomial_terms_equal_the_kraus_sum(kind, side):
     got = np.einsum("nt,t...->n...", w, terms)
     want = apply_channel(kraus_operators(kind, side, g)[:, None], rho[None])
     assert np.abs(got - want).max() < 1e-15
+
+
+@pytest.mark.parametrize("kind", list(ChannelKind))
+@pytest.mark.parametrize("side", list(Side))
+def test_weight_polynomials_in_y_give_the_weight_rows(kind, side):
+    # With 1 - gamma = y^k, the weight rows are polynomials in y: k = 2 for
+    # dephasing, whose s = sqrt(1 - gamma) is y itself, else k = 1.
+    g = np.array([0.0, 0.1, 0.5, 0.9, 1.0])
+    w = _SHAPES[(kind, side)].weights_in_y
+    k = w.shape[1] - 1
+    assert k == (2 if kind is ChannelKind.DEPHASING else 1)
+    y = (1.0 - g) ** (1.0 / k)
+    got = np.vander(y, k + 1, increasing=True) @ w.T
+    assert np.abs(got - channel_weights(kind, side, g)).max() < 1e-15

@@ -222,6 +222,34 @@ def test_cli_tolerance_never_hangs(args, code):
         assert json.loads(proc.stdout)["esd_gamma"] == approx(117 / 121, abs=1e-9)
 
 
+@pytest.mark.parametrize("config", [False, True], ids=["flag", "batch"])
+def test_cli_grid_too_large_to_allocate_is_a_config_error(config, tmp_path):
+    # The child's address space is capped, so the grid fails to allocate
+    # whatever the host's overcommit policy, and no memory is touched.
+    steps = 10**13
+    args = SWEEP_ARGS[:-2] + ["--gamma-steps", str(steps)]
+    if config:
+        entry = {"kind": "dephasing", "mode": "qubitonly", "b": 0.05, "c": 0.6,
+                 "gamma": {"steps": steps}}
+        (tmp_path / "batch.json").write_text(json.dumps([entry]), encoding="utf-8")
+        args = ["sweep", "--config", str(tmp_path / "batch.json")]
+    code = (
+        "import resource, runpy, sys\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "cap = 4 * 2**30 if hard == resource.RLIM_INFINITY else min(4 * 2**30, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        f"sys.argv = ['qqdyn', *{args!r}]\n"
+        "runpy.run_module('qqdyn.cli', run_name='__main__')\n"
+    )
+    src = str(Path(qqdyn.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
+
+
 def test_cli_esd(tmp_path):
     out = tmp_path / "esd.json"
     rc = main(["esd", "--kind", "dephasing", "--mode", "qubitonly", "--b", "0.05", "--c", "0.6", "--out", str(out)])

@@ -24,7 +24,8 @@ from qqdyn import (
     random_entangled_params,
     run_sweep,
 )
-from qqdyn import negativity, sweep, validate
+from qqdyn import evolution, negativity, sweep, validate
+from qqdyn.linalg import partial_transpose_blocks
 from qqdyn.negativity import sweep_negativities
 
 from helpers import brute_negativity
@@ -262,6 +263,14 @@ def test_last_cell_death_is_found():
     assert got is not None and abs(got - want) <= 1e-9
 
 
+def _candidates(*roots_in_gamma, lift=0.0):
+    """The candidate strengths of prod_r (gamma - r) + lift, taken as a
+    polynomial in y = 1 - gamma."""
+    c = np.poly([1.0 - r for r in roots_in_gamma])[::-1] * (-1.0) ** len(roots_in_gamma)
+    c[0] += lift
+    return negativity._strengths_of_roots(c, 1)
+
+
 def test_root_search_finds_death_before_revival_inside_one_grid_cell():
     # Negativity stand-in: alive while (g - death)(g - revival) > 0, so dead
     # only between the two roots, both inside the grid cell (153/512, 154/512).
@@ -270,28 +279,29 @@ def test_root_search_finds_death_before_revival_inside_one_grid_cell():
     alive = lambda g: poly(np.asarray(g)) > 0.0
     assert alive(np.arange(1, 512) / 512).all()
     width = 2.0 * negativity.ESD_BRACKET
-    lo, hi = negativity._death_bracket(poly(negativity._NODES), alive, width)
+    lo, hi = negativity._death_bracket(_candidates(death, revival, -0.5), alive, width)
     assert lo < death <= hi
     assert hi - lo <= 2.0 * negativity.ESD_BRACKET
 
 
 @pytest.mark.parametrize("offset", [-1e-7, 1e-7], ids=["early", "late"])
 def test_root_search_widens_about_a_root_that_missed_its_crossing(offset):
-    # The interpolant has its root at 0.3, but the state dies 1e-7 earlier
+    # The polynomial has its root at 0.3, but the state dies 1e-7 earlier
     # or later, beyond the first certification bracket on either side.
     crossing = 0.3 + offset
-    values = (negativity._NODES - 0.3) * (negativity._NODES + 2.0)
-    lo, hi = negativity._death_bracket(values, lambda g: np.asarray(g) < crossing, 2e-7)
+    lo, hi = negativity._death_bracket(
+        _candidates(0.3, -2.0), lambda g: np.asarray(g) < crossing, 2e-7)
     assert lo < crossing <= hi
     assert hi - lo <= 2e-7
 
 
 def test_root_search_keeps_a_double_root_lifted_off_the_axis():
-    # Two eigenvalues dying together make a double root of the product;
+    # Two eigenvalues dying together make a double root of the invariant;
     # rounding can lift it into a complex pair, which stays a candidate.
-    values = (negativity._NODES - 0.3) ** 2 * (negativity._NODES + 2.0) + 1e-15
+    roots = _candidates(0.3, 0.3, -2.0, lift=1e-15)
+    assert roots.size and np.abs(roots - 0.3).max() < 1e-6
     width = 2.0 * negativity.ESD_BRACKET
-    lo, hi = negativity._death_bracket(values, lambda g: np.asarray(g) < 0.3, width)
+    lo, hi = negativity._death_bracket(roots, lambda g: np.asarray(g) < 0.3, width)
     assert lo < 0.3 <= hi
     assert hi - lo <= 2.0 * negativity.ESD_BRACKET
 
@@ -337,36 +347,73 @@ def test_oracle_sections_its_grid_cell_in_six_batches(monkeypatch):
     assert got == approx(117.0 / 121.0, abs=1e-9)
 
 
-def test_root_search_on_a_degree_twelve_polynomial():
-    roots = np.linspace(0.05, 0.95, 12)
-    values = np.prod(negativity._NODES[:, None] - roots, axis=1)
-    assert np.abs(np.sort(negativity._node_roots(values)) - roots).max() <= 1e-9
-
-
-def test_degree_guard_rejects_non_polynomial_node_values():
-    with pytest.raises(ValueError, match="not a polynomial of degree"):
-        negativity._node_roots(np.abs(negativity._NODES - 0.4))
-    with pytest.raises(ValueError, match="not a polynomial of degree"):
-        negativity._node_roots(negativity._NODES ** 13)
-
-
 @pytest.mark.parametrize("kind", list(ChannelKind), ids=[k.value for k in ChannelKind])
 def test_qubit_only_thresholds_at_a_zero_match_closed_forms(kind):
-    # At a = 0 two partial-transpose eigenvalues vanish identically, so the
-    # determinant is zero and the root search works on the deflated product.
+    # At a = 0 a block's determinant vanishes identically in most cells, so
+    # the root search works on the deflated invariant.  Qubit-only first,
+    # then every other mode that has a closed form.
+    modes = [Mode.QUBIT_ONLY, Mode.QUTRIT_ONLY]
+    if kind not in (ChannelKind.BIT_FLIP, ChannelKind.BIT_PHASE_FLIP):
+        modes.append(Mode.MULTI_LOCAL)  # the multi-local flips have no closed form
     for b in (0.0, 1e-4, 1 / 30, 2 / 30, 3 / 30, 4 / 30, 0.15, 0.166):
         p = StateParams.a_zero(b)
-        got = esd_gamma(kind, Mode.QUBIT_ONLY, p)
-        want = analytic_esd_gamma(kind, Mode.QUBIT_ONLY, p)
-        if want is None:
-            assert got is None, (b, got)
-        else:
-            assert got is not None and abs(got - want) <= 1e-9, (b, got, want)
+        for mode in modes:
+            got = esd_gamma(kind, mode, p)
+            want = analytic_esd_gamma(kind, mode, p)
+            if want is None:
+                assert got is None, (b, mode, got)
+            else:
+                assert got is not None and abs(got - want) <= 1e-9, (b, mode, got, want)
+
+
+@pytest.mark.parametrize("kind", [ChannelKind.DEPHASING, ChannelKind.PHASE_FLIP],
+                         ids=["dephasing", "phaseflip"])
+def test_decoherence_at_b_zero_is_never_sudden(kind):
+    # At b = 0 the negativity decays to zero only at gamma = 1, where the
+    # invariants have a multiple root; rounding must not split it into
+    # deaths just below 1.
+    for c in (0.05, 0.25, 0.5, 0.75, 0.95, 1.0):
+        p = StateParams(0.0, c)
+        for mode in Mode:
+            assert esd_report(kind, mode, p).classification == "NoESD", (c, mode)
+
+
+def test_threshold_a_hair_below_one_is_found():
+    # Bit flip on the qubit at b = 1e-7 dies at 1 - 4e-7; the constant term
+    # of the determinant is about 1.6e-13, which a coarser trim would drop.
+    p = StateParams(1e-7, 0.5)
+    want = analytic_esd_gamma(ChannelKind.BIT_FLIP, Mode.QUBIT_ONLY, p)
+    got = esd_gamma(ChannelKind.BIT_FLIP, Mode.QUBIT_ONLY, p)
+    assert got is not None and abs(got - want) <= 1e-9, (got, want)
+
+
+def test_chosen_invariants_equal_those_of_the_evolved_blocks():
+    # Each block's chosen invariant e_i, evaluated at random strengths, is
+    # e_i of the eigenvalues of the partial transpose of the evolved state.
+    rng = np.random.default_rng(16)
+    points = random_entangled_params(rng, 6) + [StateParams.a_zero(0.1), StateParams(0.0, 0.5)]
+    g = rng.uniform(0.0, 1.0, 7)
+    for p in points:
+        for kind in ChannelKind:
+            for mode in Mode:
+                chosen, k = negativity._block_invariants(kind, mode, p)
+                (states,) = evolve_grid(kind, p, *evolution.sweep_strengths(mode, g))
+                eigs = np.linalg.eigvalsh(partial_transpose_blocks(states))
+                # e_1, e_2, e_3 of each block from its eigenvalues.
+                e = [eigs.sum(axis=-1),
+                     (eigs[..., [0, 0, 1]] * eigs[..., [1, 2, 2]]).sum(axis=-1),
+                     eigs.prod(axis=-1)]
+                assert len(chosen) == 2, (p, kind, mode)
+                y = (1.0 - g) ** (1.0 / k)
+                for block, (i, c) in enumerate(chosen):
+                    got = np.vander(y, len(c), increasing=True) @ c
+                    assert np.abs(got - e[i - 1][:, block]).max() <= 1e-14, (p, kind, mode, block)
 
 
 def test_default_tolerance_needs_no_bisection(monkeypatch):
-    # Each cell takes one batch at the nodes and at most one certification
-    # batch, and the certified bracket is already narrower than tol = 1e-9.
+    # Each cell takes at most one certification batch, and the certified
+    # bracket is already narrower than tol = 1e-9; the candidates come from
+    # the basis tables, with no batch of their own.
     batches = []
 
     def counting_grid(*args):
@@ -378,4 +425,4 @@ def test_default_tolerance_needs_no_bisection(monkeypatch):
         for mode in Mode:
             batches.clear()
             esd_gamma(kind, mode, P)
-            assert len(batches) <= 2, (kind, mode)
+            assert len(batches) <= 1, (kind, mode)
