@@ -16,7 +16,10 @@ strengths at (b, c) = (0.05, 0.6), depolarizing multi-local unless the row
 says otherwise (``_16`` rows take 16 members, ``_1`` rows the one member
 of a one-point evaluation, the ``evolve_grid_chunk_*`` rows one whole chunk
 of that many strengths, and the ``esd_*`` rows one ESD search of that
-cell).
+cell).  ``channel_weights_1`` takes the one qutrit strength of
+``evolve_one_point``, and ``check_density_blocks_3`` certifies that
+point's three states (initial, after the qubit side, after both) as the
+checkout's ``evolve_grid`` does.
 ``check_density*``, ``negativity_numeric`` and ``coherence_l1`` take the
 states as complex 6x6 matrices, the ``*_blocks*`` rows as the block stacks
 that ``evolve_grid`` yields where it yields them.  End-to-end rows time
@@ -62,6 +65,8 @@ SUBMODULES = ("channels", "cli", "evolution", "linalg", "negativity", "states", 
               "validate")
 N = 64
 G = np.linspace(0.0, 1.0, N)
+#: The strengths (gamma_qubit, gamma_qutrit) of the one-point rows.
+_ONE_POINT = (0.3, 0.7)
 
 
 def load_package(root: Path, name: str) -> ModuleType:
@@ -120,18 +125,42 @@ def _closed_forms(q: ModuleType):
 def _table_combine(q: ModuleType):
     p, kind, _ = _subject(q)
     channel_weights, side = q.channels.channel_weights, q.channels.Side
+    # Looked up now, so that a checkout without it reports the row absent.
+    combine = q.evolution._combine
     table, ta, tb = q.evolution._BASIS_TABLES[kind]
     # One row per term, whatever the checkout stores per term.
     terms = (q.states.family_weights(p) @ table).reshape(ta + tb + ta * tb, -1)[ta + tb :]
     wa, wb = channel_weights(kind, side.QUBIT, G), channel_weights(kind, side.QUTRIT, G)
     pairs = (wb[:, :, None] * wa[:, None, :]).reshape(N, -1)
-    return lambda: q.evolution._combine(pairs, terms)
+    return lambda: combine(pairs, terms)
 
 
-def _completeness(q: ModuleType):
+def _completeness(q: ModuleType, g: np.ndarray = G):
     _, kind, _ = _subject(q)
     channel_weights, side = q.channels.channel_weights, q.channels.Side
-    return lambda: channel_weights(kind, side.QUTRIT, G)
+    return lambda: channel_weights(kind, side.QUTRIT, g)
+
+
+def _one_point_certificate(q: ModuleType):
+    """The density certificate of the three states of a one-point
+    multi-local evolution (the initial state, after the qubit side, after
+    both sides), as the checkout's ``evolve_grid`` certifies them: one
+    ``states._certified`` call on the block stack of one buffer where its
+    ``evolve_grid`` makes that call itself, else one ``check_density`` call
+    over the three stages."""
+    p, kind, _ = _subject(q)
+    a, b = _ONE_POINT
+
+    def state(ga, gb):
+        (m,) = q.evolution.evolve_grid(kind, p, [ga], [gb])
+        return m
+
+    rho, after_qubit, after_both = state(0.0, 0.0), state(a, 0.0), state(a, b)
+    if hasattr(q.evolution, "_certified"):
+        blocks = np.concatenate([rho, after_qubit, after_both])
+        certified, conj_t = q.states._certified, q.states._conj_t
+        return lambda: certified(blocks, conj_t(blocks))
+    return lambda: q.states.check_density(rho[0], after_qubit, after_both)
 
 
 def _esd_candidates(q: ModuleType):
@@ -179,16 +208,18 @@ def layer_rows(q: ModuleType) -> dict:
     ops = kraus_operators(kind, side.QUTRIT, G)
     sweep = q.sweep.run_sweep(kind, mode, p)
     render_sweep = q.sweep.render_sweep
-    one = evolution.ChannelScenario(kind, mode, 0.3, 0.7)
+    one = evolution.ChannelScenario(kind, mode, *_ONE_POINT)
     rows = {
         "initial_state": (lambda: lambda: states.initial_state(p), 500),
         "table_combine": (lambda: _table_combine(q), 500),
         "completeness": (lambda: _completeness(q), 500),
+        "channel_weights_1": (lambda: _completeness(q, np.array(_ONE_POINT[1:])), 1000),
         "kraus_operators": (lambda: lambda: kraus_operators(kind, side.QUTRIT, G), 200),
         "apply_channel": (lambda: lambda: evolution.apply_channel(ops, product), 50),
         "check_density": (lambda: lambda: states.check_density(product), 200),
         "check_density_16": (lambda: lambda: states.check_density(product[:16]), 500),
         "check_density_1": (lambda: lambda: states.check_density(product[:1]), 1000),
+        "check_density_blocks_3": (lambda: _one_point_certificate(q), 1000),
         "negativity_numeric": (lambda: lambda: negativity.negativity_numeric(product), 200),
         "coherence_l1": (lambda: lambda: evolution.coherence_l1(product), 500),
         "closed_forms_513": (lambda: _closed_forms(q), 50),

@@ -131,16 +131,19 @@ def cmd_sweep(args) -> int:
     return _run_sweeps(runs, [f"point (b={p.b!r}, c={p.c!r})" for p in points])
 
 
-def _run_sweeps(runs: list[dict], labels: list[str]) -> int:
+def _run_sweeps(runs: list[dict], labels: list[str], config: str | None = None) -> int:
     """Run the sweeps once every output path is known to be writable as
-    given: two runs sharing a path are a configuration error, a missing
-    output directory an I/O error, and either stops all runs before any
-    output is written."""
+    given: two runs sharing a path, or a run writing the batch ``config``
+    it came from, are a configuration error, a missing output directory an
+    I/O error, and each stops all runs before any output is written."""
     claimed: dict[Path, str] = {}
+    config_path = Path(config).resolve() if config is not None else None
     for run, label in zip(runs, labels):
         if run["out"] is None:
             continue
         path = Path(run["out"]).resolve()
+        if path == config_path:
+            raise ConfigError(f"{label} would overwrite its config file {run['out']}")
         if path in claimed:
             raise ConfigError(f"{claimed[path]} and {label} both write {run['out']}")
         if not path.parent.is_dir():
@@ -161,7 +164,7 @@ def _run_batch(config_path: str) -> int:
     if not isinstance(entries, list):
         raise ConfigError("batch config must be a JSON list of run objects")
     runs = [_batch_run(i, entry) for i, entry in enumerate(entries)]
-    return _run_sweeps(runs, [f"batch entry {i}" for i in range(len(runs))])
+    return _run_sweeps(runs, [f"batch entry {i}" for i in range(len(runs))], config_path)
 
 
 def _number(name: str, value) -> float:

@@ -24,11 +24,12 @@ per stage.
 :func:`evolve_grid` then works through the strength arrays in chunks of
 ``GRID_CHUNK``.  Per chunk it builds each side's weight rows, certifies
 completeness at every strength from the Gram polynomial of the same rows,
-and forms the states after the qubit side and after both sides as weight
-rows times term blocks.  One density-matrix certificate covers every
-member of both stages, with the initial state in the first chunk; only a
-failed certificate is diagnosed stage by stage, which names the first
-failing stage and member.  States stay in block form;
+and writes the states after the qubit side and after both sides, weight
+rows times term blocks, into their slices of one buffer of block-pair
+rows, with the initial state in the first chunk.  One density-matrix
+certificate covers the whole buffer in place; only a failed certificate
+is diagnosed stage by stage, which names the first failing stage and
+member.  States stay in block form;
 ``linalg.from_blocks`` rebuilds the 6x6 product-basis matrix where an
 output needs it.  A side at strength exactly zero is the identity channel
 and is skipped, member by member.  Sweeps and the ESD detector reduce each
@@ -61,6 +62,8 @@ from .states import (
     FAMILY_BASIS,
     DensityMatrix,
     StateParams,
+    _certified,
+    _conj_t,
     check_density,
     family_weights,
 )
@@ -187,6 +190,18 @@ def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _both_sides_in_y(kind: ChannelKind) -> np.ndarray:
+    """The weight rows of both sides at one strength as polynomials in y
+    (``_KrausShapes.weights_in_y``): the products of the two sides' rows,
+    qutrit term major, as the terms of both sides are tabulated."""
+    wa, wb = (_SHAPES[kind, side].weights_in_y.T for side in Side)
+    return _polymul(wb[:, :, None], wa[:, None, :]).reshape(len(wa) + len(wb) - 1, -1)
+
+
+#: The multi-local weight polynomials of every kind, built once at import.
+_BOTH_SIDES_IN_Y = {kind: _both_sides_in_y(kind) for kind in ChannelKind}
+
+
 def _sweep_polynomial(kind: ChannelKind, mode: Mode, params: StateParams) -> tuple[np.ndarray, int]:
     """The states of one cell's sweep as block-stack coefficients of 1, y,
     y^2, ..., and k, 1 - gamma = y^k: the mix of :func:`evolve_grid` with
@@ -200,24 +215,44 @@ def _sweep_polynomial(kind: ChannelKind, mode: Mode, params: StateParams) -> tup
     elif mode is Mode.QUTRIT_ONLY:
         w, terms = wb, terms[ta : ta + tb]
     else:
-        # Both sides at one strength: the products of their rows, qutrit term major.
-        w, terms = _polymul(wb[:, :, None], wa[:, None, :]).reshape(-1, ta * tb), terms[ta + tb :]
+        w, terms = _BOTH_SIDES_IN_Y[kind], terms[ta + tb :]
     return (w @ terms).reshape(-1, *BLOCK_SHAPE), len(wa) - 1
 
 
-def _combine(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """The (n, 2, 3, 3) block stack sum_t weights[:, t] terms[t].  Each
-    strength is its own vector-matrix product, so a state does not depend on
-    the other strengths of its chunk."""
-    return (weights[:, None, :] @ terms).reshape(len(weights), *BLOCK_SHAPE)
+def _combine(weights: np.ndarray, terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The (n, 18) block-pair rows sum_t weights[:, t] terms[t], written into
+    ``out`` if given (C-contiguous, so that it is written in place).  Each
+    strength is its own vector-matrix product, so a state does not depend
+    on the other strengths of its chunk."""
+    n, size = len(weights), terms.shape[-1]
+    out = np.empty((n, size)) if out is None else out
+    np.matmul(weights[:, None, :], terms, out=out.reshape(n, 1, size))
+    return out
 
 
-def _stage(out: np.ndarray, members: np.ndarray, weights: np.ndarray, terms: np.ndarray) -> None:
-    """Set the states of the chunk members that ``members`` selects."""
-    if members.all():
-        out[:] = _combine(weights, terms)
-    elif members.any():
+def _stage(out: np.ndarray, members: np.ndarray, weights: np.ndarray, terms: np.ndarray,
+           before: np.ndarray | None = None) -> np.ndarray:
+    """Write a stage into its rows ``out`` and return them: the mix of
+    ``terms`` with each member's weights where ``members`` holds, the rows
+    of ``before`` (the state the stage acts on) elsewhere, or what ``out``
+    holds if ``before`` is None.  A stage whose members are all active is
+    written directly, with no mask."""
+    active = np.count_nonzero(members)
+    if active == len(members):
+        return _combine(weights, terms, out)
+    if before is not None:
+        out[:] = before
+    if active:
         out[members] = _combine(weights[members], terms)
+    return out
+
+
+def _stages(rows: np.ndarray, first: int, n: int) -> list[np.ndarray]:
+    """The states of a chunk's certified rows as block stacks, in the order
+    they are diagnosed: the initial state on its own if the chunk is the
+    first, then each stage of n members."""
+    stacks = [rows[0].reshape(BLOCK_SHAPE)] if first else []
+    return stacks + [rows[i : i + n].reshape(n, *BLOCK_SHAPE) for i in range(first, len(rows), n)]
 
 
 def evolve_grid(
@@ -229,14 +264,17 @@ def evolve_grid(
     ``linalg.from_blocks`` gives their product-basis matrices.
 
     The family weights (2a, 3b, c) mix the kind's basis table into the
-    point's term blocks.  In each chunk the weight rows of each side are
-    certified complete at every strength, and one density certificate
-    (``check_density``) covers every member of the states after the qubit
-    side and after both sides, and in the first chunk the initial state
-    too.  Only if it fails are they diagnosed stage by stage, so the error
-    names the first failing stage and member.  A side at strength exactly
-    zero is the identity channel, and is skipped for that member; a side
-    whose strengths in a chunk are all zero is not evaluated at all.
+    point's term blocks.  Each chunk fills one fresh (k, 18) buffer of
+    block-pair rows, each stage in its own slice: the initial state (first
+    chunk only), the states after the qubit side (if any member's qubit
+    strength is non-zero) and the states after both sides.  It yields a
+    view of the last stage.  The weight rows of each side are certified
+    complete at every strength, and the states of the buffer are certified
+    together, in place, by the certificate of ``check_density``.  Only if
+    that fails does ``check_density`` diagnose the stages in turn, so the
+    error names the first failing stage and member.  A side at strength
+    exactly zero is the identity channel, and is skipped for that member;
+    a side whose strengths in a chunk are all zero is not evaluated at all.
     """
     ga = np.asarray(gamma_qubit, dtype=float)
     gb = np.asarray(gamma_qutrit, dtype=float)
@@ -246,39 +284,49 @@ def evolve_grid(
         )
     kind = ChannelKind(kind)
     weights = family_weights(params)
-    rho = (weights @ _FAMILY_BLOCKS).reshape(BLOCK_SHAPE)
+    rho = weights @ _FAMILY_BLOCKS
     table, ta, tb = _BASIS_TABLES[kind]
     terms = (weights @ table).reshape(-1, _BLOCK_SIZE)
     qubit, qutrit, both = terms[:ta], terms[ta : ta + tb], terms[ta + tb :]
-    # What the next certificate covers: the initial state goes with the
-    # first chunk, and each chunk adds the stages it evaluated.
-    pending = [rho]
+    # The initial state goes with the first chunk's certificate.
+    first = 1
     for s in range(0, len(ga), GRID_CHUNK):
         a, b = ga[s : s + GRID_CHUNK], gb[s : s + GRID_CHUNK]
+        n = len(a)
         # Strength zero is the identity channel, per member, so that a
         # member's state never depends on the rest of its chunk.
         on_a, on_b = a != 0.0, b != 0.0
-        any_a = on_a.any()
-        out = np.repeat(rho[None], len(a), axis=0)
-        if any_a:
+        na, nb = np.count_nonzero(on_a), np.count_nonzero(on_b)
+        # With neither side on, the last n rows are copies of the initial
+        # state, which need no certificate of their own.
+        rows = np.empty((first + n * max(bool(na) + bool(nb), 1), _BLOCK_SIZE))
+        rows[:first] = rho
+        at, state = first, rho
+        if na:
             wa = channel_weights(kind, Side.QUBIT, a)
-            _stage(out, on_a, wa, qubit)
-            pending.append(out)
-        if on_b.any():
+            state = _stage(rows[at : at + n], on_a, wa, qubit, rho)
+            at += n
+        if nb:
             wb = channel_weights(kind, Side.QUTRIT, b)
-            if any_a:
-                # The state after the qubit side stays as certified.
-                out = out.copy()
-                pairs = (wb[:, :, None] * wa[:, None, :]).reshape(len(a), -1)
-                _stage(out, on_b & on_a, pairs, both)
-            _stage(out, on_b & ~on_a, wb, qutrit)
-            pending.append(out)
-        if pending:
-            check_density(*pending)
-            pending = []
-        yield out
-    if pending:  # an empty grid still certifies the initial state
-        check_density(*pending)
+            out = rows[at : at + n]
+            if na:
+                pairs = (wb[:, :, None] * wa[:, None, :]).reshape(n, -1)
+                _stage(out, on_a & on_b, pairs, both, state)
+                if na < n:  # some members may have only the qutrit side on
+                    _stage(out, on_b & ~on_a, wb, qutrit)
+            else:
+                _stage(out, on_b, wb, qutrit, rho)
+            at += n
+        elif not na:
+            rows[at:] = rho
+        if at:
+            blocks = rows[:at].reshape(at, *BLOCK_SHAPE)
+            if not _certified(blocks, _conj_t(blocks)):
+                check_density(*_stages(rows[:at], first, n))
+        first = 0
+        yield rows[-n:].reshape(n, *BLOCK_SHAPE)
+    if first:  # an empty grid still certifies the initial state
+        check_density(rho.reshape(BLOCK_SHAPE))
 
 
 def evolve(scenario: ChannelScenario, params: StateParams) -> DensityMatrix:

@@ -15,10 +15,12 @@ sum of the phi+, phi- and psi+ projectors.  The family is entangled
 exactly when 3b < c <= 1 - 3b.
 
 Every state the package builds or evolves passes :func:`check_density`.  It
-certifies one or several stacks at once with one reduction per check and
-one Cholesky factorization, and it falls back to a per-stack, per-member
+certifies each stack with one reduction per check and one Cholesky
+factorization (:func:`_certified`), and it falls back to a per-member
 eigensolve, which decides and names the failing member, only when that
-certificate fails.
+certificate fails.  The evolution certifies each chunk's states, held in
+one buffer, with one :func:`_certified` call, and calls
+:func:`check_density` only to diagnose a chunk that fails.
 """
 
 from __future__ import annotations
@@ -116,22 +118,20 @@ def check_density(m: np.ndarray, *more: np.ndarray) -> None:
     positive semidefinite exactly when both blocks are, since the basis
     change is orthogonal.  The arguments share one layout.
 
-    All arguments are certified at once, by one reduction per check and one
-    Cholesky factorization of their shifted Hermitian parts (``_PSD_SHIFT``).
-    Only if that certificate fails is each argument diagnosed in turn: it is
-    certified on its own, and if that fails too, its members are checked in
-    turn, with a full ``eigvalsh`` for positivity.  That pass decides, and
-    its message names the first failing member of the first failing
-    argument (no member for a single state).
+    Each argument in turn is certified by one reduction per check and one
+    Cholesky factorization of its shifted Hermitian parts (``_PSD_SHIFT``).
+    Only if that certificate fails are its members checked in turn, with a
+    full ``eigvalsh`` for positivity.  That pass decides, and its message
+    names the first failing member of the first failing argument (no member
+    for a single state).
+
+    ``evolution.evolve_grid`` certifies each chunk's states together with
+    :func:`_certified`, and calls this only when that fails, with the
+    chunk's stages in order, for the decision and the message.
     """
     stacks = [_as_blocks(x) for x in (m, *more)]
-    if more:
-        layout = stacks[0].shape[-3:]
-        if any(s.shape[-3:] != layout for s in stacks):
-            raise ValueError("stacks certified together must share one layout")
-        fused = np.concatenate([s.reshape(-1, *layout) for s in stacks])
-        if _certified(fused, _conj_t(fused)):
-            return
+    if any(s.shape[-3:] != stacks[0].shape[-3:] for s in stacks):
+        raise ValueError("stacks certified together must share one layout")
     for s in stacks:
         sh = _conj_t(s)
         if not _certified(s, sh):

@@ -343,6 +343,22 @@ def test_cli_batch_missing_output_dir_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+def test_cli_batch_entry_cannot_overwrite_its_config(tmp_path, capsys, monkeypatch):
+    # Named as given, or by another path to the same file.
+    monkeypatch.chdir(tmp_path)
+    entry = {"kind": "dephasing", "mode": "qubitonly", "b": 0.05, "c": 0.6, "gamma": {"steps": 5}}
+    for out in ("cfg.json", str(tmp_path / "cfg.json"), "./sub/../cfg.json"):
+        (tmp_path / "sub").mkdir(exist_ok=True)
+        cfg = tmp_path / "cfg.json"
+        text = json.dumps([{**entry, "out": "first.csv"}, {**entry, "out": out}])
+        cfg.write_text(text)
+        assert main(["sweep", "--config", "cfg.json"]) == EXIT_CONFIG, out
+        err = capsys.readouterr().err
+        assert "batch entry 1 would overwrite its config file" in err, err
+        assert cfg.read_text() == text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sub"]
+
+
 def test_cli_failed_write_leaves_previous_output(tmp_path, monkeypatch):
     out = tmp_path / "s.csv"
     out.write_text("previous\n")

@@ -59,6 +59,28 @@ def test_grid_yields_chunks_in_order():
         assert np.array_equal(states[i], evolve(sc, POINTS[0]).matrix), i
 
 
+def test_each_chunk_is_one_fresh_buffer_certified_once(monkeypatch):
+    g = np.linspace(0.0, 1.0, 2 * GRID_CHUNK + 3)
+    expected = [c.copy() for c in evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g[::-1])]
+    certified, diagnosed = [], []
+    certify = evolution._certified
+
+    def counting(blocks, transposed):
+        certified.append(len(blocks))
+        return certify(blocks, transposed)
+
+    monkeypatch.setattr(evolution, "_certified", counting)
+    monkeypatch.setattr(evolution, "check_density", lambda *stacks: diagnosed.append(stacks))
+    chunks = list(evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g[::-1]))
+    # The initial state and both stages, in one certificate per chunk;
+    # healthy chunks are never diagnosed.
+    assert certified == [1 + 2 * GRID_CHUNK, 2 * GRID_CHUNK, 2 * 3] and diagnosed == []
+    # No chunk shares its buffer with another.
+    chunks[0][:] = np.nan
+    for chunk, want in zip(chunks[1:], expected[1:]):
+        assert np.array_equal(chunk, want)
+
+
 def test_grid_rejects_out_of_range_strength_in_any_chunk():
     g = np.full(GRID_CHUNK + 5, 0.5)
     g[GRID_CHUNK + 2] = 1.5
