@@ -16,10 +16,13 @@ strengths at (b, c) = (0.05, 0.6), depolarizing multi-local unless the row
 says otherwise (``_16`` rows take 16 members, ``_1`` rows the one member
 of a one-point evaluation, the ``evolve_grid_chunk_*`` rows one whole chunk
 of that many strengths, and the ``esd_*`` rows one ESD search of that
-cell).  ``channel_weights_1`` takes the one qutrit strength of
-``evolve_one_point``, and ``check_density_blocks_3`` certifies that
-point's three states (initial, after the qubit side, after both) as the
-checkout's ``evolve_grid`` does.
+cell; ``_qutritonly`` rows take the qutrit-only mode at the same qutrit
+strengths).  ``table_combine`` mixes the terms of both sides with 64 pair
+weight rows.  ``channel_weights_1`` takes the one qutrit strength of
+``evolve_one_point``, and ``check_density_one_point`` certifies the states
+that the checkout's ``evolve_grid`` certifies for that point, as it does
+(the initial and the evolved state, and the state after the qubit side on
+checkouts that still build it).
 ``check_density*``, ``negativity_numeric`` and ``coherence_l1`` take the
 states as complex 6x6 matrices, the ``*_blocks*`` rows as the block stacks
 that ``evolve_grid`` yields where it yields them.  End-to-end rows time
@@ -125,14 +128,23 @@ def _closed_forms(q: ModuleType):
 def _table_combine(q: ModuleType):
     p, kind, _ = _subject(q)
     channel_weights, side = q.channels.channel_weights, q.channels.Side
-    # Looked up now, so that a checkout without it reports the row absent.
-    combine = q.evolution._combine
-    table, ta, tb = q.evolution._BASIS_TABLES[kind]
-    # One row per term, whatever the checkout stores per term.
-    terms = (q.states.family_weights(p) @ table).reshape(ta + tb + ta * tb, -1)[ta + tb :]
     wa, wb = channel_weights(kind, side.QUBIT, G), channel_weights(kind, side.QUTRIT, G)
-    pairs = (wb[:, :, None] * wa[:, None, :]).reshape(N, -1)
-    return lambda: combine(pairs, terms)
+    table = q.evolution._BASIS_TABLES[kind]
+    both = count = wa.shape[1] * wb.shape[1]
+    # Older checkouts hold (table, ta, tb): the qubit-side terms, the
+    # qutrit-side terms, then those of both sides.
+    if isinstance(table, tuple):
+        table, ta, tb = table
+        count += ta + tb
+    # One row per term, whatever the checkout stores per term.
+    terms = (q.states.family_weights(p) @ table).reshape(count, -1)[-both:]
+
+    def mix():
+        pairs = (wb[:, :, None] * wa[:, None, :]).reshape(N, 1, -1)
+        out = np.empty((N, terms.shape[1]))
+        np.matmul(pairs, terms, out=out.reshape(N, 1, -1))
+        return out
+    return mix
 
 
 def _completeness(q: ModuleType, g: np.ndarray = G):
@@ -142,12 +154,13 @@ def _completeness(q: ModuleType, g: np.ndarray = G):
 
 
 def _one_point_certificate(q: ModuleType):
-    """The density certificate of the three states of a one-point
-    multi-local evolution (the initial state, after the qubit side, after
-    both sides), as the checkout's ``evolve_grid`` certifies them: one
+    """The density certificate of a one-point multi-local evolution, as the
+    checkout's ``evolve_grid`` certifies it: the initial and the evolved
+    state, with the state after the qubit side between them where the
+    checkout builds that stage (a (table, ta, tb) basis table); one
     ``states._certified`` call on the block stack of one buffer where its
     ``evolve_grid`` makes that call itself, else one ``check_density`` call
-    over the three stages."""
+    over the stages."""
     p, kind, _ = _subject(q)
     a, b = _ONE_POINT
 
@@ -155,12 +168,14 @@ def _one_point_certificate(q: ModuleType):
         (m,) = q.evolution.evolve_grid(kind, p, [ga], [gb])
         return m
 
-    rho, after_qubit, after_both = state(0.0, 0.0), state(a, 0.0), state(a, b)
+    stages = [state(0.0, 0.0), state(a, b)]
+    if isinstance(q.evolution._BASIS_TABLES[kind], tuple):
+        stages.insert(1, state(a, 0.0))
     if hasattr(q.evolution, "_certified"):
-        blocks = np.concatenate([rho, after_qubit, after_both])
+        blocks = np.concatenate(stages)
         certified, conj_t = q.states._certified, q.states._conj_t
         return lambda: certified(blocks, conj_t(blocks))
-    return lambda: q.states.check_density(rho[0], after_qubit, after_both)
+    return lambda: q.states.check_density(stages[0][0], *stages[1:])
 
 
 def _esd_candidates(q: ModuleType):
@@ -191,10 +206,10 @@ def _esd_section_step(q: ModuleType):
     return lambda: section(lo, hi, alive, (hi - lo) / 2.0)
 
 
-def _grid_chunk(q: ModuleType, n: int):
+def _grid_chunk(q: ModuleType, n: int, mode):
     p, kind, _ = _subject(q)
-    g = np.linspace(0.0, 1.0, n)
-    return lambda: list(q.evolution.evolve_grid(kind, p, g, g))
+    ga, gb = q.evolution.sweep_strengths(mode, np.linspace(0.0, 1.0, n))
+    return lambda: list(q.evolution.evolve_grid(kind, p, ga, gb))
 
 
 def layer_rows(q: ModuleType) -> dict:
@@ -209,6 +224,7 @@ def layer_rows(q: ModuleType) -> dict:
     sweep = q.sweep.run_sweep(kind, mode, p)
     render_sweep = q.sweep.render_sweep
     one = evolution.ChannelScenario(kind, mode, *_ONE_POINT)
+    one_qutrit = evolution.ChannelScenario(kind, q.Mode.QUTRIT_ONLY, 0.0, _ONE_POINT[1])
     rows = {
         "initial_state": (lambda: lambda: states.initial_state(p), 500),
         "table_combine": (lambda: _table_combine(q), 500),
@@ -219,15 +235,17 @@ def layer_rows(q: ModuleType) -> dict:
         "check_density": (lambda: lambda: states.check_density(product), 200),
         "check_density_16": (lambda: lambda: states.check_density(product[:16]), 500),
         "check_density_1": (lambda: lambda: states.check_density(product[:1]), 1000),
-        "check_density_blocks_3": (lambda: _one_point_certificate(q), 1000),
+        "check_density_one_point": (lambda: _one_point_certificate(q), 1000),
         "negativity_numeric": (lambda: lambda: negativity.negativity_numeric(product), 200),
         "coherence_l1": (lambda: lambda: evolution.coherence_l1(product), 500),
         "closed_forms_513": (lambda: _closed_forms(q), 50),
         "emit_csv_513": (lambda: lambda: render_sweep(sweep, "csv"), 20),
         "emit_json_513": (lambda: lambda: render_sweep(sweep, "json"), 20),
         "evolve_one_point": (lambda: lambda: evolution.evolve(one, p), 300),
-        "evolve_grid_chunk_128": (lambda: _grid_chunk(q, 128), 100),
-        "evolve_grid_chunk_16": (lambda: _grid_chunk(q, 16), 300),
+        "evolve_one_point_qutritonly": (lambda: lambda: evolution.evolve(one_qutrit, p), 300),
+        "evolve_grid_chunk_128": (lambda: _grid_chunk(q, 128, mode), 100),
+        "evolve_grid_chunk_128_qutritonly": (lambda: _grid_chunk(q, 128, q.Mode.QUTRIT_ONLY), 100),
+        "evolve_grid_chunk_16": (lambda: _grid_chunk(q, 16, mode), 300),
         "esd_candidates": (lambda: _esd_candidates(q), 300),
         "esd_certify_batch": (lambda: _esd_certify_batch(q), 300),
         "esd_section_step": (lambda: _esd_section_step(q), 300),

@@ -93,13 +93,14 @@ def _check_completeness(ops: np.ndarray) -> None:
     every operator set of a (..., K, 6, 6) stack."""
     # Stacking the K operators of a set into one (6K, 6) column A gives
     # sum_i K_i^dagger K_i = A^dagger A, one product per set.
-    a = ops.reshape(*ops.shape[:-3], -1, TOTAL_DIM)
-    total = a.conj().swapaxes(-1, -2) @ a
-    _certify(np.abs(total - np.eye(TOTAL_DIM)).max())
+    a = ops.reshape(*ops.shape[:-3], ops.shape[-3] * TOTAL_DIM, TOTAL_DIM)
+    _certify(a.conj().swapaxes(-1, -2) @ a - np.eye(TOTAL_DIM))
 
 
-def _certify(defect: float) -> None:
-    """Reject a completeness defect above ``COMPLETENESS_TOL``, NaN included."""
+def _certify(deviation: np.ndarray) -> None:
+    """Reject a deviation from I6 with an entry above ``COMPLETENESS_TOL``,
+    NaN included; no entries (no strengths) pass."""
+    defect = np.abs(deviation).max(initial=0.0)
     if not defect <= COMPLETENESS_TOL:
         raise ValueError(f"completeness violated: max deviation {defect:.3e}")
 
@@ -251,19 +252,23 @@ _SHAPES: dict[tuple[ChannelKind, Side], _KrausShapes] = {
 }
 
 
-def _check_strengths(gamma: np.ndarray) -> None:
-    """Reject any strength outside [0, 1], NaN included."""
-    bad = gamma[~((gamma >= 0.0) & (gamma <= 1.0))]
+def _strengths(gamma: ArrayLike) -> np.ndarray:
+    """``gamma`` as a 1-d float array, possibly empty; reject any other
+    shape and any strength outside [0, 1], NaN included."""
+    g = np.asarray(gamma, dtype=float)
+    if g.ndim != 1:
+        raise ValueError(f"strengths must be a 1-d array, got shape {g.shape}")
+    bad = g[~((g >= 0.0) & (g <= 1.0))]
     if bad.size:
         raise ValueError(f"gamma must lie in [0, 1], got {bad[0]}")
+    return g
 
 
 def kraus_operators(kind: ChannelKind, side: Side, gamma: ArrayLike) -> np.ndarray:
     """The (N, K, 6, 6) Kraus stacks of one channel kind and side at each of
-    the N strengths in ``gamma``, completeness certified for every strength."""
-    g = np.asarray(gamma, dtype=float)
-    _check_strengths(g)
-    ops = _SHAPES[(ChannelKind(kind), Side(side))].operators(g)
+    the N strengths of the 1-d array ``gamma``, completeness certified for
+    every strength."""
+    ops = _SHAPES[(ChannelKind(kind), Side(side))].operators(_strengths(gamma))
     _check_completeness(ops)
     return ops
 
@@ -281,13 +286,12 @@ _GRAMS: dict[tuple[ChannelKind, Side], np.ndarray] = {
 
 def channel_weights(kind: ChannelKind, side: Side, gamma: ArrayLike) -> np.ndarray:
     """The (N, T) weight rows (u, v[, s]) of one channel kind and side at
-    each of the N strengths in ``gamma``, with completeness certified at
-    every strength from the Gram polynomial of the same rows."""
-    g = np.asarray(gamma, dtype=float)
-    _check_strengths(g)
+    each of the N strengths of the 1-d array ``gamma``, with completeness
+    certified at every strength from the Gram polynomial of the same rows.
+    A strength of zero gives the identity row (1, 0[, 1])."""
     key = (ChannelKind(kind), Side(side))
-    w = _SHAPES[key].weights(g)
-    _certify(np.abs(w @ _GRAMS[key] - _EYE_ROW).max())
+    w = _SHAPES[key].weights(_strengths(gamma))
+    _certify(w @ _GRAMS[key] - _EYE_ROW)
     return w
 
 

@@ -1,10 +1,10 @@
 """Evolution through the three noise scenarios, and closed-form evolved states.
 
 A scenario is multi-local (independent noise on both subsystems), qubit-only,
-or qutrit-only.  Local scenarios pin the other side's strength to zero, so
-every evolution runs the same code path: the qubit-side channel, then the
-qutrit-side channel.  The two commute since they act on different tensor
-factors.
+or qutrit-only.  Every scenario is the product map E_qubit(gamma_qubit) x
+E_qutrit(gamma_qutrit); a local one pins the other side's strength to zero,
+where its channel is the identity, so every evolution runs the same code
+path through both sides' channels.
 
 The evolution is tabulated.  The family state is the convex mix
 rho(0) = 2a (P_2 / 2) + 3b (B_3 / 3) + c |psi-><psi-| of three fixed basis
@@ -12,32 +12,29 @@ states (``states.FAMILY_BASIS``), and each side's channel is
 u T_u + v T_v (+ s T_s for dephasing) in its squared Kraus weights
 u = 1 - p gamma / m, v = gamma / m and in s = sqrt(u) (see ``channels``).
 Every channel is linear, so the evolved state at any strength pair is a
-weighted sum of fixed matrices.  For each kind, the terms of the qubit side,
-of the qutrit side and of both sides applied to each basis state are
-tabulated once at import.  Every term commutes with the symmetry S of
-``linalg`` and is real, which the import certifies, so each is held as its
-two real symmetric 3x3 blocks, 18 reals instead of the 72 of a complex 6x6
-matrix: at most 45 block pairs per kind, 20 kB for all five.  A call mixes
-them with the point's weights (2a, 3b, c) into at most 9 term block pairs
-per stage.
+weighted sum of fixed matrices.  For each kind, the terms of both sides
+applied to each basis state are tabulated once at import.  Every term
+commutes with the symmetry S of ``linalg`` and is real, which the import
+certifies, so each is held as its two real symmetric 3x3 blocks, 18 reals
+instead of the 72 of a complex 6x6 matrix: at most 27 block pairs per kind,
+11 kB for all five.  A call mixes them with the point's weights (2a, 3b, c)
+into at most 9 term block pairs.
 
 :func:`evolve_grid` then works through the strength arrays in chunks of
-``GRID_CHUNK``.  Per chunk it builds each side's weight rows, certifies
+``GRID_CHUNK``.  Per chunk it builds both sides' weight rows, certifies
 completeness at every strength from the Gram polynomial of the same rows,
-and writes the states after the qubit side and after both sides, weight
-rows times term blocks, into their slices of one buffer of block-pair
-rows, with the initial state in the first chunk.  One density-matrix
-certificate covers the whole buffer in place; only a failed certificate
-is diagnosed stage by stage, which names the first failing stage and
-member.  States stay in block form;
-``linalg.from_blocks`` rebuilds the 6x6 product-basis matrix where an
-output needs it.  A side at strength exactly zero is the identity channel
-and is skipped, member by member.  Sweeps and the ESD detector reduce each
-chunk before the next is built, so memory stays bounded for any grid
-length; :func:`evolve` is the one-point case of the same path, and
-:func:`_sweep_polynomial` the same mix with polynomial weights.
-:func:`apply_channel` over ``channels.kraus_operators`` is the direct Kraus
-sum, kept as the reference the tables are tested against.
+and writes each member's state, its pair weights times the term blocks,
+into one buffer of block-pair rows, after the initial state in the first
+chunk.  A side at strength zero needs no case of its own: its weight row
+is the identity.  One density-matrix certificate covers the whole buffer
+in place; only a failed certificate is diagnosed, which names the failing
+member.  States stay in block form; ``linalg.from_blocks`` rebuilds the
+6x6 product-basis matrix where an output needs it.  Sweeps and the ESD
+detector reduce each chunk before the next is built, so memory stays
+bounded for any grid length; :func:`evolve` is the one-point case of the
+same path, and :func:`_sweep_polynomial` the same mix with polynomial
+weights.  :func:`apply_channel` over ``channels.kraus_operators`` is the
+direct Kraus sum, kept as the reference the tables are tested against.
 
 For each channel kind the evolved density matrix also has a closed form;
 :func:`analytic_evolved` builds it directly from those expressions as an
@@ -154,25 +151,20 @@ def sweep_strengths(mode: Mode, gamma: ArrayLike) -> tuple[np.ndarray, np.ndarra
 GRID_CHUNK = 128
 
 
-def _basis_table(kind: ChannelKind) -> tuple[np.ndarray, int, int]:
-    """What the kind's channels make of ``FAMILY_BASIS``: the qubit-side
-    terms, then the qutrit-side terms, then the terms of both sides (qutrit
-    term major), in one real table with one row per basis state that holds
-    each term as its 18 block entries; with the qubit-side and qutrit-side
-    term counts.
+def _basis_table(kind: ChannelKind) -> np.ndarray:
+    """What the kind's channels on both sides make of ``FAMILY_BASIS``: the
+    terms of the qutrit-side channel applied to those of the qubit-side
+    one, qutrit term major, in one real table with one row per basis state
+    that holds each term as its 18 block entries.
 
     Raises ValueError unless every term commutes with S and is real to
     ``linalg.SYMMETRY_TOL``: the block form holds only such states.
     """
-    qubit = channel_terms(kind, Side.QUBIT, FAMILY_BASIS)
-    qutrit = channel_terms(kind, Side.QUTRIT, FAMILY_BASIS)
-    both = channel_terms(kind, Side.QUTRIT, qubit)
-    terms = np.concatenate([t.reshape(-1, *FAMILY_BASIS.shape) for t in (qubit, qutrit, both)])
-    blocks = to_blocks(terms)
+    both = channel_terms(kind, Side.QUTRIT, channel_terms(kind, Side.QUBIT, FAMILY_BASIS))
+    blocks = to_blocks(both.reshape(-1, *FAMILY_BASIS.shape))
     # Exactly symmetric blocks give exactly symmetric states.
     blocks = (blocks + blocks.swapaxes(-1, -2)) / 2.0
-    table = np.ascontiguousarray(np.moveaxis(blocks, 1, 0)).reshape(len(FAMILY_BASIS), -1)
-    return table, len(qubit), len(qutrit)
+    return np.ascontiguousarray(np.moveaxis(blocks, 1, 0)).reshape(len(FAMILY_BASIS), -1)
 
 
 #: The basis table of every kind, built and certified once at import.
@@ -190,69 +182,34 @@ def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _both_sides_in_y(kind: ChannelKind) -> np.ndarray:
-    """The weight rows of both sides at one strength as polynomials in y
-    (``_KrausShapes.weights_in_y``): the products of the two sides' rows,
-    qutrit term major, as the terms of both sides are tabulated."""
-    wa, wb = (_SHAPES[kind, side].weights_in_y.T for side in Side)
-    return _polymul(wb[:, :, None], wa[:, None, :]).reshape(len(wa) + len(wb) - 1, -1)
+def _weights_in_y(kind: ChannelKind, mode: Mode) -> tuple[np.ndarray, int]:
+    """The weight rows of both sides at one sweep strength of the mode as
+    polynomials in y (``_KrausShapes.weights_in_y``), with k, 1 - gamma =
+    y^k: the products of the two sides' rows, qutrit term major, as the
+    basis table holds the terms.  An idle side is its constant weight row
+    at gamma = 0, the identity."""
+    shapes = [_SHAPES[kind, side] for side in Side]
+    # A side is active where the mode's strength at gamma = 1 is non-zero.
+    wa, wb = (
+        s.weights_in_y.T if g else s.weights(np.zeros(1))
+        for s, g in zip(shapes, sweep_strengths(mode, 1.0))
+    )
+    w = _polymul(wb[:, :, None], wa[:, None, :])
+    return w.reshape(len(w), -1), shapes[0].terms - 1
 
 
-#: The multi-local weight polynomials of every kind, built once at import.
-_BOTH_SIDES_IN_Y = {kind: _both_sides_in_y(kind) for kind in ChannelKind}
+#: The weight polynomials of every cell, built once at import.
+_WEIGHTS_IN_Y = {(kind, mode): _weights_in_y(kind, mode) for kind in ChannelKind for mode in Mode}
 
 
 def _sweep_polynomial(kind: ChannelKind, mode: Mode, params: StateParams) -> tuple[np.ndarray, int]:
     """The states of one cell's sweep as block-stack coefficients of 1, y,
     y^2, ..., and k, 1 - gamma = y^k: the mix of :func:`evolve_grid` with
-    each weight a polynomial in y (``_KrausShapes.weights_in_y``)."""
-    kind, mode = ChannelKind(kind), Mode(mode)
-    table, ta, tb = _BASIS_TABLES[kind]
-    terms = (family_weights(params) @ table).reshape(-1, _BLOCK_SIZE)
-    wa, wb = (_SHAPES[kind, side].weights_in_y.T for side in Side)
-    if mode is Mode.QUBIT_ONLY:
-        w, terms = wa, terms[:ta]
-    elif mode is Mode.QUTRIT_ONLY:
-        w, terms = wb, terms[ta : ta + tb]
-    else:
-        w, terms = _BOTH_SIDES_IN_Y[kind], terms[ta + tb :]
-    return (w @ terms).reshape(-1, *BLOCK_SHAPE), len(wa) - 1
-
-
-def _combine(weights: np.ndarray, terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The (n, 18) block-pair rows sum_t weights[:, t] terms[t], written into
-    ``out`` if given (C-contiguous, so that it is written in place).  Each
-    strength is its own vector-matrix product, so a state does not depend
-    on the other strengths of its chunk."""
-    n, size = len(weights), terms.shape[-1]
-    out = np.empty((n, size)) if out is None else out
-    np.matmul(weights[:, None, :], terms, out=out.reshape(n, 1, size))
-    return out
-
-
-def _stage(out: np.ndarray, members: np.ndarray, weights: np.ndarray, terms: np.ndarray,
-           before: np.ndarray | None = None) -> np.ndarray:
-    """Write a stage into its rows ``out`` and return them: the mix of
-    ``terms`` with each member's weights where ``members`` holds, the rows
-    of ``before`` (the state the stage acts on) elsewhere, or what ``out``
-    holds if ``before`` is None.  A stage whose members are all active is
-    written directly, with no mask."""
-    active = np.count_nonzero(members)
-    if active == len(members):
-        return _combine(weights, terms, out)
-    if before is not None:
-        out[:] = before
-    if active:
-        out[members] = _combine(weights[members], terms)
-    return out
-
-
-def _stages(rows: np.ndarray, first: int, n: int) -> list[np.ndarray]:
-    """The states of a chunk's certified rows as block stacks, in the order
-    they are diagnosed: the initial state on its own if the chunk is the
-    first, then each stage of n members."""
-    stacks = [rows[0].reshape(BLOCK_SHAPE)] if first else []
-    return stacks + [rows[i : i + n].reshape(n, *BLOCK_SHAPE) for i in range(first, len(rows), n)]
+    each weight a polynomial in y."""
+    kind = ChannelKind(kind)
+    w, k = _WEIGHTS_IN_Y[kind, Mode(mode)]
+    terms = (family_weights(params) @ _BASIS_TABLES[kind]).reshape(-1, _BLOCK_SIZE)
+    return (w @ terms).reshape(-1, *BLOCK_SHAPE), k
 
 
 def evolve_grid(
@@ -264,17 +221,16 @@ def evolve_grid(
     ``linalg.from_blocks`` gives their product-basis matrices.
 
     The family weights (2a, 3b, c) mix the kind's basis table into the
-    point's term blocks.  Each chunk fills one fresh (k, 18) buffer of
-    block-pair rows, each stage in its own slice: the initial state (first
-    chunk only), the states after the qubit side (if any member's qubit
-    strength is non-zero) and the states after both sides.  It yields a
-    view of the last stage.  The weight rows of each side are certified
-    complete at every strength, and the states of the buffer are certified
-    together, in place, by the certificate of ``check_density``.  Only if
-    that fails does ``check_density`` diagnose the stages in turn, so the
-    error names the first failing stage and member.  A side at strength
-    exactly zero is the identity channel, and is skipped for that member;
-    a side whose strengths in a chunk are all zero is not evaluated at all.
+    point's term blocks.  Each chunk takes both sides' weight rows, each
+    certified complete at every strength, and writes every member's mix,
+    its pair rows wb x wa times the term blocks, into one fresh buffer of
+    block-pair rows, after the initial state in the first chunk.  A side
+    at strength zero is weighted like any other: its row (1, 0[, 1]) is the
+    identity.  The buffer is certified in place by the certificate of
+    ``check_density``, once per chunk, and the chunk's states are yielded
+    as a view of it.  Only if that fails does ``check_density`` diagnose
+    the initial state (first chunk only; its error names no member), then
+    the chunk's states, whose error names the first failing member.
     """
     ga = np.asarray(gamma_qubit, dtype=float)
     gb = np.asarray(gamma_qutrit, dtype=float)
@@ -285,46 +241,26 @@ def evolve_grid(
     kind = ChannelKind(kind)
     weights = family_weights(params)
     rho = weights @ _FAMILY_BLOCKS
-    table, ta, tb = _BASIS_TABLES[kind]
-    terms = (weights @ table).reshape(-1, _BLOCK_SIZE)
-    qubit, qutrit, both = terms[:ta], terms[ta : ta + tb], terms[ta + tb :]
+    terms = (weights @ _BASIS_TABLES[kind]).reshape(-1, _BLOCK_SIZE)
     # The initial state goes with the first chunk's certificate.
     first = 1
     for s in range(0, len(ga), GRID_CHUNK):
-        a, b = ga[s : s + GRID_CHUNK], gb[s : s + GRID_CHUNK]
-        n = len(a)
-        # Strength zero is the identity channel, per member, so that a
-        # member's state never depends on the rest of its chunk.
-        on_a, on_b = a != 0.0, b != 0.0
-        na, nb = np.count_nonzero(on_a), np.count_nonzero(on_b)
-        # With neither side on, the last n rows are copies of the initial
-        # state, which need no certificate of their own.
-        rows = np.empty((first + n * max(bool(na) + bool(nb), 1), _BLOCK_SIZE))
+        wa = channel_weights(kind, Side.QUBIT, ga[s : s + GRID_CHUNK])
+        wb = channel_weights(kind, Side.QUTRIT, gb[s : s + GRID_CHUNK])
+        n = len(wa)
+        rows = np.empty((first + n, _BLOCK_SIZE))
         rows[:first] = rho
-        at, state = first, rho
-        if na:
-            wa = channel_weights(kind, Side.QUBIT, a)
-            state = _stage(rows[at : at + n], on_a, wa, qubit, rho)
-            at += n
-        if nb:
-            wb = channel_weights(kind, Side.QUTRIT, b)
-            out = rows[at : at + n]
-            if na:
-                pairs = (wb[:, :, None] * wa[:, None, :]).reshape(n, -1)
-                _stage(out, on_a & on_b, pairs, both, state)
-                if na < n:  # some members may have only the qutrit side on
-                    _stage(out, on_b & ~on_a, wb, qutrit)
-            else:
-                _stage(out, on_b, wb, qutrit, rho)
-            at += n
-        elif not na:
-            rows[at:] = rho
-        if at:
-            blocks = rows[:at].reshape(at, *BLOCK_SHAPE)
-            if not _certified(blocks, _conj_t(blocks)):
-                check_density(*_stages(rows[:at], first, n))
+        # Each member is its own vector-matrix product, so its state does
+        # not depend on the rest of its chunk.
+        pairs = (wb[:, :, None] * wa[:, None, :]).reshape(n, 1, -1)
+        np.matmul(pairs, terms, out=rows[first:].reshape(n, 1, _BLOCK_SIZE))
+        blocks = rows.reshape(-1, *BLOCK_SHAPE)
+        if not _certified(blocks, _conj_t(blocks)):
+            if first:
+                check_density(blocks[0])
+            check_density(blocks[first:])
         first = 0
-        yield rows[-n:].reshape(n, *BLOCK_SHAPE)
+        yield blocks[-n:]
     if first:  # an empty grid still certifies the initial state
         check_density(rho.reshape(BLOCK_SHAPE))
 

@@ -15,12 +15,13 @@ sum of the phi+, phi- and psi+ projectors.  The family is entangled
 exactly when 3b < c <= 1 - 3b.
 
 Every state the package builds or evolves passes :func:`check_density`.  It
-certifies each stack with one reduction per check and one Cholesky
+certifies one stack with one reduction per check and one Cholesky
 factorization (:func:`_certified`), and it falls back to a per-member
 eigensolve, which decides and names the failing member, only when that
 certificate fails.  The evolution certifies each chunk's states, held in
-one buffer, with one :func:`_certified` call, and calls
-:func:`check_density` only to diagnose a chunk that fails.
+one buffer after the initial state of the first chunk, with one
+:func:`_certified` call, and calls :func:`check_density` only to diagnose a
+chunk that fails: on the initial state first, then on the chunk's states.
 """
 
 from __future__ import annotations
@@ -105,37 +106,32 @@ def random_entangled_params(rng: np.random.Generator, n: int) -> list[StateParam
 _PSD_SHIFT = {d: (PSD_TOL - 1e-13) * np.eye(d) for d in (QUTRIT_DIM, TOTAL_DIM)}
 
 
-def check_density(m: np.ndarray, *more: np.ndarray) -> None:
+def check_density(m: np.ndarray) -> None:
     """Reject a state, or a stack with any member, that is not a density
     matrix: finite, Hermitian, of unit trace and positive semidefinite, all
-    to 1e-10.  With several arguments, reject the first that fails, as
-    checking each in turn would.
+    to 1e-10.
 
     A state is a 6x6 matrix, or its two real symmetric 3x3 blocks in the
     basis of the symmetry S (a (2, 3, 3) block stack, see ``linalg``); a
     stack is a (..., 6, 6) or a (..., 2, 3, 3) array.  The blocks of a state
     are checked together: its trace is the sum of their traces, and it is
     positive semidefinite exactly when both blocks are, since the basis
-    change is orthogonal.  The arguments share one layout.
+    change is orthogonal.
 
-    Each argument in turn is certified by one reduction per check and one
-    Cholesky factorization of its shifted Hermitian parts (``_PSD_SHIFT``).
-    Only if that certificate fails are its members checked in turn, with a
-    full ``eigvalsh`` for positivity.  That pass decides, and its message
-    names the first failing member of the first failing argument (no member
-    for a single state).
+    The stack is certified by one reduction per check and one Cholesky
+    factorization of its shifted Hermitian parts (``_PSD_SHIFT``).  Only if
+    that certificate fails are its members checked in turn, with a full
+    ``eigvalsh`` for positivity.  That pass decides, and its message names
+    the first failing member (no member for a single state).
 
     ``evolution.evolve_grid`` certifies each chunk's states together with
-    :func:`_certified`, and calls this only when that fails, with the
-    chunk's stages in order, for the decision and the message.
+    :func:`_certified`, and calls this only when that fails, for the
+    decision and the message.
     """
-    stacks = [_as_blocks(x) for x in (m, *more)]
-    if any(s.shape[-3:] != stacks[0].shape[-3:] for s in stacks):
-        raise ValueError("stacks certified together must share one layout")
-    for s in stacks:
-        sh = _conj_t(s)
-        if not _certified(s, sh):
-            _diagnose(s, sh)
+    s = _as_blocks(m)
+    sh = _conj_t(s)
+    if not _certified(s, sh):
+        _diagnose(s, sh)
 
 
 def _as_blocks(m: np.ndarray) -> np.ndarray:

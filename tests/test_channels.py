@@ -127,6 +127,25 @@ def test_gamma_bounds():
             channel_weights(ChannelKind.DEPHASING, Side.QUBIT, [0.5, bad])
 
 
+@pytest.mark.parametrize(
+    "gamma",
+    [[], np.zeros(0), 0.5, np.float64(0.0), np.full((2, 2), 0.5), np.zeros((0, 1))],
+    ids=["empty-list", "empty-array", "float", "0-d", "2-d", "empty-2-d"],
+)
+def test_strengths_are_a_1d_array_that_may_be_empty(gamma):
+    for kind in ChannelKind:
+        for side in Side:
+            if np.ndim(gamma) == 1:
+                terms = _SHAPES[kind, side].terms
+                assert channel_weights(kind, side, gamma).shape == (0, terms)
+                ops = kraus_operators(kind, side, gamma)
+                assert ops.shape == (0, OPERATOR_COUNTS[kind, side], 6, 6)
+                continue
+            for build in (channel_weights, kraus_operators):
+                with pytest.raises(ValueError, match="^strengths must be a 1-d array, got shape"):
+                    build(kind, side, gamma)
+
+
 @pytest.mark.parametrize("kind", list(ChannelKind))
 @pytest.mark.parametrize("side", list(Side))
 def test_polynomial_terms_equal_the_kraus_sum(kind, side):

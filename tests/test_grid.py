@@ -70,11 +70,12 @@ def test_each_chunk_is_one_fresh_buffer_certified_once(monkeypatch):
         return certify(blocks, transposed)
 
     monkeypatch.setattr(evolution, "_certified", counting)
-    monkeypatch.setattr(evolution, "check_density", lambda *stacks: diagnosed.append(stacks))
+    monkeypatch.setattr(evolution, "check_density", diagnosed.append)
     chunks = list(evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g[::-1]))
-    # The initial state and both stages, in one certificate per chunk;
-    # healthy chunks are never diagnosed.
-    assert certified == [1 + 2 * GRID_CHUNK, 2 * GRID_CHUNK, 2 * 3] and diagnosed == []
+    # The initial state and the first chunk's states in one certificate,
+    # each later chunk's states in one of their own; healthy chunks are
+    # never diagnosed.
+    assert certified == [1 + GRID_CHUNK, GRID_CHUNK, 3] and diagnosed == []
     # No chunk shares its buffer with another.
     chunks[0][:] = np.nan
     for chunk, want in zip(chunks[1:], expected[1:]):
@@ -149,8 +150,7 @@ def test_block_stack_with_one_bad_member_mid_chunk_is_rejected(bad, message):
 @pytest.mark.parametrize("corruption", ["breaks-symmetry", "imaginary"])
 def test_corrupted_table_term_fails_the_import_certificate(corruption, monkeypatch):
     kind = ChannelKind.DEPOLARIZING
-    table, ta, tb = evolution._basis_table(kind)
-    assert np.array_equal(table, evolution._BASIS_TABLES[kind][0])
+    assert np.array_equal(evolution._basis_table(kind), evolution._BASIS_TABLES[kind])
     terms = channels.channel_terms
 
     def corrupted(kind, side, rho):
@@ -172,37 +172,37 @@ def test_corrupted_table_term_fails_the_import_certificate(corruption, monkeypat
         evolution._basis_table(kind)
 
 
-#: Where a corrupted term first shows in a two-chunk grid: (terms corrupted
-#: (0: qubit side, 1: qutrit side, 2: both sides; the first term of each),
-#: {grid index: (gamma_qubit, gamma_qutrit)}).  A qubit-side term enters
-#: only the state after the qubit side, since the table holds the terms of
-#: both sides in their own right.
-STAGE_CORRUPTIONS = {
-    "after-qubit": ((0,), {GRID_CHUNK + MEMBER: (0.5, 0.5)}),
-    "after-both": ((2,), {GRID_CHUNK + MEMBER: (0.5, 0.5)}),
-    # The after-both stack fails at member 1 too, but the after-qubit stack
-    # is diagnosed first.
-    "after-qubit-first": ((0, 1), {GRID_CHUNK + 1: (0.0, 0.5), GRID_CHUNK + MEMBER: (0.5, 0.0)}),
+#: Where a corrupted term of both sides shows in a two-chunk grid whose
+#: other strengths are all zero: (the (qutrit, qubit) weights of the
+#: corrupted terms, 0 for u and 1 for v, {grid index: (gamma_qubit,
+#: gamma_qutrit)}, the chunk member named).  A v weight vanishes at
+#: strength zero, so each corrupted term enters only the listed members.
+TERM_CORRUPTIONS = {
+    "multilocal": (((1, 1),), {GRID_CHUNK + MEMBER: (0.5, 0.5)}, MEMBER),
+    "qubitonly": (((0, 1),), {GRID_CHUNK + MEMBER: (0.5, 0.0)}, MEMBER),
+    "qutritonly": (((1, 0),), {GRID_CHUNK + MEMBER: (0.0, 0.5)}, MEMBER),
+    # Both members fail; the first in grid order is named.
+    "first-of-two": (((0, 1), (1, 0)), {GRID_CHUNK + 1: (0.0, 0.5), GRID_CHUNK + MEMBER: (0.5, 0.0)}, 1),
 }
 
 
-@pytest.mark.parametrize("stage", list(STAGE_CORRUPTIONS))
-def test_corrupted_stage_is_named_with_its_member(stage, monkeypatch):
+@pytest.mark.parametrize("case", list(TERM_CORRUPTIONS))
+def test_corrupted_term_is_named_with_its_member(case, monkeypatch):
     kind = ChannelKind.DEPOLARIZING
-    table, ta, tb = evolution._BASIS_TABLES[kind]
-    corrupted = table.copy()
-    terms, strengths = STAGE_CORRUPTIONS[stage]
-    for t in terms:
+    ta = channels._SHAPES[kind, Side.QUBIT].terms
+    corrupted = evolution._BASIS_TABLES[kind].copy()
+    terms, strengths, member = TERM_CORRUPTIONS[case]
+    for b, a in terms:
         # The first diagonal entry of the term's even block, in every basis
         # state: the trace of each state it enters moves by its weight.
-        corrupted[:, (0, ta, ta + tb)[t] * evolution._BLOCK_SIZE] += 1e-3
-    monkeypatch.setitem(evolution._BASIS_TABLES, kind, (corrupted, ta, tb))
+        corrupted[:, (b * ta + a) * evolution._BLOCK_SIZE] += 1e-3
+    monkeypatch.setitem(evolution._BASIS_TABLES, kind, corrupted)
     ga, gb = np.zeros((2, 2 * GRID_CHUNK))
     for i, (a, b) in strengths.items():
         ga[i], gb[i] = a, b
     chunks = evolve_grid(kind, POINTS[0], ga, gb)
     next(chunks)
-    with pytest.raises(ValueError, match=f"^trace must be 1, got .* in stack member {MEMBER}$"):
+    with pytest.raises(ValueError, match=f"^trace must be 1, got .* in stack member {member}$"):
         next(chunks)
 
 
@@ -236,28 +236,40 @@ def test_tables_match_the_direct_kraus_sum(kind):
 
 
 @pytest.mark.parametrize("kind", list(ChannelKind), ids=[k.value for k in ChannelKind])
-def test_idle_side_is_skipped_without_changing_the_states(kind, monkeypatch):
+def test_zero_strength_is_the_identity_weight_row(kind, monkeypatch):
     g = np.linspace(0.0, 1.0, GRID_CHUNK + 5)
     zero = np.zeros_like(g)
     rho = initial_state(POINTS[0]).matrix
     weighted = []
 
     def recording(kind, side, gamma):
-        weighted.append(side)
-        return channels.channel_weights(kind, side, gamma)
+        w = channels.channel_weights(kind, side, gamma)
+        weighted.append((side, w[np.asarray(gamma) == 0.0]))
+        return w
 
     monkeypatch.setattr(evolution, "channel_weights", recording)
-    for mode, ga, gb, idle in ((Mode.QUBIT_ONLY, g, zero, Side.QUTRIT), (Mode.QUTRIT_ONLY, zero, g, Side.QUBIT)):
+    for mode in (Mode.QUBIT_ONLY, Mode.QUTRIT_ONLY):
+        ga, gb = sweep_strengths(mode, g)
         weighted.clear()
         states = from_blocks(np.concatenate(list(evolve_grid(kind, POINTS[0], ga, gb))))
-        assert idle not in weighted, mode
+        # Both sides are weighted in every chunk, a zero strength by the
+        # identity row (u, v[, s]) = (1, 0[, 1]).
+        assert [side for side, _ in weighted] == [Side.QUBIT, Side.QUTRIT] * 2, mode
+        for side, rows in weighted:
+            identity = [1.0, 0.0, 1.0][: channels._SHAPES[kind, side].terms]
+            assert (rows == identity).all(), (mode, side)
+        idle = Side.QUTRIT if mode is Mode.QUBIT_ONLY else Side.QUBIT
+        assert sum(len(rows) for side, rows in weighted if side is idle) == len(g), mode
         # The direct route applies both channels, the idle one as the
         # identity at gamma = 0; the tables re-associate the sums, which
         # changes last bits only.
         assert np.abs(states - _kraus_reference(kind, POINTS[0], ga, gb)).max() <= 1e-15, mode
-    # With both sides idle the grid yields copies of the initial state.
+    # With both sides at zero the grid yields the initial state: exactly for
+    # the mixed-unitary kinds, whose u terms are the identity map, and to
+    # rounding for dephasing, whose identity is u T_u + s T_s.
     (states,) = evolve_grid(kind, POINTS[0], zero[:3], zero[:3])
-    assert np.array_equal(from_blocks(states), np.repeat(rho[None], 3, axis=0))
+    tol = 1e-16 if kind is ChannelKind.DEPHASING else 0.0
+    assert np.abs(from_blocks(states) - rho).max() <= tol
 
 
 def test_corrupted_coefficient_mid_chunk_breaks_completeness(monkeypatch):
