@@ -18,8 +18,13 @@ of a one-point evaluation, the ``evolve_grid_chunk_*`` rows one whole chunk
 of that many strengths, and the ``esd_*`` rows one ESD search of that
 cell; ``_qutritonly`` rows take the qutrit-only mode at the same qutrit
 strengths).  ``table_combine`` mixes the terms of both sides with 64 pair
-weight rows.  ``channel_weights_1`` takes the one qutrit strength of
-``evolve_one_point``, and ``check_density_one_point`` certifies the states
+weight rows.  ``completeness`` weights both sides of a chunk of 64 strength
+pairs, and ``channel_weights_1`` the one strength pair of
+``evolve_one_point``, as the checkout's ``evolve_grid`` does: one
+``channel_weights`` call for both sides, or one call per side on checkouts
+that weight each side on its own.  ``esd_block_invariants`` takes the
+candidate invariants of both partial-transpose blocks of one ESD search,
+and ``check_density_one_point`` certifies the states
 that the checkout's ``evolve_grid`` certifies for that point, as it does
 (the initial and the evolved state, and the state after the qubit side on
 checkouts that still build it).
@@ -48,6 +53,7 @@ import argparse
 import contextlib
 import importlib
 import importlib.util
+import inspect
 import io
 import json
 import os
@@ -125,10 +131,20 @@ def _closed_forms(q: ModuleType):
     ]
 
 
+def _weighting(q: ModuleType, ga: np.ndarray, gb: np.ndarray):
+    """Both sides' weight rows at the strength pairs (ga, gb), as the
+    checkout's ``evolve_grid`` takes them: one ``channel_weights`` call, or
+    one call per side where it takes a side."""
+    _, kind, _ = _subject(q)
+    channel_weights, side = q.channels.channel_weights, q.channels.Side
+    if "side" in inspect.signature(channel_weights).parameters:
+        return lambda: (channel_weights(kind, side.QUBIT, ga), channel_weights(kind, side.QUTRIT, gb))
+    return lambda: channel_weights(kind, ga, gb)
+
+
 def _table_combine(q: ModuleType):
     p, kind, _ = _subject(q)
-    channel_weights, side = q.channels.channel_weights, q.channels.Side
-    wa, wb = channel_weights(kind, side.QUBIT, G), channel_weights(kind, side.QUTRIT, G)
+    wa, wb = _weighting(q, G, G)()
     table = q.evolution._BASIS_TABLES[kind]
     both = count = wa.shape[1] * wb.shape[1]
     # Older checkouts hold (table, ta, tb): the qubit-side terms, the
@@ -145,12 +161,6 @@ def _table_combine(q: ModuleType):
         np.matmul(pairs, terms, out=out.reshape(N, 1, -1))
         return out
     return mix
-
-
-def _completeness(q: ModuleType, g: np.ndarray = G):
-    _, kind, _ = _subject(q)
-    channel_weights, side = q.channels.channel_weights, q.channels.Side
-    return lambda: channel_weights(kind, side.QUTRIT, g)
 
 
 def _one_point_certificate(q: ModuleType):
@@ -182,6 +192,12 @@ def _esd_candidates(q: ModuleType):
     p, kind, mode = _subject(q)
     candidates = q.negativity._esd_candidates
     return lambda: candidates(kind, mode, p)
+
+
+def _esd_block_invariants(q: ModuleType):
+    p, kind, mode = _subject(q)
+    invariants = q.negativity._block_invariants
+    return lambda: invariants(kind, mode, p)
 
 
 def _esd_alive(q: ModuleType):
@@ -228,8 +244,9 @@ def layer_rows(q: ModuleType) -> dict:
     rows = {
         "initial_state": (lambda: lambda: states.initial_state(p), 500),
         "table_combine": (lambda: _table_combine(q), 500),
-        "completeness": (lambda: _completeness(q), 500),
-        "channel_weights_1": (lambda: _completeness(q, np.array(_ONE_POINT[1:])), 1000),
+        "completeness": (lambda: _weighting(q, G, G), 500),
+        "channel_weights_1": (
+            lambda: _weighting(q, np.array(_ONE_POINT[:1]), np.array(_ONE_POINT[1:])), 1000),
         "kraus_operators": (lambda: lambda: kraus_operators(kind, side.QUTRIT, G), 200),
         "apply_channel": (lambda: lambda: evolution.apply_channel(ops, product), 50),
         "check_density": (lambda: lambda: states.check_density(product), 200),
@@ -247,6 +264,7 @@ def layer_rows(q: ModuleType) -> dict:
         "evolve_grid_chunk_128_qutritonly": (lambda: _grid_chunk(q, 128, q.Mode.QUTRIT_ONLY), 100),
         "evolve_grid_chunk_16": (lambda: _grid_chunk(q, 16, mode), 300),
         "esd_candidates": (lambda: _esd_candidates(q), 300),
+        "esd_block_invariants": (lambda: _esd_block_invariants(q), 300),
         "esd_certify_batch": (lambda: _esd_certify_batch(q), 300),
         "esd_section_step": (lambda: _esd_section_step(q), 300),
     }

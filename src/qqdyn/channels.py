@@ -24,10 +24,13 @@ of the result, as in the Kraus sum itself, where (1, gamma) would have T_0
 and gamma T_1 cancel towards gamma = 1.  :func:`channel_terms` gives the
 terms of any states, which the evolution tabulates once at import for the
 family's basis states.  :func:`channel_weights` gives the weight rows
-(u, v[, s]) for an array of strengths and certifies completeness at every
-one of them: the Gram polynomial sum_i K_i^dagger K_i = u G_u + v G_v +
-s G_s, tabulated at import and evaluated with the same rows, must be I6 to
-within ``COMPLETENESS_TOL`` (a NaN fails).
+(u, v[, s]) of both sides at once, for a strength array per side, from one
+formula over per-kind columns of p and m, and certifies completeness at
+every strength of each side: that side's Gram polynomial sum_i K_i^dagger
+K_i = u G_u + v G_v + s G_s, tabulated at import and evaluated with the
+same rows, must be I6 to within ``COMPLETENESS_TOL`` (a NaN fails).  The
+two sides are certified apart, in one stacked product, so that a defect of
+one cannot cancel against the other.
 
 Eight of the ten channels are mixed-unitary: K_0 = sqrt(1 - f gamma) I and
 K_i = sqrt(f gamma / n) U_i for n unitaries U_i, with f = 1/2 for the qubit
@@ -45,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -151,17 +154,6 @@ class _KrausShapes:
         w[:, 1:] = np.sqrt(g / self.m)[:, None]
         return self.fixed + w[:, :, None, None] * self.shapes
 
-    def weights(self, g: np.ndarray) -> np.ndarray:
-        """The (N, terms) weight rows (u, v[, s]) at the N strengths ``g``:
-        the squared weights u = w_0^2 = 1 - p g / m and v = w_i^2 = g / m,
-        and s = w_0 = sqrt(u)."""
-        w = np.empty((len(g), self.terms))
-        w[:, 0] = 1.0 - self.p * g / self.m
-        w[:, 1] = g / self.m
-        if self.terms == 3:
-            w[:, 2] = np.sqrt(w[:, 0])
-        return w
-
     @cached_property
     def weights_in_y(self) -> np.ndarray:
         """The weight rows (u, v[, s]) as coefficients of 1, y, ..., y^k with
@@ -252,16 +244,35 @@ _SHAPES: dict[tuple[ChannelKind, Side], _KrausShapes] = {
 }
 
 
+def _in_unit_interval(g: np.ndarray) -> np.ndarray:
+    """``g``, after rejecting any strength outside [0, 1], NaN included."""
+    bad = g[~((g >= 0.0) & (g <= 1.0))]
+    if bad.size:
+        raise ValueError(f"gamma must lie in [0, 1], got {bad[0]}")
+    return g
+
+
 def _strengths(gamma: ArrayLike) -> np.ndarray:
     """``gamma`` as a 1-d float array, possibly empty; reject any other
     shape and any strength outside [0, 1], NaN included."""
     g = np.asarray(gamma, dtype=float)
     if g.ndim != 1:
         raise ValueError(f"strengths must be a 1-d array, got shape {g.shape}")
-    bad = g[~((g >= 0.0) & (g <= 1.0))]
-    if bad.size:
-        raise ValueError(f"gamma must lie in [0, 1], got {bad[0]}")
-    return g
+    return _in_unit_interval(g)
+
+
+def _strength_pairs(gamma_qubit: ArrayLike, gamma_qutrit: ArrayLike) -> np.ndarray:
+    """Both sides' strengths as one (2, N) float array, qubit side first,
+    possibly empty; reject a pair that is not two 1-d arrays of one length,
+    and any strength outside [0, 1], NaN included."""
+    try:
+        g = np.array((gamma_qubit, gamma_qutrit), dtype=float)
+    except ValueError:  # arrays of unequal shapes
+        g = None
+    if g is None or g.ndim != 2:
+        shapes = np.shape(gamma_qubit), np.shape(gamma_qutrit)
+        raise ValueError(f"strengths must be 1-d arrays of one length, got shapes {shapes}")
+    return _in_unit_interval(g)
 
 
 def kraus_operators(kind: ChannelKind, side: Side, gamma: ArrayLike) -> np.ndarray:
@@ -275,23 +286,52 @@ def kraus_operators(kind: ChannelKind, side: Side, gamma: ArrayLike) -> np.ndarr
 
 _EYE_ROW = _EYE.view(float).ravel()
 
-#: The Gram polynomial sum_i K_i^dagger K_i = u G_u + v G_v + s G_s of each
-#: (kind, side), one real row per term holding the complex entries as
-#: (real, imaginary) pairs.
-_GRAMS: dict[tuple[ChannelKind, Side], np.ndarray] = {
-    key: shapes.expand(lambda a, b: a.conj().T @ b, _EYE).view(float).reshape(shapes.terms, -1)
-    for key, shapes in _SHAPES.items()
-}
+
+class _Weighting(NamedTuple):
+    """What weights a kind's two sides at once, qubit side first: the (2, 1)
+    columns of p and m, and the (2, T, 72) stack of the sides' Gram
+    polynomials sum_i K_i^dagger K_i = u G_u + v G_v + s G_s, one real row
+    per term holding the complex entries as (real, imaginary) pairs."""
+
+    p: np.ndarray
+    m: np.ndarray
+    grams: np.ndarray
 
 
-def channel_weights(kind: ChannelKind, side: Side, gamma: ArrayLike) -> np.ndarray:
-    """The (N, T) weight rows (u, v[, s]) of one channel kind and side at
-    each of the N strengths of the 1-d array ``gamma``, with completeness
-    certified at every strength from the Gram polynomial of the same rows.
-    A strength of zero gives the identity row (1, 0[, 1])."""
-    key = (ChannelKind(kind), Side(side))
-    w = _SHAPES[key].weights(_strengths(gamma))
-    _certify(w @ _GRAMS[key] - _EYE_ROW)
+def _weighting(kind: ChannelKind) -> _Weighting:
+    shapes = [_SHAPES[kind, side] for side in Side]
+    grams = [
+        s.expand(lambda a, b: a.conj().T @ b, _EYE).view(float).reshape(s.terms, -1)
+        for s in shapes
+    ]
+    return _Weighting(
+        np.array([[s.p] for s in shapes], dtype=float),
+        np.array([[s.m] for s in shapes], dtype=float),
+        np.array(grams),
+    )
+
+
+#: The weighting of every kind, built once at import.
+_WEIGHTINGS = {kind: _weighting(kind) for kind in ChannelKind}
+
+
+def channel_weights(kind: ChannelKind, gamma_qubit: ArrayLike, gamma_qutrit: ArrayLike) -> np.ndarray:
+    """The (2, N, T) weight rows (u, v[, s]) of one channel kind, qubit side
+    first, at the N strength pairs of the 1-d arrays ``gamma_qubit`` and
+    ``gamma_qutrit``: the squared weights u = 1 - p gamma / m and
+    v = gamma / m of each side, and s = sqrt(u).  Completeness is certified
+    at every strength of each side from that side's own Gram polynomial,
+    evaluated with the same rows, so that a defect of one side cannot
+    cancel against the other.  A strength of zero gives the identity row
+    (1, 0[, 1])."""
+    g = _strength_pairs(gamma_qubit, gamma_qutrit)
+    p, m, grams = _WEIGHTINGS[ChannelKind(kind)]
+    w = np.empty((*g.shape, grams.shape[1]))
+    w[..., 0] = 1.0 - p * g / m
+    w[..., 1] = g / m
+    if grams.shape[1] == 3:
+        w[..., 2] = np.sqrt(w[..., 0])
+    _certify(w @ grams - _EYE_ROW)
     return w
 
 

@@ -92,8 +92,10 @@ def _write_text(path: str | None, text: str) -> None:
     try:
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
-    finally:
+    except BaseException:
+        # Only a failed write or rename leaves the temporary file behind.
         tmp.unlink(missing_ok=True)
+        raise
 
 
 def _run_one_sweep(kind, mode, params, steps, out, fmt, tol, start=0.0, stop=1.0) -> None:

@@ -21,20 +21,22 @@ instead of the 72 of a complex 6x6 matrix: at most 27 block pairs per kind,
 into at most 9 term block pairs.
 
 :func:`evolve_grid` then works through the strength arrays in chunks of
-``GRID_CHUNK``.  Per chunk it builds both sides' weight rows, certifies
-completeness at every strength from the Gram polynomial of the same rows,
-and writes each member's state, its pair weights times the term blocks,
-into one buffer of block-pair rows, after the initial state in the first
-chunk.  A side at strength zero needs no case of its own: its weight row
-is the identity.  One density-matrix certificate covers the whole buffer
-in place; only a failed certificate is diagnosed, which names the failing
-member.  States stay in block form; ``linalg.from_blocks`` rebuilds the
+``GRID_CHUNK``.  Per chunk one ``channel_weights`` call builds both sides'
+weight rows and certifies each side's completeness at every strength from
+its Gram polynomial of the same rows, and the chunk writes each member's
+state, its pair weights times the term blocks, into one buffer of
+block-pair rows, after the initial state in the first chunk.  A side at
+strength zero needs no case of its own: its weight row is the identity.
+One density-matrix certificate covers the whole buffer in place; only a
+failed certificate is diagnosed, which names the failing member.  States stay in block form; ``linalg.from_blocks`` rebuilds the
 6x6 product-basis matrix where an output needs it.  Sweeps and the ESD
 detector reduce each chunk before the next is built, so memory stays
 bounded for any grid length; :func:`evolve` is the one-point case of the
-same path, and :func:`_sweep_polynomial` the same mix with polynomial
-weights.  :func:`apply_channel` over ``channels.kraus_operators`` is the
-direct Kraus sum, kept as the reference the tables are tested against.
+same path, and :func:`_sweep_basis` the same mix with polynomial weights
+for each basis state, from which ``negativity`` tabulates the ESD
+invariants once at import.  :func:`apply_channel` over
+``channels.kraus_operators`` is the direct Kraus sum, kept as the
+reference the tables are tested against.
 
 For each channel kind the evolved density matrix also has a closed form;
 :func:`analytic_evolved` builds it directly from those expressions as an
@@ -175,8 +177,10 @@ _BLOCK_SIZE = _FAMILY_BLOCKS.shape[1]
 
 
 def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products of polynomials with coefficients of 1, y, ... along axis 0."""
-    out = np.zeros((len(a) + len(b) - 1, *np.broadcast_shapes(a.shape[1:], b.shape[1:])))
+    """Products of polynomials with coefficients of 1, y, ... along axis 0,
+    in the dtype of the coefficients (exact rationals stay exact)."""
+    shape = (len(a) + len(b) - 1, *np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    out = np.zeros(shape, dtype=np.result_type(a, b))
     for i, ai in enumerate(a):
         out[i : i + len(b)] += ai * b
     return out
@@ -189,27 +193,26 @@ def _weights_in_y(kind: ChannelKind, mode: Mode) -> tuple[np.ndarray, int]:
     basis table holds the terms.  An idle side is its constant weight row
     at gamma = 0, the identity."""
     shapes = [_SHAPES[kind, side] for side in Side]
+    idle = channel_weights(kind, [0.0], [0.0])
     # A side is active where the mode's strength at gamma = 1 is non-zero.
     wa, wb = (
-        s.weights_in_y.T if g else s.weights(np.zeros(1))
-        for s, g in zip(shapes, sweep_strengths(mode, 1.0))
+        s.weights_in_y.T if g else row
+        for s, g, row in zip(shapes, sweep_strengths(mode, 1.0), idle)
     )
     w = _polymul(wb[:, :, None], wa[:, None, :])
     return w.reshape(len(w), -1), shapes[0].terms - 1
 
 
-#: The weight polynomials of every cell, built once at import.
-_WEIGHTS_IN_Y = {(kind, mode): _weights_in_y(kind, mode) for kind in ChannelKind for mode in Mode}
-
-
-def _sweep_polynomial(kind: ChannelKind, mode: Mode, params: StateParams) -> tuple[np.ndarray, int]:
-    """The states of one cell's sweep as block-stack coefficients of 1, y,
-    y^2, ..., and k, 1 - gamma = y^k: the mix of :func:`evolve_grid` with
-    each weight a polynomial in y."""
-    kind = ChannelKind(kind)
-    w, k = _WEIGHTS_IN_Y[kind, Mode(mode)]
-    terms = (family_weights(params) @ _BASIS_TABLES[kind]).reshape(-1, _BLOCK_SIZE)
-    return (w @ terms).reshape(-1, *BLOCK_SHAPE), k
+def _sweep_basis(kind: ChannelKind, mode: Mode) -> tuple[np.ndarray, int]:
+    """What one cell's sweep makes of each state of ``FAMILY_BASIS``, as
+    block-stack coefficients of 1, y, y^2, ..., basis state second: a
+    (d + 1, 3, 2, 3, 3) array; and k, 1 - gamma = y^k.  The mix of
+    :func:`evolve_grid` with each weight a polynomial in y, before the
+    family weights; the sweep of a point is its weights (2a, 3b, c) times
+    these along the basis axis."""
+    w, k = _weights_in_y(kind, mode)
+    terms = _BASIS_TABLES[kind].reshape(len(FAMILY_BASIS), -1, _BLOCK_SIZE)
+    return (w @ terms).swapaxes(0, 1).reshape(len(w), len(terms), *BLOCK_SHAPE), k
 
 
 def evolve_grid(
@@ -221,12 +224,12 @@ def evolve_grid(
     ``linalg.from_blocks`` gives their product-basis matrices.
 
     The family weights (2a, 3b, c) mix the kind's basis table into the
-    point's term blocks.  Each chunk takes both sides' weight rows, each
-    certified complete at every strength, and writes every member's mix,
-    its pair rows wb x wa times the term blocks, into one fresh buffer of
-    block-pair rows, after the initial state in the first chunk.  A side
-    at strength zero is weighted like any other: its row (1, 0[, 1]) is the
-    identity.  The buffer is certified in place by the certificate of
+    point's term blocks.  Each chunk takes both sides' weight rows from one
+    ``channel_weights`` call, which certifies each side complete at every
+    strength, and writes every member's mix, its pair rows wb x wa times
+    the term blocks, into one fresh buffer of block-pair rows, after the
+    initial state in the first chunk.  A side at strength zero is weighted
+    like any other: its row (1, 0[, 1]) is the identity.  The buffer is certified in place by the certificate of
     ``check_density``, once per chunk, and the chunk's states are yielded
     as a view of it.  Only if that fails does ``check_density`` diagnose
     the initial state (first chunk only; its error names no member), then
@@ -245,8 +248,7 @@ def evolve_grid(
     # The initial state goes with the first chunk's certificate.
     first = 1
     for s in range(0, len(ga), GRID_CHUNK):
-        wa = channel_weights(kind, Side.QUBIT, ga[s : s + GRID_CHUNK])
-        wb = channel_weights(kind, Side.QUTRIT, gb[s : s + GRID_CHUNK])
+        wa, wb = channel_weights(kind, ga[s : s + GRID_CHUNK], gb[s : s + GRID_CHUNK])
         n = len(wa)
         rows = np.empty((first + n, _BLOCK_SIZE))
         rows[:first] = rho

@@ -18,11 +18,15 @@ the state dies exactly where the last negative eigenvalue of
 rho^Gamma(gamma) crosses zero.  Along one sweep rho^Gamma, and so each of
 its blocks' invariants (trace, principal-minor sum, determinant), is an
 exact polynomial in y, 1 - gamma = y^k (k = 2 for dephasing, else 1),
-built from the basis tables (``evolution._sweep_polynomial``).  In y a
+built from the basis tables (``evolution._sweep_basis``).  The invariants
+are linear, quadratic and cubic in the family weights (2a, 3b, c), so the
+import tabulates them per cell over the monomials of those weights, and a
+search contracts the tables with its point's monomials.  In y a
 multiple root at gamma = 1 sits at y = 0, where trimming rounding noise
 removes it; in gamma rounding would split it into false roots below 1.
 The candidates are the real roots in (0, 1) of each block's highest
-invariant that does not vanish identically.  A 2x3 partial transpose can
+invariant that does not vanish identically, from both blocks' companion
+matrices in one stacked eigensolve.  A 2x3 partial transpose can
 have two negative eigenvalues at once (Rana, PRA 87, 054301, 2013), so the
 numeric negativity about each root, in one batch, certifies the first
 death, and :func:`_section` narrows that bracket to the tolerance.  A curve
@@ -41,9 +45,9 @@ import numpy as np
 
 from .channels import ChannelKind
 from .evolution import ChannelScenario, Mode, evolve_grid, sweep_strengths
-from .evolution import _polymul, _sweep_polynomial
+from .evolution import _polymul, _sweep_basis
 from .linalg import BLOCK_SHAPE, TOTAL_DIM, partial_transpose_blocks, partial_transpose_qutrit
-from .states import DensityMatrix, StateParams
+from .states import DensityMatrix, StateParams, family_weights
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
@@ -261,47 +265,105 @@ def check_entangled(params: StateParams) -> None:
         raise ValueError("ESD detection requires an entangled initial state")
 
 
+def _invariant_forms(pt: np.ndarray) -> list[np.ndarray]:
+    """e_1, e_2 and e_3 of the eigenvalues of the blocks A = sum_j x_j
+    pt[:, j], as forms in the x_j.  ``pt`` holds 3x3 polynomial blocks:
+    coefficients of 1, y, ... along axis 0, then the j axis, then any
+    further axes, which the forms keep, then the 3x3.  e_i comes back with
+    its coefficients along axis 0, then i axes of j, then the further axes;
+    summed times x_j x_k ... over every j, k, ... it is e_i of the blocks
+    A.  e_1 = tr A, e_2 = ((tr A)^2 - tr A^2) / 2 and e_3 = det A by the
+    cofactors of row 0, its rows 0, 1 and 2 taken from pt[:, j], pt[:, k]
+    and pt[:, l]: the determinant is linear in each row.  The arithmetic
+    keeps the dtype of ``pt``, so exact rationals stay exact."""
+    tr = np.trace(pt, axis1=-2, axis2=-1)
+    squares = _polymul(pt[:, :, None], pt[:, None].swapaxes(-1, -2)).sum(axis=(-2, -1))
+    r0 = pt[:, :, None, None, ..., 0, :]
+    r1 = pt[:, None, :, None, ..., 1, :]
+    r2 = pt[:, None, None, :, ..., 2, :]
+    cofactors = _polymul(r1[..., _NEXT], r2[..., _AFTER])
+    cofactors -= _polymul(r1[..., _AFTER], r2[..., _NEXT])
+    return [
+        tr,
+        (_polymul(tr[:, :, None], tr[:, None]) - squares) / 2,
+        _polymul(r0, cofactors).sum(axis=-1),
+    ]
+
+
+def _invariant_tables() -> dict[tuple[ChannelKind, Mode], tuple[list[np.ndarray], int]]:
+    """Per cell, e_1, e_2 and e_3 of the partial transpose's blocks along its
+    sweep (:func:`_invariant_forms` of ``evolution._sweep_basis``) as tables
+    over the monomials of the family weights (2a, 3b, c): 3, 9 and 27 rows
+    of coefficients of 1, y, ..., both blocks interleaved; and k,
+    1 - gamma = y^k.  The cells of one degree in y go through one call."""
+    bases = {(kind, mode): _sweep_basis(kind, mode) for kind in ChannelKind for mode in Mode}
+    by_degree = {}
+    for cell, (basis, _) in bases.items():
+        by_degree.setdefault(len(basis), []).append(cell)
+    tables = {}
+    for cells in by_degree.values():
+        # The cells on an axis after the basis axis, which the forms keep.
+        pt = np.stack([bases[cell][0] for cell in cells], axis=2)
+        # Coefficients after the cell axis: e_i[..., cell, :, :] is a table.
+        forms = [np.moveaxis(e, 0, -2) for e in _invariant_forms(partial_transpose_blocks(pt))]
+        for j, cell in enumerate(cells):
+            tables[cell] = (
+                [e[..., j, :, :].reshape(3**i, -1) for i, e in enumerate(forms, 1)],
+                bases[cell][1],
+            )
+    return tables
+
+
+#: The invariant tables of every cell, built once at import.
+_INVARIANT_TABLES = _invariant_tables()
+
+
 def _block_invariants(kind: ChannelKind, mode: Mode, params: StateParams) -> tuple[list, int]:
     """Per block of the partial transpose along one cell's sweep, S-even
     first, the highest invariant e_i of its eigenvalues that does not vanish
     identically, as (i, coefficients of 1, y, ...), 1 - gamma = y^k; and k.
-    e_1 = tr A, e_2 = ((tr A)^2 - tr A^2) / 2 and e_3 = det A (by the
-    cofactors of row 0) of the polynomial blocks A; e_i vanishes when its
-    coefficients stay within ``_ZERO_TOL`` of those of e_(i-1), e_0 = 1."""
-    pt, k = _sweep_polynomial(kind, mode, params)
-    pt = partial_transpose_blocks(pt)
-    tr = np.trace(pt, axis1=-2, axis2=-1)
-    r1, r2 = pt[..., 1, :], pt[..., 2, :]
-    cofactors = _polymul(r1[..., _NEXT], r2[..., _AFTER])
-    cofactors -= _polymul(r1[..., _AFTER], r2[..., _NEXT])
+    Each e_i is the cell's table (:func:`_invariant_tables`) times the
+    point's monomials of degree i in its family weights; e_i vanishes when
+    its coefficients stay within ``_ZERO_TOL`` of those of e_(i-1), e_0 = 1."""
+    tables, k = _INVARIANT_TABLES[kind, mode]
+    x = family_weights(params)
+    xx = (x[:, None] * x).ravel()
     invariants = [
-        np.ones((1, 2)),
-        tr,
-        (_polymul(tr, tr) - _polymul(pt, pt.swapaxes(-1, -2)).sum(axis=(-2, -1))) / 2.0,
-        _polymul(pt[..., 0, :], cofactors).sum(axis=-1),
+        (monomials @ table).reshape(-1, 2)
+        for monomials, table in zip((x, xx, (xx[:, None] * x).ravel()), tables)
     ]
-    scale = [np.abs(e).max(axis=0).tolist() for e in invariants]
+    scale = [[1.0, 1.0]] + [np.abs(e).max(axis=0).tolist() for e in invariants]
     chosen = []
     for block in range(2):
         for i in (3, 2, 1):
             if not scale[i][block] <= _ZERO_TOL * scale[i - 1][block]:
-                chosen.append((i, invariants[i][:, block]))
+                chosen.append((i, invariants[i - 1][:, block]))
                 break
     return chosen, k
 
 
-def _strengths_of_roots(c: np.ndarray, k: int) -> np.ndarray:
+def _strengths_of_roots(coefficients: list[np.ndarray], k: int) -> np.ndarray:
     """The strengths 1 - y^k in (0, 1), in no set order, of the real roots y
-    in (0, 1) of sum_i c_i y^i, noise trimmed at both ends (``_NOISE_TOL``),
-    as eigenvalues of the power-basis companion matrix (numpy.polynomial
-    would add about 2.8 ms and 0.13 MB of import)."""
-    big = np.flatnonzero(np.abs(c) > _NOISE_TOL * np.abs(c).max())
-    c = c[big[0] : big[-1] + 1]
-    if len(c) < 2:
+    in (0, 1) of each polynomial sum_i c_i y^i of ``coefficients``, noise
+    trimmed at both ends (``_NOISE_TOL``), as eigenvalues of their
+    power-basis companion matrices in one stacked eigensolve (numpy.polynomial
+    would add about 2.8 ms and 0.13 MB of import).  A shorter polynomial's
+    companion is padded with -1 on the diagonal, whose roots y > 0 drops."""
+    trimmed = []
+    for c in coefficients:
+        big = np.flatnonzero(np.abs(c) > _NOISE_TOL * np.abs(c).max())
+        trimmed.append(c[big[0] : big[-1] + 1])
+    size = max(len(c) for c in trimmed) - 1
+    if size < 1:
         return np.empty(0)
-    companion = np.eye(len(c) - 1, k=-1)
-    companion[:, -1] -= c[:-1] / c[-1]
-    y = np.linalg.eigvals(companion)
+    companions = np.zeros((len(trimmed), size, size))
+    for companion, c in zip(companions, trimmed):
+        n = len(c) - 1
+        companion[:n, :n] = np.eye(n, k=-1)
+        companion[:n, n - 1] -= c[:-1] / c[-1]
+        pad = np.arange(n, size)
+        companion[pad, pad] = -1.0
+    y = np.linalg.eigvals(companions).ravel()
     y = y[np.abs(y.imag) <= _IMAG_TOL].real
     g = 1.0 - y**k
     return g[(y > 0.0) & (g > 0.0) & (g < 1.0)]
@@ -310,7 +372,7 @@ def _strengths_of_roots(c: np.ndarray, k: int) -> np.ndarray:
 def _esd_candidates(kind: ChannelKind, mode: Mode, params: StateParams) -> np.ndarray:
     """The candidate death strengths of one cell, from both blocks' invariants."""
     chosen, k = _block_invariants(kind, mode, params)
-    return np.concatenate([_strengths_of_roots(c, k) for _, c in chosen])
+    return _strengths_of_roots([c for _, c in chosen], k)
 
 
 def _narrow(

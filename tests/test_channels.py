@@ -123,8 +123,9 @@ def test_gamma_bounds():
     for bad in (-0.1, 1.1, np.nan):
         with pytest.raises(ValueError, match="gamma must lie in"):
             kraus_operators(ChannelKind.DEPHASING, Side.QUBIT, [bad])
-        with pytest.raises(ValueError, match="gamma must lie in"):
-            channel_weights(ChannelKind.DEPHASING, Side.QUBIT, [0.5, bad])
+        for pair in (([0.5, bad], [0.5, 0.5]), ([0.5, 0.5], [0.5, bad])):
+            with pytest.raises(ValueError, match="gamma must lie in"):
+                channel_weights(ChannelKind.DEPHASING, *pair)
 
 
 @pytest.mark.parametrize(
@@ -137,13 +138,20 @@ def test_strengths_are_a_1d_array_that_may_be_empty(gamma):
         for side in Side:
             if np.ndim(gamma) == 1:
                 terms = _SHAPES[kind, side].terms
-                assert channel_weights(kind, side, gamma).shape == (0, terms)
+                assert channel_weights(kind, gamma, gamma).shape == (2, 0, terms)
                 ops = kraus_operators(kind, side, gamma)
                 assert ops.shape == (0, OPERATOR_COUNTS[kind, side], 6, 6)
                 continue
-            for build in (channel_weights, kraus_operators):
-                with pytest.raises(ValueError, match="^strengths must be a 1-d array, got shape"):
-                    build(kind, side, gamma)
+            with pytest.raises(ValueError, match="^strengths must be a 1-d array, got shape"):
+                kraus_operators(kind, side, gamma)
+            with pytest.raises(ValueError, match="^strengths must be 1-d arrays of one length"):
+                channel_weights(kind, gamma, gamma)
+
+
+def test_strengths_of_both_sides_are_equal_in_length():
+    for pair in (([0.5], [0.5, 0.5]), (0.5, [0.5, 0.5]), ([], [0.5])):
+        with pytest.raises(ValueError, match="^strengths must be 1-d arrays of one length"):
+            channel_weights(ChannelKind.DEPOLARIZING, *pair)
 
 
 @pytest.mark.parametrize("kind", list(ChannelKind))
@@ -155,7 +163,7 @@ def test_polynomial_terms_equal_the_kraus_sum(kind, side):
     rho = np.array([random_density_matrix(rng) for _ in range(4)])
     g = np.array([0.0, 0.2, 0.5, 0.9, 1.0])
     terms = channel_terms(kind, side, rho)
-    w = channel_weights(kind, side, g)
+    w = channel_weights(kind, g, g)[list(Side).index(side)]
     assert w.shape == (len(g), len(terms)) == (len(g), 3 if kind is ChannelKind.DEPHASING else 2)
     got = np.einsum("nt,t...->n...", w, terms)
     want = apply_channel(kraus_operators(kind, side, g)[:, None], rho[None])
@@ -173,4 +181,4 @@ def test_weight_polynomials_in_y_give_the_weight_rows(kind, side):
     assert k == (2 if kind is ChannelKind.DEPHASING else 1)
     y = (1.0 - g) ** (1.0 / k)
     got = np.vander(y, k + 1, increasing=True) @ w.T
-    assert np.abs(got - channel_weights(kind, side, g)).max() < 1e-15
+    assert np.abs(got - channel_weights(kind, g, g)[list(Side).index(side)]).max() < 1e-15

@@ -376,6 +376,50 @@ def test_cli_failed_write_leaves_previous_output(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [out]
 
 
+_WRITES = {
+    "sweep": ["sweep", "--kind", "dephasing", "--mode", "qubitonly", "--b", "0.05", "--c", "0.6",
+              "--gamma-steps", "5", "--format", "json"],
+    "esd": ["esd", "--kind", "dephasing", "--mode", "qubitonly", "--b", "0.05", "--c", "0.6"],
+    "table1": ["table1", "--b", "0.05", "--c", "0.6"],
+}
+
+
+@pytest.mark.parametrize("command", list(_WRITES))
+def test_cli_successful_write_removes_nothing(command, tmp_path, monkeypatch):
+    # The temporary file is renamed into place, so nothing is left to unlink.
+    unlinked = []
+    unlink = Path.unlink
+
+    def recording_unlink(self, *args, **kwargs):
+        unlinked.append(self)
+        return unlink(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "unlink", recording_unlink)
+    out = tmp_path / "out.json"
+    assert main([*_WRITES[command], "--out", str(out)]) == EXIT_OK
+    assert unlinked == []
+    assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("command", list(_WRITES))
+@pytest.mark.parametrize("failing", ["write", "replace"])
+def test_cli_failed_write_leaves_no_temporary_file(command, failing, tmp_path, monkeypatch):
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    def failing_write(self, text, *args, **kwargs):
+        write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    write_text = Path.write_text
+    if failing == "replace":
+        monkeypatch.setattr(os, "replace", failing_replace)
+    else:
+        monkeypatch.setattr(Path, "write_text", failing_write)
+    assert main([*_WRITES[command], "--out", str(tmp_path / "out.json")]) == EXIT_IO == 3
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_csv_floats_are_17_digits():
     result = run_sweep(ChannelKind.DEPHASING, Mode.QUBIT_ONLY, StateParams(1 / 30, 0.899), steps=5)
     text = render_sweep(result, "csv")

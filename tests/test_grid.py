@@ -240,20 +240,24 @@ def test_zero_strength_is_the_identity_weight_row(kind, monkeypatch):
     g = np.linspace(0.0, 1.0, GRID_CHUNK + 5)
     zero = np.zeros_like(g)
     rho = initial_state(POINTS[0]).matrix
-    weighted = []
+    calls, weighted = [], []
 
-    def recording(kind, side, gamma):
-        w = channels.channel_weights(kind, side, gamma)
-        weighted.append((side, w[np.asarray(gamma) == 0.0]))
+    def recording(kind, gamma_qubit, gamma_qutrit):
+        w = channels.channel_weights(kind, gamma_qubit, gamma_qutrit)
+        calls.append(len(w[0]))
+        for side, gamma, rows in zip(Side, (gamma_qubit, gamma_qutrit), w):
+            weighted.append((side, rows[np.asarray(gamma) == 0.0]))
         return w
 
     monkeypatch.setattr(evolution, "channel_weights", recording)
     for mode in (Mode.QUBIT_ONLY, Mode.QUTRIT_ONLY):
         ga, gb = sweep_strengths(mode, g)
+        calls.clear()
         weighted.clear()
         states = from_blocks(np.concatenate(list(evolve_grid(kind, POINTS[0], ga, gb))))
-        # Both sides are weighted in every chunk, a zero strength by the
+        # One call per chunk weights both sides, a zero strength by the
         # identity row (u, v[, s]) = (1, 0[, 1]).
+        assert calls == [GRID_CHUNK, 5], mode
         assert [side for side, _ in weighted] == [Side.QUBIT, Side.QUTRIT] * 2, mode
         for side, rows in weighted:
             identity = [1.0, 0.0, 1.0][: channels._SHAPES[kind, side].terms]
@@ -273,25 +277,36 @@ def test_zero_strength_is_the_identity_weight_row(kind, monkeypatch):
 
 
 def test_corrupted_coefficient_mid_chunk_breaks_completeness(monkeypatch):
-    kind, side = ChannelKind.DEPOLARIZING, Side.QUTRIT
+    kind = ChannelKind.DEPOLARIZING
+    weighting = channels._WEIGHTINGS[kind]
     zero = np.zeros(GRID_CHUNK)
-    # Qutrit-side strengths that are zero except in the middle of the chunk.
-    gb = np.where(np.arange(GRID_CHUNK) == MEMBER, 0.5, 0.0)
-    list(evolve_grid(kind, POINTS[0], zero, gb))
-    weights = channels._KrausShapes.weights
+    # One side's strengths, zero except in the middle of the chunk.
+    middle = np.where(np.arange(GRID_CHUNK) == MEMBER, 0.5, 0.0)
+    for i, strengths in enumerate(((middle, zero), (zero, middle))):
+        list(evolve_grid(kind, POINTS[0], *strengths))
+        # A corrupted p of u = 1 - p gamma / m shows only where gamma = 0.5.
+        p = weighting.p.copy()
+        p[i] *= 1.0 + 1e-9
+        # A corrupted Gram coefficient of v = gamma / m shows there too.
+        grams = weighting.grams.copy()
+        grams[i, 1, 7] += 1e-9
+        for corrupted in (weighting._replace(p=p), weighting._replace(grams=grams)):
+            with monkeypatch.context() as m:
+                m.setitem(channels._WEIGHTINGS, kind, corrupted)
+                with pytest.raises(ValueError, match="completeness violated"):
+                    list(evolve_grid(kind, POINTS[0], *strengths))
 
-    def corrupted_row(self, gamma):
-        w = weights(self, gamma)
-        w[MEMBER, 0] += 1e-9
-        return w
 
-    with monkeypatch.context() as m:
-        m.setattr(channels._KrausShapes, "weights", corrupted_row)
-        with pytest.raises(ValueError, match="completeness violated"):
-            list(evolve_grid(kind, POINTS[0], zero, gb))
-    # A corrupted Gram coefficient of v = gamma / m shows where gamma = 0.5.
-    gram = channels._GRAMS[(kind, side)].copy()
-    gram[1, 7] += 1e-9
-    monkeypatch.setitem(channels._GRAMS, (kind, side), gram)
+@pytest.mark.parametrize("kind", list(ChannelKind), ids=[k.value for k in ChannelKind])
+def test_defects_of_the_two_sides_cannot_cancel(kind, monkeypatch):
+    # Each side is certified against its own Gram table: scaled by 1 + 1e-9
+    # on the qubit side and by its inverse on the qutrit side, whose product
+    # is the identity, the call still fails.
+    weighting = channels._WEIGHTINGS[kind]
+    g = np.array([0.0, 0.5, 1.0])
+    scale = np.array([1.0 + 1e-9, 1.0 / (1.0 + 1e-9)])[:, None, None]
+    monkeypatch.setitem(channels._WEIGHTINGS, kind, weighting._replace(grams=weighting.grams * scale))
     with pytest.raises(ValueError, match="completeness violated"):
-        list(evolve_grid(kind, POINTS[0], zero, gb))
+        channels.channel_weights(kind, g, g)
+    with pytest.raises(ValueError, match="completeness violated"):
+        list(evolve_grid(kind, POINTS[0], g, g))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from qqdyn import (
 from qqdyn import evolution, negativity, sweep, validate
 from qqdyn.linalg import partial_transpose_blocks
 from qqdyn.negativity import sweep_negativities
+from qqdyn.states import family_weights
 
 from helpers import brute_negativity
 
@@ -268,7 +270,7 @@ def _candidates(*roots_in_gamma, lift=0.0):
     polynomial in y = 1 - gamma."""
     c = np.poly([1.0 - r for r in roots_in_gamma])[::-1] * (-1.0) ** len(roots_in_gamma)
     c[0] += lift
-    return negativity._strengths_of_roots(c, 1)
+    return negativity._strengths_of_roots([c], 1)
 
 
 def test_root_search_finds_death_before_revival_inside_one_grid_cell():
@@ -423,6 +425,83 @@ def test_chosen_invariants_equal_those_of_the_evolved_blocks():
                 for block, (i, c) in enumerate(chosen):
                     got = np.vander(y, len(c), increasing=True) @ c
                     assert np.abs(got - e[i - 1][:, block]).max() <= 1e-14, (p, kind, mode, block)
+
+
+def _direct_invariants(kind, mode, p):
+    """e_0 = 1, e_1, e_2 and e_3 of both partial-transpose blocks along one
+    cell's sweep, by the polynomial algebra on the point's own blocks: its
+    weight polynomials in y times its term blocks, then trace,
+    ((tr A)^2 - tr A^2) / 2 and the determinant by the cofactors of row 0."""
+    polymul = evolution._polymul
+    w, k = evolution._weights_in_y(kind, mode)
+    terms = (family_weights(p) @ evolution._BASIS_TABLES[kind]).reshape(-1, 18)
+    pt = partial_transpose_blocks((w @ terms).reshape(-1, 2, 3, 3))
+    tr = np.trace(pt, axis1=-2, axis2=-1)
+    r1, r2 = pt[..., 1, :], pt[..., 2, :]
+    later, last = [1, 2, 0], [2, 0, 1]
+    cofactors = polymul(r1[..., later], r2[..., last]) - polymul(r1[..., last], r2[..., later])
+    return [
+        np.ones((1, 2)),
+        tr,
+        (polymul(tr, tr) - polymul(pt, pt.swapaxes(-1, -2)).sum(axis=(-2, -1))) / 2.0,
+        polymul(pt[..., 0, :], cofactors).sum(axis=-1),
+    ], k
+
+
+def test_invariant_tables_equal_the_direct_algebra():
+    # The tables contract the algebra over the monomials of the family
+    # weights; at each point they choose the e_i that the algebra on the
+    # point's own blocks chooses, with the same coefficients to rounding.
+    rng = np.random.default_rng(19)
+    points = [*CANONICAL_POINTS, *random_entangled_params(rng, 20),
+              StateParams.a_zero(0.1), StateParams(0.0, 0.5)]
+    for p in points:
+        for kind in ChannelKind:
+            for mode in Mode:
+                chosen, k = negativity._block_invariants(kind, mode, p)
+                direct, direct_k = _direct_invariants(kind, mode, p)
+                assert k == direct_k
+                scale = [np.abs(e).max(axis=0) for e in direct]
+                for block, (i, c) in enumerate(chosen):
+                    want_i = next(i for i in (3, 2, 1)
+                                  if scale[i][block] > negativity._ZERO_TOL * scale[i - 1][block])
+                    assert i == want_i, (p, kind, mode, block)
+                    want = direct[i][:, block]
+                    assert len(c) == len(want), (p, kind, mode, block)
+                    assert np.abs(c - want).max() <= 1e-14 * np.abs(want).max(), (p, kind, mode, block)
+
+
+def _trimmed_degree(c):
+    big = np.flatnonzero(np.abs(c) > negativity._NOISE_TOL * np.abs(c).max())
+    return big[-1] - big[0]
+
+
+def test_stacked_roots_are_the_roots_of_each_block():
+    # Both blocks' companions go to one eigensolve, the shorter padded; the
+    # padding adds no root, and each block keeps its own roots.
+    padded = 0
+    for p in [*CANONICAL_POINTS, StateParams.a_zero(0.1), StateParams.a_zero(0.2)]:
+        for kind in ChannelKind:
+            for mode in Mode:
+                chosen, k = negativity._block_invariants(kind, mode, p)
+                got = np.sort(negativity._strengths_of_roots([c for _, c in chosen], k))
+                want = np.sort(np.concatenate(
+                    [negativity._strengths_of_roots([c], k) for _, c in chosen]))
+                assert len(got) == len(want), (p, kind, mode)
+                assert np.abs(got - want).max(initial=0.0) <= 1e-12, (p, kind, mode)
+                padded += len({_trimmed_degree(c) for _, c in chosen}) == 2
+    assert padded  # some blocks' polynomials differ in degree after trimming
+
+
+def test_invariant_forms_keep_exact_rationals():
+    # Fed exact rationals (every float is one), the forms stay exact, and
+    # they round to the float forms.
+    basis, _ = evolution._sweep_basis(ChannelKind.BIT_FLIP, Mode.MULTI_LOCAL)
+    pt = partial_transpose_blocks(basis)
+    exact = negativity._invariant_forms(np.vectorize(Fraction, otypes=[object])(pt))
+    for e, f in zip(exact, negativity._invariant_forms(pt)):
+        assert all(isinstance(v, (Fraction, int)) for v in e.flat)
+        assert np.abs(e.astype(float) - f).max() <= 1e-15 * np.abs(f).max()
 
 
 def test_default_tolerance_needs_no_bisection(monkeypatch):
