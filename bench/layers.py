@@ -22,9 +22,14 @@ weight rows.  ``completeness`` weights both sides of a chunk of 64 strength
 pairs, and ``channel_weights_1`` the one strength pair of
 ``evolve_one_point``, as the checkout's ``evolve_grid`` does: one
 ``channel_weights`` call for both sides, or one call per side on checkouts
-that weight each side on its own.  ``esd_block_invariants`` takes the
-candidate invariants of both partial-transpose blocks of one ESD search,
-and ``check_density_one_point`` certifies the states
+that weight each side on its own.  The ``esd_*`` rows time the checkout's
+own ESD search: ``esd_block_invariants`` takes the invariants of both
+partial-transpose blocks, ``esd_candidates`` the candidate deaths from the
+point, ``esd_alive`` one batch of the test of life at the candidates plus
+and minus the certification half-width (the invariants' test, or the
+numeric negativity of evolved states on checkouts that still evolve them),
+``esd_certify_batch`` the certified bracket and ``esd_section_step`` one
+sectioning step.  ``check_density_one_point`` certifies the states
 that the checkout's ``evolve_grid`` certifies for that point, as it does
 (the initial and the evolved state, and the state after the qubit side on
 checkouts that still build it).
@@ -63,6 +68,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 from types import ModuleType
 
@@ -188,10 +194,24 @@ def _one_point_certificate(q: ModuleType):
     return lambda: q.states.check_density(stages[0][0], *stages[1:])
 
 
-def _esd_candidates(q: ModuleType):
+def _esd_search(q: ModuleType) -> tuple:
+    """The candidate deaths, as a callable from the point, and the test of
+    life of the checkout's ESD search: on the invariant polynomials where
+    the checkout decides death there (``_alive``), else on the numeric
+    negativity of evolved states (``sweep_alive``).  Looked up now, so that
+    a checkout without them reports the row absent."""
     p, kind, mode = _subject(q)
-    candidates = q.negativity._esd_candidates
-    return lambda: candidates(kind, mode, p)
+    negativity = q.negativity
+    if not hasattr(negativity, "_alive"):
+        candidates = negativity._esd_candidates
+        return (lambda: candidates(kind, mode, p)), partial(negativity.sweep_alive, kind, mode, p)
+    invariants, chosen, roots = (negativity._block_invariants, negativity._chosen_invariants,
+                                 negativity._strengths_of_roots)
+
+    def candidates():
+        found, k = invariants(kind, mode, p)
+        return roots(chosen(found), k)
+    return candidates, partial(negativity._alive, *invariants(kind, mode, p))
 
 
 def _esd_block_invariants(q: ModuleType):
@@ -201,24 +221,24 @@ def _esd_block_invariants(q: ModuleType):
 
 
 def _esd_alive(q: ModuleType):
-    p, kind, mode = _subject(q)
-    # Looked up now, so that a checkout without it reports the row absent.
-    negativities = q.negativity.sweep_negativities
-    threshold = q.negativity.ESD_NEGATIVITY_THRESHOLD
-    return lambda g: negativities(kind, mode, p, g) > threshold
+    candidates, alive = _esd_search(q)
+    h = q.negativity.ESD_BRACKET
+    samples = [r + s * h for r in candidates() for s in (-1.0, 1.0)]
+    return lambda: alive(samples)
 
 
 def _esd_certify_batch(q: ModuleType):
     # At tol = 1 the sectioning takes no step: the one certification batch
     # about the candidates.
-    roots, alive = _esd_candidates(q)(), _esd_alive(q)
+    candidates, alive = _esd_search(q)
+    roots = candidates()
     return lambda: q.negativity._death_bracket(roots, alive, 1.0)
 
 
 def _esd_section_step(q: ModuleType):
     # One sectioning step: half the certified width is reached after one batch.
     lo, hi = _esd_certify_batch(q)()
-    section, alive = q.negativity._section, _esd_alive(q)
+    section, alive = q.negativity._section, _esd_search(q)[1]
     return lambda: section(lo, hi, alive, (hi - lo) / 2.0)
 
 
@@ -263,8 +283,9 @@ def layer_rows(q: ModuleType) -> dict:
         "evolve_grid_chunk_128": (lambda: _grid_chunk(q, 128, mode), 100),
         "evolve_grid_chunk_128_qutritonly": (lambda: _grid_chunk(q, 128, q.Mode.QUTRIT_ONLY), 100),
         "evolve_grid_chunk_16": (lambda: _grid_chunk(q, 16, mode), 300),
-        "esd_candidates": (lambda: _esd_candidates(q), 300),
+        "esd_candidates": (lambda: _esd_search(q)[0], 300),
         "esd_block_invariants": (lambda: _esd_block_invariants(q), 300),
+        "esd_alive": (lambda: _esd_alive(q), 300),
         "esd_certify_batch": (lambda: _esd_certify_batch(q), 300),
         "esd_section_step": (lambda: _esd_section_step(q), 300),
     }

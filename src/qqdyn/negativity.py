@@ -15,22 +15,27 @@ finite noise strength, strictly before the infinite-time limit gamma = 1.
 For a qubit-qutrit state a positive partial transpose is necessary and
 sufficient for separability (Horodecki, Horodecki & Horodecki 1996), so
 the state dies exactly where the last negative eigenvalue of
-rho^Gamma(gamma) crosses zero.  Along one sweep rho^Gamma, and so each of
-its blocks' invariants (trace, principal-minor sum, determinant), is an
-exact polynomial in y, 1 - gamma = y^k (k = 2 for dephasing, else 1),
-built from the basis tables (``evolution._sweep_basis``).  The invariants
-are linear, quadratic and cubic in the family weights (2a, 3b, c), so the
-import tabulates them per cell over the monomials of those weights, and a
-search contracts the tables with its point's monomials.  In y a
-multiple root at gamma = 1 sits at y = 0, where trimming rounding noise
-removes it; in gamma rounding would split it into false roots below 1.
-The candidates are the real roots in (0, 1) of each block's highest
-invariant that does not vanish identically, from both blocks' companion
-matrices in one stacked eigensolve.  A 2x3 partial transpose can
-have two negative eigenvalues at once (Rana, PRA 87, 054301, 2013), so the
-numeric negativity about each root, in one batch, certifies the first
-death, and :func:`_section` narrows that bracket to the tolerance.  A curve
-that vanishes only at gamma = 1 is asymptotic decay and reports no ESD.
+rho^Gamma(gamma) crosses zero.  Along one sweep each block's invariants
+e_1, e_2, e_3 (trace, principal-minor sum, determinant) are exact
+polynomials in y, 1 - gamma = y^k (k = 2 for dephasing, else 1), and
+linear, quadratic and cubic in the family weights (2a, 3b, c).  The import
+tabulates them per cell over the monomials of those weights, snapped to
+the rationals they are, and a search contracts the tables with its point's
+monomials.  Each coefficient carries a bound on its rounding, and one
+within its bound is exactly zero: that picks each block's highest
+invariant that does not vanish identically and trims it at both ends, so a
+multiple root at gamma = 1 (y = 0) does not split into false roots below
+1.  The candidates are the real roots in (0, 1) of the two picked
+invariants, from one stacked companion eigensolve.
+
+A real symmetric 3x3 block is positive semidefinite exactly when its e_1,
+e_2 and e_3 are all >= 0.  So the state is alive where some invariant of
+either block is negative beyond its bound, and dead where all are >= 0
+beyond theirs.  A 2x3 partial transpose can have two negative eigenvalues
+at once (Rana, PRA 87, 054301, 2013), so that test about each candidate
+certifies the first death, and :func:`_section` narrows the bracket to the
+tolerance.  The search evolves no state and has no fixed threshold.  A
+curve that vanishes only at gamma = 1 is asymptotic decay, not ESD.
 """
 
 from __future__ import annotations
@@ -55,25 +60,35 @@ if TYPE_CHECKING:
 #: Eigenvalues above this cutoff are eigensolver dust, not negativity.
 NEGATIVE_EIG_CUTOFF = -1e-12
 
-#: A state counts as disentangled once its negativity falls to this level.
+#: A state counts as disentangled once its numeric negativity falls to this
+#: level: the test of death of ``validate``'s grid-scan oracle.
 ESD_NEGATIVITY_THRESHOLD = 1e-12
 
-#: A block invariant e_i whose coefficients stay within this fraction of the
-#: largest of e_(i-1) vanishes identically (a zero eigenvalue at every strength).
-_ZERO_TOL = 1e-12
-#: Coefficients at either end of a polynomial below this fraction of its
-#: largest are rounding noise (measured at most 3e-16) and are trimmed.
-_NOISE_TOL = 1e-14
+#: Every entry of the invariant tables is an integer over this grid,
+#: 93312 = 2^7 3^6, which the import certifies (:func:`_snapped`).
+_TABLE_GRID = 93312.0
+#: Bounds the rounding of a contracted invariant coefficient relative to
+#: |monomials| @ |table|, and that of evaluating an invariant relative to the
+#: same contraction evaluated there.  With u = 2^-53: a coefficient of e_3
+#: sums 27 products of a snapped entry (rounded once) and a monomial of three
+#: weights (rounded twice), 4 roundings a term and 26 in the sum, in any
+#: order (the table's zero entries add none): 30 u.  At degree 12 (dephasing multi-local) a power y^j takes
+#: j - 1 roundings, its product one and the sum 12: 24 u.  32 u = 2^-48 also
+#: covers the rounding of the bounds themselves.
+_ROUNDING = 2.0**-48
 #: A complex root pair closer than this to the real axis is a double root
 #: split by rounding, and is kept as a candidate.
 _IMAG_TOL = 1e-6
+#: The rows of e_1, e_2 and e_3 in an invariant table: the monomials of
+#: degree 1, 2 and 3 of the family weights.
+_DEGREES = (slice(0, 3), slice(3, 12), slice(12, 39))
 #: Columns j + 1 and j + 2 (mod 3) for each column j of a 3x3 matrix.
 _NEXT, _AFTER = [1, 2, 0], [2, 0, 1]
 
 #: Half-width of the bracket that certifies a root.
 ESD_BRACKET = 2.0**-31
 #: Interior strengths that one :func:`_section` step samples, evenly spaced,
-#: cutting the bracket into 16 parts: 4 bits per ``evolve_grid`` batch.
+#: cutting the bracket into 16 parts: 4 bits per call of the test of life.
 SECTION_SAMPLES = 15
 
 
@@ -126,8 +141,9 @@ def sweep_negativities(kind: ChannelKind, mode: Mode, params: StateParams, gamma
 
 
 def sweep_alive(kind: ChannelKind, mode: Mode, params: StateParams, gammas: ArrayLike) -> np.ndarray:
-    """Whether the state of one (kind, mode) cell is still entangled at each
-    sweep strength: the one test of death, for the detector and its oracle."""
+    """Whether the numeric negativity of one (kind, mode) cell is above
+    ``ESD_NEGATIVITY_THRESHOLD`` at each sweep strength: the test of death of
+    ``validate``'s grid-scan oracle, which evolves the states."""
     return sweep_negativities(kind, mode, params, gammas) > ESD_NEGATIVITY_THRESHOLD
 
 
@@ -290,12 +306,27 @@ def _invariant_forms(pt: np.ndarray) -> list[np.ndarray]:
     ]
 
 
-def _invariant_tables() -> dict[tuple[ChannelKind, Mode], tuple[list[np.ndarray], int]]:
+def _snapped(t: np.ndarray) -> np.ndarray:
+    """``t`` with every entry moved to the nearest multiple of 1 / 93312
+    (``_TABLE_GRID``), the rational it rounds; raises if an entry lies more
+    than 1e-6 of a grid unit off the grid, which no rounding explains."""
+    scaled = t * _TABLE_GRID
+    whole = np.round(scaled)
+    if not np.abs(scaled - whole).max() <= 1e-6:
+        raise RuntimeError("an invariant table entry is off the 1/93312 grid")
+    return whole / _TABLE_GRID
+
+
+def _invariant_tables() -> dict[tuple[ChannelKind, Mode], tuple[np.ndarray, int]]:
     """Per cell, e_1, e_2 and e_3 of the partial transpose's blocks along its
-    sweep (:func:`_invariant_forms` of ``evolution._sweep_basis``) as tables
-    over the monomials of the family weights (2a, 3b, c): 3, 9 and 27 rows
-    of coefficients of 1, y, ..., both blocks interleaved; and k,
-    1 - gamma = y^k.  The cells of one degree in y go through one call."""
+    sweep (:func:`_invariant_forms` of ``evolution._sweep_basis``) as one
+    table over the 3 + 9 + 27 monomials of degree 1, 2 and 3 of the family
+    weights (2a, 3b, c), snapped (:func:`_snapped`); and k, 1 - gamma = y^k.
+    The table is a (2, 39, 2 (D + 1)) array, D the degree of e_3 in y: the
+    snapped table, then its magnitudes times ``_ROUNDING``.  Row m holds the
+    coefficients of 1, y, ..., y^D, both blocks interleaved, of the e_i of
+    monomial m, padded with zeros.  The cells of one degree in y go through
+    one call."""
     bases = {(kind, mode): _sweep_basis(kind, mode) for kind in ChannelKind for mode in Mode}
     by_degree = {}
     for cell, (basis, _) in bases.items():
@@ -304,13 +335,14 @@ def _invariant_tables() -> dict[tuple[ChannelKind, Mode], tuple[list[np.ndarray]
     for cells in by_degree.values():
         # The cells on an axis after the basis axis, which the forms keep.
         pt = np.stack([bases[cell][0] for cell in cells], axis=2)
-        # Coefficients after the cell axis: e_i[..., cell, :, :] is a table.
-        forms = [np.moveaxis(e, 0, -2) for e in _invariant_forms(partial_transpose_blocks(pt))]
-        for j, cell in enumerate(cells):
-            tables[cell] = (
-                [e[..., j, :, :].reshape(3**i, -1) for i, e in enumerate(forms, 1)],
-                bases[cell][1],
-            )
+        forms = _invariant_forms(partial_transpose_blocks(pt))
+        table = np.zeros((len(cells), 2, 39, 2 * len(forms[-1])))
+        for e, rows in zip(forms, _DEGREES):
+            # Cells first, then a row of coefficients per monomial.
+            exact = _snapped(np.moveaxis(e, 0, -2).reshape(rows.stop - rows.start, len(cells), -1))
+            table[:, 0, rows, : exact.shape[-1]] = exact.swapaxes(0, 1)
+        table[:, 1] = _ROUNDING * np.abs(table[:, 0])
+        tables.update((cell, (t, bases[cell][1])) for cell, t in zip(cells, table))
     return tables
 
 
@@ -319,119 +351,161 @@ _INVARIANT_TABLES = _invariant_tables()
 
 
 def _block_invariants(kind: ChannelKind, mode: Mode, params: StateParams) -> tuple[list, int]:
-    """Per block of the partial transpose along one cell's sweep, S-even
-    first, the highest invariant e_i of its eigenvalues that does not vanish
-    identically, as (i, coefficients of 1, y, ...), 1 - gamma = y^k; and k.
-    Each e_i is the cell's table (:func:`_invariant_tables`) times the
-    point's monomials of degree i in its family weights; e_i vanishes when
-    its coefficients stay within ``_ZERO_TOL`` of those of e_(i-1), e_0 = 1."""
-    tables, k = _INVARIANT_TABLES[kind, mode]
-    x = family_weights(params)
-    xx = (x[:, None] * x).ravel()
-    invariants = [
-        (monomials @ table).reshape(-1, 2)
-        for monomials, table in zip((x, xx, (xx[:, None] * x).ravel()), tables)
-    ]
-    scale = [[1.0, 1.0]] + [np.abs(e).max(axis=0).tolist() for e in invariants]
+    """e_1, e_2 and e_3 of the eigenvalues of both partial-transpose blocks
+    along one cell's sweep, and the rounding bound of each coefficient, as
+    floats: a list of the three invariants' coefficients, then one of their
+    bounds, each invariant a list of the coefficients of 1, y, ..., y^D,
+    both blocks interleaved (S-even first); and k, 1 - gamma = y^k.  The
+    cell's table (:func:`_invariant_tables`) takes the point's monomials of
+    degree i in its family weights to e_i, and their magnitudes to the
+    bounds, in one product.  A coefficient within its bound is exactly zero,
+    and is set to zero with its bound."""
+    table, k = _INVARIANT_TABLES[kind, mode]
+    x = family_weights(params).tolist()
+    xx = [u * v for u in x for v in x]
+    z = [0.0] * 36
+    # Row i holds the monomials of degree i + 1 in their columns of the table.
+    rows = [x + z, z[:3] + xx + z[:27], z[:12] + [u * v for u in xx for v in x]]
+    values, bounds = np.matmul([rows, [list(map(abs, row)) for row in rows]], table).tolist()
+    for e, w in zip(values, bounds):
+        for j, (v, b) in enumerate(zip(e, w)):
+            if abs(v) <= b:
+                e[j] = w[j] = 0.0
+    return [values, bounds], k
+
+
+def _chosen_invariants(invariants: list) -> list[list[float]]:
+    """Per block, the coefficients of its highest invariant e_i that does not
+    vanish identically, with its zero coefficients trimmed off both ends;
+    ``invariants`` as :func:`_block_invariants` returns them."""
     chosen = []
-    for block in range(2):
-        for i in (3, 2, 1):
-            if not scale[i][block] <= _ZERO_TOL * scale[i - 1][block]:
-                chosen.append((i, invariants[i - 1][:, block]))
+    for block in (0, 1):
+        for values in invariants[0][::-1]:
+            c = values[block::2]
+            kept = [j for j, v in enumerate(c) if v]
+            if kept:
+                chosen.append(c[kept[0] : kept[-1] + 1])
                 break
-    return chosen, k
+    return chosen
 
 
-def _strengths_of_roots(coefficients: list[np.ndarray], k: int) -> np.ndarray:
+def _strengths_of_roots(coefficients: list, k: int) -> list[float]:
     """The strengths 1 - y^k in (0, 1), in no set order, of the real roots y
-    in (0, 1) of each polynomial sum_i c_i y^i of ``coefficients``, noise
-    trimmed at both ends (``_NOISE_TOL``), as eigenvalues of their
-    power-basis companion matrices in one stacked eigensolve (numpy.polynomial
-    would add about 2.8 ms and 0.13 MB of import).  A shorter polynomial's
-    companion is padded with -1 on the diagonal, whose roots y > 0 drops."""
-    trimmed = []
-    for c in coefficients:
-        big = np.flatnonzero(np.abs(c) > _NOISE_TOL * np.abs(c).max())
-        trimmed.append(c[big[0] : big[-1] + 1])
-    size = max(len(c) for c in trimmed) - 1
+    in (0, 1) of each polynomial sum_i c_i y^i of ``coefficients``, whose
+    leading coefficient is non-zero, as eigenvalues of their power-basis
+    companion matrices in one stacked eigensolve (numpy.polynomial would add
+    about 2.8 ms and 0.13 MB of import).  A shorter polynomial's companion is
+    padded with -1 on the diagonal, whose roots y > 0 drops."""
+    size = max((len(c) for c in coefficients), default=1) - 1
     if size < 1:
-        return np.empty(0)
-    companions = np.zeros((len(trimmed), size, size))
-    for companion, c in zip(companions, trimmed):
+        return []
+    companions = []
+    for c in coefficients:
         n = len(c) - 1
-        companion[:n, :n] = np.eye(n, k=-1)
-        companion[:n, n - 1] -= c[:-1] / c[-1]
-        pad = np.arange(n, size)
-        companion[pad, pad] = -1.0
-    y = np.linalg.eigvals(companions).ravel()
-    y = y[np.abs(y.imag) <= _IMAG_TOL].real
-    g = 1.0 - y**k
-    return g[(y > 0.0) & (g > 0.0) & (g < 1.0)]
+        companion = [[0.0] * size for _ in range(size)]
+        for i in range(n):
+            companion[i][n - 1] = -c[i] / c[n]
+        for i in range(1, n):
+            companion[i][i - 1] = 1.0
+        for i in range(n, size):
+            companion[i][i] = -1.0
+        companions.append(companion)
+    strengths = []
+    for y in np.linalg.eigvals(companions).ravel().tolist():
+        if abs(y.imag) <= _IMAG_TOL and y.real > 0.0:
+            g = 1.0 - y.real**k
+            if 0.0 < g < 1.0:
+                strengths.append(g)
+    return strengths
 
 
-def _esd_candidates(kind: ChannelKind, mode: Mode, params: StateParams) -> np.ndarray:
-    """The candidate death strengths of one cell, from both blocks' invariants."""
-    chosen, k = _block_invariants(kind, mode, params)
-    return _strengths_of_roots([c for _, c in chosen], k)
+def _alive(invariants: list, k: int, gammas: list[float]) -> list[bool | None]:
+    """At each strength of ``gammas``, True where the state is certainly
+    entangled, False where it is certainly separable, None where rounding
+    cannot tell.  An invariant evaluates within its bound, twice its
+    coefficients' bounds evaluated there (``_ROUNDING``), of its exact value.
+    Entangled means some invariant of either block is certainly negative,
+    separable that every one is certainly >= 0 (one that vanishes
+    identically is exactly 0).  All strengths evaluate in one Vandermonde
+    product; ``invariants`` and k as :func:`_block_invariants` returns them."""
+    size = len(invariants[0][0]) // 2
+    powers = []
+    for g in gammas:
+        y = 1.0 - g if k == 1 else math.sqrt(1.0 - g)  # k is 1 or 2
+        row = [1.0]
+        for _ in range(1, size):
+            row.append(row[-1] * y)
+        powers.append(row)
+    values, bounds = np.matmul(powers, np.reshape(invariants, (2, 3, size, 2))).tolist()
+    alive = []
+    for n in range(len(gammas)):
+        # The least upper and lower ends of the six invariants' enclosures.
+        upper = lower = math.inf
+        for v, w in zip(values, bounds):
+            for b in (0, 1):
+                upper = min(upper, v[n][b] + 2.0 * w[n][b])
+                lower = min(lower, v[n][b] - 2.0 * w[n][b])
+        alive.append(True if upper < 0.0 else False if lower >= 0.0 else None)
+    return alive
 
 
-def _narrow(
-    lo: float, hi: float, samples: np.ndarray, alive: np.ndarray
-) -> tuple[float, float]:
+def _narrow(lo: float, hi: float, samples: list, alive: list) -> tuple[float, float]:
     """Bracket the first death with evaluated samples: the first dead sample
     (or ``hi``) and the last live sample before it (or ``lo``).  Samples
-    may come in any order; they are not sorted, since numpy's sort kernels
-    add about 0.25 MB of resident memory to handle a dozen numbers."""
-    dead = samples[~alive]
-    if dead.size:
-        hi = min(hi, float(dead.min()))
-    before = samples[alive & (samples < hi)]
-    if before.size:
-        lo = max(lo, float(before.max()))
+    may come in any order; a sample whose state is undecided (None) moves
+    neither end."""
+    hi = min([g for g, a in zip(samples, alive) if a is not None and not a], default=hi)
+    lo = max([g for g, a in zip(samples, alive) if a and g < hi], default=lo)
     return lo, hi
 
 
 def _section(
-    lo: float, hi: float, alive: Callable[[np.ndarray], np.ndarray], tol: float
+    lo: float, hi: float, alive: Callable[[list], list[bool | None]], tol: float
 ) -> tuple[float, float]:
     """Narrow a bracket (lo, hi), alive at lo and dead at hi, until it is no
-    wider than ``tol`` or no float lies strictly inside it.  Each step
-    evaluates ``SECTION_SAMPLES`` evenly spaced interior strengths in one
-    call of ``alive`` and keeps the first dead sample and the live sample
-    before it."""
-    steps = np.arange(1, SECTION_SAMPLES + 1) / (SECTION_SAMPLES + 1)
+    wider than ``tol``, no float lies strictly inside it, or a step decides
+    none of its samples.  Each step evaluates ``SECTION_SAMPLES`` evenly
+    spaced interior strengths in one call of ``alive`` and keeps the first
+    dead sample and the live sample before it."""
+    steps = [i / (SECTION_SAMPLES + 1) for i in range(1, SECTION_SAMPLES + 1)]
     while hi - lo > tol:
-        samples = lo + (hi - lo) * steps
-        samples = samples[(samples > lo) & (samples < hi)]
-        if not samples.size:
+        samples = [g for s in steps if lo < (g := lo + (hi - lo) * s) < hi]
+        if not samples:
             break  # no float lies strictly inside the bracket
-        lo, hi = _narrow(lo, hi, samples, alive(samples))
+        bracket = _narrow(lo, hi, samples, alive(samples))
+        if bracket == (lo, hi):
+            break  # rounding cannot tell the state at any sample
+        lo, hi = bracket
     return lo, hi
 
 
 def _death_bracket(
-    roots: np.ndarray, alive: Callable[[np.ndarray], np.ndarray], tol: float
+    roots, alive: Callable[[list], list[bool | None]], tol: float
 ) -> tuple[float, float] | None:
     """Bracket (lo, hi), alive at lo and dead at hi, about the first death;
     None when the state stays entangled below gamma = 1.
 
     ``roots`` are the candidate strengths in (0, 1), in any order, and
-    ``alive(g)`` tells for each strength of an array whether the state
-    there is still entangled.  Each candidate root r is sampled at
-    r -/+ ``ESD_BRACKET``, and the stretch up to the next root (or
-    gamma = 1) at its midpoint, all in one call of ``alive``.  The first
-    dead sample and the live sample before it (or gamma = 0) bracket the
-    death, which :func:`_section` then narrows down to ``tol``.  A death
-    bracketed only by gamma = 1 is asymptotic.
+    ``alive(g)`` tells for each strength of a list whether the state there
+    is still entangled (True), has died (False) or cannot be told (None).
+    Each candidate root r is sampled at r - ``ESD_BRACKET``, above it at
+    r + ``ESD_BRACKET`` or halfway to gamma = 1, whichever is nearer, and
+    the stretch up to the next root (or gamma = 1) at its midpoint, all in
+    one call of ``alive``.  The first dead sample and the live sample before
+    it (or gamma = 0) bracket the death, which :func:`_section` then narrows
+    down to ``tol``.  A death bracketed only by gamma = 1 is asymptotic.
     """
-    if not roots.size:
-        return None
     h = ESD_BRACKET
-    # The next root above each root, or gamma = 1 above the last.
-    after = np.where(roots > roots[:, None], roots, 1.0).min(axis=1)
-    mids = (roots + after) / 2.0
-    samples = np.clip(np.concatenate([roots - h, roots + h, mids[mids > roots + h]]), 0.0, 1.0)
-    lo, hi = _narrow(0.0, np.inf, samples, alive(samples))
+    samples = []
+    for r in roots:
+        above = min(r + h, (r + 1.0) / 2.0)
+        samples += [max(r - h, 0.0), above]
+        mid = (r + min([s for s in roots if s > r], default=1.0)) / 2.0
+        if mid > above:
+            samples.append(mid)
+    if not samples:
+        return None
+    lo, hi = _narrow(0.0, math.inf, samples, alive(samples))
     if hi >= 1.0:
         return None
     return _section(lo, hi, alive, tol)
@@ -443,22 +517,25 @@ def esd_gamma(
     params: StateParams,
     tol: float = 1e-9,
 ) -> float | None:
-    """Smallest sweep strength at which the numeric negativity has died.
+    """Smallest sweep strength at which the state has died, decided on the
+    invariant polynomials of its partial transpose, without evolving it.
 
-    The numeric negativity on either side of each candidate
-    (:func:`_esd_candidates`) certifies the first death
-    (:func:`_death_bracket`).  The certified bracket is sectioned, one batch
-    of evaluations per step, until it is no wider than ``tol`` (a positive
-    number) or no float lies strictly between its ends, and its dead end is
-    returned.  Returns None when the negativity stays above
-    ``ESD_NEGATIVITY_THRESHOLD`` below gamma = 1; a death exactly at
-    gamma = 1 is asymptotic decay.
+    The invariants' test of life (:func:`_alive`) on either side of each
+    candidate, a root of a block's chosen invariant
+    (:func:`_chosen_invariants`), certifies the first death
+    (:func:`_death_bracket`).  The bracket is sectioned, one batch of
+    evaluations per step, until it is no wider than ``tol`` (a positive
+    number), no float lies strictly between its ends or rounding cannot tell
+    the state inside it.  Its dead end is returned, where the state is
+    certainly separable; None when no strength below gamma = 1 is.  A death
+    exactly at gamma = 1 is asymptotic decay.
     """
     check_tol(tol)
     kind, mode = ChannelKind(kind), Mode(mode)
     check_entangled(params)
-    alive = partial(sweep_alive, kind, mode, params)
-    bracket = _death_bracket(_esd_candidates(kind, mode, params), alive, tol)
+    invariants, k = _block_invariants(kind, mode, params)
+    roots = _strengths_of_roots(_chosen_invariants(invariants), k)
+    bracket = _death_bracket(roots, partial(_alive, invariants, k), tol)
     return None if bracket is None else bracket[1]
 
 
