@@ -321,12 +321,11 @@ def inprocess_rows(q: ModuleType, workdir: str) -> dict:
         "esd_gamma_15_cells": (
             lambda: lambda: [negativity.esd_gamma(k, m, p) for k, m in cells], 3),
     }
-    for name in ("_completeness_check", "_threshold_checks", "_grid_bisection_check",
-                 "_route_agreement_check"):
+    for name in ("_completeness_check", "_grid_bisection_check", "_route_agreement_check"):
         rows[f"validate.{name}"] = (lambda name=name: getattr(validate, name), 1)
     points = validate.random_entangled_params(np.random.default_rng(validate._SEED), 20)
     for name in ("_evolved_form_checks", "_closed_form_curves", "_negativity_form_checks",
-                 "_equivalence_checks"):
+                 "_threshold_checks", "_equivalence_checks"):
         rows[f"validate.{name}"] = (lambda name=name: _validate_check(q, name, points), 1)
     return rows
 
@@ -335,11 +334,15 @@ def _validate_check(q: ModuleType, name: str, points: list):
     """Setup of a ``validate`` row that takes the 20 points of a run.  The
     check is looked up now, so that a checkout without it reports the row
     absent.  Where the checkout evaluates the closed-form curves once
-    (``_closed_form_curves``, a row of its own), the two checks on them take
-    those curves; older checkouts evaluate them inside each check."""
+    (``_closed_form_curves``, a row of its own), the checks on them take
+    those curves; older checkouts evaluate them inside each check.  A check
+    that takes no argument (``_threshold_checks`` on checkouts that list
+    its cells by hand) is timed as it is."""
     check = getattr(q.validate, name)
+    if not inspect.signature(check).parameters:
+        return check
     curves = getattr(q.validate, "_closed_form_curves", None)
-    shared = curves and name in ("_negativity_form_checks", "_equivalence_checks")
+    shared = curves and name in ("_negativity_form_checks", "_threshold_checks", "_equivalence_checks")
     arg = curves(points) if shared else points
     return lambda: check(arg)
 

@@ -1,5 +1,5 @@
 """Kraus operators of the five noise channels, held as data, and the same
-channels as polynomials in the strength.
+channels as weighted sums of fixed terms.
 
 Every (kind, side) channel is a fixed stack of 6x6 operator shapes weighted
 by scalar functions of the strength gamma, K_i = fixed_i + w_i(gamma)
@@ -30,7 +30,9 @@ every strength of each side: that side's Gram polynomial sum_i K_i^dagger
 K_i = u G_u + v G_v + s G_s, tabulated at import and evaluated with the
 same rows, must be I6 to within ``COMPLETENESS_TOL`` (a NaN fails).  The
 two sides are certified apart, in one stacked product, so that a defect of
-one cannot cancel against the other.
+one cannot cancel against the other.  That formula is the one copy of the
+weights: the ESD search's weight polynomials in y, 1 - gamma = y^k, are
+read off its rows at gamma = 0 and 1 (``evolution._weights_in_y``).
 
 Eight of the ten channels are mixed-unitary: K_0 = sqrt(1 - f gamma) I and
 K_i = sqrt(f gamma / n) U_i for n unitaries U_i, with f = 1/2 for the qubit
@@ -153,17 +155,6 @@ class _KrausShapes:
         w[:, 0] = np.sqrt(1.0 - self.p * g / self.m)
         w[:, 1:] = np.sqrt(g / self.m)[:, None]
         return self.fixed + w[:, :, None, None] * self.shapes
-
-    @cached_property
-    def weights_in_y(self) -> np.ndarray:
-        """The weight rows (u, v[, s]) as coefficients of 1, y, ..., y^k with
-        1 - gamma = y^k: u = 1 - f + f y^k, f = p / m, and v = (1 - y^k) / m;
-        with s, k = 2 and s = sqrt(u) = y, since p = m; else k = 1."""
-        k, f = self.terms - 1, self.p / self.m
-        w = np.zeros((self.terms, k + 1))
-        w[:2, 0], w[:2, k] = (1.0 - f, 1.0 / self.m), (f, -1.0 / self.m)
-        w[2:, 1] = 1.0  # s = y, where s is a weight
-        return w
 
     def expand(self, pair: Callable, identity: np.ndarray) -> np.ndarray:
         """The coefficients (C_u, C_v[, C_s]) of sum_i pair(K_i, K_i) =

@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import _SHAPES, ChannelKind, Side, channel_terms, channel_weights
+from .channels import ChannelKind, Side, channel_terms, channel_weights
 from .linalg import BLOCK_SHAPE, TOTAL_DIM, from_blocks, to_blocks
 from .states import (
     FAMILY_BASIS,
@@ -188,19 +188,30 @@ def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _weights_in_y(kind: ChannelKind, mode: Mode) -> tuple[np.ndarray, int]:
     """The weight rows of both sides at one sweep strength of the mode as
-    polynomials in y (``_KrausShapes.weights_in_y``), with k, 1 - gamma =
-    y^k: the products of the two sides' rows, qutrit term major, as the
-    basis table holds the terms.  An idle side is its constant weight row
-    at gamma = 0, the identity."""
-    shapes = [_SHAPES[kind, side] for side in Side]
-    idle = channel_weights(kind, [0.0], [0.0])
+    polynomials in y, with k, 1 - gamma = y^k (k = 2 where a row holds s,
+    else 1): the products of the two sides' rows, qutrit term major, as the
+    basis table holds the terms.
+
+    They come from ``channel_weights`` itself, at gamma = 0 and 1.  u and v
+    are affine in gamma, so in y^k, and s = sqrt(u) = y, since dephasing
+    has u = 1 - gamma: each weight is its value at gamma = 1 plus, at its
+    power of y, the difference to its value at gamma = 0.  An idle side is
+    its constant row at gamma = 0, the identity."""
+    rows = channel_weights(kind, [0.0, 1.0], [0.0, 1.0])
+    terms = rows.shape[-1]
+    k = terms - 1
+    sides = []
     # A side is active where the mode's strength at gamma = 1 is non-zero.
-    wa, wb = (
-        s.weights_in_y.T if g else row
-        for s, g, row in zip(shapes, sweep_strengths(mode, 1.0), idle)
-    )
+    for (at0, at1), active in zip(rows, sweep_strengths(mode, 1.0)):
+        w = at0[None]
+        if active:
+            w = np.zeros((k + 1, terms))
+            w[0] = at1
+            w[[k, k, 1][:terms], range(terms)] = at0 - at1
+        sides.append(w)
+    wa, wb = sides
     w = _polymul(wb[:, :, None], wa[:, None, :])
-    return w.reshape(len(w), -1), shapes[0].terms - 1
+    return w.reshape(len(w), -1), k
 
 
 def _sweep_basis(kind: ChannelKind, mode: Mode) -> tuple[np.ndarray, int]:

@@ -3,12 +3,14 @@
 Negativity is computed from the spectrum of the partial transpose over the
 qutrit: once as trace norm minus one and once as twice the magnitude of the
 negative-eigenvalue sum.  The two routes agree identically up to eigensolver
-noise and both are reported.  The evolved states come in block form (see
-``linalg``): the partial transpose commutes with the symmetry S too, so it
-is one fixed real map between block pairs, and the spectrum is that of two
-real symmetric 3x3 blocks per state.  A 6x6 state of any kind takes a
-complex 6x6 eigensolve of ``partial_transpose_qutrit`` instead, the
-product-basis reference that ``validate`` holds the block route to.
+noise and both are reported.  An eigenvalue counts as negative below
+``NEGATIVE_EIG_CUTOFF``, the one numeric cutoff.  The evolved states come in
+block form (see ``linalg``): the partial transpose commutes with the
+symmetry S too, so it is one fixed real map between block pairs, and the
+spectrum is that of two real symmetric 3x3 blocks per state.  A 6x6 state
+of any kind takes a complex 6x6 eigensolve of ``partial_transpose_qutrit``
+instead, the product-basis reference that ``validate`` holds the block
+route to.
 
 Entanglement sudden death (ESD) means the negativity reaches zero at a
 finite noise strength, strictly before the infinite-time limit gamma = 1.
@@ -49,7 +51,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .channels import ChannelKind
-from .evolution import ChannelScenario, Mode, evolve_grid, sweep_strengths
+from .evolution import ChannelScenario, Mode
 from .evolution import _polymul, _sweep_basis
 from .linalg import BLOCK_SHAPE, TOTAL_DIM, partial_transpose_blocks, partial_transpose_qutrit
 from .states import DensityMatrix, StateParams, family_weights
@@ -57,12 +59,10 @@ from .states import DensityMatrix, StateParams, family_weights
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
 
-#: Eigenvalues above this cutoff are eigensolver dust, not negativity.
+#: Eigenvalues above this cutoff are eigensolver dust, not negativity.  So a
+#: numeric negativity is either exactly 0.0 or above 2e-12, and 0.0 is the
+#: numeric test of death (of ``validate``'s grid-scan oracle).
 NEGATIVE_EIG_CUTOFF = -1e-12
-
-#: A state counts as disentangled once its numeric negativity falls to this
-#: level: the test of death of ``validate``'s grid-scan oracle.
-ESD_NEGATIVITY_THRESHOLD = 1e-12
 
 #: Every entry of the invariant tables is an integer over this grid,
 #: 93312 = 2^7 3^6, which the import certifies (:func:`_snapped`).
@@ -133,20 +133,6 @@ def negativity_numeric(rho: DensityMatrix | np.ndarray) -> NegativityResult:
     return NegativityResult(value, neg_sum, via_trace_norm)
 
 
-def sweep_negativities(kind: ChannelKind, mode: Mode, params: StateParams, gammas: ArrayLike) -> np.ndarray:
-    """Numeric negativity at each sweep strength of one (kind, mode) cell,
-    evolved chunk by chunk through :func:`evolve_grid`."""
-    chunks = evolve_grid(kind, params, *sweep_strengths(mode, gammas))
-    return np.concatenate([negativity_numeric(states).value for states in chunks])
-
-
-def sweep_alive(kind: ChannelKind, mode: Mode, params: StateParams, gammas: ArrayLike) -> np.ndarray:
-    """Whether the numeric negativity of one (kind, mode) cell is above
-    ``ESD_NEGATIVITY_THRESHOLD`` at each sweep strength: the test of death of
-    ``validate``'s grid-scan oracle, which evolves the states."""
-    return sweep_negativities(kind, mode, params, gammas) > ESD_NEGATIVITY_THRESHOLD
-
-
 class NoClosedFormError(ValueError):
     """Raised for scenarios without a closed-form negativity
     (multi-local bit-flip and multi-local bit-phase-flip)."""
@@ -181,7 +167,6 @@ def analytic_negativities(
     params: StateParams,
     gamma_qubit: ArrayLike,
     gamma_qutrit: ArrayLike,
-    corrected: bool = True,
 ) -> np.ndarray:
     """:func:`negativity_analytic` at each strength pair of one (kind, mode)
     cell, as an array shaped like the strengths, with the same values to
@@ -189,12 +174,12 @@ def analytic_negativities(
     checks for one pair."""
     ga = np.asarray(gamma_qubit, dtype=float)
     gb = np.asarray(gamma_qutrit, dtype=float)
-    x = _negativity_form(ChannelKind(kind), Mode(mode), params, ga, gb, corrected)
+    x = _negativity_form(ChannelKind(kind), Mode(mode), params, ga, gb)
     # 2 max(0, x) as the scalar form takes it: +0.0 wherever x > 0 fails.
     return np.where(x > 0.0, 2.0 * x, 0.0)
 
 
-def _negativity_form(kind, mode, params, ga, gb, corrected):
+def _negativity_form(kind, mode, params, ga, gb, corrected=True):
     """The x of the closed-form negativity 2 max(0, x), the one copy of each
     closed form, on float strengths or on strength arrays."""
     b, c = params.b, params.c
@@ -235,8 +220,7 @@ def analytic_esd_gamma(kind: ChannelKind, mode: Mode, params: StateParams) -> fl
     """
     kind, mode = ChannelKind(kind), Mode(mode)
     b, c = params.b, params.c
-    if not params.is_entangled:
-        raise ValueError("ESD thresholds are defined for entangled parameters only")
+    check_entangled(params)
 
     if kind is ChannelKind.DEPHASING:
         ratio = 2 * b / (c - b)
@@ -258,11 +242,12 @@ def analytic_esd_gamma(kind: ChannelKind, mode: Mode, params: StateParams) -> fl
             t = (3 * c - 9 * b) / (1 - 9 * b + 3 * c)
         else:
             # Smaller root of the equal-strength separability condition
-            # 9(c-b) g (1-g) + 2 g (1-9b+3c) = 6(c-3b).
+            # 9(c-b) g (1-g) + 2 g (1-9b+3c) = 6(c-3b), qa g^2 - qb g + qc = 0,
+            # in the form that does not cancel as qc, so c - 3b, goes to 0.
             qa = 9 * (c - b)
             qb = qa + 2 * (1 - 9 * b + 3 * c)
             qc = 6 * (c - 3 * b)
-            t = (qb - math.sqrt(qb * qb - 4 * qa * qc)) / (2 * qa)
+            t = 2 * qc / (qb + math.sqrt(qb * qb - 4 * qa * qc))
     else:
         raise ValueError(f"unknown channel kind {kind!r}")
 

@@ -8,11 +8,12 @@ sectioning), the local-channel equivalences, and the two negativity routes.
 expressions are refuted by the Kraus numerics, together with the
 numerically measured correct coefficients; these are findings, not failures.
 Grids of strengths are evaluated through :func:`evolve_grid`, in chunks.
+The grid-scan oracle that :func:`esd_gamma` is held to evolves the states
+and counts one alive where its numeric negativity is non-zero: the one
+numeric test of death (``negativity.NEGATIVE_EIG_CUTOFF``).
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 
@@ -30,14 +31,13 @@ from .linalg import from_blocks
 from .negativity import (
     CANONICAL_POINTS,
     NoClosedFormError,
+    _narrow,
     _section,
     analytic_esd_gamma,
     analytic_negativities,
     esd_gamma,
     negativity_analytic,
     negativity_numeric,
-    sweep_alive,
-    sweep_negativities,
 )
 from .states import StateParams, random_entangled_params
 
@@ -134,6 +134,13 @@ def _evolved_form_checks(points: list[StateParams]) -> tuple[list[dict], list[di
     return checks, discrepancies
 
 
+def _sweep_negativities(kind: ChannelKind, mode: Mode, params: StateParams, gammas) -> np.ndarray:
+    """Numeric negativity at each sweep strength of one (kind, mode) cell,
+    evolved chunk by chunk through :func:`evolve_grid`."""
+    chunks = evolve_grid(kind, params, *sweep_strengths(mode, gammas))
+    return np.concatenate([negativity_numeric(states).value for states in chunks])
+
+
 def _closed_form_curves(points: list[StateParams]) -> dict:
     """(kind, mode) -> (closed form, numeric negativity), each a (points, 33)
     array over 33 even strengths, for every cell with a closed form.  Each
@@ -147,7 +154,7 @@ def _closed_form_curves(points: list[StateParams]) -> dict:
                 closed = [analytic_negativities(kind, mode, p, *strengths) for p in points]
             except NoClosedFormError:
                 continue
-            numeric = [sweep_negativities(kind, mode, p, gammas) for p in points]
+            numeric = [_sweep_negativities(kind, mode, p, gammas) for p in points]
             curves[kind, mode] = np.array(closed), np.array(numeric)
     return curves
 
@@ -179,20 +186,12 @@ def _negativity_form_checks(curves: dict) -> tuple[list[dict], list[dict]]:
     return checks, [discrepancy]
 
 
-def _threshold_checks() -> list[dict]:
+def _threshold_checks(curves: dict) -> list[dict]:
+    """The closed-form threshold against the root search at (0.05, 0.6), for
+    every cell with a closed form (the cells of ``curves``)."""
     p = StateParams(0.05, 0.6)
     checks = []
-    cases = [
-        (ChannelKind.DEPHASING, Mode.QUBIT_ONLY),
-        (ChannelKind.PHASE_FLIP, Mode.QUBIT_ONLY),
-        (ChannelKind.PHASE_FLIP, Mode.QUTRIT_ONLY),
-        (ChannelKind.BIT_FLIP, Mode.QUBIT_ONLY),
-        (ChannelKind.BIT_FLIP, Mode.QUTRIT_ONLY),
-        (ChannelKind.DEPOLARIZING, Mode.QUBIT_ONLY),
-        (ChannelKind.DEPOLARIZING, Mode.QUTRIT_ONLY),
-        (ChannelKind.DEPOLARIZING, Mode.MULTI_LOCAL),
-    ]
-    for kind, mode in cases:
+    for kind, mode in curves:
         analytic = analytic_esd_gamma(kind, mode, p)
         numeric = esd_gamma(kind, mode, p)
         err = np.inf if (analytic is None or numeric is None) else abs(analytic - numeric)
@@ -228,16 +227,20 @@ _SCAN_STEPS = 512
 def _grid_bisection_esd(kind: ChannelKind, mode: Mode, params: StateParams, tol: float = 1e-9) -> float | None:
     """Independent ESD detector for cross-checking :func:`esd_gamma`, with no
     polynomial: scan the grid points k/512 for k < 512 for the first dead
-    one and section its grid cell down to ``tol``.  It misses every death
-    inside the last grid cell."""
-    alive = partial(sweep_alive, kind, mode, params)
-    grid = np.arange(1, _SCAN_STEPS) / _SCAN_STEPS
-    dead = ~alive(grid)
-    if not dead.any():
+    one, bracket it with the live grid point before it (or gamma = 0) as
+    ``negativity._narrow`` does, and section that grid cell down to
+    ``tol``.  Its test of life evolves the states: alive where the numeric
+    negativity is non-zero.  It misses every death inside the last grid
+    cell."""
+
+    def alive(gammas: list[float]) -> np.ndarray:
+        return _sweep_negativities(kind, mode, params, gammas) > 0.0
+
+    grid = (np.arange(1, _SCAN_STEPS) / _SCAN_STEPS).tolist()
+    lo, hi = _narrow(0.0, np.inf, grid, alive(grid))
+    if hi == np.inf:
         return None
-    first = int(dead.argmax())
-    lo = float(grid[first - 1]) if first else 0.0
-    return _section(lo, float(grid[first]), alive, tol)[1]
+    return _section(lo, hi, alive, tol)[1]
 
 
 def _grid_bisection_check() -> dict:
@@ -295,7 +298,7 @@ def run_validation() -> dict:
     curves = _closed_form_curves(points)
     neg_checks, neg_disc = _negativity_form_checks(curves)
     checks.extend(neg_checks)
-    checks.extend(_threshold_checks())
+    checks.extend(_threshold_checks(curves))
     checks.append(_grid_bisection_check())
     checks.extend(_equivalence_checks(curves))
     checks.extend(_route_agreement_check())

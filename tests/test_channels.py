@@ -11,6 +11,7 @@ from qqdyn import (
     initial_state,
 )
 from qqdyn.channels import _SHAPES, channel_terms, channel_weights, kraus_operators
+from qqdyn.evolution import Mode, _weights_in_y, sweep_strengths
 from qqdyn.states import _BELL_PROJECTORS, StateParams
 
 from helpers import qubit_marginal, qutrit_marginal, random_density_matrix
@@ -173,12 +174,16 @@ def test_polynomial_terms_equal_the_kraus_sum(kind, side):
 @pytest.mark.parametrize("kind", list(ChannelKind))
 @pytest.mark.parametrize("side", list(Side))
 def test_weight_polynomials_in_y_give_the_weight_rows(kind, side):
-    # With 1 - gamma = y^k, the weight rows are polynomials in y: k = 2 for
-    # dephasing, whose s = sqrt(1 - gamma) is y itself, else k = 1.
-    g = np.array([0.0, 0.1, 0.5, 0.9, 1.0])
-    w = _SHAPES[(kind, side)].weights_in_y
-    k = w.shape[1] - 1
-    assert k == (2 if kind is ChannelKind.DEPHASING else 1)
-    y = (1.0 - g) ** (1.0 / k)
-    got = np.vander(y, k + 1, increasing=True) @ w.T
-    assert np.abs(got - channel_weights(kind, g, g)[list(Side).index(side)]).max() < 1e-15
+    # With 1 - gamma = y^k, the pair weight rows of a sweep are polynomials
+    # in y: k = 2 for dephasing, whose s = sqrt(1 - gamma) is y itself, else
+    # k = 1.  Each cell in which this side is active, at random y and at
+    # both ends, against the rows of channel_weights at 1 - y^k.
+    y = np.concatenate([[0.0, 1.0], np.random.default_rng(23).uniform(0.0, 1.0, 20)])
+    own = Mode.QUBIT_ONLY if side is Side.QUBIT else Mode.QUTRIT_ONLY
+    for mode in (Mode.MULTI_LOCAL, own):
+        w, k = _weights_in_y(kind, mode)
+        assert k == (2 if kind is ChannelKind.DEPHASING else 1)
+        wa, wb = channel_weights(kind, *sweep_strengths(mode, 1.0 - y**k))
+        want = (wb[:, :, None] * wa[:, None, :]).reshape(len(y), -1)
+        got = np.vander(y, len(w), increasing=True) @ w
+        assert np.abs(got - want).max() < 1e-15, mode

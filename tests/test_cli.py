@@ -284,6 +284,11 @@ def test_cli_validate(tmp_path, capsys):
     assert obj["passed"] is True
     assert all(c["passed"] for c in obj["checks"])
     assert "esd_matches_grid_bisection" in {c["name"] for c in obj["checks"]}
+    # One threshold check per cell with a closed form: all but the two
+    # multi-local flips.
+    thresholds = {c["name"] for c in obj["checks"] if c["name"].startswith("esd_threshold_")}
+    assert len(thresholds) == 13
+    assert not thresholds & {"esd_threshold_bitflip_multilocal", "esd_threshold_bitphaseflip_multilocal"}
     forms = {d["form"] for d in obj["closed_form_discrepancies"]}
     assert forms == {"bitphaseflip_evolved", "depolarizing_evolved", "trit_flip_only_negativity"}
     text = capsys.readouterr().out

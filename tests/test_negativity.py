@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,6 @@ from qqdyn import (
 )
 from qqdyn import evolution, negativity, sweep, validate
 from qqdyn.linalg import partial_transpose_blocks
-from qqdyn.negativity import sweep_negativities
 from qqdyn.states import family_weights
 
 from helpers import brute_negativity
@@ -184,7 +184,7 @@ def test_non_positive_tolerance_rejected_before_evaluation(tol, monkeypatch):
     def no_evolve(*args):
         raise AssertionError("evolve called before the tolerance was checked")
 
-    monkeypatch.setattr(negativity, "evolve_grid", no_evolve)
+    monkeypatch.setattr(evolution, "evolve_grid", no_evolve)
     monkeypatch.setattr(sweep, "evolve_grid", no_evolve)
     with pytest.raises(ValueError, match="tol"):
         esd_gamma(ChannelKind.DEPHASING, Mode.QUBIT_ONLY, P, tol=tol)
@@ -213,6 +213,22 @@ def test_analytic_thresholds():
     assert analytic_esd_gamma(ChannelKind.DEPHASING, Mode.QUBIT_ONLY, StateParams(0.0, 0.5)) is None
     # Boundary threshold exactly 1 reports None.
     assert analytic_esd_gamma(ChannelKind.BIT_FLIP, Mode.QUTRIT_ONLY, StateParams(0.0, 1.0)) is None
+
+
+@pytest.mark.parametrize("c", [1e-9, 1e-8])
+def test_multi_local_depolarizing_threshold_is_stable_near_the_boundary(c):
+    # At b = 0 the threshold is about c / 3 and c - 3b is small: the root
+    # qa g^2 - qb g + qc = 0 must not cancel in qb - sqrt(qb^2 - 4 qa qc).
+    with localcontext() as ctx:
+        ctx.prec = 50
+        b, c50 = Decimal(0), Decimal(c)
+        qa = 9 * (c50 - b)
+        qb = qa + 2 * (1 - 9 * b + 3 * c50)
+        qc = 6 * (c50 - 3 * b)
+        want = (qb - (qb * qb - 4 * qa * qc).sqrt()) / (2 * qa)
+    got = analytic_esd_gamma(ChannelKind.DEPOLARIZING, Mode.MULTI_LOCAL, StateParams(0.0, c))
+    assert got is not None
+    assert abs(Decimal(got) - want) <= Decimal("1e-15") * want
 
 
 def test_esd_report_agreement_invariant():
@@ -342,7 +358,8 @@ def test_oracle_sections_its_grid_cell_in_six_batches(monkeypatch):
         batches.append(args)
         return sweep_negativities(*args)
 
-    monkeypatch.setattr(negativity, "sweep_negativities", counting)
+    sweep_negativities = validate._sweep_negativities
+    monkeypatch.setattr(validate, "_sweep_negativities", counting)
     got = validate._grid_bisection_esd(ChannelKind.DEPHASING, Mode.QUBIT_ONLY, P, tol=1e-9)
     assert len(batches[0][-1]) == validate._SCAN_STEPS - 1
     assert len(batches) - 1 <= 6
@@ -449,7 +466,7 @@ def test_edge_point_thresholds(point):
                 assert got is None or abs(got - want) <= 1e-9, (kind, mode, got, want)
             if got is not None:
                 state = evolve(ChannelScenario.at(kind, mode, got), p)
-                assert negativity_numeric(state).value <= negativity.ESD_NEGATIVITY_THRESHOLD
+                assert negativity_numeric(state).value == 0.0
     if point != ROUNDING_POINT:
         assert (esd_gamma(ChannelKind.PHASE_FLIP, Mode.MULTI_LOCAL, p) is None) == (point[0] == 0.0)
 
@@ -642,7 +659,6 @@ def test_default_tolerance_needs_no_bisection(monkeypatch):
         return alive(*args)
 
     alive = negativity._alive
-    monkeypatch.setattr(negativity, "evolve_grid", no_evolve)
     monkeypatch.setattr(evolution, "evolve_grid", no_evolve)
     monkeypatch.setattr(negativity, "_alive", counting_alive)
     for p in (P, *CANONICAL_POINTS):

@@ -26,7 +26,6 @@ from qqdyn import (
 )
 from qqdyn import negativity
 from qqdyn.linalg import HERMITICITY_TOL, from_blocks
-from qqdyn.negativity import ESD_NEGATIVITY_THRESHOLD
 from qqdyn.states import PSD_TOL, TRACE_TOL, check_density
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -68,6 +67,18 @@ def test_evolution_preserves_trace_hermiticity_and_positivity(scenario, p):
 def test_negativity_routes_agree(scenario, p):
     res = negativity_numeric(evolve(scenario, p))
     assert abs(res.value - res.via_trace_norm) <= 1e-10
+
+
+@PROPERTY
+@given(scenarios(), points())
+def test_numeric_negativity_is_zero_or_above_twice_the_cutoff(scenario, p):
+    # Every eigenvalue summed lies below NEGATIVE_EIG_CUTOFF = -1e-12, so a
+    # negativity that is not exactly zero exceeds 2e-12: the one cutoff is
+    # the whole numeric test of death.
+    state = evolve(scenario, p)
+    (blocks,) = evolve_grid(scenario.kind, p, [scenario.gamma_qubit], [scenario.gamma_qutrit])
+    for value in (negativity_numeric(state).value, float(negativity_numeric(blocks).value[0])):
+        assert value == 0.0 or value > 2e-12, value
 
 
 @PROPERTY
@@ -150,7 +161,7 @@ def test_esd_threshold_matches_closed_form_and_is_certified(p):
         assert abs(got - want) <= 1e-9, (kind, mode, got, want)
         # Dead as a caller checks it, by the numeric negativity; alive at
         # got - tol by the test that the search decides with.
-        assert _negativity_at(kind, mode, p, got) <= ESD_NEGATIVITY_THRESHOLD
+        assert _negativity_at(kind, mode, p, got) == 0.0
         assert _alive_at(kind, mode, p, got - tol), (kind, mode, got)
 
 
