@@ -35,7 +35,7 @@ that the checkout's ``evolve_grid`` certifies for that point, as it does
 checkouts that still build it).
 ``check_density*``, ``negativity_numeric`` and ``coherence_l1`` take the
 states as complex 6x6 matrices, the ``*_blocks*`` rows as the block stacks
-that ``evolve_grid`` yields where it yields them.  End-to-end rows time
+that ``evolve_grid`` yields.  End-to-end rows time
 whole runs, the ``cli_*_inprocess`` ones through ``qqdyn.cli.main`` in this
 process (after one warm-up call, so the per-call dispatch cost shows next to
 the library rows) and the other CLI ones in a fresh interpreter each.
@@ -110,31 +110,10 @@ def _stack(q: ModuleType) -> np.ndarray:
     return np.concatenate(list(q.evolution.evolve_grid(kind, p, G, G)))
 
 
-def _product(q: ModuleType, stack: np.ndarray) -> np.ndarray:
-    """The states as complex 6x6 matrices, whatever the checkout yields."""
-    if stack.shape[-2:] == (6, 6):
-        return stack
-    return q.linalg.from_blocks(stack).astype(complex)
-
-
-def _blocks(q: ModuleType, stack: np.ndarray) -> np.ndarray:
-    """The states as block stacks; AttributeError on a checkout without
-    them, so that the row reports absent."""
-    q.linalg.partial_transpose_blocks  # noqa: B018 (looked up for the absent check)
-    return stack
-
-
 def _closed_forms(q: ModuleType):
     p, kind, mode = _subject(q)
-    evolution, negativity = q.evolution, q.negativity
-    ga, gb = evolution.sweep_strengths(mode, np.linspace(0.0, 1.0, 513))
-    if hasattr(negativity, "analytic_negativities"):
-        return lambda: negativity.analytic_negativities(kind, mode, p, ga, gb)
-    pairs = list(zip(ga.tolist(), gb.tolist()))  # one scalar call per row
-    return lambda: [
-        negativity.negativity_analytic(evolution.ChannelScenario(kind, mode, a, b), p)
-        for a, b in pairs
-    ]
+    ga, gb = q.evolution.sweep_strengths(mode, np.linspace(0.0, 1.0, 513))
+    return lambda: q.negativity.analytic_negativities(kind, mode, p, ga, gb)
 
 
 def _weighting(q: ModuleType, ga: np.ndarray, gb: np.ndarray):
@@ -255,7 +234,7 @@ def layer_rows(q: ModuleType) -> dict:
     evolution, negativity, states = q.evolution, q.negativity, q.states
     side, kraus_operators = q.channels.Side, q.channels.kraus_operators
     stack = _stack(q)
-    product = _product(q, stack)
+    product = q.linalg.from_blocks(stack).astype(complex)
     ops = kraus_operators(kind, side.QUTRIT, G)
     sweep = q.sweep.run_sweep(kind, mode, p)
     render_sweep = q.sweep.render_sweep
@@ -291,9 +270,9 @@ def layer_rows(q: ModuleType) -> dict:
     }
     for n, suffix, calls in ((64, "", 200), (16, "_16", 500), (1, "_1", 1000)):
         rows[f"check_density_blocks{suffix}"] = (
-            lambda n=n: lambda b=_blocks(q, stack)[:n]: states.check_density(b), calls)
+            lambda n=n: lambda b=stack[:n]: states.check_density(b), calls)
         rows[f"negativity_blocks{suffix}"] = (
-            lambda n=n: lambda b=_blocks(q, stack)[:n]: negativity.negativity_numeric(b), calls)
+            lambda n=n: lambda b=stack[:n]: negativity.negativity_numeric(b), calls)
     return rows
 
 
@@ -333,17 +312,15 @@ def inprocess_rows(q: ModuleType, workdir: str) -> dict:
 def _validate_check(q: ModuleType, name: str, points: list):
     """Setup of a ``validate`` row that takes the 20 points of a run.  The
     check is looked up now, so that a checkout without it reports the row
-    absent.  Where the checkout evaluates the closed-form curves once
-    (``_closed_form_curves``, a row of its own), the checks on them take
-    those curves; older checkouts evaluate them inside each check.  A check
+    absent.  The checks on the closed-form curves take those curves,
+    evaluated once (``_closed_form_curves``, a row of its own).  A check
     that takes no argument (``_threshold_checks`` on checkouts that list
     its cells by hand) is timed as it is."""
     check = getattr(q.validate, name)
     if not inspect.signature(check).parameters:
         return check
-    curves = getattr(q.validate, "_closed_form_curves", None)
-    shared = curves and name in ("_negativity_form_checks", "_threshold_checks", "_equivalence_checks")
-    arg = curves(points) if shared else points
+    shared = name in ("_negativity_form_checks", "_threshold_checks", "_equivalence_checks")
+    arg = q.validate._closed_form_curves(points) if shared else points
     return lambda: check(arg)
 
 

@@ -93,19 +93,17 @@ class Side(str, Enum):
     QUTRIT = "qutrit"
 
 
-def _check_completeness(ops: np.ndarray) -> None:
-    """Certify sum_i K_i^dagger K_i = I6 to within ``COMPLETENESS_TOL`` for
-    every operator set of a (..., K, 6, 6) stack."""
+def completeness_defect(ops: np.ndarray) -> float:
+    """max |sum_i K_i^dagger K_i - I6| over every operator set of a
+    (..., K, 6, 6) stack: 0 for no sets, NaN if any entry is NaN."""
     # Stacking the K operators of a set into one (6K, 6) column A gives
     # sum_i K_i^dagger K_i = A^dagger A, one product per set.
     a = ops.reshape(*ops.shape[:-3], ops.shape[-3] * TOTAL_DIM, TOTAL_DIM)
-    _certify(a.conj().swapaxes(-1, -2) @ a - np.eye(TOTAL_DIM))
+    return float(np.abs(a.conj().swapaxes(-1, -2) @ a - np.eye(TOTAL_DIM)).max(initial=0.0))
 
 
-def _certify(deviation: np.ndarray) -> None:
-    """Reject a deviation from I6 with an entry above ``COMPLETENESS_TOL``,
-    NaN included; no entries (no strengths) pass."""
-    defect = np.abs(deviation).max(initial=0.0)
+def _check_completeness(defect: float) -> None:
+    """Reject a defect above ``COMPLETENESS_TOL``, NaN included."""
     if not defect <= COMPLETENESS_TOL:
         raise ValueError(f"completeness violated: max deviation {defect:.3e}")
 
@@ -271,7 +269,7 @@ def kraus_operators(kind: ChannelKind, side: Side, gamma: ArrayLike) -> np.ndarr
     the N strengths of the 1-d array ``gamma``, completeness certified for
     every strength."""
     ops = _SHAPES[(ChannelKind(kind), Side(side))].operators(_strengths(gamma))
-    _check_completeness(ops)
+    _check_completeness(completeness_defect(ops))
     return ops
 
 
@@ -322,7 +320,7 @@ def channel_weights(kind: ChannelKind, gamma_qubit: ArrayLike, gamma_qutrit: Arr
     w[..., 1] = g / m
     if grams.shape[1] == 3:
         w[..., 2] = np.sqrt(w[..., 0])
-    _certify(w @ grams - _EYE_ROW)
+    _check_completeness(np.abs(w @ grams - _EYE_ROW).max(initial=0.0))
     return w
 
 

@@ -24,11 +24,11 @@ from .channels import ChannelKind
 from .evolution import Mode
 from .negativity import (
     CANONICAL_POINTS,
+    CELL_LABELS,
     REFERENCE_ESD_TABLE,
-    cell_summary,
+    check_entangled,
     classify_table1,
     esd_report,
-    semantics_match,
 )
 from .states import StateParams
 from .sweep import FORMATS, check_grid, esd_report_obj, render_sweep, run_sweep
@@ -42,6 +42,10 @@ EXIT_VALIDATION = 4
 _KINDS = [k.value for k in ChannelKind]
 _MODES = [m.value for m in Mode]
 
+#: Defaults of the ``sweep`` flags and of each batch entry alike: grid points,
+#: format and ESD tolerance (the latter also of ``esd`` and ``table1``).
+_STEPS, _FORMAT, _TOL = 513, "csv", 1e-9
+
 
 class ConfigError(Exception):
     pass
@@ -54,15 +58,23 @@ def _float_list(text: str) -> list[float]:
         raise ConfigError(f"expected comma-separated floats, got {text!r}") from exc
 
 
+def _point(b: float, c: float | None, a_zero: bool) -> StateParams:
+    """The point (b, c), or (b, 1 - 3b) with ``a_zero``; ValueError unless
+    it is a valid, entangled point."""
+    params = StateParams.a_zero(b) if a_zero else StateParams(b, c)
+    check_entangled(params)
+    return params
+
+
 def _resolve_points(args) -> list[StateParams]:
-    """Turn --b/--c/--a-zero flags into parameter points (zipped lists)."""
+    """Turn --b/--c/--a-zero flags into checked parameter points (zipped lists)."""
     if args.b is None:
         raise ConfigError("--b is required")
     bs = _float_list(args.b)
     if args.a_zero:
         if args.c is not None:
             raise ConfigError("--a-zero and --c are mutually exclusive")
-        cs = [1.0 - 3.0 * b for b in bs]
+        cs = [None] * len(bs)
     else:
         if args.c is None:
             raise ConfigError("either --c or --a-zero is required")
@@ -76,7 +88,7 @@ def _resolve_points(args) -> list[StateParams]:
     if not bs:
         raise ConfigError("--b names no parameter point")
     try:
-        return [StateParams(b, c) for b, c in zip(bs, cs)]
+        return [_point(b, c, args.a_zero) for b, c in zip(bs, cs)]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -96,13 +108,6 @@ def _write_text(path: str | None, text: str) -> None:
         # Only a failed write or rename leaves the temporary file behind.
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _run_one_sweep(kind, mode, params, steps, out, fmt, tol, start=0.0, stop=1.0) -> None:
-    result = run_sweep(
-        kind, mode, params, start=start, stop=stop, steps=steps, tol=tol, esd=fmt == "json"
-    )
-    _write_text(out, render_sweep(result, fmt))
 
 
 def _sweep_out_path(base: str | None, params: StateParams, many: bool) -> str | None:
@@ -134,10 +139,11 @@ def cmd_sweep(args) -> int:
 
 
 def _run_sweeps(runs: list[dict], labels: list[str], config: str | None = None) -> int:
-    """Run the sweeps once every output path is known to be writable as
-    given: two runs sharing a path, or a run writing the batch ``config``
-    it came from, are a configuration error, a missing output directory an
-    I/O error, and each stops all runs before any output is written."""
+    """Run the sweeps (``run_sweep``'s arguments plus ``out`` and ``fmt``)
+    once every output path is known to be writable as given: two runs
+    sharing a path, or a run writing the batch ``config`` it came from, are
+    a configuration error, a missing output directory an I/O error, and each
+    stops all runs before any output is written."""
     claimed: dict[Path, str] = {}
     config_path = Path(config).resolve() if config is not None else None
     for run, label in zip(runs, labels):
@@ -152,7 +158,9 @@ def _run_sweeps(runs: list[dict], labels: list[str], config: str | None = None) 
             raise FileNotFoundError(f"{label}: output directory {path.parent} does not exist")
         claimed[path] = label
     for run in runs:
-        _run_one_sweep(**run)
+        sweep = dict(run)
+        out, fmt = sweep.pop("out"), sweep.pop("fmt")
+        _write_text(out, render_sweep(run_sweep(**sweep, esd=fmt == "json"), fmt))
     return EXIT_OK
 
 
@@ -186,21 +194,21 @@ def _batch_run(i: int, entry) -> dict:
             raise TypeError(f"a_zero must be true or false, got {a_zero!r}")
         if a_zero and "c" in entry:
             raise ValueError("a_zero and c are mutually exclusive")
-        c = 1.0 - 3.0 * b if a_zero else _number("c", entry["c"])
+        c = None if a_zero else _number("c", entry["c"])
         grid = entry.get("gamma", {})
         if not isinstance(grid, dict):
             raise TypeError(f"gamma must be an object, got {grid!r}")
-        steps = grid.get("steps", 513)
+        steps = grid.get("steps", _STEPS)
         if not isinstance(steps, int) or isinstance(steps, bool):
             raise TypeError(f"steps must be an integer, got {steps!r}")
         run = {
             "kind": ChannelKind(entry["kind"]),
             "mode": Mode(entry["mode"]),
-            "params": StateParams(b, c),
+            "params": _point(b, c, a_zero),
             "steps": steps,
             "out": entry.get("out"),
-            "fmt": entry.get("format", "csv"),
-            "tol": _number("tol", entry.get("tol", 1e-9)),
+            "fmt": entry.get("format", _FORMAT),
+            "tol": _number("tol", entry.get("tol", _TOL)),
             "start": _number("start", grid.get("start", 0.0)),
             "stop": _number("stop", grid.get("stop", 1.0)),
         }
@@ -239,16 +247,15 @@ def cmd_table1(args) -> int:
     for reports in zip(*(classify_table1(p, tol=args.tol) for p in points)):
         kind, mode = reports[0].kind, reports[0].mode
         reference = REFERENCE_ESD_TABLE[(kind, mode)]
-        summary = cell_summary(reports)
         cells.append(
             {
                 "kind": kind.value,
                 "mode": mode.value,
                 "reference": reference,
-                "observed": summary["observed"],
-                "matches_reference": semantics_match(reference, reports),
-                "esd_count": summary["esd_count"],
-                "point_count": summary["point_count"],
+                "observed": next(label for label, holds in CELL_LABELS.items() if holds(reports)),
+                "matches_reference": CELL_LABELS[reference](reports),
+                "esd_count": sum(r.classification == "ESD" for r in reports),
+                "point_count": len(reports),
                 "points": [esd_report_obj(r) for r in reports],
             }
         )
@@ -306,10 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="negativity/coherence sweep over gamma")
     _add_scenario_flags(p, required=False)
     _add_param_flags(p)
-    p.add_argument("--gamma-steps", type=int, default=513)
+    p.add_argument("--gamma-steps", type=int, default=_STEPS)
     p.add_argument("--out", default=None, help="output path (stdout if omitted)")
-    p.add_argument("--format", choices=FORMATS, default="csv")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--format", choices=FORMATS, default=_FORMAT)
+    p.add_argument("--tol", type=float, default=_TOL)
     p.add_argument("--config", default=None, help="JSON batch config (list of runs)")
     p.set_defaults(func=cmd_sweep)
 
@@ -317,13 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_flags(p)
     _add_param_flags(p)
     p.add_argument("--out", default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=_TOL)
     p.set_defaults(func=cmd_esd)
 
     p = sub.add_parser("table1", help="15-cell ESD classification table")
     _add_param_flags(p)
     p.add_argument("--out", default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=_TOL)
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("validate", help="closed-form cross-validation report")

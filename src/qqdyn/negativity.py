@@ -589,40 +589,16 @@ REFERENCE_ESD_TABLE: dict[tuple[ChannelKind, Mode], str] = {
 }
 
 
-def cell_summary(reports: list[EsdReport]) -> dict:
-    """Observed label of one table cell, in the labels of ``REFERENCE_ESD_TABLE``
-    plus "never", with the ESD and point counts."""
-    esd_points = [r for r in reports if r.classification == "ESD"]
-    b_zero = [r for r in reports if r.b == 0.0]
-    b_nonzero = [r for r in reports if r.b != 0.0]
-    if len(esd_points) == len(reports):
-        observed = "always"
-    elif not esd_points:
-        observed = "never"
-    elif all(r.classification == "NoESD" for r in b_zero) and all(
-        r.classification == "ESD" for r in b_nonzero
-    ):
-        observed = "b_nonzero"
-    else:
-        observed = "exists"
-    return {
-        "observed": observed,
-        "esd_count": len(esd_points),
-        "point_count": len(reports),
-    }
-
-
-def semantics_match(reference: str, reports: list[EsdReport]) -> bool:
-    """Whether the reports of one cell satisfy its ``REFERENCE_ESD_TABLE`` label."""
-    if reference == "always":
-        return all(r.classification == "ESD" for r in reports)
-    if reference == "b_nonzero":
-        return all(
-            (r.classification == "ESD") == (r.b != 0.0) for r in reports
-        )
-    if reference == "exists":
-        return any(r.classification == "ESD" for r in reports)
-    raise ValueError(reference)
+#: The test of each cell label over one cell's reports, the labels of
+#: ``REFERENCE_ESD_TABLE`` plus "never".  A cell is observed as the first
+#: label whose test holds, and matches its reference where that label's test
+#: holds.
+CELL_LABELS: dict[str, Callable[[list[EsdReport]], bool]] = {
+    "always": lambda reports: all(r.classification == "ESD" for r in reports),
+    "never": lambda reports: not any(r.classification == "ESD" for r in reports),
+    "b_nonzero": lambda reports: all((r.classification == "ESD") == (r.b != 0.0) for r in reports),
+    "exists": lambda reports: any(r.classification == "ESD" for r in reports),
+}
 
 
 def classify_table1(params: StateParams, tol: float = 1e-9) -> list[EsdReport]:

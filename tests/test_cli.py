@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,8 +10,8 @@ import pytest
 from pytest import approx
 
 import qqdyn
-from qqdyn import ChannelKind, Mode, StateParams, run_sweep
-from qqdyn.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from qqdyn import ChannelKind, Mode, Side, StateParams, channels, run_sweep
+from qqdyn.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from qqdyn.sweep import CSV_HEADER, parse_sweep_csv, render_sweep
 
 
@@ -170,6 +171,15 @@ def test_cli_sweep_of_a_separable_point_is_a_config_error(fmt, tmp_path, capsys)
     assert not out.exists()
 
 
+def test_cli_sweep_point_list_with_a_separable_point_writes_nothing(tmp_path, capsys):
+    # The second point is separable, so the first one is not run either.
+    rc = main(["sweep", "--kind", "dephasing", "--mode", "qubitonly", "--b", "0.05,0.2",
+               "--c", "0.6,0.4", "--out", str(tmp_path / "s.csv")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: ESD detection requires an entangled initial state\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_batch_config_checks_every_entry_first(tmp_path, capsys):
     out1, out2 = tmp_path / "one.csv", tmp_path / "two.csv"
     good = {"kind": "dephasing", "mode": "qubitonly", "b": 0.05, "c": 0.6,
@@ -185,6 +195,8 @@ def test_cli_batch_config_checks_every_entry_first(tmp_path, capsys):
         {"tol": True}, {"tol": "1e-9"}, {"tol": None},
         {"gamma": {"steps": 5, "start": "0"}}, {"gamma": {"steps": 5, "stop": True}},
         {"b": "0.05", "tol": True, "gamma": {"steps": 5, "stop": True}},
+        # A valid but separable point, checked before the first entry runs.
+        {"b": 0.2, "c": 0.4},
     )
     for bad in bad_entries:
         cfg.write_text(json.dumps([good, {**good, "out": str(out2), **bad}]))
@@ -293,6 +305,23 @@ def test_cli_validate(tmp_path, capsys):
     assert forms == {"bitphaseflip_evolved", "depolarizing_evolved", "trit_flip_only_negativity"}
     text = capsys.readouterr().out
     assert "pass" in text and "FAIL" not in text
+
+
+def test_cli_validate_reports_a_completeness_defect_as_a_failed_check(tmp_path, capsys, monkeypatch):
+    # The qubit phase flip's K_1 scaled by 1 + 1e-6 breaks completeness by
+    # 1e-6 at gamma = 1.  The report shows it as a failed check, where
+    # ``kraus_operators`` would raise and stop the run.
+    cell = (ChannelKind.PHASE_FLIP, Side.QUBIT)
+    table = channels._SHAPES[cell]
+    shapes = table.shapes.copy()
+    shapes[1:] *= 1.0 + 1e-6
+    monkeypatch.setitem(channels._SHAPES, cell, dataclasses.replace(table, shapes=shapes))
+    out = tmp_path / "report.json"
+    assert main(["validate", "--out", str(out)]) == EXIT_VALIDATION
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == ["kraus_completeness"]
+    assert checks[0]["max_error"] == approx(1e-6, rel=1e-6)
+    assert "FAIL  kraus_completeness  (max error 1.000e-06)" in capsys.readouterr().out
 
 
 def test_cli_config_errors(capsys):

@@ -11,6 +11,7 @@ from qqdyn import (
     ChannelKind,
     ChannelScenario,
     DensityMatrix,
+    EsdReport,
     Mode,
     NoClosedFormError,
     StateParams,
@@ -251,6 +252,40 @@ def test_classify_table1_shape():
     assert len(reports) == 15
     assert {(r.kind, r.mode) for r in reports} == {(k, m) for k in ChannelKind for m in Mode}
     assert all(r.b == P.b and r.c == P.c for r in reports)
+
+
+def _cell(bs, dies):
+    """One cell's reports at the points of ``bs``, dead where ``dies`` says."""
+    return [
+        EsdReport(ChannelKind.DEPHASING, Mode.MULTI_LOCAL, b, 0.9, 0.5 if d else None, None,
+                  "ESD" if d else "NoESD")
+        for b, d in zip(bs, dies)
+    ]
+
+
+@pytest.mark.parametrize(
+    "bs, dies, observed, holding",
+    [
+        # Every point dies: "always", which is also "b_nonzero" when no
+        # point has b = 0.
+        ((0.0, 0.05, 0.1), (True, True, True), "always", {"always", "exists"}),
+        ((0.05, 0.1), (True, True), "always", {"always", "b_nonzero", "exists"}),
+        # No point dies: "never", which is also "b_nonzero" when every
+        # point has b = 0.
+        ((0.0, 0.05), (False, False), "never", {"never"}),
+        ((0.0, 0.0), (False, False), "never", {"never", "b_nonzero"}),
+        # Exactly the points with b != 0 die.
+        ((0.0, 0.05, 0.1), (False, True, True), "b_nonzero", {"b_nonzero", "exists"}),
+        # Anything else.
+        ((0.0, 0.05, 0.1), (True, True, False), "exists", {"exists"}),
+        ((0.0, 0.05), (True, False), "exists", {"exists"}),
+        ((0.05, 0.1), (False, True), "exists", {"exists"}),
+    ],
+)
+def test_cell_labels_observe_the_first_label_that_holds(bs, dies, observed, holding):
+    reports = _cell(bs, dies)
+    assert {label for label, holds in negativity.CELL_LABELS.items() if holds(reports)} == holding
+    assert next(label for label, holds in negativity.CELL_LABELS.items() if holds(reports)) == observed
 
 
 def test_canonical_points_are_valid():
