@@ -14,8 +14,9 @@ so a slow stretch of the host spreads over all rows instead of moving one
 row's samples together.  Layer rows time one stage of the pipeline on 64
 strengths at (b, c) = (0.05, 0.6), depolarizing multi-local unless the row
 says otherwise (``_16`` rows take 16 members, ``_1`` rows the one member
-of a one-point evaluation, the ``evolve_grid_chunk_*`` rows one whole chunk
-of that many strengths, and the ``esd_*`` rows one ESD search of that
+of a one-point evaluation, the ``evolve_grid_chunk_*`` rows one
+``evolve_grid`` call over that many strengths (all its chunks, on checkouts
+where it yields them), and the ``esd_*`` rows one ESD search of that
 cell; ``_qutritonly`` rows take the qutrit-only mode at the same qutrit
 strengths).  ``table_combine`` mixes the terms of both sides with 64 pair
 weight rows.  ``completeness`` weights both sides of a chunk of 64 strength
@@ -34,11 +35,11 @@ that the checkout's ``evolve_grid`` certifies for that point, as it does
 (the initial and the evolved state, and the state after the qubit side on
 checkouts that still build it).
 ``check_density*``, ``negativity_numeric`` and ``coherence_l1`` take the
-states as complex 6x6 matrices, the ``*_blocks*`` rows as the block stacks
-that ``evolve_grid`` yields.  End-to-end rows time
-whole runs, the ``cli_*_inprocess`` ones through ``qqdyn.cli.main`` in this
-process (after one warm-up call, so the per-call dispatch cost shows next to
-the library rows) and the other CLI ones in a fresh interpreter each.
+states as complex 6x6 matrices, the ``*_blocks*`` rows as the block stack
+that ``evolve_grid`` returns.  End-to-end rows time whole runs, the
+``cli_*_inprocess`` ones through ``qqdyn.cli.main`` in this process (after
+one warm-up call, so the per-call dispatch cost shows next to the library
+rows) and the other CLI ones in a fresh interpreter each.
 A layer that the checkout does not have is reported as absent, so the same
 file runs against older checkouts.  The package is imported from ``src/``
 next to this file; nothing in ``qqdyn`` imports this module.
@@ -104,10 +105,17 @@ def _subject(q: ModuleType) -> tuple:
     return q.StateParams(0.05, 0.6), q.ChannelKind.DEPOLARIZING, q.Mode.MULTI_LOCAL
 
 
+def _evolved(q: ModuleType, kind, p, ga, gb) -> np.ndarray:
+    """The states of the checkout's ``evolve_grid`` as one block stack: the
+    one it returns, or the chunks it yields on checkouts that yield them."""
+    states = q.evolution.evolve_grid(kind, p, ga, gb)
+    return states if isinstance(states, np.ndarray) else np.concatenate(list(states))
+
+
 def _stack(q: ModuleType) -> np.ndarray:
-    """The 64 states as ``evolve_grid`` yields them."""
+    """The 64 states as ``evolve_grid`` returns them."""
     p, kind, _ = _subject(q)
-    return np.concatenate(list(q.evolution.evolve_grid(kind, p, G, G)))
+    return _evolved(q, kind, p, G, G)
 
 
 def _closed_forms(q: ModuleType):
@@ -158,14 +166,10 @@ def _one_point_certificate(q: ModuleType):
     over the stages."""
     p, kind, _ = _subject(q)
     a, b = _ONE_POINT
-
-    def state(ga, gb):
-        (m,) = q.evolution.evolve_grid(kind, p, [ga], [gb])
-        return m
-
-    stages = [state(0.0, 0.0), state(a, b)]
+    # One-member block stacks.
+    stages = [_evolved(q, kind, p, [0.0], [0.0]), _evolved(q, kind, p, [a], [b])]
     if isinstance(q.evolution._BASIS_TABLES[kind], tuple):
-        stages.insert(1, state(a, 0.0))
+        stages.insert(1, _evolved(q, kind, p, [a], [0.0]))
     if hasattr(q.evolution, "_certified"):
         blocks = np.concatenate(stages)
         certified, conj_t = q.states._certified, q.states._conj_t
@@ -224,7 +228,11 @@ def _esd_section_step(q: ModuleType):
 def _grid_chunk(q: ModuleType, n: int, mode):
     p, kind, _ = _subject(q)
     ga, gb = q.evolution.sweep_strengths(mode, np.linspace(0.0, 1.0, n))
-    return lambda: list(q.evolution.evolve_grid(kind, p, ga, gb))
+    grid = q.evolution.evolve_grid
+    # A generator does its work only as its chunks are taken.
+    if inspect.isgeneratorfunction(grid):
+        return lambda: list(grid(kind, p, ga, gb))
+    return lambda: grid(kind, p, ga, gb)
 
 
 def layer_rows(q: ModuleType) -> dict:
@@ -407,9 +415,12 @@ def _git(root: Path, *args: str) -> str:
 
 
 def checkout(root: Path, q: ModuleType) -> dict:
+    # GRID_CHUNK lives in ``sweep``, its one user, or in ``evolution`` on
+    # checkouts whose ``evolve_grid`` yields chunks.
+    grid_chunk = getattr(q.sweep, "GRID_CHUNK", None) or q.evolution.GRID_CHUNK
     return {"git_head": _git(root, "rev-parse", "HEAD"),
             "git_dirty": bool(_git(root, "status", "--porcelain")),
-            "grid_chunk": q.evolution.GRID_CHUNK}
+            "grid_chunk": grid_chunk}
 
 
 def environment() -> dict:

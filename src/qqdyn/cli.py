@@ -45,6 +45,9 @@ _MODES = [m.value for m in Mode]
 #: Defaults of the ``sweep`` flags and of each batch entry alike: grid points,
 #: format and ESD tolerance (the latter also of ``esd`` and ``table1``).
 _STEPS, _FORMAT, _TOL = 513, "csv", 1e-9
+#: The ``sweep`` flags that a ``--config`` batch entry sets for itself; the
+#: parser leaves each None unless it is given.
+_RUN_FLAGS = ("kind", "mode", "b", "c", "a_zero", "gamma_steps", "out", "format", "tol")
 
 
 class ConfigError(Exception):
@@ -119,6 +122,10 @@ def _sweep_out_path(base: str | None, params: StateParams, many: bool) -> str | 
 
 def cmd_sweep(args) -> int:
     if args.config is not None:
+        given = [f"--{name.replace('_', '-')}" for name in _RUN_FLAGS
+                 if getattr(args, name) is not None]
+        if given:
+            raise ConfigError(f"--config sets every run itself; it cannot take {' '.join(given)}")
         return _run_batch(args.config)
     if args.kind is None or args.mode is None:
         raise ConfigError("--kind and --mode are required without --config")
@@ -128,10 +135,10 @@ def cmd_sweep(args) -> int:
             "kind": args.kind,
             "mode": args.mode,
             "params": p,
-            "steps": args.gamma_steps,
+            "steps": _STEPS if args.gamma_steps is None else args.gamma_steps,
             "out": _sweep_out_path(args.out, p, len(points) > 1),
-            "fmt": args.format,
-            "tol": args.tol,
+            "fmt": args.format or _FORMAT,
+            "tol": _TOL if args.tol is None else args.tol,
         }
         for p in points
     ]
@@ -238,10 +245,10 @@ def cmd_esd(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    if args.b is not None or args.c is not None:
-        points = _resolve_points(args)
-    else:
+    if args.b is None and args.c is None and not args.a_zero:
         points = list(CANONICAL_POINTS)
+    else:
+        points = _resolve_points(args)
     cells = []
     # One row of 15 reports per point; zip(*...) regroups them by cell.
     for reports in zip(*(classify_table1(p, tol=args.tol) for p in points)):
@@ -299,7 +306,7 @@ def _add_scenario_flags(p: argparse.ArgumentParser, required: bool = True) -> No
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--b", help="comma-separated list of b values")
     p.add_argument("--c", help="comma-separated list of c values")
-    p.add_argument("--a-zero", action="store_true", help="resolve c = 1 - 3b")
+    p.add_argument("--a-zero", action="store_true", default=None, help="resolve c = 1 - 3b")
 
 
 @functools.cache
@@ -313,10 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="negativity/coherence sweep over gamma")
     _add_scenario_flags(p, required=False)
     _add_param_flags(p)
-    p.add_argument("--gamma-steps", type=int, default=_STEPS)
+    # Unset by default, so that a flag given with --config can be told.
+    p.add_argument("--gamma-steps", type=int, help=f"grid points (default {_STEPS})")
     p.add_argument("--out", default=None, help="output path (stdout if omitted)")
-    p.add_argument("--format", choices=FORMATS, default=_FORMAT)
-    p.add_argument("--tol", type=float, default=_TOL)
+    p.add_argument("--format", choices=FORMATS, help=f"default {_FORMAT}")
+    p.add_argument("--tol", type=float, help=f"default {_TOL:g}")
     p.add_argument("--config", default=None, help="JSON batch config (list of runs)")
     p.set_defaults(func=cmd_sweep)
 

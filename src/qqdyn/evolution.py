@@ -20,23 +20,22 @@ instead of the 72 of a complex 6x6 matrix: at most 27 block pairs per kind,
 11 kB for all five.  A call mixes them with the point's weights (2a, 3b, c)
 into at most 9 term block pairs.
 
-:func:`evolve_grid` then works through the strength arrays in chunks of
-``GRID_CHUNK``.  Per chunk one ``channel_weights`` call builds both sides'
-weight rows and certifies each side's completeness at every strength from
-its Gram polynomial of the same rows, and the chunk writes each member's
-state, its pair weights times the term blocks, into one buffer of
-block-pair rows, after the initial state in the first chunk.  A side at
+:func:`evolve_grid` evolves a point over arrays of strength pairs.  One
+``channel_weights`` call builds both sides' weight rows and certifies each
+side's completeness at every strength from its Gram polynomial of the same
+rows, and each member's state, its pair weights times the term blocks, goes
+into one buffer of block-pair rows after the initial state.  A side at
 strength zero needs no case of its own: its weight row is the identity.
 One density-matrix certificate covers the whole buffer in place; only a
-failed certificate is diagnosed, which names the failing member.  States stay in block form; ``linalg.from_blocks`` rebuilds the
-6x6 product-basis matrix where an output needs it.  Sweeps and the ESD
-detector reduce each chunk before the next is built, so memory stays
-bounded for any grid length; :func:`evolve` is the one-point case of the
-same path, and :func:`_sweep_basis` the same mix with polynomial weights
-for each basis state, from which ``negativity`` tabulates the ESD
-invariants once at import.  :func:`apply_channel` over
-``channels.kraus_operators`` is the direct Kraus sum, kept as the
-reference the tables are tested against.
+failed certificate is diagnosed, which names the failing member.  States
+stay in block form; ``linalg.from_blocks`` rebuilds the 6x6 product-basis
+matrix where an output needs it.  ``sweep.run_sweep`` evolves a grid of
+any length in pieces, so its memory stays bounded.  :func:`evolve` is the
+one-point case of the same path, and :func:`_sweep_basis` the same mix with
+polynomial weights for each basis state, from which ``negativity``
+tabulates the ESD invariants once at import.  :func:`apply_channel` over
+``channels.kraus_operators`` is the direct Kraus sum, kept as the reference
+the tables are tested against.
 
 For each channel kind the evolved density matrix also has a closed form;
 :func:`analytic_evolved` builds it directly from those expressions as an
@@ -48,7 +47,6 @@ are used.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -140,19 +138,6 @@ def sweep_strengths(mode: Mode, gamma: ArrayLike) -> tuple[np.ndarray, np.ndarra
     return zero, g
 
 
-#: Strengths evolved together.  The largest arrays of a chunk are a few
-#: (n, 2, 3, 3) real block stacks, 18 kB each at n = 128, and in a sweep the
-#: rebuilt (n, 6, 6) real matrices, 37 kB, whatever the grid length.  On a
-#: shared 2-vCPU Xeon with one BLAS thread, a 513-point ``run_sweep`` without
-#: the ESD search (mean over the 15 cells, best of 7) took 8.3, 5.2, 3.6, 2.6
-#: and 2.2 ms with chunks of 16, 32, 64, 128 and 513, and the peak resident
-#: memory of a 45-curve sweep run stayed flat up to 128 and rose by 0.3 MB at
-#: 513.  The tier-1 test of sweep columns against one-point evaluations runs
-#: grids of about 4 chunks, so its cost grows with the chunk: 11.5 s at 64,
-#: 17.8 s at 128.
-GRID_CHUNK = 128
-
-
 def _basis_table(kind: ChannelKind) -> np.ndarray:
     """What the kind's channels on both sides make of ``FAMILY_BASIS``: the
     terms of the qutrit-side channel applied to those of the qubit-side
@@ -228,60 +213,45 @@ def _sweep_basis(kind: ChannelKind, mode: Mode) -> tuple[np.ndarray, int]:
 
 def evolve_grid(
     kind: ChannelKind, params: StateParams, gamma_qubit: ArrayLike, gamma_qutrit: ArrayLike
-) -> Iterator[np.ndarray]:
+) -> np.ndarray:
     """Evolve the family state at each strength pair (gamma_qubit[i],
-    gamma_qutrit[i]), yielding the states in grid order as (n, 2, 3, 3)
-    real block stacks (see ``linalg``) of at most ``GRID_CHUNK`` members;
-    ``linalg.from_blocks`` gives their product-basis matrices.
+    gamma_qutrit[i]): the states in grid order as one (n, 2, 3, 3) real
+    block stack (see ``linalg``); ``linalg.from_blocks`` gives their
+    product-basis matrices.
 
     The family weights (2a, 3b, c) mix the kind's basis table into the
-    point's term blocks.  Each chunk takes both sides' weight rows from one
-    ``channel_weights`` call, which certifies each side complete at every
-    strength, and writes every member's mix, its pair rows wb x wa times
-    the term blocks, into one fresh buffer of block-pair rows, after the
-    initial state in the first chunk.  A side at strength zero is weighted
-    like any other: its row (1, 0[, 1]) is the identity.  The buffer is certified in place by the certificate of
-    ``check_density``, once per chunk, and the chunk's states are yielded
-    as a view of it.  Only if that fails does ``check_density`` diagnose
-    the initial state (first chunk only; its error names no member), then
-    the chunk's states, whose error names the first failing member.
+    point's term blocks.  One ``channel_weights`` call takes both sides'
+    weight rows and certifies each side complete at every strength.  Every
+    member's mix, its pair rows wb x wa times the term blocks, goes into one
+    fresh buffer of block-pair rows after the initial state.  A side at
+    strength zero is weighted like any other: its row (1, 0[, 1]) is the
+    identity.  The certificate of ``check_density`` covers the buffer in
+    place, once, and the states are returned as a view of it.  Only if that
+    fails does ``check_density`` diagnose the initial state (its error names
+    no member), then the states, whose error names the first failing member.
     """
-    ga = np.asarray(gamma_qubit, dtype=float)
-    gb = np.asarray(gamma_qutrit, dtype=float)
-    if ga.ndim != 1 or ga.shape != gb.shape:
-        raise ValueError(
-            f"strength arrays must be 1-d and equal in length, got {ga.shape} and {gb.shape}"
-        )
     kind = ChannelKind(kind)
+    wa, wb = channel_weights(kind, gamma_qubit, gamma_qutrit)
+    n = len(wa)
     weights = family_weights(params)
-    rho = weights @ _FAMILY_BLOCKS
     terms = (weights @ _BASIS_TABLES[kind]).reshape(-1, _BLOCK_SIZE)
-    # The initial state goes with the first chunk's certificate.
-    first = 1
-    for s in range(0, len(ga), GRID_CHUNK):
-        wa, wb = channel_weights(kind, ga[s : s + GRID_CHUNK], gb[s : s + GRID_CHUNK])
-        n = len(wa)
-        rows = np.empty((first + n, _BLOCK_SIZE))
-        rows[:first] = rho
-        # Each member is its own vector-matrix product, so its state does
-        # not depend on the rest of its chunk.
-        pairs = (wb[:, :, None] * wa[:, None, :]).reshape(n, 1, -1)
-        np.matmul(pairs, terms, out=rows[first:].reshape(n, 1, _BLOCK_SIZE))
-        blocks = rows.reshape(-1, *BLOCK_SHAPE)
-        if not _certified(blocks, _conj_t(blocks)):
-            if first:
-                check_density(blocks[0])
-            check_density(blocks[first:])
-        first = 0
-        yield blocks[-n:]
-    if first:  # an empty grid still certifies the initial state
-        check_density(rho.reshape(BLOCK_SHAPE))
+    rows = np.empty((1 + n, _BLOCK_SIZE))
+    rows[0] = weights @ _FAMILY_BLOCKS
+    # Each member is its own vector-matrix product, so its state does not
+    # depend on the rest of the grid.
+    pairs = (wb[:, :, None] * wa[:, None, :]).reshape(n, 1, len(terms))
+    np.matmul(pairs, terms, out=rows[1:].reshape(n, 1, _BLOCK_SIZE))
+    blocks = rows.reshape(-1, *BLOCK_SHAPE)
+    if not _certified(blocks, _conj_t(blocks)):
+        check_density(blocks[0])
+        check_density(blocks[1:])
+    return blocks[1:]
 
 
 def evolve(scenario: ChannelScenario, params: StateParams) -> DensityMatrix:
     """Evolve the family state through the scenario's channels: the
     one-point case of :func:`evolve_grid`."""
-    (m,) = next(evolve_grid(scenario.kind, params, [scenario.gamma_qubit], [scenario.gamma_qutrit]))
+    (m,) = evolve_grid(scenario.kind, params, [scenario.gamma_qubit], [scenario.gamma_qutrit])
     return DensityMatrix._checked(from_blocks(m))
 
 

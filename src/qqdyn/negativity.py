@@ -112,7 +112,7 @@ def negativity_numeric(rho: DensityMatrix | np.ndarray) -> NegativityResult:
     ``rho`` may be a :class:`DensityMatrix`, any validated 6x6 state or a
     (..., 6, 6) stack of them, whose partial transposes take one batched
     complex eigensolve; or a (..., 2, 3, 3) block stack as
-    :func:`evolve_grid` yields it, whose partial transposes are block stacks
+    :func:`evolve_grid` returns it, whose partial transposes are block stacks
     too (``linalg.partial_transpose_blocks``) and take one batched real 3x3
     eigensolve.  For a stack each field of the result is an array over the
     leading axes.

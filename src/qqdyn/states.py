@@ -18,10 +18,10 @@ Every state the package builds or evolves passes :func:`check_density`.  It
 certifies one stack with one reduction per check and one Cholesky
 factorization (:func:`_certified`), and it falls back to a per-member
 eigensolve, which decides and names the failing member, only when that
-certificate fails.  The evolution certifies each chunk's states, held in
-one buffer after the initial state of the first chunk, with one
-:func:`_certified` call, and calls :func:`check_density` only to diagnose a
-chunk that fails: on the initial state first, then on the chunk's states.
+certificate fails.  The evolution certifies its states, held in one buffer
+after the initial state, with one :func:`_certified` call, and calls
+:func:`check_density` only to diagnose a buffer that fails: on the initial
+state first, then on the evolved states.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def check_density(m: np.ndarray) -> None:
     ``eigvalsh`` for positivity.  That pass decides, and its message names
     the first failing member (no member for a single state).
 
-    ``evolution.evolve_grid`` certifies each chunk's states together with
+    ``evolution.evolve_grid`` certifies its states together with
     :func:`_certified`, and calls this only when that fails, for the
     decision and the message.
     """

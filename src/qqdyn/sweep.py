@@ -55,6 +55,22 @@ _JSON_SPELLINGS = (
 )
 
 
+#: Strengths that :func:`run_sweep` evolves together, which bounds its memory
+#: for any grid length.  The largest arrays of a piece are a few (n, 2, 3, 3)
+#: real block stacks, 18 kB each at n = 128, and the rebuilt (n, 6, 6) real
+#: matrices, 37 kB.  Evolved in one piece, a sweep of 10^5 strengths peaked
+#: at 258 MB resident against 57 MB in pieces of 128 (``ru_maxrss``, a fresh
+#: process, no ESD search), most of it the (2, n, 72) temporaries of the
+#: completeness check in ``channel_weights``.  On a shared 2-vCPU Xeon with
+#: one BLAS thread, a 513-point sweep without the ESD search (mean over the
+#: 15 cells, best of 7) took 8.3, 5.2, 3.6, 2.6 and 2.2 ms with pieces of 16,
+#: 32, 64, 128 and 513, and the peak resident memory of a 45-curve sweep run
+#: stayed flat up to 128 and rose by 0.3 MB at 513.  The tier-1 test of sweep
+#: columns against one-point evaluations runs grids of about 4 pieces, so its
+#: cost grows with the piece: 11.5 s at 64, 17.8 s at 128.
+GRID_CHUNK = 128
+
+
 class SweepRow(NamedTuple):
     """One grid point of a sweep.  A plain tuple underneath, so the row
     templates format it directly and it compares equal to a tuple of the
@@ -105,7 +121,8 @@ def run_sweep(
     gammas = start + (stop - start) * np.arange(steps) / (steps - 1)
     ga, gb = sweep_strengths(mode, gammas)
     negativity, coherence = [], []
-    for states in evolve_grid(kind, params, ga, gb):
+    for s in range(0, steps, GRID_CHUNK):
+        states = evolve_grid(kind, params, ga[s : s + GRID_CHUNK], gb[s : s + GRID_CHUNK])
         negativity += negativity_numeric(states).value.tolist()
         coherence += coherence_l1(from_blocks(states)).tolist()
     try:

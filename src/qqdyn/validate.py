@@ -7,7 +7,7 @@ sectioning), the local-channel equivalences, and the two negativity routes.
 ``closed_form_discrepancies`` documents the places where the raw reference
 expressions are refuted by the Kraus numerics, together with the
 numerically measured correct coefficients; these are findings, not failures.
-Grids of strengths are evaluated through :func:`evolve_grid`, in chunks.
+Grids of strengths are evaluated through :func:`evolve_grid`, one call each.
 The grid-scan oracle that :func:`esd_gamma` is held to evolves the states
 and counts one alive where its numeric negativity is non-zero: the one
 numeric test of death (``negativity.NEGATIVE_EIG_CUTOFF``).
@@ -79,7 +79,7 @@ def _evolved_form_checks(points: list[StateParams]) -> tuple[list[dict], list[di
             known[pos] = True
         diff_corrected, diff_raw = [], []
         for p in points:
-            states = from_blocks(np.concatenate(list(evolve_grid(kind, p, grid_qubit, grid_qutrit))))
+            states = from_blocks(evolve_grid(kind, p, grid_qubit, grid_qutrit))
             diff_corrected.append(np.abs(states - analytic_evolved(kind, p, grid_qubit, grid_qutrit)))
             diff_raw.append(np.abs(states - analytic_evolved(kind, p, grid_qubit, grid_qutrit, corrected=False)))
         mismatch = np.array(diff_raw)
@@ -136,9 +136,8 @@ def _evolved_form_checks(points: list[StateParams]) -> tuple[list[dict], list[di
 
 def _sweep_negativities(kind: ChannelKind, mode: Mode, params: StateParams, gammas) -> np.ndarray:
     """Numeric negativity at each sweep strength of one (kind, mode) cell,
-    evolved chunk by chunk through :func:`evolve_grid`."""
-    chunks = evolve_grid(kind, params, *sweep_strengths(mode, gammas))
-    return np.concatenate([negativity_numeric(states).value for states in chunks])
+    evolved in one :func:`evolve_grid` call."""
+    return negativity_numeric(evolve_grid(kind, params, *sweep_strengths(mode, gammas))).value
 
 
 def _closed_form_curves(points: list[StateParams]) -> dict:
@@ -276,7 +275,7 @@ def _route_agreement_check(n: int = 200) -> list[dict]:
         kind = kinds[int(rng.integers(len(kinds)))]
         mode = modes[int(rng.integers(len(modes)))]
         g = float(rng.uniform())
-        ((state,),) = evolve_grid(kind, p, *sweep_strengths(mode, [g]))
+        (state,) = evolve_grid(kind, p, *sweep_strengths(mode, [g]))
         res = negativity_numeric(from_blocks(state))
         routes = max(routes, abs(res.value - res.via_trace_norm))
         blocks = max(blocks, abs(negativity_numeric(state).value - res.value))

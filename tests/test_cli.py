@@ -205,6 +205,32 @@ def test_cli_batch_config_checks_every_entry_first(tmp_path, capsys):
         assert not out1.exists() and not out2.exists()
 
 
+def test_cli_batch_config_takes_no_other_run_flag(tmp_path, capsys):
+    # Each entry sets its own run, so a flag beside --config would be
+    # ignored: it is a configuration error, and nothing is written.
+    out, other = tmp_path / "one.csv", tmp_path / "other.csv"
+    cfg = tmp_path / "runs.json"
+    cfg.write_text(json.dumps([{"kind": "dephasing", "mode": "qubitonly", "b": 0.05, "c": 0.6,
+                                "gamma": {"steps": 5}, "out": str(out)}]))
+    flags = (
+        ["--kind", "bitflip"], ["--mode", "multilocal"], ["--b", "0.3"], ["--c", "0.9"], ["--a-zero"],
+        ["--out", str(other)], ["--format", "json"], ["--format", "csv"],
+        ["--gamma-steps", "513"], ["--gamma-steps", "0"], ["--tol", "1e-9"], ["--tol", "0"],
+    )
+    for flag in flags:
+        assert main(["sweep", "--config", str(cfg), *flag]) == EXIT_CONFIG, flag
+        assert f"cannot take {flag[0]}" in capsys.readouterr().err, flag
+        assert list(tmp_path.iterdir()) == [cfg], flag
+    rc = main(["sweep", "--config", str(cfg), "--kind", "bitflip", "--mode", "multilocal", "--b", "0.3",
+               "--c", "0.9", "--out", str(other), "--format", "json"])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: --config sets every run itself; it cannot take"
+        " --kind --mode --b --c --out --format\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+    assert main(["sweep", "--config", str(cfg)]) == EXIT_OK and out.exists()
+
+
 ESD_ARGS = ["esd", "--kind", "dephasing", "--mode", "qubitonly", "--b", "0.05", "--c", "0.6"]
 SWEEP_ARGS = ["sweep", "--kind", "dephasing", "--mode", "qubitonly", "--b", "0.05", "--c", "0.6",
               "--gamma-steps", "9"]
@@ -286,6 +312,13 @@ def test_cli_table1_single_point(tmp_path):
             assert cells[(kind, mode)]["esd_count"] == 1, (kind, mode)
     assert cells[("depolarizing", "qubitonly")]["reference"] == "always"
     assert cells[("depolarizing", "qubitonly")]["matches_reference"] is True
+
+
+def test_cli_table1_a_zero_without_b_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "table.json"
+    assert main(["table1", "--a-zero", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: --b is required\n"
+    assert not out.exists()
 
 
 def test_cli_validate(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""The chunked gamma-grid path against the one-point path it generalizes
-and against the direct Kraus sum it tabulates."""
+"""The gamma-grid path against the one-point path it generalizes and
+against the direct Kraus sum it tabulates, and the chunks in which a sweep
+evolves its grid."""
 
 import numpy as np
 import pytest
@@ -19,19 +20,20 @@ from qqdyn import (
     random_entangled_params,
     run_sweep,
 )
-from qqdyn import channels, evolution
+from qqdyn import channels, evolution, sweep
 from qqdyn.channels import kraus_operators
-from qqdyn.evolution import GRID_CHUNK, sweep_strengths
+from qqdyn.evolution import sweep_strengths
 from qqdyn.linalg import from_blocks
 from qqdyn.states import check_density, initial_state
+from qqdyn.sweep import GRID_CHUNK
 
 CELLS = [(kind, mode) for kind in ChannelKind for mode in Mode]
 #: An interior point, an a = 0 point and the a = 0 corner (0, 1).
 POINTS = [StateParams(0.05, 0.6), StateParams.a_zero(4.0 / 30.0), StateParams(0.0, 1.0)]
-#: A grid inside one chunk, grids one short of, at and one past four whole
-#: chunks, and the default 513 points.
+#: A sweep grid inside one chunk, grids one short of, at and one past four
+#: whole chunks, and the default 513 points.
 GRID_SIZES = (2, 4 * GRID_CHUNK - 1, 4 * GRID_CHUNK, 4 * GRID_CHUNK + 1, 513)
-#: A stack member in the middle of a chunk.
+#: A stack member in the middle of a chunk's worth of members.
 MEMBER = GRID_CHUNK // 2 + 3
 
 
@@ -49,19 +51,38 @@ def test_sweep_columns_equal_one_point_evaluations(kind, mode):
                 assert abs(row.coherence - coherence) <= 1e-15, (p, steps, row.gamma)
 
 
-def test_grid_yields_chunks_in_order():
+def test_run_sweep_evolves_its_grid_in_chunks_in_order(monkeypatch):
+    # Chunks bound a sweep's memory for any grid length: run_sweep evolves
+    # consecutive slices of its grid, one evolve_grid call each.
+    calls = []
+
+    def recording(kind, params, gamma_qubit, gamma_qutrit):
+        calls.append((gamma_qubit, gamma_qutrit))
+        return evolve_grid(kind, params, gamma_qubit, gamma_qutrit)
+
+    monkeypatch.setattr(sweep, "evolve_grid", recording)
+    steps = 2 * GRID_CHUNK + 3
+    for mode in Mode:
+        calls.clear()
+        rows = run_sweep(ChannelKind.DEPOLARIZING, mode, POINTS[0], steps=steps, esd=False).rows
+        assert [len(ga) for ga, _ in calls] == [GRID_CHUNK, GRID_CHUNK, 3], mode
+        ga, gb = sweep_strengths(mode, [row.gamma for row in rows])
+        assert np.array_equal(np.concatenate([a for a, _ in calls]), ga), mode
+        assert np.array_equal(np.concatenate([b for _, b in calls]), gb), mode
+
+
+def test_grid_members_equal_one_point_evolutions():
     g = np.linspace(0.0, 1.0, 2 * GRID_CHUNK + 3)
-    chunks = list(evolve_grid(ChannelKind.DEPOLARIZING, POINTS[0], g, g[::-1]))
-    assert [len(c) for c in chunks] == [GRID_CHUNK, GRID_CHUNK, 3]
-    states = from_blocks(np.concatenate(chunks))
+    states = from_blocks(evolve_grid(ChannelKind.DEPOLARIZING, POINTS[0], g, g[::-1]))
+    assert states.shape == (len(g), 6, 6)
     for i in (0, GRID_CHUNK - 1, GRID_CHUNK, len(g) - 1):
         sc = ChannelScenario(ChannelKind.DEPOLARIZING, Mode.MULTI_LOCAL, g[i], g[::-1][i])
         assert np.array_equal(states[i], evolve(sc, POINTS[0]).matrix), i
 
 
-def test_each_chunk_is_one_fresh_buffer_certified_once(monkeypatch):
+def test_each_call_is_one_fresh_buffer_certified_once(monkeypatch):
     g = np.linspace(0.0, 1.0, 2 * GRID_CHUNK + 3)
-    expected = [c.copy() for c in evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g[::-1])]
+    expected = evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g[::-1]).copy()
     certified, diagnosed = [], []
     certify = evolution._certified
 
@@ -71,29 +92,28 @@ def test_each_chunk_is_one_fresh_buffer_certified_once(monkeypatch):
 
     monkeypatch.setattr(evolution, "_certified", counting)
     monkeypatch.setattr(evolution, "check_density", diagnosed.append)
-    chunks = list(evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g[::-1]))
-    # The initial state and the first chunk's states in one certificate,
-    # each later chunk's states in one of their own; healthy chunks are
-    # never diagnosed.
-    assert certified == [1 + GRID_CHUNK, GRID_CHUNK, 3] and diagnosed == []
-    # No chunk shares its buffer with another.
-    chunks[0][:] = np.nan
-    for chunk, want in zip(chunks[1:], expected[1:]):
-        assert np.array_equal(chunk, want)
+    first = evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g[::-1])
+    second = evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g[::-1])
+    # The initial state and every evolved state in one certificate per call;
+    # healthy states are never diagnosed.
+    assert certified == [1 + len(g)] * 2 and diagnosed == []
+    # No call shares its buffer with another.
+    first[:] = np.nan
+    assert np.array_equal(second, expected)
 
 
 def test_grid_rejects_out_of_range_strength_in_any_chunk():
     g = np.full(GRID_CHUNK + 5, 0.5)
     g[GRID_CHUNK + 2] = 1.5
     with pytest.raises(ValueError, match="gamma must lie in"):
-        list(evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g))
-    with pytest.raises(ValueError, match="equal in length"):
-        list(evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g[:-1]))
+        evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g)
+    with pytest.raises(ValueError, match="1-d arrays of one length"):
+        evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g[:-1])
 
 
 def _stack_with_bad_member(bad: np.ndarray) -> np.ndarray:
     g = np.linspace(0.0, 1.0, GRID_CHUNK)
-    (states,) = evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g)
+    states = evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g)
     states = from_blocks(states).astype(complex)
     states[MEMBER] = bad
     return states
@@ -138,8 +158,7 @@ def _block_member(even, odd):
 )
 def test_block_stack_with_one_bad_member_mid_chunk_is_rejected(bad, message):
     g = np.linspace(0.0, 1.0, GRID_CHUNK)
-    (states,) = evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g)
-    states = states.copy()
+    states = evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g).copy()
     states[MEMBER] = bad
     with pytest.raises(ValueError, match=f"{message}.* in stack member {MEMBER}$"):
         check_density(states)
@@ -172,17 +191,19 @@ def test_corrupted_table_term_fails_the_import_certificate(corruption, monkeypat
         evolution._basis_table(kind)
 
 
-#: Where a corrupted term of both sides shows in a two-chunk grid whose
-#: other strengths are all zero: (the (qutrit, qubit) weights of the
-#: corrupted terms, 0 for u and 1 for v, {grid index: (gamma_qubit,
-#: gamma_qutrit)}, the chunk member named).  A v weight vanishes at
-#: strength zero, so each corrupted term enters only the listed members.
+#: Where a corrupted term of both sides shows in a grid of two chunks' worth
+#: of strengths, all zero but the listed ones: (the (qutrit, qubit) weights
+#: of the corrupted terms, 0 for u and 1 for v, {grid index: (gamma_qubit,
+#: gamma_qutrit)}, the member named).  A v weight vanishes at strength zero,
+#: so each corrupted term enters only the listed members.
 TERM_CORRUPTIONS = {
-    "multilocal": (((1, 1),), {GRID_CHUNK + MEMBER: (0.5, 0.5)}, MEMBER),
-    "qubitonly": (((0, 1),), {GRID_CHUNK + MEMBER: (0.5, 0.0)}, MEMBER),
-    "qutritonly": (((1, 0),), {GRID_CHUNK + MEMBER: (0.0, 0.5)}, MEMBER),
+    "multilocal": (((1, 1),), {GRID_CHUNK + MEMBER: (0.5, 0.5)}, GRID_CHUNK + MEMBER),
+    "qubitonly": (((0, 1),), {GRID_CHUNK + MEMBER: (0.5, 0.0)}, GRID_CHUNK + MEMBER),
+    "qutritonly": (((1, 0),), {GRID_CHUNK + MEMBER: (0.0, 0.5)}, GRID_CHUNK + MEMBER),
     # Both members fail; the first in grid order is named.
-    "first-of-two": (((0, 1), (1, 0)), {GRID_CHUNK + 1: (0.0, 0.5), GRID_CHUNK + MEMBER: (0.5, 0.0)}, 1),
+    "first-of-two": (
+        ((0, 1), (1, 0)), {GRID_CHUNK + 1: (0.0, 0.5), GRID_CHUNK + MEMBER: (0.5, 0.0)}, GRID_CHUNK + 1
+    ),
 }
 
 
@@ -200,10 +221,8 @@ def test_corrupted_term_is_named_with_its_member(case, monkeypatch):
     ga, gb = np.zeros((2, 2 * GRID_CHUNK))
     for i, (a, b) in strengths.items():
         ga[i], gb[i] = a, b
-    chunks = evolve_grid(kind, POINTS[0], ga, gb)
-    next(chunks)
     with pytest.raises(ValueError, match=f"^trace must be 1, got .* in stack member {member}$"):
-        next(chunks)
+        evolve_grid(kind, POINTS[0], ga, gb)
 
 
 def test_corrupted_initial_state_is_named_without_a_member(monkeypatch):
@@ -211,7 +230,7 @@ def test_corrupted_initial_state_is_named_without_a_member(monkeypatch):
     g = np.full(GRID_CHUNK + 1, 0.5)
     for ga, gb in ((g, g), (g, 0 * g), (0 * g, 0 * g), ([], [])):
         with pytest.raises(ValueError, match=r"^trace must be 1, got [0-9.]+$"):
-            next(evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], ga, gb), None)
+            evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], ga, gb)
 
 
 def _kraus_reference(kind, p, ga, gb):
@@ -228,10 +247,10 @@ def test_tables_match_the_direct_kraus_sum(kind):
     for p in points:
         for mode in Mode:
             ga, gb = sweep_strengths(mode, diagonal)
-            states = from_blocks(np.concatenate(list(evolve_grid(kind, p, ga, gb))))
+            states = from_blocks(evolve_grid(kind, p, ga, gb))
             assert np.abs(states - _kraus_reference(kind, p, ga, gb)).max() <= 1e-15, (p, mode)
         ga, gb = rng.uniform(size=(2, 2 * GRID_CHUNK + 7))
-        states = from_blocks(np.concatenate(list(evolve_grid(kind, p, ga, gb))))
+        states = from_blocks(evolve_grid(kind, p, ga, gb))
         assert np.abs(states - _kraus_reference(kind, p, ga, gb)).max() <= 1e-15, p
 
 
@@ -254,11 +273,11 @@ def test_zero_strength_is_the_identity_weight_row(kind, monkeypatch):
         ga, gb = sweep_strengths(mode, g)
         calls.clear()
         weighted.clear()
-        states = from_blocks(np.concatenate(list(evolve_grid(kind, POINTS[0], ga, gb))))
-        # One call per chunk weights both sides, a zero strength by the
-        # identity row (u, v[, s]) = (1, 0[, 1]).
-        assert calls == [GRID_CHUNK, 5], mode
-        assert [side for side, _ in weighted] == [Side.QUBIT, Side.QUTRIT] * 2, mode
+        states = from_blocks(evolve_grid(kind, POINTS[0], ga, gb))
+        # One call weights both sides, a zero strength by the identity row
+        # (u, v[, s]) = (1, 0[, 1]).
+        assert calls == [len(g)], mode
+        assert [side for side, _ in weighted] == [Side.QUBIT, Side.QUTRIT], mode
         for side, rows in weighted:
             identity = [1.0, 0.0, 1.0][: channels._SHAPES[kind, side].terms]
             assert (rows == identity).all(), (mode, side)
@@ -271,7 +290,7 @@ def test_zero_strength_is_the_identity_weight_row(kind, monkeypatch):
     # With both sides at zero the grid yields the initial state: exactly for
     # the mixed-unitary kinds, whose u terms are the identity map, and to
     # rounding for dephasing, whose identity is u T_u + s T_s.
-    (states,) = evolve_grid(kind, POINTS[0], zero[:3], zero[:3])
+    states = evolve_grid(kind, POINTS[0], zero[:3], zero[:3])
     tol = 1e-16 if kind is ChannelKind.DEPHASING else 0.0
     assert np.abs(from_blocks(states) - rho).max() <= tol
 
@@ -280,10 +299,10 @@ def test_corrupted_coefficient_mid_chunk_breaks_completeness(monkeypatch):
     kind = ChannelKind.DEPOLARIZING
     weighting = channels._WEIGHTINGS[kind]
     zero = np.zeros(GRID_CHUNK)
-    # One side's strengths, zero except in the middle of the chunk.
+    # One side's strengths, zero except in the middle of the grid.
     middle = np.where(np.arange(GRID_CHUNK) == MEMBER, 0.5, 0.0)
     for i, strengths in enumerate(((middle, zero), (zero, middle))):
-        list(evolve_grid(kind, POINTS[0], *strengths))
+        evolve_grid(kind, POINTS[0], *strengths)
         # A corrupted p of u = 1 - p gamma / m shows only where gamma = 0.5.
         p = weighting.p.copy()
         p[i] *= 1.0 + 1e-9
@@ -294,7 +313,7 @@ def test_corrupted_coefficient_mid_chunk_breaks_completeness(monkeypatch):
             with monkeypatch.context() as m:
                 m.setitem(channels._WEIGHTINGS, kind, corrupted)
                 with pytest.raises(ValueError, match="completeness violated"):
-                    list(evolve_grid(kind, POINTS[0], *strengths))
+                    evolve_grid(kind, POINTS[0], *strengths)
 
 
 @pytest.mark.parametrize("kind", list(ChannelKind), ids=[k.value for k in ChannelKind])
@@ -309,4 +328,4 @@ def test_defects_of_the_two_sides_cannot_cancel(kind, monkeypatch):
     with pytest.raises(ValueError, match="completeness violated"):
         channels.channel_weights(kind, g, g)
     with pytest.raises(ValueError, match="completeness violated"):
-        list(evolve_grid(kind, POINTS[0], g, g))
+        evolve_grid(kind, POINTS[0], g, g)

@@ -518,7 +518,7 @@ def test_chosen_invariants_equal_those_of_the_evolved_blocks():
             for mode in Mode:
                 invariants, k = negativity._block_invariants(kind, mode, p)
                 blocks = np.reshape(invariants[0], (3, -1, 2))
-                (states,) = evolve_grid(kind, p, *evolution.sweep_strengths(mode, g))
+                states = evolve_grid(kind, p, *evolution.sweep_strengths(mode, g))
                 eigs = np.linalg.eigvalsh(partial_transpose_blocks(states))
                 # e_1, e_2, e_3 of each block from its eigenvalues.
                 e = [eigs.sum(axis=-1),

@@ -76,7 +76,7 @@ def test_numeric_negativity_is_zero_or_above_twice_the_cutoff(scenario, p):
     # negativity that is not exactly zero exceeds 2e-12: the one cutoff is
     # the whole numeric test of death.
     state = evolve(scenario, p)
-    (blocks,) = evolve_grid(scenario.kind, p, [scenario.gamma_qubit], [scenario.gamma_qutrit])
+    blocks = evolve_grid(scenario.kind, p, [scenario.gamma_qubit], [scenario.gamma_qutrit])
     for value in (negativity_numeric(state).value, float(negativity_numeric(blocks).value[0])):
         assert value == 0.0 or value > 2e-12, value
 
@@ -99,7 +99,7 @@ def test_corrected_closed_forms_match_numerics(scenario, p):
 def test_one_point_equals_its_member_of_a_batch(kind, p, pairs, data):
     i = data.draw(st.integers(0, len(pairs) - 1))
     ga, gb = np.array(pairs).T
-    batch = from_blocks(np.concatenate(list(evolve_grid(kind, p, ga, gb))))
+    batch = from_blocks(evolve_grid(kind, p, ga, gb))
     single = evolve(ChannelScenario(kind, Mode.MULTI_LOCAL, ga[i], gb[i]), p).matrix
     assert np.array_equal(batch[i], single)
 
