@@ -30,16 +30,13 @@ point, ``esd_alive`` one batch of the test of life at the candidates plus
 and minus the certification half-width (the invariants' test, or the
 numeric negativity of evolved states on checkouts that still evolve them),
 ``esd_certify_batch`` the certified bracket and ``esd_section_step`` one
-sectioning step.  ``check_density_one_point`` certifies the states
-that the checkout's ``evolve_grid`` certifies for that point, as it does
-(the initial and the evolved state, and the state after the qubit side on
-checkouts that still build it).
-``check_density*``, ``negativity_numeric`` and ``coherence_l1`` take the
-states as complex 6x6 matrices, the ``*_blocks*`` rows as the block stack
-that ``evolve_grid`` returns.  End-to-end rows time whole runs, the
-``cli_*_inprocess`` ones through ``qqdyn.cli.main`` in this process (after
-one warm-up call, so the per-call dispatch cost shows next to the library
-rows) and the other CLI ones in a fresh interpreter each.
+sectioning step.  ``check_density*``, ``negativity_numeric`` and
+``coherence_l1`` take the states as complex 6x6 matrices, the
+``*_blocks*`` rows as the block stack that ``evolve_grid`` returns.
+End-to-end rows time whole runs, the ``cli_*_inprocess`` ones through
+``qqdyn.cli.main`` in this process (after one warm-up call, so the
+per-call dispatch cost shows next to the library rows) and the other CLI
+ones in a fresh interpreter each.
 A layer that the checkout does not have is reported as absent, so the same
 file runs against older checkouts.  The package is imported from ``src/``
 next to this file; nothing in ``qqdyn`` imports this module.
@@ -156,27 +153,6 @@ def _table_combine(q: ModuleType):
     return mix
 
 
-def _one_point_certificate(q: ModuleType):
-    """The density certificate of a one-point multi-local evolution, as the
-    checkout's ``evolve_grid`` certifies it: the initial and the evolved
-    state, with the state after the qubit side between them where the
-    checkout builds that stage (a (table, ta, tb) basis table); one
-    ``states._certified`` call on the block stack of one buffer where its
-    ``evolve_grid`` makes that call itself, else one ``check_density`` call
-    over the stages."""
-    p, kind, _ = _subject(q)
-    a, b = _ONE_POINT
-    # One-member block stacks.
-    stages = [_evolved(q, kind, p, [0.0], [0.0]), _evolved(q, kind, p, [a], [b])]
-    if isinstance(q.evolution._BASIS_TABLES[kind], tuple):
-        stages.insert(1, _evolved(q, kind, p, [a], [0.0]))
-    if hasattr(q.evolution, "_certified"):
-        blocks = np.concatenate(stages)
-        certified, conj_t = q.states._certified, q.states._conj_t
-        return lambda: certified(blocks, conj_t(blocks))
-    return lambda: q.states.check_density(stages[0][0], *stages[1:])
-
-
 def _esd_search(q: ModuleType) -> tuple:
     """The candidate deaths, as a callable from the point, and the test of
     life of the checkout's ESD search: on the invariant polynomials where
@@ -259,7 +235,6 @@ def layer_rows(q: ModuleType) -> dict:
         "check_density": (lambda: lambda: states.check_density(product), 200),
         "check_density_16": (lambda: lambda: states.check_density(product[:16]), 500),
         "check_density_1": (lambda: lambda: states.check_density(product[:1]), 1000),
-        "check_density_one_point": (lambda: _one_point_certificate(q), 1000),
         "negativity_numeric": (lambda: lambda: negativity.negativity_numeric(product), 200),
         "coherence_l1": (lambda: lambda: evolution.coherence_l1(product), 500),
         "closed_forms_513": (lambda: _closed_forms(q), 50),

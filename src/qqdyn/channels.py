@@ -25,14 +25,22 @@ and gamma T_1 cancel towards gamma = 1.  :func:`channel_terms` gives the
 terms of any states, which the evolution tabulates once at import for the
 family's basis states.  :func:`channel_weights` gives the weight rows
 (u, v[, s]) of both sides at once, for a strength array per side, from one
-formula over per-kind columns of p and m, and certifies completeness at
-every strength of each side: that side's Gram polynomial sum_i K_i^dagger
-K_i = u G_u + v G_v + s G_s, tabulated at import and evaluated with the
-same rows, must be I6 to within ``COMPLETENESS_TOL`` (a NaN fails).  The
-two sides are certified apart, in one stacked product, so that a defect of
-one cannot cancel against the other.  That formula is the one copy of the
-weights: the ESD search's weight polynomials in y, 1 - gamma = y^k, are
+formula over per-kind columns of p and m.  That formula is the one copy of
+the weights: the ESD search's weight polynomials in y, 1 - gamma = y^k, are
 read off its rows at gamma = 0 and 1 (``evolution._weights_in_y``).
+
+Completeness is certified once, at import, for every (kind, side): its
+Gram polynomial sum_i K_i^dagger K_i = u G_u + v G_v + s G_s must have
+G_s = 0 and be I6 at gamma = 0 and 1.  u and v are affine in gamma, so
+the Gram polynomial is then I6 at every strength, and a call checks only
+its strengths.  Each side is certified apart, so that a defect of one
+cannot cancel against the other.  A complete channel is trace preserving,
+and completely positive by its Kraus form.  For the eight mixed-unitary
+channels more holds: E_gamma(rho) = u rho + v sum_i U_i rho U_i^dagger is
+affine in gamma, so the two-sided map, and with it the evolved state, is
+bi-affine in (gamma_qubit, gamma_qutrit), a convex mix of its values at
+the four corners of the strength square.  Dephasing, whose s term is not
+affine, rests on its Kraus form alone.
 
 Eight of the ten channels are mixed-unitary: K_0 = sqrt(1 - f gamma) I and
 K_i = sqrt(f gamma / n) U_i for n unitaries U_i, with f = 1/2 for the qubit
@@ -278,29 +286,55 @@ _EYE_ROW = _EYE.view(float).ravel()
 
 class _Weighting(NamedTuple):
     """What weights a kind's two sides at once, qubit side first: the (2, 1)
-    columns of p and m, and the (2, T, 72) stack of the sides' Gram
-    polynomials sum_i K_i^dagger K_i = u G_u + v G_v + s G_s, one real row
-    per term holding the complex entries as (real, imaginary) pairs."""
+    columns of p and m, and the number of terms T of a weight row."""
 
     p: np.ndarray
     m: np.ndarray
-    grams: np.ndarray
+    terms: int
+
+
+def _rows(weighting: _Weighting, g: np.ndarray) -> np.ndarray:
+    """The (2, N, T) weight rows (u, v[, s]) at the (2, N) strengths ``g``."""
+    p, m, terms = weighting
+    w = np.empty((*g.shape, terms))
+    w[..., 0] = 1.0 - p * g / m
+    w[..., 1] = g / m
+    if terms == 3:
+        w[..., 2] = np.sqrt(w[..., 0])
+    return w
+
+
+def _gram(kind: ChannelKind, side: Side) -> np.ndarray:
+    """The Gram polynomial sum_i K_i^dagger K_i = u G_u + v G_v + s G_s of
+    one side, one real row per term holding the complex entries as (real,
+    imaginary) pairs."""
+    s = _SHAPES[kind, side]
+    return s.expand(lambda a, b: a.conj().T @ b, _EYE).view(float).reshape(s.terms, -1)
 
 
 def _weighting(kind: ChannelKind) -> _Weighting:
+    """The weighting of one kind, its completeness certified at every
+    strength of each side.
+
+    Each side's Gram polynomial must have G_s = 0 and be I6 at gamma = 0
+    and 1, to within ``COMPLETENESS_TOL`` (a NaN fails).  u and v are affine
+    in gamma, so it is then I6 at every strength.  The sides are certified
+    apart, so that a defect of one cannot cancel against the other.
+    """
     shapes = [_SHAPES[kind, side] for side in Side]
-    grams = [
-        s.expand(lambda a, b: a.conj().T @ b, _EYE).view(float).reshape(s.terms, -1)
-        for s in shapes
-    ]
-    return _Weighting(
+    weighting = _Weighting(
         np.array([[s.p] for s in shapes], dtype=float),
         np.array([[s.m] for s in shapes], dtype=float),
-        np.array(grams),
+        shapes[0].terms,
     )
+    grams = np.array([_gram(kind, side) for side in Side])
+    ends = _rows(weighting, np.array([[0.0, 1.0]] * len(Side)))
+    _check_completeness(np.abs(grams[:, 2:]).max(initial=0.0))
+    _check_completeness(np.abs(ends @ grams - _EYE_ROW).max())
+    return weighting
 
 
-#: The weighting of every kind, built once at import.
+#: The weighting of every kind, built and certified once at import.
 _WEIGHTINGS = {kind: _weighting(kind) for kind in ChannelKind}
 
 
@@ -308,20 +342,11 @@ def channel_weights(kind: ChannelKind, gamma_qubit: ArrayLike, gamma_qutrit: Arr
     """The (2, N, T) weight rows (u, v[, s]) of one channel kind, qubit side
     first, at the N strength pairs of the 1-d arrays ``gamma_qubit`` and
     ``gamma_qutrit``: the squared weights u = 1 - p gamma / m and
-    v = gamma / m of each side, and s = sqrt(u).  Completeness is certified
-    at every strength of each side from that side's own Gram polynomial,
-    evaluated with the same rows, so that a defect of one side cannot
-    cancel against the other.  A strength of zero gives the identity row
-    (1, 0[, 1])."""
-    g = _strength_pairs(gamma_qubit, gamma_qutrit)
-    p, m, grams = _WEIGHTINGS[ChannelKind(kind)]
-    w = np.empty((*g.shape, grams.shape[1]))
-    w[..., 0] = 1.0 - p * g / m
-    w[..., 1] = g / m
-    if grams.shape[1] == 3:
-        w[..., 2] = np.sqrt(w[..., 0])
-    _check_completeness(np.abs(w @ grams - _EYE_ROW).max(initial=0.0))
-    return w
+    v = gamma / m of each side, and s = sqrt(u).  A strength of zero gives
+    the identity row (1, 0[, 1]).  The import certified completeness at
+    every strength (:func:`_weighting`), so only the strengths are
+    checked."""
+    return _rows(_WEIGHTINGS[ChannelKind(kind)], _strength_pairs(gamma_qubit, gamma_qutrit))
 
 
 def channel_terms(kind: ChannelKind, side: Side, rho: np.ndarray) -> np.ndarray:

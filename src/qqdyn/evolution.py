@@ -20,17 +20,23 @@ instead of the 72 of a complex 6x6 matrix: at most 27 block pairs per kind,
 11 kB for all five.  A call mixes them with the point's weights (2a, 3b, c)
 into at most 9 term block pairs.
 
-:func:`evolve_grid` evolves a point over arrays of strength pairs.  One
-``channel_weights`` call builds both sides' weight rows and certifies each
-side's completeness at every strength from its Gram polynomial of the same
-rows, and each member's state, its pair weights times the term blocks, goes
-into one buffer of block-pair rows after the initial state.  A side at
-strength zero needs no case of its own: its weight row is the identity.
-One density-matrix certificate covers the whole buffer in place; only a
-failed certificate is diagnosed, which names the failing member.  States
-stay in block form; ``linalg.from_blocks`` rebuilds the 6x6 product-basis
-matrix where an output needs it.  ``sweep.run_sweep`` evolves a grid of
-any length in pieces, so its memory stays bounded.  :func:`evolve` is the
+The import certifies the tables once, and no call checks a state again.
+``channels`` certifies each side complete at every strength, and
+:func:`_basis_table` checks the images of the three basis states at the
+four corners of the strength square with ``check_density``.  For the four
+mixed-unitary kinds the evolved state is bi-affine in (gamma_qubit,
+gamma_qutrit), so it is a convex mix of those twelve certified images,
+with the corners weighted by products of gamma and 1 - gamma and the basis
+states by (2a, 3b, c).  Dephasing rests on its Kraus form: a complete
+Kraus map takes a density matrix to a density matrix at every strength.
+
+:func:`evolve_grid` evolves a point over arrays of strength pairs: one
+``channel_weights`` call builds both sides' weight rows, and each member's
+state is its pair weights times the term blocks.  A side at strength zero
+needs no case of its own: its weight row is the identity.  States stay in
+block form; ``linalg.from_blocks`` rebuilds the 6x6 product-basis matrix
+where an output needs it.  ``sweep.run_sweep`` evolves a grid of any
+length in pieces, so its memory stays bounded.  :func:`evolve` is the
 one-point case of the same path, and :func:`_sweep_basis` the same mix with
 polynomial weights for each basis state, from which ``negativity``
 tabulates the ESD invariants once at import.  :func:`apply_channel` over
@@ -55,15 +61,7 @@ import numpy as np
 
 from .channels import ChannelKind, Side, channel_terms, channel_weights
 from .linalg import BLOCK_SHAPE, TOTAL_DIM, from_blocks, to_blocks
-from .states import (
-    FAMILY_BASIS,
-    DensityMatrix,
-    StateParams,
-    _certified,
-    _conj_t,
-    check_density,
-    family_weights,
-)
+from .states import FAMILY_BASIS, DensityMatrix, StateParams, check_density, family_weights
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
@@ -138,6 +136,10 @@ def sweep_strengths(mode: Mode, gamma: ArrayLike) -> tuple[np.ndarray, np.ndarra
     return zero, g
 
 
+#: Entries of a state in block form.
+_BLOCK_SIZE = int(np.prod(BLOCK_SHAPE))
+
+
 def _basis_table(kind: ChannelKind) -> np.ndarray:
     """What the kind's channels on both sides make of ``FAMILY_BASIS``: the
     terms of the qutrit-side channel applied to those of the qubit-side
@@ -145,20 +147,25 @@ def _basis_table(kind: ChannelKind) -> np.ndarray:
     that holds each term as its 18 block entries.
 
     Raises ValueError unless every term commutes with S and is real to
-    ``linalg.SYMMETRY_TOL``: the block form holds only such states.
+    ``linalg.SYMMETRY_TOL``, since the block form holds only such states,
+    and unless the table's images of the basis states at the four corners
+    of the strength square pass ``check_density``.  The images at (0, 0)
+    are the basis states themselves.
     """
     both = channel_terms(kind, Side.QUTRIT, channel_terms(kind, Side.QUBIT, FAMILY_BASIS))
     blocks = to_blocks(both.reshape(-1, *FAMILY_BASIS.shape))
     # Exactly symmetric blocks give exactly symmetric states.
     blocks = (blocks + blocks.swapaxes(-1, -2)) / 2.0
-    return np.ascontiguousarray(np.moveaxis(blocks, 1, 0)).reshape(len(FAMILY_BASIS), -1)
+    terms = np.ascontiguousarray(np.moveaxis(blocks, 1, 0))
+    terms = terms.reshape(len(FAMILY_BASIS), -1, _BLOCK_SIZE)
+    wa, wb = channel_weights(kind, [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0])
+    corners = (wb[:, :, None] * wa[:, None, :]).reshape(len(wa), -1)
+    check_density((corners @ terms).reshape(len(terms), len(corners), *BLOCK_SHAPE))
+    return terms.reshape(len(terms), -1)
 
 
 #: The basis table of every kind, built and certified once at import.
 _BASIS_TABLES = {kind: _basis_table(kind) for kind in ChannelKind}
-#: ``FAMILY_BASIS`` in block form, one row of 18 block entries per state.
-_FAMILY_BLOCKS = to_blocks(FAMILY_BASIS).reshape(len(FAMILY_BASIS), -1)
-_BLOCK_SIZE = _FAMILY_BLOCKS.shape[1]
 
 
 def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -220,32 +227,20 @@ def evolve_grid(
     product-basis matrices.
 
     The family weights (2a, 3b, c) mix the kind's basis table into the
-    point's term blocks.  One ``channel_weights`` call takes both sides'
-    weight rows and certifies each side complete at every strength.  Every
-    member's mix, its pair rows wb x wa times the term blocks, goes into one
-    fresh buffer of block-pair rows after the initial state.  A side at
-    strength zero is weighted like any other: its row (1, 0[, 1]) is the
-    identity.  The certificate of ``check_density`` covers the buffer in
-    place, once, and the states are returned as a view of it.  Only if that
-    fails does ``check_density`` diagnose the initial state (its error names
-    no member), then the states, whose error names the first failing member.
+    point's term blocks, and one ``channel_weights`` call gives both sides'
+    weight rows.  Each member is its pair rows wb x wa times the term
+    blocks, in a fresh array on every call.  A side at strength zero is
+    weighted like any other: its row (1, 0[, 1]) is the identity.  No state
+    is checked here: the import certified the tables they come from.
     """
     kind = ChannelKind(kind)
     wa, wb = channel_weights(kind, gamma_qubit, gamma_qutrit)
     n = len(wa)
-    weights = family_weights(params)
-    terms = (weights @ _BASIS_TABLES[kind]).reshape(-1, _BLOCK_SIZE)
-    rows = np.empty((1 + n, _BLOCK_SIZE))
-    rows[0] = weights @ _FAMILY_BLOCKS
+    terms = (family_weights(params) @ _BASIS_TABLES[kind]).reshape(-1, _BLOCK_SIZE)
     # Each member is its own vector-matrix product, so its state does not
     # depend on the rest of the grid.
     pairs = (wb[:, :, None] * wa[:, None, :]).reshape(n, 1, len(terms))
-    np.matmul(pairs, terms, out=rows[1:].reshape(n, 1, _BLOCK_SIZE))
-    blocks = rows.reshape(-1, *BLOCK_SHAPE)
-    if not _certified(blocks, _conj_t(blocks)):
-        check_density(blocks[0])
-        check_density(blocks[1:])
-    return blocks[1:]
+    return np.matmul(pairs, terms).reshape(n, *BLOCK_SHAPE)
 
 
 def evolve(scenario: ChannelScenario, params: StateParams) -> DensityMatrix:

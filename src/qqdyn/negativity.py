@@ -45,6 +45,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -210,13 +211,25 @@ def _negativity_form(kind, mode, params, ga, gb, corrected=True):
     raise ValueError(f"unknown channel kind {kind!r}")
 
 
+#: The last float below 1, the last strength at which ESD can show, and its
+#: distance to 1.
+_LAST_BELOW_ONE = 1.0 - 2.0**-53
+_ULP_BELOW_ONE = 1 - Fraction(_LAST_BELOW_ONE)
+#: A rounded threshold at or above this, 8 ulps below 1, may round an exact
+#: one that lies above ``_LAST_BELOW_ONE``, or one below it up to 1: the
+#: float forms take at most about 6 roundings.
+_NEAR_ONE = 1.0 - 2.0**-50
+
+
 def analytic_esd_gamma(kind: ChannelKind, mode: Mode, params: StateParams) -> float | None:
     """Closed-form ESD threshold on the sweep axis, or None.
 
     None means either no closed form exists for the scenario (multi-local
     bit-flip and bit-phase-flip) or the threshold is not below 1, i.e. the
     state never dies at finite time.  Multi-local thresholds are for the
-    equal-strength diagonal.
+    equal-strength diagonal.  A rounded threshold within 8 ulps of 1 is
+    decided exactly (:func:`_dead_below_one`): None unless the state is
+    dead at the last float below 1, and never above that float.
     """
     kind, mode = ChannelKind(kind), Mode(mode)
     b, c = params.b, params.c
@@ -251,7 +264,33 @@ def analytic_esd_gamma(kind: ChannelKind, mode: Mode, params: StateParams) -> fl
     else:
         raise ValueError(f"unknown channel kind {kind!r}")
 
-    return t if 0.0 < t < 1.0 else None
+    if t >= _NEAR_ONE:
+        return min(t, _LAST_BELOW_ONE) if _dead_below_one(kind, mode, b, c) else None
+    return t if 0.0 < t else None
+
+
+def _dead_below_one(kind: ChannelKind, mode: Mode, b: float, c: float) -> bool:
+    """Whether the closed form is dead at ``_LAST_BELOW_ONE``, decided in the
+    exact rationals of the float inputs: whether 1 - t >= 2^-53 for the
+    exact threshold t.
+
+    Only the thresholds that reach 1 come here, those of dephasing, phase
+    flip and the local flips; the depolarizing ones are at most 3/4.
+    """
+    b, c = Fraction(b), Fraction(c)
+    ratio = 2 * b / (c - b)
+    if kind is ChannelKind.DEPHASING:
+        gap = ratio if mode is Mode.MULTI_LOCAL else ratio**2
+    elif kind is ChannelKind.PHASE_FLIP and mode is Mode.MULTI_LOCAL:
+        # 1 - t = sqrt(ratio), compared squared.
+        return ratio >= _ULP_BELOW_ONE**2
+    elif kind is ChannelKind.PHASE_FLIP or mode is Mode.QUBIT_ONLY:
+        # t = (c - 3b) / (c - b).
+        gap = ratio
+    else:
+        # The qutrit-only flips, t = (3c - 9b) / (1 - 8b + 2c).
+        gap = (1 + b - c) / (1 - 8 * b + 2 * c)
+    return gap >= _ULP_BELOW_ONE
 
 
 def check_tol(tol: float) -> None:

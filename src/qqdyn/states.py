@@ -14,14 +14,10 @@ states (``FAMILY_BASIS``), P_2 the projector onto |02>, |12> and B_3 the
 sum of the phi+, phi- and psi+ projectors.  The family is entangled
 exactly when 3b < c <= 1 - 3b.
 
-Every state the package builds or evolves passes :func:`check_density`.  It
-certifies one stack with one reduction per check and one Cholesky
-factorization (:func:`_certified`), and it falls back to a per-member
-eigensolve, which decides and names the failing member, only when that
-certificate fails.  The evolution certifies its states, held in one buffer
-after the initial state, with one :func:`_certified` call, and calls
-:func:`check_density` only to diagnose a buffer that fails: on the initial
-state first, then on the evolved states.
+Every state the package builds from a matrix passes :func:`check_density`,
+which checks a stack member by member and names the first that fails.  The
+evolution's states come from tables that the import certified
+(``evolution._basis_table``), so they are not checked again per call.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import BLOCK_SHAPE, HERMITICITY_TOL, QUTRIT_DIM, TOTAL_DIM
+from .linalg import BLOCK_SHAPE, HERMITICITY_TOL, TOTAL_DIM
 
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -96,16 +92,6 @@ def random_entangled_params(rng: np.random.Generator, n: int) -> list[StateParam
     return points
 
 
-#: A Cholesky factorization of h + _PSD_SHIFT, h the Hermitian part of a
-#: d x d matrix, d = 3 or 6, succeeds only if every eigenvalue of h is above
-#: -(PSD_TOL - 1e-13) less the factorization's backward error, at most about
-#: d * gamma_(d+1) * ||h|| = 5e-15 at d = 6 and unit trace (Higham, Accuracy
-#: and Stability of Numerical Algorithms, Thm 10.3); so only if the smallest
-#: eigenvalue ``eigvalsh`` finds is above -PSD_TOL, and the per-member check
-#: would accept too.
-_PSD_SHIFT = {d: (PSD_TOL - 1e-13) * np.eye(d) for d in (QUTRIT_DIM, TOTAL_DIM)}
-
-
 def check_density(m: np.ndarray) -> None:
     """Reject a state, or a stack with any member, that is not a density
     matrix: finite, Hermitian, of unit trace and positive semidefinite, all
@@ -118,64 +104,18 @@ def check_density(m: np.ndarray) -> None:
     positive semidefinite exactly when both blocks are, since the basis
     change is orthogonal.
 
-    The stack is certified by one reduction per check and one Cholesky
-    factorization of its shifted Hermitian parts (``_PSD_SHIFT``).  Only if
-    that certificate fails are its members checked in turn, with a full
-    ``eigvalsh`` for positivity.  That pass decides, and its message names
-    the first failing member (no member for a single state).
-
-    ``evolution.evolve_grid`` certifies its states together with
-    :func:`_certified`, and calls this only when that fails, for the
-    decision and the message.
+    The members are checked in turn, one pass per check and a full
+    ``eigvalsh`` for positivity, and the message names the first failing
+    member (no member for a single state).
     """
-    s = _as_blocks(m)
-    sh = _conj_t(s)
-    if not _certified(s, sh):
-        _diagnose(s, sh)
-
-
-def _as_blocks(m: np.ndarray) -> np.ndarray:
-    """A state or stack as a (..., k, d, d) stack: itself if it holds block
-    pairs, a 6x6 matrix as one block of its own."""
-    if m.ndim >= 3 and m.shape[-3:] == BLOCK_SHAPE:
-        return m
-    if m.ndim >= 2 and m.shape[-2:] == (TOTAL_DIM, TOTAL_DIM):
-        return m[..., None, :, :]
-    raise ValueError(f"expected {TOTAL_DIM}x{TOTAL_DIM}, got {m.shape}")
-
-
-def _conj_t(m: np.ndarray) -> np.ndarray:
-    """The conjugate transposes of the matrices of a stack."""
+    m = _as_blocks(m)
     mh = m.swapaxes(-1, -2)
-    return mh.conj() if np.iscomplexobj(mh) else mh
-
-
-def _certified(m: np.ndarray, mh: np.ndarray) -> bool:
-    """True if the non-empty (..., k, d, d) stack ``m``, with conjugate
-    transposes ``mh``, passes every check of :func:`check_density` as a
-    whole.  False leaves the decision to :func:`_diagnose`."""
-    if not (
-        m.size
-        and np.isfinite(m).all()
-        and np.abs(m - mh).max() <= HERMITICITY_TOL
-        and np.abs(m.diagonal(axis1=-2, axis2=-1).sum(axis=(-2, -1)) - 1.0).max() <= TRACE_TOL
-    ):
-        return False
-    try:
-        np.linalg.cholesky((m + mh) / 2.0 + _PSD_SHIFT[m.shape[-1]])
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _diagnose(m: np.ndarray, mh: np.ndarray) -> None:
-    """Check the members of the (..., k, d, d) stack ``m`` in turn, one pass
-    per check, and raise for the first that fails."""
+    mh = mh.conj() if np.iscomplexobj(mh) else mh
 
     def reject(bad: np.ndarray, message) -> None:
         if bad.any():
             i = np.unravel_index(np.argmax(bad), bad.shape)
-            where = f" in stack member {i[0] if len(i) == 1 else i}" if i else ""
+            where = f" in stack member {i[0] if len(i) == 1 else tuple(map(int, i))}" if i else ""
             raise ValueError(message(i) + where)
 
     member = (-3, -2, -1)
@@ -189,6 +129,16 @@ def _diagnose(m: np.ndarray, mh: np.ndarray) -> None:
         min_eig < -PSD_TOL,
         lambda i: f"not positive semidefinite (min eigenvalue {min_eig[i]:.3e})",
     )
+
+
+def _as_blocks(m: np.ndarray) -> np.ndarray:
+    """A state or stack as a (..., k, d, d) stack: itself if it holds block
+    pairs, a 6x6 matrix as one block of its own."""
+    if m.ndim >= 3 and m.shape[-3:] == BLOCK_SHAPE:
+        return m
+    if m.ndim >= 2 and m.shape[-2:] == (TOTAL_DIM, TOTAL_DIM):
+        return m[..., None, :, :]
+    raise ValueError(f"expected {TOTAL_DIM}x{TOTAL_DIM}, got {m.shape}")
 
 
 @dataclass(frozen=True)
@@ -211,8 +161,8 @@ class DensityMatrix:
 
     @classmethod
     def _checked(cls, m: np.ndarray) -> "DensityMatrix":
-        """Wrap a copy of one member of a stack that :func:`check_density`
-        has already passed, without checking it a second time."""
+        """Wrap a copy of a state that needs no check: one the evolution
+        mixed from its import-certified tables."""
         m = np.array(m, dtype=complex)
         m.setflags(write=False)
         rho = object.__new__(cls)

@@ -59,15 +59,15 @@ _JSON_SPELLINGS = (
 #: for any grid length.  The largest arrays of a piece are a few (n, 2, 3, 3)
 #: real block stacks, 18 kB each at n = 128, and the rebuilt (n, 6, 6) real
 #: matrices, 37 kB.  Evolved in one piece, a sweep of 10^5 strengths peaked
-#: at 258 MB resident against 57 MB in pieces of 128 (``ru_maxrss``, a fresh
-#: process, no ESD search), most of it the (2, n, 72) temporaries of the
-#: completeness check in ``channel_weights``.  On a shared 2-vCPU Xeon with
-#: one BLAS thread, a 513-point sweep without the ESD search (mean over the
-#: 15 cells, best of 7) took 8.3, 5.2, 3.6, 2.6 and 2.2 ms with pieces of 16,
-#: 32, 64, 128 and 513, and the peak resident memory of a 45-curve sweep run
-#: stayed flat up to 128 and rose by 0.3 MB at 513.  The tier-1 test of sweep
-#: columns against one-point evaluations runs grids of about 4 pieces, so its
-#: cost grows with the piece: 11.5 s at 64, 17.8 s at 128.
+#: at 119 MB resident against 57 MB in pieces of 128 (``ru_maxrss``, a fresh
+#: process, no ESD search, multi-local depolarizing and dephasing alike): the
+#: block stacks, product-basis matrices and eigensolver temporaries of the
+#: whole grid at once.  On a shared 2-vCPU Xeon with one BLAS thread, a
+#: 513-point sweep without the ESD search (mean over the 15 cells, best of 7,
+#: two runs) took 2.6-3.3, 1.9-2.2, 1.4, 1.1-1.8 and 0.8-1.4 ms with pieces of
+#: 16, 32, 64, 128 and 513.  The tier-1 test of sweep columns against
+#: one-point evaluations runs grids of about 4 pieces, so its cost grows with
+#: the piece: its 15 cases took 3.7-3.9 s at 64 and 6.4-6.8 s at 128.
 GRID_CHUNK = 128
 
 

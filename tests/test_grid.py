@@ -2,6 +2,8 @@
 against the direct Kraus sum it tabulates, and the chunks in which a sweep
 evolves its grid."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -80,24 +82,16 @@ def test_grid_members_equal_one_point_evolutions():
         assert np.array_equal(states[i], evolve(sc, POINTS[0]).matrix), i
 
 
-def test_each_call_is_one_fresh_buffer_certified_once(monkeypatch):
+def test_each_call_is_one_fresh_array_and_checks_no_state(monkeypatch):
     g = np.linspace(0.0, 1.0, 2 * GRID_CHUNK + 3)
     expected = evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g[::-1]).copy()
-    certified, diagnosed = [], []
-    certify = evolution._certified
-
-    def counting(blocks, transposed):
-        certified.append(len(blocks))
-        return certify(blocks, transposed)
-
-    monkeypatch.setattr(evolution, "_certified", counting)
-    monkeypatch.setattr(evolution, "check_density", diagnosed.append)
+    checked = []
+    monkeypatch.setattr(evolution, "check_density", checked.append)
     first = evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g[::-1])
     second = evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g[::-1])
-    # The initial state and every evolved state in one certificate per call;
-    # healthy states are never diagnosed.
-    assert certified == [1 + len(g)] * 2 and diagnosed == []
-    # No call shares its buffer with another.
+    # The import certified the tables; a call checks no state.
+    assert checked == []
+    # No call shares its array with another.
     first[:] = np.nan
     assert np.array_equal(second, expected)
 
@@ -191,46 +185,54 @@ def test_corrupted_table_term_fails_the_import_certificate(corruption, monkeypat
         evolution._basis_table(kind)
 
 
-#: Where a corrupted term of both sides shows in a grid of two chunks' worth
-#: of strengths, all zero but the listed ones: (the (qutrit, qubit) weights
-#: of the corrupted terms, 0 for u and 1 for v, {grid index: (gamma_qubit,
-#: gamma_qutrit)}, the member named).  A v weight vanishes at strength zero,
-#: so each corrupted term enters only the listed members.
+#: The strength corners whose images ``evolution._basis_table`` checks, in
+#: its order, as (gamma_qubit, gamma_qutrit).
+CORNERS = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+#: Where a corrupted term of both sides shows among the images of the basis
+#: states at the corners: (the (qutrit, qubit) weights of the corrupted
+#: terms, 0 for u and 1 for v, the member named, (basis state, corner)).
+#: A v weight vanishes at strength zero, so each corrupted term enters only
+#: the corners where its v sides are at strength 1, and every basis state.
 TERM_CORRUPTIONS = {
-    "multilocal": (((1, 1),), {GRID_CHUNK + MEMBER: (0.5, 0.5)}, GRID_CHUNK + MEMBER),
-    "qubitonly": (((0, 1),), {GRID_CHUNK + MEMBER: (0.5, 0.0)}, GRID_CHUNK + MEMBER),
-    "qutritonly": (((1, 0),), {GRID_CHUNK + MEMBER: (0.0, 0.5)}, GRID_CHUNK + MEMBER),
-    # Both members fail; the first in grid order is named.
-    "first-of-two": (
-        ((0, 1), (1, 0)), {GRID_CHUNK + 1: (0.0, 0.5), GRID_CHUNK + MEMBER: (0.5, 0.0)}, GRID_CHUNK + 1
-    ),
+    "multilocal": (((1, 1),), (0, CORNERS.index((1.0, 1.0)))),
+    "qubitonly": (((0, 1),), (0, CORNERS.index((1.0, 0.0)))),
+    "qutritonly": (((1, 0),), (0, CORNERS.index((0.0, 1.0)))),
+    # Both corners fail; the first in corner order is named.
+    "first-of-two": (((0, 1), (1, 0)), (0, CORNERS.index((1.0, 0.0)))),
 }
 
 
 @pytest.mark.parametrize("case", list(TERM_CORRUPTIONS))
 def test_corrupted_term_is_named_with_its_member(case, monkeypatch):
     kind = ChannelKind.DEPOLARIZING
-    ta = channels._SHAPES[kind, Side.QUBIT].terms
-    corrupted = evolution._BASIS_TABLES[kind].copy()
-    terms, strengths, member = TERM_CORRUPTIONS[case]
-    for b, a in terms:
-        # The first diagonal entry of the term's even block, in every basis
-        # state: the trace of each state it enters moves by its weight.
-        corrupted[:, (b * ta + a) * evolution._BLOCK_SIZE] += 1e-3
-    monkeypatch.setitem(evolution._BASIS_TABLES, kind, corrupted)
-    ga, gb = np.zeros((2, 2 * GRID_CHUNK))
-    for i, (a, b) in strengths.items():
-        ga[i], gb[i] = a, b
-    with pytest.raises(ValueError, match=f"^trace must be 1, got .* in stack member {member}$"):
-        evolve_grid(kind, POINTS[0], ga, gb)
+    terms = channels.channel_terms
+    corrupted_terms, member = TERM_CORRUPTIONS[case]
+    # The first diagonal entry of the even block: S-symmetric and real, so
+    # only the density certificate can see it.
+    even_00 = from_blocks(np.eye(18)[0].reshape(2, 3, 3))
+
+    def corrupted(kind, side, rho):
+        t = terms(kind, side, rho)
+        if side is Side.QUTRIT:
+            for b, a in corrupted_terms:
+                # In every basis state: the trace of each image it enters
+                # moves by its weight.
+                t[b, a] += 1e-3 * even_00
+        return t
+
+    monkeypatch.setattr(evolution, "channel_terms", corrupted)
+    message = rf"^trace must be 1, got .* in stack member \({member[0]}, {member[1]}\)$"
+    with pytest.raises(ValueError, match=message):
+        evolution._basis_table(kind)
 
 
-def test_corrupted_initial_state_is_named_without_a_member(monkeypatch):
-    monkeypatch.setattr(evolution, "_FAMILY_BLOCKS", 2.0 * evolution._FAMILY_BLOCKS)
-    g = np.full(GRID_CHUNK + 1, 0.5)
-    for ga, gb in ((g, g), (g, 0 * g), (0 * g, 0 * g), ([], [])):
-        with pytest.raises(ValueError, match=r"^trace must be 1, got [0-9.]+$"):
-            evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], ga, gb)
+def test_corrupted_family_basis_fails_the_import_certificate(monkeypatch):
+    # The images at the corner (0, 0) are the basis states themselves.
+    monkeypatch.setattr(evolution, "FAMILY_BASIS", 0.5 * evolution.FAMILY_BASIS)
+    message = r"^trace must be 1, got 0\.5.* in stack member \(0, 0\)$"
+    for kind in ChannelKind:
+        with pytest.raises(ValueError, match=message):
+            evolution._basis_table(kind)
 
 
 def _kraus_reference(kind, p, ga, gb):
@@ -295,37 +297,56 @@ def test_zero_strength_is_the_identity_weight_row(kind, monkeypatch):
     assert np.abs(from_blocks(states) - rho).max() <= tol
 
 
-def test_corrupted_coefficient_mid_chunk_breaks_completeness(monkeypatch):
+def _corrupted_gram(monkeypatch, corruption):
+    """Make ``channels._gram`` return ``corruption(side, gram)``."""
+    gram = channels._gram
+    monkeypatch.setattr(channels, "_gram", lambda kind, side: corruption(side, gram(kind, side)))
+
+
+def test_corrupted_coefficient_breaks_completeness_at_import(monkeypatch):
     kind = ChannelKind.DEPOLARIZING
-    weighting = channels._WEIGHTINGS[kind]
-    zero = np.zeros(GRID_CHUNK)
-    # One side's strengths, zero except in the middle of the grid.
-    middle = np.where(np.arange(GRID_CHUNK) == MEMBER, 0.5, 0.0)
-    for i, strengths in enumerate(((middle, zero), (zero, middle))):
-        evolve_grid(kind, POINTS[0], *strengths)
-        # A corrupted p of u = 1 - p gamma / m shows only where gamma = 0.5.
-        p = weighting.p.copy()
-        p[i] *= 1.0 + 1e-9
-        # A corrupted Gram coefficient of v = gamma / m shows there too.
-        grams = weighting.grams.copy()
-        grams[i, 1, 7] += 1e-9
-        for corrupted in (weighting._replace(p=p), weighting._replace(grams=grams)):
-            with monkeypatch.context() as m:
-                m.setitem(channels._WEIGHTINGS, kind, corrupted)
-                with pytest.raises(ValueError, match="completeness violated"):
-                    evolve_grid(kind, POINTS[0], *strengths)
+    channels._weighting(kind)
+    for side in Side:
+        shapes = channels._SHAPES[kind, side]
+        with monkeypatch.context() as m:
+            # A corrupted p of u = 1 - p gamma / m shows at gamma = 1.
+            m.setitem(channels._SHAPES, (kind, side), replace(shapes, p=shapes.p * (1.0 + 1e-9)))
+            with pytest.raises(ValueError, match="completeness violated"):
+                channels._weighting(kind)
+        with monkeypatch.context() as m:
+            # A corrupted Gram coefficient of v = gamma / m shows there too.
+            def corruption(s, gram, side=side):
+                if s is side:
+                    gram[1, 7] += 1e-9
+                return gram
+
+            _corrupted_gram(m, corruption)
+            with pytest.raises(ValueError, match="completeness violated"):
+                channels._weighting(kind)
+
+
+def test_an_s_term_that_does_not_vanish_breaks_completeness_at_import(monkeypatch):
+    # Moving 1e-9 from G_u to G_s keeps the Gram polynomial I6 at gamma = 0
+    # (u = s = 1) and at gamma = 1 (u = s = 0), but not in between, where
+    # s = sqrt(u) > u: only G_s = 0 makes the ends enough.
+    kind = ChannelKind.DEPHASING
+
+    def corruption(side, gram):
+        gram[0, 0] -= 1e-9
+        gram[2, 0] += 1e-9
+        return gram
+
+    _corrupted_gram(monkeypatch, corruption)
+    with pytest.raises(ValueError, match="completeness violated: max deviation 1.000e-09"):
+        channels._weighting(kind)
 
 
 @pytest.mark.parametrize("kind", list(ChannelKind), ids=[k.value for k in ChannelKind])
 def test_defects_of_the_two_sides_cannot_cancel(kind, monkeypatch):
     # Each side is certified against its own Gram table: scaled by 1 + 1e-9
     # on the qubit side and by its inverse on the qutrit side, whose product
-    # is the identity, the call still fails.
-    weighting = channels._WEIGHTINGS[kind]
-    g = np.array([0.0, 0.5, 1.0])
-    scale = np.array([1.0 + 1e-9, 1.0 / (1.0 + 1e-9)])[:, None, None]
-    monkeypatch.setitem(channels._WEIGHTINGS, kind, weighting._replace(grams=weighting.grams * scale))
+    # is the identity, the import certificate still fails.
+    scale = {Side.QUBIT: 1.0 + 1e-9, Side.QUTRIT: 1.0 / (1.0 + 1e-9)}
+    _corrupted_gram(monkeypatch, lambda side, gram: gram * scale[side])
     with pytest.raises(ValueError, match="completeness violated"):
-        channels.channel_weights(kind, g, g)
-    with pytest.raises(ValueError, match="completeness violated"):
-        evolve_grid(kind, POINTS[0], g, g)
+        channels._weighting(kind)

@@ -216,6 +216,41 @@ def test_analytic_thresholds():
     assert analytic_esd_gamma(ChannelKind.BIT_FLIP, Mode.QUTRIT_ONLY, StateParams(0.0, 1.0)) is None
 
 
+#: Points whose closed-form threshold rounds to the last float below 1,
+#: 1 - 2^-53, while the exact one lies above it, so no strength below 1 is
+#: separable: the qutrit-only flips at c = 1 - 2^-53 die at 1 - 2^-53 / 3,
+#: and local dephasing at (2e-9, 0.5) at 1 - 6.4e-17.
+ROUNDED_TO_LAST_BELOW_ONE = [
+    (ChannelKind.BIT_FLIP, Mode.QUTRIT_ONLY, StateParams(0.0, 1.0 - 1e-16)),
+    (ChannelKind.BIT_PHASE_FLIP, Mode.QUTRIT_ONLY, StateParams(0.0, 1.0 - 1e-16)),
+    (ChannelKind.DEPHASING, Mode.QUBIT_ONLY, StateParams(2e-9, 0.5)),
+    (ChannelKind.DEPHASING, Mode.QUTRIT_ONLY, StateParams(2e-9, 0.5)),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, mode, p", ROUNDED_TO_LAST_BELOW_ONE,
+    ids=[f"{k.value}-{m.value}" for k, m, _ in ROUNDED_TO_LAST_BELOW_ONE],
+)
+def test_threshold_rounded_below_one_is_decided_exactly(kind, mode, p):
+    assert analytic_esd_gamma(kind, mode, p) is None
+    assert esd_gamma(kind, mode, p) is None
+
+
+def test_threshold_within_ulps_of_one_that_is_dead_below_one_is_kept():
+    # Both exact thresholds, about 1 - 4e-16, lie below 1 - 2^-53.
+    for kind, mode, p in (
+        (ChannelKind.PHASE_FLIP, Mode.QUBIT_ONLY, StateParams(1e-16, 0.5)),
+        (ChannelKind.DEPHASING, Mode.QUBIT_ONLY, StateParams(5e-9, 0.5)),
+    ):
+        got = analytic_esd_gamma(kind, mode, p)
+        assert got is not None and 1.0 - 2.0**-50 <= got < 1.0, (kind, mode, got)
+    # At c = 1 - 3 * 2^-53 the qutrit-only flip threshold rounds to 1, but
+    # the exact one, 1 - 2^-53 / (1 - 2^-52), lies below the last float.
+    p = StateParams(0.0, 1.0 - 3 * 2.0**-53)
+    assert analytic_esd_gamma(ChannelKind.BIT_FLIP, Mode.QUTRIT_ONLY, p) == 1.0 - 2.0**-53
+
+
 @pytest.mark.parametrize("c", [1e-9, 1e-8])
 def test_multi_local_depolarizing_threshold_is_stable_near_the_boundary(c):
     # At b = 0 the threshold is about c / 3 and c - 3b is small: the root

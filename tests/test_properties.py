@@ -104,6 +104,26 @@ def test_one_point_equals_its_member_of_a_batch(kind, p, pairs, data):
     assert np.array_equal(batch[i], single)
 
 
+#: Points at the edges of the family: entangled just inside the
+#: separability boundary, on it, and the separable corner, all with a = 0.
+EDGE_POINTS = [StateParams(0.0, 1e-9), StateParams(1.0 / 6.0, 0.5), StateParams(1.0 / 3.0, 0.0)]
+#: The corners of the strength square, (gamma_qubit, gamma_qutrit).
+CORNERS = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+
+
+@pytest.mark.parametrize("kind", list(ChannelKind), ids=[k.value for k in ChannelKind])
+@PROPERTY
+@given(
+    st.one_of(points(), st.sampled_from(EDGE_POINTS)),
+    st.lists(st.tuples(strengths, strengths), max_size=40),
+)
+def test_every_evolved_state_is_a_density_matrix(kind, p, pairs):
+    # The import certifies the tables, and no call checks a state: the
+    # check of every state a call returns, the corners included.
+    ga, gb = np.array(pairs + CORNERS).T
+    check_density(evolve_grid(kind, p, ga, gb))
+
+
 #: Cells with a closed-form threshold: all but the multi-local flips.
 CLOSED_FORM_CELLS = [
     (kind, mode)
@@ -120,12 +140,6 @@ CLOSED_FORM_CELLS = [
 #: near the death and reports it late: qutrit-only bit flip by 1.1e-9 at
 #: (b, c) = (0.166665, 0.500005) and by 2.6e-9 at (0, 1e-6).
 MIN_NEGATIVITY = 1e-4
-
-
-#: The last float below 1.  A closed-form threshold there may be the
-#: rounding of an exact one above it, where no strength below 1 is
-#: separable: dephasing qubit-only at (2e-9, 0.5) dies at 1 - 6.4e-17.
-LAST_BELOW_ONE = 1.0 - 2.0**-53
 
 
 @st.composite
@@ -153,8 +167,6 @@ def test_esd_threshold_matches_closed_form_and_is_certified(p):
     for kind, mode in CLOSED_FORM_CELLS:
         got = esd_gamma(kind, mode, p, tol=tol)
         want = analytic_esd_gamma(kind, mode, p)
-        if LAST_BELOW_ONE in (got, want):
-            continue  # a threshold that rounds to 1 (an open item of ROADMAP)
         assert (got is None) == (want is None), (kind, mode, got, want)
         if got is None:
             continue
@@ -182,7 +194,7 @@ def _check_density_per_member(m):
     def reject(bad, message):
         if bad.any():
             i = np.unravel_index(np.argmax(bad), bad.shape)
-            where = f" in stack member {i[0] if len(i) == 1 else i}" if i else ""
+            where = f" in stack member {i[0] if len(i) == 1 else tuple(map(int, i))}" if i else ""
             raise ValueError(message(i) + where)
 
     reject(~np.isfinite(m).all(axis=member), lambda i: "density matrix contains NaN or Inf")
