@@ -32,7 +32,12 @@ numeric negativity of evolved states on checkouts that still evolve them),
 ``esd_certify_batch`` the certified bracket and ``esd_section_step`` one
 sectioning step.  ``check_density*``, ``negativity_numeric`` and
 ``coherence_l1`` take the states as complex 6x6 matrices, the
-``*_blocks*`` rows as the block stack that ``evolve_grid`` returns.
+``*_blocks*`` rows as the block stack that ``evolve_grid`` returns
+(``negativity_blocks_513_diagonal`` the 513 states of a default multi-local
+dephasing sweep, whose partial transposes are diagonal).  The ``emit_*``
+rows render the default sweep of the subject cell, and the
+``*_no_closed_form`` ones that of multi-local bit flip, whose analytic
+column is empty.
 End-to-end rows time whole runs, the ``cli_*_inprocess`` ones through
 ``qqdyn.cli.main`` in this process (after one warm-up call, so the
 per-call dispatch cost shows next to the library rows) and the other CLI
@@ -201,6 +206,14 @@ def _esd_section_step(q: ModuleType):
     return lambda: section(lo, hi, alive, (hi - lo) / 2.0)
 
 
+def _diagonal_stack(q: ModuleType) -> np.ndarray:
+    """The 513 states of a default multi-local dephasing sweep at the
+    subject point, whose partial transposes are diagonal."""
+    p, _, mode = _subject(q)
+    ga, gb = q.evolution.sweep_strengths(mode, np.linspace(0.0, 1.0, 513))
+    return _evolved(q, q.ChannelKind.DEPHASING, p, ga, gb)
+
+
 def _grid_chunk(q: ModuleType, n: int, mode):
     p, kind, _ = _subject(q)
     ga, gb = q.evolution.sweep_strengths(mode, np.linspace(0.0, 1.0, n))
@@ -221,7 +234,9 @@ def layer_rows(q: ModuleType) -> dict:
     product = q.linalg.from_blocks(stack).astype(complex)
     ops = kraus_operators(kind, side.QUTRIT, G)
     sweep = q.sweep.run_sweep(kind, mode, p)
+    no_closed_form = q.sweep.run_sweep(q.ChannelKind.BIT_FLIP, mode, p)
     render_sweep = q.sweep.render_sweep
+    diagonal = _diagonal_stack(q)
     one = evolution.ChannelScenario(kind, mode, *_ONE_POINT)
     one_qutrit = evolution.ChannelScenario(kind, q.Mode.QUTRIT_ONLY, 0.0, _ONE_POINT[1])
     rows = {
@@ -240,6 +255,8 @@ def layer_rows(q: ModuleType) -> dict:
         "closed_forms_513": (lambda: _closed_forms(q), 50),
         "emit_csv_513": (lambda: lambda: render_sweep(sweep, "csv"), 20),
         "emit_json_513": (lambda: lambda: render_sweep(sweep, "json"), 20),
+        "emit_csv_513_no_closed_form": (lambda: lambda: render_sweep(no_closed_form, "csv"), 20),
+        "emit_json_513_no_closed_form": (lambda: lambda: render_sweep(no_closed_form, "json"), 20),
         "evolve_one_point": (lambda: lambda: evolution.evolve(one, p), 300),
         "evolve_one_point_qutritonly": (lambda: lambda: evolution.evolve(one_qutrit, p), 300),
         "evolve_grid_chunk_128": (lambda: _grid_chunk(q, 128, mode), 100),
@@ -256,6 +273,8 @@ def layer_rows(q: ModuleType) -> dict:
             lambda n=n: lambda b=stack[:n]: states.check_density(b), calls)
         rows[f"negativity_blocks{suffix}"] = (
             lambda n=n: lambda b=stack[:n]: negativity.negativity_numeric(b), calls)
+    rows["negativity_blocks_513_diagonal"] = (
+        lambda: lambda: negativity.negativity_numeric(diagonal), 50)
     return rows
 
 

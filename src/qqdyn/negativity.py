@@ -7,7 +7,10 @@ noise and both are reported.  An eigenvalue counts as negative below
 ``NEGATIVE_EIG_CUTOFF``, the one numeric cutoff.  The evolved states come in
 block form (see ``linalg``): the partial transpose commutes with the
 symmetry S too, so it is one fixed real map between block pairs, and the
-spectrum is that of two real symmetric 3x3 blocks per state.  A 6x6 state
+spectrum is that of two real symmetric 3x3 blocks per state.  Where every
+block of a stack is diagonal, as in every mode of dephasing and phase flip
+and the qubit-only mode of the other kinds, the spectrum is the sorted
+diagonal, which is what LAPACK returns, and no eigensolve runs.  A 6x6 state
 of any kind takes a complex 6x6 eigensolve of ``partial_transpose_qutrit``
 instead, the product-basis reference that ``validate`` holds the block
 route to.
@@ -115,13 +118,25 @@ def negativity_numeric(rho: DensityMatrix | np.ndarray) -> NegativityResult:
     complex eigensolve; or a (..., 2, 3, 3) block stack as
     :func:`evolve_grid` returns it, whose partial transposes are block stacks
     too (``linalg.partial_transpose_blocks``) and take one batched real 3x3
-    eigensolve.  For a stack each field of the result is an array over the
-    leading axes.
+    eigensolve, or none where every block is diagonal.  For a stack each
+    field of the result is an array over the leading axes.
     """
     m = rho.matrix if isinstance(rho, DensityMatrix) else rho
     if m.shape[-3:] == BLOCK_SHAPE:
-        eigs = np.linalg.eigvalsh(partial_transpose_blocks(m))
-        eigs = eigs.reshape(*eigs.shape[:-2], TOTAL_DIM)
+        pt = partial_transpose_blocks(m)
+        # One flattened block per row: columns 3, 6 and 7 are its strictly
+        # lower entries, the only ones besides the diagonal (::4) that
+        # eigvalsh reads.  LAPACK returns the diagonal of a diagonal block
+        # exactly, sorted, unless it rescales a block whose entries all lie
+        # below about 1e-146 (or one above 1e145).  A non-finite entry makes
+        # the sum non-finite, and eigvalsh raises on it as before.
+        flat = pt.reshape(-1, 9)
+        diagonal = flat[:, ::4]
+        if not (flat[:, 3].any() or flat[:, 6:8].any()) and math.isfinite(diagonal.sum()):
+            eigs = np.sort(diagonal, axis=-1)
+        else:
+            eigs = np.linalg.eigvalsh(pt)
+        eigs = eigs.reshape(*pt.shape[:-3], TOTAL_DIM)
     else:
         pt = partial_transpose_qutrit(m)
         eigs = np.linalg.eigvalsh((pt + pt.conj().swapaxes(-1, -2)) / 2.0)

@@ -3,14 +3,17 @@
 Sweeps are deterministic: the same configuration always produces byte
 identical output.  CSV prints floats with 17 significant digits and JSON with
 the shortest round-trip ``repr``, as ``json.dumps`` does, so parsing either
-file recovers the in-memory values exactly.  Both writers format each row
-through one fixed template.
+file recovers the in-memory values exactly.  Each writer formats all of a
+file's rows with one ``%``, over a template that holds one fixed row template
+per row.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +38,9 @@ FORMATS = ("csv", "json")
 
 CSV_HEADER = "gamma,negativity,negativity_analytic,coherence"
 _CSV_ROW = "%.17g,%.17g,%.17g,%.17g"
-_CSV_ROW_BLANK = "%.17g,%.17g,,%.17g"
+#: The row of a None analytic value, which ``%.0s`` consumes and prints as
+#: nothing.
+_CSV_ROW_BLANK = "%.17g,%.17g,%.0s,%.17g"
 
 #: One sweep row as ``json.dumps(..., indent=2)`` lays it out inside ``rows``.
 #: ``%s`` prints a float as ``float.__repr__``, as the ``json`` encoder does.
@@ -45,10 +50,11 @@ _JSON_ROW = """    {
       "negativity_analytic": %s,
       "coherence": %s
     }"""
-#: Values that ``%s`` prints other than ``json`` does: None and the non-finite
-#: floats.  No key and no finite float contains any of these texts.
+#: The row of a None analytic value: ``null``, and ``%.0s`` consumes the None.
+_JSON_ROW_NULL = _JSON_ROW.replace('"negativity_analytic": %s', '"negativity_analytic": null%.0s')
+#: Values that ``%s`` prints other than ``json`` does: the non-finite floats.
+#: No key and no finite float contains any of these texts.
 _JSON_SPELLINGS = (
-    (": None", ": null"),
     (": nan", ": NaN"),
     (": -inf", ": -Infinity"),
     (": inf", ": Infinity"),
@@ -56,25 +62,26 @@ _JSON_SPELLINGS = (
 
 
 #: Strengths that :func:`run_sweep` evolves together, which bounds its memory
-#: for any grid length.  The largest arrays of a piece are a few (n, 2, 3, 3)
-#: real block stacks, 18 kB each at n = 128, and the rebuilt (n, 6, 6) real
-#: matrices, 37 kB.  Evolved in one piece, a sweep of 10^5 strengths peaked
-#: at 119 MB resident against 57 MB in pieces of 128 (``ru_maxrss``, a fresh
-#: process, no ESD search, multi-local depolarizing and dephasing alike): the
-#: block stacks, product-basis matrices and eigensolver temporaries of the
-#: whole grid at once.  On a shared 2-vCPU Xeon with one BLAS thread, a
-#: 513-point sweep without the ESD search (mean over the 15 cells, best of 7,
-#: two runs) took 2.6-3.3, 1.9-2.2, 1.4, 1.1-1.8 and 0.8-1.4 ms with pieces of
-#: 16, 32, 64, 128 and 513.  The tier-1 test of sweep columns against
-#: one-point evaluations runs grids of about 4 pieces, so its cost grows with
-#: the piece: its 15 cases took 3.7-3.9 s at 64 and 6.4-6.8 s at 128.
-GRID_CHUNK = 128
+#: for any grid length; a default sweep of 513 strengths is one piece.  The
+#: largest arrays of a piece are a few (n, 2, 3, 3) real block stacks, 147 kB
+#: each at n = 1024, and the rebuilt (n, 6, 6) real matrices, 295 kB.
+#: Measured with ``ru_maxrss`` in a fresh process, no ESD search, multi-local
+#: depolarizing and dephasing: a sweep of 10^5 strengths peaked at 57.3-57.5
+#: MB in pieces of 1024 against 57.0-57.5 MB in pieces of 128, and one of
+#: 10^6 at 293 MB against 279-287 MB (most of it the rows); evolved in one
+#: piece, 123-124 and 788 MB, the block stacks, product-basis matrices and
+#: eigensolver temporaries of the whole grid at once.  On a shared 2-vCPU
+#: Xeon with one BLAS thread, a 513-point sweep without the ESD search (mean
+#: over the 15 cells of the median of 9 rounds that alternate the piece
+#: sizes, two runs) took 3.9-4.1, 2.5, 1.7, 1.4, 1.2, 0.98 and 0.98 ms with
+#: pieces of 16, 32, 64, 128, 256, 513 and 1024.
+GRID_CHUNK = 1024
 
 
 class SweepRow(NamedTuple):
-    """One grid point of a sweep.  A plain tuple underneath, so the row
-    templates format it directly and it compares equal to a tuple of the
-    same values."""
+    """One grid point of a sweep.  A plain tuple underneath, so a file's rows
+    chain into the one tuple of values that its template formats, and it
+    compares equal to a tuple of the same values."""
 
     gamma: float
     negativity: float
@@ -129,20 +136,21 @@ def run_sweep(
         analytic = analytic_negativities(kind, mode, params, ga, gb).tolist()
     except NoClosedFormError:
         analytic = [None] * steps
-    rows = tuple(map(SweepRow, gammas.tolist(), negativity, analytic, coherence))
+    # tuple.__new__ builds each row in C, without the Python-level SweepRow.__new__.
+    columns = zip(gammas.tolist(), negativity, analytic, coherence)
+    rows = tuple(map(tuple.__new__, repeat(SweepRow), columns))
     report = esd_report(kind, mode, params, tol=tol) if esd else None
     return SweepResult(kind=kind, mode=mode, b=params.b, c=params.c, rows=rows, esd=report)
 
 
+def _row_templates(rows: tuple[SweepRow, ...], row: str, blank: str) -> list[str]:
+    """``row`` for each row, or ``blank`` where the analytic value is None."""
+    return [blank if r[2] is None else row for r in rows]
+
+
 def sweep_csv(result: SweepResult) -> str:
-    lines = [CSV_HEADER]
-    for row in result.rows:
-        g, n, na, coh = row
-        if na is None:
-            lines.append(_CSV_ROW_BLANK % (g, n, coh))
-        else:
-            lines.append(_CSV_ROW % row)
-    return "\n".join(lines) + "\n"
+    lines = [CSV_HEADER, *_row_templates(result.rows, _CSV_ROW, _CSV_ROW_BLANK)]
+    return ("\n".join(lines) + "\n") % tuple(chain.from_iterable(result.rows))
 
 
 def parse_sweep_csv(text: str) -> list[SweepRow]:
@@ -193,9 +201,14 @@ def sweep_json(result: SweepResult) -> str:
     ) + "\n"
     if not result.rows:
         return skeleton
-    rows = ",\n".join(map(_JSON_ROW.__mod__, result.rows))
-    for text, spelling in _JSON_SPELLINGS:
-        rows = rows.replace(text, spelling)
+    values = tuple(chain.from_iterable(result.rows))
+    rows = ",\n".join(_row_templates(result.rows, _JSON_ROW, _JSON_ROW_NULL)) % values
+    # A sum is finite only if every term is, so the spellings are needed
+    # only where it is not (or where a sum of finite values overflows).
+    analytic = [x for x in values[2::4] if x is not None]
+    if not math.isfinite(sum(values[0::4]) + sum(values[1::4]) + sum(analytic) + sum(values[3::4])):
+        for text, spelling in _JSON_SPELLINGS:
+            rows = rows.replace(text, spelling)
     return skeleton.replace('"rows": []', f'"rows": [\n{rows}\n  ]', 1)
 
 

@@ -1,5 +1,5 @@
 """The gamma-grid path against the one-point path it generalizes and
-against the direct Kraus sum it tabulates, and the chunks in which a sweep
+against the direct Kraus sum it tabulates, and the pieces in which a sweep
 evolves its grid."""
 
 from dataclasses import replace
@@ -27,23 +27,31 @@ from qqdyn.channels import kraus_operators
 from qqdyn.evolution import sweep_strengths
 from qqdyn.linalg import from_blocks
 from qqdyn.states import check_density, initial_state
-from qqdyn.sweep import GRID_CHUNK
 
 CELLS = [(kind, mode) for kind in ChannelKind for mode in Mode]
 #: An interior point, an a = 0 point and the a = 0 corner (0, 1).
 POINTS = [StateParams(0.05, 0.6), StateParams.a_zero(4.0 / 30.0), StateParams(0.0, 1.0)]
-#: A sweep grid inside one chunk, grids one short of, at and one past four
-#: whole chunks, and the default 513 points.
-GRID_SIZES = (2, 4 * GRID_CHUNK - 1, 4 * GRID_CHUNK, 4 * GRID_CHUNK + 1, 513)
-#: A stack member in the middle of a chunk's worth of members.
-MEMBER = GRID_CHUNK // 2 + 3
+#: The piece size that the tests of a sweep's pieces set in place of
+#: ``sweep.GRID_CHUNK``, so that their grids cross piece boundaries and
+#: their cost does not follow the production piece size.
+PIECE = 32
+#: Sweep grids as (piece size, steps): a grid inside one piece, grids one
+#: short of, at and one past four whole pieces, and the default 513 points
+#: in the pieces of a default sweep.
+GRIDS = ((PIECE, 2), (PIECE, 4 * PIECE - 1), (PIECE, 4 * PIECE), (PIECE, 4 * PIECE + 1),
+         (sweep.GRID_CHUNK, 513))
+#: The size of the stacks that the tests of ``evolve_grid`` build, and a
+#: member in the middle of one.
+STACK = 128
+MEMBER = STACK // 2 + 3
 
 
 @pytest.mark.parametrize("kind, mode", CELLS, ids=[f"{k.value}-{m.value}" for k, m in CELLS])
-def test_sweep_columns_equal_one_point_evaluations(kind, mode):
+def test_sweep_columns_equal_one_point_evaluations(kind, mode, monkeypatch):
     for p in POINTS:
         reference = {}
-        for steps in GRID_SIZES if p is POINTS[0] else GRID_SIZES[:-1]:
+        for piece, steps in GRIDS if p is POINTS[0] else GRIDS[:-1]:
+            monkeypatch.setattr(sweep, "GRID_CHUNK", piece)
             for row in run_sweep(kind, mode, p, steps=steps).rows:
                 if row.gamma not in reference:
                     state = evolve(ChannelScenario.at(kind, mode, row.gamma), p)
@@ -54,7 +62,7 @@ def test_sweep_columns_equal_one_point_evaluations(kind, mode):
 
 
 def test_run_sweep_evolves_its_grid_in_chunks_in_order(monkeypatch):
-    # Chunks bound a sweep's memory for any grid length: run_sweep evolves
+    # Pieces bound a sweep's memory for any grid length: run_sweep evolves
     # consecutive slices of its grid, one evolve_grid call each.
     calls = []
 
@@ -63,27 +71,31 @@ def test_run_sweep_evolves_its_grid_in_chunks_in_order(monkeypatch):
         return evolve_grid(kind, params, gamma_qubit, gamma_qutrit)
 
     monkeypatch.setattr(sweep, "evolve_grid", recording)
-    steps = 2 * GRID_CHUNK + 3
+    # A default sweep is one piece.
+    run_sweep(ChannelKind.DEPOLARIZING, Mode.MULTI_LOCAL, POINTS[0], esd=False)
+    assert [len(ga) for ga, _ in calls] == [513]
+    monkeypatch.setattr(sweep, "GRID_CHUNK", PIECE)
     for mode in Mode:
         calls.clear()
-        rows = run_sweep(ChannelKind.DEPOLARIZING, mode, POINTS[0], steps=steps, esd=False).rows
-        assert [len(ga) for ga, _ in calls] == [GRID_CHUNK, GRID_CHUNK, 3], mode
+        rows = run_sweep(ChannelKind.DEPOLARIZING, mode, POINTS[0], steps=2 * PIECE + 3,
+                         esd=False).rows
+        assert [len(ga) for ga, _ in calls] == [PIECE, PIECE, 3], mode
         ga, gb = sweep_strengths(mode, [row.gamma for row in rows])
         assert np.array_equal(np.concatenate([a for a, _ in calls]), ga), mode
         assert np.array_equal(np.concatenate([b for _, b in calls]), gb), mode
 
 
 def test_grid_members_equal_one_point_evolutions():
-    g = np.linspace(0.0, 1.0, 2 * GRID_CHUNK + 3)
+    g = np.linspace(0.0, 1.0, 2 * STACK + 3)
     states = from_blocks(evolve_grid(ChannelKind.DEPOLARIZING, POINTS[0], g, g[::-1]))
     assert states.shape == (len(g), 6, 6)
-    for i in (0, GRID_CHUNK - 1, GRID_CHUNK, len(g) - 1):
+    for i in (0, STACK - 1, STACK, len(g) - 1):
         sc = ChannelScenario(ChannelKind.DEPOLARIZING, Mode.MULTI_LOCAL, g[i], g[::-1][i])
         assert np.array_equal(states[i], evolve(sc, POINTS[0]).matrix), i
 
 
 def test_each_call_is_one_fresh_array_and_checks_no_state(monkeypatch):
-    g = np.linspace(0.0, 1.0, 2 * GRID_CHUNK + 3)
+    g = np.linspace(0.0, 1.0, 2 * STACK + 3)
     expected = evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g[::-1]).copy()
     checked = []
     monkeypatch.setattr(evolution, "check_density", checked.append)
@@ -97,8 +109,8 @@ def test_each_call_is_one_fresh_array_and_checks_no_state(monkeypatch):
 
 
 def test_grid_rejects_out_of_range_strength_in_any_chunk():
-    g = np.full(GRID_CHUNK + 5, 0.5)
-    g[GRID_CHUNK + 2] = 1.5
+    g = np.full(STACK + 5, 0.5)
+    g[STACK + 2] = 1.5
     with pytest.raises(ValueError, match="gamma must lie in"):
         evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g)
     with pytest.raises(ValueError, match="1-d arrays of one length"):
@@ -106,7 +118,7 @@ def test_grid_rejects_out_of_range_strength_in_any_chunk():
 
 
 def _stack_with_bad_member(bad: np.ndarray) -> np.ndarray:
-    g = np.linspace(0.0, 1.0, GRID_CHUNK)
+    g = np.linspace(0.0, 1.0, STACK)
     states = evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g)
     states = from_blocks(states).astype(complex)
     states[MEMBER] = bad
@@ -129,7 +141,7 @@ def test_stack_with_one_bad_member_mid_chunk_is_rejected(bad, message):
         check_density(states)
     # The direct Kraus route revalidates too: an identity channel (gamma = 0)
     # passes the bad member through and the check catches it.
-    identity = kraus_operators(ChannelKind.DEPOLARIZING, Side.QUTRIT, np.zeros(GRID_CHUNK))
+    identity = kraus_operators(ChannelKind.DEPOLARIZING, Side.QUTRIT, np.zeros(STACK))
     with pytest.raises(ValueError, match=f"{message}.* in stack member {MEMBER}$"):
         apply_channel(identity, states)
     # Without the bad member the same stack passes.
@@ -151,7 +163,7 @@ def _block_member(even, odd):
     ids=["non-psd", "non-symmetric", "trace", "nan"],
 )
 def test_block_stack_with_one_bad_member_mid_chunk_is_rejected(bad, message):
-    g = np.linspace(0.0, 1.0, GRID_CHUNK)
+    g = np.linspace(0.0, 1.0, STACK)
     states = evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g).copy()
     states[MEMBER] = bad
     with pytest.raises(ValueError, match=f"{message}.* in stack member {MEMBER}$"):
@@ -251,14 +263,14 @@ def test_tables_match_the_direct_kraus_sum(kind):
             ga, gb = sweep_strengths(mode, diagonal)
             states = from_blocks(evolve_grid(kind, p, ga, gb))
             assert np.abs(states - _kraus_reference(kind, p, ga, gb)).max() <= 1e-15, (p, mode)
-        ga, gb = rng.uniform(size=(2, 2 * GRID_CHUNK + 7))
+        ga, gb = rng.uniform(size=(2, 263))
         states = from_blocks(evolve_grid(kind, p, ga, gb))
         assert np.abs(states - _kraus_reference(kind, p, ga, gb)).max() <= 1e-15, p
 
 
 @pytest.mark.parametrize("kind", list(ChannelKind), ids=[k.value for k in ChannelKind])
 def test_zero_strength_is_the_identity_weight_row(kind, monkeypatch):
-    g = np.linspace(0.0, 1.0, GRID_CHUNK + 5)
+    g = np.linspace(0.0, 1.0, STACK + 5)
     zero = np.zeros_like(g)
     rho = initial_state(POINTS[0]).matrix
     calls, weighted = [], []

@@ -25,7 +25,7 @@ from qqdyn import (
     negativity_numeric,
 )
 from qqdyn import negativity
-from qqdyn.linalg import HERMITICITY_TOL, from_blocks
+from qqdyn.linalg import HERMITICITY_TOL, from_blocks, partial_transpose_blocks
 from qqdyn.states import PSD_TOL, TRACE_TOL, check_density
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -79,6 +79,83 @@ def test_numeric_negativity_is_zero_or_above_twice_the_cutoff(scenario, p):
     blocks = evolve_grid(scenario.kind, p, [scenario.gamma_qubit], [scenario.gamma_qutrit])
     for value in (negativity_numeric(state).value, float(negativity_numeric(blocks).value[0])):
         assert value == 0.0 or value > 2e-12, value
+
+
+#: Entries at the magnitudes of a density matrix's: zeros of both signs, and
+#: |x| in [1e-30, 1], far above the 1e-146 below which LAPACK rescales a
+#: matrix before its eigensolve; many with random mantissas, so that a sum
+#: in another order rounds otherwise.
+entries = (
+    st.sampled_from([0.0, -0.0])
+    | st.floats(-1.0, 1.0).filter(lambda x: abs(x) >= 1e-30)
+    | st.builds(lambda x, e: x * 10.0**e, st.floats(-1.0, 1.0).filter(lambda x: abs(x) >= 0.1),
+                st.integers(-29, 0))
+)
+
+
+@st.composite
+def diagonal_pt_stacks(draw, forced: bool) -> tuple[np.ndarray, int]:
+    """A (n, 2, 3, 3) block stack whose partial transposes have no non-zero
+    strictly lower entry, unless ``forced``, and a drawn member.
+
+    Each block is zero or has a drawn diagonal, its strictly lower entries
+    are zeros of either sign, and its (0, 2) and (1, 2) entries, which stay
+    above the diagonal of the partial transpose, are drawn too.  If
+    ``forced``, the drawn member gets a symmetric pair at (1, 0), (2, 0) or
+    (2, 1) of one block, which puts a non-zero entry at that place below the
+    diagonal of its partial transpose.
+    """
+    n = draw(st.integers(1, 8))
+    m = np.zeros((n, 2, 3, 3))
+    lower = np.tril_indices(3, -1)
+    for block in m.reshape(2 * n, 3, 3):
+        block[lower] = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=3, max_size=3))
+        if draw(st.booleans()):
+            block[np.diag_indices(3)] = draw(st.lists(entries, min_size=3, max_size=3))
+            block[[0, 1], [2, 2]] = draw(st.lists(entries, min_size=2, max_size=2))
+    k = draw(st.integers(0, n - 1))
+    if forced:
+        block = m[k, draw(st.integers(0, 1))]
+        r, c = draw(st.sampled_from([(1, 0), (2, 0), (2, 1)]))
+        block[r, c] = block[c, r] = draw(st.floats(0.01, 1.0))
+    return m, k
+
+
+def _fields_from_eigvalsh(m: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The fields of ``negativity_numeric`` for each member of the block
+    stack ``m``, from the eigvalsh eigenvalues of its partial transposes."""
+    eigs = np.linalg.eigvalsh(partial_transpose_blocks(m)).reshape(len(m), 6)
+    neg_sum = np.where(eigs < negativity.NEGATIVE_EIG_CUTOFF, eigs, 0.0).sum(axis=-1)
+    value = np.where(neg_sum < 0.0, -2.0 * neg_sum, 0.0)
+    return value, neg_sum, np.maximum(0.0, np.abs(eigs).sum(axis=-1) - 1.0)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["diagonal", "forced"])
+@PROPERTY
+@given(st.data())
+def test_diagonal_partial_transposes_give_the_eigensolver_result_bit_for_bit(forced, data):
+    m, k = data.draw(diagonal_pt_stacks(forced))
+    one = data.draw(st.booleans())
+    want = _fields_from_eigvalsh(m)
+    with pytest.MonkeyPatch.context() as patch:
+        if not forced:
+            # The diagonal path runs no eigensolve.
+            patch.setattr(np.linalg, "eigvalsh", None)
+        got = negativity_numeric(m[k] if one else m)
+    members = slice(k, k + 1) if one else slice(0, len(m))
+    for name, expected in zip(("value", "negative_eigenvalue_sum", "via_trace_norm"), want):
+        assert np.asarray(getattr(got, name)).tobytes() == expected[members].tobytes(), name
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_block_stack_still_fails_the_eigensolve(bad):
+    # Dephasing's partial transposes are diagonal at every strength.
+    g = np.linspace(0.0, 1.0, 9)
+    states = evolve_grid(ChannelKind.DEPHASING, StateParams(0.05, 0.6), g, g).copy()
+    states[4, 1, 2, 2] = bad
+    with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+        negativity_numeric(states)
 
 
 @PROPERTY
