@@ -24,20 +24,23 @@ rho^Gamma(gamma) crosses zero.  Along one sweep each block's invariants
 e_1, e_2, e_3 (trace, principal-minor sum, determinant) are exact
 polynomials in y, 1 - gamma = y^k (k = 2 for dephasing, else 1), and
 linear, quadratic and cubic in the family weights (2a, 3b, c).  The import
-tabulates them per cell over the monomials of those weights, snapped to
-the rationals they are, and a search contracts the tables with its point's
-monomials.  Each coefficient carries a bound on its rounding, and one
-within its bound is exactly zero: that picks each block's highest
-invariant that does not vanish identically and trims it at both ends, so a
-multiple root at gamma = 1 (y = 0) does not split into false roots below
-1.  The candidates are the real roots in (0, 1) of the two picked
-invariants, from one stacked companion eigensolve.
+tabulates them per cell over the 3 + 6 + 10 distinct monomials of those
+weights, as the integers over 93312 that they are.  Every float weight is
+a dyadic rational, so all three times one power of two are integers, and
+a search contracts its table with its point's monomials in exact integer
+arithmetic.  A coefficient is zero only when it is exactly zero: that
+picks each block's highest invariant that does not vanish identically and
+trims it at both ends, so a multiple root at gamma = 1 (y = 0) does not
+split into false roots below 1.  The candidates are the real roots in
+(0, 1) of the two picked invariants, from one stacked companion eigensolve
+on their coefficients rounded to floats.
 
 A real symmetric 3x3 block is positive semidefinite exactly when its e_1,
 e_2 and e_3 are all >= 0.  So the state is alive where some invariant of
-either block is negative beyond its bound, and dead where all are >= 0
-beyond theirs.  A 2x3 partial transpose can have two negative eigenvalues
-at once (Rana, PRA 87, 054301, 2013), so that test about each candidate
+either block is negative and dead where all are >= 0, and at a float
+strength, a dyadic rational too, :func:`_alive` decides this exactly, in
+integers.  A 2x3 partial transpose can have two negative eigenvalues at
+once (Rana, PRA 87, 054301, 2013), so that test about each candidate
 certifies the first death, and :func:`_section` narrows the bracket to the
 tolerance.  The search evolves no state and has no fixed threshold.  A
 curve that vanishes only at gamma = 1 is asymptotic decay, not ESD.
@@ -48,8 +51,8 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
+from itertools import combinations_with_replacement, product
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -71,21 +74,13 @@ NEGATIVE_EIG_CUTOFF = -1e-12
 #: Every entry of the invariant tables is an integer over this grid,
 #: 93312 = 2^7 3^6, which the import certifies (:func:`_snapped`).
 _TABLE_GRID = 93312.0
-#: Bounds the rounding of a contracted invariant coefficient relative to
-#: |monomials| @ |table|, and that of evaluating an invariant relative to the
-#: same contraction evaluated there.  With u = 2^-53: a coefficient of e_3
-#: sums 27 products of a snapped entry (rounded once) and a monomial of three
-#: weights (rounded twice), 4 roundings a term and 26 in the sum, in any
-#: order (the table's zero entries add none): 30 u.  At degree 12 (dephasing multi-local) a power y^j takes
-#: j - 1 roundings, its product one and the sum 12: 24 u.  32 u = 2^-48 also
-#: covers the rounding of the bounds themselves.
-_ROUNDING = 2.0**-48
 #: A complex root pair closer than this to the real axis is a double root
 #: split by rounding, and is kept as a candidate.
 _IMAG_TOL = 1e-6
-#: The rows of e_1, e_2 and e_3 in an invariant table: the monomials of
-#: degree 1, 2 and 3 of the family weights.
-_DEGREES = (slice(0, 3), slice(3, 12), slice(12, 39))
+#: A chosen invariant's leading coefficients below this fraction of its
+#: largest are dropped from its companion matrix, where they would only add
+#: roots near infinity and drown the others in rounding.
+_LEADING_CUTOFF = 2.0**-52
 #: Columns j + 1 and j + 2 (mod 3) for each column j of a 3x3 matrix.
 _NEXT, _AFTER = [1, 2, 0], [2, 0, 1]
 
@@ -226,10 +221,8 @@ def _negativity_form(kind, mode, params, ga, gb, corrected=True):
     raise ValueError(f"unknown channel kind {kind!r}")
 
 
-#: The last float below 1, the last strength at which ESD can show, and its
-#: distance to 1.
+#: The last float below 1, the last strength at which ESD can show.
 _LAST_BELOW_ONE = 1.0 - 2.0**-53
-_ULP_BELOW_ONE = 1 - Fraction(_LAST_BELOW_ONE)
 #: A rounded threshold at or above this, 8 ulps below 1, may round an exact
 #: one that lies above ``_LAST_BELOW_ONE``, or one below it up to 1: the
 #: float forms take at most about 6 roundings.
@@ -285,27 +278,37 @@ def analytic_esd_gamma(kind: ChannelKind, mode: Mode, params: StateParams) -> fl
 
 
 def _dead_below_one(kind: ChannelKind, mode: Mode, b: float, c: float) -> bool:
-    """Whether the closed form is dead at ``_LAST_BELOW_ONE``, decided in the
-    exact rationals of the float inputs: whether 1 - t >= 2^-53 for the
-    exact threshold t.
+    """Whether the closed form is dead at ``_LAST_BELOW_ONE``, decided
+    exactly on the float inputs: whether 1 - t >= 2^-53 for the exact
+    threshold t.  Over their common denominator d, b and c are integers
+    (:func:`_over_common_denominator`), and 1 - t is a quotient of integers
+    in them.
 
     Only the thresholds that reach 1 come here, those of dephasing, phase
     flip and the local flips; the depolarizing ones are at most 3/4.
     """
-    b, c = Fraction(b), Fraction(c)
-    ratio = 2 * b / (c - b)
+    (b, c), d = _over_common_denominator([b, c])
+    # 1 - t as num / den, over the ratio 2b / (c - b).
+    num, den = 2 * b, c - b
     if kind is ChannelKind.DEPHASING:
-        gap = ratio if mode is Mode.MULTI_LOCAL else ratio**2
+        if mode is not Mode.MULTI_LOCAL:
+            num, den = num * num, den * den
     elif kind is ChannelKind.PHASE_FLIP and mode is Mode.MULTI_LOCAL:
         # 1 - t = sqrt(ratio), compared squared.
-        return ratio >= _ULP_BELOW_ONE**2
-    elif kind is ChannelKind.PHASE_FLIP or mode is Mode.QUBIT_ONLY:
-        # t = (c - 3b) / (c - b).
-        gap = ratio
-    else:
+        num <<= 53
+    elif kind is not ChannelKind.PHASE_FLIP and mode is not Mode.QUBIT_ONLY:
         # The qutrit-only flips, t = (3c - 9b) / (1 - 8b + 2c).
-        gap = (1 + b - c) / (1 - 8 * b + 2 * c)
-    return gap >= _ULP_BELOW_ONE
+        num, den = d + b - c, d - 8 * b + 2 * c
+    # Else t = (c - 3b) / (c - b), so 1 - t is the ratio.
+    return num << 53 >= den
+
+
+def _over_common_denominator(values: list[float]) -> tuple[list[int], int]:
+    """Floats, which are dyadic rationals, as integers over their common
+    denominator d, the largest power of two among theirs; and d."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = max(q for _, q in ratios)
+    return [n * (d // q) for n, q in ratios], d
 
 
 def check_tol(tol: float) -> None:
@@ -346,42 +349,59 @@ def _invariant_forms(pt: np.ndarray) -> list[np.ndarray]:
 
 
 def _snapped(t: np.ndarray) -> np.ndarray:
-    """``t`` with every entry moved to the nearest multiple of 1 / 93312
-    (``_TABLE_GRID``), the rational it rounds; raises if an entry lies more
-    than 1e-6 of a grid unit off the grid, which no rounding explains."""
+    """``t`` in units of 1 / 93312 (``_TABLE_GRID``), each entry the integer
+    whose rational it rounds; raises if an entry lies more than 1e-6 of a
+    grid unit off the grid, which no rounding explains."""
     scaled = t * _TABLE_GRID
     whole = np.round(scaled)
     if not np.abs(scaled - whole).max() <= 1e-6:
         raise RuntimeError("an invariant table entry is off the 1/93312 grid")
-    return whole / _TABLE_GRID
+    return whole.astype(np.int64)
 
 
-def _invariant_tables() -> dict[tuple[ChannelKind, Mode], tuple[np.ndarray, int]]:
+def _monomials(x: list) -> list:
+    """The 3 + 6 + 10 distinct monomials of degree 1, 2 and 3 in the three
+    items of ``x``."""
+    return [math.prod(m) for d in (1, 2, 3) for m in combinations_with_replacement(x, d)]
+
+
+def _invariant_tables() -> dict[tuple[ChannelKind, Mode], tuple[list, int, int]]:
     """Per cell, e_1, e_2 and e_3 of the partial transpose's blocks along its
     sweep (:func:`_invariant_forms` of ``evolution._sweep_basis``) as one
-    table over the 3 + 9 + 27 monomials of degree 1, 2 and 3 of the family
-    weights (2a, 3b, c), snapped (:func:`_snapped`); and k, 1 - gamma = y^k.
-    The table is a (2, 39, 2 (D + 1)) array, D the degree of e_3 in y: the
-    snapped table, then its magnitudes times ``_ROUNDING``.  Row m holds the
-    coefficients of 1, y, ..., y^D, both blocks interleaved, of the e_i of
-    monomial m, padded with zeros.  The cells of one degree in y go through
-    one call."""
+    integer table over the monomials of degree 1, 2 and 3 of the family
+    weights (2a, 3b, c), in units of 1 / 93312 (:func:`_snapped`); with
+    D + 1, D the degree of e_3 in y, and k, 1 - gamma = y^k.
+
+    The forms expand over the 3 + 9 + 27 ordered monomials, which are summed
+    into the 19 distinct ones of :func:`_monomials`, told apart by their
+    values at the primes 2, 3 and 5.  A table is kept as its non-zero
+    entries, in three lists of ints: the monomial, the slot (2 i + block)
+    (D + 1) + j of the coefficient of y^j of e_(i + 1) that it adds to, and
+    the integer.  The cells of one degree in y go through one call."""
     bases = {(kind, mode): _sweep_basis(kind, mode) for kind in ChannelKind for mode in Mode}
     by_degree = {}
     for cell, (basis, _) in bases.items():
         by_degree.setdefault(len(basis), []).append(cell)
-    tables = {}
+    distinct = _monomials([2, 3, 5])
+    # The distinct monomial of each ordered one of degree 1, 2 and 3.
+    merge = [[distinct.index(math.prod(m)) for m in product((2, 3, 5), repeat=d)]
+             for d in (1, 2, 3)]
+    # Equal entries share one int object, which keeps the tables small.
+    shared, tables = {}, {}
     for cells in by_degree.values():
         # The cells on an axis after the basis axis, which the forms keep.
         pt = np.stack([bases[cell][0] for cell in cells], axis=2)
         forms = _invariant_forms(partial_transpose_blocks(pt))
-        table = np.zeros((len(cells), 2, 39, 2 * len(forms[-1])))
-        for e, rows in zip(forms, _DEGREES):
-            # Cells first, then a row of coefficients per monomial.
-            exact = _snapped(np.moveaxis(e, 0, -2).reshape(rows.stop - rows.start, len(cells), -1))
-            table[:, 0, rows, : exact.shape[-1]] = exact.swapaxes(0, 1)
-        table[:, 1] = _ROUNDING * np.abs(table[:, 0])
-        tables.update((cell, (t, bases[cell][1])) for cell, t in zip(cells, table))
+        size = len(forms[-1])
+        table = np.zeros((len(distinct), len(cells), 3, 2, size), dtype=np.int64)
+        for i, (e, rows) in enumerate(zip(forms, merge)):
+            # A row per ordered monomial, then cells, blocks and powers of y.
+            e = np.moveaxis(e, 0, -1).reshape(len(rows), len(cells), 2, -1)
+            np.add.at(table[:, :, i, :, : e.shape[-1]], rows, _snapped(e))
+        for cell, t in zip(cells, table.swapaxes(0, 1).reshape(len(cells), len(distinct), -1)):
+            m, slot, v = np.stack([*t.nonzero(), t[t != 0]]).tolist()
+            v = list(map(shared.setdefault, v, v))
+            tables[cell] = ([m, slot, v], size, bases[cell][1])
     return tables
 
 
@@ -391,39 +411,37 @@ _INVARIANT_TABLES = _invariant_tables()
 
 def _block_invariants(kind: ChannelKind, mode: Mode, params: StateParams) -> tuple[list, int]:
     """e_1, e_2 and e_3 of the eigenvalues of both partial-transpose blocks
-    along one cell's sweep, and the rounding bound of each coefficient, as
-    floats: a list of the three invariants' coefficients, then one of their
-    bounds, each invariant a list of the coefficients of 1, y, ..., y^D,
-    both blocks interleaved (S-even first); and k, 1 - gamma = y^k.  The
-    cell's table (:func:`_invariant_tables`) takes the point's monomials of
-    degree i in its family weights to e_i, and their magnitudes to the
-    bounds, in one product.  A coefficient within its bound is exactly zero,
-    and is set to zero with its bound."""
-    table, k = _INVARIANT_TABLES[kind, mode]
-    x = family_weights(params).tolist()
-    xx = [u * v for u in x for v in x]
-    z = [0.0] * 36
-    # Row i holds the monomials of degree i + 1 in their columns of the table.
-    rows = [x + z, z[:3] + xx + z[:27], z[:12] + [u * v for u in xx for v in x]]
-    values, bounds = np.matmul([rows, [list(map(abs, row)) for row in rows]], table).tolist()
-    for e, w in zip(values, bounds):
-        for j, (v, b) in enumerate(zip(e, w)):
-            if abs(v) <= b:
-                e[j] = w[j] = 0.0
-    return [values, bounds], k
+    along one cell's sweep, exactly, as integers: six lists of the
+    coefficients of 1, y, ..., y^D, e_(i + 1) of block b at 2 i + b (the
+    S-even block is 0); and k, 1 - gamma = y^k.
+
+    The float weights (2a, 3b, c) are integers w over their common
+    denominator d (:func:`_over_common_denominator`); e_i comes times
+    93312 d^i, its cell's table (:func:`_invariant_tables`) contracted with
+    the monomials of degree i of w."""
+    table, size, k = _INVARIANT_TABLES[kind, mode]
+    monomials = _monomials(_over_common_denominator(family_weights(params).tolist())[0])
+    flat = [0] * (6 * size)
+    for m, slot, v in zip(*table):
+        flat[slot] += v * monomials[m]
+    return [flat[i : i + size] for i in range(0, 6 * size, size)], k
 
 
 def _chosen_invariants(invariants: list) -> list[list[float]]:
     """Per block, the coefficients of its highest invariant e_i that does not
-    vanish identically, with its zero coefficients trimmed off both ends;
+    vanish identically, with its zero coefficients trimmed off both ends, as
+    floats over the largest in magnitude (each a correctly rounded
+    quotient), less any leading ones below ``_LEADING_CUTOFF``;
     ``invariants`` as :func:`_block_invariants` returns them."""
     chosen = []
     for block in (0, 1):
-        for values in invariants[0][::-1]:
-            c = values[block::2]
-            kept = [j for j, v in enumerate(c) if v]
-            if kept:
-                chosen.append(c[kept[0] : kept[-1] + 1])
+        for c in invariants[4 + block :: -2]:
+            if any(c):
+                top = max(map(abs, c))
+                c = [v / top for v in c[next(j for j, v in enumerate(c) if v) :]]
+                while abs(c[-1]) < _LEADING_CUTOFF:
+                    c.pop()
+                chosen.append(c)
                 break
     return chosen
 
@@ -458,96 +476,95 @@ def _strengths_of_roots(coefficients: list, k: int) -> list[float]:
     return strengths
 
 
-def _alive(invariants: list, k: int, gammas: list[float]) -> list[bool | None]:
-    """At each strength of ``gammas``, True where the state is certainly
-    entangled, False where it is certainly separable, None where rounding
-    cannot tell.  An invariant evaluates within its bound, twice its
-    coefficients' bounds evaluated there (``_ROUNDING``), of its exact value.
-    Entangled means some invariant of either block is certainly negative,
-    separable that every one is certainly >= 0 (one that vanishes
-    identically is exactly 0).  All strengths evaluate in one Vandermonde
-    product; ``invariants`` and k as :func:`_block_invariants` returns them."""
-    size = len(invariants[0][0]) // 2
-    powers = []
-    for g in gammas:
-        y = 1.0 - g if k == 1 else math.sqrt(1.0 - g)  # k is 1 or 2
-        row = [1.0]
-        for _ in range(1, size):
-            row.append(row[-1] * y)
-        powers.append(row)
-    values, bounds = np.matmul(powers, np.reshape(invariants, (2, 3, size, 2))).tolist()
-    alive = []
-    for n in range(len(gammas)):
-        # The least upper and lower ends of the six invariants' enclosures.
-        upper = lower = math.inf
-        for v, w in zip(values, bounds):
-            for b in (0, 1):
-                upper = min(upper, v[n][b] + 2.0 * w[n][b])
-                lower = min(lower, v[n][b] - 2.0 * w[n][b])
-        alive.append(True if upper < 0.0 else False if lower >= 0.0 else None)
-    return alive
+def _alive(invariants: list, k: int, gammas: list[float]) -> list[bool]:
+    """At each strength of ``gammas``, whether the state is entangled there:
+    whether some invariant of either block is negative, decided exactly.
+
+    A float g is a dyadic rational n / d, d = 2^s, so t = 1 - g = u / d
+    with u = d - n, and y = t^(1/k).  Each invariant is E(t) + y O(t), E
+    and O its even and odd powers of y for k = 2, or E itself and O = 0 for
+    k = 1 (:func:`_negative`).  The determinants go first, where a live
+    state most often shows.  ``invariants`` and k as
+    :func:`_block_invariants` returns them."""
+    # E and O highest power first, as Horner's rule takes them, and O as
+    # long as E; an invariant with no negative coefficient is >= 0 at y >= 0.
+    parts = [(c[::-1], []) if k == 1 else (c[::2][::-1], (c[1::2] + [0] * (len(c) % 2))[::-1])
+             for c in invariants[::-1] if min(c) < 0]
+    return [any(_negative(even, odd, d - n, d.bit_length() - 1) for even, odd in parts)
+            for n, d in map(float.as_integer_ratio, gammas)]
+
+
+def _negative(even: list[int], odd: list[int], u: int, s: int) -> bool:
+    """Whether E(t) + sqrt(t) O(t) < 0 at t = u / 2^s, E and O given by
+    ``even`` and ``odd`` as :func:`_alive` makes them.  Horner's rule with
+    shifts gives both times 2^(s (m - 1)), m the length of ``even``; where
+    their signs differ, E^2 against t O^2 decides."""
+    e = o = 0
+    for j, v in enumerate(even):
+        e = e * u + (v << s * j)
+    for j, v in enumerate(odd):
+        o = o * u + (v << s * j)
+    if not o or (e < 0) == (o < 0):
+        return e < 0
+    # E^2 - t O^2, times a power of two.
+    gap = (e * e << s) - u * o * o
+    return gap > 0 if e < 0 else gap < 0
 
 
 def _narrow(lo: float, hi: float, samples: list, alive: list) -> tuple[float, float]:
     """Bracket the first death with evaluated samples: the first dead sample
     (or ``hi``) and the last live sample before it (or ``lo``).  Samples
-    may come in any order; a sample whose state is undecided (None) moves
-    neither end."""
-    hi = min([g for g, a in zip(samples, alive) if a is not None and not a], default=hi)
+    may come in any order."""
+    hi = min([g for g, a in zip(samples, alive) if not a], default=hi)
     lo = max([g for g, a in zip(samples, alive) if a and g < hi], default=lo)
     return lo, hi
 
 
 def _section(
-    lo: float, hi: float, alive: Callable[[list], list[bool | None]], tol: float
+    lo: float, hi: float, alive: Callable[[list], list[bool]], tol: float
 ) -> tuple[float, float]:
     """Narrow a bracket (lo, hi), alive at lo and dead at hi, until it is no
-    wider than ``tol``, no float lies strictly inside it, or a step decides
-    none of its samples.  Each step evaluates ``SECTION_SAMPLES`` evenly
-    spaced interior strengths in one call of ``alive`` and keeps the first
-    dead sample and the live sample before it."""
+    wider than ``tol`` or no float lies strictly inside it.  Each step
+    evaluates ``SECTION_SAMPLES`` evenly spaced interior strengths in one
+    call of ``alive`` and keeps the first dead sample and the live sample
+    before it."""
     steps = [i / (SECTION_SAMPLES + 1) for i in range(1, SECTION_SAMPLES + 1)]
     while hi - lo > tol:
         samples = [g for s in steps if lo < (g := lo + (hi - lo) * s) < hi]
         if not samples:
             break  # no float lies strictly inside the bracket
-        bracket = _narrow(lo, hi, samples, alive(samples))
-        if bracket == (lo, hi):
-            break  # rounding cannot tell the state at any sample
-        lo, hi = bracket
+        lo, hi = _narrow(lo, hi, samples, alive(samples))
     return lo, hi
 
 
 def _death_bracket(
-    roots, alive: Callable[[list], list[bool | None]], tol: float
+    roots, alive: Callable[[list], list[bool]], tol: float
 ) -> tuple[float, float] | None:
     """Bracket (lo, hi), alive at lo and dead at hi, about the first death;
     None when the state stays entangled below gamma = 1.
 
-    ``roots`` are the candidate strengths in (0, 1), in any order, and
-    ``alive(g)`` tells for each strength of a list whether the state there
-    is still entangled (True), has died (False) or cannot be told (None).
-    Each candidate root r is sampled at r - ``ESD_BRACKET``, above it at
-    r + ``ESD_BRACKET`` or halfway to gamma = 1, whichever is nearer, and
-    the stretch up to the next root (or gamma = 1) at its midpoint, all in
-    one call of ``alive``.  The first dead sample and the live sample before
-    it (or gamma = 0) bracket the death, which :func:`_section` then narrows
-    down to ``tol``.  A death bracketed only by gamma = 1 is asymptotic.
+    ``roots`` are the candidate strengths in (0, 1), in any order, to which
+    gamma = 0 is added, and ``alive(g)`` tells for each strength of a list
+    whether the state there is still entangled; it is at gamma = 0.  Each
+    candidate r is sampled at r - ``ESD_BRACKET`` if that is positive, above
+    it at r + ``ESD_BRACKET``, halfway to gamma = 1 or at the last float
+    below 1, whichever is least, and the stretch up to the next candidate
+    (or gamma = 1) at its midpoint, all in one call of ``alive``.  So 2^-31
+    is always sampled, and so is a root whose halfway point rounds to 1.
+    The first dead sample and the live sample before it (or gamma = 0)
+    bracket the death, which :func:`_section` then narrows down to ``tol``.
     """
     h = ESD_BRACKET
+    roots = sorted({0.0, *roots})
     samples = []
-    for r in roots:
-        above = min(r + h, (r + 1.0) / 2.0)
-        samples += [max(r - h, 0.0), above]
-        mid = (r + min([s for s in roots if s > r], default=1.0)) / 2.0
-        if mid > above:
+    for r, after in zip(roots, [*roots[1:], 1.0]):
+        above = min(r + h, (r + 1.0) / 2.0, _LAST_BELOW_ONE)
+        samples += [r - h, above]
+        if above < (mid := (r + after) / 2.0) < 1.0:
             samples.append(mid)
-    if not samples:
-        return None
+    samples = [g for g in samples if g > 0.0]
     lo, hi = _narrow(0.0, math.inf, samples, alive(samples))
-    if hi >= 1.0:
-        return None
-    return _section(lo, hi, alive, tol)
+    return None if hi == math.inf else _section(lo, hi, alive, tol)
 
 
 def esd_gamma(
@@ -559,15 +576,14 @@ def esd_gamma(
     """Smallest sweep strength at which the state has died, decided on the
     invariant polynomials of its partial transpose, without evolving it.
 
-    The invariants' test of life (:func:`_alive`) on either side of each
-    candidate, a root of a block's chosen invariant
+    The invariants' exact test of life (:func:`_alive`) on either side of
+    gamma = 0 and of each candidate, a root of a block's chosen invariant
     (:func:`_chosen_invariants`), certifies the first death
     (:func:`_death_bracket`).  The bracket is sectioned, one batch of
     evaluations per step, until it is no wider than ``tol`` (a positive
-    number), no float lies strictly between its ends or rounding cannot tell
-    the state inside it.  Its dead end is returned, where the state is
-    certainly separable; None when no strength below gamma = 1 is.  A death
-    exactly at gamma = 1 is asymptotic decay.
+    number) or no float lies strictly between its ends.  Its dead end is
+    returned, where the state is separable; None when no strength below
+    gamma = 1 is.  A death exactly at gamma = 1 is asymptotic decay.
     """
     check_tol(tol)
     kind, mode = ChannelKind(kind), Mode(mode)

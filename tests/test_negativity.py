@@ -487,29 +487,27 @@ def test_threshold_a_hair_below_one_at_smaller_b_is_found(b, c):
     assert got is not None and abs(got - want) <= 1e-9, (got, want)
 
 
-#: Points where a threshold lies a hair below gamma = 1 or the negativity
-#: falls slowly, and (0.15, 0.45), where c - 3b rounds to 5.6e-17.
+#: b = 1.19e-88: the qutrit-only flips' chosen invariant has a leading
+#: coefficient 4e-89 of its largest, whose companion root near 2.5e88 would
+#: drown the death at 0.75 in rounding; and multi-local phase flip dies at
+#: 1 - sqrt(2b / (c - b)), which rounds to 1, though b is not 0.
+LEADING_POINT = (1.1890606509269398e-88, 0.5)
+#: Points where a threshold lies a hair below gamma = 1, or within ulps of
+#: it, or where the negativity falls slowly; (0, 1e-9), (0, 1e-7) and
+#: (0, 1e-6), which start a hair inside the separability boundary and die
+#: almost at once; (0.15, 0.45), where c - 3b rounds to 5.6e-17; and
+#: ``LEADING_POINT``.
 EDGE_POINTS = [(1e-8, 0.5), (1e-8, 0.9), (1e-9, 0.0625), (1e-9, 0.5), (1e-7, 0.5),
                (1e-6, 0.0625), (1e-6, 0.5), (0.0, 1 - 1e-16), (0.0, 1 - 1e-8), (1e-9, 0.9),
-               (0.15, 0.45)]
+               (0.0, 1e-9), (0.0, 1e-7), (0.0, 1e-6), (0.15, 0.45),
+               (4.1388748763351344e-17, 0.5167034084532541), (0.0, 1 - 3 * 2.0**-53),
+               LEADING_POINT]
 #: The multi-local flips, which have no closed form, at edge points: the
 #: threshold of the exact invariant polynomials, within its bound, or None.
 EDGE_EXACT = {
     ((0.0, 1 - 1e-8), ChannelKind.BIT_FLIP): (0.9946344114, 1e-9),
     ((0.0, 1 - 1e-16), ChannelKind.BIT_FLIP): (0.99994485, 1e-8),
 }
-#: Cells where the search and the closed form still disagree (an open item
-#: of ROADMAP): at (0, 1 - 1e-16) the qutrit-only flips' closed form rounds to
-#: the last float below 1, while the exact threshold lies above it, so no
-#: strength below 1 is separable.
-EDGE_OPEN = {
-    ((0.0, 1 - 1e-16), ChannelKind.BIT_FLIP, Mode.QUTRIT_ONLY),
-    ((0.0, 1 - 1e-16), ChannelKind.BIT_PHASE_FLIP, Mode.QUTRIT_ONLY),
-}
-#: Where c - 3b rounds to 5.6e-17, so that the state is entangled by a hair,
-#: the search and the closed forms each decide by rounding (an open item of
-#: ROADMAP): a death found there lies at the certification half-width.
-ROUNDING_POINT = (0.15, 0.45)
 
 
 @pytest.mark.parametrize("point", EDGE_POINTS, ids=[f"{b:g}-{c:.17g}" for b, c in EDGE_POINTS])
@@ -522,11 +520,7 @@ def test_edge_point_thresholds(point):
     for kind in ChannelKind:
         for mode in Mode:
             got = esd_gamma(kind, mode, p)
-            if (point, kind, mode) in EDGE_OPEN:
-                assert got is None, (kind, mode, got)
-            elif point == ROUNDING_POINT:
-                assert got is None or got <= 2.0**-30, (kind, mode, got)
-            elif mode is Mode.MULTI_LOCAL and kind in (ChannelKind.BIT_FLIP, ChannelKind.BIT_PHASE_FLIP):
+            if mode is Mode.MULTI_LOCAL and kind in (ChannelKind.BIT_FLIP, ChannelKind.BIT_PHASE_FLIP):
                 if (point, kind) in EDGE_EXACT:
                     want, bound = EDGE_EXACT[point, kind]
                     assert got is not None and abs(got - want) <= bound, (kind, got)
@@ -537,8 +531,42 @@ def test_edge_point_thresholds(point):
             if got is not None:
                 state = evolve(ChannelScenario.at(kind, mode, got), p)
                 assert negativity_numeric(state).value == 0.0
-    if point != ROUNDING_POINT:
+    if point != LEADING_POINT:
         assert (esd_gamma(ChannelKind.PHASE_FLIP, Mode.MULTI_LOCAL, p) is None) == (point[0] == 0.0)
+
+
+def test_search_probes_both_ends_of_the_strength_range():
+    # gamma = 0 is a candidate, so 2^-31 is always probed: at (0.15, 0.45),
+    # where c - 3b rounds to 5.6e-17, every cell is dead there.
+    p = StateParams(0.15, 0.45)
+    for kind in ChannelKind:
+        for mode in Mode:
+            assert esd_gamma(kind, mode, p) == 2.0**-31, (kind, mode)
+    # A root whose halfway point to gamma = 1 rounds to 1 is probed itself,
+    # so deaths within ulps of 1 are found at the last float below it.
+    flips = (ChannelKind.BIT_FLIP, ChannelKind.BIT_PHASE_FLIP)
+    cases = {
+        (4.1388748763351344e-17, 0.5167034084532541): [
+            (ChannelKind.DEPHASING, Mode.MULTI_LOCAL),
+            (ChannelKind.PHASE_FLIP, Mode.QUBIT_ONLY),
+            (ChannelKind.PHASE_FLIP, Mode.QUTRIT_ONLY),
+            *((kind, Mode.QUBIT_ONLY) for kind in flips),
+        ],
+        (0.0, 1 - 3 * 2.0**-53): [(kind, Mode.QUTRIT_ONLY) for kind in flips],
+    }
+    for point, cells in cases.items():
+        p = StateParams(*point)
+        for kind, mode in cells:
+            assert esd_gamma(kind, mode, p) == 1 - 2.0**-53, (point, kind, mode)
+            assert 1 - 2.0**-51 < analytic_esd_gamma(kind, mode, p) < 1.0, (point, kind, mode)
+
+
+def _as_floats(invariants, p):
+    """The exact invariants of :func:`negativity._block_invariants` as
+    floats: e_i comes times 93312 d^i, d the largest denominator of the
+    point's float weights."""
+    d = max(v.as_integer_ratio()[1] for v in family_weights(p).tolist())
+    return [[v / (93312 * d ** (i // 2 + 1)) for v in c] for i, c in enumerate(invariants)]
 
 
 def test_chosen_invariants_equal_those_of_the_evolved_blocks():
@@ -552,7 +580,8 @@ def test_chosen_invariants_equal_those_of_the_evolved_blocks():
         for kind in ChannelKind:
             for mode in Mode:
                 invariants, k = negativity._block_invariants(kind, mode, p)
-                blocks = np.reshape(invariants[0], (3, -1, 2))
+                # Invariant, then power of y, then block.
+                blocks = np.array(_as_floats(invariants, p)).reshape(3, 2, -1).swapaxes(1, 2)
                 states = evolve_grid(kind, p, *evolution.sweep_strengths(mode, g))
                 eigs = np.linalg.eigvalsh(partial_transpose_blocks(states))
                 # e_1, e_2, e_3 of each block from its eigenvalues.
@@ -567,12 +596,13 @@ def test_chosen_invariants_equal_those_of_the_evolved_blocks():
                 chosen = negativity._chosen_invariants(invariants)
                 assert len(chosen) == 2, (p, kind, mode)
                 for block, c in enumerate(chosen):
-                    # The trimmed powers of y at either end: the chosen
-                    # invariant over y^m, m = the count trimmed at the low end.
-                    nonzero = blocks[:, :, block] != 0.0
-                    i = next(i for i in (2, 1, 0) if nonzero[i].any())
-                    low = int(np.flatnonzero(nonzero[i])[0])
-                    got = np.vander(y, len(c), increasing=True) @ c * y**low
+                    # The chosen invariant is over its largest coefficient
+                    # and y^m, m the count trimmed at the low end.
+                    coefficients = blocks[:, :, block]
+                    i = next(i for i in (2, 1, 0) if coefficients[i].any())
+                    low = int(np.flatnonzero(coefficients[i])[0])
+                    top = np.abs(coefficients[i]).max()
+                    got = np.vander(y, len(c), increasing=True) @ c * y**low * top
                     assert np.abs(got - e[i][:, block]).max() <= 1e-14, (p, kind, mode, block)
 
 
@@ -598,20 +628,24 @@ def _direct_invariants(kind, mode, p):
 
 
 def test_invariant_tables_equal_the_direct_algebra():
-    # The tables contract the algebra over the monomials of the family
-    # weights: at each point every e_i has the coefficients that the algebra
-    # on the point's own blocks gives, to rounding, and zeros beyond its
-    # degree.
+    # The integer tables contract the algebra over the monomials of the
+    # family weights: at each point every e_i has the coefficients that the
+    # algebra on the point's own blocks gives, to rounding, and zeros beyond
+    # its degree.  The tables hold integers, and every invariant coefficient
+    # is an exact integer too.
+    for table, _, _ in negativity._INVARIANT_TABLES.values():
+        assert all(type(v) is int for row in table for v in row)
     rng = np.random.default_rng(19)
     points = [*CANONICAL_POINTS, *random_entangled_params(rng, 20),
-              StateParams.a_zero(0.1), StateParams(0.0, 0.5)]
+              StateParams.a_zero(0.1), StateParams(0.0, 0.5), StateParams(0.15, 0.45)]
     for p in points:
         for kind in ChannelKind:
             for mode in Mode:
                 invariants, k = negativity._block_invariants(kind, mode, p)
+                assert all(type(v) is int for c in invariants for v in c)
                 direct, direct_k = _direct_invariants(kind, mode, p)
                 assert k == direct_k
-                blocks = np.reshape(invariants[0], (3, -1, 2))
+                blocks = np.array(_as_floats(invariants, p)).reshape(3, 2, -1).swapaxes(1, 2)
                 assert blocks.shape[1] == len(direct[3])
                 for i in (1, 2, 3):
                     want = direct[i]
@@ -621,70 +655,62 @@ def test_invariant_tables_equal_the_direct_algebra():
                     assert err <= 1e-14 * np.abs(want).max(), (p, kind, mode, i)
 
 
-def _exact_invariants(kind, mode, p):
-    """e_1, e_2 and e_3 of one cell at one point in exact rationals, the
-    snapped table (rationals over 93312) times the monomials of the point's
-    float weights; and the exact bounds, ``_ROUNDING`` times the magnitudes
-    of the table times those of the monomials.  Both as
-    :func:`negativity._block_invariants` lays them out."""
-    table, _ = negativity._INVARIANT_TABLES[kind, mode]
-    grid = np.round(table[0] * negativity._TABLE_GRID).astype(np.int64).tolist()
-    x = [Fraction(v) for v in family_weights(p).tolist()]
-    xx = [u * v for u in x for v in x]
-    m = x + xx + [u * v for u in xx for v in x]
-    rounding = Fraction(negativity._ROUNDING)
-    values, bounds = [], []
-    for rows in negativity._DEGREES:
-        values.append([sum(m[r] * grid[r][col] for r in range(rows.start, rows.stop)) / 93312
-                       for col in range(len(grid[0]))])
-        bounds.append([rounding * sum(abs(m[r] * grid[r][col]) for r in range(rows.start, rows.stop))
-                       / 93312 for col in range(len(grid[0]))])
-    return values, bounds
+def _exact_sign(c, k, g):
+    """The sign of sum_j c_j y^j at y = (1 - g)^(1/k), in exact rationals.
+    For k = 2 it is E + y O, E and O its even and odd powers of y, linear
+    in y: it is taken at rationals closer and closer about sqrt(1 - g),
+    from math.isqrt, until both ends agree, or at the root itself where
+    1 - g is a square."""
+    t = 1 - Fraction(g)
+    if k == 1:
+        v = sum(Fraction(v) * t**j for j, v in enumerate(c))
+        return (v > 0) - (v < 0)
+    even = sum(v * t ** (j // 2) for j, v in enumerate(c) if j % 2 == 0)
+    odd = sum(v * t ** (j // 2) for j, v in enumerate(c) if j % 2)
+    if not even and not odd:
+        return 0
+    for bits in (64, 256, 1024, 4096):
+        den = t.denominator << bits
+        root = math.isqrt(t.numerator * t.denominator << 2 * bits)
+        ends = [even + Fraction(r, den) * odd for r in (root, root + 1)]
+        if Fraction(root, den) ** 2 == t:
+            ends = ends[:1]
+        signs = {(v > 0) - (v < 0) for v in ends}
+        if len(signs) == 1 and 0 not in signs or len(ends) == 1:
+            return signs.pop()
+    raise AssertionError(f"sign of {c} at {g} not decided")
 
 
-def test_rounding_bounds_hold_against_exact_rationals():
-    # Each coefficient the search keeps lies within its bound of the exact
-    # one and beyond its bound from zero; each it zeroes is exactly zero to
-    # within rounding, no more than twice its exact bound.  Each invariant,
-    # evaluated at a strength, lies within twice the bounds there of the
-    # exact invariant with the same coefficients zeroed.  The snapped tables
-    # are exact: every entry is the float nearest an integer over 93312.
-    for table, _ in negativity._INVARIANT_TABLES.values():
-        whole = table[0] * negativity._TABLE_GRID
-        assert np.array_equal(table[0], np.round(whole) / negativity._TABLE_GRID)
-        assert np.array_equal(table[1], negativity._ROUNDING * np.abs(table[0]))
-    rng = np.random.default_rng(22)
-    points = [*CANONICAL_POINTS[:3], *random_entangled_params(rng, 3), StateParams(0.0, 1 - 1e-16),
-              StateParams(1e-9, 0.0625), StateParams(0.15, 0.45)]
-    y = rng.uniform(0.0, 1.0, 5)
+def test_alive_equals_the_exact_sign_of_the_invariants():
+    # The test of life is alive exactly where some invariant of either block
+    # is negative, evaluated in fractions.Fraction: at random strengths, at
+    # the ends of the range and at strengths within 1e-15 of the candidate
+    # roots, in every cell (k = 2 for dephasing, 1 for the others).
+    rng = np.random.default_rng(28)
+    points = [CANONICAL_POINTS[1], CANONICAL_POINTS[3], *random_entangled_params(rng, 2),
+              StateParams(0.0, 1e-9), StateParams(0.15, 0.45), StateParams.a_zero(0.1)]
+    ends = [0.0, 5e-324, 1e-300, 2.0**-31, 0.25, 0.5, 0.75, 1 - 2.0**-53]
+    mixed = 0
     for p in points:
         for kind in ChannelKind:
             for mode in Mode:
                 invariants, k = negativity._block_invariants(kind, mode, p)
-                exact, scale = _exact_invariants(kind, mode, p)
-                blocks = np.reshape(invariants, (2, 3, -1, 2))
-                values = np.vander(y, blocks.shape[2], increasing=True) @ blocks
-                for i in range(3):
-                    for j, (c, b) in enumerate(zip(invariants[0][i], invariants[1][i])):
-                        case = (p, kind, mode, i, j)
-                        if c:
-                            assert abs(Fraction(c) - exact[i][j]) <= b < abs(c), case
-                        else:
-                            assert b == 0.0 and abs(exact[i][j]) <= 2 * scale[i][j], case
-                    for n, yn in enumerate(y.tolist()):
-                        for block in (0, 1):
-                            coefficients = invariants[0][i][block::2]
-                            want = sum(e * Fraction(yn) ** j for j, (e, c) in
-                                       enumerate(zip(exact[i][block::2], coefficients)) if c)
-                            err = abs(Fraction(float(values[0, i, n, block])) - want)
-                            assert err <= 2 * values[1, i, n, block], (p, kind, mode, i, n, block)
-
-
-def test_evaluation_bound_covers_the_largest_degree():
-    # _ROUNDING covers evaluating a polynomial of degree up to 15.
-    assert max(table.shape[-1] // 2 - 1 for table, _ in negativity._INVARIANT_TABLES.values()) <= 15
-
-
+                roots = negativity._strengths_of_roots(negativity._chosen_invariants(invariants), k)
+                near = [min(max(r + d, 0.0), 1 - 2.0**-53) for r in roots
+                        for d in (-1e-15, -2.0**-53, 0.0, 2.0**-53, 1e-15)]
+                probes = [*rng.uniform(0.0, 1.0, 4).tolist(), *ends, *near]
+                want = [any(_exact_sign(c, k, g) < 0 for c in invariants) for g in probes]
+                assert negativity._alive(invariants, k, probes) == want, (p, kind, mode)
+                mixed += len(set(want)) > 1
+    assert mixed  # both outcomes occur in some cells
+    # Invariants with a root at y = 1/2, where E and O differ in sign and
+    # E^2 = t O^2 exactly: zero there, so not alive, and either sign beside.
+    for c in ([-1, 2], [1, -2], [-3, 2, 8], [3, -2, -8]):
+        invariants = [c] + [[0]] * 5
+        for k, root in ((1, 0.5), (2, 0.75)):
+            probes = [np.nextafter(root, 0.0), root, np.nextafter(root, 1.0)]
+            want = [_exact_sign(c, k, g) < 0 for g in probes]
+            assert negativity._alive(invariants, k, probes) == want == [want[0], False, want[2]]
 def test_stacked_roots_are_the_roots_of_each_block():
     # Both blocks' companions go to one eigensolve, the shorter padded; the
     # padding adds no root, and each block keeps its own roots.
