@@ -229,10 +229,8 @@ def layer_rows(q: ModuleType) -> dict:
     the package ``q``."""
     p, kind, mode = _subject(q)
     evolution, negativity, states = q.evolution, q.negativity, q.states
-    side, kraus_operators = q.channels.Side, q.channels.kraus_operators
     stack = _stack(q)
     product = q.linalg.from_blocks(stack).astype(complex)
-    ops = kraus_operators(kind, side.QUTRIT, G)
     sweep = q.sweep.run_sweep(kind, mode, p)
     no_closed_form = q.sweep.run_sweep(q.ChannelKind.BIT_FLIP, mode, p)
     render_sweep = q.sweep.render_sweep
@@ -245,8 +243,6 @@ def layer_rows(q: ModuleType) -> dict:
         "completeness": (lambda: _weighting(q, G, G), 500),
         "channel_weights_1": (
             lambda: _weighting(q, np.array(_ONE_POINT[:1]), np.array(_ONE_POINT[1:])), 1000),
-        "kraus_operators": (lambda: lambda: kraus_operators(kind, side.QUTRIT, G), 200),
-        "apply_channel": (lambda: lambda: evolution.apply_channel(ops, product), 50),
         "check_density": (lambda: lambda: states.check_density(product), 200),
         "check_density_16": (lambda: lambda: states.check_density(product[:16]), 500),
         "check_density_1": (lambda: lambda: states.check_density(product[:1]), 1000),

@@ -12,13 +12,12 @@ expressions for every evolved state and negativity that admits one.
 #: imports so that they can read it.
 __version__ = "0.1.0"
 
-from .channels import ChannelKind, OPERATOR_COUNTS, Side
+from .channels import ChannelKind, Side
 from .evolution import (
     ChannelScenario,
     Mode,
     RAW_FORM_MISMATCHES,
     analytic_evolved,
-    apply_channel,
     coherence_l1,
     evolve,
     evolve_grid,
@@ -55,7 +54,6 @@ __all__ = [
     "Mode",
     "NegativityResult",
     "NoClosedFormError",
-    "OPERATOR_COUNTS",
     "RAW_FORM_MISMATCHES",
     "REFERENCE_ESD_TABLE",
     "Side",
@@ -64,7 +62,6 @@ __all__ = [
     "SweepRow",
     "analytic_esd_gamma",
     "analytic_evolved",
-    "apply_channel",
     "classify_table1",
     "coherence_l1",
     "esd_gamma",

@@ -6,9 +6,8 @@ by scalar functions of the strength gamma, K_i = fixed_i + w_i(gamma)
 shape_i.  A qubit-side shape is padded as (op x I3), a qutrit-side one as
 (I2 x op), once at import, so a channel application is always the plain sum
 sum_i K_i rho K_i^dagger in the composite space, regardless of side.
-:func:`kraus_operators` weights the shapes for a whole array of strengths
-at once, giving (N, K, 6, 6) stacks; with ``evolution.apply_channel`` it is
-the direct Kraus sum that the polynomial form is tested against.
+The package never forms that sum: the tests build it from the shapes, as
+the direct Kraus sum that the polynomial form is held to.
 
 The squared weights are linear in gamma, u = w_0^2 = 1 - p gamma / m and
 v = w_i^2 = gamma / m for i > 0, and only K_0 may have a fixed part.
@@ -25,22 +24,25 @@ and gamma T_1 cancel towards gamma = 1.  :func:`channel_terms` gives the
 terms of any states, which the evolution tabulates once at import for the
 family's basis states.  :func:`channel_weights` gives the weight rows
 (u, v[, s]) of both sides at once, for a strength array per side, from one
-formula over per-kind columns of p and m.  That formula is the one copy of
-the weights: the ESD search's weight polynomials in y, 1 - gamma = y^k, are
-read off its rows at gamma = 0 and 1 (``evolution._weights_in_y``).
+formula over per-kind columns of p and m.  That formula is the package's
+one copy of the weights: the ESD search's weight polynomials in y,
+1 - gamma = y^k, are read off its rows at gamma = 0 and 1
+(``evolution._weights_in_y``).
 
 Completeness is certified once, at import, for every (kind, side): its
 Gram polynomial sum_i K_i^dagger K_i = u G_u + v G_v + s G_s must have
 G_s = 0 and be I6 at gamma = 0 and 1.  u and v are affine in gamma, so
 the Gram polynomial is then I6 at every strength, and a call checks only
 its strengths.  Each side is certified apart, so that a defect of one
-cannot cancel against the other.  A complete channel is trace preserving,
-and completely positive by its Kraus form.  For the eight mixed-unitary
-channels more holds: E_gamma(rho) = u rho + v sum_i U_i rho U_i^dagger is
-affine in gamma, so the two-sided map, and with it the evolved state, is
-bi-affine in (gamma_qubit, gamma_qutrit), a convex mix of its values at
-the four corners of the strength square.  Dephasing, whose s term is not
-affine, rests on its Kraus form alone.
+cannot cancel against the other.  :func:`completeness_defect` is that
+certificate's one computation, which ``validate`` reports too.  A complete
+channel is trace preserving, and completely positive by its Kraus form.
+For the eight mixed-unitary channels more holds:
+E_gamma(rho) = u rho + v sum_i U_i rho U_i^dagger is affine in gamma, so
+the two-sided map, and with it the evolved state, is bi-affine in
+(gamma_qubit, gamma_qutrit), a convex mix of its values at the four
+corners of the strength square.  Dephasing, whose s term is not affine,
+rests on its Kraus form alone.
 
 Eight of the ten channels are mixed-unitary: K_0 = sqrt(1 - f gamma) I and
 K_i = sqrt(f gamma / n) U_i for n unitaries U_i, with f = 1/2 for the qubit
@@ -101,37 +103,6 @@ class Side(str, Enum):
     QUTRIT = "qutrit"
 
 
-def completeness_defect(ops: np.ndarray) -> float:
-    """max |sum_i K_i^dagger K_i - I6| over every operator set of a
-    (..., K, 6, 6) stack: 0 for no sets, NaN if any entry is NaN."""
-    # Stacking the K operators of a set into one (6K, 6) column A gives
-    # sum_i K_i^dagger K_i = A^dagger A, one product per set.
-    a = ops.reshape(*ops.shape[:-3], ops.shape[-3] * TOTAL_DIM, TOTAL_DIM)
-    return float(np.abs(a.conj().swapaxes(-1, -2) @ a - np.eye(TOTAL_DIM)).max(initial=0.0))
-
-
-def _check_completeness(defect: float) -> None:
-    """Reject a defect above ``COMPLETENESS_TOL``, NaN included."""
-    if not defect <= COMPLETENESS_TOL:
-        raise ValueError(f"completeness violated: max deviation {defect:.3e}")
-
-
-#: Expected operator counts per (kind, side), recorded independently of the
-#: operator table below.
-OPERATOR_COUNTS = {
-    (ChannelKind.DEPHASING, Side.QUBIT): 2,
-    (ChannelKind.DEPHASING, Side.QUTRIT): 3,
-    (ChannelKind.PHASE_FLIP, Side.QUBIT): 2,
-    (ChannelKind.PHASE_FLIP, Side.QUTRIT): 3,
-    (ChannelKind.BIT_FLIP, Side.QUBIT): 2,
-    (ChannelKind.BIT_FLIP, Side.QUTRIT): 3,
-    (ChannelKind.BIT_PHASE_FLIP, Side.QUBIT): 2,
-    (ChannelKind.BIT_PHASE_FLIP, Side.QUTRIT): 5,
-    (ChannelKind.DEPOLARIZING, Side.QUBIT): 4,
-    (ChannelKind.DEPOLARIZING, Side.QUTRIT): 9,
-}
-
-
 @dataclass(frozen=True)
 class _KrausShapes:
     """K_i(gamma) = fixed_i + w_i(gamma) shape_i, all padded to 6x6, with
@@ -154,13 +125,6 @@ class _KrausShapes:
     def terms(self) -> int:
         """Length of the weight rows: (u, v, s) with a fixed part, else (u, v)."""
         return 3 if self.fixed.any() else 2
-
-    def operators(self, g: np.ndarray) -> np.ndarray:
-        """The (N, K, 6, 6) operator stacks at the N strengths ``g``."""
-        w = np.empty((len(g), len(self.shapes)))
-        w[:, 0] = np.sqrt(1.0 - self.p * g / self.m)
-        w[:, 1:] = np.sqrt(g / self.m)[:, None]
-        return self.fixed + w[:, :, None, None] * self.shapes
 
     def expand(self, pair: Callable, identity: np.ndarray) -> np.ndarray:
         """The coefficients (C_u, C_v[, C_s]) of sum_i pair(K_i, K_i) =
@@ -213,8 +177,8 @@ def _qutrit_depolarizing_words() -> list[np.ndarray]:
 _PHASED_SHIFT_DOWN = np.array([[0, 0, OMEGA], [1, 0, 0], [0, np.conj(OMEGA), 0]])
 _PHASED_SHIFT_UP = np.array([[0, np.conj(OMEGA), 0], [0, 0, OMEGA], [1, 0, 0]])
 
-#: The operator table, built once at import, in the operator order that
-#: :func:`kraus_operators` returns.  The mixed-unitary entries give m = n / f.
+#: The operator table, built once at import, K_0 first.  The mixed-unitary
+#: entries give m = n / f.
 _SHAPES: dict[tuple[ChannelKind, Side], _KrausShapes] = {
     (ChannelKind.DEPHASING, Side.QUBIT): _dephasing(Side.QUBIT),
     (ChannelKind.DEPHASING, Side.QUTRIT): _dephasing(Side.QUTRIT),
@@ -241,23 +205,6 @@ _SHAPES: dict[tuple[ChannelKind, Side], _KrausShapes] = {
 }
 
 
-def _in_unit_interval(g: np.ndarray) -> np.ndarray:
-    """``g``, after rejecting any strength outside [0, 1], NaN included."""
-    bad = g[~((g >= 0.0) & (g <= 1.0))]
-    if bad.size:
-        raise ValueError(f"gamma must lie in [0, 1], got {bad[0]}")
-    return g
-
-
-def _strengths(gamma: ArrayLike) -> np.ndarray:
-    """``gamma`` as a 1-d float array, possibly empty; reject any other
-    shape and any strength outside [0, 1], NaN included."""
-    g = np.asarray(gamma, dtype=float)
-    if g.ndim != 1:
-        raise ValueError(f"strengths must be a 1-d array, got shape {g.shape}")
-    return _in_unit_interval(g)
-
-
 def _strength_pairs(gamma_qubit: ArrayLike, gamma_qutrit: ArrayLike) -> np.ndarray:
     """Both sides' strengths as one (2, N) float array, qubit side first,
     possibly empty; reject a pair that is not two 1-d arrays of one length,
@@ -269,16 +216,10 @@ def _strength_pairs(gamma_qubit: ArrayLike, gamma_qutrit: ArrayLike) -> np.ndarr
     if g is None or g.ndim != 2:
         shapes = np.shape(gamma_qubit), np.shape(gamma_qutrit)
         raise ValueError(f"strengths must be 1-d arrays of one length, got shapes {shapes}")
-    return _in_unit_interval(g)
-
-
-def kraus_operators(kind: ChannelKind, side: Side, gamma: ArrayLike) -> np.ndarray:
-    """The (N, K, 6, 6) Kraus stacks of one channel kind and side at each of
-    the N strengths of the 1-d array ``gamma``, completeness certified for
-    every strength."""
-    ops = _SHAPES[(ChannelKind(kind), Side(side))].operators(_strengths(gamma))
-    _check_completeness(completeness_defect(ops))
-    return ops
+    bad = g[~((g >= 0.0) & (g <= 1.0))]
+    if bad.size:
+        raise ValueError(f"gamma must lie in [0, 1], got {bad[0]}")
+    return g
 
 
 _EYE_ROW = _EYE.view(float).ravel()
@@ -312,26 +253,35 @@ def _gram(kind: ChannelKind, side: Side) -> np.ndarray:
     return s.expand(lambda a, b: a.conj().T @ b, _EYE).view(float).reshape(s.terms, -1)
 
 
-def _weighting(kind: ChannelKind) -> _Weighting:
-    """The weighting of one kind, its completeness certified at every
-    strength of each side.
-
-    Each side's Gram polynomial must have G_s = 0 and be I6 at gamma = 0
-    and 1, to within ``COMPLETENESS_TOL`` (a NaN fails).  u and v are affine
-    in gamma, so it is then I6 at every strength.  The sides are certified
-    apart, so that a defect of one cannot cancel against the other.
-    """
+def _unchecked_weighting(kind: ChannelKind) -> _Weighting:
+    """The weighting of one kind, read off the table as it stands."""
     shapes = [_SHAPES[kind, side] for side in Side]
-    weighting = _Weighting(
+    return _Weighting(
         np.array([[s.p] for s in shapes], dtype=float),
         np.array([[s.m] for s in shapes], dtype=float),
         shapes[0].terms,
     )
+
+
+def completeness_defect(kind: ChannelKind) -> float:
+    """The completeness defect of one kind, from the table as it stands: the
+    largest entry of |G_s| and of each side's Gram polynomial less I6 at
+    gamma = 0 and 1 (NaN if any is NaN).  u and v are affine in gamma, so a
+    Gram polynomial with G_s = 0 is within that defect of I6 at every
+    strength.  The sides are taken apart, so that a defect of one cannot
+    cancel against the other."""
     grams = np.array([_gram(kind, side) for side in Side])
-    ends = _rows(weighting, np.array([[0.0, 1.0]] * len(Side)))
-    _check_completeness(np.abs(grams[:, 2:]).max(initial=0.0))
-    _check_completeness(np.abs(ends @ grams - _EYE_ROW).max())
-    return weighting
+    ends = _rows(_unchecked_weighting(kind), np.array([[0.0, 1.0]] * len(Side)))
+    return float(np.abs(np.concatenate([ends @ grams - _EYE_ROW, grams[:, 2:]], axis=1)).max())
+
+
+def _weighting(kind: ChannelKind) -> _Weighting:
+    """The weighting of one kind, after rejecting a completeness defect above
+    ``COMPLETENESS_TOL``, NaN included."""
+    defect = completeness_defect(kind)
+    if not defect <= COMPLETENESS_TOL:
+        raise ValueError(f"completeness violated: max deviation {defect:.3e}")
+    return _unchecked_weighting(kind)
 
 
 #: The weighting of every kind, built and certified once at import.

@@ -39,9 +39,9 @@ where an output needs it.  ``sweep.run_sweep`` evolves a grid of any
 length in pieces, so its memory stays bounded.  :func:`evolve` is the
 one-point case of the same path, and :func:`_sweep_basis` the same mix with
 polynomial weights for each basis state, from which ``negativity``
-tabulates the ESD invariants once at import.  :func:`apply_channel` over
-``channels.kraus_operators`` is the direct Kraus sum, kept as the reference
-the tables are tested against.
+tabulates the ESD invariants once at import.  The direct Kraus sum, the
+reference the tables are tested against, lives in the tests
+(``tests/helpers.py``), since no library path needs it.
 
 For each channel kind the evolved density matrix also has a closed form;
 :func:`analytic_evolved` builds it directly from those expressions as an
@@ -101,25 +101,6 @@ class ChannelScenario:
         :func:`sweep_strengths`."""
         ga, gb = sweep_strengths(mode, gamma)
         return cls(ChannelKind(kind), Mode(mode), float(ga), float(gb))
-
-
-def apply_channel(
-    channel: np.ndarray, rho: DensityMatrix | np.ndarray
-) -> DensityMatrix | np.ndarray:
-    """sum_i K_i rho K_i^dagger, revalidated as a density matrix: the direct
-    Kraus sum, the reference that the tabulated evolution is tested against.
-
-    ``channel`` is a (..., K, 6, 6) operator stack from ``kraus_operators``
-    and ``rho`` a :class:`DensityMatrix` or a (..., 6, 6) stack whose
-    leading axes broadcast against the operators'.  A DensityMatrix gives a
-    DensityMatrix; a stack gives a stack with every member checked.
-    """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else rho
-    out = (channel @ m[..., None, :, :] @ channel.conj().swapaxes(-1, -2)).sum(axis=-3)
-    if isinstance(rho, DensityMatrix):
-        return DensityMatrix(out)
-    check_density(out)
-    return out
 
 
 def sweep_strengths(mode: Mode, gamma: ArrayLike) -> tuple[np.ndarray, np.ndarray]:

@@ -128,9 +128,12 @@ def partial_transpose_blocks(blocks: np.ndarray) -> np.ndarray:
     The partial transpose commutes with S and keeps A, and it maps B to B'
     with B'[k, l] = B[sigma(k), sigma(l)], sigma the swap of qutrit levels 0
     and 1.  So one fixed real map gives A and B', and the blocks of the
-    partial transpose are A + B' and A - B'.
+    partial transpose are A + B' and A - B'.  Raises ValueError on a NaN or
+    Inf entry, as :func:`partial_transpose_qutrit` does.
     """
     lead = _lead(blocks)
+    if not np.isfinite(blocks).all():
+        raise ValueError("rho contains NaN or Inf entries")
     halves = blocks.reshape(*lead, 18) @ _PT_HALVES
     a, b = halves[..., :9], halves[..., 9:]
     return np.stack([a + b, a - b], axis=-2).reshape(*lead, *BLOCK_SHAPE)

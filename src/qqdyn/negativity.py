@@ -123,12 +123,10 @@ def negativity_numeric(rho: DensityMatrix | np.ndarray) -> NegativityResult:
         # lower entries, the only ones besides the diagonal (::4) that
         # eigvalsh reads.  LAPACK returns the diagonal of a diagonal block
         # exactly, sorted, unless it rescales a block whose entries all lie
-        # below about 1e-146 (or one above 1e145).  A non-finite entry makes
-        # the sum non-finite, and eigvalsh raises on it as before.
+        # below about 1e-146 (or one above 1e145).
         flat = pt.reshape(-1, 9)
-        diagonal = flat[:, ::4]
-        if not (flat[:, 3].any() or flat[:, 6:8].any()) and math.isfinite(diagonal.sum()):
-            eigs = np.sort(diagonal, axis=-1)
+        if not (flat[:, 3].any() or flat[:, 6:8].any()):
+            eigs = np.sort(flat[:, ::4], axis=-1)
         else:
             eigs = np.linalg.eigvalsh(pt)
         eigs = eigs.reshape(*pt.shape[:-3], TOTAL_DIM)

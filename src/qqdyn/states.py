@@ -49,7 +49,8 @@ class StateParams:
     c: float
 
     def __post_init__(self) -> None:
-        b, c = float(self.b), float(self.c)
+        # + 0.0 turns -0.0 into 0.0, so that outputs never carry a signed zero.
+        b, c = float(self.b) + 0.0, float(self.c) + 0.0
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         if not (0.0 <= b <= 1.0 and 0.0 <= c <= 1.0):

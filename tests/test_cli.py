@@ -299,6 +299,25 @@ def test_cli_esd(tmp_path):
     assert obj["agreement_delta"] <= 1e-6
 
 
+def test_cli_negative_zero_b_writes_the_bytes_of_zero(tmp_path, capsys):
+    # -0 is written, printed and names a multi-point sweep's files as 0.
+    runs = {
+        "esd": ["--b={}", "--c", "0.6"],
+        "sweep": ["--b={},0.05", "--c", "0.6,0.6", "--gamma-steps", "5", "--format", "json"],
+    }
+    for command, (b, *flags) in runs.items():
+        outputs = []
+        for zero in ("0", "-0"):
+            out = tmp_path / f"{command}{zero}"
+            out.mkdir()
+            argv = [command, "--kind", "dephasing", "--mode", "qubitonly", b.format(zero), *flags]
+            assert main([*argv, "--out", str(out / "run.json")]) == EXIT_OK
+            files = {f.name: f.read_bytes() for f in out.iterdir()}
+            outputs.append((files, capsys.readouterr().out.replace(str(out), "")))
+        assert outputs[0] == outputs[1], command
+        assert not any("-0" in name for name in outputs[0][0]), command
+
+
 def test_cli_table1_single_point(tmp_path):
     out = tmp_path / "table.json"
     rc = main(["table1", "--b", "0.05", "--c", "0.6", "--out", str(out)])

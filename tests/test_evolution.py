@@ -10,16 +10,13 @@ from qqdyn import (
     Side,
     StateParams,
     analytic_evolved,
-    apply_channel,
     coherence_l1,
     evolve,
     initial_state,
     random_entangled_params,
 )
 
-from qqdyn.channels import kraus_operators
-
-from helpers import qutrit_marginal
+from helpers import apply_channel, kraus_operators, qutrit_marginal
 
 POINTS = [StateParams(0.05, 0.6), StateParams(0.0, 1.0), StateParams(0.1, 0.35)]
 GAMMAS = np.linspace(0.0, 1.0, 5)
@@ -114,11 +111,11 @@ def test_raw_depolarizing_form_can_be_unphysical():
 @pytest.mark.parametrize("kind", list(ChannelKind))
 def test_side_applications_commute(kind):
     p = StateParams(0.05, 0.6)
-    rho = initial_state(p)
+    rho = initial_state(p).matrix
     (qubit,) = kraus_operators(kind, Side.QUBIT, [0.3])
     (qutrit,) = kraus_operators(kind, Side.QUTRIT, [0.7])
-    ab = apply_channel(qutrit, apply_channel(qubit, rho)).matrix
-    ba = apply_channel(qubit, apply_channel(qutrit, rho)).matrix
+    ab = apply_channel(qutrit, apply_channel(qubit, rho))
+    ba = apply_channel(qubit, apply_channel(qutrit, rho))
     assert np.abs(ab - ba).max() < 1e-13
 
 
@@ -149,12 +146,12 @@ def test_strength_composition_semigroup(kind, side):
     # products leave the Kraus family: that case is a documented non-property.
     rng = np.random.default_rng(14)
     p = random_entangled_params(rng, 1)[0]
-    rho = initial_state(p)
+    rho = initial_state(p).matrix
     g1, g2 = 0.35, 0.55
     ops = kraus_operators(kind, side, [g1, g2, _compose_strengths(g1, g2)])
     two = apply_channel(ops[1], apply_channel(ops[0], rho))
     one = apply_channel(ops[2], rho)
-    err = np.abs(two.matrix - one.matrix).max()
+    err = np.abs(two - one).max()
     if kind is ChannelKind.BIT_PHASE_FLIP and side is Side.QUTRIT:
         assert err > 1e-3
     else:
@@ -169,7 +166,7 @@ def test_coherence_values():
     assert coherence_l1(full) == approx(abs(p.b - p.c), abs=1e-12)
 
 
-def test_apply_channel_revalidates_output():
+def test_evolve_returns_a_density_matrix_of_unit_trace():
     from qqdyn import DensityMatrix
 
     p = StateParams(0.05, 0.6)

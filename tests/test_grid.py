@@ -14,7 +14,6 @@ from qqdyn import (
     Mode,
     Side,
     StateParams,
-    apply_channel,
     coherence_l1,
     evolve,
     evolve_grid,
@@ -23,10 +22,11 @@ from qqdyn import (
     run_sweep,
 )
 from qqdyn import channels, evolution, sweep
-from qqdyn.channels import kraus_operators
 from qqdyn.evolution import sweep_strengths
 from qqdyn.linalg import from_blocks
 from qqdyn.states import check_density, initial_state
+
+from helpers import apply_channel, kraus_operators
 
 CELLS = [(kind, mode) for kind in ChannelKind for mode in Mode]
 #: An interior point, an a = 0 point and the a = 0 corner (0, 1).
@@ -139,11 +139,6 @@ def test_stack_with_one_bad_member_mid_chunk_is_rejected(bad, message):
     states = _stack_with_bad_member(bad.astype(complex))
     with pytest.raises(ValueError, match=f"{message}.* in stack member {MEMBER}$"):
         check_density(states)
-    # The direct Kraus route revalidates too: an identity channel (gamma = 0)
-    # passes the bad member through and the check catches it.
-    identity = kraus_operators(ChannelKind.DEPOLARIZING, Side.QUTRIT, np.zeros(STACK))
-    with pytest.raises(ValueError, match=f"{message}.* in stack member {MEMBER}$"):
-        apply_channel(identity, states)
     # Without the bad member the same stack passes.
     check_density(np.delete(states, MEMBER, axis=0))
 

@@ -8,11 +8,10 @@ from qqdyn import (
     initial_state,
     partial_transpose_qutrit,
 )
-from qqdyn.channels import kraus_operators
 from qqdyn.linalg import from_blocks, partial_transpose_blocks, to_blocks
 from qqdyn.states import _BELL_PROJECTORS, StateParams
 
-from helpers import block_partial_transpose, random_density_matrix
+from helpers import block_partial_transpose, kraus_operators, random_density_matrix
 
 I6 = np.eye(6)
 

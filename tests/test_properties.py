@@ -150,12 +150,16 @@ def test_diagonal_partial_transposes_give_the_eigensolver_result_bit_for_bit(for
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_a_non_finite_block_stack_still_fails_the_eigensolve(bad):
-    # Dephasing's partial transposes are diagonal at every strength.
+    # Dephasing's partial transposes are diagonal at every strength, so the
+    # stack would skip the eigensolve: the partial transpose rejects it
+    # first, as the 6x6 route does.
     g = np.linspace(0.0, 1.0, 9)
     states = evolve_grid(ChannelKind.DEPHASING, StateParams(0.05, 0.6), g, g).copy()
     states[4, 1, 2, 2] = bad
-    with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+    with pytest.raises(ValueError, match="^rho contains NaN or Inf entries$"):
         negativity_numeric(states)
+    with pytest.raises(ValueError, match="^rho contains NaN or Inf entries$"):
+        negativity_numeric(from_blocks(states))
 
 
 @PROPERTY
