@@ -37,7 +37,12 @@ sectioning step.  ``check_density*``, ``negativity_numeric`` and
 dephasing sweep, whose partial transposes are diagonal).  The ``emit_*``
 rows render the default sweep of the subject cell, and the
 ``*_no_closed_form`` ones that of multi-local bit flip, whose analytic
-column is empty.
+column is empty.  ``points_op`` makes the calls of one perfbench ``points``
+op (the point, the scenario, ``evolve``, both negativities,
+``analytic_evolved`` and ``coherence_l1``) for each of the five kinds at
+the one-point strengths, and ``negativity_numeric_1``,
+``analytic_evolved_1`` and ``coherence_l1_1`` time one such call of the
+subject cell; these four rows use only the package's public names.
 End-to-end rows time whole runs, the ``cli_*_inprocess`` ones through
 ``qqdyn.cli.main`` in this process (after one warm-up call, so the
 per-call dispatch cost shows next to the library rows) and the other CLI
@@ -206,6 +211,26 @@ def _esd_section_step(q: ModuleType):
     return lambda: section(lo, hi, alive, (hi - lo) / 2.0)
 
 
+def _points_op(q: ModuleType):
+    """The calls of one perfbench ``points`` op, as ``perfbench/worker.py``
+    makes them, for each of the five kinds at the one-point strengths."""
+    point = _subject(q)[0]
+
+    def op():
+        for kind in q.ChannelKind:
+            p = q.StateParams(point.b, point.c)
+            scenario = q.ChannelScenario(kind, q.Mode.MULTI_LOCAL, *_ONE_POINT)
+            state = q.evolve(scenario, p)
+            q.negativity_numeric(state)
+            try:
+                q.negativity_analytic(scenario, p)
+            except q.NoClosedFormError:
+                pass
+            q.analytic_evolved(kind, p, *_ONE_POINT)
+            q.coherence_l1(state)
+    return op
+
+
 def _diagonal_stack(q: ModuleType) -> np.ndarray:
     """The 513 states of a default multi-local dephasing sweep at the
     subject point, whose partial transposes are diagonal."""
@@ -237,6 +262,7 @@ def layer_rows(q: ModuleType) -> dict:
     diagonal = _diagonal_stack(q)
     one = evolution.ChannelScenario(kind, mode, *_ONE_POINT)
     one_qutrit = evolution.ChannelScenario(kind, q.Mode.QUTRIT_ONLY, 0.0, _ONE_POINT[1])
+    one_state = q.evolve(one, p)
     rows = {
         "initial_state": (lambda: lambda: states.initial_state(p), 500),
         "table_combine": (lambda: _table_combine(q), 500),
@@ -258,6 +284,10 @@ def layer_rows(q: ModuleType) -> dict:
         "evolve_grid_chunk_128": (lambda: _grid_chunk(q, 128, mode), 100),
         "evolve_grid_chunk_128_qutritonly": (lambda: _grid_chunk(q, 128, q.Mode.QUTRIT_ONLY), 100),
         "evolve_grid_chunk_16": (lambda: _grid_chunk(q, 16, mode), 300),
+        "points_op": (lambda: _points_op(q), 100),
+        "negativity_numeric_1": (lambda: lambda: q.negativity_numeric(one_state), 1000),
+        "analytic_evolved_1": (lambda: lambda: q.analytic_evolved(kind, p, *_ONE_POINT), 1000),
+        "coherence_l1_1": (lambda: lambda: q.coherence_l1(one_state), 1000),
         "esd_candidates": (lambda: _esd_search(q)[0], 300),
         "esd_block_invariants": (lambda: _esd_block_invariants(q), 300),
         "esd_alive": (lambda: _esd_alive(q), 300),

@@ -216,9 +216,9 @@ def _strength_pairs(gamma_qubit: ArrayLike, gamma_qutrit: ArrayLike) -> np.ndarr
     if g is None or g.ndim != 2:
         shapes = np.shape(gamma_qubit), np.shape(gamma_qutrit)
         raise ValueError(f"strengths must be 1-d arrays of one length, got shapes {shapes}")
-    bad = g[~((g >= 0.0) & (g <= 1.0))]
-    if bad.size:
-        raise ValueError(f"gamma must lie in [0, 1], got {bad[0]}")
+    ok = (g >= 0.0) & (g <= 1.0)
+    if not ok.all():
+        raise ValueError(f"gamma must lie in [0, 1], got {g[~ok][0]}")
     return g
 
 

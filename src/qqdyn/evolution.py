@@ -37,9 +37,10 @@ needs no case of its own: its weight row is the identity.  States stay in
 block form; ``linalg.from_blocks`` rebuilds the 6x6 product-basis matrix
 where an output needs it.  ``sweep.run_sweep`` evolves a grid of any
 length in pieces, so its memory stays bounded.  :func:`evolve` is the
-one-point case of the same path, and :func:`_sweep_basis` the same mix with
-polynomial weights for each basis state, from which ``negativity``
-tabulates the ESD invariants once at import.  The direct Kraus sum, the
+one-point case of the same path, :func:`_mixed`, without a second check of
+the strengths its ``ChannelScenario`` checked, and :func:`_sweep_basis` the
+same mix with polynomial weights for each basis state, from which
+``negativity`` tabulates the ESD invariants once at import.  The direct Kraus sum, the
 reference the tables are tested against, lives in the tests
 (``tests/helpers.py``), since no library path needs it.
 
@@ -59,8 +60,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import ChannelKind, Side, channel_terms, channel_weights
-from .linalg import BLOCK_SHAPE, TOTAL_DIM, from_blocks, to_blocks
+from .channels import _WEIGHTINGS, ChannelKind, Side, _rows, channel_terms, channel_weights
+from .linalg import BLOCK_SHAPE, TOTAL_DIM, check_matrices, from_blocks, to_blocks
 from .states import FAMILY_BASIS, DensityMatrix, StateParams, check_density, family_weights
 
 if TYPE_CHECKING:
@@ -199,6 +200,17 @@ def _sweep_basis(kind: ChannelKind, mode: Mode) -> tuple[np.ndarray, int]:
     return (w @ terms).swapaxes(0, 1).reshape(len(w), len(terms), *BLOCK_SHAPE), k
 
 
+def _mixed(kind: ChannelKind, params: StateParams, rows: np.ndarray) -> np.ndarray:
+    """The family state at each pair of both sides' weight rows ``rows``, as
+    ``channel_weights`` gives them: one (n, 2, 3, 3) block stack."""
+    wa, wb = rows
+    terms = (family_weights(params) @ _BASIS_TABLES[kind]).reshape(-1, _BLOCK_SIZE)
+    # Each member is its own vector-matrix product, so its state does not
+    # depend on the rest of the grid.
+    pairs = (wb[:, :, None] * wa[:, None, :]).reshape(len(wa), 1, -1)
+    return np.matmul(pairs, terms).reshape(len(wa), *BLOCK_SHAPE)
+
+
 def evolve_grid(
     kind: ChannelKind, params: StateParams, gamma_qubit: ArrayLike, gamma_qutrit: ArrayLike
 ) -> np.ndarray:
@@ -215,29 +227,32 @@ def evolve_grid(
     is checked here: the import certified the tables they come from.
     """
     kind = ChannelKind(kind)
-    wa, wb = channel_weights(kind, gamma_qubit, gamma_qutrit)
-    n = len(wa)
-    terms = (family_weights(params) @ _BASIS_TABLES[kind]).reshape(-1, _BLOCK_SIZE)
-    # Each member is its own vector-matrix product, so its state does not
-    # depend on the rest of the grid.
-    pairs = (wb[:, :, None] * wa[:, None, :]).reshape(n, 1, len(terms))
-    return np.matmul(pairs, terms).reshape(n, *BLOCK_SHAPE)
+    return _mixed(kind, params, channel_weights(kind, gamma_qubit, gamma_qutrit))
 
 
 def evolve(scenario: ChannelScenario, params: StateParams) -> DensityMatrix:
     """Evolve the family state through the scenario's channels: the
-    one-point case of :func:`evolve_grid`."""
-    (m,) = evolve_grid(scenario.kind, params, [scenario.gamma_qubit], [scenario.gamma_qutrit])
+    one-point case of :func:`evolve_grid`, with its weight rows from the
+    same formula.  :class:`ChannelScenario` checked both strengths, so they
+    are not checked again."""
+    kind = ChannelKind(scenario.kind)
+    g = np.array(((scenario.gamma_qubit,), (scenario.gamma_qutrit,)), dtype=float)
+    (m,) = _mixed(kind, params, _rows(_WEIGHTINGS[kind], g))
     return DensityMatrix._checked(from_blocks(m))
+
+
+#: The diagonal of a 6x6 matrix, as the row and the column index.
+_DIAGONAL = np.arange(TOTAL_DIM)
 
 
 def coherence_l1(rho: DensityMatrix | np.ndarray) -> float | np.ndarray:
     """Sum of absolute off-diagonal entries in the fixed product basis; for a
-    (..., 6, 6) stack, an array of the sums over the leading axes."""
+    (..., 6, 6) stack, an array of the sums over the leading axes.  Raises
+    ValueError for anything else, a block stack included."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    check_matrices(m)
     a = np.abs(m)
-    diag = np.arange(TOTAL_DIM)
-    a[..., diag, diag] = 0.0
+    a[..., _DIAGONAL, _DIAGONAL] = 0.0
     total = a.sum(axis=(-2, -1))
     return float(total) if m.ndim == 2 else total
 
@@ -254,28 +269,30 @@ RAW_FORM_MISMATCHES: dict[ChannelKind, tuple[tuple[int, int], ...]] = {
 
 
 def _form(shape: tuple[int, ...], d0, d1, d2) -> np.ndarray:
-    """A zero (*shape, 6, 6) stack with the diagonal (d0, d1, d2, d1, d0, d2),
-    the pattern of every closed form."""
-    m = np.zeros(shape + (TOTAL_DIM, TOTAL_DIM), dtype=complex)
-    m[..., 0, 0] = m[..., 4, 4] = d0
-    m[..., 1, 1] = m[..., 3, 3] = d1
-    m[..., 2, 2] = m[..., 5, 5] = d2
+    """A zero (6, 6, *shape) stack, entry axes first, with the diagonal
+    (d0, d1, d2, d1, d0, d2), the pattern of every closed form.  With the
+    entry axes first, ``m[i, j] = x`` sets an entry over the whole stack
+    without an ellipsis, which numpy indexes at twice the cost."""
+    m = np.zeros((TOTAL_DIM, TOTAL_DIM, *shape), dtype=complex)
+    m[0, 0] = m[4, 4] = d0
+    m[1, 1] = m[3, 3] = d1
+    m[2, 2] = m[5, 5] = d2
     return m
 
 
-def _decoherence_form(params: StateParams, off_diagonal: float | np.ndarray) -> np.ndarray:
+def _decoherence_form(shape: tuple[int, ...], params: StateParams, off_diagonal) -> np.ndarray:
     b, c, a = params.b, params.c, params.a
-    m = _form(np.shape(off_diagonal), b, (b + c) / 2.0, a)
-    m[..., 1, 3] = m[..., 3, 1] = off_diagonal
+    m = _form(shape, b, (b + c) / 2.0, a)
+    m[1, 3] = m[3, 1] = off_diagonal
     return m
 
 
-def _flip_form(params: StateParams, ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
+def _flip_form(shape: tuple[int, ...], params: StateParams, ga, gb) -> np.ndarray:
     b, c = params.b, params.c
     r11 = (12 * b + 3 * (b - c) * ga * (gb - 1) + 2 * (1 - 6 * b) * gb) / 12.0
     r22 = (6 * (b + c) - 3 * (b - c) * ga * (gb - 1) + (2 - 6 * b - 6 * c) * gb) / 12.0
     r33 = (3 * (1 - 3 * b - c) + (9 * b + 3 * c - 2) * gb) / 6.0
-    return _form(ga.shape, r11, r22, r33)
+    return _form(shape, r11, r22, r33)
 
 
 def analytic_evolved(
@@ -298,40 +315,38 @@ def analytic_evolved(
     """
     kind = ChannelKind(kind)
     b, c = params.b, params.c
-    # [()] gives numpy scalars for floats (cheaper than 0-d arrays), arrays as is.
-    ga = np.asarray(gamma_qubit, dtype=float)[()]
-    gb = np.asarray(gamma_qutrit, dtype=float)[()]
-    if ga.shape != gb.shape:
-        raise ValueError(f"strengths must be equal in shape, got {ga.shape} and {gb.shape}")
+    ga = np.asarray(gamma_qubit, dtype=float)
+    gb = np.asarray(gamma_qutrit, dtype=float)
+    shape = ga.shape
+    if shape != gb.shape:
+        raise ValueError(f"strengths must be equal in shape, got {shape} and {gb.shape}")
+    if not shape:
+        # Python floats for float strengths: the same IEEE arithmetic as on
+        # numpy scalars, at a fraction of the cost per operation.
+        ga, gb = float(ga), float(gb)
 
     if kind is ChannelKind.DEPHASING:
-        return _decoherence_form(params, (b - c) * np.sqrt((1 - ga) * (1 - gb)) / 2.0)
-
-    if kind is ChannelKind.PHASE_FLIP:
-        return _decoherence_form(params, (b - c) * (1 - ga) * (1 - gb) / 2.0)
-
-    m = _flip_form(params, ga, gb)
-
-    if kind is ChannelKind.BIT_FLIP:
-        m[..., 0, 4] = m[..., 4, 0] = (b - c) * ga * (3 - 2 * gb) / 12.0
-        m[..., 2, 4] = m[..., 4, 2] = m[..., 0, 5] = m[..., 5, 0] = (b - c) * (2 - ga) * gb / 12.0
-        m[..., 1, 5] = m[..., 5, 1] = m[..., 2, 3] = m[..., 3, 2] = (b - c) * ga * gb / 12.0
-        m[..., 1, 3] = m[..., 3, 1] = (b - c) * (2 - ga) * (3 - 2 * gb) / 12.0
-        return m
-
-    if kind is ChannelKind.BIT_PHASE_FLIP:
-        m[..., 0, 4] = m[..., 4, 0] = -(b - c) * ga * (3 - 2 * gb) / 12.0
-        m[..., 0, 5] = m[..., 5, 0] = m[..., 2, 4] = m[..., 4, 2] = (b - c) * (ga - 2) * gb / 24.0
-        m[..., 1, 3] = m[..., 3, 1] = (b - c) * (2 - ga) * (3 - 2 * gb) / 12.0
+        m = _decoherence_form(shape, params, (b - c) * np.sqrt((1 - ga) * (1 - gb)) / 2.0)
+    elif kind is ChannelKind.PHASE_FLIP:
+        m = _decoherence_form(shape, params, (b - c) * (1 - ga) * (1 - gb) / 2.0)
+    elif kind is ChannelKind.BIT_FLIP:
+        m = _flip_form(shape, params, ga, gb)
+        m[0, 4] = m[4, 0] = (b - c) * ga * (3 - 2 * gb) / 12.0
+        m[2, 4] = m[4, 2] = m[0, 5] = m[5, 0] = (b - c) * (2 - ga) * gb / 12.0
+        m[1, 5] = m[5, 1] = m[2, 3] = m[3, 2] = (b - c) * ga * gb / 12.0
+        m[1, 3] = m[3, 1] = (b - c) * (2 - ga) * (3 - 2 * gb) / 12.0
+    elif kind is ChannelKind.BIT_PHASE_FLIP:
+        m = _flip_form(shape, params, ga, gb)
+        m[0, 4] = m[4, 0] = -(b - c) * ga * (3 - 2 * gb) / 12.0
+        m[0, 5] = m[5, 0] = m[2, 4] = m[4, 2] = (b - c) * (ga - 2) * gb / 24.0
+        m[1, 3] = m[3, 1] = (b - c) * (2 - ga) * (3 - 2 * gb) / 12.0
         denom = 24.0 if corrected else 12.0
-        m[..., 1, 5] = m[..., 5, 1] = m[..., 2, 3] = m[..., 3, 2] = (b - c) * ga * gb / denom
-        return m
-
-    if kind is ChannelKind.DEPOLARIZING:
+        m[1, 5] = m[5, 1] = m[2, 3] = m[3, 2] = (b - c) * ga * gb / denom
+    else:  # depolarizing
+        m = _flip_form(shape, params, ga, gb)
         if corrected:
-            m[..., 1, 3] = m[..., 3, 1] = (b - c) * (1 - ga) * (1 - gb) / 2.0
+            m[1, 3] = m[3, 1] = (b - c) * (1 - ga) * (1 - gb) / 2.0
         else:
-            m[..., 1, 3] = m[..., 3, 1] = (b - c) * (1 - ga) * (-gb) / 2.0
-        return m
-
-    raise ValueError(f"unknown channel kind {kind!r}")
+            m[1, 3] = m[3, 1] = (b - c) * (1 - ga) * (-gb) / 2.0
+    # The entry axes last; a copy only for a stack.
+    return np.ascontiguousarray(m.transpose(*range(2, m.ndim), 0, 1))

@@ -59,6 +59,20 @@ _FROM_BLOCKS = np.concatenate(
 _PT_HALVES = np.concatenate(
     [_A.reshape(18, 9), _B[:, _SIGMA[:, None], _SIGMA].reshape(18, 9)], axis=-1
 )
+#: Where each entry of the partial transpose over the qutrit sits among the
+#: 36 entries of the matrix, as a 6x6 array.
+_PT_GATHER = (
+    np.arange(TOTAL_DIM**2)
+    .reshape(QUBIT_DIM, QUTRIT_DIM, QUBIT_DIM, QUTRIT_DIM)
+    .swapaxes(1, 3)
+    .reshape(TOTAL_DIM, TOTAL_DIM)
+)
+
+
+def check_matrices(m: np.ndarray) -> None:
+    """Reject an array that is neither a 6x6 matrix nor a (..., 6, 6) stack."""
+    if m.ndim < 2 or m.shape[-2:] != (TOTAL_DIM, TOTAL_DIM):
+        raise ValueError(f"expected {TOTAL_DIM}x{TOTAL_DIM} matrices, got shape {m.shape}")
 
 
 def partial_transpose_qutrit(rho: np.ndarray) -> np.ndarray:
@@ -67,19 +81,13 @@ def partial_transpose_qutrit(rho: np.ndarray) -> np.ndarray:
 
     Viewing ``rho`` as a 2x2 grid of 3x3 blocks, each block is transposed in
     place.  The operation is an involution and preserves trace and
-    Hermiticity.
+    Hermiticity.  Raises ValueError on a NaN or Inf entry.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim < 2 or rho.shape[-2:] != (TOTAL_DIM, TOTAL_DIM):
-        raise ValueError(f"expected {TOTAL_DIM}x{TOTAL_DIM} matrices, got shape {rho.shape}")
+    check_matrices(rho)
     if not np.isfinite(rho).all():
         raise ValueError("rho contains NaN or Inf entries")
-    lead = rho.shape[:-2]
-    return (
-        rho.reshape(*lead, QUBIT_DIM, QUTRIT_DIM, QUBIT_DIM, QUTRIT_DIM)
-        .swapaxes(-3, -1)
-        .reshape(*lead, TOTAL_DIM, TOTAL_DIM)
-    )
+    return rho.reshape(*rho.shape[:-2], TOTAL_DIM**2).take(_PT_GATHER, axis=-1)
 
 
 def to_blocks(m: np.ndarray) -> np.ndarray:
@@ -90,8 +98,7 @@ def to_blocks(m: np.ndarray) -> np.ndarray:
     commuting with S or from real, entry-wise.
     """
     m = np.asarray(m)
-    if m.ndim < 2 or m.shape[-2:] != (TOTAL_DIM, TOTAL_DIM):
-        raise ValueError(f"expected {TOTAL_DIM}x{TOTAL_DIM} matrices, got shape {m.shape}")
+    check_matrices(m)
     p = m[..., _PAIRED[:, None], _PAIRED]
     a, b = p[..., :3, :3], p[..., :3, 3:]
     # In the paired order S swaps i_k and j_k: it maps [[A, B], [B', A']] to
@@ -116,7 +123,15 @@ def _lead(blocks: np.ndarray) -> tuple[int, ...]:
 def from_blocks(blocks: np.ndarray) -> np.ndarray:
     """The real (..., 6, 6) product-basis matrices of a (..., 2, 3, 3) block
     stack: [[A, B], [B, A]] in the order of the pairs of S, with
-    A = (E + O) / 2 and B = (E - O) / 2, by one fixed real map."""
+    A = (E + O) / 2 and B = (E - O) / 2, by one fixed real map.
+
+    The entries are not checked for finiteness: a NaN or Inf entry comes
+    back as NaN entries of its member, with numpy's warning.  Every caller
+    in the package passes ``evolution.evolve_grid`` output, which is finite
+    by construction, and :func:`partial_transpose_blocks`,
+    :func:`partial_transpose_qutrit` and ``states.check_density`` each
+    reject a non-finite state.  A check here would cost every one-point
+    evolution another pass over its entries."""
     lead = _lead(blocks)
     return (blocks.reshape(*lead, 18) @ _FROM_BLOCKS).reshape(*lead, TOTAL_DIM, TOTAL_DIM)
 
@@ -136,4 +151,7 @@ def partial_transpose_blocks(blocks: np.ndarray) -> np.ndarray:
         raise ValueError("rho contains NaN or Inf entries")
     halves = blocks.reshape(*lead, 18) @ _PT_HALVES
     a, b = halves[..., :9], halves[..., 9:]
-    return np.stack([a + b, a - b], axis=-2).reshape(*lead, *BLOCK_SHAPE)
+    pt = np.empty((*lead, 2, 9))
+    np.add(a, b, out=pt[..., 0, :])
+    np.subtract(a, b, out=pt[..., 1, :])
+    return pt.reshape(*lead, *BLOCK_SHAPE)

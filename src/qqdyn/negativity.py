@@ -133,13 +133,18 @@ def negativity_numeric(rho: DensityMatrix | np.ndarray) -> NegativityResult:
     else:
         pt = partial_transpose_qutrit(m)
         eigs = np.linalg.eigvalsh((pt + pt.conj().swapaxes(-1, -2)) / 2.0)
+    if eigs.ndim == 1:
+        # Summed from 0.0 in numpy's order for six; max keeps 0.0 over -0.0.
+        neg_sum = total = 0.0
+        for e in eigs.tolist():
+            if e < NEGATIVE_EIG_CUTOFF:
+                neg_sum += e
+            total += abs(e)
+        return NegativityResult(max(0.0, -2.0 * neg_sum), neg_sum, max(0.0, total - 1.0))
     neg_sum = np.where(eigs < NEGATIVE_EIG_CUTOFF, eigs, 0.0).sum(axis=-1)
     # np.maximum(0.0, -neg_sum) would give -0.0 where no eigenvalue is negative.
     value = np.where(neg_sum < 0.0, -2.0 * neg_sum, 0.0)
-    via_trace_norm = np.maximum(0.0, np.abs(eigs).sum(axis=-1) - 1.0)
-    if eigs.ndim == 1:
-        return NegativityResult(float(value), float(neg_sum), float(via_trace_norm))
-    return NegativityResult(value, neg_sum, via_trace_norm)
+    return NegativityResult(value, neg_sum, np.maximum(0.0, np.abs(eigs).sum(axis=-1) - 1.0))
 
 
 class NoClosedFormError(ValueError):
@@ -159,14 +164,8 @@ def negativity_analytic(
     and bit-phase-flip cases reuse the phase-flip and trit-flip expressions,
     an equivalence that holds exactly.
     """
-    x = _negativity_form(
-        scenario.kind,
-        scenario.mode,
-        params,
-        scenario.gamma_qubit,
-        scenario.gamma_qutrit,
-        corrected,
-    )
+    x = _negativity_form(scenario.kind, scenario.mode, params, scenario.gamma_qubit,
+                         scenario.gamma_qutrit, corrected)
     return float(2.0 * max(0.0, x))
 
 
@@ -241,11 +240,10 @@ def analytic_esd_gamma(kind: ChannelKind, mode: Mode, params: StateParams) -> fl
     b, c = params.b, params.c
     check_entangled(params)
 
+    ratio = 2 * b / (c - b)
     if kind is ChannelKind.DEPHASING:
-        ratio = 2 * b / (c - b)
         t = 1.0 - ratio if mode is Mode.MULTI_LOCAL else 1.0 - ratio**2
     elif kind is ChannelKind.PHASE_FLIP:
-        ratio = 2 * b / (c - b)
         t = 1.0 - math.sqrt(ratio) if mode is Mode.MULTI_LOCAL else (c - 3 * b) / (c - b)
     elif kind in (ChannelKind.BIT_FLIP, ChannelKind.BIT_PHASE_FLIP):
         if mode is Mode.QUBIT_ONLY:
@@ -609,17 +607,10 @@ def esd_report(
     kind: ChannelKind, mode: Mode, params: StateParams, tol: float = 1e-9
 ) -> EsdReport:
     """Run the ESD detector and the closed-form threshold side by side."""
-    numeric = esd_gamma(kind, mode, params, tol=tol)
-    analytic = analytic_esd_gamma(kind, mode, params)
-    return EsdReport(
-        kind=ChannelKind(kind),
-        mode=Mode(mode),
-        b=params.b,
-        c=params.c,
-        esd_gamma=numeric,
-        analytic_gamma=analytic,
-        classification="ESD" if numeric is not None else "NoESD",
-    )
+    numeric = esd_gamma(kind, mode, params, tol)
+    return EsdReport(ChannelKind(kind), Mode(mode), params.b, params.c, numeric,
+                     analytic_esd_gamma(kind, mode, params),
+                     "NoESD" if numeric is None else "ESD")
 
 
 #: Canonical parameter points for the 15-cell ESD classification: the two
@@ -671,8 +662,4 @@ CELL_LABELS: dict[str, Callable[[list[EsdReport]], bool]] = {
 
 def classify_table1(params: StateParams, tol: float = 1e-9) -> list[EsdReport]:
     """ESD reports for all 15 (kind, mode) cells at one parameter point."""
-    return [
-        esd_report(kind, mode, params, tol=tol)
-        for kind in ChannelKind
-        for mode in Mode
-    ]
+    return [esd_report(kind, mode, params, tol) for kind in ChannelKind for mode in Mode]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from pytest import approx
@@ -12,6 +14,7 @@ from qqdyn import (
     analytic_evolved,
     coherence_l1,
     evolve,
+    evolve_grid,
     initial_state,
     random_entangled_params,
 )
@@ -164,6 +167,15 @@ def test_coherence_values():
     assert coherence_l1(initial_state(p)) == approx(abs(p.b - p.c))
     full = evolve(ChannelScenario.at(ChannelKind.BIT_FLIP, Mode.MULTI_LOCAL, 1.0), p)
     assert coherence_l1(full) == approx(abs(p.b - p.c), abs=1e-12)
+
+
+def test_coherence_rejects_anything_but_6x6_matrices():
+    # A block stack as evolve_grid returns it, and a 3x3 matrix.
+    blocks = evolve_grid(ChannelKind.DEPOLARIZING, POINTS[0], GAMMAS, GAMMAS)
+    for m in (blocks, np.eye(3) / 3):
+        message = re.escape(f"expected 6x6 matrices, got shape {m.shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            coherence_l1(m)
 
 
 def test_evolve_returns_a_density_matrix_of_unit_trace():

@@ -18,6 +18,7 @@ from qqdyn import (
     StateParams,
     analytic_esd_gamma,
     analytic_evolved,
+    coherence_l1,
     esd_gamma,
     evolve,
     evolve_grid,
@@ -147,6 +148,8 @@ def test_diagonal_partial_transposes_give_the_eigensolver_result_bit_for_bit(for
         assert np.asarray(getattr(got, name)).tobytes() == expected[members].tobytes(), name
 
 
+# from_blocks does not check finiteness (see its docstring): it passes the
+# bad entry on as NaN entries, with numpy's warning, which the mark expects.
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_a_non_finite_block_stack_still_fails_the_eigensolve(bad):
@@ -158,8 +161,10 @@ def test_a_non_finite_block_stack_still_fails_the_eigensolve(bad):
     states[4, 1, 2, 2] = bad
     with pytest.raises(ValueError, match="^rho contains NaN or Inf entries$"):
         negativity_numeric(states)
+    product = from_blocks(states)
+    assert np.isnan(product[4]).any() and np.isfinite(np.delete(product, 4, axis=0)).all()
     with pytest.raises(ValueError, match="^rho contains NaN or Inf entries$"):
-        negativity_numeric(from_blocks(states))
+        negativity_numeric(product)
 
 
 @PROPERTY
@@ -178,11 +183,18 @@ def test_corrected_closed_forms_match_numerics(scenario, p):
 @PROPERTY
 @given(kinds, points(), st.lists(st.tuples(strengths, strengths), min_size=1, max_size=80), st.data())
 def test_one_point_equals_its_member_of_a_batch(kind, p, pairs, data):
+    # Byte for byte: the one-state calls reduce one state on their own
+    # (negativity_numeric sums its six eigenvalues in Python).
     i = data.draw(st.integers(0, len(pairs) - 1))
     ga, gb = np.array(pairs).T
     batch = from_blocks(evolve_grid(kind, p, ga, gb))
-    single = evolve(ChannelScenario(kind, Mode.MULTI_LOCAL, ga[i], gb[i]), p).matrix
-    assert np.array_equal(batch[i], single)
+    single = evolve(ChannelScenario(kind, Mode.MULTI_LOCAL, ga[i], gb[i]), p)
+    assert np.array_equal(batch[i], single.matrix)
+    one, stack = negativity_numeric(single), negativity_numeric(batch)
+    for name in ("value", "negative_eigenvalue_sum", "via_trace_norm"):
+        assert type(getattr(one, name)) is float, name
+        assert np.float64(getattr(one, name)).tobytes() == getattr(stack, name)[i].tobytes(), name
+    assert np.float64(coherence_l1(single)).tobytes() == coherence_l1(batch)[i].tobytes()
 
 
 #: Points at the edges of the family: entangled just inside the
