@@ -13,29 +13,24 @@ call.  The samples are taken round-robin: each round times every row once,
 so a slow stretch of the host spreads over all rows instead of moving one
 row's samples together.  Layer rows time one stage of the pipeline on 64
 strengths at (b, c) = (0.05, 0.6), depolarizing multi-local unless the row
-says otherwise (``_16`` rows take 16 members, ``_1`` rows the one member
-of a one-point evaluation, the ``evolve_grid_chunk_*`` rows one
+says otherwise (``_16`` rows take 16 members, ``_1`` rows the one member of
+a one-point evaluation, the ``evolve_grid_chunk_*`` rows one
 ``evolve_grid`` call over that many strengths (all its chunks, on checkouts
-where it yields them), and the ``esd_*`` rows one ESD search of that
-cell; ``_qutritonly`` rows take the qutrit-only mode at the same qutrit
-strengths).  ``table_combine`` mixes the terms of both sides with 64 pair
-weight rows.  ``completeness`` weights both sides of a chunk of 64 strength
-pairs, and ``channel_weights_1`` the one strength pair of
-``evolve_one_point``, as the checkout's ``evolve_grid`` does: one
+where it yields them); ``_qutritonly`` rows take the qutrit-only mode at
+the same qutrit strengths).  ``table_combine`` mixes the terms of both
+sides with 64 pair weight rows.  ``completeness`` weights both sides of a
+chunk of 64 strength pairs, and ``channel_weights_1`` the one strength pair
+of ``evolve_one_point``, as the checkout's ``evolve_grid`` does: one
 ``channel_weights`` call for both sides, or one call per side on checkouts
-that weight each side on its own.  The ``esd_*`` rows time the checkout's
-own ESD search: ``esd_block_invariants`` takes the invariants of both
-partial-transpose blocks, ``esd_candidates`` the candidate deaths from the
-point, ``esd_alive`` one batch of the test of life at the candidates plus
-and minus the certification half-width (the invariants' test, or the
-numeric negativity of evolved states on checkouts that still evolve them),
-``esd_certify_batch`` the certified bracket and ``esd_section_step`` one
-sectioning step.  ``check_density*``, ``negativity_numeric`` and
-``coherence_l1`` take the states as complex 6x6 matrices, the
-``*_blocks*`` rows as the block stack that ``evolve_grid`` returns
-(``negativity_blocks_513_diagonal`` the 513 states of a default multi-local
-dephasing sweep, whose partial transposes are diagonal).  The ``emit_*``
-rows render the default sweep of the subject cell, and the
+that weight each side on its own.  ``esd_block_invariants`` takes the
+invariants of both partial-transpose blocks of the subject cell, the first
+step of the checkout's ESD search; the whole search is timed by the
+``esd_gamma_15_cells`` row, over all 15 cells.  ``check_density*``,
+``negativity_numeric`` and ``coherence_l1`` take the states as complex 6x6
+matrices, the ``*_blocks*`` rows as the block stack that ``evolve_grid``
+returns (``negativity_blocks_513_diagonal`` the 513 states of a default
+multi-local dephasing sweep, whose partial transposes are diagonal).  The
+``emit_*`` rows render the default sweep of the subject cell, and the
 ``*_no_closed_form`` ones that of multi-local bit flip, whose analytic
 column is empty.  ``points_op`` makes the calls of one perfbench ``points``
 op (the point, the scenario, ``evolve``, both negativities,
@@ -44,9 +39,11 @@ the one-point strengths, and ``negativity_numeric_1``,
 ``analytic_evolved_1`` and ``coherence_l1_1`` time one such call of the
 subject cell; these four rows use only the package's public names.
 End-to-end rows time whole runs, the ``cli_*_inprocess`` ones through
-``qqdyn.cli.main`` in this process (after one warm-up call, so the
-per-call dispatch cost shows next to the library rows) and the other CLI
-ones in a fresh interpreter each.
+``qqdyn.cli.main`` in this process (after one warm-up call, so the per-call
+dispatch cost shows next to the library rows) and the other CLI ones in a
+fresh interpreter each.  ``validate.run_validation`` times a whole
+``validate`` run in this process, and each ``validate._*`` row one of its
+checks.
 A layer that the checkout does not have is reported as absent, so the same
 file runs against older checkouts.  The package is imported from ``src/``
 next to this file; nothing in ``qqdyn`` imports this module.
@@ -76,7 +73,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from functools import partial
 from pathlib import Path
 from types import ModuleType
 
@@ -163,52 +159,10 @@ def _table_combine(q: ModuleType):
     return mix
 
 
-def _esd_search(q: ModuleType) -> tuple:
-    """The candidate deaths, as a callable from the point, and the test of
-    life of the checkout's ESD search: on the invariant polynomials where
-    the checkout decides death there (``_alive``), else on the numeric
-    negativity of evolved states (``sweep_alive``).  Looked up now, so that
-    a checkout without them reports the row absent."""
-    p, kind, mode = _subject(q)
-    negativity = q.negativity
-    if not hasattr(negativity, "_alive"):
-        candidates = negativity._esd_candidates
-        return (lambda: candidates(kind, mode, p)), partial(negativity.sweep_alive, kind, mode, p)
-    invariants, chosen, roots = (negativity._block_invariants, negativity._chosen_invariants,
-                                 negativity._strengths_of_roots)
-
-    def candidates():
-        found, k = invariants(kind, mode, p)
-        return roots(chosen(found), k)
-    return candidates, partial(negativity._alive, *invariants(kind, mode, p))
-
-
 def _esd_block_invariants(q: ModuleType):
     p, kind, mode = _subject(q)
     invariants = q.negativity._block_invariants
     return lambda: invariants(kind, mode, p)
-
-
-def _esd_alive(q: ModuleType):
-    candidates, alive = _esd_search(q)
-    h = q.negativity.ESD_BRACKET
-    samples = [r + s * h for r in candidates() for s in (-1.0, 1.0)]
-    return lambda: alive(samples)
-
-
-def _esd_certify_batch(q: ModuleType):
-    # At tol = 1 the sectioning takes no step: the one certification batch
-    # about the candidates.
-    candidates, alive = _esd_search(q)
-    roots = candidates()
-    return lambda: q.negativity._death_bracket(roots, alive, 1.0)
-
-
-def _esd_section_step(q: ModuleType):
-    # One sectioning step: half the certified width is reached after one batch.
-    lo, hi = _esd_certify_batch(q)()
-    section, alive = q.negativity._section, _esd_search(q)[1]
-    return lambda: section(lo, hi, alive, (hi - lo) / 2.0)
 
 
 def _points_op(q: ModuleType):
@@ -288,11 +242,7 @@ def layer_rows(q: ModuleType) -> dict:
         "negativity_numeric_1": (lambda: lambda: q.negativity_numeric(one_state), 1000),
         "analytic_evolved_1": (lambda: lambda: q.analytic_evolved(kind, p, *_ONE_POINT), 1000),
         "coherence_l1_1": (lambda: lambda: q.coherence_l1(one_state), 1000),
-        "esd_candidates": (lambda: _esd_search(q)[0], 300),
         "esd_block_invariants": (lambda: _esd_block_invariants(q), 300),
-        "esd_alive": (lambda: _esd_alive(q), 300),
-        "esd_certify_batch": (lambda: _esd_certify_batch(q), 300),
-        "esd_section_step": (lambda: _esd_section_step(q), 300),
     }
     for n, suffix, calls in ((64, "", 200), (16, "_16", 500), (1, "_1", 1000)):
         rows[f"check_density_blocks{suffix}"] = (
@@ -328,7 +278,7 @@ def inprocess_rows(q: ModuleType, workdir: str) -> dict:
         "esd_gamma_15_cells": (
             lambda: lambda: [negativity.esd_gamma(k, m, p) for k, m in cells], 3),
     }
-    for name in ("_completeness_check", "_grid_bisection_check", "_route_agreement_check"):
+    for name in ("run_validation", "_completeness_check", "_route_agreement_check"):
         rows[f"validate.{name}"] = (lambda name=name: getattr(validate, name), 1)
     points = validate.random_entangled_params(np.random.default_rng(validate._SEED), 20)
     for name in ("_evolved_form_checks", "_closed_form_curves", "_negativity_form_checks",

@@ -78,8 +78,10 @@ class Mode(str, Enum):
 class ChannelScenario:
     """Which channel kind acts, on which subsystem(s), and how strongly.
 
-    Qubit-only scenarios require gamma_qutrit = 0 and qutrit-only ones
-    gamma_qubit = 0.  Multi-local scenarios may carry independent strengths.
+    The kind and the mode may be given by value and the strengths as any
+    real scalars; they are held as members and floats.  Qubit-only
+    scenarios require gamma_qutrit = 0 and qutrit-only ones gamma_qubit = 0.
+    Multi-local scenarios may carry independent strengths.
     """
 
     kind: ChannelKind
@@ -88,7 +90,14 @@ class ChannelScenario:
     gamma_qutrit: float = 0.0
 
     def __post_init__(self) -> None:
-        for g in (self.gamma_qubit, self.gamma_qutrit):
+        # Members pass as they are: an Enum call costs about as much as all
+        # the rest of making a scenario.
+        if not (isinstance(self.kind, ChannelKind) and isinstance(self.mode, Mode)):
+            object.__setattr__(self, "kind", ChannelKind(self.kind))
+            object.__setattr__(self, "mode", Mode(self.mode))
+        for name in ("gamma_qubit", "gamma_qutrit"):
+            g = float(getattr(self, name))
+            object.__setattr__(self, name, g)
             if not 0.0 <= g <= 1.0:
                 raise ValueError(f"gamma must lie in [0, 1], got {g}")
         if self.mode is Mode.QUBIT_ONLY and self.gamma_qutrit != 0.0:
@@ -100,8 +109,7 @@ class ChannelScenario:
     def at(cls, kind: ChannelKind, mode: Mode, gamma: float) -> "ChannelScenario":
         """Scenario at a single sweep strength, paired as by
         :func:`sweep_strengths`."""
-        ga, gb = sweep_strengths(mode, gamma)
-        return cls(ChannelKind(kind), Mode(mode), float(ga), float(gb))
+        return cls(kind, mode, *sweep_strengths(mode, gamma))
 
 
 def sweep_strengths(mode: Mode, gamma: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
@@ -235,9 +243,8 @@ def evolve(scenario: ChannelScenario, params: StateParams) -> DensityMatrix:
     one-point case of :func:`evolve_grid`, with its weight rows from the
     same formula.  :class:`ChannelScenario` checked both strengths, so they
     are not checked again."""
-    kind = ChannelKind(scenario.kind)
     g = np.array(((scenario.gamma_qubit,), (scenario.gamma_qutrit,)), dtype=float)
-    (m,) = _mixed(kind, params, _rows(_WEIGHTINGS[kind], g))
+    (m,) = _mixed(scenario.kind, params, _rows(_WEIGHTINGS[scenario.kind], g))
     return DensityMatrix._checked(from_blocks(m))
 
 

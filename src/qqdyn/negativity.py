@@ -31,19 +31,24 @@ a search contracts its table with its point's monomials in exact integer
 arithmetic.  A coefficient is zero only when it is exactly zero: that
 picks each block's highest invariant that does not vanish identically and
 trims it at both ends, so a multiple root at gamma = 1 (y = 0) does not
-split into false roots below 1.  The candidates are the real roots in
-(0, 1) of the two picked invariants, from one stacked companion eigensolve
-on their coefficients rounded to floats.
+split into false roots below 1.  Descartes' rule of signs, after one
+integer Taylor shift, counts the picked invariants' roots in (0, 1)
+exactly: 0 means none and 1 exactly one simple root, the only counts the
+invariants have shown.
 
 A real symmetric 3x3 block is positive semidefinite exactly when its e_1,
 e_2 and e_3 are all >= 0.  So the state is alive where some invariant of
 either block is negative and dead where all are >= 0, and at a float
 strength, a dyadic rational too, :func:`_alive` decides this exactly, in
-integers.  A 2x3 partial transpose can have two negative eigenvalues at
-once (Rana, PRA 87, 054301, 2013), so that test about each candidate
-certifies the first death, and :func:`_section` narrows the bracket to the
-tolerance.  The search evolves no state and has no fixed threshold.  A
-curve that vanishes only at gamma = 1 is asymptotic decay, not ESD.
+integers.  Each counted root is bracketed by bisection over float
+strengths, on the sign of its invariant in floats, and the bracket's ends
+are then tested exactly; a count of two or more halves the y-interval
+instead, which holds a multiple root too.  A 2x3 partial transpose can
+have two negative eigenvalues at once (Rana, PRA 87, 054301, 2013), and
+the state dies or revives only at a counted root, so the test of life at
+the bracket ends certifies the first death.  The search evolves no state
+and has no fixed threshold.  A curve that vanishes only at gamma = 1 is
+asymptotic decay, not ESD.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations_with_replacement, product
 from typing import TYPE_CHECKING
 
@@ -68,27 +72,15 @@ if TYPE_CHECKING:
 
 #: Eigenvalues above this cutoff are eigensolver dust, not negativity.  So a
 #: numeric negativity is either exactly 0.0 or above 2e-12, and 0.0 is the
-#: numeric test of death (of ``validate``'s grid-scan oracle).
+#: numeric test of death (of ``validate``'s numeric ESD certificate).
 NEGATIVE_EIG_CUTOFF = -1e-12
 
 #: Every entry of the invariant tables is an integer over this grid,
 #: 93312 = 2^7 3^6, which the import certifies (:func:`_snapped`).
 _TABLE_GRID = 93312.0
-#: A complex root pair closer than this to the real axis is a double root
-#: split by rounding, and is kept as a candidate.
-_IMAG_TOL = 1e-6
-#: A chosen invariant's leading coefficients below this fraction of its
-#: largest are dropped from its companion matrix, where they would only add
-#: roots near infinity and drown the others in rounding.
-_LEADING_CUTOFF = 2.0**-52
 #: Columns j + 1 and j + 2 (mod 3) for each column j of a 3x3 matrix.
 _NEXT, _AFTER = [1, 2, 0], [2, 0, 1]
 
-#: Half-width of the bracket that certifies a root.
-ESD_BRACKET = 2.0**-31
-#: Interior strengths that one :func:`_section` step samples, evenly spaced,
-#: cutting the bracket into 16 parts: 4 bits per call of the test of life.
-SECTION_SAMPLES = 15
 
 
 @dataclass(frozen=True)
@@ -423,53 +415,40 @@ def _block_invariants(kind: ChannelKind, mode: Mode, params: StateParams) -> tup
     return [flat[i : i + size] for i in range(0, 6 * size, size)], k
 
 
-def _chosen_invariants(invariants: list) -> list[list[float]]:
+def _chosen_invariants(invariants: list) -> list[list[int]]:
     """Per block, the coefficients of its highest invariant e_i that does not
-    vanish identically, with its zero coefficients trimmed off both ends, as
-    floats over the largest in magnitude (each a correctly rounded
-    quotient), less any leading ones below ``_LEADING_CUTOFF``;
-    ``invariants`` as :func:`_block_invariants` returns them."""
+    vanish identically, with its zero coefficients trimmed off both ends;
+    ``invariants`` as :func:`_block_invariants` returns them.  A block's
+    count of negative eigenvalues changes only at a root of this invariant:
+    where e_3 vanishes identically so does an eigenvalue, and e_2 is the
+    product of the other two."""
     chosen = []
     for block in (0, 1):
-        for c in invariants[4 + block :: -2]:
-            if any(c):
-                top = max(map(abs, c))
-                c = [v / top for v in c[next(j for j, v in enumerate(c) if v) :]]
-                while abs(c[-1]) < _LEADING_CUTOFF:
-                    c.pop()
-                chosen.append(c)
-                break
+        c = next((c for c in invariants[4 + block :: -2] if any(c)), [])
+        if nonzero := [j for j, v in enumerate(c) if v]:
+            chosen.append(c[nonzero[0] : nonzero[-1] + 1])
     return chosen
 
 
-def _strengths_of_roots(coefficients: list, k: int) -> list[float]:
-    """The strengths 1 - y^k in (0, 1), in no set order, of the real roots y
-    in (0, 1) of each polynomial sum_i c_i y^i of ``coefficients``, whose
-    leading coefficient is non-zero, as eigenvalues of their power-basis
-    companion matrices in one stacked eigensolve (numpy.polynomial would add
-    about 2.8 ms and 0.13 MB of import).  A shorter polynomial's companion is
-    padded with -1 on the diagonal, whose roots y > 0 drops."""
-    size = max((len(c) for c in coefficients), default=1) - 1
-    if size < 1:
-        return []
-    companions = []
-    for c in coefficients:
-        n = len(c) - 1
-        companion = [[0.0] * size for _ in range(size)]
-        for i in range(n):
-            companion[i][n - 1] = -c[i] / c[n]
-        for i in range(1, n):
-            companion[i][i - 1] = 1.0
-        for i in range(n, size):
-            companion[i][i] = -1.0
-        companions.append(companion)
-    strengths = []
-    for y in np.linalg.eigvals(companions).ravel().tolist():
-        if abs(y.imag) <= _IMAG_TOL and y.real > 0.0:
-            g = 1.0 - y.real**k
-            if 0.0 < g < 1.0:
-                strengths.append(g)
-    return strengths
+def _shifted(c: list[int], t: int = 1) -> list[int]:
+    """The coefficients of p(x + t), given those of p(x) = sum c_i x^i: the
+    Taylor shift, by repeated synthetic division."""
+    c = list(c)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += t * c[j + 1]
+    return c
+
+
+def _root_count(c: list[int]) -> int:
+    """Descartes' rule of signs for the roots of sum c_i y^i in 0 < y < 1.
+    With y = 1 / (1 + x), (1 + x)^n times the polynomial is the reversed
+    polynomial shifted by 1, whose positive roots x are those y.  The count
+    of sign changes of its coefficients exceeds the count of those roots,
+    with multiplicity, by an even number: 0 means no root there and 1
+    exactly one simple root."""
+    signs = [v > 0 for v in _shifted(c[::-1]) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _alive(invariants: list, k: int, gammas: list[float]) -> list[bool]:
@@ -507,60 +486,96 @@ def _negative(even: list[int], odd: list[int], u: int, s: int) -> bool:
     return gap > 0 if e < 0 else gap < 0
 
 
-def _narrow(lo: float, hi: float, samples: list, alive: list) -> tuple[float, float]:
-    """Bracket the first death with evaluated samples: the first dead sample
-    (or ``hi``) and the last live sample before it (or ``lo``).  Samples
-    may come in any order."""
-    hi = min([g for g, a in zip(samples, alive) if not a], default=hi)
-    lo = max([g for g, a in zip(samples, alive) if a and g < hi], default=lo)
+def _bisected(before: Callable[[float], bool], tol: float) -> tuple[float, float]:
+    """Bisect (0, 1] over float strengths on ``before``, which holds below
+    one strength and fails from it on, until the bracket is no wider than
+    ``tol`` and ends below 1, or no float lies strictly inside it."""
+    lo, hi = 0.0, 1.0
+    while (hi - lo > tol or hi == 1.0) and lo < (mid := (lo + hi) / 2.0) < hi:
+        lo, hi = (mid, hi) if before(mid) else (lo, mid)
     return lo, hi
 
 
-def _section(
-    lo: float, hi: float, alive: Callable[[list], list[bool]], tol: float
-) -> tuple[float, float]:
-    """Narrow a bracket (lo, hi), alive at lo and dead at hi, until it is no
-    wider than ``tol`` or no float lies strictly inside it.  Each step
-    evaluates ``SECTION_SAMPLES`` evenly spaced interior strengths in one
-    call of ``alive`` and keeps the first dead sample and the live sample
-    before it."""
-    steps = [i / (SECTION_SAMPLES + 1) for i in range(1, SECTION_SAMPLES + 1)]
-    while hi - lo > tol:
-        samples = [g for s in steps if lo < (g := lo + (hi - lo) * s) < hi]
-        if not samples:
-            break  # no float lies strictly inside the bracket
-        lo, hi = _narrow(lo, hi, samples, alive(samples))
-    return lo, hi
+def _root_bracket(c: list[int], k: int, tol: float) -> tuple[float, float]:
+    """A bracket (lo, hi] of float strengths, as :func:`_bisected` narrows
+    it, about the strength of the one root in (0, 1) of p(y) = sum c_i y^i,
+    c_0 != 0.  Below that strength p has the sign opposite to c_0, its
+    sign at y = 0 (gamma = 1).  The bracket is bisected on the sign of p
+    in floats, and its ends that moved are then tested exactly; where one
+    fails, rounding has misplaced the root, and the bracket is bisected
+    again on the exact sign, :func:`_alive` of p alone."""
+    d = c if c[0] > 0 else [-v for v in c]
+    top = max(map(abs, d))
+    floats = [v / top for v in reversed(d)]
+
+    def before_in_floats(g: float) -> bool:
+        y = 1.0 - g if k == 1 else math.sqrt(1.0 - g)
+        p = 0.0
+        for v in floats:
+            p = p * y + v
+        return p < 0.0
+
+    lo, hi = _bisected(before_in_floats, tol)
+    at_lo, at_hi = _alive([d], k, [lo, hi])
+    if lo and not at_lo or hi < 1.0 and at_hi:
+        lo, hi = _bisected(lambda g: _alive([d], k, [g])[0], tol)
+    return lo, min(hi, _LAST_BELOW_ONE)
 
 
-def _death_bracket(
-    roots, alive: Callable[[list], list[bool]], tol: float
-) -> tuple[float, float] | None:
-    """Bracket (lo, hi), alive at lo and dead at hi, about the first death;
-    None when the state stays entangled below gamma = 1.
+def _root_brackets(c: list[int], k: int, tol: float) -> list[tuple[float, float]]:
+    """Brackets (lo, hi] of float strengths that hold every root in (0, 1)
+    of p(y) = sum c_i y^i, c_0 != 0: none for a count of 0, and one
+    (:func:`_root_bracket`) for a count of 1.  For a count of two or more,
+    which the invariants have never shown, the y-interval
+    [l / 2^s, (l + 1) / 2^s) is halved, from [0, 1), while it holds a root
+    by the count (or one at its low end) and its strengths, each rounded
+    and moved one float outwards, span more than ``tol`` and two floats
+    strictly inside.  The count is exact on simple roots once they are
+    apart, and a multiple root stays in one bracket."""
+    count = _root_count(c)
+    if count < 2:
+        return [_root_bracket(c, k, tol)] if count else []
+    n = len(c) - 1
+    brackets, intervals = [], [(0, 0)]
+    while intervals:
+        l, s = intervals.pop()
+        # 2^(s n) p((l + x) / 2^s): its roots 0 <= x < 1 are those p has
+        # in the interval.
+        q = _shifted([v << s * (n - i) for i, v in enumerate(c)], l)
+        if q[0] and not _root_count(q):
+            continue
+        # The strengths 1 - y^k at its ends, correctly rounded and then
+        # moved one float outwards, so past the exact ones.
+        den = 1 << s * k
+        lo = math.nextafter((den - (l + 1) ** k) / den, -1.0)
+        hi = min(math.nextafter((den - l**k) / den, 2.0), _LAST_BELOW_ONE)
+        if hi - lo <= tol or math.nextafter(lo, 1.0) >= math.nextafter(hi, 0.0):
+            brackets.append((lo, hi))
+        else:
+            intervals += [(2 * l + 1, s + 1), (2 * l, s + 1)]
+    return brackets
 
-    ``roots`` are the candidate strengths in (0, 1), in any order, to which
-    gamma = 0 is added, and ``alive(g)`` tells for each strength of a list
-    whether the state there is still entangled; it is at gamma = 0.  Each
-    candidate r is sampled at r - ``ESD_BRACKET`` if that is positive, above
-    it at r + ``ESD_BRACKET``, halfway to gamma = 1 or at the last float
-    below 1, whichever is least, and the stretch up to the next candidate
-    (or gamma = 1) at its midpoint, all in one call of ``alive``.  So 2^-31
-    is always sampled, and so is a root whose halfway point rounds to 1.
-    The first dead sample and the live sample before it (or gamma = 0)
-    bracket the death, which :func:`_section` then narrows down to ``tol``.
-    """
-    h = ESD_BRACKET
-    roots = sorted({0.0, *roots})
-    samples = []
-    for r, after in zip(roots, [*roots[1:], 1.0]):
-        above = min(r + h, (r + 1.0) / 2.0, _LAST_BELOW_ONE)
-        samples += [r - h, above]
-        if above < (mid := (r + after) / 2.0) < 1.0:
-            samples.append(mid)
-    samples = [g for g in samples if g > 0.0]
-    lo, hi = _narrow(0.0, math.inf, samples, alive(samples))
-    return None if hi == math.inf else _section(lo, hi, alive, tol)
+
+def _death_bracket(invariants: list, k: int, tol: float) -> tuple[float, float] | None:
+    """(lo, hi), alive at lo and dead at hi, no wider than ``tol`` or down
+    to float resolution, about the first death; None when the state is
+    entangled at every end of the brackets of the roots.  ``invariants``
+    and k as :func:`_block_invariants` returns them.
+
+    The state can die or revive only at a root of a block's chosen
+    invariant (:func:`_chosen_invariants`), and each root lies in a bracket
+    (:func:`_root_brackets`).  The test of life at every bracket end, in
+    one call of :func:`_alive`, then finds the first dead end; the end
+    before it, or gamma = 0, where the state is entangled, is alive.  A
+    death lies between those two ends and no end of any bracket does, so
+    both lie within the bracket of the root where the state dies."""
+    brackets = [b for c in _chosen_invariants(invariants) for b in _root_brackets(c, k, tol)]
+    samples = sorted({g for bracket in brackets for g in bracket if g > 0.0})
+    alive = _alive(invariants, k, samples)
+    if all(alive):
+        return None
+    i = alive.index(False)
+    return [0.0, *samples][i], samples[i]
 
 
 def esd_gamma(
@@ -572,21 +587,20 @@ def esd_gamma(
     """Smallest sweep strength at which the state has died, decided on the
     invariant polynomials of its partial transpose, without evolving it.
 
-    The invariants' exact test of life (:func:`_alive`) on either side of
-    gamma = 0 and of each candidate, a root of a block's chosen invariant
-    (:func:`_chosen_invariants`), certifies the first death
-    (:func:`_death_bracket`).  The bracket is sectioned, one batch of
-    evaluations per step, until it is no wider than ``tol`` (a positive
-    number) or no float lies strictly between its ends.  Its dead end is
-    returned, where the state is separable; None when no strength below
-    gamma = 1 is.  A death exactly at gamma = 1 is asymptotic decay.
+    Descartes' rule of signs counts the roots of each block's chosen
+    invariant, each counted root is bracketed over float strengths, and the
+    exact test of life at the bracket ends finds the first death
+    (:func:`_death_bracket`), in a bracket no wider than ``tol`` (a
+    positive number) or with no float strictly between its ends.  Its dead
+    end is returned, where the state is separable; None when no strength
+    below gamma = 1 is.  A death exactly at gamma = 1 is asymptotic decay.
+    Where a chosen invariant counts two or more roots, which has never been
+    seen, a bracket narrower than two floats may keep one float inside.
     """
     check_tol(tol)
     kind, mode = ChannelKind(kind), Mode(mode)
     check_entangled(params)
-    invariants, k = _block_invariants(kind, mode, params)
-    roots = _strengths_of_roots(_chosen_invariants(invariants), k)
-    bracket = _death_bracket(roots, partial(_alive, invariants, k), tol)
+    bracket = _death_bracket(*_block_invariants(kind, mode, params), tol)
     return None if bracket is None else bracket[1]
 
 

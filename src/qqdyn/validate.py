@@ -3,15 +3,15 @@
 The report has two parts.  ``checks`` are hard requirements: completeness
 (the certificate that the import raises on, reported here as a check),
 agreement between the corrected closed forms and the channel algebra,
-threshold agreement (with the closed forms, and with a grid scan plus
-sectioning), the local-channel equivalences, and the two negativity routes.
+threshold agreement with the closed forms, the certificate of every ESD
+bracket, the local-channel equivalences, and the two negativity routes.
 ``closed_form_discrepancies`` documents the places where the raw reference
 expressions are refuted by the Kraus numerics, together with the
 numerically measured correct coefficients; these are findings, not failures.
 Grids of strengths are evaluated through :func:`evolve_grid`, one call each.
-The grid-scan oracle that :func:`esd_gamma` is held to evolves the states
-and counts one alive where its numeric negativity is non-zero: the one
-numeric test of death (``negativity.NEGATIVE_EIG_CUTOFF``).
+The numeric leg of the ESD certificate evolves the states at both ends of
+each bracket and counts one alive where its numeric negativity is non-zero:
+the one numeric test of death (``negativity.NEGATIVE_EIG_CUTOFF``).
 """
 
 from __future__ import annotations
@@ -30,10 +30,12 @@ from .evolution import (
 )
 from .linalg import from_blocks
 from .negativity import (
+    _LAST_BELOW_ONE,
     CANONICAL_POINTS,
     NoClosedFormError,
-    _narrow,
-    _section,
+    _alive,
+    _block_invariants,
+    _death_bracket,
     analytic_esd_gamma,
     analytic_negativities,
     esd_gamma,
@@ -217,46 +219,45 @@ def _equivalence_checks(curves: dict) -> list[dict]:
     ]
 
 
-#: Grid step of the scan in :func:`_grid_bisection_esd`.
-_SCAN_STEPS = 512
+#: The edge points of the ESD search: deaths right at the separability
+#: boundary, where c - 3b rounds to 5.6e-17, within ulps of gamma = 1 or a
+#: hair below it, and where a chosen invariant's coefficients span 88
+#: orders of magnitude.
+_EDGE_POINTS = tuple(StateParams(b, c) for b, c in (
+    (0.0, 1e-9), (0.0, 1e-7), (0.0, 1e-6), (0.15, 0.45), (1.1890606509269398e-88, 0.5),
+    (4.1388748763351344e-17, 0.5167034084532541), (0.0, 1 - 3 * 2.0**-53), (0.0, 0.99999999),
+    (1e-6, 0.5)))
 
 
-def _grid_bisection_esd(kind: ChannelKind, mode: Mode, params: StateParams, tol: float = 1e-9) -> float | None:
-    """Independent ESD detector for cross-checking :func:`esd_gamma`, with no
-    polynomial: scan the grid points k/512 for k < 512 for the first dead
-    one, bracket it with the live grid point before it (or gamma = 0) as
-    ``negativity._narrow`` does, and section that grid cell down to
-    ``tol``.  Its test of life evolves the states: alive where the numeric
-    negativity is non-zero.  It misses every death inside the last grid
-    cell."""
-
-    def alive(gammas: list[float]) -> np.ndarray:
-        return _sweep_negativities(kind, mode, params, gammas) > 0.0
-
-    grid = (np.arange(1, _SCAN_STEPS) / _SCAN_STEPS).tolist()
-    lo, hi = _narrow(0.0, np.inf, grid, alive(grid))
-    if hi == np.inf:
-        return None
-    return _section(lo, hi, alive, tol)[1]
-
-
-def _grid_bisection_check() -> dict:
-    worst = 0.0
-    for p in CANONICAL_POINTS:
+def _esd_certificate_checks(tol: float = 1e-9) -> list[dict]:
+    """The first death that :func:`esd_gamma` brackets in each cell,
+    certified two ways.  Exactly, at the canonical and the edge points: the
+    bracket is alive at lo and dead at hi by the invariants' test of life,
+    and no wider than ``tol``; where the search finds no death, the state is
+    alive at the last float below 1.  Numerically, at the canonical points:
+    the numeric negativity of the evolved states, which shares nothing with
+    the invariant tables, is > 0 at lo and 0 at hi, two evolutions per
+    death."""
+    widest = at_dead_end = 0.0
+    deaths = 0
+    for p in CANONICAL_POINTS + _EDGE_POINTS:
         for kind in ChannelKind:
             for mode in Mode:
-                found = esd_gamma(kind, mode, p)
-                oracle = _grid_bisection_esd(kind, mode, p)
-                if (found is None) != (oracle is None):
-                    worst = np.inf
-                elif found is not None:
-                    worst = max(worst, abs(found - oracle))
-    return _check(
-        "esd_matches_grid_bisection",
-        worst,
-        2e-9,
-        "root search vs 1/512 grid scan plus sectioning, 15 cells at the canonical points",
-    )
+                invariants, k = _block_invariants(kind, mode, p)
+                ends = _death_bracket(invariants, k, tol) or (_LAST_BELOW_ONE,)
+                certified = _alive(invariants, k, list(ends)) == [True, False][: len(ends)]
+                widest = max(widest, ends[-1] - ends[0] if certified else np.inf)
+                if len(ends) == 2 and p in CANONICAL_POINTS:
+                    deaths += 1
+                    at_lo, at_hi = _sweep_negativities(kind, mode, p, ends)
+                    at_dead_end = max(at_dead_end, at_hi if at_lo > 0.0 else np.inf)
+    points = f"{len(CANONICAL_POINTS)} canonical and {len(_EDGE_POINTS)} edge points"
+    return [
+        _check("esd_bracket_certified_exactly", widest, tol,
+               f"bracket width; alive at lo, dead at hi, by the invariants, 15 cells at {points}"),
+        _check("esd_bracket_certified_numerically", at_dead_end, 0.0,
+               f"numeric negativity at hi, > 0 at lo, at the {deaths} deaths of the canonical points"),
+    ]
 
 
 def _route_agreement_check(n: int = 200) -> list[dict]:
@@ -296,7 +297,7 @@ def run_validation() -> dict:
     neg_checks, neg_disc = _negativity_form_checks(curves)
     checks.extend(neg_checks)
     checks.extend(_threshold_checks(curves))
-    checks.append(_grid_bisection_check())
+    checks.extend(_esd_certificate_checks())
     checks.extend(_equivalence_checks(curves))
     checks.extend(_route_agreement_check())
 

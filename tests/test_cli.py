@@ -347,7 +347,8 @@ def test_cli_validate(tmp_path, capsys):
     obj = json.loads(out.read_text())
     assert obj["passed"] is True
     assert all(c["passed"] for c in obj["checks"])
-    assert "esd_matches_grid_bisection" in {c["name"] for c in obj["checks"]}
+    names = {c["name"] for c in obj["checks"]}
+    assert {"esd_bracket_certified_exactly", "esd_bracket_certified_numerically"} <= names
     # One threshold check per cell with a closed form: all but the two
     # multi-local flips.
     thresholds = {c["name"] for c in obj["checks"] if c["name"].startswith("esd_threshold_")}

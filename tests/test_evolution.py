@@ -16,6 +16,8 @@ from qqdyn import (
     evolve,
     evolve_grid,
     initial_state,
+    negativity_analytic,
+    negativity_numeric,
     random_entangled_params,
 )
 
@@ -37,6 +39,23 @@ def test_scenario_validation():
     assert sc.gamma_qubit == 0.0 and sc.gamma_qutrit == 0.4
     sc = ChannelScenario.at(ChannelKind.BIT_FLIP, Mode.MULTI_LOCAL, 0.4)
     assert sc.gamma_qubit == sc.gamma_qutrit == 0.4
+
+
+def test_scenario_holds_members_and_floats():
+    # Given by value, the kind and mode become members, so a qubit-only
+    # scenario by value is checked as one and adds no qutrit-side noise.
+    with pytest.raises(ValueError, match="qubit-only"):
+        ChannelScenario("bitflip", "qubitonly", 0.3, 0.5)
+    p = StateParams(0.05, 0.6)
+    sc = ChannelScenario("bitflip", "qubitonly", np.float64(0.6), 0)
+    assert sc.kind is ChannelKind.BIT_FLIP and sc.mode is Mode.QUBIT_ONLY
+    assert type(sc.gamma_qubit) is float and type(sc.gamma_qutrit) is float
+    assert sc == ChannelScenario.at(ChannelKind.BIT_FLIP, Mode.QUBIT_ONLY, 0.6)
+    assert negativity_analytic(sc, p) == approx(0.12, abs=1e-14)
+    assert negativity_numeric(evolve(sc, p)).value == approx(0.12, abs=1e-12)
+    # A strength that is no scalar fails where the scenario is made.
+    with pytest.raises(TypeError):
+        ChannelScenario(ChannelKind.BIT_FLIP, Mode.MULTI_LOCAL, np.array([0.3]), 0.7)
 
 
 def test_zero_strength_scenario_returns_initial_state():

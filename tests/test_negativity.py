@@ -27,7 +27,7 @@ from qqdyn import (
     random_entangled_params,
     run_sweep,
 )
-from qqdyn import evolution, negativity, sweep, validate
+from qqdyn import evolution, negativity, sweep
 from qqdyn.linalg import partial_transpose_blocks
 from qqdyn.states import family_weights
 
@@ -351,89 +351,102 @@ def test_last_cell_death_is_found():
     assert got is not None and abs(got - want) <= 1e-9
 
 
-def _candidates(*roots_in_gamma, lift=0.0):
-    """The candidate strengths of prod_r (gamma - r) + lift, taken as a
-    polynomial in y = 1 - gamma."""
-    c = np.poly([1.0 - r for r in roots_in_gamma])[::-1] * (-1.0) ** len(roots_in_gamma)
-    c[0] += lift
-    return np.array(negativity._strengths_of_roots([c], 1))
+def _product(*factors):
+    """The integer coefficients, lowest power first, of a product of
+    polynomials given so."""
+    out = [1]
+    for f in factors:
+        out = [sum(out[i] * f[j - i] for i in range(len(out)) if 0 <= j - i < len(f))
+               for j in range(len(out) + len(f) - 1)]
+    return out
 
 
 def test_root_search_finds_death_before_revival_inside_one_grid_cell():
-    # Negativity stand-in: alive while (g - death)(g - revival) > 0, so dead
-    # only between the two roots, both inside the grid cell (153/512, 154/512).
-    death, revival = 0.2995, 0.3005
-    poly = lambda g: (g - death) * (g - revival) * (g + 0.5)
-    alive = lambda g: poly(np.asarray(g)) > 0.0
-    assert alive(np.arange(1, 512) / 512).all()
-    width = 2.0 * negativity.ESD_BRACKET
-    lo, hi = negativity._death_bracket(_candidates(death, revival, -0.5), alive, width)
-    assert lo < death <= hi
-    assert hi - lo <= 2.0 * negativity.ESD_BRACKET
+    # Alive while p(y) = -(2000 y - 1401)(2000 y - 1399)(y + 2) < 0, so dead
+    # only between its roots y = 0.7005 and 0.6995, which for k = 1 lie at
+    # gamma = 0.2995 and 0.3005, inside one cell (153/512, 154/512) of a
+    # 1/512 grid.  Descartes counts two roots, and the subdivision brackets
+    # each of them, for k = 1 and k = 2.
+    c = [-v for v in _product([-1401, 2000], [-1399, 2000], [2, 1])]
+    assert negativity._root_count(c) == 2
+    for k in (1, 2):
+        deaths = [1 - Fraction(y, 2000) ** k for y in (1401, 1399)]
+        brackets = negativity._root_brackets(c, k, 1e-9)
+        for g in deaths:
+            assert any(lo < g <= hi and hi - lo <= 1e-9 for lo, hi in brackets), (k, g)
+        lo, hi = negativity._death_bracket([c] + [[0]] * 5, k, 1e-9)
+        assert lo < deaths[0] <= hi and hi - lo <= 1e-9, k
 
 
-@pytest.mark.parametrize("offset", [-1e-7, 1e-7], ids=["early", "late"])
-def test_root_search_widens_about_a_root_that_missed_its_crossing(offset):
-    # The polynomial has its root at 0.3, but the state dies 1e-7 earlier
-    # or later, beyond the first certification bracket on either side.
-    crossing = 0.3 + offset
-    lo, hi = negativity._death_bracket(
-        _candidates(0.3, -2.0), lambda g: np.asarray(g) < crossing, 2e-7)
-    assert lo < crossing <= hi
-    assert hi - lo <= 2e-7
+@pytest.mark.parametrize("c", [1e-7, 1e-9], ids=["early", "late"])
+def test_root_search_widens_about_a_root_that_missed_its_crossing(c, monkeypatch):
+    # At (0, c) qutrit-only depolarizing dies at about 3c, where the chosen
+    # invariant's coefficients cancel to 1e-6 of their size.  Bisected in
+    # floats, the bracket ends below the death at c = 1e-7 and above it at
+    # c = 1e-9; the exact test of its ends finds that, and an exact
+    # bisection brackets the death.
+    bisected = negativity._bisected
+    brackets = []
+
+    def recording(before, tol):
+        brackets.append(bisected(before, tol))
+        return brackets[-1]
+
+    monkeypatch.setattr(negativity, "_bisected", recording)
+    p = StateParams(0.0, c)
+    want = analytic_esd_gamma(ChannelKind.DEPOLARIZING, Mode.QUTRIT_ONLY, p)
+    got = esd_gamma(ChannelKind.DEPOLARIZING, Mode.QUTRIT_ONLY, p)
+    (in_floats_lo, in_floats_hi), (lo, hi) = brackets
+    if c == 1e-7:
+        assert in_floats_hi < want
+    else:
+        assert in_floats_lo > want
+    assert lo < want <= hi == got and hi - lo <= 1e-9
 
 
 def test_root_search_keeps_a_double_root_lifted_off_the_axis():
-    # Two eigenvalues dying together make a double root of the invariant;
-    # rounding can lift it into a complex pair, which stays a candidate.
-    roots = _candidates(0.3, 0.3, -2.0, lift=1e-15)
-    assert roots.size and np.abs(roots - 0.3).max() < 1e-6
-    width = 2.0 * negativity.ESD_BRACKET
-    lo, hi = negativity._death_bracket(roots, lambda g: np.asarray(g) < 0.3, width)
-    assert lo < 0.3 <= hi
-    assert hi - lo <= 2.0 * negativity.ESD_BRACKET
+    # Two eigenvalues of a block dying together at gamma = 0.3 make a double
+    # root of its determinant, whose sign does not change there.  Descartes
+    # counts two roots, the subdivision keeps the double root in one
+    # bracket, and the test of life at its ends finds the death.  Lifted
+    # off the axis, the roots are complex and the subdivision drops them.
+    e3 = _product([-7, 10], [-7, 10])
+    invariants = [[1], [0], [7, -10], [0], e3, [0]]
+    assert negativity._root_count(e3) == 2
+    lo, hi = negativity._death_bracket(invariants, 1, 1e-9)
+    assert lo < Fraction(3, 10) <= hi and hi - lo <= 1e-9
+    lifted = [e3[0] + 1, *e3[1:]]
+    assert negativity._root_count(lifted) == 2
+    assert negativity._root_brackets(lifted, 1, 1e-9) == []
 
 
 @pytest.mark.parametrize(
-    "lo, hi, crossing, tol",
-    [(0.0, 1.0, 1 / 3, 1e-9), (0.1, 0.9, 0.1 + 1e-12, 1e-13), (0.25, 0.5, 0.5, 3e-6),
-     (0.3, 0.3 + 2.0**-30, 0.3 + 1e-10, 1e-14)],
+    "crossing, tol, steps",
+    [(1 / 3, 1e-9, 30), (1e-12, 1e-13, 44), (0.5, 3e-6, 19), (0.3 + 1e-10, 1e-14, 47)],
     ids=["unit-interval", "near-lo", "at-hi", "certified-width"],
 )
-def test_section_brackets_the_crossing_in_log16_batches(lo, hi, crossing, tol):
-    batches = []
+def test_bisection_brackets_the_crossing_in_log2_steps(crossing, tol, steps):
+    evaluated = []
 
-    def alive(g):
-        batches.append(len(g))
-        return np.asarray(g) < crossing
+    def before(g):
+        evaluated.append(g)
+        return g < crossing
 
-    got_lo, got_hi = negativity._section(lo, hi, alive, tol)
-    assert got_lo < crossing <= got_hi
-    assert got_hi - got_lo <= tol
-    assert len(batches) <= math.ceil(math.log((hi - lo) / tol, 16))
-    assert max(batches) <= negativity.SECTION_SAMPLES
+    lo, hi = negativity._bisected(before, tol)
+    assert lo < crossing <= hi
+    assert hi - lo <= tol
+    assert len(evaluated) <= steps == math.ceil(math.log2(1.0 / tol))
 
 
 def test_section_below_float_spacing_stops_with_no_float_inside():
     crossing = 0.7 + 1e-11
-    lo, hi = negativity._section(0.5, 0.75, lambda g: np.asarray(g) < crossing, 1e-300)
+    lo, hi = negativity._bisected(lambda g: g < crossing, 1e-300)
     assert lo < crossing <= hi
     assert np.nextafter(lo, hi) == hi
-
-
-def test_oracle_sections_its_grid_cell_in_six_batches(monkeypatch):
-    batches = []
-
-    def counting(*args):
-        batches.append(args)
-        return sweep_negativities(*args)
-
-    sweep_negativities = validate._sweep_negativities
-    monkeypatch.setattr(validate, "_sweep_negativities", counting)
-    got = validate._grid_bisection_esd(ChannelKind.DEPHASING, Mode.QUBIT_ONLY, P, tol=1e-9)
-    assert len(batches[0][-1]) == validate._SCAN_STEPS - 1
-    assert len(batches) - 1 <= 6
-    assert got == approx(117.0 / 121.0, abs=1e-9)
+    # The bisection goes on while its bracket ends at 1, so a crossing at
+    # the last float below 1 is bracketed there, whatever the tolerance.
+    lo, hi = negativity._bisected(lambda g: g < 1 - 2.0**-53, 1.0)
+    assert np.nextafter(lo, 1.0) == hi == 1 - 2.0**-53
 
 
 @pytest.mark.parametrize("kind", list(ChannelKind), ids=[k.value for k in ChannelKind])
@@ -536,14 +549,14 @@ def test_edge_point_thresholds(point):
 
 
 def test_search_probes_both_ends_of_the_strength_range():
-    # gamma = 0 is a candidate, so 2^-31 is always probed: at (0.15, 0.45),
-    # where c - 3b rounds to 5.6e-17, every cell is dead there.
+    # At (0.15, 0.45), where c - 3b rounds to 5.6e-17, every cell dies at
+    # once, and the bisection narrows (0, 1] down to (0, 2^-30], within tol.
     p = StateParams(0.15, 0.45)
     for kind in ChannelKind:
         for mode in Mode:
-            assert esd_gamma(kind, mode, p) == 2.0**-31, (kind, mode)
-    # A root whose halfway point to gamma = 1 rounds to 1 is probed itself,
-    # so deaths within ulps of 1 are found at the last float below it.
+            assert esd_gamma(kind, mode, p) == 2.0**-30, (kind, mode)
+    # The bisection goes on while its bracket ends at 1, so deaths within
+    # ulps of 1 are found at the last float below it.
     flips = (ChannelKind.BIT_FLIP, ChannelKind.BIT_PHASE_FLIP)
     cases = {
         (4.1388748763351344e-17, 0.5167034084532541): [
@@ -595,14 +608,16 @@ def test_chosen_invariants_equal_those_of_the_evolved_blocks():
                     assert np.abs(got - e[i]).max() <= 1e-14, (p, kind, mode, i)
                 chosen = negativity._chosen_invariants(invariants)
                 assert len(chosen) == 2, (p, kind, mode)
+                d = max(v.as_integer_ratio()[1] for v in family_weights(p).tolist())
                 for block, c in enumerate(chosen):
-                    # The chosen invariant is over its largest coefficient
-                    # and y^m, m the count trimmed at the low end.
+                    # The chosen invariant is over y^m, m the count trimmed
+                    # at the low end, with its integers as the table's.
+                    assert all(type(v) is int for v in c) and c[0] and c[-1]
                     coefficients = blocks[:, :, block]
                     i = next(i for i in (2, 1, 0) if coefficients[i].any())
                     low = int(np.flatnonzero(coefficients[i])[0])
-                    top = np.abs(coefficients[i]).max()
-                    got = np.vander(y, len(c), increasing=True) @ c * y**low * top
+                    floats = [v / (93312 * d ** (i + 1)) for v in c]
+                    got = np.vander(y, len(c), increasing=True) @ floats * y**low
                     assert np.abs(got - e[i][:, block]).max() <= 1e-14, (p, kind, mode, block)
 
 
@@ -684,8 +699,9 @@ def _exact_sign(c, k, g):
 def test_alive_equals_the_exact_sign_of_the_invariants():
     # The test of life is alive exactly where some invariant of either block
     # is negative, evaluated in fractions.Fraction: at random strengths, at
-    # the ends of the range and at strengths within 1e-15 of the candidate
-    # roots, in every cell (k = 2 for dephasing, 1 for the others).
+    # the ends of the range and at strengths within 1e-15 of the ends of
+    # the root brackets, in every cell (k = 2 for dephasing, 1 for the
+    # others).
     rng = np.random.default_rng(28)
     points = [CANONICAL_POINTS[1], CANONICAL_POINTS[3], *random_entangled_params(rng, 2),
               StateParams(0.0, 1e-9), StateParams(0.15, 0.45), StateParams.a_zero(0.1)]
@@ -695,7 +711,9 @@ def test_alive_equals_the_exact_sign_of_the_invariants():
         for kind in ChannelKind:
             for mode in Mode:
                 invariants, k = negativity._block_invariants(kind, mode, p)
-                roots = negativity._strengths_of_roots(negativity._chosen_invariants(invariants), k)
+                roots = [g for c in negativity._chosen_invariants(invariants)
+                         if negativity._root_count(c) == 1
+                         for g in negativity._root_bracket(c, k, 1e-12)]
                 near = [min(max(r + d, 0.0), 1 - 2.0**-53) for r in roots
                         for d in (-1e-15, -2.0**-53, 0.0, 2.0**-53, 1e-15)]
                 probes = [*rng.uniform(0.0, 1.0, 4).tolist(), *ends, *near]
@@ -711,22 +729,29 @@ def test_alive_equals_the_exact_sign_of_the_invariants():
             probes = [np.nextafter(root, 0.0), root, np.nextafter(root, 1.0)]
             want = [_exact_sign(c, k, g) < 0 for g in probes]
             assert negativity._alive(invariants, k, probes) == want == [want[0], False, want[2]]
-def test_stacked_roots_are_the_roots_of_each_block():
-    # Both blocks' companions go to one eigensolve, the shorter padded; the
-    # padding adds no root, and each block keeps its own roots.
-    padded = 0
+
+
+def test_root_counts_are_exact():
+    # Descartes' count of each chosen invariant's roots in 0 < y < 1 is 0
+    # or 1, so exact, and has the parity of the sign change between y = 0
+    # and y = 1.  A counted root lies in its bracket: the invariant has the
+    # sign opposite to c_0 at lo (or lo = 0) and not at hi, in fractions.
+    counted = set()
     for p in [*CANONICAL_POINTS, StateParams.a_zero(0.1), StateParams.a_zero(0.2)]:
         for kind in ChannelKind:
             for mode in Mode:
                 invariants, k = negativity._block_invariants(kind, mode, p)
-                chosen = negativity._chosen_invariants(invariants)
-                assert all(c[0] and c[-1] for c in chosen), (p, kind, mode)
-                got = np.sort(negativity._strengths_of_roots(chosen, k))
-                want = np.sort([g for c in chosen for g in negativity._strengths_of_roots([c], k)])
-                assert len(got) == len(want), (p, kind, mode)
-                assert np.abs(got - want).max(initial=0.0) <= 1e-12, (p, kind, mode)
-                padded += len({len(c) for c in chosen}) == 2
-    assert padded  # some blocks' polynomials differ in degree after trimming
+                for c in negativity._chosen_invariants(invariants):
+                    count = negativity._root_count(c)
+                    counted.add(count)
+                    if sum(c):
+                        assert count == ((c[0] > 0) != (sum(c) > 0)), (p, kind, mode)
+                    if count:
+                        lo, hi = negativity._root_bracket(c, k, 1e-9)
+                        before = -np.sign(c[0])
+                        assert lo == 0.0 or _exact_sign(c, k, lo) == before, (p, kind, mode)
+                        assert _exact_sign(c, k, hi) != before, (p, kind, mode)
+    assert counted == {0, 1}
 
 
 def test_invariant_forms_keep_exact_rationals():
@@ -741,18 +766,20 @@ def test_invariant_forms_keep_exact_rationals():
 
 
 def test_default_tolerance_needs_no_bisection(monkeypatch):
-    # The search evolves no state: the candidates and the test of life both
-    # come from the invariant tables.  Each cell takes at most one batch of
-    # that test, and the certified bracket is already narrower than
-    # tol = 1e-9.
+    # The search evolves no state: the root counts, their brackets and the
+    # test of life all come from the invariant tables.  Each cell takes at
+    # most one batch of that test, at the ends of the root brackets, which
+    # bisect on one invariant each.
     def no_evolve(*args):
         raise AssertionError("the ESD search evolved a state")
 
     batches = []
 
-    def counting_alive(*args):
-        batches.append(args)
-        return alive(*args)
+    def counting_alive(invariants, *args):
+        # The test of life of the state, not the exact sign of one invariant.
+        if len(invariants) == 6:
+            batches.append(args)
+        return alive(invariants, *args)
 
     alive = negativity._alive
     monkeypatch.setattr(evolution, "evolve_grid", no_evolve)
