@@ -41,13 +41,12 @@ e_2 and e_3 are all >= 0.  So the state is alive where some invariant of
 either block is negative and dead where all are >= 0, and at a float
 strength, a dyadic rational too, :func:`_alive` decides this exactly, in
 integers.  Each counted root is bracketed by bisection over float
-strengths, on the sign of its invariant in floats, and the bracket's ends
-are then tested exactly; a count of two or more halves the y-interval
-instead, which holds a multiple root too.  A 2x3 partial transpose can
-have two negative eigenvalues at once (Rana, PRA 87, 054301, 2013), and
-the state dies or revives only at a counted root, so the test of life at
-the bracket ends certifies the first death.  The search evolves no state
-and has no fixed threshold.  A curve that vanishes only at gamma = 1 is
+strengths, on the exact sign of its invariant; a count of two or more
+halves the y-interval instead, which holds a multiple root too.  A 2x3
+partial transpose can have two negative eigenvalues at once (Rana, PRA
+87, 054301, 2013), and the state dies or revives only at a counted root,
+so the test of life at the bracket ends certifies the first death.  The
+search evolves no state and has no fixed threshold.  A curve that vanishes only at gamma = 1 is
 asymptotic decay, not ESD.
 """
 
@@ -453,27 +452,32 @@ def _root_count(c: list[int]) -> int:
 
 def _alive(invariants: list, k: int, gammas: list[float]) -> list[bool]:
     """At each strength of ``gammas``, whether the state is entangled there:
-    whether some invariant of either block is negative, decided exactly.
-
-    A float g is a dyadic rational n / d, d = 2^s, so t = 1 - g = u / d
-    with u = d - n, and y = t^(1/k).  Each invariant is E(t) + y O(t), E
-    and O its even and odd powers of y for k = 2, or E itself and O = 0 for
-    k = 1 (:func:`_negative`).  The determinants go first, where a live
-    state most often shows.  ``invariants`` and k as
-    :func:`_block_invariants` returns them."""
-    # E and O highest power first, as Horner's rule takes them, and O as
-    # long as E; an invariant with no negative coefficient is >= 0 at y >= 0.
-    parts = [(c[::-1], []) if k == 1 else (c[::2][::-1], (c[1::2] + [0] * (len(c) % 2))[::-1])
-             for c in invariants[::-1] if min(c) < 0]
-    return [any(_negative(even, odd, d - n, d.bit_length() - 1) for even, odd in parts)
-            for n, d in map(float.as_integer_ratio, gammas)]
+    whether some invariant of either block is negative, decided exactly
+    (:func:`_negative`).  The determinants go first, where a live state
+    most often shows.  ``invariants`` and k as :func:`_block_invariants`
+    returns them."""
+    parts = _parts(invariants[::-1], k)
+    return [any(_negative(even, odd, g) for even, odd in parts) for g in gammas]
 
 
-def _negative(even: list[int], odd: list[int], u: int, s: int) -> bool:
-    """Whether E(t) + sqrt(t) O(t) < 0 at t = u / 2^s, E and O given by
-    ``even`` and ``odd`` as :func:`_alive` makes them.  Horner's rule with
-    shifts gives both times 2^(s (m - 1)), m the length of ``even``; where
-    their signs differ, E^2 against t O^2 decides."""
+def _parts(invariants: list, k: int) -> list[tuple[list[int], list[int]]]:
+    """Each invariant that can be negative as E(t) + y O(t), with y =
+    t^(1/k): E and O its even and odd powers of y for k = 2, or E itself
+    and O = 0 for k = 1.  E and O come highest power first, as Horner's
+    rule takes them, and O as long as E; an invariant with no negative
+    coefficient is >= 0 at y >= 0 and is left out."""
+    return [(c[::-1], []) if k == 1 else (c[::2][::-1], (c[1::2] + [0] * (len(c) % 2))[::-1])
+            for c in invariants if min(c) < 0]
+
+
+def _negative(even: list[int], odd: list[int], g: float) -> bool:
+    """Whether E(t) + sqrt(t) O(t) < 0 at t = 1 - g, E and O given by
+    ``even`` and ``odd`` as :func:`_parts` makes them.  A float g is a
+    dyadic rational n / 2^s, so t = u / 2^s with u = 2^s - n.  Horner's
+    rule with shifts gives E and O times 2^(s (m - 1)), m the length of
+    ``even``; where their signs differ, E^2 against t O^2 decides."""
+    n, d = g.as_integer_ratio()
+    u, s = d - n, d.bit_length() - 1
     e = o = 0
     for j, v in enumerate(even):
         e = e * u + (v << s * j)
@@ -500,25 +504,9 @@ def _root_bracket(c: list[int], k: int, tol: float) -> tuple[float, float]:
     """A bracket (lo, hi] of float strengths, as :func:`_bisected` narrows
     it, about the strength of the one root in (0, 1) of p(y) = sum c_i y^i,
     c_0 != 0.  Below that strength p has the sign opposite to c_0, its
-    sign at y = 0 (gamma = 1).  The bracket is bisected on the sign of p
-    in floats, and its ends that moved are then tested exactly; where one
-    fails, rounding has misplaced the root, and the bracket is bisected
-    again on the exact sign, :func:`_alive` of p alone."""
-    d = c if c[0] > 0 else [-v for v in c]
-    top = max(map(abs, d))
-    floats = [v / top for v in reversed(d)]
-
-    def before_in_floats(g: float) -> bool:
-        y = 1.0 - g if k == 1 else math.sqrt(1.0 - g)
-        p = 0.0
-        for v in floats:
-            p = p * y + v
-        return p < 0.0
-
-    lo, hi = _bisected(before_in_floats, tol)
-    at_lo, at_hi = _alive([d], k, [lo, hi])
-    if lo and not at_lo or hi < 1.0 and at_hi:
-        lo, hi = _bisected(lambda g: _alive([d], k, [g])[0], tol)
+    sign at y = 0 (gamma = 1), which :func:`_negative` decides exactly."""
+    ((even, odd),) = _parts([c if c[0] > 0 else [-v for v in c]], k)
+    lo, hi = _bisected(lambda g: _negative(even, odd, g), tol)
     return lo, min(hi, _LAST_BELOW_ONE)
 
 
@@ -529,9 +517,10 @@ def _root_brackets(c: list[int], k: int, tol: float) -> list[tuple[float, float]
     which the invariants have never shown, the y-interval
     [l / 2^s, (l + 1) / 2^s) is halved, from [0, 1), while it holds a root
     by the count (or one at its low end) and its strengths, each rounded
-    and moved one float outwards, span more than ``tol`` and two floats
-    strictly inside.  The count is exact on simple roots once they are
-    apart, and a multiple root stays in one bracket."""
+    and moved one float outwards, have two floats strictly inside, and
+    either span more than ``tol`` or still hold two roots or more.  The
+    count is exact on simple roots once they are apart, so a piece stops
+    at ``tol`` with one root, and a multiple root stays in one bracket."""
     count = _root_count(c)
     if count < 2:
         return [_root_bracket(c, k, tol)] if count else []
@@ -542,14 +531,15 @@ def _root_brackets(c: list[int], k: int, tol: float) -> list[tuple[float, float]
         # 2^(s n) p((l + x) / 2^s): its roots 0 <= x < 1 are those p has
         # in the interval.
         q = _shifted([v << s * (n - i) for i, v in enumerate(c)], l)
-        if q[0] and not _root_count(q):
+        held = _root_count(q) + (not q[0])
+        if not held:
             continue
         # The strengths 1 - y^k at its ends, correctly rounded and then
         # moved one float outwards, so past the exact ones.
         den = 1 << s * k
         lo = math.nextafter((den - (l + 1) ** k) / den, -1.0)
         hi = min(math.nextafter((den - l**k) / den, 2.0), _LAST_BELOW_ONE)
-        if hi - lo <= tol or math.nextafter(lo, 1.0) >= math.nextafter(hi, 0.0):
+        if hi - lo <= tol and held == 1 or math.nextafter(lo, 1.0) >= math.nextafter(hi, 0.0):
             brackets.append((lo, hi))
         else:
             intervals += [(2 * l + 1, s + 1), (2 * l, s + 1)]

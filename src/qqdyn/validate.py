@@ -236,8 +236,8 @@ def _esd_certificate_checks(tol: float = 1e-9) -> list[dict]:
     and no wider than ``tol``; where the search finds no death, the state is
     alive at the last float below 1.  Numerically, at the canonical points:
     the numeric negativity of the evolved states, which shares nothing with
-    the invariant tables, is > 0 at lo and 0 at hi, two evolutions per
-    death."""
+    the invariant tables, is 0 at hi and > 0 at lo and at every strength
+    j / 16 below lo, so no earlier death on that grid was missed."""
     widest = at_dead_end = 0.0
     deaths = 0
     for p in CANONICAL_POINTS + _EDGE_POINTS:
@@ -249,14 +249,16 @@ def _esd_certificate_checks(tol: float = 1e-9) -> list[dict]:
                 widest = max(widest, ends[-1] - ends[0] if certified else np.inf)
                 if len(ends) == 2 and p in CANONICAL_POINTS:
                     deaths += 1
-                    at_lo, at_hi = _sweep_negativities(kind, mode, p, ends)
-                    at_dead_end = max(at_dead_end, at_hi if at_lo > 0.0 else np.inf)
+                    gammas = [j / 16 for j in range(16) if j / 16 < ends[0]] + list(ends)
+                    *before, at_hi = _sweep_negativities(kind, mode, p, gammas)
+                    at_dead_end = max(at_dead_end, at_hi if min(before) > 0.0 else np.inf)
     points = f"{len(CANONICAL_POINTS)} canonical and {len(_EDGE_POINTS)} edge points"
     return [
         _check("esd_bracket_certified_exactly", widest, tol,
                f"bracket width; alive at lo, dead at hi, by the invariants, 15 cells at {points}"),
         _check("esd_bracket_certified_numerically", at_dead_end, 0.0,
-               f"numeric negativity at hi, > 0 at lo, at the {deaths} deaths of the canonical points"),
+               f"numeric negativity at hi, > 0 at lo and on a 1/16 grid below it, "
+               f"at the {deaths} deaths of the canonical points"),
     ]
 
 

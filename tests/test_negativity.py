@@ -366,42 +366,34 @@ def test_root_search_finds_death_before_revival_inside_one_grid_cell():
     # only between its roots y = 0.7005 and 0.6995, which for k = 1 lie at
     # gamma = 0.2995 and 0.3005, inside one cell (153/512, 154/512) of a
     # 1/512 grid.  Descartes counts two roots, and the subdivision brackets
-    # each of them, for k = 1 and k = 2.
+    # each of them, for k = 1 and k = 2.  At tol = 1e-2, wider than the gap
+    # between the roots, a piece that still counts both goes on halving, so
+    # the death is not lost between two live ends.
     c = [-v for v in _product([-1401, 2000], [-1399, 2000], [2, 1])]
     assert negativity._root_count(c) == 2
     for k in (1, 2):
         deaths = [1 - Fraction(y, 2000) ** k for y in (1401, 1399)]
-        brackets = negativity._root_brackets(c, k, 1e-9)
-        for g in deaths:
-            assert any(lo < g <= hi and hi - lo <= 1e-9 for lo, hi in brackets), (k, g)
-        lo, hi = negativity._death_bracket([c] + [[0]] * 5, k, 1e-9)
-        assert lo < deaths[0] <= hi and hi - lo <= 1e-9, k
+        for tol in (1e-9, 1e-2):
+            brackets = negativity._root_brackets(c, k, tol)
+            for g in deaths:
+                assert any(lo < g <= hi and hi - lo <= tol for lo, hi in brackets), (k, tol, g)
+            lo, hi = negativity._death_bracket([c] + [[0]] * 5, k, tol)
+            assert lo < deaths[0] <= hi and hi - lo <= tol, (k, tol)
+            assert hi < deaths[1], (k, tol)
 
 
 @pytest.mark.parametrize("c", [1e-7, 1e-9], ids=["early", "late"])
-def test_root_search_widens_about_a_root_that_missed_its_crossing(c, monkeypatch):
+def test_root_search_widens_about_a_root_that_missed_its_crossing(c):
     # At (0, c) qutrit-only depolarizing dies at about 3c, where the chosen
-    # invariant's coefficients cancel to 1e-6 of their size.  Bisected in
-    # floats, the bracket ends below the death at c = 1e-7 and above it at
-    # c = 1e-9; the exact test of its ends finds that, and an exact
-    # bisection brackets the death.
-    bisected = negativity._bisected
-    brackets = []
-
-    def recording(before, tol):
-        brackets.append(bisected(before, tol))
-        return brackets[-1]
-
-    monkeypatch.setattr(negativity, "_bisected", recording)
+    # invariant's coefficients cancel to 1e-6 of their size, so its sign
+    # evaluated in floats puts the root on the wrong side of the death.  The
+    # bisection on the exact sign brackets the death.
     p = StateParams(0.0, c)
     want = analytic_esd_gamma(ChannelKind.DEPOLARIZING, Mode.QUTRIT_ONLY, p)
-    got = esd_gamma(ChannelKind.DEPOLARIZING, Mode.QUTRIT_ONLY, p)
-    (in_floats_lo, in_floats_hi), (lo, hi) = brackets
-    if c == 1e-7:
-        assert in_floats_hi < want
-    else:
-        assert in_floats_lo > want
-    assert lo < want <= hi == got and hi - lo <= 1e-9
+    invariants, k = negativity._block_invariants(ChannelKind.DEPOLARIZING, Mode.QUTRIT_ONLY, p)
+    lo, hi = negativity._death_bracket(invariants, k, 1e-9)
+    assert lo < want <= hi == esd_gamma(ChannelKind.DEPOLARIZING, Mode.QUTRIT_ONLY, p)
+    assert hi - lo <= 1e-9
 
 
 def test_root_search_keeps_a_double_root_lifted_off_the_axis():
@@ -769,17 +761,15 @@ def test_default_tolerance_needs_no_bisection(monkeypatch):
     # The search evolves no state: the root counts, their brackets and the
     # test of life all come from the invariant tables.  Each cell takes at
     # most one batch of that test, at the ends of the root brackets, which
-    # bisect on one invariant each.
+    # bisect on the exact sign of one invariant each.
     def no_evolve(*args):
         raise AssertionError("the ESD search evolved a state")
 
     batches = []
 
-    def counting_alive(invariants, *args):
-        # The test of life of the state, not the exact sign of one invariant.
-        if len(invariants) == 6:
-            batches.append(args)
-        return alive(invariants, *args)
+    def counting_alive(*args):
+        batches.append(args)
+        return alive(*args)
 
     alive = negativity._alive
     monkeypatch.setattr(evolution, "evolve_grid", no_evolve)
