@@ -27,7 +27,8 @@ invariants of both partial-transpose blocks of the subject cell, the first
 step of the checkout's ESD search; the whole search is timed by the
 ``esd_gamma_15_cells`` row, over all 15 cells.  ``check_density*``,
 ``negativity_numeric`` and ``coherence_l1`` take the states as complex 6x6
-matrices, the ``*_blocks*`` rows as the block stack that ``evolve_grid``
+matrices, the only form ``check_density`` takes, and the
+``negativity_blocks*`` rows as the block stack that ``evolve_grid``
 returns (``negativity_blocks_513_diagonal`` the 513 states of a default
 multi-local dephasing sweep, whose partial transposes are diagonal).  The
 ``emit_*`` rows render the default sweep of the subject cell, and the
@@ -245,8 +246,6 @@ def layer_rows(q: ModuleType) -> dict:
         "esd_block_invariants": (lambda: _esd_block_invariants(q), 300),
     }
     for n, suffix, calls in ((64, "", 200), (16, "_16", 500), (1, "_1", 1000)):
-        rows[f"check_density_blocks{suffix}"] = (
-            lambda n=n: lambda b=stack[:n]: states.check_density(b), calls)
         rows[f"negativity_blocks{suffix}"] = (
             lambda n=n: lambda b=stack[:n]: negativity.negativity_numeric(b), calls)
     rows["negativity_blocks_513_diagonal"] = (

@@ -24,10 +24,10 @@ and gamma T_1 cancel towards gamma = 1.  :func:`channel_terms` gives the
 terms of any states, which the evolution tabulates once at import for the
 family's basis states.  :func:`channel_weights` gives the weight rows
 (u, v[, s]) of both sides at once, for a strength array per side, from one
-formula over per-kind columns of p and m.  That formula is the package's
-one copy of the weights: the ESD search's weight polynomials in y,
-1 - gamma = y^k, are read off its rows at gamma = 0 and 1
-(``evolution._weights_in_y``).
+formula over per-kind columns of p and m.  The ESD search's weight
+polynomials in y, 1 - gamma = y^k, take the same columns in integers at
+gamma = 0 and 1, each row times its m (``evolution._integer_rows``), so
+that its tables stay exact; the tests hold the two to one another.
 
 Completeness is certified once, at import, for every (kind, side): its
 Gram polynomial sum_i K_i^dagger K_i = u G_u + v G_v + s G_s must have

@@ -13,17 +13,23 @@ u T_u + v T_v (+ s T_s for dephasing) in its squared Kraus weights
 u = 1 - p gamma / m, v = gamma / m and in s = sqrt(u) (see ``channels``).
 Every channel is linear, so the evolved state at any strength pair is a
 weighted sum of fixed matrices.  For each kind, the terms of both sides
-applied to each basis state are tabulated once at import.  Every term
-commutes with the symmetry S of ``linalg`` and is real, which the import
-certifies, so each is held as its two real symmetric 3x3 blocks, 18 reals
-instead of the 72 of a complex 6x6 matrix: at most 27 block pairs per kind,
-11 kB for all five.  A call mixes them with the point's weights (2a, 3b, c)
-into at most 9 term block pairs.
+applied to each basis state are tabulated once at import.  Every entry of
+every term is an integer over 6, so the import rounds 6 times each term
+onto the integers, the one snap of the package, with a certificate that
+no entry lay off them by more than rounding (:func:`_basis_table`).  Those
+integers are the one source: the float table that a call mixes is them
+over 6, and ``negativity`` derives the ESD invariants from them exactly.
+Every term commutes with the symmetry S of ``linalg`` and is real, which
+the import certifies exactly, so each is held as its two real symmetric
+3x3 blocks, 18 reals instead of the 72 of a complex 6x6 matrix: at most 27
+block pairs per kind, 11 kB for all five.  A call mixes them with the
+point's weights (2a, 3b, c) into at most 9 term block pairs.
 
 The import certifies the tables once, and no call checks a state again.
 ``channels`` certifies each side complete at every strength, and
-:func:`_basis_table` checks the images of the three basis states at the
-four corners of the strength square with ``check_density``.  For the four
+:func:`_basis_table` certifies the images of the three basis states at the
+four corners of the strength square exactly, in integers: symmetric
+blocks, unit trace and e_1, e_2, e_3 >= 0 for each block.  For the four
 mixed-unitary kinds the evolved state is bi-affine in (gamma_qubit,
 gamma_qutrit), so it is a convex mix of those twelve certified images,
 with the corners weighted by products of gamma and 1 - gamma and the basis
@@ -39,10 +45,10 @@ where an output needs it.  ``sweep.run_sweep`` evolves a grid of any
 length in pieces, so its memory stays bounded.  :func:`evolve` is the
 one-point case of the same path, :func:`_mixed`, without a second check of
 the strengths its ``ChannelScenario`` checked, and :func:`_sweep_basis` the
-same mix with polynomial weights for each basis state, from which
-``negativity`` tabulates the ESD invariants once at import.  The direct Kraus sum, the
-reference the tables are tested against, lives in the tests
-(``tests/helpers.py``), since no library path needs it.
+same mix in integers, with polynomial weights for each basis state, from
+which ``negativity`` tabulates the ESD invariants once at import.  The
+direct Kraus sum, the reference the tables are tested against, lives in
+the tests (``tests/helpers.py``), since no library path needs it.
 
 For each channel kind the evolved density matrix also has a closed form;
 :func:`analytic_evolved` builds it directly from those expressions as an
@@ -61,8 +67,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .channels import _WEIGHTINGS, ChannelKind, Side, _rows, channel_terms, channel_weights
-from .linalg import BLOCK_SHAPE, TOTAL_DIM, check_matrices, from_blocks, to_blocks
-from .states import FAMILY_BASIS, DensityMatrix, StateParams, check_density, family_weights
+from .linalg import (BLOCK_SHAPE, TOTAL_DIM, _invariant_forms, _polymul, check_matrices,
+                     from_blocks, to_blocks)
+from .states import FAMILY_BASIS, DensityMatrix, StateParams, family_weights
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
@@ -130,56 +137,79 @@ def sweep_strengths(mode: Mode, gamma: ArrayLike) -> tuple[np.ndarray, np.ndarra
 _BLOCK_SIZE = int(np.prod(BLOCK_SHAPE))
 
 
+def _integer_rows(kind: ChannelKind) -> tuple[np.ndarray, int]:
+    """Both sides' weight rows at gamma = 0 and 1, each times its side's m,
+    as integers: m u = m - p gamma, m v = gamma and m s = sqrt(m (m - p
+    gamma)), in a (2, 2, T) array, qubit side first; and m_qubit m_qutrit.
+    s is a term of dephasing alone, whose p = m = 1 makes m s the integer
+    1 - gamma."""
+    p, m, terms = _WEIGHTINGS[kind]
+    g = np.array([0.0, 1.0])
+    rows = np.stack([m - p * g, 0.0 * m + g, np.sqrt(m * (m - p * g))], axis=-1)
+    return rows[..., :terms], int(m.prod())
+
+
 def _basis_table(kind: ChannelKind) -> np.ndarray:
-    """What the kind's channels on both sides make of ``FAMILY_BASIS``: the
-    terms of the qutrit-side channel applied to those of the qubit-side
-    one, qutrit term major, in one real table with one row per basis state
-    that holds each term as its 18 block entries.
+    """What the kind's channels on both sides make of ``FAMILY_BASIS``, times
+    6, as integers: the terms of the qutrit-side channel applied to those of
+    the qubit-side one, qutrit term major, in one int64 table with one row
+    per basis state that holds each term as its 18 block entries.
 
-    Raises ValueError unless every term commutes with S and is real to
-    ``linalg.SYMMETRY_TOL``, since the block form holds only such states,
-    and unless the table's images of the basis states at the four corners
-    of the strength square pass ``check_density``.  The images at (0, 0)
-    are the basis states themselves.
+    The one snap of the package: every entry of 6 times a term lies within
+    1e-9 of a real integer, its imaginary part included, or ValueError is
+    raised; the integers are exact.  Raises ValueError too unless every
+    integer term commutes with S and is real (``linalg.to_blocks``), since
+    the block form holds only such states, and unless each image of a basis
+    state at the four corners of the strength square is a density matrix,
+    decided exactly in integers: its blocks are symmetric, their traces sum
+    to 1, and e_1, e_2 and e_3 of each block (``linalg._invariant_forms``)
+    are >= 0, which for a real symmetric 3x3 block is exactly positive
+    semidefinite.  The images at (0, 0) are the basis states themselves.
     """
-    both = channel_terms(kind, Side.QUTRIT, channel_terms(kind, Side.QUBIT, FAMILY_BASIS))
-    blocks = to_blocks(both.reshape(-1, *FAMILY_BASIS.shape))
-    # Exactly symmetric blocks give exactly symmetric states.
-    blocks = (blocks + blocks.swapaxes(-1, -2)) / 2.0
-    terms = np.ascontiguousarray(np.moveaxis(blocks, 1, 0))
-    terms = terms.reshape(len(FAMILY_BASIS), -1, _BLOCK_SIZE)
-    wa, wb = channel_weights(kind, [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0])
+    both = 6.0 * channel_terms(kind, Side.QUTRIT, channel_terms(kind, Side.QUBIT, FAMILY_BASIS))
+    ints = np.rint(both.real)
+    if not (off := np.abs(both - ints).max()) <= 1e-9:
+        raise ValueError(f"a term is off the grid of integers over 6 by {off:.3e}")
+    blocks = to_blocks(ints.reshape(-1, *FAMILY_BASIS.shape))
+    terms = np.moveaxis(blocks, 1, 0).reshape(len(FAMILY_BASIS), -1, _BLOCK_SIZE)
+    rows, scale = _integer_rows(kind)
+    # The corners (0, 0), (1, 0), (0, 1) and (1, 1), times m_qubit m_qutrit.
+    wa, wb = rows[0][[0, 1, 0, 1]], rows[1][[0, 0, 1, 1]]
     corners = (wb[:, :, None] * wa[:, None, :]).reshape(len(wa), -1)
-    check_density((corners @ terms).reshape(len(terms), len(corners), *BLOCK_SHAPE))
-    return terms.reshape(len(terms), -1)
+    images = (corners @ terms).reshape(len(terms), len(corners), *BLOCK_SHAPE)
+    tr = np.trace(images, axis1=-2, axis2=-1).sum(axis=-1)
+    negative = [e.reshape(*tr.shape, 2) < 0 for e in _invariant_forms(images[None, None])]
+    for bad, message in (
+        ((images != images.swapaxes(-1, -2)).any(axis=(-3, -2, -1)), "is not symmetric"),
+        (tr != 6 * scale, "trace must be 1, got {}"),
+        (np.any(negative, axis=(0, -1)), "is not positive semidefinite"),
+    ):
+        if bad.any():
+            i = tuple(np.argwhere(bad)[0].tolist())
+            raise ValueError(f"corner image {message.format(tr[i] / (6 * scale))} in stack member {i}")
+    return terms.reshape(len(terms), -1).astype(np.int64)
 
 
-#: The basis table of every kind, built and certified once at import.
-_BASIS_TABLES = {kind: _basis_table(kind) for kind in ChannelKind}
-
-
-def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products of polynomials with coefficients of 1, y, ... along axis 0,
-    in the dtype of the coefficients (exact rationals stay exact)."""
-    shape = (len(a) + len(b) - 1, *np.broadcast_shapes(a.shape[1:], b.shape[1:]))
-    out = np.zeros(shape, dtype=np.result_type(a, b))
-    for i, ai in enumerate(a):
-        out[i : i + len(b)] += ai * b
-    return out
+#: The basis table of every kind, 6 times its terms as integers, built and
+#: certified once at import; and the float table that the evolution mixes,
+#: those integers over 6.
+_BASIS_INTEGERS = {kind: _basis_table(kind) for kind in ChannelKind}
+_BASIS_TABLES = {kind: ints / 6.0 for kind, ints in _BASIS_INTEGERS.items()}
 
 
 def _weights_in_y(kind: ChannelKind, mode: Mode) -> tuple[np.ndarray, int]:
     """The weight rows of both sides at one sweep strength of the mode as
-    polynomials in y, with k, 1 - gamma = y^k (k = 2 where a row holds s,
-    else 1): the products of the two sides' rows, qutrit term major, as the
-    basis table holds the terms.
+    polynomials in y, times m_qubit m_qutrit, with integer coefficients, and
+    k, 1 - gamma = y^k (k = 2 where a row holds s, else 1): the products of
+    the two sides' rows, qutrit term major, as the basis table holds the
+    terms.
 
-    They come from ``channel_weights`` itself, at gamma = 0 and 1.  u and v
-    are affine in gamma, so in y^k, and s = sqrt(u) = y, since dephasing
-    has u = 1 - gamma: each weight is its value at gamma = 1 plus, at its
-    power of y, the difference to its value at gamma = 0.  An idle side is
-    its constant row at gamma = 0, the identity."""
-    rows = channel_weights(kind, [0.0, 1.0], [0.0, 1.0])
+    They come from the integer rows at gamma = 0 and 1 (:func:`_integer_rows`).
+    u and v are affine in gamma, so in y^k, and s = sqrt(u) = y, since
+    dephasing has u = 1 - gamma: each weight is its value at gamma = 1 plus,
+    at its power of y, the difference to its value at gamma = 0.  An idle
+    side is its constant row at gamma = 0, the identity."""
+    rows, _ = _integer_rows(kind)
     terms = rows.shape[-1]
     k = terms - 1
     sides = []
@@ -197,14 +227,15 @@ def _weights_in_y(kind: ChannelKind, mode: Mode) -> tuple[np.ndarray, int]:
 
 
 def _sweep_basis(kind: ChannelKind, mode: Mode) -> tuple[np.ndarray, int]:
-    """What one cell's sweep makes of each state of ``FAMILY_BASIS``, as
-    block-stack coefficients of 1, y, y^2, ..., basis state second: a
-    (d + 1, 3, 2, 3, 3) array; and k, 1 - gamma = y^k.  The mix of
-    :func:`evolve_grid` with each weight a polynomial in y, before the
-    family weights; the sweep of a point is its weights (2a, 3b, c) times
-    these along the basis axis."""
+    """What one cell's sweep makes of each state of ``FAMILY_BASIS``, times
+    6 m_qubit m_qutrit, as block-stack coefficients of 1, y, y^2, ..., basis
+    state second, each an integer held in float64: a (d + 1, 3, 2, 3, 3)
+    array; and k, 1 - gamma = y^k.  The mix of :func:`evolve_grid` with
+    each weight a polynomial in y, before the family weights, from the
+    integer tables; the sweep of a point is its weights (2a, 3b, c) times
+    these along the basis axis, over the scale."""
     w, k = _weights_in_y(kind, mode)
-    terms = _BASIS_TABLES[kind].reshape(len(FAMILY_BASIS), -1, _BLOCK_SIZE)
+    terms = _BASIS_INTEGERS[kind].reshape(len(FAMILY_BASIS), -1, _BLOCK_SIZE)
     return (w @ terms).swapaxes(0, 1).reshape(len(w), len(terms), *BLOCK_SHAPE), k
 
 

@@ -13,6 +13,15 @@ diagonal: an S-even and an S-odd real symmetric 3x3 block, held as a
 (..., 2, 3, 3) block stack.  :func:`to_blocks` and :func:`from_blocks` change
 between the two forms, and :func:`partial_transpose_blocks` is the partial
 transpose over the qutrit in block form, since it commutes with S too.
+:func:`to_blocks` takes exact input, 6 times the evolution's terms as
+integers, so it checks exactly, with no tolerance, that each matrix
+commutes with S and is real.
+
+The characteristic invariants of real symmetric 3x3 blocks, e_1, e_2 and
+e_3 (trace, principal-minor sum, determinant), come from one piece of
+polynomial algebra, :func:`_invariant_forms`, in the dtype of its input:
+integers held in float64 stay exact while they are below 2^53.  The import
+certifies the evolution's tables with it, and tabulates the ESD invariants.
 """
 
 from __future__ import annotations
@@ -28,15 +37,13 @@ BLOCK_SHAPE = (2, QUTRIT_DIM, QUTRIT_DIM)
 #: Default absolute tolerance when deciding whether a matrix is Hermitian.
 HERMITICITY_TOL = 1e-10
 
-#: How far a matrix may be from commuting with S, or from real, for
-#: :func:`to_blocks`.
-SYMMETRY_TOL = 1e-15
-
 #: The pairs of S in the order i_0, i_1, i_2, j_0, j_1, j_2, where
 #: i_k = |0 k> and j_k = S i_k.  The reordering is its own inverse.
 _PAIRED = np.array([0, 1, 2, 4, 3, 5])
 #: sigma, the swap of qutrit levels 0 and 1: S maps |0 k> to |1 sigma(k)>.
 _SIGMA = np.array([1, 0, 2])
+#: Columns j + 1 and j + 2 (mod 3) for each column j of a 3x3 matrix.
+_NEXT, _AFTER = [1, 2, 0], [2, 0, 1]
 
 
 #: The fixed real maps of :func:`from_blocks` and
@@ -94,8 +101,8 @@ def to_blocks(m: np.ndarray) -> np.ndarray:
     """The (..., 2, 3, 3) real block stack of a 6x6 matrix, or of every
     matrix in a (..., 6, 6) stack, that commutes with S and is real.
 
-    Raises ValueError if any matrix is further than ``SYMMETRY_TOL`` from
-    commuting with S or from real, entry-wise.
+    Raises ValueError unless every matrix commutes with S and is real
+    exactly: the input is exact, so no tolerance applies.
     """
     m = np.asarray(m)
     check_matrices(m)
@@ -103,14 +110,9 @@ def to_blocks(m: np.ndarray) -> np.ndarray:
     a, b = p[..., :3, :3], p[..., :3, 3:]
     # In the paired order S swaps i_k and j_k: it maps [[A, B], [B', A']] to
     # [[A', B'], [B, A]].
-    defect = max(np.abs(a - p[..., 3:, 3:]).max(initial=0.0),
-                 np.abs(b - p[..., 3:, :3]).max(initial=0.0),
-                 np.abs(m.imag).max(initial=0.0))
-    if not defect <= SYMMETRY_TOL:
-        raise ValueError(f"matrix does not commute with S or is not real: defect {defect:.3e}")
-    a = (a + p[..., 3:, 3:]).real / 2.0
-    b = (b + p[..., 3:, :3]).real / 2.0
-    return np.stack([a + b, a - b], axis=-3)
+    if (a != p[..., 3:, 3:]).any() or (b != p[..., 3:, :3]).any() or m.imag.any():
+        raise ValueError("matrix does not commute with S or is not real")
+    return np.stack([a.real + b.real, a.real - b.real], axis=-3)
 
 
 def _lead(blocks: np.ndarray) -> tuple[int, ...]:
@@ -155,3 +157,39 @@ def partial_transpose_blocks(blocks: np.ndarray) -> np.ndarray:
     np.add(a, b, out=pt[..., 0, :])
     np.subtract(a, b, out=pt[..., 1, :])
     return pt.reshape(*lead, *BLOCK_SHAPE)
+
+
+def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of polynomials with coefficients of 1, y, ... along axis 0,
+    in the dtype of the coefficients (exact rationals stay exact)."""
+    shape = (len(a) + len(b) - 1, *np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    out = np.zeros(shape, dtype=np.result_type(a, b))
+    for i, ai in enumerate(a):
+        out[i : i + len(b)] += ai * b
+    return out
+
+
+def _invariant_forms(pt: np.ndarray) -> list[np.ndarray]:
+    """e_1, e_2 and e_3 of the eigenvalues of the blocks A = sum_j x_j
+    pt[:, j], as forms in the x_j.  ``pt`` holds 3x3 polynomial blocks:
+    coefficients of 1, y, ... along axis 0, then the j axis, then any
+    further axes, which the forms keep, then the 3x3.  e_i comes back with
+    its coefficients along axis 0, then i axes of j, then the further axes;
+    summed times x_j x_k ... over every j, k, ... it is e_i of the blocks
+    A.  e_1 = tr A, e_2 = ((tr A)^2 - tr A^2) / 2 and e_3 = det A by the
+    cofactors of row 0, its rows 0, 1 and 2 taken from pt[:, j], pt[:, k]
+    and pt[:, l]: the determinant is linear in each row.  The arithmetic
+    keeps the dtype of ``pt``, so exact rationals stay exact, and so do
+    integers in float64 below 2^53."""
+    tr = np.trace(pt, axis1=-2, axis2=-1)
+    squares = _polymul(pt[:, :, None], pt[:, None].swapaxes(-1, -2)).sum(axis=(-2, -1))
+    r0 = pt[:, :, None, None, ..., 0, :]
+    r1 = pt[:, None, :, None, ..., 1, :]
+    r2 = pt[:, None, None, :, ..., 2, :]
+    cofactors = _polymul(r1[..., _NEXT], r2[..., _AFTER])
+    cofactors -= _polymul(r1[..., _AFTER], r2[..., _NEXT])
+    return [
+        tr,
+        (_polymul(tr[:, :, None], tr[:, None]) - squares) / 2,
+        _polymul(r0, cofactors).sum(axis=-1),
+    ]

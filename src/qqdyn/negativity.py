@@ -25,9 +25,12 @@ e_1, e_2, e_3 (trace, principal-minor sum, determinant) are exact
 polynomials in y, 1 - gamma = y^k (k = 2 for dephasing, else 1), and
 linear, quadratic and cubic in the family weights (2a, 3b, c).  The import
 tabulates them per cell over the 3 + 6 + 10 distinct monomials of those
-weights, as the integers over 93312 that they are.  Every float weight is
-a dyadic rational, so all three times one power of two are integers, and
-a search contracts its table with its point's monomials in exact integer
+weights, from the evolution's integer tables (integers over 6) by the
+polynomial algebra of ``linalg._invariant_forms``, exactly, as integers:
+e_i times (12 m_qubit m_qutrit)^i, a positive scale that leaves its signs,
+the only thing the search reads, as they are.  Every float weight is a
+dyadic rational, so all three times one power of two are integers, and a
+search contracts its table with its point's monomials in exact integer
 arithmetic.  A coefficient is zero only when it is exactly zero: that
 picks each block's highest invariant that does not vanish identically and
 trims it at both ends, so a multiple root at gamma = 1 (y = 0) does not
@@ -62,8 +65,9 @@ import numpy as np
 
 from .channels import ChannelKind
 from .evolution import ChannelScenario, Mode
-from .evolution import _polymul, _sweep_basis
-from .linalg import BLOCK_SHAPE, TOTAL_DIM, partial_transpose_blocks, partial_transpose_qutrit
+from .evolution import _sweep_basis
+from .linalg import (BLOCK_SHAPE, TOTAL_DIM, _invariant_forms, partial_transpose_blocks,
+                     partial_transpose_qutrit)
 from .states import DensityMatrix, StateParams, family_weights
 
 if TYPE_CHECKING:
@@ -73,13 +77,6 @@ if TYPE_CHECKING:
 #: numeric negativity is either exactly 0.0 or above 2e-12, and 0.0 is the
 #: numeric test of death (of ``validate``'s numeric ESD certificate).
 NEGATIVE_EIG_CUTOFF = -1e-12
-
-#: Every entry of the invariant tables is an integer over this grid,
-#: 93312 = 2^7 3^6, which the import certifies (:func:`_snapped`).
-_TABLE_GRID = 93312.0
-#: Columns j + 1 and j + 2 (mod 3) for each column j of a 3x3 matrix.
-_NEXT, _AFTER = [1, 2, 0], [2, 0, 1]
-
 
 
 @dataclass(frozen=True)
@@ -310,42 +307,6 @@ def check_entangled(params: StateParams) -> None:
         raise ValueError("ESD detection requires an entangled initial state")
 
 
-def _invariant_forms(pt: np.ndarray) -> list[np.ndarray]:
-    """e_1, e_2 and e_3 of the eigenvalues of the blocks A = sum_j x_j
-    pt[:, j], as forms in the x_j.  ``pt`` holds 3x3 polynomial blocks:
-    coefficients of 1, y, ... along axis 0, then the j axis, then any
-    further axes, which the forms keep, then the 3x3.  e_i comes back with
-    its coefficients along axis 0, then i axes of j, then the further axes;
-    summed times x_j x_k ... over every j, k, ... it is e_i of the blocks
-    A.  e_1 = tr A, e_2 = ((tr A)^2 - tr A^2) / 2 and e_3 = det A by the
-    cofactors of row 0, its rows 0, 1 and 2 taken from pt[:, j], pt[:, k]
-    and pt[:, l]: the determinant is linear in each row.  The arithmetic
-    keeps the dtype of ``pt``, so exact rationals stay exact."""
-    tr = np.trace(pt, axis1=-2, axis2=-1)
-    squares = _polymul(pt[:, :, None], pt[:, None].swapaxes(-1, -2)).sum(axis=(-2, -1))
-    r0 = pt[:, :, None, None, ..., 0, :]
-    r1 = pt[:, None, :, None, ..., 1, :]
-    r2 = pt[:, None, None, :, ..., 2, :]
-    cofactors = _polymul(r1[..., _NEXT], r2[..., _AFTER])
-    cofactors -= _polymul(r1[..., _AFTER], r2[..., _NEXT])
-    return [
-        tr,
-        (_polymul(tr[:, :, None], tr[:, None]) - squares) / 2,
-        _polymul(r0, cofactors).sum(axis=-1),
-    ]
-
-
-def _snapped(t: np.ndarray) -> np.ndarray:
-    """``t`` in units of 1 / 93312 (``_TABLE_GRID``), each entry the integer
-    whose rational it rounds; raises if an entry lies more than 1e-6 of a
-    grid unit off the grid, which no rounding explains."""
-    scaled = t * _TABLE_GRID
-    whole = np.round(scaled)
-    if not np.abs(scaled - whole).max() <= 1e-6:
-        raise RuntimeError("an invariant table entry is off the 1/93312 grid")
-    return whole.astype(np.int64)
-
-
 def _monomials(x: list) -> list:
     """The 3 + 6 + 10 distinct monomials of degree 1, 2 and 3 in the three
     items of ``x``."""
@@ -354,17 +315,23 @@ def _monomials(x: list) -> list:
 
 def _invariant_tables() -> dict[tuple[ChannelKind, Mode], tuple[list, int, int]]:
     """Per cell, e_1, e_2 and e_3 of the partial transpose's blocks along its
-    sweep (:func:`_invariant_forms` of ``evolution._sweep_basis``) as one
-    integer table over the monomials of degree 1, 2 and 3 of the family
-    weights (2a, 3b, c), in units of 1 / 93312 (:func:`_snapped`); with
-    D + 1, D the degree of e_3 in y, and k, 1 - gamma = y^k.
+    sweep as one integer table over the monomials of degree 1, 2 and 3 of
+    the family weights (2a, 3b, c); with D + 1, D the degree of e_3 in y,
+    and k, 1 - gamma = y^k.  e_i comes times (12 m_qubit m_qutrit)^i, a
+    positive scale of its own, which the signs that the search reads do not
+    see.
 
-    The forms expand over the 3 + 9 + 27 ordered monomials, which are summed
-    into the 19 distinct ones of :func:`_monomials`, told apart by their
-    values at the primes 2, 3 and 5.  A table is kept as its non-zero
-    entries, in three lists of ints: the monomial, the slot (2 i + block)
-    (D + 1) + j of the coefficient of y^j of e_(i + 1) that it adds to, and
-    the integer.  The cells of one degree in y go through one call."""
+    The partial transposes of twice the integer sweep basis
+    (``evolution._sweep_basis``) are integers, at the scale 12 m_qubit
+    m_qutrit, so :func:`linalg._invariant_forms` takes them in float64
+    exactly: every form entry is an integer, checked below 2^53, that is
+    cast to int64 once the forms are summed.  The forms expand over the
+    3 + 9 + 27 ordered monomials, which are summed into the 19 distinct
+    ones of :func:`_monomials`, told apart by their values at the primes 2,
+    3 and 5.  A table is kept as its non-zero entries, in three lists of
+    ints: the monomial, the slot (2 i + block) (D + 1) + j of the
+    coefficient of y^j of e_(i + 1) that it adds to, and the integer.  The
+    cells of one degree in y go through one call."""
     bases = {(kind, mode): _sweep_basis(kind, mode) for kind in ChannelKind for mode in Mode}
     by_degree = {}
     for cell, (basis, _) in bases.items():
@@ -378,14 +345,17 @@ def _invariant_tables() -> dict[tuple[ChannelKind, Mode], tuple[list, int, int]]
     for cells in by_degree.values():
         # The cells on an axis after the basis axis, which the forms keep.
         pt = np.stack([bases[cell][0] for cell in cells], axis=2)
-        forms = _invariant_forms(partial_transpose_blocks(pt))
+        forms = _invariant_forms(partial_transpose_blocks(2.0 * pt))
         size = len(forms[-1])
-        table = np.zeros((len(distinct), len(cells), 3, 2, size), dtype=np.int64)
+        table = np.zeros((len(distinct), len(cells), 3, 2, size))
         for i, (e, rows) in enumerate(zip(forms, merge)):
             # A row per ordered monomial, then cells, blocks and powers of y.
             e = np.moveaxis(e, 0, -1).reshape(len(rows), len(cells), 2, -1)
-            np.add.at(table[:, :, i, :, : e.shape[-1]], rows, _snapped(e))
-        for cell, t in zip(cells, table.swapaxes(0, 1).reshape(len(cells), len(distinct), -1)):
+            np.add.at(table[:, :, i, :, : e.shape[-1]], rows, e)
+        if not np.abs(table).max() < 2.0**53:
+            raise RuntimeError("an invariant table entry is too large to be exact in float64")
+        table = table.astype(np.int64).swapaxes(0, 1).reshape(len(cells), len(distinct), -1)
+        for cell, t in zip(cells, table):
             m, slot, v = np.stack([*t.nonzero(), t[t != 0]]).tolist()
             v = list(map(shared.setdefault, v, v))
             tables[cell] = ([m, slot, v], size, bases[cell][1])
@@ -404,8 +374,8 @@ def _block_invariants(kind: ChannelKind, mode: Mode, params: StateParams) -> tup
 
     The float weights (2a, 3b, c) are integers w over their common
     denominator d (:func:`_over_common_denominator`); e_i comes times
-    93312 d^i, its cell's table (:func:`_invariant_tables`) contracted with
-    the monomials of degree i of w."""
+    (12 m_qubit m_qutrit d)^i, its cell's table (:func:`_invariant_tables`)
+    contracted with the monomials of degree i of w."""
     table, size, k = _INVARIANT_TABLES[kind, mode]
     monomials = _monomials(_over_common_denominator(family_weights(params).tolist())[0])
     flat = [0] * (6 * size)

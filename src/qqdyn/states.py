@@ -14,10 +14,15 @@ states (``FAMILY_BASIS``), P_2 the projector onto |02>, |12> and B_3 the
 sum of the phi+, phi- and psi+ projectors.  The family is entangled
 exactly when 3b < c <= 1 - 3b.
 
+The basis states are exact: each entry is an integer over 6, and each
+trace is exactly 1, since the Bell-like projectors are built as
+v v^T / 2 from vectors of integers.
+
 Every state the package builds from a matrix passes :func:`check_density`,
-which checks a stack member by member and names the first that fails.  The
-evolution's states come from tables that the import certified
-(``evolution._basis_table``), so they are not checked again per call.
+which checks a 6x6 matrix, or a stack of them member by member, and names
+the first that fails.  The evolution's states come from tables that the
+import certified exactly (``evolution._basis_table``), so they are not
+checked again per call.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import BLOCK_SHAPE, HERMITICITY_TOL, TOTAL_DIM
+from .linalg import HERMITICITY_TOL, TOTAL_DIM, check_matrices
 
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -94,24 +99,16 @@ def random_entangled_params(rng: np.random.Generator, n: int) -> list[StateParam
 
 
 def check_density(m: np.ndarray) -> None:
-    """Reject a state, or a stack with any member, that is not a density
-    matrix: finite, Hermitian, of unit trace and positive semidefinite, all
-    to 1e-10.
-
-    A state is a 6x6 matrix, or its two real symmetric 3x3 blocks in the
-    basis of the symmetry S (a (2, 3, 3) block stack, see ``linalg``); a
-    stack is a (..., 6, 6) or a (..., 2, 3, 3) array.  The blocks of a state
-    are checked together: its trace is the sum of their traces, and it is
-    positive semidefinite exactly when both blocks are, since the basis
-    change is orthogonal.
+    """Reject a 6x6 state, or a (..., 6, 6) stack with any member, that is
+    not a density matrix: finite, Hermitian, of unit trace and positive
+    semidefinite, all to 1e-10.
 
     The members are checked in turn, one pass per check and a full
     ``eigvalsh`` for positivity, and the message names the first failing
     member (no member for a single state).
     """
-    m = _as_blocks(m)
-    mh = m.swapaxes(-1, -2)
-    mh = mh.conj() if np.iscomplexobj(mh) else mh
+    check_matrices(m)
+    mh = m.conj().swapaxes(-1, -2)
 
     def reject(bad: np.ndarray, message) -> None:
         if bad.any():
@@ -119,27 +116,17 @@ def check_density(m: np.ndarray) -> None:
             where = f" in stack member {i[0] if len(i) == 1 else tuple(map(int, i))}" if i else ""
             raise ValueError(message(i) + where)
 
-    member = (-3, -2, -1)
+    member = (-2, -1)
     reject(~np.isfinite(m).all(axis=member), lambda i: "density matrix contains NaN or Inf")
     defect = np.abs(m - mh).max(axis=member)
     reject(defect > HERMITICITY_TOL, lambda i: f"not Hermitian (defect {defect[i]:.3e})")
-    tr = np.trace(m, axis1=-2, axis2=-1).sum(axis=-1)
+    tr = np.trace(m, axis1=-2, axis2=-1)
     reject(np.abs(tr - 1.0) > TRACE_TOL, lambda i: f"trace must be 1, got {tr[i]}")
-    min_eig = np.linalg.eigvalsh((m + mh) / 2.0)[..., 0].min(axis=-1)
+    min_eig = np.linalg.eigvalsh((m + mh) / 2.0)[..., 0]
     reject(
         min_eig < -PSD_TOL,
         lambda i: f"not positive semidefinite (min eigenvalue {min_eig[i]:.3e})",
     )
-
-
-def _as_blocks(m: np.ndarray) -> np.ndarray:
-    """A state or stack as a (..., k, d, d) stack: itself if it holds block
-    pairs, a 6x6 matrix as one block of its own."""
-    if m.ndim >= 3 and m.shape[-3:] == BLOCK_SHAPE:
-        return m
-    if m.ndim >= 2 and m.shape[-2:] == (TOTAL_DIM, TOTAL_DIM):
-        return m[..., None, :, :]
-    raise ValueError(f"expected {TOTAL_DIM}x{TOTAL_DIM}, got {m.shape}")
 
 
 @dataclass(frozen=True)
@@ -171,28 +158,25 @@ class DensityMatrix:
         return rho
 
 
-def _projector(v: np.ndarray) -> np.ndarray:
-    return np.outer(v, v.conj())
-
-
-def _bell_vector(kind: str) -> np.ndarray:
+def _projector(kind: str) -> np.ndarray:
+    """The projector v v^T / 2 of a Bell-like state (|i> +/- |j>) / sqrt 2,
+    from the vector v of integers: every entry is exact."""
     v = np.zeros(TOTAL_DIM, dtype=complex)
     i, j = (_IDX_00, _IDX_11) if kind.startswith("phi") else (_IDX_01, _IDX_10)
-    sign = 1.0 if kind.endswith("+") else -1.0
-    v[i] = 1.0 / np.sqrt(2.0)
-    v[j] = sign / np.sqrt(2.0)
-    return v
+    v[i], v[j] = 1.0, (1.0 if kind.endswith("+") else -1.0)
+    return np.outer(v, v) / 2.0
 
 
 #: The Bell-like projectors and the projector onto the two pure qutrit
 #: level-2 states |02>, |12>, built once at import.  The phi states superpose
 #: |00> and |11>, the psi states |01> and |10>; none populates qutrit level 2.
-_BELL_PROJECTORS = {kind: _projector(_bell_vector(kind)) for kind in BELL_KINDS}
+_BELL_PROJECTORS = {kind: _projector(kind) for kind in BELL_KINDS}
 _LEVEL_2_PROJECTOR = np.diag([0, 0, 1, 0, 0, 1]).astype(complex)
 
 
-#: The family's basis states, each of unit trace: P_2 / 2, B_3 / 3 with B_3
-#: the sum of the phi+, phi- and psi+ projectors, and the psi- projector.
+#: The family's basis states, each of trace exactly 1 and with entries that
+#: are integers over 6: P_2 / 2, B_3 / 3 with B_3 the sum of the phi+, phi-
+#: and psi+ projectors, and the psi- projector.
 #: rho(0) is their convex mix with the weights of :func:`family_weights`.
 FAMILY_BASIS = np.array(
     [

@@ -4,7 +4,7 @@ from pytest import approx
 
 from qqdyn import ChannelKind, Side, initial_state
 from qqdyn.channels import _SHAPES, channel_terms, channel_weights
-from qqdyn.evolution import Mode, _weights_in_y, sweep_strengths
+from qqdyn.evolution import Mode, _integer_rows, _weights_in_y, sweep_strengths
 from qqdyn.states import _BELL_PROJECTORS, StateParams
 
 from helpers import (
@@ -169,12 +169,15 @@ def test_weight_polynomials_in_y_give_the_weight_rows(kind, side):
     # With 1 - gamma = y^k, the pair weight rows of a sweep are polynomials
     # in y: k = 2 for dephasing, whose s = sqrt(1 - gamma) is y itself, else
     # k = 1.  Each cell in which this side is active, at random y and at
-    # both ends, against the rows of channel_weights at 1 - y^k.
+    # both ends, against the rows of channel_weights at 1 - y^k.  The
+    # polynomials come times m_qubit m_qutrit, with integer coefficients.
     y = np.concatenate([[0.0, 1.0], np.random.default_rng(23).uniform(0.0, 1.0, 20)])
     own = Mode.QUBIT_ONLY if side is Side.QUBIT else Mode.QUTRIT_ONLY
     for mode in (Mode.MULTI_LOCAL, own):
         w, k = _weights_in_y(kind, mode)
         assert k == (2 if kind is ChannelKind.DEPHASING else 1)
+        assert np.array_equal(w, np.rint(w))
+        w = w / _integer_rows(kind)[1]
         wa, wb = channel_weights(kind, *sweep_strengths(mode, 1.0 - y**k))
         want = (wb[:, :, None] * wa[:, None, :]).reshape(len(y), -1)
         got = np.vander(y, len(w), increasing=True) @ w

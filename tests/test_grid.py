@@ -21,7 +21,7 @@ from qqdyn import (
     random_entangled_params,
     run_sweep,
 )
-from qqdyn import channels, evolution, sweep
+from qqdyn import channels, evolution, states, sweep
 from qqdyn.evolution import sweep_strengths
 from qqdyn.linalg import from_blocks
 from qqdyn.states import check_density, initial_state
@@ -98,7 +98,7 @@ def test_each_call_is_one_fresh_array_and_checks_no_state(monkeypatch):
     g = np.linspace(0.0, 1.0, 2 * STACK + 3)
     expected = evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g[::-1]).copy()
     checked = []
-    monkeypatch.setattr(evolution, "check_density", checked.append)
+    monkeypatch.setattr(states, "check_density", checked.append)
     first = evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g[::-1])
     second = evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g[::-1])
     # The import certified the tables; a call checks no state.
@@ -158,37 +158,46 @@ def _block_member(even, odd):
     ids=["non-psd", "non-symmetric", "trace", "nan"],
 )
 def test_block_stack_with_one_bad_member_mid_chunk_is_rejected(bad, message):
+    # A block stack is checked as its product-basis matrices.
     g = np.linspace(0.0, 1.0, STACK)
-    states = evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g).copy()
-    states[MEMBER] = bad
+    blocks = evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g).copy()
+    blocks[MEMBER] = bad
+    stack = from_blocks(blocks)
     with pytest.raises(ValueError, match=f"{message}.* in stack member {MEMBER}$"):
-        check_density(states)
+        check_density(stack)
     # Without the bad member the same stack passes.
-    check_density(np.delete(states, MEMBER, axis=0))
+    check_density(np.delete(stack, MEMBER, axis=0))
 
 
-@pytest.mark.parametrize("corruption", ["breaks-symmetry", "imaginary"])
+#: Corruptions of one term, kept Hermitian, as (the entries (r, c) that
+#: move, each with (c, r), the change to 6 times the term there, the
+#: message): on the grid of integers over 6 but breaking S; or off it, in
+#: the imaginary part or in the real part, either keeping S.
+TABLE_CORRUPTIONS = {
+    "breaks-symmetry": ([(0, 1)], 1.0, "does not commute with S or is not real"),
+    "imaginary": ([(0, 1), (4, 3)], 1j, r"off the grid of integers over 6 by 1\.000e\+00$"),
+    "off-grid": ([(0, 1), (4, 3)], 1e-6, r"off the grid of integers over 6 by 1\.000e-06$"),
+}
+
+
+@pytest.mark.parametrize("corruption", list(TABLE_CORRUPTIONS))
 def test_corrupted_table_term_fails_the_import_certificate(corruption, monkeypatch):
     kind = ChannelKind.DEPOLARIZING
-    assert np.array_equal(evolution._basis_table(kind), evolution._BASIS_TABLES[kind])
+    assert np.array_equal(evolution._basis_table(kind), evolution._BASIS_INTEGERS[kind])
+    assert np.array_equal(evolution._BASIS_INTEGERS[kind] / 6.0, evolution._BASIS_TABLES[kind])
     terms = channels.channel_terms
+    entries, change, message = TABLE_CORRUPTIONS[corruption]
 
     def corrupted(kind, side, rho):
         t = terms(kind, side, rho)
         if side is Side.QUTRIT:
-            # One term, kept Hermitian; the imaginary part also keeps S.
-            if corruption == "breaks-symmetry":
-                t[1, ..., 0, 1] += 1e-14
-                t[1, ..., 1, 0] += 1e-14
-            else:
-                t[1, ..., 0, 1] += 1e-14j
-                t[1, ..., 1, 0] -= 1e-14j
-                t[1, ..., 4, 3] += 1e-14j
-                t[1, ..., 3, 4] -= 1e-14j
+            for r, c in entries:
+                t[1, ..., r, c] += change / 6.0
+                t[1, ..., c, r] += np.conj(change) / 6.0
         return t
 
     monkeypatch.setattr(evolution, "channel_terms", corrupted)
-    with pytest.raises(ValueError, match="does not commute with S or is not real: defect 1.0"):
+    with pytest.raises(ValueError, match=message):
         evolution._basis_table(kind)
 
 
@@ -214,9 +223,10 @@ def test_corrupted_term_is_named_with_its_member(case, monkeypatch):
     kind = ChannelKind.DEPOLARIZING
     terms = channels.channel_terms
     corrupted_terms, member = TERM_CORRUPTIONS[case]
-    # The first diagonal entry of the even block: S-symmetric and real, so
-    # only the density certificate can see it.
-    even_00 = from_blocks(np.eye(18)[0].reshape(2, 3, 3))
+    # The first diagonal entry of the even block, a third of it: S-symmetric,
+    # real and on the grid of integers over 6, so only the density
+    # certificate can see it.
+    even_00 = from_blocks(np.eye(18)[0].reshape(2, 3, 3)) / 3.0
 
     def corrupted(kind, side, rho):
         t = terms(kind, side, rho)
@@ -224,22 +234,24 @@ def test_corrupted_term_is_named_with_its_member(case, monkeypatch):
             for b, a in corrupted_terms:
                 # In every basis state: the trace of each image it enters
                 # moves by its weight.
-                t[b, a] += 1e-3 * even_00
+                t[b, a] += even_00
         return t
 
     monkeypatch.setattr(evolution, "channel_terms", corrupted)
-    message = rf"^trace must be 1, got .* in stack member \({member[0]}, {member[1]}\)$"
+    message = rf"^corner image trace must be 1, got .* in stack member \({member[0]}, {member[1]}\)$"
     with pytest.raises(ValueError, match=message):
         evolution._basis_table(kind)
 
 
 def test_corrupted_family_basis_fails_the_import_certificate(monkeypatch):
-    # The images at the corner (0, 0) are the basis states themselves.
-    monkeypatch.setattr(evolution, "FAMILY_BASIS", 0.5 * evolution.FAMILY_BASIS)
-    message = r"^trace must be 1, got 0\.5.* in stack member \(0, 0\)$"
-    for kind in ChannelKind:
-        with pytest.raises(ValueError, match=message):
-            evolution._basis_table(kind)
+    # The images at the corner (0, 0) are the basis states themselves: twice
+    # the basis stays on the grid of integers over 6, half of it does not.
+    doubled = r"^corner image trace must be 1, got 2\.0 in stack member \(0, 0\)$"
+    for factor, message in ((2.0, doubled), (0.5, "off the grid of integers over 6")):
+        monkeypatch.setattr(evolution, "FAMILY_BASIS", factor * states.FAMILY_BASIS)
+        for kind in ChannelKind:
+            with pytest.raises(ValueError, match=message):
+                evolution._basis_table(kind)
 
 
 def _kraus_reference(kind, p, ga, gb):

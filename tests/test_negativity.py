@@ -27,7 +27,7 @@ from qqdyn import (
     random_entangled_params,
     run_sweep,
 )
-from qqdyn import evolution, negativity, sweep
+from qqdyn import evolution, linalg, negativity, sweep
 from qqdyn.linalg import partial_transpose_blocks
 from qqdyn.states import family_weights
 
@@ -566,12 +566,18 @@ def test_search_probes_both_ends_of_the_strength_range():
             assert 1 - 2.0**-51 < analytic_esd_gamma(kind, mode, p) < 1.0, (point, kind, mode)
 
 
-def _as_floats(invariants, p):
-    """The exact invariants of :func:`negativity._block_invariants` as
-    floats: e_i comes times 93312 d^i, d the largest denominator of the
-    point's float weights."""
+def _scale(kind, p):
+    """The scale of e_1 in :func:`negativity._block_invariants`, e_i coming
+    times its i-th power: 12 m_qubit m_qutrit d, d the largest denominator
+    of the point's float weights."""
     d = max(v.as_integer_ratio()[1] for v in family_weights(p).tolist())
-    return [[v / (93312 * d ** (i // 2 + 1)) for v in c] for i, c in enumerate(invariants)]
+    return 12 * evolution._integer_rows(kind)[1] * d
+
+
+def _as_floats(invariants, kind, p):
+    """The exact invariants of :func:`negativity._block_invariants` as
+    floats."""
+    return [[v / _scale(kind, p) ** (i // 2 + 1) for v in c] for i, c in enumerate(invariants)]
 
 
 def test_chosen_invariants_equal_those_of_the_evolved_blocks():
@@ -586,7 +592,7 @@ def test_chosen_invariants_equal_those_of_the_evolved_blocks():
             for mode in Mode:
                 invariants, k = negativity._block_invariants(kind, mode, p)
                 # Invariant, then power of y, then block.
-                blocks = np.array(_as_floats(invariants, p)).reshape(3, 2, -1).swapaxes(1, 2)
+                blocks = np.array(_as_floats(invariants, kind, p)).reshape(3, 2, -1).swapaxes(1, 2)
                 states = evolve_grid(kind, p, *evolution.sweep_strengths(mode, g))
                 eigs = np.linalg.eigvalsh(partial_transpose_blocks(states))
                 # e_1, e_2, e_3 of each block from its eigenvalues.
@@ -600,7 +606,6 @@ def test_chosen_invariants_equal_those_of_the_evolved_blocks():
                     assert np.abs(got - e[i]).max() <= 1e-14, (p, kind, mode, i)
                 chosen = negativity._chosen_invariants(invariants)
                 assert len(chosen) == 2, (p, kind, mode)
-                d = max(v.as_integer_ratio()[1] for v in family_weights(p).tolist())
                 for block, c in enumerate(chosen):
                     # The chosen invariant is over y^m, m the count trimmed
                     # at the low end, with its integers as the table's.
@@ -608,7 +613,7 @@ def test_chosen_invariants_equal_those_of_the_evolved_blocks():
                     coefficients = blocks[:, :, block]
                     i = next(i for i in (2, 1, 0) if coefficients[i].any())
                     low = int(np.flatnonzero(coefficients[i])[0])
-                    floats = [v / (93312 * d ** (i + 1)) for v in c]
+                    floats = [v / _scale(kind, p) ** (i + 1) for v in c]
                     got = np.vander(y, len(c), increasing=True) @ floats * y**low
                     assert np.abs(got - e[i][:, block]).max() <= 1e-14, (p, kind, mode, block)
 
@@ -618,8 +623,9 @@ def _direct_invariants(kind, mode, p):
     cell's sweep, by the polynomial algebra on the point's own blocks: its
     weight polynomials in y times its term blocks, then trace,
     ((tr A)^2 - tr A^2) / 2 and the determinant by the cofactors of row 0."""
-    polymul = evolution._polymul
+    polymul = linalg._polymul
     w, k = evolution._weights_in_y(kind, mode)
+    w = w / evolution._integer_rows(kind)[1]
     terms = (family_weights(p) @ evolution._BASIS_TABLES[kind]).reshape(-1, 18)
     pt = partial_transpose_blocks((w @ terms).reshape(-1, 2, 3, 3))
     tr = np.trace(pt, axis1=-2, axis2=-1)
@@ -652,7 +658,7 @@ def test_invariant_tables_equal_the_direct_algebra():
                 assert all(type(v) is int for c in invariants for v in c)
                 direct, direct_k = _direct_invariants(kind, mode, p)
                 assert k == direct_k
-                blocks = np.array(_as_floats(invariants, p)).reshape(3, 2, -1).swapaxes(1, 2)
+                blocks = np.array(_as_floats(invariants, kind, p)).reshape(3, 2, -1).swapaxes(1, 2)
                 assert blocks.shape[1] == len(direct[3])
                 for i in (1, 2, 3):
                     want = direct[i]
@@ -748,13 +754,16 @@ def test_root_counts_are_exact():
 
 def test_invariant_forms_keep_exact_rationals():
     # Fed exact rationals (every float is one), the forms stay exact, and
-    # they round to the float forms.
+    # they round to the float forms.  Fed the integers that the import
+    # feeds them, the partial transposes of twice the integer sweep basis,
+    # the float forms are those exact rationals to the bit.
     basis, _ = evolution._sweep_basis(ChannelKind.BIT_FLIP, Mode.MULTI_LOCAL)
-    pt = partial_transpose_blocks(basis)
-    exact = negativity._invariant_forms(np.vectorize(Fraction, otypes=[object])(pt))
-    for e, f in zip(exact, negativity._invariant_forms(pt)):
-        assert all(isinstance(v, (Fraction, int)) for v in e.flat)
-        assert np.abs(e.astype(float) - f).max() <= 1e-15 * np.abs(f).max()
+    for pt, tol in ((partial_transpose_blocks(basis / 7.0), 1e-15),
+                    (partial_transpose_blocks(2.0 * basis), 0.0)):
+        exact = linalg._invariant_forms(np.vectorize(Fraction, otypes=[object])(pt))
+        for e, f in zip(exact, linalg._invariant_forms(pt)):
+            assert all(isinstance(v, (Fraction, int)) for v in e.flat)
+            assert np.abs(e.astype(float) - f).max() <= tol * np.abs(f).max()
 
 
 def test_default_tolerance_needs_no_bisection(monkeypatch):

@@ -214,7 +214,7 @@ def test_every_evolved_state_is_a_density_matrix(kind, p, pairs):
     # The import certifies the tables, and no call checks a state: the
     # check of every state a call returns, the corners included.
     ga, gb = np.array(pairs + CORNERS).T
-    check_density(evolve_grid(kind, p, ga, gb))
+    check_density(from_blocks(evolve_grid(kind, p, ga, gb)))
 
 
 #: Cells with a closed-form threshold: all but the multi-local flips.
@@ -273,16 +273,10 @@ def test_esd_threshold_matches_closed_form_and_is_certified(p):
 def _check_density_per_member(m):
     """The density-matrix check as it was before the whole-stack certificate:
     one pass per check over the members, and a full ``eigvalsh`` for
-    positivity.  A (..., 2, 3, 3) block stack is checked the same way, a
-    member's two blocks together: its trace is the sum of theirs and its
-    smallest eigenvalue the smaller of theirs."""
-    if m.ndim >= 3 and m.shape[-3:] == (2, 3, 3):
-        member = (-3, -2, -1)
-    elif m.ndim >= 2 and m.shape[-2:] == (6, 6):
-        member = (-2, -1)
-    else:
-        raise ValueError(f"expected 6x6, got {m.shape}")
-    blocks = len(member) == 3
+    positivity."""
+    if m.ndim < 2 or m.shape[-2:] != (6, 6):
+        raise ValueError(f"expected 6x6 matrices, got shape {m.shape}")
+    member = (-2, -1)
 
     def reject(bad, message):
         if bad.any():
@@ -295,10 +289,8 @@ def _check_density_per_member(m):
     defect = np.abs(m - mh).max(axis=member)
     reject(defect > HERMITICITY_TOL, lambda i: f"not Hermitian (defect {defect[i]:.3e})")
     tr = np.trace(m, axis1=-2, axis2=-1)
-    tr = tr.sum(axis=-1) if blocks else tr
     reject(np.abs(tr - 1.0) > TRACE_TOL, lambda i: f"trace must be 1, got {tr[i]}")
     min_eig = np.linalg.eigvalsh((m + mh) / 2.0)[..., 0]
-    min_eig = min_eig.min(axis=-1) if blocks else min_eig
     reject(
         min_eig < -PSD_TOL,
         lambda i: f"not positive semidefinite (min eigenvalue {min_eig[i]:.3e})",
@@ -319,14 +311,6 @@ def _state(rng, eigenvalues):
     x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     u, _ = np.linalg.qr(x)
     return (u * eigenvalues) @ u.conj().T
-
-
-def _block_state(rng, eigenvalues):
-    """A block pair with the given six eigenvalues, the first in a random
-    block, each block in a random real eigenbasis."""
-    eigenvalues = np.roll(eigenvalues, 3 * int(rng.integers(2)))
-    u, _ = np.linalg.qr(rng.normal(size=(2, 3, 3)))
-    return (u * eigenvalues.reshape(2, 1, 3)) @ u.swapaxes(-1, -2)
 
 
 def _spectrum(rng, smallest):
@@ -353,43 +337,36 @@ PERTURBATIONS = {
 
 
 @st.composite
-def perturbed_stacks(draw, perturbation, layout):
-    """A stack of 1-20 states (or one state) with one member perturbed as
-    ``perturbation`` names: complex 6x6 matrices, or real block pairs."""
+def perturbed_stacks(draw, perturbation):
+    """A stack of 1-20 complex 6x6 states (or one state) with one member
+    perturbed as ``perturbation`` names."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 20))
-    state = _block_state if layout == "blocks" else _state
-    m = np.array([state(rng, _spectrum(rng, 0.0)) for _ in range(n)])
-    # One matrix of the perturbed member, the block if the layout has two.
+    m = np.array([_state(rng, _spectrum(rng, 0.0)) for _ in range(n)])
     k = draw(st.integers(0, n - 1))
-    at = (k, draw(st.integers(0, 1))) if layout == "blocks" else (k,)
-    dim = m.shape[-1]
-    r, c = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+    r, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
     kind, _, side = perturbation.partition("-")
     offset = 1.0 if side in ("below", "beyond") else -1.0
     if kind == "eigenvalue":
-        m[k] = state(rng, _spectrum(rng, -PSD_TOL - offset * 2e-13))
+        m[k] = _state(rng, _spectrum(rng, -PSD_TOL - offset * 2e-13))
     elif kind == "hermiticity":
-        c = (r + draw(st.integers(1, dim - 1))) % dim
-        phase = np.exp(2j * np.pi * rng.uniform()) if layout == "6x6" else rng.choice([-1.0, 1.0])
-        m[at + (r, c)] += phase * (HERMITICITY_TOL + offset * 1e-12)
+        c = (r + draw(st.integers(1, 5))) % 6
+        m[k, r, c] += np.exp(2j * np.pi * rng.uniform()) * (HERMITICITY_TOL + offset * 1e-12)
     elif kind == "trace":
-        m[at + (r, r)] += draw(st.sampled_from((-1.0, 1.0))) * (TRACE_TOL + offset * 1e-12)
+        m[k, r, r] += draw(st.sampled_from((-1.0, 1.0))) * (TRACE_TOL + offset * 1e-12)
     elif kind in ("nan", "inf"):
         values = (np.nan, complex(0.0, np.nan)) if kind == "nan" else (
             np.inf, -np.inf, complex(0.0, np.inf), complex(np.inf, -np.inf))
-        if layout == "blocks":
-            values = (np.nan,) if kind == "nan" else (np.inf, -np.inf)
-        m[at + (r, c)] = draw(st.sampled_from(values))
+        m[k, r, c] = draw(st.sampled_from(values))
     return m[0] if n == 1 and draw(st.booleans()) else m
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("perturbation", list(PERTURBATIONS))
 @settings(derandomize=True, max_examples=50, deadline=None, database=None)
-@given(st.sampled_from(["6x6", "blocks"]), st.data())
-def test_stack_certificate_decides_as_the_per_member_check(perturbation, layout, data):
-    m = data.draw(perturbed_stacks(perturbation, layout))
+@given(st.data())
+def test_stack_certificate_decides_as_the_per_member_check(perturbation, data):
+    m = data.draw(perturbed_stacks(perturbation))
     want = _verdict(_check_density_per_member, m)
     assert _verdict(check_density, m) == want
     expected = PERTURBATIONS[perturbation]
@@ -403,4 +380,6 @@ def test_empty_stack_passes_and_a_wrong_shape_is_rejected_as_before():
               np.zeros((3, 3, 3)), np.array([np.eye(3), np.eye(3)]) / 6):
         assert _verdict(check_density, m) == _verdict(_check_density_per_member, m)
     assert _verdict(check_density, np.zeros((0, 6, 6), dtype=complex)) is None
-    assert _verdict(check_density, np.zeros((0, 2, 3, 3))) is None
+    # A block stack is checked as its product-basis matrices.
+    assert _verdict(check_density, from_blocks(np.zeros((0, 2, 3, 3)))) is None
+    assert _verdict(check_density, np.zeros((0, 2, 3, 3))).startswith("expected 6x6")

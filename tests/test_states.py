@@ -61,6 +61,15 @@ def test_bell_states():
     assert FAMILY_BASIS[2] == approx(psim)
 
 
+def test_family_basis_is_exact():
+    # Every basis state has trace exactly 1 and entries that are integers
+    # over 6; so has the pure psi- state of the family, at (0, 1).
+    assert np.trace(FAMILY_BASIS, axis1=-2, axis2=-1).tolist() == [1.0, 1.0, 1.0]
+    assert np.array_equal(6.0 * FAMILY_BASIS, np.rint(6.0 * FAMILY_BASIS.real))
+    assert np.trace(initial_state(StateParams(0.0, 1.0)).matrix) == 1.0
+    assert np.array_equal(initial_state(StateParams(0.0, 1.0)).matrix, _BELL_PROJECTORS["psi-"])
+
+
 def test_initial_state_structure():
     p = StateParams(0.05, 0.6)
     m = initial_state(p).matrix
