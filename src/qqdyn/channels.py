@@ -227,21 +227,29 @@ _EYE_ROW = _EYE.view(float).ravel()
 
 class _Weighting(NamedTuple):
     """What weights a kind's two sides at once, qubit side first: the (2, 1)
-    columns of p and m, and the number of terms T of a weight row."""
+    columns of p and m, the number of terms T of a weight row, and each
+    side's (p, m) as Python floats."""
 
     p: np.ndarray
     m: np.ndarray
     terms: int
+    sides: tuple[tuple[float, float], ...]
+
+
+def _weights(p, m, g, terms: int, sqrt: Callable) -> tuple:
+    """The weights (u, v[, s]) at the strengths ``g``: u = 1 - p g / m,
+    v = g / m and s = sqrt(u).  The one weight formula, for one side's
+    Python floats with ``math.sqrt`` or for arrays with ``np.sqrt``: the same
+    IEEE operations either way, so the two agree to the bit."""
+    u = 1.0 - p * g / m
+    return (u, g / m, sqrt(u)) if terms == 3 else (u, g / m)
 
 
 def _rows(weighting: _Weighting, g: np.ndarray) -> np.ndarray:
     """The (2, N, T) weight rows (u, v[, s]) at the (2, N) strengths ``g``."""
-    p, m, terms = weighting
-    w = np.empty((*g.shape, terms))
-    w[..., 0] = 1.0 - p * g / m
-    w[..., 1] = g / m
-    if terms == 3:
-        w[..., 2] = np.sqrt(w[..., 0])
+    w = np.empty((*g.shape, weighting.terms))
+    for i, x in enumerate(_weights(weighting.p, weighting.m, g, weighting.terms, np.sqrt)):
+        w[..., i] = x
     return w
 
 
@@ -260,6 +268,7 @@ def _unchecked_weighting(kind: ChannelKind) -> _Weighting:
         np.array([[s.p] for s in shapes], dtype=float),
         np.array([[s.m] for s in shapes], dtype=float),
         shapes[0].terms,
+        tuple((float(s.p), float(s.m)) for s in shapes),
     )
 
 

@@ -43,8 +43,9 @@ needs no case of its own: its weight row is the identity.  States stay in
 block form; ``linalg.from_blocks`` rebuilds the 6x6 product-basis matrix
 where an output needs it.  ``sweep.run_sweep`` evolves a grid of any
 length in pieces, so its memory stays bounded.  :func:`evolve` is the
-one-point case of the same path, :func:`_mixed`, without a second check of
-the strengths its ``ChannelScenario`` checked, and :func:`_sweep_basis` the
+one-point case of the same path, :func:`_mixed`, with its weights in Python
+floats and without a second check of the strengths its ``ChannelScenario``
+checked, and :func:`_sweep_basis` the
 same mix in integers, with polynomial weights for each basis state, from
 which ``negativity`` tabulates the ESD invariants once at import.  The
 direct Kraus sum, the reference the tables are tested against, lives in
@@ -60,13 +61,14 @@ are used.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import _WEIGHTINGS, ChannelKind, Side, _rows, channel_terms, channel_weights
+from .channels import _WEIGHTINGS, ChannelKind, Side, _weights, channel_terms, channel_weights
 from .linalg import (BLOCK_SHAPE, TOTAL_DIM, _invariant_forms, _polymul, check_matrices,
                      from_blocks, to_blocks)
 from .states import FAMILY_BASIS, DensityMatrix, StateParams, family_weights
@@ -143,7 +145,7 @@ def _integer_rows(kind: ChannelKind) -> tuple[np.ndarray, int]:
     gamma)), in a (2, 2, T) array, qubit side first; and m_qubit m_qutrit.
     s is a term of dephasing alone, whose p = m = 1 makes m s the integer
     1 - gamma."""
-    p, m, terms = _WEIGHTINGS[kind]
+    p, m, terms, _ = _WEIGHTINGS[kind]
     g = np.array([0.0, 1.0])
     rows = np.stack([m - p * g, 0.0 * m + g, np.sqrt(m * (m - p * g))], axis=-1)
     return rows[..., :terms], int(m.prod())
@@ -239,15 +241,14 @@ def _sweep_basis(kind: ChannelKind, mode: Mode) -> tuple[np.ndarray, int]:
     return (w @ terms).swapaxes(0, 1).reshape(len(w), len(terms), *BLOCK_SHAPE), k
 
 
-def _mixed(kind: ChannelKind, params: StateParams, rows: np.ndarray) -> np.ndarray:
-    """The family state at each pair of both sides' weight rows ``rows``, as
-    ``channel_weights`` gives them: one (n, 2, 3, 3) block stack."""
-    wa, wb = rows
+def _mixed(kind: ChannelKind, params: StateParams, pairs: np.ndarray) -> np.ndarray:
+    """The family state at each (1, T^2) row of pair weights wb_i wa_j,
+    qutrit term major, of an (n, 1, T^2) array: one (n, 2, 3, 3) block
+    stack."""
     terms = (family_weights(params) @ _BASIS_TABLES[kind]).reshape(-1, _BLOCK_SIZE)
     # Each member is its own vector-matrix product, so its state does not
     # depend on the rest of the grid.
-    pairs = (wb[:, :, None] * wa[:, None, :]).reshape(len(wa), 1, -1)
-    return np.matmul(pairs, terms).reshape(len(wa), *BLOCK_SHAPE)
+    return np.matmul(pairs, terms).reshape(len(pairs), *BLOCK_SHAPE)
 
 
 def evolve_grid(
@@ -266,16 +267,24 @@ def evolve_grid(
     is checked here: the import certified the tables they come from.
     """
     kind = ChannelKind(kind)
-    return _mixed(kind, params, channel_weights(kind, gamma_qubit, gamma_qutrit))
+    wa, wb = channel_weights(kind, gamma_qubit, gamma_qutrit)
+    n, terms = wa.shape
+    return _mixed(kind, params, (wb[:, :, None] * wa[:, None, :]).reshape(n, 1, terms * terms))
 
 
 def evolve(scenario: ChannelScenario, params: StateParams) -> DensityMatrix:
     """Evolve the family state through the scenario's channels: the
-    one-point case of :func:`evolve_grid`, with its weight rows from the
-    same formula.  :class:`ChannelScenario` checked both strengths, so they
-    are not checked again."""
-    g = np.array(((scenario.gamma_qubit,), (scenario.gamma_qutrit,)), dtype=float)
-    (m,) = _mixed(scenario.kind, params, _rows(_WEIGHTINGS[scenario.kind], g))
+    one-point case of :func:`evolve_grid`.  Its weight rows come from the
+    same formula (``channels._weights``), in Python floats, and so do their
+    pair products: a numpy call on a single strength pair costs more than
+    its arithmetic, and the IEEE operations are the same, so the state is
+    the grid's member to the bit.  :class:`ChannelScenario` checked both
+    strengths, so they are not checked again."""
+    weighting = _WEIGHTINGS[scenario.kind]
+    (pa, ma), (pb, mb) = weighting.sides
+    wa = _weights(pa, ma, scenario.gamma_qubit, weighting.terms, math.sqrt)
+    wb = _weights(pb, mb, scenario.gamma_qutrit, weighting.terms, math.sqrt)
+    (m,) = _mixed(scenario.kind, params, np.array([[[y * x for y in wb for x in wa]]]))
     return DensityMatrix._checked(from_blocks(m))
 
 
@@ -285,10 +294,16 @@ _DIAGONAL = np.arange(TOTAL_DIM)
 
 def coherence_l1(rho: DensityMatrix | np.ndarray) -> float | np.ndarray:
     """Sum of absolute off-diagonal entries in the fixed product basis; for a
-    (..., 6, 6) stack, an array of the sums over the leading axes.  Raises
-    ValueError for anything else, a block stack included."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    check_matrices(m)
+    (..., 6, 6) stack, an array of the sums over the leading axes.  Takes a
+    :class:`DensityMatrix` as it is, and any array-like through
+    ``np.asarray``; raises ValueError for anything but 6x6 matrices, a block
+    stack included."""
+    if isinstance(rho, DensityMatrix):
+        # Complex and 6x6 by construction.
+        m = rho.matrix
+    else:
+        m = np.asarray(rho)
+        check_matrices(m)
     a = np.abs(m)
     a[..., _DIAGONAL, _DIAGONAL] = 0.0
     total = a.sum(axis=(-2, -1))
@@ -353,11 +368,13 @@ def analytic_evolved(
     """
     kind = ChannelKind(kind)
     b, c = params.b, params.c
-    ga = np.asarray(gamma_qubit, dtype=float)
-    gb = np.asarray(gamma_qutrit, dtype=float)
-    shape = ga.shape
-    if shape != gb.shape:
-        raise ValueError(f"strengths must be equal in shape, got {shape} and {gb.shape}")
+    ga, gb, shape = gamma_qubit, gamma_qutrit, ()
+    if not (isinstance(ga, float) and isinstance(gb, float)):
+        ga = np.asarray(ga, dtype=float)
+        gb = np.asarray(gb, dtype=float)
+        shape = ga.shape
+        if shape != gb.shape:
+            raise ValueError(f"strengths must be equal in shape, got {shape} and {gb.shape}")
     if not shape:
         # Python floats for float strengths: the same IEEE arithmetic as on
         # numpy scalars, at a fraction of the cost per operation.
@@ -386,5 +403,7 @@ def analytic_evolved(
             m[1, 3] = m[3, 1] = (b - c) * (1 - ga) * (1 - gb) / 2.0
         else:
             m[1, 3] = m[3, 1] = (b - c) * (1 - ga) * (-gb) / 2.0
-    # The entry axes last; a copy only for a stack.
+    if not shape:
+        return m
+    # The entry axes last, in a copy.
     return np.ascontiguousarray(m.transpose(*range(2, m.ndim), 0, 1))

@@ -66,8 +66,8 @@ import numpy as np
 from .channels import ChannelKind
 from .evolution import ChannelScenario, Mode
 from .evolution import _sweep_basis
-from .linalg import (BLOCK_SHAPE, TOTAL_DIM, _invariant_forms, partial_transpose_blocks,
-                     partial_transpose_qutrit)
+from .linalg import (_PT_GATHER, BLOCK_SHAPE, TOTAL_DIM, _invariant_forms,
+                     partial_transpose_blocks, partial_transpose_qutrit)
 from .states import DensityMatrix, StateParams, family_weights
 
 if TYPE_CHECKING:
@@ -96,17 +96,26 @@ class NegativityResult:
 def negativity_numeric(rho: DensityMatrix | np.ndarray) -> NegativityResult:
     """Negativity of a state from the partial-transpose spectrum.
 
-    ``rho`` may be a :class:`DensityMatrix`, any validated 6x6 state or a
-    (..., 6, 6) stack of them, whose partial transposes take one batched
-    complex eigensolve; or a (..., 2, 3, 3) block stack as
-    :func:`evolve_grid` returns it, whose partial transposes are block stacks
-    too (``linalg.partial_transpose_blocks``) and take one batched real 3x3
+    ``rho`` may be a :class:`DensityMatrix`, whose type vouches for its
+    shape and finiteness, so that neither is checked again; any validated
+    6x6 state or a (..., 6, 6) stack of them, as an array-like, whose
+    partial transposes take one batched complex eigensolve; or a
+    (..., 2, 3, 3) block stack as :func:`evolve_grid` returns it, whose
+    partial transposes are block stacks too
+    (``linalg.partial_transpose_blocks``) and take one batched real 3x3
     eigensolve, or none where every block is diagonal.  For a stack each
     field of the result is an array over the leading axes.
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else rho
-    if m.shape[-3:] == BLOCK_SHAPE:
-        pt = partial_transpose_blocks(m)
+    if isinstance(rho, DensityMatrix):
+        # A finite complex 6x6 by construction: check_density passed it, or
+        # the evolution mixed it from the tables the import certified.  So
+        # its partial transpose is the gather of partial_transpose_qutrit,
+        # with none of that function's checks.
+        pt = rho.matrix.take(_PT_GATHER)
+    else:
+        m = np.asarray(rho)
+        pt = partial_transpose_blocks(m) if m.shape[-3:] == BLOCK_SHAPE else partial_transpose_qutrit(m)
+    if pt.shape[-3:] == BLOCK_SHAPE:
         # One flattened block per row: columns 3, 6 and 7 are its strictly
         # lower entries, the only ones besides the diagonal (::4) that
         # eigvalsh reads.  LAPACK returns the diagonal of a diagonal block
@@ -119,7 +128,6 @@ def negativity_numeric(rho: DensityMatrix | np.ndarray) -> NegativityResult:
             eigs = np.linalg.eigvalsh(pt)
         eigs = eigs.reshape(*pt.shape[:-3], TOTAL_DIM)
     else:
-        pt = partial_transpose_qutrit(m)
         eigs = np.linalg.eigvalsh((pt + pt.conj().swapaxes(-1, -2)) / 2.0)
     if eigs.ndim == 1:
         # Summed from 0.0 in numpy's order for six; max keeps 0.0 over -0.0.
@@ -192,18 +200,16 @@ def _negativity_form(kind, mode, params, ga, gb, corrected=True):
         ) / 12.0
         return -lam
 
-    if kind in (ChannelKind.BIT_FLIP, ChannelKind.BIT_PHASE_FLIP):
-        if mode is Mode.QUBIT_ONLY:
-            return (c - 3 * b - ga * (c - b)) / 2.0
-        if mode is Mode.QUTRIT_ONLY:
-            if corrected:
-                return (3 * c - 9 * b - (1 - 8 * b + 2 * c) * gb) / 6.0
-            return (3 * b - 9 * c - (1 - 8 * b + 2 * c) * gb) / 6.0
-        raise NoClosedFormError(
-            f"no closed-form negativity for multi-local {kind.value}; use numerics"
-        )
-
-    raise ValueError(f"unknown channel kind {kind!r}")
+    # The bit and bit-phase flips.
+    if mode is Mode.QUBIT_ONLY:
+        return (c - 3 * b - ga * (c - b)) / 2.0
+    if mode is Mode.QUTRIT_ONLY:
+        if corrected:
+            return (3 * c - 9 * b - (1 - 8 * b + 2 * c) * gb) / 6.0
+        return (3 * b - 9 * c - (1 - 8 * b + 2 * c) * gb) / 6.0
+    raise NoClosedFormError(
+        f"no closed-form negativity for multi-local {kind.value}; use numerics"
+    )
 
 
 #: The last float below 1, the last strength at which ESD can show.
@@ -240,7 +246,7 @@ def analytic_esd_gamma(kind: ChannelKind, mode: Mode, params: StateParams) -> fl
             t = (3 * c - 9 * b) / (1 - 8 * b + 2 * c)
         else:
             return None
-    elif kind is ChannelKind.DEPOLARIZING:
+    else:  # depolarizing
         if mode is Mode.QUBIT_ONLY:
             t = (2 * c - 6 * b) / (3 * (c - b))
         elif mode is Mode.QUTRIT_ONLY:
@@ -253,8 +259,6 @@ def analytic_esd_gamma(kind: ChannelKind, mode: Mode, params: StateParams) -> fl
             qb = qa + 2 * (1 - 9 * b + 3 * c)
             qc = 6 * (c - 3 * b)
             t = 2 * qc / (qb + math.sqrt(qb * qb - 4 * qa * qc))
-    else:
-        raise ValueError(f"unknown channel kind {kind!r}")
 
     if t >= _NEAR_ONE:
         return min(t, _LAST_BELOW_ONE) if _dead_below_one(kind, mode, b, c) else None

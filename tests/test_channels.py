@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from pytest import approx
 
 from qqdyn import ChannelKind, Side, initial_state
-from qqdyn.channels import _SHAPES, channel_terms, channel_weights
+from qqdyn.channels import _SHAPES, _WEIGHTINGS, _weights, channel_terms, channel_weights
 from qqdyn.evolution import Mode, _integer_rows, _weights_in_y, sweep_strengths
 from qqdyn.states import _BELL_PROJECTORS, StateParams
 
@@ -139,6 +141,21 @@ def test_strengths_are_a_1d_array_that_may_be_empty(gamma):
             continue
         with pytest.raises(ValueError, match="^strengths must be 1-d arrays of one length"):
             channel_weights(kind, gamma, gamma)
+
+
+@pytest.mark.parametrize("kind", list(ChannelKind))
+def test_float_weights_equal_the_weight_rows_to_the_bit(kind):
+    # The one weight formula on one side's Python floats, with math.sqrt, as
+    # a one-point evolve takes it, against the rows of channel_weights.
+    corners = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    g = np.concatenate([corners, np.random.default_rng(35).uniform(size=(2, 50))], axis=1)
+    rows = channel_weights(kind, *g)
+    weighting = _WEIGHTINGS[kind]
+    for side, (p, m) in enumerate(weighting.sides):
+        for n, x in enumerate(g[side].tolist()):
+            w = _weights(p, m, x, weighting.terms, math.sqrt)
+            assert all(type(e) is float for e in w)
+            assert np.array(w).tobytes() == rows[side, n].tobytes(), (side, x)
 
 
 def test_strengths_of_both_sides_are_equal_in_length():

@@ -79,6 +79,22 @@ def _assert_array_call_matches_float_calls(kind, p, corrected):
         analytic_evolved(kind, p, ga, gb[0], corrected=corrected)
 
 
+@pytest.mark.parametrize("corrected", [True, False], ids=["corrected", "raw"])
+@pytest.mark.parametrize("kind", list(ChannelKind))
+def test_scalar_strengths_of_any_type_give_one_matrix(kind, corrected):
+    # Python floats, numpy scalars, 0-d arrays and mixes of them give the
+    # same bytes, each time as a C-contiguous complex 6x6 array.
+    for p in POINTS:
+        for ga, gb in ((0.3, 0.7), (0.0, 1.0), (1.0, 0.25)):
+            want = analytic_evolved(kind, p, ga, gb, corrected=corrected)
+            for a, b in ((np.float64(ga), np.float64(gb)), (np.array(ga), np.array(gb)),
+                         (ga, np.float64(gb)), (np.array(ga), gb)):
+                got = analytic_evolved(kind, p, a, b, corrected=corrected)
+                for m in (want, got):
+                    assert m.shape == (6, 6) and m.dtype == complex and m.flags.c_contiguous
+                assert got.tobytes() == want.tobytes(), (a, b)
+
+
 @pytest.mark.parametrize("kind", list(ChannelKind))
 def test_corrected_closed_form_matches_channels(kind):
     for p in POINTS:

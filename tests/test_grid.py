@@ -94,6 +94,15 @@ def test_grid_members_equal_one_point_evolutions():
         assert np.array_equal(states[i], evolve(sc, POINTS[0]).matrix), i
 
 
+@pytest.mark.parametrize("kind", list(ChannelKind), ids=[k.value for k in ChannelKind])
+def test_empty_strengths_give_an_empty_stack(kind):
+    # channel_weights takes an empty pair, and so do the calls on stacks.
+    states = evolve_grid(kind, POINTS[0], [], [])
+    assert states.shape == (0, 2, 3, 3) and states.dtype == float
+    assert negativity_numeric(states).value.shape == (0,)
+    assert coherence_l1(from_blocks(states)).shape == (0,)
+
+
 def test_each_call_is_one_fresh_array_and_checks_no_state(monkeypatch):
     g = np.linspace(0.0, 1.0, 2 * STACK + 3)
     expected = evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g[::-1]).copy()

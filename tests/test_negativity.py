@@ -17,6 +17,7 @@ from qqdyn import (
     StateParams,
     analytic_esd_gamma,
     classify_table1,
+    coherence_l1,
     esd_gamma,
     esd_report,
     evolve,
@@ -55,6 +56,60 @@ def test_negativity_routes_agree():
         res = negativity_numeric(evolve(ChannelScenario.at(kind, mode, g), p))
         assert res.value == approx(res.via_trace_norm, abs=1e-10)
         assert res.value == approx(2 * max(0.0, -res.negative_eigenvalue_sum), abs=1e-14)
+
+
+def test_negativity_takes_array_likes():
+    # Lists as coherence_l1 takes them: a 6x6 matrix, a stack and a block
+    # stack, each as its array gives it.
+    blocks = evolve_grid(ChannelKind.DEPOLARIZING, P, [0.2, 0.7], [0.5, 0.1])
+    for m in (np.eye(6) / 6, linalg.from_blocks(blocks), blocks):
+        want, got = negativity_numeric(m), negativity_numeric(m.tolist())
+        for name in ("value", "negative_eigenvalue_sum", "via_trace_norm"):
+            got_bytes, want_bytes = (np.asarray(getattr(r, name)).tobytes() for r in (got, want))
+            assert got_bytes == want_bytes, name
+
+
+def _assert_one_state_calls_equal_those_on_its_array(rho: DensityMatrix) -> None:
+    raw = np.array(rho.matrix)
+    one, want = negativity_numeric(rho), negativity_numeric(raw)
+    for name in ("value", "negative_eigenvalue_sum", "via_trace_norm"):
+        assert type(getattr(one, name)) is float, name
+        one_bytes, want_bytes = (np.float64(getattr(r, name)).tobytes() for r in (one, want))
+        assert one_bytes == want_bytes, name
+    assert np.float64(coherence_l1(rho)).tobytes() == np.float64(coherence_l1(raw)).tobytes()
+
+
+def test_one_state_calls_on_evolved_states_equal_those_on_their_arrays():
+    # A DensityMatrix skips the checks that its type makes redundant, and
+    # nothing else.
+    rng = np.random.default_rng(35)
+    for p in (P, StateParams(0.0, 1.0), StateParams(0.1, 0.35)):
+        for kind in ChannelKind:
+            for ga, gb in ((0.0, 0.0), (1.0, 1.0), *rng.uniform(size=(4, 2)).tolist()):
+                _assert_one_state_calls_equal_those_on_its_array(
+                    evolve(ChannelScenario(kind, Mode.MULTI_LOCAL, ga, gb), p))
+
+
+def test_one_state_calls_symmetrise_a_state_hermitian_to_rounding():
+    # A state built by hand, Hermitian only to about 1e-12: eigvalsh reads
+    # one triangle of the partial transpose, so a DensityMatrix path without
+    # the symmetrisation would give other bits than the array path.
+    rng = np.random.default_rng(36)
+    base = initial_state(P).matrix
+    for _ in range(20):
+        noise = 1e-12 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        rho = DensityMatrix(base + noise)
+        assert 0.0 < np.abs(rho.matrix - rho.matrix.conj().T).max() < 1e-10
+        _assert_one_state_calls_equal_those_on_its_array(rho)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_a_raw_matrix_with_a_non_finite_entry_is_rejected(bad):
+    m = np.array(initial_state(P).matrix)
+    m[2, 3] = bad
+    for rho in (m, m.tolist()):
+        with pytest.raises(ValueError, match="^rho contains NaN or Inf entries$"):
+            negativity_numeric(rho)
 
 
 def test_negativity_matches_brute_force():
