@@ -32,25 +32,27 @@ the only thing the search reads, as they are.  Every float weight is a
 dyadic rational, so all three times one power of two are integers, and a
 search contracts its table with its point's monomials in exact integer
 arithmetic.  A coefficient is zero only when it is exactly zero: that
-picks each block's highest invariant that does not vanish identically and
-trims it at both ends, so a multiple root at gamma = 1 (y = 0) does not
-split into false roots below 1.  Descartes' rule of signs, after one
-integer Taylor shift, counts the picked invariants' roots in (0, 1)
-exactly: 0 means none and 1 exactly one simple root, the only counts the
-invariants have shown.
+picks each block's highest invariant that does not vanish identically,
+cut at its table degree, its highest power of y with a non-zero table
+entry, and with its low zeros trimmed, so that a multiple root at
+gamma = 1 (y = 0) does not split into false roots below 1.  Descartes'
+rule of signs, after one integer Taylor shift, counts the picked
+invariants' roots in (0, 1): 0 means none and 1 exactly one simple root.
+At every point of the closed entangled triangle every invariant counts 0
+or 1, a theorem that ``tests/test_root_count_certificate.py`` proves from
+the tables, with signs of polar forms on sub-triangles.
 
 A real symmetric 3x3 block is positive semidefinite exactly when its e_1,
 e_2 and e_3 are all >= 0.  So the state is alive where some invariant of
 either block is negative and dead where all are >= 0, and at a float
 strength, a dyadic rational too, :func:`_alive` decides this exactly, in
 integers.  Each counted root is bracketed by bisection over float
-strengths, on the exact sign of its invariant; a count of two or more
-halves the y-interval instead, which holds a multiple root too.  A 2x3
-partial transpose can have two negative eigenvalues at once (Rana, PRA
-87, 054301, 2013), and the state dies or revives only at a counted root,
-so the test of life at the bracket ends certifies the first death.  The
-search evolves no state and has no fixed threshold.  A curve that vanishes only at gamma = 1 is
-asymptotic decay, not ESD.
+strengths, on the exact sign of its invariant.  A 2x3 partial transpose
+can have two negative eigenvalues at once (Rana, PRA 87, 054301, 2013),
+and the state dies or revives only at a counted root, so the test of life
+at the bracket ends certifies the first death.  The search evolves no
+state and has no fixed threshold.  A curve that vanishes only at
+gamma = 1 is asymptotic decay, not ESD.
 """
 
 from __future__ import annotations
@@ -317,13 +319,12 @@ def _monomials(x: list) -> list:
     return [math.prod(m) for d in (1, 2, 3) for m in combinations_with_replacement(x, d)]
 
 
-def _invariant_tables() -> dict[tuple[ChannelKind, Mode], tuple[list, int, int]]:
+def _invariant_tables() -> dict[tuple[ChannelKind, Mode], tuple[list, list[int], int]]:
     """Per cell, e_1, e_2 and e_3 of the partial transpose's blocks along its
     sweep as one integer table over the monomials of degree 1, 2 and 3 of
-    the family weights (2a, 3b, c); with D + 1, D the degree of e_3 in y,
-    and k, 1 - gamma = y^k.  e_i comes times (12 m_qubit m_qutrit)^i, a
-    positive scale of its own, which the signs that the search reads do not
-    see.
+    the family weights (2a, 3b, c); with the bounds of its six rows, and k,
+    1 - gamma = y^k.  e_i comes times (12 m_qubit m_qutrit)^i, a positive
+    scale of its own, which the signs that the search reads do not see.
 
     The partial transposes of twice the integer sweep basis
     (``evolution._sweep_basis``) are integers, at the scale 12 m_qubit
@@ -332,10 +333,13 @@ def _invariant_tables() -> dict[tuple[ChannelKind, Mode], tuple[list, int, int]]
     cast to int64 once the forms are summed.  The forms expand over the
     3 + 9 + 27 ordered monomials, which are summed into the 19 distinct
     ones of :func:`_monomials`, told apart by their values at the primes 2,
-    3 and 5.  A table is kept as its non-zero entries, in three lists of
-    ints: the monomial, the slot (2 i + block) (D + 1) + j of the
-    coefficient of y^j of e_(i + 1) that it adds to, and the integer.  The
-    cells of one degree in y go through one call."""
+    3 and 5.  Row 2 i + block holds the coefficients of 1, y, ..., y^D of
+    e_(i + 1) of that block, D its highest power of y with a non-zero
+    entry, its table degree; the rows lie end to end, row r at slots
+    bounds[r] up to bounds[r + 1].  A table is kept as its non-zero
+    entries, in three lists of ints: the monomial, the slot of the
+    coefficient that it adds to, and the integer.  The cells of one degree
+    in y go through one call."""
     bases = {(kind, mode): _sweep_basis(kind, mode) for kind in ChannelKind for mode in Mode}
     by_degree = {}
     for cell, (basis, _) in bases.items():
@@ -358,11 +362,15 @@ def _invariant_tables() -> dict[tuple[ChannelKind, Mode], tuple[list, int, int]]
             np.add.at(table[:, :, i, :, : e.shape[-1]], rows, e)
         if not np.abs(table).max() < 2.0**53:
             raise RuntimeError("an invariant table entry is too large to be exact in float64")
-        table = table.astype(np.int64).swapaxes(0, 1).reshape(len(cells), len(distinct), -1)
+        # Cells, then rows, monomials and powers of y.
+        table = table.astype(np.int64).transpose(1, 2, 3, 0, 4)
+        table = table.reshape(len(cells), 6, len(distinct), -1)
         for cell, t in zip(cells, table):
+            widths = [1 + np.flatnonzero(row.any(axis=0)).max() for row in t]
+            t = np.concatenate([row[:, :w] for row, w in zip(t, widths)], axis=1)
             m, slot, v = np.stack([*t.nonzero(), t[t != 0]]).tolist()
             v = list(map(shared.setdefault, v, v))
-            tables[cell] = ([m, slot, v], size, bases[cell][1])
+            tables[cell] = ([m, slot, v], np.cumsum([0, *widths]).tolist(), bases[cell][1])
     return tables
 
 
@@ -373,43 +381,51 @@ _INVARIANT_TABLES = _invariant_tables()
 def _block_invariants(kind: ChannelKind, mode: Mode, params: StateParams) -> tuple[list, int]:
     """e_1, e_2 and e_3 of the eigenvalues of both partial-transpose blocks
     along one cell's sweep, exactly, as integers: six lists of the
-    coefficients of 1, y, ..., y^D, e_(i + 1) of block b at 2 i + b (the
-    S-even block is 0); and k, 1 - gamma = y^k.
+    coefficients of 1, y, ..., y^D, D the table degree of each, e_(i + 1)
+    of block b at 2 i + b (the S-even block is 0); and k, 1 - gamma = y^k.
 
     The float weights (2a, 3b, c) are integers w over their common
     denominator d (:func:`_over_common_denominator`); e_i comes times
-    (12 m_qubit m_qutrit d)^i, its cell's table (:func:`_invariant_tables`)
-    contracted with the monomials of degree i of w."""
-    table, size, k = _INVARIANT_TABLES[kind, mode]
-    monomials = _monomials(_over_common_denominator(family_weights(params).tolist())[0])
-    flat = [0] * (6 * size)
-    for m, slot, v in zip(*table):
+    (12 m_qubit m_qutrit d)^i (:func:`_contracted`)."""
+    w = _over_common_denominator(family_weights(params).tolist())[0]
+    return _contracted(_INVARIANT_TABLES[kind, mode], w)
+
+
+def _contracted(table: tuple, w: list[int]) -> tuple[list, int]:
+    """The six rows of a cell's table (:func:`_invariant_tables`), each
+    contracted with the monomials of its degree of the integer weights w;
+    and k.  Row 2 i + b is e_(i + 1) of block b at the weights w times
+    (12 m_qubit m_qutrit)^(i + 1)."""
+    entries, bounds, k = table
+    monomials = _monomials(w)
+    flat = [0] * bounds[-1]
+    for m, slot, v in zip(*entries):
         flat[slot] += v * monomials[m]
-    return [flat[i : i + size] for i in range(0, 6 * size, size)], k
+    return [flat[i:j] for i, j in zip(bounds, bounds[1:])], k
 
 
 def _chosen_invariants(invariants: list) -> list[list[int]]:
     """Per block, the coefficients of its highest invariant e_i that does not
-    vanish identically, with its zero coefficients trimmed off both ends;
-    ``invariants`` as :func:`_block_invariants` returns them.  A block's
-    count of negative eigenvalues changes only at a root of this invariant:
-    where e_3 vanishes identically so does an eigenvalue, and e_2 is the
-    product of the other two."""
+    vanish identically, cut at its table degree, with its low zero
+    coefficients trimmed off; ``invariants`` as :func:`_block_invariants`
+    returns them.  A block's count of negative eigenvalues changes only at
+    a root of this invariant: where e_3 vanishes identically so does an
+    eigenvalue, and e_2 is the product of the other two."""
     chosen = []
     for block in (0, 1):
         c = next((c for c in invariants[4 + block :: -2] if any(c)), [])
         if nonzero := [j for j, v in enumerate(c) if v]:
-            chosen.append(c[nonzero[0] : nonzero[-1] + 1])
+            chosen.append(c[nonzero[0] :])
     return chosen
 
 
-def _shifted(c: list[int], t: int = 1) -> list[int]:
-    """The coefficients of p(x + t), given those of p(x) = sum c_i x^i: the
+def _shifted(c: list[int]) -> list[int]:
+    """The coefficients of p(x + 1), given those of p(x) = sum c_i x^i: the
     Taylor shift, by repeated synthetic division."""
     c = list(c)
     for i in range(len(c) - 1):
         for j in range(len(c) - 2, i - 1, -1):
-            c[j] += t * c[j + 1]
+            c[j] += c[j + 1]
     return c
 
 
@@ -474,50 +490,25 @@ def _bisected(before: Callable[[float], bool], tol: float) -> tuple[float, float
     return lo, hi
 
 
-def _root_bracket(c: list[int], k: int, tol: float) -> tuple[float, float]:
+def _root_bracket(c: list[int], k: int, tol: float) -> tuple[float, float] | None:
     """A bracket (lo, hi] of float strengths, as :func:`_bisected` narrows
     it, about the strength of the one root in (0, 1) of p(y) = sum c_i y^i,
-    c_0 != 0.  Below that strength p has the sign opposite to c_0, its
-    sign at y = 0 (gamma = 1), which :func:`_negative` decides exactly."""
+    c_0 != 0; None where p has no root there.  Below that strength p has
+    the sign opposite to c_0, its sign at y = 0 (gamma = 1), which
+    :func:`_negative` decides exactly.
+
+    Descartes' count (:func:`_root_count`) of every invariant, cut at its
+    table degree, is 0 or 1 at every point of the closed entangled
+    triangle: ``tests/test_root_count_certificate.py`` proves it from the
+    tables.  So a count above 1 means the tables changed; it raises."""
+    count = _root_count(c)
+    if count > 1:
+        raise RuntimeError(f"an invariant counts {count} roots in 0 < y < 1; the tables allow 1")
+    if not count:
+        return None
     ((even, odd),) = _parts([c if c[0] > 0 else [-v for v in c]], k)
     lo, hi = _bisected(lambda g: _negative(even, odd, g), tol)
     return lo, min(hi, _LAST_BELOW_ONE)
-
-
-def _root_brackets(c: list[int], k: int, tol: float) -> list[tuple[float, float]]:
-    """Brackets (lo, hi] of float strengths that hold every root in (0, 1)
-    of p(y) = sum c_i y^i, c_0 != 0: none for a count of 0, and one
-    (:func:`_root_bracket`) for a count of 1.  For a count of two or more,
-    which the invariants have never shown, the y-interval
-    [l / 2^s, (l + 1) / 2^s) is halved, from [0, 1), while it holds a root
-    by the count (or one at its low end) and its strengths, each rounded
-    and moved one float outwards, have two floats strictly inside, and
-    either span more than ``tol`` or still hold two roots or more.  The
-    count is exact on simple roots once they are apart, so a piece stops
-    at ``tol`` with one root, and a multiple root stays in one bracket."""
-    count = _root_count(c)
-    if count < 2:
-        return [_root_bracket(c, k, tol)] if count else []
-    n = len(c) - 1
-    brackets, intervals = [], [(0, 0)]
-    while intervals:
-        l, s = intervals.pop()
-        # 2^(s n) p((l + x) / 2^s): its roots 0 <= x < 1 are those p has
-        # in the interval.
-        q = _shifted([v << s * (n - i) for i, v in enumerate(c)], l)
-        held = _root_count(q) + (not q[0])
-        if not held:
-            continue
-        # The strengths 1 - y^k at its ends, correctly rounded and then
-        # moved one float outwards, so past the exact ones.
-        den = 1 << s * k
-        lo = math.nextafter((den - (l + 1) ** k) / den, -1.0)
-        hi = min(math.nextafter((den - l**k) / den, 2.0), _LAST_BELOW_ONE)
-        if hi - lo <= tol and held == 1 or math.nextafter(lo, 1.0) >= math.nextafter(hi, 0.0):
-            brackets.append((lo, hi))
-        else:
-            intervals += [(2 * l + 1, s + 1), (2 * l, s + 1)]
-    return brackets
 
 
 def _death_bracket(invariants: list, k: int, tol: float) -> tuple[float, float] | None:
@@ -527,13 +518,13 @@ def _death_bracket(invariants: list, k: int, tol: float) -> tuple[float, float] 
     and k as :func:`_block_invariants` returns them.
 
     The state can die or revive only at a root of a block's chosen
-    invariant (:func:`_chosen_invariants`), and each root lies in a bracket
-    (:func:`_root_brackets`).  The test of life at every bracket end, in
-    one call of :func:`_alive`, then finds the first dead end; the end
-    before it, or gamma = 0, where the state is entangled, is alive.  A
+    invariant (:func:`_chosen_invariants`), which has at most one, in its
+    bracket (:func:`_root_bracket`).  The test of life at every bracket
+    end, in one call of :func:`_alive`, then finds the first dead end; the
+    end before it, or gamma = 0, where the state is entangled, is alive.  A
     death lies between those two ends and no end of any bracket does, so
     both lie within the bracket of the root where the state dies."""
-    brackets = [b for c in _chosen_invariants(invariants) for b in _root_brackets(c, k, tol)]
+    brackets = [b for c in _chosen_invariants(invariants) if (b := _root_bracket(c, k, tol))]
     samples = sorted({g for bracket in brackets for g in bracket if g > 0.0})
     alive = _alive(invariants, k, samples)
     if all(alive):
@@ -552,14 +543,13 @@ def esd_gamma(
     invariant polynomials of its partial transpose, without evolving it.
 
     Descartes' rule of signs counts the roots of each block's chosen
-    invariant, each counted root is bracketed over float strengths, and the
-    exact test of life at the bracket ends finds the first death
-    (:func:`_death_bracket`), in a bracket no wider than ``tol`` (a
-    positive number) or with no float strictly between its ends.  Its dead
-    end is returned, where the state is separable; None when no strength
-    below gamma = 1 is.  A death exactly at gamma = 1 is asymptotic decay.
-    Where a chosen invariant counts two or more roots, which has never been
-    seen, a bracket narrower than two floats may keep one float inside.
+    invariant, 0 or 1 (:func:`_root_bracket`), a counted root is bracketed
+    over float strengths, and the exact test of life at the bracket ends
+    finds the first death (:func:`_death_bracket`), in a bracket no wider
+    than ``tol`` (a positive number) or with no float strictly between its
+    ends.  Its dead end is returned, where the state is separable; None
+    when no strength below gamma = 1 is.  A death exactly at gamma = 1 is
+    asymptotic decay.
     """
     check_tol(tol)
     kind, mode = ChannelKind(kind), Mode(mode)

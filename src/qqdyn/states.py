@@ -73,10 +73,11 @@ class StateParams:
     def is_entangled(self) -> bool:
         """True inside the entangled regime 3b < c <= 1 - 3b.
 
-        The upper bound holds for every constructible instance (it is the
-        a >= 0 constraint), so only the lower bound is tested; comparing the
-        upper bound again here would misclassify points sitting on it to
-        within float rounding.
+        The upper bound is the a >= 0 constraint, which construction checks
+        to within 1e-12 (an a in [-1e-12, 0) is taken as 0 by
+        :func:`family_weights`), so only the lower bound is tested;
+        comparing the upper bound again here would misclassify points
+        sitting on it to within float rounding.
         """
         return 3.0 * self.b < self.c
 
@@ -189,8 +190,10 @@ FAMILY_BASIS = np.array(
 
 def family_weights(params: StateParams) -> np.ndarray:
     """The weights (2a, 3b, c) of the family's basis states at a point; they
-    sum to 1."""
-    return np.array([2.0 * params.a, 3.0 * params.b, params.c])
+    sum to 1.  An a that rounding makes negative, down to the -1e-12 that
+    :class:`StateParams` admits, is taken as 0, so that the state has no
+    negative eigenvalue."""
+    return np.array([max(0.0, 2.0 * params.a), 3.0 * params.b, params.c])
 
 
 def initial_state(params: StateParams) -> DensityMatrix:

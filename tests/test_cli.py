@@ -333,6 +333,17 @@ def test_cli_table1_single_point(tmp_path):
     assert cells[("depolarizing", "qubitonly")]["matches_reference"] is True
 
 
+def test_cli_table1_flags_no_cell_where_a_rounds_below_zero(tmp_path, capsys):
+    # (0.022, 0.934) lies on a = 0 in decimal and rounds to a = -5.6e-17.
+    # Every cell dies there, as the reference says for b != 0.
+    out = tmp_path / "table.json"
+    assert main(["table1", "--b", "0.022", "--c", "0.934", "--out", str(out)]) == EXIT_OK
+    cells = json.loads(out.read_text())["cells"]
+    assert [c for c in cells if not c["matches_reference"]] == []
+    assert all(c["esd_count"] == 1 for c in cells)
+    assert "[!]" not in capsys.readouterr().out
+
+
 def test_cli_table1_a_zero_without_b_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "table.json"
     assert main(["table1", "--a-zero", "--out", str(out)]) == EXIT_CONFIG

@@ -416,25 +416,20 @@ def _product(*factors):
     return out
 
 
-def test_root_search_finds_death_before_revival_inside_one_grid_cell():
-    # Alive while p(y) = -(2000 y - 1401)(2000 y - 1399)(y + 2) < 0, so dead
-    # only between its roots y = 0.7005 and 0.6995, which for k = 1 lie at
-    # gamma = 0.2995 and 0.3005, inside one cell (153/512, 154/512) of a
-    # 1/512 grid.  Descartes counts two roots, and the subdivision brackets
-    # each of them, for k = 1 and k = 2.  At tol = 1e-2, wider than the gap
-    # between the roots, a piece that still counts both goes on halving, so
-    # the death is not lost between two live ends.
+def test_root_bracket_refuses_a_count_of_two():
+    # p(y) = -(2000 y - 1401)(2000 y - 1399)(y + 2) is negative only
+    # between its roots y = 0.6995 and 0.7005: dead there, alive on both
+    # sides.  Descartes counts two roots, which no invariant of the tables
+    # has anywhere on the entangled triangle
+    # (tests/test_root_count_certificate.py), so the search refuses to
+    # bracket one of them rather than miss the death between two live ends.
     c = [-v for v in _product([-1401, 2000], [-1399, 2000], [2, 1])]
     assert negativity._root_count(c) == 2
     for k in (1, 2):
-        deaths = [1 - Fraction(y, 2000) ** k for y in (1401, 1399)]
-        for tol in (1e-9, 1e-2):
-            brackets = negativity._root_brackets(c, k, tol)
-            for g in deaths:
-                assert any(lo < g <= hi and hi - lo <= tol for lo, hi in brackets), (k, tol, g)
-            lo, hi = negativity._death_bracket([c] + [[0]] * 5, k, tol)
-            assert lo < deaths[0] <= hi and hi - lo <= tol, (k, tol)
-            assert hi < deaths[1], (k, tol)
+        with pytest.raises(RuntimeError, match="counts 2 roots"):
+            negativity._root_bracket(c, k, 1e-9)
+        with pytest.raises(RuntimeError, match="counts 2 roots"):
+            negativity._death_bracket([c] + [[0]] * 5, k, 1e-9)
 
 
 @pytest.mark.parametrize("c", [1e-7, 1e-9], ids=["early", "late"])
@@ -449,22 +444,6 @@ def test_root_search_widens_about_a_root_that_missed_its_crossing(c):
     lo, hi = negativity._death_bracket(invariants, k, 1e-9)
     assert lo < want <= hi == esd_gamma(ChannelKind.DEPOLARIZING, Mode.QUTRIT_ONLY, p)
     assert hi - lo <= 1e-9
-
-
-def test_root_search_keeps_a_double_root_lifted_off_the_axis():
-    # Two eigenvalues of a block dying together at gamma = 0.3 make a double
-    # root of its determinant, whose sign does not change there.  Descartes
-    # counts two roots, the subdivision keeps the double root in one
-    # bracket, and the test of life at its ends finds the death.  Lifted
-    # off the axis, the roots are complex and the subdivision drops them.
-    e3 = _product([-7, 10], [-7, 10])
-    invariants = [[1], [0], [7, -10], [0], e3, [0]]
-    assert negativity._root_count(e3) == 2
-    lo, hi = negativity._death_bracket(invariants, 1, 1e-9)
-    assert lo < Fraction(3, 10) <= hi and hi - lo <= 1e-9
-    lifted = [e3[0] + 1, *e3[1:]]
-    assert negativity._root_count(lifted) == 2
-    assert negativity._root_brackets(lifted, 1, 1e-9) == []
 
 
 @pytest.mark.parametrize(
@@ -513,6 +492,51 @@ def test_qubit_only_thresholds_at_a_zero_match_closed_forms(kind):
                 assert got is None, (b, mode, got)
             else:
                 assert got is not None and abs(got - want) <= 1e-9, (b, mode, got, want)
+
+
+#: The cells whose block determinant vanishes identically on a = 0.
+A_ZERO_DEFLATED = [
+    *((kind, mode) for kind in (ChannelKind.DEPHASING, ChannelKind.PHASE_FLIP) for mode in Mode),
+    *((kind, Mode.QUBIT_ONLY) for kind in (ChannelKind.BIT_FLIP, ChannelKind.BIT_PHASE_FLIP,
+                                            ChannelKind.DEPOLARIZING)),
+]
+
+
+def test_a_rounded_below_zero_hides_no_death():
+    # On the a = 0 line in decimal, (0.022, 0.934) rounds to a = -5.6e-17,
+    # which StateParams admits.  Taken as it is, that weight would give the
+    # initial state a negative eigenvalue that the channels of these nine
+    # cells keep at every strength, so the exact test of life never found
+    # the state dead.  Taken as 0, each death is the closed form's.  The two
+    # multi-local flips, which have none, die too, and the state is dead
+    # there by the numeric negativity.
+    p = StateParams(0.022, 0.934)
+    assert -1e-12 <= p.a < 0.0
+    for kind, mode in A_ZERO_DEFLATED:
+        got, want = esd_gamma(kind, mode, p), analytic_esd_gamma(kind, mode, p)
+        assert got is not None and abs(got - want) <= 1e-6, (kind, mode, got, want)
+    for kind in (ChannelKind.BIT_FLIP, ChannelKind.BIT_PHASE_FLIP):
+        got = esd_gamma(kind, Mode.MULTI_LOCAL, p)
+        assert got is not None, kind
+        scenario = ChannelScenario.at(kind, Mode.MULTI_LOCAL, got)
+        assert negativity_numeric(evolve(scenario, p)).value <= 1e-12, kind
+
+
+def test_decimal_a_zero_points_match_closed_forms():
+    # The points (k / 1000, 1 - 3k / 1000), as decimals on the a = 0 line,
+    # round to either sign of a; 12 of them to a < 0.  Every cell with a
+    # closed form finds its threshold.
+    points = [StateParams(k / 1000, (1000 - 3 * k) / 1000) for k in range(167)]
+    assert sum(p.a < 0.0 for p in points) == 12
+    for p in points:
+        for kind in ChannelKind:
+            for mode in Mode:
+                if mode is Mode.MULTI_LOCAL and kind in (ChannelKind.BIT_FLIP,
+                                                         ChannelKind.BIT_PHASE_FLIP):
+                    continue
+                got, want = esd_gamma(kind, mode, p), analytic_esd_gamma(kind, mode, p)
+                assert (got is None) == (want is None), (p, kind, mode, got, want)
+                assert got is None or abs(got - want) <= 1e-9, (p, kind, mode, got, want)
 
 
 @pytest.mark.parametrize("kind", [ChannelKind.DEPHASING, ChannelKind.PHASE_FLIP],
@@ -629,10 +653,13 @@ def _scale(kind, p):
     return 12 * evolution._integer_rows(kind)[1] * d
 
 
-def _as_floats(invariants, kind, p):
+def _as_floats(invariants, kind, p, width):
     """The exact invariants of :func:`negativity._block_invariants` as
-    floats."""
-    return [[v / _scale(kind, p) ** (i // 2 + 1) for v in c] for i, c in enumerate(invariants)]
+    floats, each cut at its table degree and so padded with zeros up to
+    ``width`` powers of y: invariant, then power of y, then block."""
+    rows = [[v / _scale(kind, p) ** (i // 2 + 1) for v in c] + [0.0] * (width - len(c))
+            for i, c in enumerate(invariants)]
+    return np.array(rows).reshape(3, 2, width).swapaxes(1, 2)
 
 
 def test_chosen_invariants_equal_those_of_the_evolved_blocks():
@@ -646,8 +673,7 @@ def test_chosen_invariants_equal_those_of_the_evolved_blocks():
         for kind in ChannelKind:
             for mode in Mode:
                 invariants, k = negativity._block_invariants(kind, mode, p)
-                # Invariant, then power of y, then block.
-                blocks = np.array(_as_floats(invariants, kind, p)).reshape(3, 2, -1).swapaxes(1, 2)
+                blocks = _as_floats(invariants, kind, p, max(map(len, invariants)))
                 states = evolve_grid(kind, p, *evolution.sweep_strengths(mode, g))
                 eigs = np.linalg.eigvalsh(partial_transpose_blocks(states))
                 # e_1, e_2, e_3 of each block from its eigenvalues.
@@ -662,12 +688,14 @@ def test_chosen_invariants_equal_those_of_the_evolved_blocks():
                 chosen = negativity._chosen_invariants(invariants)
                 assert len(chosen) == 2, (p, kind, mode)
                 for block, c in enumerate(chosen):
-                    # The chosen invariant is over y^m, m the count trimmed
-                    # at the low end, with its integers as the table's.
-                    assert all(type(v) is int for v in c) and c[0] and c[-1]
-                    coefficients = blocks[:, :, block]
-                    i = next(i for i in (2, 1, 0) if coefficients[i].any())
-                    low = int(np.flatnonzero(coefficients[i])[0])
+                    # The chosen invariant is its row up to the table
+                    # degree, over y^low, low the count of zeros trimmed at
+                    # the low end, with its integers as the table's.
+                    assert all(type(v) is int for v in c) and c[0]
+                    i = next(i for i in (2, 1, 0) if any(invariants[2 * i + block]))
+                    row = invariants[2 * i + block]
+                    low = len(row) - len(c)
+                    assert row[low:] == c and not any(row[:low]), (p, kind, mode, block)
                     floats = [v / _scale(kind, p) ** (i + 1) for v in c]
                     got = np.vander(y, len(c), increasing=True) @ floats * y**low
                     assert np.abs(got - e[i][:, block]).max() <= 1e-14, (p, kind, mode, block)
@@ -699,10 +727,12 @@ def test_invariant_tables_equal_the_direct_algebra():
     # The integer tables contract the algebra over the monomials of the
     # family weights: at each point every e_i has the coefficients that the
     # algebra on the point's own blocks gives, to rounding, and zeros beyond
-    # its degree.  The tables hold integers, and every invariant coefficient
-    # is an exact integer too.
-    for table, _, _ in negativity._INVARIANT_TABLES.values():
+    # its table degree, where its row is cut.  The tables hold integers,
+    # each row a non-zero entry at its table degree, and every invariant
+    # coefficient is an exact integer too.
+    for table, bounds, _ in negativity._INVARIANT_TABLES.values():
         assert all(type(v) is int for row in table for v in row)
+        assert {slot + 1 for slot in table[1]} >= set(bounds[1:])
     rng = np.random.default_rng(19)
     points = [*CANONICAL_POINTS, *random_entangled_params(rng, 20),
               StateParams.a_zero(0.1), StateParams(0.0, 0.5), StateParams(0.15, 0.45)]
@@ -713,8 +743,8 @@ def test_invariant_tables_equal_the_direct_algebra():
                 assert all(type(v) is int for c in invariants for v in c)
                 direct, direct_k = _direct_invariants(kind, mode, p)
                 assert k == direct_k
-                blocks = np.array(_as_floats(invariants, kind, p)).reshape(3, 2, -1).swapaxes(1, 2)
-                assert blocks.shape[1] == len(direct[3])
+                assert max(map(len, invariants)) <= len(direct[3])
+                blocks = _as_floats(invariants, kind, p, len(direct[3]))
                 for i in (1, 2, 3):
                     want = direct[i]
                     got = blocks[i - 1]
