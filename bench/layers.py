@@ -15,28 +15,27 @@ row's samples together.  Layer rows time one stage of the pipeline on 64
 strengths at (b, c) = (0.05, 0.6), depolarizing multi-local unless the row
 says otherwise (``_16`` rows take 16 members, ``_1`` rows the one member of
 a one-point evaluation, the ``evolve_grid_chunk_*`` rows one
-``evolve_grid`` call over that many strengths (all its chunks, on checkouts
-where it yields them); ``_qutritonly`` rows take the qutrit-only mode at
-the same qutrit strengths).  ``table_combine`` mixes the terms of both
-sides with 64 pair weight rows.  ``completeness`` weights both sides of a
-chunk of 64 strength pairs, and ``channel_weights_1`` the one strength pair
-of ``evolve_one_point``, as the checkout's ``evolve_grid`` does: one
-``channel_weights`` call for both sides, or one call per side on checkouts
-that weight each side on its own.  ``esd_block_invariants`` takes the
-invariants of both partial-transpose blocks of the subject cell, the first
-step of the checkout's ESD search; the whole search is timed by the
-``esd_gamma_15_cells`` row, over all 15 cells.  ``check_density*``,
+``evolve_grid`` call over that many strengths; ``_qutritonly`` rows take
+the qutrit-only mode at the same qutrit strengths).  ``table_combine``
+mixes the terms of both sides with 64 pair weight rows.  ``completeness``
+weights both sides of a chunk of 64 strength pairs, and
+``channel_weights_1`` the one strength pair of ``evolve_one_point``, as
+``evolve_grid`` does: one ``channel_weights`` call for both sides.
+``esd_block_invariants`` takes the invariants of both partial-transpose
+blocks of the subject cell, the first step of the checkout's ESD search;
+the whole search is timed by the ``esd_gamma_15_cells`` row, over all 15
+cells.  ``check_density_1`` checks the one state of a one-point
+evaluation, a 6x6 matrix, the only form ``check_density`` takes.
 ``negativity_numeric`` and ``coherence_l1`` take the states as complex 6x6
-matrices, the only form ``check_density`` takes, and the
-``negativity_blocks*`` rows as the block stack that ``evolve_grid``
-returns (``negativity_blocks_513_diagonal`` the 513 states of a default
-multi-local dephasing sweep, whose partial transposes are diagonal).  The
-``emit_*`` rows render the default sweep of the subject cell, and the
-``*_no_closed_form`` ones that of multi-local bit flip, whose analytic
-column is empty.  ``points_op`` makes the calls of one perfbench ``points``
-op (the point, the scenario, ``evolve``, both negativities,
-``analytic_evolved`` and ``coherence_l1``) for each of the five kinds at
-the one-point strengths, and ``negativity_numeric_1``,
+matrices, and the ``negativity_blocks*`` rows as the block stack that
+``evolve_grid`` returns (``negativity_blocks_513_diagonal`` the 513 states
+of a default multi-local dephasing sweep, whose partial transposes are
+diagonal).  The ``emit_*`` rows render the default sweep of the subject
+cell, and the ``*_no_closed_form`` ones that of multi-local bit flip,
+whose analytic column is empty.  ``points_op`` makes the calls of one
+perfbench ``points`` op (the point, the scenario, ``evolve``, both
+negativities, ``analytic_evolved`` and ``coherence_l1``) for each of the
+five kinds at the one-point strengths, and ``negativity_numeric_1``,
 ``analytic_evolved_1`` and ``coherence_l1_1`` time one such call of the
 subject cell; these four rows use only the package's public names.
 End-to-end rows time whole runs, the ``cli_*_inprocess`` ones through
@@ -64,7 +63,6 @@ import argparse
 import contextlib
 import importlib
 import importlib.util
-import inspect
 import io
 import json
 import os
@@ -109,17 +107,10 @@ def _subject(q: ModuleType) -> tuple:
     return q.StateParams(0.05, 0.6), q.ChannelKind.DEPOLARIZING, q.Mode.MULTI_LOCAL
 
 
-def _evolved(q: ModuleType, kind, p, ga, gb) -> np.ndarray:
-    """The states of the checkout's ``evolve_grid`` as one block stack: the
-    one it returns, or the chunks it yields on checkouts that yield them."""
-    states = q.evolution.evolve_grid(kind, p, ga, gb)
-    return states if isinstance(states, np.ndarray) else np.concatenate(list(states))
-
-
 def _stack(q: ModuleType) -> np.ndarray:
     """The 64 states as ``evolve_grid`` returns them."""
     p, kind, _ = _subject(q)
-    return _evolved(q, kind, p, G, G)
+    return q.evolution.evolve_grid(kind, p, G, G)
 
 
 def _closed_forms(q: ModuleType):
@@ -129,13 +120,10 @@ def _closed_forms(q: ModuleType):
 
 
 def _weighting(q: ModuleType, ga: np.ndarray, gb: np.ndarray):
-    """Both sides' weight rows at the strength pairs (ga, gb), as the
-    checkout's ``evolve_grid`` takes them: one ``channel_weights`` call, or
-    one call per side where it takes a side."""
+    """Both sides' weight rows at the strength pairs (ga, gb), as
+    ``evolve_grid`` takes them: one ``channel_weights`` call."""
     _, kind, _ = _subject(q)
-    channel_weights, side = q.channels.channel_weights, q.channels.Side
-    if "side" in inspect.signature(channel_weights).parameters:
-        return lambda: (channel_weights(kind, side.QUBIT, ga), channel_weights(kind, side.QUTRIT, gb))
+    channel_weights = q.channels.channel_weights
     return lambda: channel_weights(kind, ga, gb)
 
 
@@ -143,14 +131,8 @@ def _table_combine(q: ModuleType):
     p, kind, _ = _subject(q)
     wa, wb = _weighting(q, G, G)()
     table = q.evolution._BASIS_TABLES[kind]
-    both = count = wa.shape[1] * wb.shape[1]
-    # Older checkouts hold (table, ta, tb): the qubit-side terms, the
-    # qutrit-side terms, then those of both sides.
-    if isinstance(table, tuple):
-        table, ta, tb = table
-        count += ta + tb
     # One row per term, whatever the checkout stores per term.
-    terms = (q.states.family_weights(p) @ table).reshape(count, -1)[-both:]
+    terms = (q.states.family_weights(p) @ table).reshape(wa.shape[1] * wb.shape[1], -1)
 
     def mix():
         pairs = (wb[:, :, None] * wa[:, None, :]).reshape(N, 1, -1)
@@ -191,16 +173,13 @@ def _diagonal_stack(q: ModuleType) -> np.ndarray:
     subject point, whose partial transposes are diagonal."""
     p, _, mode = _subject(q)
     ga, gb = q.evolution.sweep_strengths(mode, np.linspace(0.0, 1.0, 513))
-    return _evolved(q, q.ChannelKind.DEPHASING, p, ga, gb)
+    return q.evolution.evolve_grid(q.ChannelKind.DEPHASING, p, ga, gb)
 
 
 def _grid_chunk(q: ModuleType, n: int, mode):
     p, kind, _ = _subject(q)
     ga, gb = q.evolution.sweep_strengths(mode, np.linspace(0.0, 1.0, n))
     grid = q.evolution.evolve_grid
-    # A generator does its work only as its chunks are taken.
-    if inspect.isgeneratorfunction(grid):
-        return lambda: list(grid(kind, p, ga, gb))
     return lambda: grid(kind, p, ga, gb)
 
 
@@ -224,9 +203,7 @@ def layer_rows(q: ModuleType) -> dict:
         "completeness": (lambda: _weighting(q, G, G), 500),
         "channel_weights_1": (
             lambda: _weighting(q, np.array(_ONE_POINT[:1]), np.array(_ONE_POINT[1:])), 1000),
-        "check_density": (lambda: lambda: states.check_density(product), 200),
-        "check_density_16": (lambda: lambda: states.check_density(product[:16]), 500),
-        "check_density_1": (lambda: lambda: states.check_density(product[:1]), 1000),
+        "check_density_1": (lambda: lambda: states.check_density(one_state.matrix), 1000),
         "negativity_numeric": (lambda: lambda: negativity.negativity_numeric(product), 200),
         "coherence_l1": (lambda: lambda: evolution.coherence_l1(product), 500),
         "closed_forms_513": (lambda: _closed_forms(q), 50),
@@ -290,12 +267,8 @@ def _validate_check(q: ModuleType, name: str, points: list):
     """Setup of a ``validate`` row that takes the 20 points of a run.  The
     check is looked up now, so that a checkout without it reports the row
     absent.  The checks on the closed-form curves take those curves,
-    evaluated once (``_closed_form_curves``, a row of its own).  A check
-    that takes no argument (``_threshold_checks`` on checkouts that list
-    its cells by hand) is timed as it is."""
+    evaluated once (``_closed_form_curves``, a row of its own)."""
     check = getattr(q.validate, name)
-    if not inspect.signature(check).parameters:
-        return check
     shared = name in ("_negativity_form_checks", "_threshold_checks", "_equivalence_checks")
     arg = q.validate._closed_form_curves(points) if shared else points
     return lambda: check(arg)
@@ -384,12 +357,9 @@ def _git(root: Path, *args: str) -> str:
 
 
 def checkout(root: Path, q: ModuleType) -> dict:
-    # GRID_CHUNK lives in ``sweep``, its one user, or in ``evolution`` on
-    # checkouts whose ``evolve_grid`` yields chunks.
-    grid_chunk = getattr(q.sweep, "GRID_CHUNK", None) or q.evolution.GRID_CHUNK
     return {"git_head": _git(root, "rev-parse", "HEAD"),
             "git_dirty": bool(_git(root, "status", "--porcelain")),
-            "grid_chunk": grid_chunk}
+            "grid_chunk": q.sweep.GRID_CHUNK}
 
 
 def environment() -> dict:

@@ -261,17 +261,6 @@ def _gram(kind: ChannelKind, side: Side) -> np.ndarray:
     return s.expand(lambda a, b: a.conj().T @ b, _EYE).view(float).reshape(s.terms, -1)
 
 
-def _unchecked_weighting(kind: ChannelKind) -> _Weighting:
-    """The weighting of one kind, read off the table as it stands."""
-    shapes = [_SHAPES[kind, side] for side in Side]
-    return _Weighting(
-        np.array([[s.p] for s in shapes], dtype=float),
-        np.array([[s.m] for s in shapes], dtype=float),
-        shapes[0].terms,
-        tuple((float(s.p), float(s.m)) for s in shapes),
-    )
-
-
 def completeness_defect(kind: ChannelKind) -> float:
     """The completeness defect of one kind, from the table as it stands: the
     largest entry of |G_s| and of each side's Gram polynomial less I6 at
@@ -279,9 +268,12 @@ def completeness_defect(kind: ChannelKind) -> float:
     Gram polynomial with G_s = 0 is within that defect of I6 at every
     strength.  The sides are taken apart, so that a defect of one cannot
     cancel against the other."""
-    grams = np.array([_gram(kind, side) for side in Side])
-    ends = _rows(_unchecked_weighting(kind), np.array([[0.0, 1.0]] * len(Side)))
-    return float(np.abs(np.concatenate([ends @ grams - _EYE_ROW, grams[:, 2:]], axis=1)).max())
+    defects = []
+    for side in Side:
+        s, gram = _SHAPES[kind, side], _gram(kind, side)
+        ends = np.array(_weights(s.p, s.m, np.array([0.0, 1.0]), s.terms, np.sqrt)).T
+        defects += [ends @ gram - _EYE_ROW, gram[2:]]
+    return float(np.abs(np.concatenate(defects)).max())
 
 
 def _weighting(kind: ChannelKind) -> _Weighting:
@@ -290,7 +282,10 @@ def _weighting(kind: ChannelKind) -> _Weighting:
     defect = completeness_defect(kind)
     if not defect <= COMPLETENESS_TOL:
         raise ValueError(f"completeness violated: max deviation {defect:.3e}")
-    return _unchecked_weighting(kind)
+    shapes = [_SHAPES[kind, side] for side in Side]
+    sides = tuple((float(s.p), float(s.m)) for s in shapes)
+    p, m = np.array(sides).T[..., None]
+    return _Weighting(p, m, shapes[0].terms, sides)
 
 
 #: The weighting of every kind, built and certified once at import.

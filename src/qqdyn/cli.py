@@ -147,15 +147,18 @@ def cmd_sweep(args) -> int:
 
 def _run_sweeps(runs: list[dict], labels: list[str], config: str | None = None) -> int:
     """Run the sweeps (``run_sweep``'s arguments plus ``out`` and ``fmt``)
-    once every output path is known to be writable as given: two runs
-    sharing a path, or a run writing the batch ``config`` it came from, are
-    a configuration error, a missing output directory an I/O error, and each
-    stops all runs before any output is written."""
+    once every output path is known to be writable as given: a path with an
+    empty name, two runs sharing a path, or a run writing the batch
+    ``config`` it came from, are a configuration error, a missing output
+    directory or a path that is a directory an I/O error, and each stops all
+    runs before any output is written."""
     claimed: dict[Path, str] = {}
     config_path = Path(config).resolve() if config is not None else None
     for run, label in zip(runs, labels):
         if run["out"] is None:
             continue
+        if not Path(run["out"]).name:
+            raise ConfigError(f"{label}: output path {run['out']!r} has an empty name")
         path = Path(run["out"]).resolve()
         if path == config_path:
             raise ConfigError(f"{label} would overwrite its config file {run['out']}")
@@ -163,6 +166,8 @@ def _run_sweeps(runs: list[dict], labels: list[str], config: str | None = None) 
             raise ConfigError(f"{claimed[path]} and {label} both write {run['out']}")
         if not path.parent.is_dir():
             raise FileNotFoundError(f"{label}: output directory {path.parent} does not exist")
+        if path.is_dir():
+            raise IsADirectoryError(f"{label}: output path {path} is a directory")
         claimed[path] = label
     for run in runs:
         sweep = dict(run)
@@ -352,10 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, MemoryError) as exc:
+    except (ConfigError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -34,9 +34,6 @@ TOTAL_DIM = QUBIT_DIM * QUTRIT_DIM
 #: Shape of one state in block form: the S-even and the S-odd block.
 BLOCK_SHAPE = (2, QUTRIT_DIM, QUTRIT_DIM)
 
-#: Default absolute tolerance when deciding whether a matrix is Hermitian.
-HERMITICITY_TOL = 1e-10
-
 #: The pairs of S in the order i_0, i_1, i_2, j_0, j_1, j_2, where
 #: i_k = |0 k> and j_k = S i_k.  The reordering is its own inverse.
 _PAIRED = np.array([0, 1, 2, 4, 3, 5])

@@ -19,10 +19,9 @@ trace is exactly 1, since the Bell-like projectors are built as
 v v^T / 2 from vectors of integers.
 
 Every state the package builds from a matrix passes :func:`check_density`,
-which checks a 6x6 matrix, or a stack of them member by member, and names
-the first that fails.  The evolution's states come from tables that the
-import certified exactly (``evolution._basis_table``), so they are not
-checked again per call.
+which checks one 6x6 matrix to ``DENSITY_TOL``.  The evolution's states
+come from tables that the import certified exactly
+(``evolution._basis_table``), so they are not checked again per call.
 """
 
 from __future__ import annotations
@@ -31,10 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HERMITICITY_TOL, TOTAL_DIM, check_matrices
+from .linalg import TOTAL_DIM
 
-TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
+#: Absolute tolerance of each test of :func:`check_density`: the Hermiticity
+#: defect, the trace's distance from 1 and the most negative eigenvalue.
+DENSITY_TOL = 1e-10
 
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
 
@@ -100,34 +100,24 @@ def random_entangled_params(rng: np.random.Generator, n: int) -> list[StateParam
 
 
 def check_density(m: np.ndarray) -> None:
-    """Reject a 6x6 state, or a (..., 6, 6) stack with any member, that is
-    not a density matrix: finite, Hermitian, of unit trace and positive
-    semidefinite, all to 1e-10.
-
-    The members are checked in turn, one pass per check and a full
-    ``eigvalsh`` for positivity, and the message names the first failing
-    member (no member for a single state).
-    """
-    check_matrices(m)
-    mh = m.conj().swapaxes(-1, -2)
-
-    def reject(bad: np.ndarray, message) -> None:
-        if bad.any():
-            i = np.unravel_index(np.argmax(bad), bad.shape)
-            where = f" in stack member {i[0] if len(i) == 1 else tuple(map(int, i))}" if i else ""
-            raise ValueError(message(i) + where)
-
-    member = (-2, -1)
-    reject(~np.isfinite(m).all(axis=member), lambda i: "density matrix contains NaN or Inf")
-    defect = np.abs(m - mh).max(axis=member)
-    reject(defect > HERMITICITY_TOL, lambda i: f"not Hermitian (defect {defect[i]:.3e})")
-    tr = np.trace(m, axis1=-2, axis2=-1)
-    reject(np.abs(tr - 1.0) > TRACE_TOL, lambda i: f"trace must be 1, got {tr[i]}")
-    min_eig = np.linalg.eigvalsh((m + mh) / 2.0)[..., 0]
-    reject(
-        min_eig < -PSD_TOL,
-        lambda i: f"not positive semidefinite (min eigenvalue {min_eig[i]:.3e})",
-    )
+    """Reject a 6x6 array that is not a density matrix: finite, Hermitian,
+    of unit trace and positive semidefinite, each to ``DENSITY_TOL``, checked
+    in that order.  Any other shape, a stack of 6x6 matrices included, is
+    rejected too."""
+    if m.shape != (TOTAL_DIM, TOTAL_DIM):
+        raise ValueError(f"expected a {TOTAL_DIM}x{TOTAL_DIM} matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("density matrix contains NaN or Inf")
+    mh = m.conj().T
+    defect = np.abs(m - mh).max()
+    if defect > DENSITY_TOL:
+        raise ValueError(f"not Hermitian (defect {defect:.3e})")
+    tr = np.trace(m)
+    if abs(tr - 1.0) > DENSITY_TOL:
+        raise ValueError(f"trace must be 1, got {tr}")
+    min_eig = np.linalg.eigvalsh((m + mh) / 2.0)[0]
+    if min_eig < -DENSITY_TOL:
+        raise ValueError(f"not positive semidefinite (min eigenvalue {min_eig:.3e})")
 
 
 @dataclass(frozen=True)
@@ -142,8 +132,6 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
-        if m.shape != (TOTAL_DIM, TOTAL_DIM):
-            raise ValueError(f"expected {TOTAL_DIM}x{TOTAL_DIM}, got {m.shape}")
         check_density(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

@@ -441,6 +441,25 @@ def test_cli_batch_missing_output_dir_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("out, code, message", [
+    ("", EXIT_CONFIG, "batch entry 1: output path '' has an empty name"),
+    ("d", EXIT_IO, "batch entry 1: output path {d} is a directory"),
+])
+def test_cli_batch_unwritable_output_path_writes_nothing(tmp_path, capsys, monkeypatch, out, code,
+                                                          message):
+    # An entry's path is checked with the others, before the entries ahead
+    # of it write anything.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    entry = {"kind": "dephasing", "mode": "qubitonly", "b": 0.05, "c": 0.6, "gamma": {"steps": 5}}
+    cfg = tmp_path / "runs.json"
+    cfg.write_text(json.dumps([{**entry, "out": "one.csv"}, {**entry, "out": out}]))
+    assert main(["sweep", "--config", str(cfg)]) == code
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "runs.json"]
+    assert list((tmp_path / "d").iterdir()) == []
+    assert message.format(d=tmp_path / "d") in capsys.readouterr().err
+
+
 def test_cli_batch_entry_cannot_overwrite_its_config(tmp_path, capsys, monkeypatch):
     # Named as given, or by another path to the same file.
     monkeypatch.chdir(tmp_path)

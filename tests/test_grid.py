@@ -24,7 +24,7 @@ from qqdyn import (
 from qqdyn import channels, evolution, states, sweep
 from qqdyn.evolution import sweep_strengths
 from qqdyn.linalg import from_blocks
-from qqdyn.states import check_density, initial_state
+from qqdyn.states import initial_state
 
 from helpers import apply_channel, kraus_operators
 
@@ -40,10 +40,8 @@ PIECE = 32
 #: in the pieces of a default sweep.
 GRIDS = ((PIECE, 2), (PIECE, 4 * PIECE - 1), (PIECE, 4 * PIECE), (PIECE, 4 * PIECE + 1),
          (sweep.GRID_CHUNK, 513))
-#: The size of the stacks that the tests of ``evolve_grid`` build, and a
-#: member in the middle of one.
+#: The size of the stacks that the tests of ``evolve_grid`` build.
 STACK = 128
-MEMBER = STACK // 2 + 3
 
 
 @pytest.mark.parametrize("kind, mode", CELLS, ids=[f"{k.value}-{m.value}" for k, m in CELLS])
@@ -124,58 +122,6 @@ def test_grid_rejects_out_of_range_strength_in_any_chunk():
         evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g)
     with pytest.raises(ValueError, match="1-d arrays of one length"):
         evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g[:-1])
-
-
-def _stack_with_bad_member(bad: np.ndarray) -> np.ndarray:
-    g = np.linspace(0.0, 1.0, STACK)
-    states = evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g)
-    states = from_blocks(states).astype(complex)
-    states[MEMBER] = bad
-    return states
-
-
-@pytest.mark.parametrize(
-    "bad, message",
-    [
-        (np.diag([1.5, -0.5, 0, 0, 0, 0]).astype(complex), "not positive semidefinite"),
-        (np.eye(6, k=1) * 1e-6 + np.eye(6) / 6, "not Hermitian"),
-        (np.eye(6) / 3, "trace must be 1"),
-        (np.full((6, 6), np.nan), "NaN or Inf"),
-    ],
-    ids=["non-psd", "non-hermitian", "trace", "nan"],
-)
-def test_stack_with_one_bad_member_mid_chunk_is_rejected(bad, message):
-    states = _stack_with_bad_member(bad.astype(complex))
-    with pytest.raises(ValueError, match=f"{message}.* in stack member {MEMBER}$"):
-        check_density(states)
-    # Without the bad member the same stack passes.
-    check_density(np.delete(states, MEMBER, axis=0))
-
-
-def _block_member(even, odd):
-    return np.array([even, odd], dtype=float)
-
-
-@pytest.mark.parametrize(
-    "bad, message",
-    [
-        (_block_member(np.diag([1.5, -0.5, 0.0]), np.zeros((3, 3))), "not positive semidefinite"),
-        (_block_member(np.eye(3, k=1) * 1e-6 + np.eye(3) / 6, np.eye(3) / 6), "not Hermitian"),
-        (_block_member(np.eye(3) / 3, np.eye(3) / 3), "trace must be 1"),
-        (_block_member(np.full((3, 3), np.nan), np.eye(3) / 6), "NaN or Inf"),
-    ],
-    ids=["non-psd", "non-symmetric", "trace", "nan"],
-)
-def test_block_stack_with_one_bad_member_mid_chunk_is_rejected(bad, message):
-    # A block stack is checked as its product-basis matrices.
-    g = np.linspace(0.0, 1.0, STACK)
-    blocks = evolve_grid(ChannelKind.BIT_FLIP, POINTS[0], g, g).copy()
-    blocks[MEMBER] = bad
-    stack = from_blocks(blocks)
-    with pytest.raises(ValueError, match=f"{message}.* in stack member {MEMBER}$"):
-        check_density(stack)
-    # Without the bad member the same stack passes.
-    check_density(np.delete(stack, MEMBER, axis=0))
 
 
 #: Corruptions of one term, kept Hermitian, as (the entries (r, c) that

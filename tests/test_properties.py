@@ -1,5 +1,5 @@
 """Property tests over random points of the family and random strengths,
-and over random stacks of density matrices.
+and over random perturbations of one density matrix.
 
 Examples are drawn from a fixed seed (``derandomize``) and capped in number,
 so that every run checks the same cases in bounded time.
@@ -26,8 +26,8 @@ from qqdyn import (
     negativity_numeric,
 )
 from qqdyn import negativity
-from qqdyn.linalg import HERMITICITY_TOL, from_blocks, partial_transpose_blocks
-from qqdyn.states import PSD_TOL, TRACE_TOL, check_density
+from qqdyn.linalg import from_blocks, partial_transpose_blocks
+from qqdyn.states import DENSITY_TOL, check_density
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -212,9 +212,10 @@ CORNERS = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
 )
 def test_every_evolved_state_is_a_density_matrix(kind, p, pairs):
     # The import certifies the tables, and no call checks a state: the
-    # check of every state a call returns, the corners included.
+    # check of each state a call returns, the corners included.
     ga, gb = np.array(pairs + CORNERS).T
-    check_density(from_blocks(evolve_grid(kind, p, ga, gb)))
+    for m in from_blocks(evolve_grid(kind, p, ga, gb)):
+        check_density(m)
 
 
 #: Cells with a closed-form threshold: all but the multi-local flips.
@@ -270,42 +271,6 @@ def test_esd_threshold_matches_closed_form_and_is_certified(p):
         assert _alive_at(kind, mode, p, max(got - tol, 0.0)), (kind, mode, got)
 
 
-def _check_density_per_member(m):
-    """The density-matrix check as it was before the whole-stack certificate:
-    one pass per check over the members, and a full ``eigvalsh`` for
-    positivity."""
-    if m.ndim < 2 or m.shape[-2:] != (6, 6):
-        raise ValueError(f"expected 6x6 matrices, got shape {m.shape}")
-    member = (-2, -1)
-
-    def reject(bad, message):
-        if bad.any():
-            i = np.unravel_index(np.argmax(bad), bad.shape)
-            where = f" in stack member {i[0] if len(i) == 1 else tuple(map(int, i))}" if i else ""
-            raise ValueError(message(i) + where)
-
-    reject(~np.isfinite(m).all(axis=member), lambda i: "density matrix contains NaN or Inf")
-    mh = m.conj().swapaxes(-1, -2)
-    defect = np.abs(m - mh).max(axis=member)
-    reject(defect > HERMITICITY_TOL, lambda i: f"not Hermitian (defect {defect[i]:.3e})")
-    tr = np.trace(m, axis1=-2, axis2=-1)
-    reject(np.abs(tr - 1.0) > TRACE_TOL, lambda i: f"trace must be 1, got {tr[i]}")
-    min_eig = np.linalg.eigvalsh((m + mh) / 2.0)[..., 0]
-    reject(
-        min_eig < -PSD_TOL,
-        lambda i: f"not positive semidefinite (min eigenvalue {min_eig[i]:.3e})",
-    )
-
-
-def _verdict(check, m):
-    """None if ``check`` accepts ``m``, else its message."""
-    try:
-        check(m)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
 def _state(rng, eigenvalues):
     """A density matrix with the given spectrum in a random eigenbasis."""
     x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
@@ -315,14 +280,14 @@ def _state(rng, eigenvalues):
 
 def _spectrum(rng, smallest):
     """Six eigenvalues summing to 1, the first ``smallest`` and some of the
-    others zero, so that members of any rank occur."""
+    others zero, so that states of any rank occur."""
     rest = rng.uniform(size=5) * (rng.uniform(size=5) < 0.6)
     rest[0] += 1e-3
     return np.concatenate([[smallest], rest / rest.sum() * (1.0 - smallest)])
 
 
-#: Each perturbation of one member, at a signed offset from its tolerance,
-#: with the start of the message the per-member check gives (None: accepted).
+#: Each perturbation of one state, at a signed offset from the tolerance,
+#: with the start of the message it gets (None: accepted).
 PERTURBATIONS = {
     "none": None,
     "eigenvalue-above": None,
@@ -337,49 +302,35 @@ PERTURBATIONS = {
 
 
 @st.composite
-def perturbed_stacks(draw, perturbation):
-    """A stack of 1-20 complex 6x6 states (or one state) with one member
-    perturbed as ``perturbation`` names."""
+def perturbed_states(draw, perturbation):
+    """A complex 6x6 state of any rank perturbed as ``perturbation`` names."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1, 20))
-    m = np.array([_state(rng, _spectrum(rng, 0.0)) for _ in range(n)])
-    k = draw(st.integers(0, n - 1))
     r, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
     kind, _, side = perturbation.partition("-")
     offset = 1.0 if side in ("below", "beyond") else -1.0
-    if kind == "eigenvalue":
-        m[k] = _state(rng, _spectrum(rng, -PSD_TOL - offset * 2e-13))
-    elif kind == "hermiticity":
+    smallest = -DENSITY_TOL - offset * 2e-13 if kind == "eigenvalue" else 0.0
+    m = _state(rng, _spectrum(rng, smallest))
+    if kind == "hermiticity":
         c = (r + draw(st.integers(1, 5))) % 6
-        m[k, r, c] += np.exp(2j * np.pi * rng.uniform()) * (HERMITICITY_TOL + offset * 1e-12)
+        m[r, c] += np.exp(2j * np.pi * rng.uniform()) * (DENSITY_TOL + offset * 1e-12)
     elif kind == "trace":
-        m[k, r, r] += draw(st.sampled_from((-1.0, 1.0))) * (TRACE_TOL + offset * 1e-12)
+        m[r, r] += draw(st.sampled_from((-1.0, 1.0))) * (DENSITY_TOL + offset * 1e-12)
     elif kind in ("nan", "inf"):
         values = (np.nan, complex(0.0, np.nan)) if kind == "nan" else (
             np.inf, -np.inf, complex(0.0, np.inf), complex(np.inf, -np.inf))
-        m[k, r, c] = draw(st.sampled_from(values))
-    return m[0] if n == 1 and draw(st.booleans()) else m
+        m[r, c] = draw(st.sampled_from(values))
+    return m
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("perturbation", list(PERTURBATIONS))
 @settings(derandomize=True, max_examples=50, deadline=None, database=None)
 @given(st.data())
-def test_stack_certificate_decides_as_the_per_member_check(perturbation, data):
-    m = data.draw(perturbed_stacks(perturbation))
-    want = _verdict(_check_density_per_member, m)
-    assert _verdict(check_density, m) == want
+def test_check_density_decides_each_perturbation_at_the_tolerance(perturbation, data):
+    m = data.draw(perturbed_states(perturbation))
     expected = PERTURBATIONS[perturbation]
-    assert (want is None) if expected is None else want.startswith(expected), want
-
-
-@pytest.mark.filterwarnings("error")
-def test_empty_stack_passes_and_a_wrong_shape_is_rejected_as_before():
-    for m in (np.zeros((0, 6, 6), dtype=complex), np.zeros((3, 0, 6, 6)), np.eye(3) / 3,
-              np.zeros(6), np.eye(6)[None] / 6, np.zeros((0, 2, 3, 3)), np.zeros((3, 0, 2, 3, 3)),
-              np.zeros((3, 3, 3)), np.array([np.eye(3), np.eye(3)]) / 6):
-        assert _verdict(check_density, m) == _verdict(_check_density_per_member, m)
-    assert _verdict(check_density, np.zeros((0, 6, 6), dtype=complex)) is None
-    # A block stack is checked as its product-basis matrices.
-    assert _verdict(check_density, from_blocks(np.zeros((0, 2, 3, 3)))) is None
-    assert _verdict(check_density, np.zeros((0, 2, 3, 3))).startswith("expected 6x6")
+    if expected is None:
+        check_density(m)
+    else:
+        with pytest.raises(ValueError, match=f"^{expected}"):
+            check_density(m)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from pytest import approx
@@ -8,7 +10,8 @@ from qqdyn import (
     initial_state,
     negativity_numeric,
 )
-from qqdyn.states import BELL_KINDS, FAMILY_BASIS, _BELL_PROJECTORS
+from qqdyn.linalg import from_blocks
+from qqdyn.states import BELL_KINDS, FAMILY_BASIS, _BELL_PROJECTORS, check_density
 
 from helpers import brute_negativity
 
@@ -142,6 +145,40 @@ def test_density_matrix_validation():
         DensityMatrix(not_psd)
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(3) / 3)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.diag([1.5, -0.5, 0, 0, 0, 0]), "not positive semidefinite (min eigenvalue -5.000e-01)"),
+        (np.eye(6, k=1) * 1e-6 + np.eye(6) / 6, "not Hermitian (defect 1.000e-06)"),
+        (np.eye(6) / 3, "trace must be 1, got 1.9999999999999998"),
+        (np.full((6, 6), np.nan), "density matrix contains NaN or Inf"),
+        ([np.diag([1.5, -0.5, 0.0]), np.zeros((3, 3))],
+         "not positive semidefinite (min eigenvalue -5.000e-01)"),
+        ([np.eye(3, k=1) * 1e-6 + np.eye(3) / 6, np.eye(3) / 6], "not Hermitian (defect 5.000e-07)"),
+        ([np.eye(3) / 3, np.eye(3) / 3], "trace must be 1, got 1.9999999999999998"),
+        ([np.full((3, 3), np.nan), np.eye(3) / 6], "density matrix contains NaN or Inf"),
+    ],
+    ids=["non-psd", "non-hermitian", "trace", "nan",
+         "blocks-non-psd", "blocks-non-symmetric", "blocks-trace", "blocks-nan"],
+)
+def test_check_density_rejects_a_bad_state_with_its_message(bad, message):
+    # A block pair (even, odd) is checked as its product-basis matrix.
+    m = from_blocks(np.array(bad)) if isinstance(bad, list) else bad
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_density(m)
+
+
+def test_check_density_takes_exactly_one_6x6_matrix():
+    check_density(np.eye(6) / 6)
+    for m in (np.eye(6)[None] / 6, np.zeros((0, 6, 6)), np.zeros((3, 0, 6, 6)), np.eye(3) / 3,
+              np.zeros(6), np.zeros((0, 2, 3, 3))):
+        message = f"^expected a 6x6 matrix, got shape {re.escape(str(m.shape))}$"
+        with pytest.raises(ValueError, match=message):
+            check_density(m)
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(m)
 
 
 def test_density_matrix_is_immutable():
