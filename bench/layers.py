@@ -254,7 +254,8 @@ def inprocess_rows(q: ModuleType, workdir: str) -> dict:
         "esd_gamma_15_cells": (
             lambda: lambda: [negativity.esd_gamma(k, m, p) for k, m in cells], 3),
     }
-    for name in ("run_validation", "_completeness_check", "_route_agreement_check"):
+    for name in ("run_validation", "_completeness_check", "_esd_certificate_checks",
+                 "_route_agreement_check"):
         rows[f"validate.{name}"] = (lambda name=name: getattr(validate, name), 1)
     points = validate.random_entangled_params(np.random.default_rng(validate._SEED), 20)
     for name in ("_evolved_form_checks", "_closed_form_curves", "_negativity_form_checks",

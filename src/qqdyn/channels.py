@@ -216,10 +216,16 @@ def _strength_pairs(gamma_qubit: ArrayLike, gamma_qutrit: ArrayLike) -> np.ndarr
     if g is None or g.ndim != 2:
         shapes = np.shape(gamma_qubit), np.shape(gamma_qutrit)
         raise ValueError(f"strengths must be 1-d arrays of one length, got shapes {shapes}")
-    ok = (g >= 0.0) & (g <= 1.0)
-    if not ok.all():
-        raise ValueError(f"gamma must lie in [0, 1], got {g[~ok][0]}")
+    check_strengths(g)
     return g
+
+
+def check_strengths(*gammas: np.ndarray) -> None:
+    """Reject any strength outside [0, 1], NaN included, naming the first."""
+    for g in gammas:
+        ok = (g >= 0.0) & (g <= 1.0)
+        if not ok.all():
+            raise ValueError(f"gamma must lie in [0, 1], got {g[~ok][0]}")
 
 
 _EYE_ROW = _EYE.view(float).ravel()

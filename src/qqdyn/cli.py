@@ -25,13 +25,14 @@ from .evolution import Mode
 from .negativity import (
     CANONICAL_POINTS,
     CELL_LABELS,
+    DEFAULT_TOL,
     REFERENCE_ESD_TABLE,
     check_entangled,
     classify_table1,
     esd_report,
 )
 from .states import StateParams
-from .sweep import FORMATS, check_grid, esd_report_obj, render_sweep, run_sweep
+from .sweep import DEFAULT_STEPS, FORMATS, check_grid, esd_report_obj, render_sweep, run_sweep
 from .validate import run_validation
 
 EXIT_OK = 0
@@ -42,23 +43,20 @@ EXIT_VALIDATION = 4
 _KINDS = [k.value for k in ChannelKind]
 _MODES = [m.value for m in Mode]
 
-#: Defaults of the ``sweep`` flags and of each batch entry alike: grid points,
-#: format and ESD tolerance (the latter also of ``esd`` and ``table1``).
-_STEPS, _FORMAT, _TOL = 513, "csv", 1e-9
+#: The default format of ``sweep`` and of each batch entry alike.  Grid points
+#: and ESD tolerances default to the library's ``DEFAULT_STEPS`` and
+#: ``DEFAULT_TOL``.
+_FORMAT = "csv"
 #: The ``sweep`` flags that a ``--config`` batch entry sets for itself; the
 #: parser leaves each None unless it is given.
 _RUN_FLAGS = ("kind", "mode", "b", "c", "a_zero", "gamma_steps", "out", "format", "tol")
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _float_list(text: str) -> list[float]:
     try:
         return [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
-        raise ConfigError(f"expected comma-separated floats, got {text!r}") from exc
+        raise ValueError(f"expected comma-separated floats, got {text!r}") from exc
 
 
 def _point(b: float, c: float | None, a_zero: bool) -> StateParams:
@@ -72,28 +70,25 @@ def _point(b: float, c: float | None, a_zero: bool) -> StateParams:
 def _resolve_points(args) -> list[StateParams]:
     """Turn --b/--c/--a-zero flags into checked parameter points (zipped lists)."""
     if args.b is None:
-        raise ConfigError("--b is required")
+        raise ValueError("--b is required")
     bs = _float_list(args.b)
     if args.a_zero:
         if args.c is not None:
-            raise ConfigError("--a-zero and --c are mutually exclusive")
+            raise ValueError("--a-zero and --c are mutually exclusive")
         cs = [None] * len(bs)
     else:
         if args.c is None:
-            raise ConfigError("either --c or --a-zero is required")
+            raise ValueError("either --c or --a-zero is required")
         cs = _float_list(args.c)
         if len(cs) == 1 and len(bs) > 1:
             cs = cs * len(bs)
         if len(bs) == 1 and len(cs) > 1:
             bs = bs * len(cs)
         if len(bs) != len(cs):
-            raise ConfigError("--b and --c lists must have equal length")
+            raise ValueError("--b and --c lists must have equal length")
     if not bs:
-        raise ConfigError("--b names no parameter point")
-    try:
-        return [_point(b, c, args.a_zero) for b, c in zip(bs, cs)]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ValueError("--b names no parameter point")
+    return [_point(b, c, args.a_zero) for b, c in zip(bs, cs)]
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -125,50 +120,66 @@ def cmd_sweep(args) -> int:
         given = [f"--{name.replace('_', '-')}" for name in _RUN_FLAGS
                  if getattr(args, name) is not None]
         if given:
-            raise ConfigError(f"--config sets every run itself; it cannot take {' '.join(given)}")
+            raise ValueError(f"--config sets every run itself; it cannot take {' '.join(given)}")
         return _run_batch(args.config)
     if args.kind is None or args.mode is None:
-        raise ConfigError("--kind and --mode are required without --config")
+        raise ValueError("--kind and --mode are required without --config")
     points = _resolve_points(args)
     runs = [
         {
             "kind": args.kind,
             "mode": args.mode,
             "params": p,
-            "steps": _STEPS if args.gamma_steps is None else args.gamma_steps,
+            "steps": DEFAULT_STEPS if args.gamma_steps is None else args.gamma_steps,
             "out": _sweep_out_path(args.out, p, len(points) > 1),
             "fmt": args.format or _FORMAT,
-            "tol": _TOL if args.tol is None else args.tol,
+            "tol": DEFAULT_TOL if args.tol is None else args.tol,
         }
         for p in points
     ]
     return _run_sweeps(runs, [f"point (b={p.b!r}, c={p.c!r})" for p in points])
 
 
+def _entry(path: str) -> tuple[int, int, str]:
+    """The directory entry that :func:`_write_text` replaces at ``path``: its
+    directory, told by device and inode, which follows a symlinked directory,
+    and its name, a symlink itself included, since ``os.replace`` replaces
+    the link and not its target.  OSError unless the directory exists."""
+    # The trailing separator fails the stat where the parent is not a directory.
+    st = os.stat(os.path.join(os.path.dirname(path) or ".", ""))
+    return st.st_dev, st.st_ino, os.path.basename(path)
+
+
+def _claim(outs: list[str | None], labels: list[str], config: str | None = None) -> None:
+    """Check every output path of a command (None for stdout) before any
+    work: a path with an empty name (ending in a separator, say), two
+    outputs sharing a directory entry, or one writing the batch ``config``
+    it came from (the entry that the config resolves to) are a ValueError;
+    a missing output directory, or a path that is a directory, an OSError.
+    The string is split by ``os.path``, as the kernel splits it, so a path
+    that ``Path`` would shorten to another name fails; one that passes names
+    the entry that ``Path`` does."""
+    claimed = {} if config is None else {_entry(os.path.realpath(config)): "its config file"}
+    for out, label in zip(outs, labels):
+        if out is None:
+            continue
+        if not os.path.basename(out):
+            raise ValueError(f"{label}: output path {out!r} has an empty name")
+        try:
+            entry = _entry(out)
+        except OSError as exc:
+            raise OSError(f"{label}: cannot write {os.path.abspath(out)}: {exc.strerror}") from exc
+        if os.path.isdir(out) and not os.path.islink(out):
+            raise IsADirectoryError(f"{label}: output path {os.path.abspath(out)} is a directory")
+        if entry in claimed:
+            raise ValueError(f"{label} would overwrite {claimed[entry]}, {out}")
+        claimed[entry] = f"the output of {label}"
+
+
 def _run_sweeps(runs: list[dict], labels: list[str], config: str | None = None) -> int:
     """Run the sweeps (``run_sweep``'s arguments plus ``out`` and ``fmt``)
-    once every output path is known to be writable as given: a path with an
-    empty name, two runs sharing a path, or a run writing the batch
-    ``config`` it came from, are a configuration error, a missing output
-    directory or a path that is a directory an I/O error, and each stops all
-    runs before any output is written."""
-    claimed: dict[Path, str] = {}
-    config_path = Path(config).resolve() if config is not None else None
-    for run, label in zip(runs, labels):
-        if run["out"] is None:
-            continue
-        if not Path(run["out"]).name:
-            raise ConfigError(f"{label}: output path {run['out']!r} has an empty name")
-        path = Path(run["out"]).resolve()
-        if path == config_path:
-            raise ConfigError(f"{label} would overwrite its config file {run['out']}")
-        if path in claimed:
-            raise ConfigError(f"{claimed[path]} and {label} both write {run['out']}")
-        if not path.parent.is_dir():
-            raise FileNotFoundError(f"{label}: output directory {path.parent} does not exist")
-        if path.is_dir():
-            raise IsADirectoryError(f"{label}: output path {path} is a directory")
-        claimed[path] = label
+    once :func:`_claim` has passed their output paths."""
+    _claim([run["out"] for run in runs], labels, config)
     for run in runs:
         sweep = dict(run)
         out, fmt = sweep.pop("out"), sweep.pop("fmt")
@@ -179,12 +190,10 @@ def _run_sweeps(runs: list[dict], labels: list[str], config: str | None = None) 
 def _run_batch(config_path: str) -> int:
     try:
         entries = json.loads(Path(config_path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {config_path}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        raise ValueError(f"cannot read config {config_path}: {exc}") from exc
     if not isinstance(entries, list):
-        raise ConfigError("batch config must be a JSON list of run objects")
+        raise ValueError("batch config must be a JSON list of run objects")
     runs = [_batch_run(i, entry) for i, entry in enumerate(entries)]
     return _run_sweeps(runs, [f"batch entry {i}" for i in range(len(runs))], config_path)
 
@@ -210,7 +219,7 @@ def _batch_run(i: int, entry) -> dict:
         grid = entry.get("gamma", {})
         if not isinstance(grid, dict):
             raise TypeError(f"gamma must be an object, got {grid!r}")
-        steps = grid.get("steps", _STEPS)
+        steps = grid.get("steps", DEFAULT_STEPS)
         if not isinstance(steps, int) or isinstance(steps, bool):
             raise TypeError(f"steps must be an integer, got {steps!r}")
         run = {
@@ -220,7 +229,7 @@ def _batch_run(i: int, entry) -> dict:
             "steps": steps,
             "out": entry.get("out"),
             "fmt": entry.get("format", _FORMAT),
-            "tol": _number("tol", entry.get("tol", _TOL)),
+            "tol": _number("tol", entry.get("tol", DEFAULT_TOL)),
             "start": _number("start", grid.get("start", 0.0)),
             "stop": _number("stop", grid.get("stop", 1.0)),
         }
@@ -230,14 +239,15 @@ def _batch_run(i: int, entry) -> dict:
         if run["out"] is not None and not isinstance(run["out"], str):
             raise TypeError(f"out must be a path string, got {run['out']!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"batch entry {i}: {exc}") from exc
+        raise ValueError(f"batch entry {i}: {exc}") from exc
     return run
 
 
 def cmd_esd(args) -> int:
     points = _resolve_points(args)
     if len(points) != 1:
-        raise ConfigError("esd takes a single (b, c) pair")
+        raise ValueError("esd takes a single (b, c) pair")
+    _claim([args.out], ["--out"])
     report = esd_report(args.kind, args.mode, points[0], tol=args.tol)
     obj = esd_report_obj(report)
     if report.esd_gamma is not None and report.analytic_gamma is not None:
@@ -254,6 +264,7 @@ def cmd_table1(args) -> int:
         points = list(CANONICAL_POINTS)
     else:
         points = _resolve_points(args)
+    _claim([args.out], ["--out"])
     cells = []
     # One row of 15 reports per point; zip(*...) regroups them by cell.
     for reports in zip(*(classify_table1(p, tol=args.tol) for p in points)):
@@ -292,6 +303,7 @@ def cmd_table1(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    _claim([args.out], ["--out"])
     report = run_validation()
     _write_text(args.out, json.dumps(report, indent=2) + "\n")
     if args.out is not None:
@@ -326,10 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_flags(p, required=False)
     _add_param_flags(p)
     # Unset by default, so that a flag given with --config can be told.
-    p.add_argument("--gamma-steps", type=int, help=f"grid points (default {_STEPS})")
+    p.add_argument("--gamma-steps", type=int, help=f"grid points (default {DEFAULT_STEPS})")
     p.add_argument("--out", default=None, help="output path (stdout if omitted)")
     p.add_argument("--format", choices=FORMATS, help=f"default {_FORMAT}")
-    p.add_argument("--tol", type=float, help=f"default {_TOL:g}")
+    p.add_argument("--tol", type=float, help=f"default {DEFAULT_TOL:g}")
     p.add_argument("--config", default=None, help="JSON batch config (list of runs)")
     p.set_defaults(func=cmd_sweep)
 
@@ -337,13 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_flags(p)
     _add_param_flags(p)
     p.add_argument("--out", default=None)
-    p.add_argument("--tol", type=float, default=_TOL)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_esd)
 
     p = sub.add_parser("table1", help="15-cell ESD classification table")
     _add_param_flags(p)
     p.add_argument("--out", default=None)
-    p.add_argument("--tol", type=float, default=_TOL)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("validate", help="closed-form cross-validation report")
@@ -357,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -68,7 +68,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import _WEIGHTINGS, ChannelKind, Side, _weights, channel_terms, channel_weights
+from .channels import (_WEIGHTINGS, ChannelKind, Side, _weights, channel_terms, channel_weights,
+                       check_strengths)
 from .linalg import (BLOCK_SHAPE, TOTAL_DIM, _invariant_forms, _polymul, check_matrices,
                      from_blocks, to_blocks)
 from .states import FAMILY_BASIS, DensityMatrix, StateParams, family_weights
@@ -358,7 +359,9 @@ def analytic_evolved(
     """Closed-form evolved matrix for a multi-local channel of the given kind.
 
     Float strengths give one 6x6 matrix; strength arrays of one shape give a
-    (..., 6, 6) stack, each member equal to the float call to the bit.
+    (..., 6, 6) stack, each member equal to the float call to the bit.  A
+    strength outside [0, 1], NaN included, is a ValueError, as for
+    :class:`ChannelScenario`.
     Local scenarios are the special cases with one strength set to zero.
     With ``corrected=False`` the raw reference expressions are evaluated
     verbatim, including the entries listed in ``RAW_FORM_MISMATCHES`` that the
@@ -379,6 +382,8 @@ def analytic_evolved(
         # Python floats for float strengths: the same IEEE arithmetic as on
         # numpy scalars, at a fraction of the cost per operation.
         ga, gb = float(ga), float(gb)
+    if shape or not (0.0 <= ga <= 1.0 and 0.0 <= gb <= 1.0):
+        check_strengths(np.asarray(ga), np.asarray(gb))
 
     if kind is ChannelKind.DEPHASING:
         m = _decoherence_form(shape, params, (b - c) * np.sqrt((1 - ga) * (1 - gb)) / 2.0)

@@ -65,7 +65,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import ChannelKind
+from .channels import ChannelKind, check_strengths
 from .evolution import ChannelScenario, Mode
 from .evolution import _sweep_basis
 from .linalg import (_PT_GATHER, BLOCK_SHAPE, TOTAL_DIM, _invariant_forms,
@@ -176,10 +176,12 @@ def analytic_negativities(
 ) -> np.ndarray:
     """:func:`negativity_analytic` at each strength pair of one (kind, mode)
     cell, as an array shaped like the strengths, with the same values to
-    the bit.  The strengths must suit the mode, as :class:`ChannelScenario`
-    checks for one pair."""
+    the bit.  A strength outside [0, 1] is a ValueError, as for
+    :class:`ChannelScenario`; that the strengths suit the mode, which it
+    checks for one pair, is left to the caller."""
     ga = np.asarray(gamma_qubit, dtype=float)
     gb = np.asarray(gamma_qutrit, dtype=float)
+    check_strengths(ga, gb)
     x = _negativity_form(ChannelKind(kind), Mode(mode), params, ga, gb)
     # 2 max(0, x) as the scalar form takes it: +0.0 wherever x > 0 fails.
     return np.where(x > 0.0, 2.0 * x, 0.0)
@@ -299,6 +301,11 @@ def _over_common_denominator(values: list[float]) -> tuple[list[int], int]:
     ratios = [v.as_integer_ratio() for v in values]
     d = max(q for _, q in ratios)
     return [n * (d // q) for n, q in ratios], d
+
+
+#: The default ESD tolerance, the widest bracket :func:`esd_gamma` returns a
+#: death in; every function and command that takes a ``tol`` defaults to it.
+DEFAULT_TOL = 1e-9
 
 
 def check_tol(tol: float) -> None:
@@ -537,7 +544,7 @@ def esd_gamma(
     kind: ChannelKind,
     mode: Mode,
     params: StateParams,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> float | None:
     """Smallest sweep strength at which the state has died, decided on the
     invariant polynomials of its partial transpose, without evolving it.
@@ -572,7 +579,7 @@ class EsdReport:
 
 
 def esd_report(
-    kind: ChannelKind, mode: Mode, params: StateParams, tol: float = 1e-9
+    kind: ChannelKind, mode: Mode, params: StateParams, tol: float = DEFAULT_TOL
 ) -> EsdReport:
     """Run the ESD detector and the closed-form threshold side by side."""
     numeric = esd_gamma(kind, mode, params, tol)
@@ -628,6 +635,6 @@ CELL_LABELS: dict[str, Callable[[list[EsdReport]], bool]] = {
 }
 
 
-def classify_table1(params: StateParams, tol: float = 1e-9) -> list[EsdReport]:
+def classify_table1(params: StateParams, tol: float = DEFAULT_TOL) -> list[EsdReport]:
     """ESD reports for all 15 (kind, mode) cells at one parameter point."""
     return [esd_report(kind, mode, params, tol) for kind in ChannelKind for mode in Mode]

@@ -23,6 +23,7 @@ from .channels import ChannelKind
 from .evolution import Mode, coherence_l1, evolve_grid, sweep_strengths
 from .linalg import from_blocks
 from .negativity import (
+    DEFAULT_TOL,
     EsdReport,
     NoClosedFormError,
     analytic_negativities,
@@ -35,6 +36,8 @@ from .states import StateParams
 
 #: Output formats accepted by :func:`render_sweep`.
 FORMATS = ("csv", "json")
+#: The default number of grid points of :func:`run_sweep`, and of ``qqdyn sweep``.
+DEFAULT_STEPS = 513
 
 CSV_HEADER = "gamma,negativity,negativity_analytic,coherence"
 _CSV_ROW = "%.17g,%.17g,%.17g,%.17g"
@@ -114,8 +117,8 @@ def run_sweep(
     params: StateParams,
     start: float = 0.0,
     stop: float = 1.0,
-    steps: int = 513,
-    tol: float = 1e-9,
+    steps: int = DEFAULT_STEPS,
+    tol: float = DEFAULT_TOL,
     esd: bool = True,
 ) -> SweepResult:
     """Tabulate negativity and coherence over a uniform strength grid, and

@@ -32,6 +32,7 @@ from .linalg import from_blocks
 from .negativity import (
     _LAST_BELOW_ONE,
     CANONICAL_POINTS,
+    DEFAULT_TOL,
     NoClosedFormError,
     _alive,
     _block_invariants,
@@ -229,7 +230,7 @@ _EDGE_POINTS = tuple(StateParams(b, c) for b, c in (
     (1e-6, 0.5)))
 
 
-def _esd_certificate_checks(tol: float = 1e-9) -> list[dict]:
+def _esd_certificate_checks(tol: float = DEFAULT_TOL) -> list[dict]:
     """The first death that :func:`esd_gamma` brackets in each cell,
     certified two ways.  Exactly, at the canonical and the edge points: the
     bracket is alive at lo and dead at hi by the invariants' test of life,

@@ -537,6 +537,139 @@ def test_cli_failed_write_leaves_no_temporary_file(command, failing, tmp_path, m
     assert list(tmp_path.iterdir()) == []
 
 
+#: The call of each command that does its work, patched in the cli module.
+_WORK = {"sweep": "run_sweep", "esd": "esd_report", "table1": "classify_table1",
+         "validate": "run_validation"}
+
+
+@pytest.mark.parametrize("out, code, message", [
+    ("", EXIT_CONFIG, "output path '' has an empty name"),
+    # Path("new/") would name the file "new", which the slash says is a directory.
+    ("new/", EXIT_CONFIG, "output path 'new/' has an empty name"),
+    ("d", EXIT_IO, "output path {tmp}/d is a directory"),
+    ("d/.", EXIT_IO, "output path {tmp}/d is a directory"),
+    ("missing/out.json", EXIT_IO, "cannot write {tmp}/missing/out.json: No such file or directory"),
+    ("file/out.json", EXIT_IO, "cannot write {tmp}/file/out.json: Not a directory"),
+], ids=["empty-name", "trailing-slash", "directory", "directory-dot", "missing-directory",
+        "parent-not-a-directory"])
+@pytest.mark.parametrize("command", list(_WORK))
+def test_cli_unusable_out_fails_before_any_work(command, out, code, message, tmp_path, capsys,
+                                                monkeypatch):
+    # Every command checks --out first, and the message names the output
+    # path, never the temporary file that the write goes through.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "file").write_text("x")
+
+    def work(*args, **kwargs):
+        raise AssertionError(f"{command} ran before --out was checked")
+
+    monkeypatch.setattr(qqdyn.cli, _WORK[command], work)
+    argv = {**_WRITES, "validate": ["validate"]}[command]
+    assert main([*argv, "--out", out]) == code
+    err = capsys.readouterr().err
+    assert message.format(tmp=tmp_path) in err and f".{os.getpid()}.tmp" not in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "file"]
+    assert list((tmp_path / "d").iterdir()) == []
+
+
+_ENTRY = {"kind": "dephasing", "mode": "qubitonly", "b": 0.05, "c": 0.6, "gamma": {"steps": 5}}
+
+
+def test_cli_outputs_through_a_symlinked_directory_collide(tmp_path, capsys):
+    # One directory under two names is one directory: its entry s.csv is
+    # written once only.
+    (tmp_path / "real").mkdir()
+    (tmp_path / "link").symlink_to("real", target_is_directory=True)
+    cfg = tmp_path / "runs.json"
+    cfg.write_text(json.dumps([{**_ENTRY, "out": str(tmp_path / "real" / "s.csv")},
+                               {**_ENTRY, "out": str(tmp_path / "link" / "s.csv")}]))
+    assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "batch entry 1 would overwrite the output of batch entry 0" in capsys.readouterr().err
+    assert list((tmp_path / "real").iterdir()) == []
+
+
+def test_cli_batch_entry_cannot_overwrite_the_file_its_config_links_to(tmp_path, capsys,
+                                                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    text = json.dumps([{**_ENTRY, "out": "first.csv"}, {**_ENTRY, "out": "real.json"}])
+    (tmp_path / "real.json").write_text(text)
+    (tmp_path / "cfg.json").symlink_to("real.json")
+    assert main(["sweep", "--config", "cfg.json"]) == EXIT_CONFIG
+    assert "batch entry 1 would overwrite its config file" in capsys.readouterr().err
+    assert (tmp_path / "real.json").read_text() == text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "real.json"]
+
+
+def test_cli_output_name_that_links_to_another_output_is_its_own_entry(tmp_path):
+    # os.replace replaces the link b.csv, not a.csv that it points to, so
+    # the two outputs are two entries and both come out as written alone;
+    # c.csv, a link to a directory, is replaced as a link too.
+    entries = [{**_ENTRY, "out": str(tmp_path / "a.csv")},
+               {**_ENTRY, "kind": "bitflip", "out": str(tmp_path / "b.csv")},
+               {**_ENTRY, "kind": "phaseflip", "out": str(tmp_path / "c.csv")}]
+    (tmp_path / "b.csv").symlink_to("a.csv")
+    (tmp_path / "d").mkdir()
+    (tmp_path / "c.csv").symlink_to("d", target_is_directory=True)
+    cfg = tmp_path / "runs.json"
+    cfg.write_text(json.dumps(entries))
+    assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+    assert not any(p.is_symlink() for p in tmp_path.iterdir())
+    assert list((tmp_path / "d").iterdir()) == []
+    for entry in entries:
+        alone = run_sweep(entry["kind"], entry["mode"], StateParams(0.05, 0.6), steps=5, esd=False)
+        assert Path(entry["out"]).read_text() == render_sweep(alone, "csv")
+
+
+_SCENARIO = ["--kind", "dephasing", "--mode", "qubitonly"]
+
+
+@pytest.mark.parametrize("argv, config, code, files", [
+    (["esd", *_SCENARIO, "--b", "x", "--c", "0.6", "--out", "o.json"], None, EXIT_CONFIG, []),
+    (["esd", *_SCENARIO, "--b", "0.05", "--c", "0.6", "--a-zero", "--out", "o.json"], None,
+     EXIT_CONFIG, []),
+    (["sweep", *_SCENARIO, "--b", "0.05", "--out", "o.csv"], None, EXIT_CONFIG, []),
+    (["sweep", *_SCENARIO, "--b", "0.05,0.1", "--c", "0.6,0.7,0.8", "--out", "o.csv"], None,
+     EXIT_CONFIG, []),
+    (["sweep", "--b", "0.05", "--c", "0.6", "--out", "o.csv"], None, EXIT_CONFIG, []),
+    (["sweep", "--config", "missing.json"], None, EXIT_CONFIG, []),
+    (["sweep", "--config", "cfg.json"], "[{", EXIT_CONFIG, []),
+    (["sweep", "--config", "cfg.json"], json.dumps(_ENTRY), EXIT_CONFIG, []),
+    (["sweep", "--config", "cfg.json"], json.dumps([{**_ENTRY, "out": 5}]), EXIT_CONFIG, []),
+    (["sweep", *_SCENARIO, "--b", "0.05", "--c", "0.6,0.7", "--gamma-steps", "5", "--out", "s.csv"],
+     None, EXIT_OK, ["s_b0.05_c0.6.csv", "s_b0.05_c0.7.csv"]),
+    (["table1", "--out", "t.json"], None, EXIT_OK, ["t.json"]),
+], ids=["b-not-a-number", "a-zero-with-c", "b-without-c", "unequal-lists", "sweep-without-scenario",
+        "config-unreadable", "config-not-json", "config-not-a-list", "config-out-not-a-string",
+        "one-b-over-c-list", "table1-default-points"])
+def test_cli_flag_and_config_branches(argv, config, code, files, tmp_path, capsys, monkeypatch):
+    # Each error exits 2 with a message and writes nothing; each success
+    # writes exactly its files.
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+    assert main(argv) == code
+    written = sorted(p.name for p in tmp_path.iterdir() if p.name != "cfg.json")
+    assert written == files
+    if code != EXIT_OK:
+        assert capsys.readouterr().err.startswith("error: ")
+    elif argv[0] == "table1":
+        points = json.loads((tmp_path / "t.json").read_text())["points"]
+        assert [StateParams(p["b"], p["c"]) for p in points] == list(qqdyn.CANONICAL_POINTS)
+    else:
+        for name, c in zip(files, (0.6, 0.7)):
+            alone = run_sweep("dephasing", "qubitonly", StateParams(0.05, c), steps=5, esd=False)
+            assert (tmp_path / name).read_text() == render_sweep(alone, "csv")
+
+
+def test_sweep_text_errors():
+    with pytest.raises(ValueError, match="unexpected header"):
+        parse_sweep_csv("gamma,negativity\n0,0\n")
+    result = run_sweep(ChannelKind.DEPHASING, Mode.QUBIT_ONLY, StateParams(0.05, 0.6), steps=2)
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        render_sweep(result, "xml")
+
+
 def test_csv_floats_are_17_digits():
     result = run_sweep(ChannelKind.DEPHASING, Mode.QUBIT_ONLY, StateParams(1 / 30, 0.899), steps=5)
     text = render_sweep(result, "csv")

@@ -16,6 +16,7 @@ from qqdyn import (
     evolve,
     evolve_grid,
     initial_state,
+    negativity,
     negativity_analytic,
     negativity_numeric,
     random_entangled_params,
@@ -93,6 +94,25 @@ def test_scalar_strengths_of_any_type_give_one_matrix(kind, corrected):
                 for m in (want, got):
                     assert m.shape == (6, 6) and m.dtype == complex and m.flags.c_contiguous
                 assert got.tobytes() == want.tobytes(), (a, b)
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.1, float("nan"), 2.0], ids=["above", "below", "nan", "two"])
+def test_closed_forms_reject_strengths_outside_the_unit_interval(bad):
+    # The closed forms check their strengths as evolve does, with its message,
+    # on float strengths and on arrays, on either side.
+    p = StateParams(0.05, 0.6)
+    message = f"^{re.escape(f'gamma must lie in [0, 1], got {bad}')}$"
+    with pytest.raises(ValueError, match=message):
+        evolve(ChannelScenario(ChannelKind.DEPOLARIZING, Mode.MULTI_LOCAL, bad, 0.2), p)
+    for ga, gb in ((bad, 0.2), (0.2, bad), ([0.3, bad], [0.2, 0.2]), ([0.3, 0.2], [0.2, bad])):
+        for corrected in (True, False):
+            with pytest.raises(ValueError, match=message):
+                analytic_evolved(ChannelKind.DEPOLARIZING, p, ga, gb, corrected=corrected)
+        mode = Mode.MULTI_LOCAL
+        with pytest.raises(ValueError, match=message):
+            negativity.analytic_negativities(ChannelKind.DEPHASING, mode, p, [ga], [gb])
+        with pytest.raises(ValueError, match=message):
+            negativity.analytic_negativities(ChannelKind.DEPHASING, mode, p, ga, gb)
 
 
 @pytest.mark.parametrize("kind", list(ChannelKind))

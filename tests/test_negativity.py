@@ -433,11 +433,11 @@ def test_root_bracket_refuses_a_count_of_two():
 
 
 @pytest.mark.parametrize("c", [1e-7, 1e-9], ids=["early", "late"])
-def test_root_search_widens_about_a_root_that_missed_its_crossing(c):
+def test_exact_sign_brackets_a_death_where_float_coefficients_cancel(c):
     # At (0, c) qutrit-only depolarizing dies at about 3c, where the chosen
     # invariant's coefficients cancel to 1e-6 of their size, so its sign
-    # evaluated in floats puts the root on the wrong side of the death.  The
-    # bisection on the exact sign brackets the death.
+    # evaluated in floats would put the root on the wrong side of the death.
+    # The bisection on the exact sign brackets the death.
     p = StateParams(0.0, c)
     want = analytic_esd_gamma(ChannelKind.DEPOLARIZING, Mode.QUTRIT_ONLY, p)
     invariants, k = negativity._block_invariants(ChannelKind.DEPOLARIZING, Mode.QUTRIT_ONLY, p)
@@ -464,7 +464,7 @@ def test_bisection_brackets_the_crossing_in_log2_steps(crossing, tol, steps):
     assert len(evaluated) <= steps == math.ceil(math.log2(1.0 / tol))
 
 
-def test_section_below_float_spacing_stops_with_no_float_inside():
+def test_bisection_below_float_spacing_stops_with_no_float_inside():
     crossing = 0.7 + 1e-11
     lo, hi = negativity._bisected(lambda g: g < crossing, 1e-300)
     assert lo < crossing <= hi
@@ -572,9 +572,10 @@ def test_threshold_a_hair_below_one_at_smaller_b_is_found(b, c):
 
 
 #: b = 1.19e-88: the qutrit-only flips' chosen invariant has a leading
-#: coefficient 4e-89 of its largest, whose companion root near 2.5e88 would
-#: drown the death at 0.75 in rounding; and multi-local phase flip dies at
-#: 1 - sqrt(2b / (c - b)), which rounds to 1, though b is not 0.
+#: coefficient 4e-89 of its largest, so its coefficients span 88 orders of
+#: magnitude and the search must still find the death at 0.75; and
+#: multi-local phase flip dies at 1 - sqrt(2b / (c - b)), which rounds to 1,
+#: though b is not 0.
 LEADING_POINT = (1.1890606509269398e-88, 0.5)
 #: Points where a threshold lies a hair below gamma = 1, or within ulps of
 #: it, or where the negativity falls slowly; (0, 1e-9), (0, 1e-7) and
@@ -619,7 +620,7 @@ def test_edge_point_thresholds(point):
         assert (esd_gamma(ChannelKind.PHASE_FLIP, Mode.MULTI_LOCAL, p) is None) == (point[0] == 0.0)
 
 
-def test_search_probes_both_ends_of_the_strength_range():
+def test_deaths_at_either_end_of_the_strength_range_are_bracketed():
     # At (0.15, 0.45), where c - 3b rounds to 5.6e-17, every cell dies at
     # once, and the bisection narrows (0, 1] down to (0, 2^-30], within tol.
     p = StateParams(0.15, 0.45)
@@ -851,11 +852,12 @@ def test_invariant_forms_keep_exact_rationals():
             assert np.abs(e.astype(float) - f).max() <= tol * np.abs(f).max()
 
 
-def test_default_tolerance_needs_no_bisection(monkeypatch):
+def test_esd_search_evolves_no_state_and_tests_life_once(monkeypatch):
     # The search evolves no state: the root counts, their brackets and the
     # test of life all come from the invariant tables.  Each cell takes at
     # most one batch of that test, at the ends of the root brackets, which
-    # bisect on the exact sign of one invariant each.
+    # bisect on the exact sign of one invariant each.  ``_mixed`` is where
+    # both evolution paths, ``evolve`` and ``evolve_grid``, build a state.
     def no_evolve(*args):
         raise AssertionError("the ESD search evolved a state")
 
@@ -866,7 +868,7 @@ def test_default_tolerance_needs_no_bisection(monkeypatch):
         return alive(*args)
 
     alive = negativity._alive
-    monkeypatch.setattr(evolution, "evolve_grid", no_evolve)
+    monkeypatch.setattr(evolution, "_mixed", no_evolve)
     monkeypatch.setattr(negativity, "_alive", counting_alive)
     for p in (P, *CANONICAL_POINTS):
         for kind in ChannelKind:
